@@ -2,9 +2,8 @@
 
 The driver is deliberately backend-agnostic: it only needs a
 ``run_range(lo, hi) -> SampleBatch`` callable, so the same round
-schedule runs over an inline :class:`~repro.approx.sampler.IntervalSampler`,
-a :class:`~repro.mining.parallel.MiningPool`, or a
-:class:`~repro.resilience.supervisor.SupervisedMiningPool`.  Because the
+schedule runs over an inline :class:`~repro.approx.sampler.IntervalSampler`
+or a :class:`~repro.mining.parallel.MiningPool`.  Because the
 round boundaries are a pure function of the spec (``base_samples``,
 then doubling up to ``max_samples``) and every sample's value is a pure
 function of its index, all backends walk the *same* sample prefix and

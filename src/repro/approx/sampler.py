@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -185,46 +185,10 @@ class IntervalSampler:
         return ApproxEstimate.from_batch(batch, self.spec, self.window_length)
 
 
-# -- worker-side chunk bodies --------------------------------------------------
-#
-# Mirrors of _miner_for/_mine_chunk in repro.mining.parallel: samplers are
-# built once per (motif, delta, params) against the worker-resident graph
-# and reused across that query's chunks.  `params` is
-# ApproxSpec.sampler_params() — exactly the fields per-sample values
-# depend on — so two specs differing only in stop criteria share one
-# resident sampler.
-
-#: Task tuple: (motif_edges, delta, params, lo, hi).
-SampleTask = Tuple[Tuple[Tuple[int, int], ...], int, Tuple[int, float, int, str], int, int]
-
-
 def spec_from_params(params: Tuple[int, float, int, str]) -> ApproxSpec:
+    """Inverse of :meth:`ApproxSpec.sampler_params` — exactly the fields
+    per-sample values depend on, so two specs differing only in stop
+    criteria share one worker-resident sampler (the ``"sample"`` chunk
+    kind of :mod:`repro.mining.dispatch`)."""
     seed, c, bins, importance = params
     return ApproxSpec(seed=int(seed), c=float(c), bins=int(bins), importance=importance)
-
-
-def _sampler_for(
-    motif_edges: Tuple[Tuple[int, int], ...],
-    delta: int,
-    params: Tuple[int, float, int, str],
-) -> IntervalSampler:
-    from repro.mining.parallel import _WORKER_STATE  # lazy: worker-resident state
-
-    samplers: Dict = _WORKER_STATE.setdefault("samplers", {})
-    key = (motif_edges, delta, params)
-    sampler = samplers.get(key)
-    if sampler is None:
-        sampler = IntervalSampler(
-            _WORKER_STATE["graph"],
-            Motif(motif_edges),
-            delta,
-            spec_from_params(params),
-        )
-        samplers[key] = sampler
-    return sampler
-
-
-def _sample_chunk(task: SampleTask) -> dict:
-    """Chunk body: run one sample-index range on the resident sampler."""
-    motif_edges, delta, params, lo, hi = task
-    return _sampler_for(motif_edges, delta, params).sample_range(lo, hi).as_payload()

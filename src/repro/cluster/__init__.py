@@ -4,18 +4,15 @@ The path from "fast laptop" to horizontally-scaled serving (ROADMAP
 item 2): root-range chunks and commutative count merging — the same
 decomposition Gao et al. (arxiv 2204.09236) use to scale temporal motif
 counting — dispatched across N worker *node* processes speaking the
-supervised-worker chunk protocol over local sockets.
+chunk protocol of :mod:`repro.mining.dispatch` over local sockets.
 
 - :mod:`~repro.cluster.ring` — :class:`HashRing`, deterministic
   consistent-hash placement of graphs (keyed on
   ``TemporalGraph.fingerprint``) onto node slots;
-- :mod:`~repro.cluster.node` — the node process: multi-graph residency
-  plus the existing chunk bodies, reached over an authenticated
-  ``multiprocessing.connection`` socket;
 - :mod:`~repro.cluster.coordinator` — :class:`MiningCluster`, the
-  shard dispatcher with chunk-level retry, budgeted respawn, ring
-  failover and degraded completion (counts stay byte-identical to the
-  serial miner through whole-node deaths);
+  chunk dispatcher over authenticated ``multiprocessing.connection``
+  sockets with ring placement and ring failover (counts stay
+  byte-identical to the serial miner through whole-node deaths);
 - :mod:`~repro.cluster.executor` — :class:`ClusterExecutor`, the
   service backend; several service replicas can share one cluster.
 """

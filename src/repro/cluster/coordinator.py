@@ -2,70 +2,46 @@
 
 Gao et al. (arxiv 2204.09236) scale temporal motif counting by
 partitioning the search into independent tasks and merging commutative
-per-partition counts; our root-range chunks and ``FamilyResult.merge``
-are exactly that decomposition.  This module distributes it: N worker
-*nodes* — separate processes speaking the supervised-worker chunk
-protocol over local ``multiprocessing.connection`` sockets
-(:mod:`repro.cluster.node`) — mine chunks of any registered graph, and
-the coordinator merges results.  Because chunks are pure, idempotent
-functions of ``(graph fingerprint, kind, spec, delta, root range)`` and
-merging is order-independent, counts and SearchCounters stay
-byte-identical to the serial miner through arbitrary whole-node deaths
-— the same parity discipline every prior layer upheld.
+per-partition counts; root-range chunks and ``FamilyResult.merge`` are
+exactly that decomposition, and
+:class:`~repro.mining.dispatch.ChunkDispatcher` is the loop that runs
+it (chunk queue, retry, wedge kill, budgeted respawn, degraded
+completion, failover — shared with the local pool, so every engine that
+works in a pool works on a node unchanged).  What the cluster adds:
 
-Placement and failure handling:
-
-- **Consistent-hash placement.**  Graphs land on node *slots* via a
-  :class:`~repro.cluster.ring.HashRing` keyed on
-  ``TemporalGraph.fingerprint``; ``replication`` slots hold each graph
-  resident (default: all of them).  Respawned processes inherit their
-  slot, so placement depends only on cluster shape.
-- **Shard-level retry.**  A node death (or a wedged chunk, answered
-  with SIGKILL) costs exactly the chunks it held: the dead node's
-  socket is drained (results it sent before dying still count), its
-  in-flight chunk is requeued at the front, and a surviving placed node
-  picks it up.  Chunks that *raise* in healthy nodes are capped at
-  ``max_chunk_errors`` attempts (:class:`ChunkFailed` past that).
-- **Budgeted respawn, degraded completion.**  Dead nodes are replaced
-  under a respawn budget with capped exponential seeded-jitter backoff
-  (the :mod:`repro.resilience` machinery, with an injectable
-  clock/sleep so tests never sleep real seconds).  Budget exhausted
-  with survivors → the run completes *degraded*; all placed slots dead
-  with other slots alive → the graph **fails over** to the next live
-  ring successors (re-shipped, placement extended); nothing left →
+- **Socket transport.**  Each node is the dispatcher's worker process
+  dialling the coordinator's ``multiprocessing.connection`` listener (a
+  real local socket with a random-authkey handshake); graphs reach it
+  as pickled arrays, not shared memory, so nothing assumes one host's
+  address space.  Faults are injected at the ``node.chunk`` site
+  (``worker`` = node slot index).
+- **Consistent-hash placement.**  A cluster is graph-agnostic: graphs
+  land on node *slots* via a :class:`~repro.cluster.ring.HashRing`
+  keyed on ``TemporalGraph.fingerprint``, ``replication`` slots each
+  (default: all of them).  Respawned processes inherit their slot, so
+  placement depends only on cluster shape.
+- **Ring failover.**  When every slot a graph was placed on is dead
+  with no respawn budget left, the graph is re-shipped to its next live
+  ring successor and the run completes *degraded*; nothing left →
   :class:`ClusterFailed`.
-
-The mining API mirrors the pools (``count`` / ``count_many`` /
-``count_family`` with ``engine=`` over :data:`POOL_ENGINES` plus the
-family traversal), so the service executor and the CLI drive a cluster
-exactly like a local pool.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
-import random
-import threading
-import time
-from collections import deque
-from dataclasses import dataclass
 from multiprocessing import connection, get_context
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence
 
-from repro.cluster.node import node_main
 from repro.cluster.ring import DEFAULT_VNODES, HashRing
 from repro.graph.temporal_graph import TemporalGraph
-from repro.mining.parallel import (
+from repro.mining.dispatch import (
+    ChunkDispatcher,
+    DispatchStats as ClusterStats,  # noqa: F401 - re-exported
     FamilyParallelResult,
-    MiningCancelled,
     ParallelResult,
-    POOL_ENGINES,
-    _guided_bounds,
+    PickledGraph,
+    worker_main,
 )
-from repro.mining.results import SearchCounters
-from repro.resilience.faults import FaultPlan
-from repro.resilience.supervisor import ChunkFailed, _SerializedTurn
 
 
 class ClusterDegraded(RuntimeError):
@@ -75,24 +51,9 @@ class ClusterDegraded(RuntimeError):
 
 
 class ClusterFailed(ClusterDegraded):
-    """No node survives and the respawn budget is spent: the run cannot
-    complete and the cluster is permanently broken."""
-
-
-@dataclass
-class ClusterStats:
-    """Cumulative supervision accounting for one cluster."""
-
-    node_deaths: int = 0
-    wedged_kills: int = 0
-    chunk_retries: int = 0
-    respawns: int = 0
-    chunks_completed: int = 0
-    graph_ships: int = 0
-    failovers: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
+    """No node a graph can live on survives and the respawn budget is
+    spent: the run cannot complete and the cluster is permanently
+    broken."""
 
 
 def slot_name(index: int) -> str:
@@ -100,37 +61,32 @@ def slot_name(index: int) -> str:
     return f"node-{index}"
 
 
-class _Node:
-    """Coordinator-side record of one node slot's live process."""
-
-    __slots__ = ("slot", "process", "conn", "ready", "current", "started_at",
-                 "graphs")
-
-    def __init__(self, slot: int, process, conn) -> None:
-        self.slot = slot
-        self.process = process
-        self.conn = conn
-        self.ready = False
-        #: (epoch, task_id) of the chunk in flight on this node.
-        self.current: Optional[Tuple[int, int]] = None
-        self.started_at = 0.0
-        #: fingerprints shipped to this process (reset on respawn).
-        self.graphs: Set[str] = set()
+def _slot_index(name: str) -> int:
+    return int(name.split("-", 1)[1])
 
 
-class MiningCluster:
+def _node_main(slot, address, authkey, fault_plan):  # pragma: no cover - node process
+    """Node process main: dial the coordinator, then serve chunks."""
+    conn = connection.Client(address, authkey=authkey)
+    worker_main(slot, MiningCluster.site, conn, fault_plan)
+
+
+class MiningCluster(ChunkDispatcher):
     """N worker nodes behind one coordinator, mineable like a pool.
 
-    Unlike the single-graph pools, a cluster is graph-agnostic: graphs
-    are shipped on first use (or explicitly via :meth:`ensure_graph`)
-    to the ``replication`` slots the ring places them on, stay resident
-    for later calls, and are dropped with :meth:`drop_graph` — the
-    shape a shared node pool serving many graphs and several service
-    replicas needs.
-
-    ``clock``/``sleep`` are injectable (tests drive respawn backoff
-    without real seconds); defaults are ``time.monotonic``/``time.sleep``.
+    Graphs are shipped on first use (or explicitly via
+    :meth:`ensure_graph`) to the ``replication`` slots the ring places
+    them on, stay resident for later calls, and are dropped with
+    :meth:`drop_graph` — the shape a shared node pool serving many
+    graphs and several service replicas needs.  ``policy`` is
+    :class:`~repro.mining.dispatch.ChunkDispatcher`'s keyword-only
+    failure policy; mining calls raise :class:`ClusterFailed` /
+    :class:`ClusterDegraded` / ``ChunkFailed`` / ``MiningCancelled``
+    exactly as a pool raises its own.
     """
+
+    site = "node.chunk"
+    Degraded, Failed = ClusterDegraded, ClusterFailed
 
     def __init__(
         self,
@@ -138,270 +94,59 @@ class MiningCluster:
         *,
         replication: Optional[int] = None,
         vnodes: int = DEFAULT_VNODES,
-        chunk_timeout_s: Optional[float] = 30.0,
-        respawn_budget: Optional[int] = None,
-        max_chunk_errors: int = 3,
-        backoff_base_s: float = 0.05,
-        backoff_cap_s: float = 2.0,
-        seed: int = 0,
-        fault_plan: Optional[FaultPlan] = None,
-        on_event: Optional[Callable[[str, int], None]] = None,
         connect_timeout_s: float = 30.0,
-        clock: Callable[[], float] = time.monotonic,
-        sleep: Callable[[float], None] = time.sleep,
+        **policy,
     ) -> None:
-        if num_nodes is None:
-            num_nodes = os.cpu_count() or 1
-        if num_nodes < 1:
-            raise ValueError("MiningCluster needs at least one node")
-        if replication is not None and not 1 <= replication <= num_nodes:
-            raise ValueError("replication must be in [1, num_nodes]")
-        if chunk_timeout_s is not None and chunk_timeout_s <= 0:
-            raise ValueError("chunk_timeout_s must be positive (or None)")
-        if max_chunk_errors < 1:
-            raise ValueError("max_chunk_errors must be >= 1")
-        self.num_nodes = int(num_nodes)
-        self.replication = (
-            self.num_nodes if replication is None else int(replication)
-        )
-        self.chunk_timeout_s = chunk_timeout_s
-        self.respawn_budget = (
-            3 * self.num_nodes if respawn_budget is None else int(respawn_budget)
-        )
-        self.max_chunk_errors = int(max_chunk_errors)
-        self.backoff_base_s = float(backoff_base_s)
-        self.backoff_cap_s = float(backoff_cap_s)
+        super().__init__(num_nodes, **policy)
+        self.num_nodes = self.num_workers
+        if replication is not None:
+            if not 1 <= replication <= self.num_nodes:
+                raise ValueError("replication must be in [1, num_nodes]")
+            self.replication = int(replication)
         self.connect_timeout_s = float(connect_timeout_s)
-        self.stats = ClusterStats()
-        self._fault_plan = fault_plan
-        self._on_event = on_event
-        self._clock = clock
-        self._sleep = sleep
-        self._jitter = random.Random(seed)
-        self._mine_lock = threading.Lock()
-        self._ctx = get_context()
-        self._closed = False
-        self._failed = False
-        self._degraded = False
-        self._epoch = 0
-        self._respawns_used = 0
-        self._consecutive_respawns = 0
-        self._next_spawn_at = 0.0
-        self._authkey = os.urandom(16)
-        self._listener = connection.Listener(
-            ("127.0.0.1", 0), authkey=self._authkey
-        )
         self.ring = HashRing(
             (slot_name(i) for i in range(self.num_nodes)), vnodes=vnodes
         )
-        #: fingerprint -> (arrays, num_graph_nodes), for (re-)shipping.
-        self._graphs: Dict[str, Tuple[Dict, int]] = {}
-        #: fingerprint -> ordered slot indices the graph is placed on
-        #: (ring placement, extended by failover).
-        self._placements: Dict[str, List[int]] = {}
-        self._nodes: Dict[int, _Node] = {}
-        for slot in range(self.num_nodes):
-            self._spawn_node(slot)
+        self._ctx = get_context()
+        self._authkey = os.urandom(16)
+        self._listener = connection.Listener(("127.0.0.1", 0), authkey=self._authkey)
+        self._spawn_all()
 
-    # -- events ----------------------------------------------------------------
+    @property
+    def live_nodes(self) -> int:
+        return self.live_workers
 
-    def _event(self, name: str, n: int = 1) -> None:
-        setattr(self.stats, name, getattr(self.stats, name) + n)
-        if self._on_event is not None:
-            self._on_event(name, n)
+    # -- transport and placement -----------------------------------------------
 
-    # -- node lifecycle --------------------------------------------------------
-
-    def _accept(self):
-        """Accept one node connection, bounded by ``connect_timeout_s``."""
-        sock = getattr(getattr(self._listener, "_listener", None), "_socket", None)
-        if sock is not None:
-            sock.settimeout(self.connect_timeout_s)
-        try:
-            return self._listener.accept()
-        except OSError as exc:
-            raise RuntimeError(
-                f"node failed to connect within {self.connect_timeout_s}s"
-            ) from exc
-
-    def _spawn_node(self, slot: int) -> _Node:
+    def _open_channel(self, slot: int):
         process = self._ctx.Process(
-            target=node_main,
+            target=_node_main,
             args=(slot, self._listener.address, self._authkey, self._fault_plan),
             name=f"mint-node-{slot}",
             daemon=True,
         )
         process.start()
-        conn = self._accept()
-        # The handshake doubles as slot confirmation; the first message
-        # a node sends is always its ready announcement.
-        if not conn.poll(self.connect_timeout_s):
-            raise RuntimeError(f"node {slot} never announced ready")
-        kind, nid, _ = conn.recv()
-        if kind != "ready" or nid != slot:  # pragma: no cover - defensive
-            raise RuntimeError(f"unexpected node handshake {kind!r} from {nid}")
-        node = _Node(slot, process, conn)
-        node.ready = True
-        self._nodes[slot] = node
-        # A respawned process starts empty: re-ship every graph placed
-        # on this slot before it can take that graph's chunks.
-        for fp, slots in self._placements.items():
-            if slot in slots:
-                self._ship_graph(node, fp)
-        return node
-
-    def _ship_graph(self, node: _Node, fp: str) -> None:
-        arrays, num_graph_nodes = self._graphs[fp]
+        sock = getattr(getattr(self._listener, "_listener", None), "_socket", None)
+        if sock is not None:
+            sock.settimeout(self.connect_timeout_s)
         try:
-            node.conn.send(("graph", fp, arrays, num_graph_nodes))
-        except (BrokenPipeError, OSError):
-            return  # the sentinel sweep buries it
-        node.graphs.add(fp)
-        self._event("graph_ships")
+            return process, self._listener.accept()
+        except OSError as exc:
+            process.kill()
+            process.join(timeout=1.0)
+            raise RuntimeError(
+                f"node {slot} failed to connect within {self.connect_timeout_s}s"
+            ) from exc
 
-    def _backoff_delay(self) -> float:
-        base = min(
-            self.backoff_cap_s,
-            self.backoff_base_s * (2 ** self._consecutive_respawns),
-        )
-        return base * (0.5 + self._jitter.random())  # jitter in [0.5x, 1.5x)
+    def _pack(self, graph: TemporalGraph) -> PickledGraph:
+        return PickledGraph(graph)
 
-    def _bury(self, node: _Node, on_result, completed_ids) -> None:
-        """Drain and retire a dead node, requeueing its lost chunk."""
-        self._drain_conn(node, on_result, completed_ids)
-        node.conn.close()
-        node.process.join(timeout=1.0)
-        del self._nodes[node.slot]
-        if node.current is not None:
-            epoch, task_id = node.current
-            if epoch == self._epoch and task_id not in completed_ids:
-                on_result("retry", task_id, "node died mid-chunk")
-            node.current = None
-        self._event("node_deaths")
-        self._consecutive_respawns += 1
-        self._next_spawn_at = self._clock() + self._backoff_delay()
+    def _place(self, fp: str) -> List[int]:
+        return [_slot_index(n) for n in self.ring.nodes_for(fp, self.replication)]
 
-    def _drain_conn(self, node: _Node, on_result, completed_ids) -> None:
-        """Read out anything the node sent before it stopped; synchronous
-        socket sends mean completed chunks survive the sender's death."""
-        try:
-            while node.conn.poll(0):
-                self._handle_message(node, node.conn.recv(), on_result,
-                                     completed_ids)
-        except (EOFError, OSError):
-            pass
-
-    def _handle_message(self, node: _Node, msg, on_result, completed_ids):
-        kind, _nid, payload = msg
-        if kind == "loaded":
-            return  # bookkeeping only; residency was recorded at send
-        if kind == "chunk_error":
-            epoch, task_id, message = payload
-            node.current = None
-            if epoch == self._epoch and task_id not in completed_ids:
-                on_result("error", task_id, message)
-            return
-        if kind == "done":
-            epoch, task_id, result = payload
-            node.current = None
-            if epoch == self._epoch and task_id not in completed_ids:
-                on_result("done", task_id, result)
-            return
-
-    # -- observability ---------------------------------------------------------
-
-    @property
-    def live_nodes(self) -> int:
-        return sum(1 for n in self._nodes.values() if n.process.is_alive())
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    @property
-    def broken(self) -> bool:
-        if self._closed or self._failed:
-            return True
-        return self.live_nodes == 0 and self._respawns_used >= self.respawn_budget
-
-    @property
-    def degraded(self) -> bool:
-        """True once the cluster has permanently lost redundancy."""
-        return self._degraded
-
-    def placement(self, fingerprint: str) -> Tuple[int, ...]:
-        """The slot indices ``fingerprint`` is currently placed on."""
-        return tuple(self._placements.get(fingerprint, ()))
-
-    # -- graph residency -------------------------------------------------------
-
-    def ensure_graph(self, graph: TemporalGraph) -> str:
-        """Place (and ship) a graph onto its ring slots; returns its
-        fingerprint.  Idempotent; later mining calls reuse residency.
-
-        Serialized on the mining lock: node sockets are single-reader /
-        single-writer, so residency changes take turns with runs.
-        """
-        with self._mine_lock:
-            return self._ensure_graph_locked(graph)
-
-    def _ensure_graph_locked(self, graph: TemporalGraph) -> str:
-        fp = graph.fingerprint()
-        if fp in self._placements:
-            return fp
-        self._graphs[fp] = (graph.as_arrays(), graph.num_nodes)
-        placed = [
-            int(name.split("-", 1)[1])
-            for name in self.ring.nodes_for(fp, self.replication)
-        ]
-        self._placements[fp] = placed
-        for slot in placed:
-            node = self._nodes.get(slot)
-            if node is not None:
-                self._ship_graph(node, fp)
-        return fp
-
-    def drop_graph(self, fingerprint: str) -> None:
-        """Release a graph everywhere (no-op for unknown fingerprints).
-
-        Serialized on the mining lock, like :meth:`ensure_graph`."""
-        with self._mine_lock:
-            self._drop_graph_locked(fingerprint)
-
-    def _drop_graph_locked(self, fingerprint: str) -> None:
-        self._graphs.pop(fingerprint, None)
-        slots = self._placements.pop(fingerprint, [])
-        for slot in slots:
-            node = self._nodes.get(slot)
-            if node is None or fingerprint not in node.graphs:
-                continue
-            try:
-                node.conn.send(("drop", fingerprint))
-            except (BrokenPipeError, OSError):
-                pass
-            node.graphs.discard(fingerprint)
-
-    def _failover(self, fp: str) -> bool:
-        """Extend a graph's placement to the next live ring successors.
-
-        Called when every placed slot is dead with no respawn budget
-        left.  Returns True when at least one new live slot adopted the
-        graph (the run continues, degraded)."""
-        placed = self._placements[fp]
-        current = {slot_name(s) for s in placed}
-        adopted = False
-        for name in self.ring.successors(fp, exclude=current):
-            slot = int(name.split("-", 1)[1])
-            node = self._nodes.get(slot)
-            if node is None or not node.process.is_alive():
-                continue
-            placed.append(slot)
-            self._ship_graph(node, fp)
-            self._event("failovers")
-            adopted = True
-            if len(placed) >= self.replication:
-                break
-        return adopted
+    def _successors(self, fp: str, placed: List[int]) -> Iterable[int]:
+        names = self.ring.successors(fp, exclude={slot_name(s) for s in placed})
+        return map(_slot_index, names)
 
     # -- mining ----------------------------------------------------------------
 
@@ -416,8 +161,8 @@ class MiningCluster:
         engine: str = "mackey",
     ) -> ParallelResult:
         return self.count_many(
-            graph, [motif], delta, chunks_per_node, cancel_check,
-            allow_degraded, engine=engine,
+            graph, [motif], delta, chunks_per_node, cancel_check, allow_degraded,
+            engine,
         )[0]
 
     def count_many(
@@ -430,27 +175,11 @@ class MiningCluster:
         allow_degraded: bool = True,
         engine: str = "mackey",
     ) -> List[ParallelResult]:
-        """Count several motifs in one cluster dispatch wave.
-
-        Byte-identical to the serial miner for every engine: chunks are
-        idempotent and merging is commutative, so node deaths, retries
-        and failovers cannot change counts.  Raises
-        :class:`ClusterFailed` when no node survives and the respawn
-        budget is spent; :class:`ClusterDegraded` (before completing on
-        survivors) when ``allow_degraded=False``; ``ChunkFailed`` when
-        one chunk keeps raising past ``max_chunk_errors``.  Thread-safe
-        (service replicas share one cluster): callers serialize on an
-        internal cancel-aware lock.
-        """
-        if engine not in POOL_ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; expected one of {POOL_ENGINES}"
-            )
-        with _SerializedTurn(self._mine_lock, cancel_check):
-            return self._count_many_locked(
-                graph, motifs, delta, chunks_per_node, cancel_check,
-                allow_degraded, engine,
-            )
+        """Count several motifs in one cluster dispatch wave."""
+        return self._count_many(
+            graph, motifs, delta, chunks_per_node, cancel_check, allow_degraded,
+            engine,
+        )
 
     def count_family(
         self,
@@ -463,318 +192,12 @@ class MiningCluster:
     ) -> FamilyParallelResult:
         """Co-mine a motif family across the cluster (one shared
         traversal per chunk, the ``"family"`` chunk kind)."""
-        with _SerializedTurn(self._mine_lock, cancel_check):
-            return self._count_family_locked(
-                graph, motifs, delta, chunks_per_node, cancel_check,
-                allow_degraded,
-            )
-
-    def _count_many_locked(
-        self,
-        graph: TemporalGraph,
-        motifs: Sequence,
-        delta: int,
-        chunks_per_node: int,
-        cancel_check: Optional[Callable[[], bool]],
-        allow_degraded: bool,
-        engine: str,
-    ) -> List[ParallelResult]:
-        m = graph.num_edges
-        totals = [0] * len(motifs)
-        merged = [SearchCounters() for _ in motifs]
-        if m == 0 or not motifs:
-            self._check_usable()
-            return [
-                ParallelResult(totals[i], merged[i], self.num_nodes, 0)
-                for i in range(len(motifs))
-            ]
-        fp = self._ensure_graph_locked(graph)
-        bounds = _guided_bounds(m, self.replication, chunks_per_node)
-        kind = "batched" if engine == "batched" else "motif"
-        specs: List[Tuple[str, Tuple, int, int, int]] = []
-        owners: List[int] = []
-        for i, motif in enumerate(motifs):
-            for lo, hi in bounds:
-                specs.append((kind, motif.edges, int(delta), lo, hi))
-                owners.append(i)
-
-        def apply_result(task_id: int, result) -> None:
-            count, counter_dict = result
-            idx = owners[task_id]
-            totals[idx] += count
-            merged[idx].merge(SearchCounters(**counter_dict))
-
-        self._run_chunks(fp, specs, apply_result, cancel_check, allow_degraded)
-        return [
-            ParallelResult(totals[i], merged[i], self.num_nodes, len(bounds))
-            for i in range(len(motifs))
-        ]
-
-    def _count_family_locked(
-        self,
-        graph: TemporalGraph,
-        motifs: Sequence,
-        delta: int,
-        chunks_per_node: int,
-        cancel_check: Optional[Callable[[], bool]],
-        allow_degraded: bool,
-    ) -> FamilyParallelResult:
-        from repro.comine.engine import FamilyResult
-        from repro.comine.trie import MotifTrie
-
-        trie = MotifTrie(motifs)  # validates the family (raises on empty)
-        acc = FamilyResult.empty(trie)
-        m = graph.num_edges
-        if m == 0:
-            self._check_usable()
-            return self._family_result(motifs, acc, 0)
-        fp = self._ensure_graph_locked(graph)
-        bounds = _guided_bounds(m, self.replication, chunks_per_node)
-        family_edges = tuple(m_.edges for m_ in motifs)
-        specs = [
-            ("family", family_edges, int(delta), lo, hi) for lo, hi in bounds
-        ]
-
-        def apply_result(task_id: int, result) -> None:
-            acc.merge(FamilyResult.from_payload(result))
-
-        self._run_chunks(fp, specs, apply_result, cancel_check, allow_degraded)
-        return self._family_result(motifs, acc, len(bounds))
-
-    def _family_result(
-        self, motifs: Sequence, acc, num_chunks: int
-    ) -> FamilyParallelResult:
-        return FamilyParallelResult(
-            results=tuple(
-                ParallelResult(
-                    acc.counts[i], acc.per_motif[i], self.num_nodes, num_chunks
-                )
-                for i in range(len(motifs))
-            ),
-            counters=acc.counters,
-            sharing=acc.sharing,
-            num_workers=self.num_nodes,
-            num_chunks=num_chunks,
+        return self._count_family(
+            graph, motifs, delta, chunks_per_node, cancel_check, allow_degraded
         )
-
-    def _check_usable(self) -> None:
-        if self._closed:
-            raise RuntimeError("MiningCluster is closed")
-        if self._failed:
-            raise ClusterFailed("cluster is broken (a previous run exhausted it)")
-
-    # -- supervision loop ------------------------------------------------------
-
-    def _placed_nodes(self, fp: str) -> List[_Node]:
-        return [
-            self._nodes[slot]
-            for slot in self._placements.get(fp, ())
-            if slot in self._nodes
-        ]
-
-    def _run_chunks(
-        self,
-        fp: str,
-        specs: Sequence[Tuple[str, Tuple, int, int, int]],
-        apply_result: Callable[[int, object], None],
-        cancel_check: Optional[Callable[[], bool]],
-        allow_degraded: bool,
-    ) -> None:
-        """The cluster supervision loop, agnostic of chunk kind.
-
-        Identical in structure to
-        :meth:`~repro.resilience.supervisor.SupervisedMiningPool._run_chunks`
-        — dispatch, sentinel+socket wait, drain-then-bury, retry,
-        budgeted respawn — restricted to the nodes ``fp`` is placed on,
-        with ring failover when every placed node is permanently gone.
-        """
-        self._check_usable()
-        self._epoch += 1
-        tasks: Dict[int, Tuple[str, Tuple, int, int, int]] = dict(
-            enumerate(specs)
-        )
-        pending: Deque[int] = deque(sorted(tasks))
-        completed: Set[int] = set()
-        error_counts: Dict[int, int] = {}
-        fatal: List[Tuple[int, str]] = []
-
-        def on_result(kind: str, task_id: int, payload) -> None:
-            if kind == "done":
-                apply_result(task_id, payload)
-                completed.add(task_id)
-                self._event("chunks_completed")
-                return
-            if kind == "error":
-                n = error_counts[task_id] = error_counts.get(task_id, 0) + 1
-                if n >= self.max_chunk_errors:
-                    fatal.append((task_id, str(payload)))
-                    return
-            pending.appendleft(task_id)
-            self._event("chunk_retries")
-
-        while len(completed) < len(tasks):
-            if cancel_check is not None and cancel_check():
-                # In-flight chunks keep running; their results carry
-                # this epoch and are discarded by the next call.
-                raise MiningCancelled("mining cancelled by cancel_check")
-            if fatal:
-                task_id, message = fatal[0]
-                raise ChunkFailed(
-                    f"chunk {task_id} raised on all {self.max_chunk_errors} "
-                    f"attempts; last error: {message}"
-                )
-            self._sweep_dead(on_result, completed)
-            self._maybe_respawn()
-            placed = [
-                n for n in self._placed_nodes(fp) if n.process.is_alive()
-            ]
-            if not placed:
-                # A placed node can die between the sweep above and the
-                # liveness check here; bury it before deciding anything
-                # so its death is counted and its chunk requeued.
-                self._sweep_dead(on_result, completed)
-                if self._respawns_used < self.respawn_budget:
-                    # Budget remains: wait out the backoff in cancel-
-                    # aware ticks, then respawn the missing slots.
-                    while True:
-                        remaining = self._next_spawn_at - self._clock()
-                        if remaining <= 0:
-                            break
-                        if cancel_check is not None and cancel_check():
-                            raise MiningCancelled(
-                                "mining cancelled during respawn backoff"
-                            )
-                        self._sleep(min(0.05, remaining))
-                    self._maybe_respawn()
-                    continue
-                # Budget spent.  Consistent hashing's natural failover:
-                # hand the graph to the next live successors on the ring.
-                self._mark_degraded(allow_degraded)
-                if self._failover(fp):
-                    continue
-                self._failed = True
-                raise ClusterFailed(
-                    "all placed nodes dead and respawn budget "
-                    f"({self.respawn_budget}) exhausted"
-                )
-            if (
-                self._respawns_used >= self.respawn_budget
-                and len(self._nodes) < self.num_nodes
-            ):
-                self._mark_degraded(allow_degraded)
-            self._dispatch(fp, pending, tasks, completed)
-            self._wait_and_collect(on_result, completed)
-
-    def _mark_degraded(self, allow_degraded: bool) -> None:
-        if not self._degraded:
-            self._degraded = True
-            if not allow_degraded:
-                raise ClusterDegraded(
-                    f"respawn budget ({self.respawn_budget}) exhausted; "
-                    f"{len(self._nodes)}/{self.num_nodes} nodes remain"
-                )
-
-    def _dispatch(self, fp: str, pending: Deque[int], tasks, completed) -> None:
-        for node in self._placed_nodes(fp):
-            if not pending:
-                return
-            if not node.ready or node.current is not None:
-                continue
-            if fp not in node.graphs:  # pragma: no cover - defensive
-                self._ship_graph(node, fp)
-            task_id = pending.popleft()
-            if task_id in completed:  # pragma: no cover - defensive
-                continue
-            kind, spec, delta, lo, hi = tasks[task_id]
-            try:
-                node.conn.send(
-                    ("task", (self._epoch, task_id, fp, kind, spec, delta,
-                              lo, hi))
-                )
-            except (BrokenPipeError, OSError):
-                # Died between sweep and send; requeue, next sweep buries.
-                pending.appendleft(task_id)
-                continue
-            node.current = (self._epoch, task_id)
-            node.started_at = self._clock()
-
-    def _wait_and_collect(self, on_result, completed, tick: float = 0.05) -> None:
-        """Block until a message or a death, then process every ready one."""
-        sources: List = []
-        by_source: Dict = {}
-        for node in self._nodes.values():
-            sources.append(node.conn)
-            by_source[node.conn] = node
-            sources.append(node.process.sentinel)
-            by_source[node.process.sentinel] = node
-        if not sources:  # pragma: no cover - guarded by caller
-            return
-        for source in connection.wait(sources, timeout=tick):
-            node = by_source[source]
-            if source is node.conn:
-                try:
-                    msg = node.conn.recv()
-                except (EOFError, OSError):
-                    continue  # the sentinel sweep buries it
-                self._handle_message(node, msg, on_result, completed)
-
-    def _sweep_dead(self, on_result, completed) -> None:
-        now = self._clock()
-        for node in list(self._nodes.values()):
-            if not node.process.is_alive():
-                self._bury(node, on_result, completed)
-                continue
-            if (
-                self.chunk_timeout_s is not None
-                and node.current is not None
-                and now - node.started_at > self.chunk_timeout_s
-            ):
-                # Presumed wedged; one last drain, then SIGKILL.
-                self._drain_conn(node, on_result, completed)
-                if node.current is None:
-                    continue  # it had finished after all
-                self._event("wedged_kills")
-                node.process.kill()
-                node.process.join(timeout=1.0)
-                self._bury(node, on_result, completed)
-
-    def _maybe_respawn(self) -> None:
-        while (
-            len(self._nodes) < self.num_nodes
-            and self._respawns_used < self.respawn_budget
-            and self._clock() >= self._next_spawn_at
-        ):
-            dead = sorted(
-                set(range(self.num_nodes)) - set(self._nodes)
-            )
-            self._respawns_used += 1
-            self._event("respawns")
-            self._spawn_node(dead[0])
-            self._consecutive_respawns = 0
 
     # -- lifecycle -------------------------------------------------------------
 
     def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        for node in self._nodes.values():
-            try:
-                node.conn.send(None)
-            except (BrokenPipeError, OSError):
-                pass
-        deadline = time.monotonic() + 2.0
-        for node in self._nodes.values():
-            node.process.join(timeout=max(0.0, deadline - time.monotonic()))
-            if node.process.is_alive():
-                node.process.kill()
-                node.process.join(timeout=1.0)
-            node.conn.close()
-        self._nodes.clear()
+        super().close()
         self._listener.close()
-
-    def __enter__(self) -> "MiningCluster":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

@@ -24,7 +24,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.cluster.coordinator import MiningCluster
 from repro.graph.temporal_graph import TemporalGraph
-from repro.mining.parallel import POOL_ENGINES, MiningCancelled
+from repro.mining.dispatch import MiningCancelled, check_engine
 from repro.motifs.motif import Motif
 from repro.resilience.faults import fault_point
 from repro.service.executor import BatchItem, InlineExecutor
@@ -53,10 +53,7 @@ class ClusterExecutor:
         engine: str = "mackey",
         **cluster_kwargs,
     ) -> None:
-        if engine not in POOL_ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; expected one of {POOL_ENGINES}"
-            )
+        check_engine(engine)
         if (cluster is None) == (num_nodes is None):
             raise ValueError("pass exactly one of cluster= or num_nodes=")
         self.counters = counters if counters is not None else ResilienceCounters()

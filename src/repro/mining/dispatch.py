@@ -1,0 +1,1008 @@
+"""Chunk dispatch: the one supervision loop and the one worker main.
+
+The paper's software baseline is "a task-centric multi-threaded
+implementation (similar to [the] proposed programming model) using work
+stealing OpenMP threads" (§VII-D), and Mint itself feeds every search
+engine from one global task queue.  This module is the Python analog:
+root tasks (search trees) are independent, so a run is cut into
+root-range *chunks* — pure, idempotent functions of ``(graph
+fingerprint, kind, spec, delta, lo, hi)`` — handed to worker processes
+one at a time from a single queue, and merged commutatively.  Re-running
+a chunk anywhere is therefore always safe, which is what makes the
+failure policy below cost nothing in correctness: counts and
+``SearchCounters`` stay byte-identical to the serial miner no matter
+which workers died along the way.
+
+Two halves, each defined exactly once:
+
+- :func:`worker_main` — the process every dispatcher spawns.  It keeps
+  graphs resident by fingerprint (:class:`ResidentGraph`) and runs a
+  chunk by looking its kind up in :data:`CHUNK_KINDS`; miners are built
+  once per ``(kind, spec, delta)`` and reused across that run's chunks.
+- :class:`ChunkDispatcher` — the supervision loop: chunk queue, results
+  tagged with a per-call epoch (a cancelled call's stragglers are
+  discarded by the next), a dead worker's channel drained before it is
+  buried (sends are synchronous, so whatever it finished still counts)
+  and its unfinished chunk requeued at the front, chunks that *raise*
+  retried up to ``max_chunk_errors`` then :class:`ChunkFailed`, a
+  worker holding one chunk longer than ``chunk_timeout_s`` presumed
+  wedged and SIGKILLed, respawn under a budget with capped exponential
+  seeded-jitter backoff on an injectable clock, completion on survivors
+  (*degraded*) when the budget is spent, and failover of a graph to
+  further slots when every slot it was placed on is gone.
+
+A concrete dispatcher supplies only what really differs: how a worker's
+channel is opened and how a graph's arrays reach it, the fault site its
+workers announce, and where graphs are placed
+(:class:`~repro.mining.parallel.MiningPool`,
+:class:`~repro.cluster.coordinator.MiningCluster`).
+"""
+
+from __future__ import annotations
+
+import os
+import random
+import threading
+import time
+from collections import deque
+from contextlib import contextmanager
+from dataclasses import dataclass
+from functools import partial
+from multiprocessing import connection, shared_memory
+from typing import Callable, Deque, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
+
+from repro.graph.temporal_graph import TemporalGraph
+from repro.mining.mackey import MackeyMiner
+from repro.mining.results import SearchCounters
+from repro.motifs.motif import Motif
+
+
+class MiningCancelled(RuntimeError):
+    """Raised by a mining call when its ``cancel_check`` fires.
+    Cancellation is best-effort at chunk granularity: chunks already
+    executing run to completion (their results carry a stale epoch and
+    are discarded), no further chunks are dispatched, and partial
+    counts are dropped.  The dispatcher stays usable."""
+
+
+class ChunkFailed(RuntimeError):
+    """One chunk kept raising inside healthy workers past the per-chunk
+    retry cap (``max_chunk_errors``) — a deterministic failure of that
+    (motif, root-range) input, not a worker-health problem.  The
+    dispatcher itself stays usable; retrying the same input would loop
+    forever."""
+
+
+@dataclass(frozen=True)
+class ParallelResult:
+    count: int
+    counters: SearchCounters
+    num_workers: int
+    num_chunks: int
+
+
+@dataclass(frozen=True)
+class FamilyParallelResult:
+    """Per-motif results of one sharded co-mining wave.
+
+    ``results`` follow the family's input order; each carries the
+    motif's exact count and its attributed per-motif counters (byte-
+    identical to a dedicated serial miner).  ``counters`` is the shared
+    work actually performed, ``sharing`` what the trie saved.
+    """
+
+    results: Tuple[ParallelResult, ...]
+    counters: SearchCounters
+    sharing: "SharingStats"  # noqa: F821 - repro.comine.engine.SharingStats
+    num_workers: int
+    num_chunks: int
+
+
+# -- engines and chunk kinds ---------------------------------------------------
+
+
+def _mackey_miner(graph, motif, delta, cancel_check=None, **kwargs):
+    # The scalar DFS has no cancellation poll of its own; its callers
+    # poll between motifs (inline) or between chunks (dispatched).
+    return MackeyMiner(graph, motif, delta, **kwargs)
+
+
+def _batched_miner(graph, motif, delta, **kwargs):
+    from repro.mining.batched import BatchedMiner  # lazy: avoids an import cycle
+
+    return BatchedMiner(graph, motif, delta, **kwargs)
+
+
+#: Exact per-motif engines: name -> (chunk kind it dispatches as, miner
+#: factory).  Every engine yields byte-identical counts and counters;
+#: ``batched`` replaces the scalar DFS inner loop with vectorized
+#: frontier expansion (:mod:`repro.mining.batched`).
+ENGINES: Dict[str, Tuple[str, Callable]] = {
+    "mackey": ("motif", _mackey_miner),
+    "batched": ("batched", _batched_miner),
+}
+
+#: The engine names, for messages and argument parsers.
+POOL_ENGINES = tuple(ENGINES)
+
+
+def check_engine(engine: str) -> None:
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}; expected one of {POOL_ENGINES}")
+
+
+def make_miner(engine: str, graph: TemporalGraph, motif: Motif, delta: int, **kwargs):
+    """An exact miner (``mine()`` / ``mine_range(lo, hi)``) for ``engine``.
+
+    ``kwargs`` reach the engine's constructor; ``cancel_check`` is
+    honoured by the engines that poll (``batched``).
+    """
+    check_engine(engine)
+    return ENGINES[engine][1](graph, motif, delta, **kwargs)
+
+
+def _exact_chunks(factory: Callable, graph, motif_edges, delta):
+    miner = factory(graph, Motif(motif_edges), delta)
+
+    def run(lo: int, hi: int):
+        result = miner.mine_range(lo, hi)
+        return result.count, result.counters.as_dict()
+
+    return run
+
+
+def _family_chunks(graph, family_edges, delta):
+    """One shared co-mining traversal per chunk for a whole family."""
+    from repro.comine.engine import CoMiner  # lazy: avoids an import cycle
+
+    cominer = CoMiner(graph, [Motif(edges) for edges in family_edges], delta)
+    return lambda lo, hi: cominer.mine_range(lo, hi).as_payload()
+
+
+def _sample_chunks(graph, spec, delta):
+    """``spec`` is ``(motif_edges, ApproxSpec.sampler_params())`` — exactly
+    the fields per-sample values depend on — and ``lo``/``hi`` are sample
+    indices, not root edges (the :mod:`repro.approx` chunk protocol)."""
+    from repro.approx.sampler import IntervalSampler, spec_from_params
+
+    motif_edges, params = spec
+    sampler = IntervalSampler(
+        graph, Motif(motif_edges), delta, spec_from_params(params)
+    )
+    return lambda lo, hi: sampler.sample_range(lo, hi).as_payload()
+
+
+#: chunk kind -> ``build(graph, spec, delta)`` returning the resident
+#: ``run(lo, hi) -> picklable result`` for that kind.
+CHUNK_KINDS: Dict[str, Callable] = {
+    **{kind: partial(_exact_chunks, factory) for kind, factory in ENGINES.values()},
+    "family": _family_chunks,
+    "sample": _sample_chunks,
+}
+
+
+# -- worker side ---------------------------------------------------------------
+
+
+class ResidentGraph:
+    """One graph held by a worker, with the miners built against it.
+
+    Miners (and their plans, tries, samplers) are built once per
+    ``(kind, spec, delta)`` and reused across that run's chunks, so a
+    chunk costs one ``mine_range`` call, not a rebuild.
+    """
+
+    def __init__(self, graph: TemporalGraph, segment=None) -> None:
+        self.graph = graph
+        self._segment = segment  # keeps a shared-memory mapping alive
+        self._runners: Dict[Tuple, Callable] = {}
+
+    def run(self, kind: str, spec, delta: int, lo: int, hi: int):
+        """Run one chunk; a pure function of its arguments and the graph."""
+        key = (kind, spec, delta)
+        runner = self._runners.get(key)
+        if runner is None:
+            if kind not in CHUNK_KINDS:
+                raise ValueError(f"unknown chunk kind {kind!r}")
+            runner = self._runners[key] = CHUNK_KINDS[kind](self.graph, spec, delta)
+        return runner(lo, hi)
+
+
+def _attach_untracked(shm_name: str):
+    """Attach to an existing segment without resource-tracker bookkeeping.
+
+    The parent owns (and unlinks) the segment; if every worker also
+    registered it, the tracker would warn about double-unregistration at
+    shutdown.  Python >= 3.13 exposes ``track=False`` for exactly this;
+    older versions need the register call suppressed during attach.
+    """
+    try:
+        return shared_memory.SharedMemory(name=shm_name, track=False)
+    except TypeError:  # Python < 3.13
+        from multiprocessing import resource_tracker
+
+        original = resource_tracker.register
+        resource_tracker.register = lambda *a, **k: None
+        try:
+            return shared_memory.SharedMemory(name=shm_name)
+        finally:
+            resource_tracker.register = original
+
+
+class PickledGraph:
+    """A graph's seven backing arrays, pickled to each worker.
+
+    ``payload`` is what travels in a ``("graph", ...)`` message;
+    :func:`adopt_graph` is its worker-side inverse.
+    """
+
+    def __init__(self, graph: TemporalGraph) -> None:
+        self.num_nodes = graph.num_nodes
+        self.payload = ("arrays", {
+            name: np.ascontiguousarray(a, dtype=np.int64)
+            for name, a in graph.as_arrays().items()
+        })
+
+    def close(self) -> None:
+        """Nothing outlives the messages."""
+
+
+def _segment_view(seg, start: int, length: int) -> np.ndarray:
+    return np.ndarray((length,), dtype=np.int64, buffer=seg.buf, offset=start * 8)
+
+
+class GraphShipment(PickledGraph):
+    """The arrays placed once in a ``multiprocessing.shared_memory``
+    segment that same-host workers adopt zero-copy views of; where
+    shared memory is unavailable, the pickled form.  ``close`` unlinks
+    the segment."""
+
+    def __init__(self, graph: TemporalGraph) -> None:
+        self._seg = None
+        arrays = graph.as_arrays()
+        try:
+            total = sum(len(a) for a in arrays.values())
+            self._seg = shared_memory.SharedMemory(create=True, size=max(1, total * 8))
+        except OSError:  # pragma: no cover - e.g. /dev/shm unavailable
+            super().__init__(graph)
+            return
+        self.num_nodes = graph.num_nodes
+        layout: Dict[str, Tuple[int, int]] = {}
+        start = 0
+        for name, a in arrays.items():
+            _segment_view(self._seg, start, len(a))[:] = np.asarray(a, dtype=np.int64)
+            layout[name] = (start, len(a))
+            start += len(a)
+        self.payload = ("shm", (self._seg.name, layout))
+
+    def close(self) -> None:
+        if self._seg is not None:
+            self._seg.close()
+            try:
+                self._seg.unlink()
+            except FileNotFoundError:  # pragma: no cover
+                pass
+            self._seg = None
+
+
+def adopt_graph(payload, num_nodes: int) -> ResidentGraph:
+    """Worker side of a shipment: no CSR rebuild, no validation."""
+    form, body = payload
+    seg = None
+    if form == "shm":
+        name, layout = body
+        seg = _attach_untracked(name)
+        body = {
+            key: _segment_view(seg, start, length)
+            for key, (start, length) in layout.items()
+        }
+    graph = TemporalGraph.from_arrays(num_nodes=num_nodes, validate=False, **body)
+    return ResidentGraph(graph, seg)
+
+
+def worker_main(  # pragma: no cover - runs in spawned worker processes only
+    wid: int, site: str, conn, fault_plan
+) -> None:
+    """Worker process main: serve chunks over ``conn`` until told to stop.
+
+    Supervisor -> worker: ``("graph", fp, payload, num_nodes)`` adopts a
+    graph, ``("drop", fp)`` releases one, ``("task", epoch, task_id, fp,
+    kind, spec, delta, lo, hi)`` mines one chunk, ``None`` shuts down.
+    Worker -> supervisor: ``"ready"`` once, then per task ``("done",
+    epoch, task_id, result)`` or ``("error", epoch, task_id, repr)``.
+
+    Every send is synchronous, so anything sent before a crash survives
+    the crash.  A chunk-level exception is reported (the worker survives
+    and keeps serving); only an injected ``kill`` / external SIGKILL
+    takes the process down.  ``fault_point(site, worker=wid)`` before
+    each chunk is the hook the chaos suite kills/delays workers through.
+    """
+    from repro.resilience.faults import fault_point  # lazy: avoids an import cycle
+
+    if fault_plan is not None:
+        fault_plan.install()
+    resident: Dict[str, ResidentGraph] = {}
+    conn.send("ready")
+    while True:
+        try:
+            msg = conn.recv()
+        except (EOFError, OSError):
+            return  # supervisor went away
+        if msg is None:
+            return
+        if msg[0] == "graph":
+            _, fp, payload, num_nodes = msg
+            resident[fp] = adopt_graph(payload, num_nodes)
+        elif msg[0] == "drop":
+            resident.pop(msg[1], None)
+        else:
+            _, epoch, task_id, fp, kind, spec, delta, lo, hi = msg
+            try:
+                fault_point(site, worker=wid, chunk=task_id)
+                if fp not in resident:
+                    raise KeyError(f"graph {fp} not resident on worker {wid}")
+                result = resident[fp].run(kind, spec, delta, lo, hi)
+            except BaseException as exc:  # noqa: BLE001 - reported, worker survives
+                conn.send(("error", epoch, task_id, repr(exc)))
+                continue
+            conn.send(("done", epoch, task_id, result))
+
+
+# -- supervisor side -----------------------------------------------------------
+
+
+def _guided_bounds(
+    num_edges: int, num_workers: int, chunks_per_worker: int
+) -> List[Tuple[int, int]]:
+    """Guided (decaying-size) root-range schedule over ``[0, num_edges)``.
+
+    Early chunks are large (low dispatch overhead); the tail is cut into
+    chunks no smaller than ``num_edges / (workers * chunks_per_worker)``
+    so a late hub-rooted range cannot hold every worker hostage —
+    OpenMP's ``schedule(guided)``, which the work-stealing baseline
+    approximates.
+    """
+    bounds: List[Tuple[int, int]] = []
+    min_chunk = max(1, num_edges // max(1, num_workers * chunks_per_worker))
+    lo = 0
+    while lo < num_edges:
+        size = max(min_chunk, (num_edges - lo) // (2 * num_workers))
+        hi = min(num_edges, lo + size)
+        bounds.append((lo, hi))
+        lo = hi
+    return bounds
+
+
+def _family_result(
+    motifs: Sequence[Motif], acc, num_workers: int, num_chunks: int
+) -> FamilyParallelResult:
+    return FamilyParallelResult(
+        results=tuple(
+            ParallelResult(acc.counts[i], acc.per_motif[i], num_workers, num_chunks)
+            for i in range(len(motifs))
+        ),
+        counters=acc.counters,
+        sharing=acc.sharing,
+        num_workers=num_workers,
+        num_chunks=num_chunks,
+    )
+
+
+@dataclass
+class DispatchStats:
+    """Cumulative supervision accounting for one dispatcher.  A pool
+    counts ``worker_deaths``, a cluster ``node_deaths``."""
+
+    worker_deaths: int = 0
+    node_deaths: int = 0
+    wedged_kills: int = 0
+    chunk_retries: int = 0
+    respawns: int = 0
+    chunks_completed: int = 0
+    graph_ships: int = 0
+    failovers: int = 0
+
+    def as_dict(self) -> Dict[str, int]:
+        return {k: getattr(self, k) for k in self.__dataclass_fields__}
+
+
+@contextmanager
+def _turn(lock, cancel_check):
+    """Hold the dispatcher's mining lock, honoring the caller's deadline:
+    a batch whose ``cancel_check`` trips while it waits for its turn
+    raises :class:`MiningCancelled` without ever touching the workers."""
+    while not lock.acquire(timeout=0.05):
+        if cancel_check is not None and cancel_check():
+            raise MiningCancelled("mining cancelled while waiting for a turn")
+    try:
+        yield
+    finally:
+        lock.release()
+
+
+class _Worker:
+    """Supervisor-side record of one slot's live process."""
+
+    __slots__ = ("slot", "process", "conn", "current", "started_at", "graphs")
+
+    def __init__(self, slot: int, process, conn) -> None:
+        self.slot = slot
+        self.process = process
+        self.conn = conn
+        #: (epoch, task_id) of the chunk in flight on this worker.
+        self.current: Optional[Tuple[int, int]] = None
+        self.started_at = 0.0
+        #: fingerprints shipped to this process (a respawn starts empty).
+        self.graphs: Set[str] = set()
+
+
+class _Run:
+    """One mining call's chunk queue and what has come back so far."""
+
+    def __init__(self, epoch: int, tasks: Sequence[Tuple], apply_result) -> None:
+        self.epoch = epoch
+        self.tasks = tasks
+        self.apply_result = apply_result
+        self.pending: Deque[int] = deque(range(len(tasks)))
+        self.completed: Set[int] = set()
+        self.error_counts: Dict[int, int] = {}
+        #: First chunk to exhaust its error cap: (task_id, last message).
+        self.fatal: Optional[Tuple[int, str]] = None
+
+
+class ChunkDispatcher:
+    """The supervision loop over ``num_workers`` worker slots.
+
+    Graphs are shipped on first use (or explicitly via
+    :meth:`ensure_graph`) to the slots :meth:`_place` names, stay
+    resident for later calls, and are released with :meth:`drop_graph`.
+    Mining calls are thread-safe: concurrent callers (scheduler lanes,
+    service replicas) take turns on an internal cancel-aware lock, since
+    the epoch counter, worker channels and task ids are shared state.
+
+    Policy parameters (all keyword-only):
+
+    - ``chunk_timeout_s`` — soft per-chunk timeout; a worker that holds
+      one chunk longer is presumed wedged, SIGKILLed, and its chunk
+      retried elsewhere (``None`` disables wedge detection).
+    - ``respawn_budget`` — total respawns allowed over the dispatcher's
+      lifetime (default ``3 * num_workers``).
+    - ``max_chunk_errors`` — how many times one chunk may *raise* in a
+      healthy worker before the run fails with :class:`ChunkFailed`.
+      Chunks lost to deaths are retried without limit (deaths are
+      bounded by the respawn budget).
+    - ``backoff_base_s`` / ``backoff_cap_s`` — capped exponential
+      respawn backoff; jitter is drawn from a ``seed``-ed RNG so runs
+      are reproducible.
+    - ``fault_plan`` — shipped to every worker and installed there
+      (chaos testing); the parent process is untouched.
+    - ``on_event`` — ``callback(counter_name, n)`` mirror of
+      :class:`DispatchStats` increments, used by the serving layer to
+      feed shared service metrics.
+    - ``clock`` / ``sleep`` — injectable time sources used by every
+      supervision-side deadline (respawn backoff, wedge detection), so
+      tests assert schedules without real waiting; ``close()`` stays on
+      real time (it bounds talking to real processes).
+
+    Subclasses set :attr:`site`, :attr:`Degraded` and :attr:`Failed`,
+    implement :meth:`_open_channel` and :meth:`_pack`, and may override
+    :meth:`_place` / :meth:`_successors` (default: every graph on every
+    slot, nowhere to fail over to).
+    """
+
+    #: Fault site workers announce before each chunk.  Its prefix names
+    #: the worker kind in messages, process names and the death counter.
+    site = "worker.chunk"
+    #: Raised with ``allow_degraded=False`` once the budget is spent and
+    #: slots are missing; and (a subclass of it) when no placed slot is left.
+    Degraded = Failed = RuntimeError
+    #: How long a fresh worker may take to announce itself.
+    connect_timeout_s = 30.0
+    _wait = staticmethod(connection.wait)
+
+    def __init__(
+        self,
+        num_workers: Optional[int] = None,
+        *,
+        chunk_timeout_s: Optional[float] = 30.0,
+        respawn_budget: Optional[int] = None,
+        max_chunk_errors: int = 3,
+        backoff_base_s: float = 0.05,
+        backoff_cap_s: float = 2.0,
+        seed: int = 0,
+        fault_plan=None,
+        on_event: Optional[Callable[[str, int], None]] = None,
+        clock: Callable[[], float] = time.monotonic,
+        sleep: Callable[[float], None] = time.sleep,
+    ) -> None:
+        self.noun = self.site.split(".")[0]
+        if num_workers is None:
+            num_workers = os.cpu_count() or 1
+        if num_workers < 1:
+            raise ValueError(f"{type(self).__name__} needs at least one {self.noun}")
+        if chunk_timeout_s is not None and chunk_timeout_s <= 0:
+            raise ValueError("chunk_timeout_s must be positive (or None)")
+        if max_chunk_errors < 1:
+            raise ValueError("max_chunk_errors must be >= 1")
+        self.num_workers = int(num_workers)
+        #: Slots each graph is placed on (and the chunking width).
+        self.replication = self.num_workers
+        self.chunk_timeout_s = chunk_timeout_s
+        self.respawn_budget = (
+            3 * self.num_workers if respawn_budget is None else int(respawn_budget)
+        )
+        self.max_chunk_errors = int(max_chunk_errors)
+        self.backoff_base_s = float(backoff_base_s)
+        self.backoff_cap_s = float(backoff_cap_s)
+        self.stats = DispatchStats()
+        self._fault_plan = fault_plan
+        self._on_event = on_event
+        self._clock = clock
+        self._sleep = sleep
+        self._jitter = random.Random(seed)
+        self._mine_lock = threading.Lock()
+        self._closed = False
+        self._failed = False
+        self._degraded = False
+        self._epoch = 0
+        self._run: Optional[_Run] = None
+        self._respawns_used = 0
+        self._consecutive_respawns = 0
+        self._next_spawn_at = 0.0
+        #: fingerprint -> the packed graph, for (re-)shipping.
+        self._graphs: Dict[str, PickledGraph] = {}
+        #: fingerprint -> ordered slots the graph is placed on (extended
+        #: by failover).
+        self._placements: Dict[str, List[int]] = {}
+        self._workers: Dict[int, _Worker] = {}
+
+    # -- what a concrete dispatcher supplies -----------------------------------
+
+    def _open_channel(self, slot: int):
+        """Start slot's process; return ``(process, connection)``."""
+        raise NotImplementedError
+
+    def _pack(self, graph: TemporalGraph):
+        """How a graph's arrays reach a worker: a :class:`PickledGraph`."""
+        raise NotImplementedError
+
+    def _place(self, fp: str) -> List[int]:
+        return list(range(self.num_workers))
+
+    def _successors(self, fp: str, placed: List[int]) -> Iterable[int]:
+        """Further slots ``fp`` may fail over to, in preference order."""
+        return ()
+
+    # -- events and observability ----------------------------------------------
+
+    def _event(self, name: str, n: int = 1) -> None:
+        setattr(self.stats, name, getattr(self.stats, name) + n)
+        if self._on_event is not None:
+            self._on_event(name, n)
+
+    @property
+    def live_workers(self) -> int:
+        return sum(1 for w in list(self._workers.values()) if w.process.is_alive())
+
+    @property
+    def closed(self) -> bool:
+        return self._closed
+
+    @property
+    def broken(self) -> bool:
+        """True when the dispatcher can no longer mine (closed, a failed
+        run already proved it, or nothing alive and no budget): holders
+        (e.g. the service's per-graph pool LRU) must evict and rebuild."""
+        if self._closed or self._failed:
+            return True
+        return self.live_workers == 0 and self._respawns_used >= self.respawn_budget
+
+    @property
+    def degraded(self) -> bool:
+        """True once redundancy is permanently lost (budget exhausted
+        while below the target worker count)."""
+        return self._degraded
+
+    def placement(self, fingerprint: str) -> Tuple[int, ...]:
+        """The slot indices ``fingerprint`` is currently placed on."""
+        return tuple(self._placements.get(fingerprint, ()))
+
+    # -- worker lifecycle ------------------------------------------------------
+
+    def _spawn_all(self) -> None:
+        """Fill every slot; a failure part-way closes what was opened."""
+        try:
+            for slot in range(self.num_workers):
+                self._spawn(slot)
+        except BaseException:
+            self.close()
+            raise
+
+    def _spawn(self, slot: int) -> None:
+        process, conn = self._open_channel(slot)
+        try:
+            ready = conn.poll(self.connect_timeout_s) and conn.recv() == "ready"
+        except (EOFError, OSError):
+            ready = False
+        if not ready:
+            process.kill()
+            process.join(timeout=1.0)
+            conn.close()
+            raise RuntimeError(f"{self.noun} {slot} never announced ready")
+        worker = self._workers[slot] = _Worker(slot, process, conn)
+        # A fresh process starts empty: ship every graph placed on this
+        # slot before it can take that graph's chunks.
+        for fp, slots in self._placements.items():
+            if slot in slots:
+                self._ship(worker, fp)
+
+    def _ship(self, worker: _Worker, fp: str) -> None:
+        shipment = self._graphs[fp]
+        try:
+            worker.conn.send(("graph", fp, shipment.payload, shipment.num_nodes))
+        except (BrokenPipeError, OSError):
+            return  # the sweep buries it
+        worker.graphs.add(fp)
+        self._event("graph_ships")
+
+    def _backoff_delay(self) -> float:
+        base = min(
+            self.backoff_cap_s,
+            self.backoff_base_s * (2 ** self._consecutive_respawns),
+        )
+        return base * (0.5 + self._jitter.random())  # jitter in [0.5x, 1.5x)
+
+    def _maybe_respawn(self) -> None:
+        while (
+            len(self._workers) < self.num_workers
+            and self._respawns_used < self.respawn_budget
+            and self._clock() >= self._next_spawn_at
+        ):
+            self._respawns_used += 1
+            self._event("respawns")
+            self._spawn(min(set(range(self.num_workers)) - set(self._workers)))
+            self._consecutive_respawns = 0
+
+    def _bury(self, worker: _Worker) -> None:
+        """Drain and retire a dead worker, requeueing its lost chunk."""
+        self._drain(worker)
+        worker.conn.close()
+        worker.process.join(timeout=1.0)
+        del self._workers[worker.slot]
+        if worker.current is not None:
+            self._handle_message(
+                worker, ("retry", *worker.current, f"{self.noun} died mid-chunk")
+            )
+        self._event(f"{self.noun}_deaths")
+        self._consecutive_respawns += 1
+        self._next_spawn_at = self._clock() + self._backoff_delay()
+
+    def _drain(self, worker: _Worker) -> None:
+        """Read out anything the worker sent before it stopped.
+
+        Synchronous sends mean a completed chunk's result survives the
+        worker's death; accepting it here (instead of blindly retrying)
+        keeps retries to truly-unfinished chunks.
+        """
+        try:
+            while worker.conn.poll(0):
+                self._handle_message(worker, worker.conn.recv())
+        except (EOFError, OSError):
+            pass
+
+    def _sweep_dead(self) -> None:
+        now = self._clock()
+        for worker in list(self._workers.values()):
+            if not worker.process.is_alive():
+                self._bury(worker)
+            elif (
+                self.chunk_timeout_s is not None
+                and worker.current is not None
+                and now - worker.started_at > self.chunk_timeout_s
+            ):
+                # Presumed wedged; give its channel one last chance (it
+                # may have finished this instant), then SIGKILL.
+                self._drain(worker)
+                if worker.current is None:
+                    continue  # it had finished after all
+                self._event("wedged_kills")
+                worker.process.kill()
+                worker.process.join(timeout=1.0)
+                self._bury(worker)
+
+    # -- graph residency -------------------------------------------------------
+
+    def ensure_graph(self, graph: TemporalGraph) -> str:
+        """Place (and ship) a graph onto its slots; returns its
+        fingerprint.  Idempotent; later mining calls reuse residency.
+
+        Serialized on the mining lock: worker channels are single-reader
+        / single-writer, so residency changes take turns with runs.
+        """
+        with self._mine_lock:
+            return self._ensure_graph_locked(graph)
+
+    def _ensure_graph_locked(self, graph: TemporalGraph) -> str:
+        fp = graph.fingerprint()
+        if fp not in self._placements:
+            self._graphs[fp] = self._pack(graph)
+            self._placements[fp] = self._place(fp)
+            for worker in self._placed(fp):
+                self._ship(worker, fp)
+        return fp
+
+    def drop_graph(self, fingerprint: str) -> None:
+        """Release a graph everywhere (no-op for unknown fingerprints)."""
+        with self._mine_lock:
+            for slot in self._placements.pop(fingerprint, ()):
+                worker = self._workers.get(slot)
+                if worker is None or fingerprint not in worker.graphs:
+                    continue
+                try:
+                    worker.conn.send(("drop", fingerprint))
+                except (BrokenPipeError, OSError):
+                    pass
+                worker.graphs.discard(fingerprint)
+            shipment = self._graphs.pop(fingerprint, None)
+            if shipment is not None:
+                shipment.close()
+
+    def _placed(self, fp: str) -> List[_Worker]:
+        return [
+            self._workers[slot]
+            for slot in self._placements[fp]
+            if slot in self._workers
+        ]
+
+    def _failover(self, fp: str) -> bool:
+        """Hand ``fp`` to its first live successor slot.
+
+        Called when every placed slot is gone with no respawn budget
+        left.  Returns True when a slot adopted the graph (the run
+        continues, degraded)."""
+        placed = self._placements[fp]
+        for slot in self._successors(fp, placed):
+            worker = self._workers.get(slot)
+            if worker is not None and worker.process.is_alive():
+                placed.append(slot)
+                self._ship(worker, fp)
+                self._event("failovers")
+                return True
+        return False
+
+    # -- mining ----------------------------------------------------------------
+
+    def _count_many(
+        self,
+        graph: TemporalGraph,
+        motifs: Sequence[Motif],
+        delta: int,
+        chunks_per_worker: int,
+        cancel_check: Optional[Callable[[], bool]],
+        allow_degraded: bool,
+        engine: str,
+    ) -> List[ParallelResult]:
+        """Count several motifs in one dispatch wave.
+
+        All motifs' chunks share the queue, so workers drain straight
+        from one motif's tail into the next motif's head with no
+        inter-motif barrier.  Byte-identical to the serial miner for
+        every engine: chunks are idempotent and merging is commutative,
+        so deaths, retries and failovers cannot change counts.
+        """
+        check_engine(engine)
+        kind = ENGINES[engine][0]
+        bounds = (
+            _guided_bounds(graph.num_edges, self.replication, chunks_per_worker)
+            if motifs else []
+        )
+        tasks = [
+            (kind, motif.edges, int(delta), lo, hi)
+            for motif in motifs
+            for lo, hi in bounds
+        ]
+        totals = [0] * len(motifs)
+        merged = [SearchCounters() for _ in motifs]
+
+        def apply_result(task_id: int, result) -> None:
+            count, counter_dict = result
+            idx = task_id // len(bounds)
+            totals[idx] += count
+            merged[idx].merge(SearchCounters(**counter_dict))
+
+        self._mine(graph, tasks, apply_result, cancel_check, allow_degraded)
+        return [
+            ParallelResult(totals[i], merged[i], self.num_workers, len(bounds))
+            for i in range(len(motifs))
+        ]
+
+    def _count_family(
+        self,
+        graph: TemporalGraph,
+        motifs: Sequence[Motif],
+        delta: int,
+        chunks_per_worker: int,
+        cancel_check: Optional[Callable[[], bool]],
+        allow_degraded: bool,
+    ) -> FamilyParallelResult:
+        """Co-mine a whole family: each chunk is ONE shared traversal.
+
+        Where :meth:`_count_many` queues ``len(motifs)`` chunk waves,
+        this sends each root range to a worker once and the worker's
+        resident :class:`~repro.comine.engine.CoMiner` extends it toward
+        every motif simultaneously.  Per-motif counts and counters are
+        byte-identical; the family-level counters and sharing stats
+        report the saved work.
+        """
+        from repro.comine.engine import FamilyResult
+        from repro.comine.trie import MotifTrie
+
+        acc = FamilyResult.empty(MotifTrie(motifs))  # raises on an empty family
+        bounds = _guided_bounds(graph.num_edges, self.replication, chunks_per_worker)
+        family_edges = tuple(m.edges for m in motifs)
+        tasks = [("family", family_edges, int(delta), lo, hi) for lo, hi in bounds]
+        self._mine(
+            graph, tasks,
+            lambda _task_id, result: acc.merge(FamilyResult.from_payload(result)),
+            cancel_check, allow_degraded,
+        )
+        return _family_result(motifs, acc, self.num_workers, len(bounds))
+
+    def _mine(self, graph, tasks, apply_result, cancel_check, allow_degraded) -> None:
+        """Take a turn, then run ``tasks`` — ``(kind, spec, delta, lo,
+        hi)`` wire chunks — folding each result in with
+        ``apply_result(task_id, result)``."""
+        with _turn(self._mine_lock, cancel_check):
+            if self._closed:
+                raise RuntimeError(f"{type(self).__name__} is closed")
+            if self._failed:
+                raise self.Failed("broken (a previous run exhausted it)")
+            if tasks:
+                fp = self._ensure_graph_locked(graph)
+                try:
+                    self._run_chunks(
+                        fp, tasks, apply_result, cancel_check, allow_degraded
+                    )
+                finally:
+                    self._run = None  # stragglers of this call are dropped
+
+    # -- supervision loop ------------------------------------------------------
+
+    def _run_chunks(self, fp, tasks, apply_result, cancel_check, allow_degraded) -> None:
+        """The supervision loop, agnostic of chunk kind."""
+        self._epoch += 1
+        run = self._run = _Run(self._epoch, tasks, apply_result)
+        while len(run.completed) < len(tasks):
+            if cancel_check is not None and cancel_check():
+                # Chunks in flight keep running; their results carry
+                # this epoch and are discarded by the next call.
+                raise MiningCancelled("mining cancelled by cancel_check")
+            if run.fatal is not None:
+                raise ChunkFailed(
+                    f"chunk {run.fatal[0]} raised on all {self.max_chunk_errors} "
+                    f"attempts; last error: {run.fatal[1]}"
+                )
+            self._sweep_dead()
+            self._maybe_respawn()
+            budget_spent = self._respawns_used >= self.respawn_budget
+            if not self._placed(fp):
+                if not budget_spent:
+                    # Wait out the backoff in small ticks, so a cancelled
+                    # batch stops blocking its lane immediately rather
+                    # than after the full delay; then respawn.
+                    while self._next_spawn_at - self._clock() > 0:
+                        if cancel_check is not None and cancel_check():
+                            raise MiningCancelled(
+                                "mining cancelled during respawn backoff"
+                            )
+                        self._sleep(min(0.05, self._next_spawn_at - self._clock()))
+                    continue
+                # Budget spent: hand the graph to a slot it was not
+                # placed on, if the placement policy has one.
+                self._mark_degraded(allow_degraded)
+                if self._failover(fp):
+                    continue
+                self._failed = True
+                raise self.Failed(
+                    f"every placed {self.noun} is dead and the respawn budget "
+                    f"({self.respawn_budget}) is exhausted"
+                )
+            if budget_spent and len(self._workers) < self.num_workers:
+                self._mark_degraded(allow_degraded)
+            self._dispatch(fp, run)
+            self._collect()
+
+    def _mark_degraded(self, allow_degraded: bool) -> None:
+        if not self._degraded:
+            self._degraded = True
+            if not allow_degraded:
+                raise self.Degraded(
+                    f"respawn budget ({self.respawn_budget}) exhausted; "
+                    f"{len(self._workers)}/{self.num_workers} {self.noun}s remain"
+                )
+
+    def _dispatch(self, fp: str, run: _Run) -> None:
+        for worker in self._placed(fp):
+            if not run.pending:
+                return
+            if worker.current is not None:
+                continue
+            task_id = run.pending.popleft()
+            try:
+                worker.conn.send(("task", run.epoch, task_id, fp) + run.tasks[task_id])
+            except (BrokenPipeError, OSError):
+                # Died between sweep and send; requeue, next sweep buries.
+                run.pending.appendleft(task_id)
+                continue
+            worker.current = (run.epoch, task_id)
+            worker.started_at = self._clock()
+
+    def _collect(self, tick: float = 0.05) -> None:
+        """Block until a message or a death, then process every ready
+        message (deaths are the next sweep's, after the drain)."""
+        by_source: Dict = {}
+        for worker in self._workers.values():
+            by_source[worker.conn] = by_source[worker.process.sentinel] = worker
+        for source in self._wait(list(by_source), tick):
+            worker = by_source[source]
+            if source is worker.conn:
+                try:
+                    msg = worker.conn.recv()
+                except (EOFError, OSError):
+                    continue  # the sweep buries it
+                self._handle_message(worker, msg)
+
+    def _handle_message(self, worker: _Worker, msg) -> None:
+        """Account for one chunk outcome: ``done``, ``error`` (it raised
+        in a healthy worker) or ``retry`` (it was lost with its worker)."""
+        tag, epoch, task_id, payload = msg
+        worker.current = None
+        run = self._run
+        if run is None or epoch != run.epoch or task_id in run.completed:
+            return  # a cancelled call's straggler
+        if tag == "done":
+            run.apply_result(task_id, payload)
+            run.completed.add(task_id)
+            self._event("chunks_completed")
+            return
+        if tag == "error":
+            # Unlike chunks lost to deaths (bounded by the respawn
+            # budget), a deterministic per-chunk exception would requeue
+            # forever — cap it and fail the run instead.
+            n = run.error_counts[task_id] = run.error_counts.get(task_id, 0) + 1
+            if n >= self.max_chunk_errors:
+                run.fatal = run.fatal or (task_id, str(payload))
+                return
+        run.pending.appendleft(task_id)
+        self._event("chunk_retries")
+
+    # -- lifecycle -------------------------------------------------------------
+
+    def close(self) -> None:
+        if self._closed:
+            return
+        self._closed = True
+        for worker in self._workers.values():
+            try:
+                worker.conn.send(None)
+            except (BrokenPipeError, OSError):
+                pass
+        deadline = time.monotonic() + 2.0
+        for worker in self._workers.values():
+            worker.process.join(timeout=max(0.0, deadline - time.monotonic()))
+            if worker.process.is_alive():
+                worker.process.kill()
+                worker.process.join(timeout=1.0)
+            worker.conn.close()
+        self._workers.clear()
+        for shipment in self._graphs.values():
+            shipment.close()
+        self._graphs.clear()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()

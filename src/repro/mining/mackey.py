@@ -105,6 +105,15 @@ class MackeyMiner:
 
     def mine(self) -> MiningResult:
         """Run the miner to completion and return count + counters."""
+        return self.mine_range(0, self.graph.num_edges)
+
+    def mine_range(self, root_lo: int, root_hi: int) -> MiningResult:
+        """Mine only the search trees rooted at edges ``[root_lo, root_hi)``.
+
+        Root tasks are independent, so results over a partition of the
+        root range sum (count and counters) to exactly :meth:`mine`'s —
+        the chunk the parallel dispatchers hand to workers.
+        """
         self._counters = SearchCounters()
         self._matches: List[Match] = []
         self._count = 0
@@ -115,13 +124,12 @@ class MackeyMiner:
         self._memo["out"].clear()
         self._memo["in"].clear()
 
-        m = self.graph.num_edges
         l = self.motif.num_edges
         u0, v0 = self.motif.edge(0)
         counters = self._counters
         src, dst, ts = self._src, self._dst, self._ts
 
-        for e0 in range(m):
+        for e0 in range(root_lo, min(root_hi, self.graph.num_edges)):
             counters.root_tasks += 1
             s, d = src[e0], dst[e0]
             if s == d:

@@ -29,16 +29,17 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.graph.temporal_graph import TemporalGraph
-from repro.mining.mackey import MackeyMiner
-from repro.mining.results import SearchCounters
+from repro.mining.dispatch import POOL_ENGINES, make_miner
+from repro.mining.results import MiningResult, SearchCounters
 from repro.motifs.grid import paranjape_grid
 from repro.motifs.motif import Motif
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from repro.comine.engine import SharingStats
 
-#: Engines :func:`count_motif_family` accepts.
-CENSUS_ENGINES = ("mackey", "batched", "comine")
+#: Engines :func:`count_motif_family` accepts: the exact per-motif
+#: engines plus the shared family traversal.
+CENSUS_ENGINES = POOL_ENGINES + ("comine",)
 
 
 @dataclass
@@ -112,91 +113,46 @@ def count_motif_family(
             f"{engine!r} engine does not support it (counts would be "
             "identical anyway)"
         )
-    if num_workers > 0 and graph.num_edges > 0:
-        return _count_family_parallel(
-            graph, motifs, delta, engine, num_workers, chunks_per_worker
-        )
+    pooled = num_workers > 0 and graph.num_edges > 0
+    if pooled:
+        from repro.mining.parallel import MiningPool
     if engine == "comine":
-        from repro.comine.engine import CoMiner
+        if pooled:
+            with MiningPool(graph, num_workers) as pool:
+                family = pool.count_family(list(motifs), delta, chunks_per_worker)
+            mined = family.results
+        else:
+            from repro.comine.engine import CoMiner
 
-        result = CoMiner(graph, motifs, delta).mine()
-        return MotifCensus(
-            delta=int(delta),
-            counts=result.counts_by_name(motifs),
-            counters=result.counters,
-            per_motif={
-                m.name: c for m, c in zip(motifs, result.per_motif)
-            },
-            engine="comine",
-            sharing=result.sharing,
-        )
-    counts: Dict[str, int] = {}
-    per_motif: Dict[str, SearchCounters] = {}
-    counters = SearchCounters()
-    if engine == "batched":
-        from repro.mining.batched import BatchedMiner
-
-        make_miner = lambda m: BatchedMiner(graph, m, delta)  # noqa: E731
+            family = CoMiner(graph, motifs, delta).mine()
+            mined = [
+                MiningResult(count, counters=counters)
+                for count, counters in zip(family.counts, family.per_motif)
+            ]
+        # The shared traversal's own work, and what the trie saved.
+        counters, sharing = family.counters, family.sharing
     else:
-        make_miner = lambda m: MackeyMiner(  # noqa: E731
-            graph, m, delta, memoize=memoize
-        )
-    for motif in motifs:
-        result = make_miner(motif).mine()
-        counts[motif.name] = result.count
-        per_motif[motif.name] = result.counters
-        counters.merge(result.counters)
+        if pooled:
+            with MiningPool(graph, num_workers) as pool:
+                mined = pool.count_many(
+                    list(motifs), delta, chunks_per_worker, engine=engine
+                )
+        else:
+            options = {"memoize": True} if memoize else {}  # mackey-only, checked above
+            mined = [
+                make_miner(engine, graph, motif, delta, **options).mine()
+                for motif in motifs
+            ]
+        counters, sharing = SearchCounters(), None
+        for r in mined:
+            counters.merge(r.counters)
     return MotifCensus(
         delta=int(delta),
-        counts=counts,
+        counts={m.name: r.count for m, r in zip(motifs, mined)},
         counters=counters,
-        per_motif=per_motif,
+        per_motif={m.name: r.counters for m, r in zip(motifs, mined)},
         engine=engine,
-    )
-
-
-def _count_family_parallel(
-    graph: TemporalGraph,
-    motifs: Sequence[Motif],
-    delta: int,
-    engine: str,
-    num_workers: int,
-    chunks_per_worker: int,
-) -> MotifCensus:
-    """Shard the family across a :class:`MiningPool` (either engine)."""
-    from repro.mining.parallel import MiningPool
-
-    with MiningPool(graph, num_workers) as pool:
-        if engine == "comine":
-            fam = pool.count_family(
-                list(motifs), delta, chunks_per_worker
-            )
-            return MotifCensus(
-                delta=int(delta),
-                counts={
-                    m.name: r.count for m, r in zip(motifs, fam.results)
-                },
-                counters=fam.counters,
-                per_motif={
-                    m.name: r.counters for m, r in zip(motifs, fam.results)
-                },
-                engine="comine",
-                sharing=fam.sharing,
-            )
-        results = pool.count_many(
-            list(motifs), delta, chunks_per_worker, engine=engine
-        )
-    counts = {m.name: r.count for m, r in zip(motifs, results)}
-    per_motif = {m.name: r.counters for m, r in zip(motifs, results)}
-    counters = SearchCounters()
-    for r in results:
-        counters.merge(r.counters)
-    return MotifCensus(
-        delta=int(delta),
-        counts=counts,
-        counters=counters,
-        per_motif=per_motif,
-        engine=engine,
+        sharing=sharing,
     )
 
 

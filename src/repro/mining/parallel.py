@@ -1,391 +1,112 @@
-"""Parallel task-centric mining on real CPU cores.
+"""`MiningPool` — parallel task-centric mining on one graph's worker pool.
 
-The paper's software baseline is "a task-centric multi-threaded
-implementation (similar to [the] proposed programming model) using work
-stealing OpenMP threads" (§VII-D).  This module is the Python analog:
-root tasks (search trees) are independent, so they are partitioned into
-chunks and mined by a pool of worker processes, with per-worker counters
-merged at the end.
+The pool is the one-graph, place-everywhere case of
+:class:`~repro.mining.dispatch.ChunkDispatcher` (which holds the
+supervision loop, the worker main and the failure policy): every worker
+holds the pool's graph, and any idle worker takes the next chunk —
+the work-stealing effect of the paper's OpenMP baseline (§VII-D),
+without threads.  What the pool adds is its transport:
 
-Two properties make the layer cheap enough to approximate the OpenMP
-baseline:
-
+- **Inherited duplex pipes.**  Each worker is an owned
+  ``multiprocessing.Process`` talking over its own pipe; sends are
+  synchronous (no feeder thread), so results a worker managed to send
+  before dying are still readable afterwards, and the supervisor waits
+  on every pipe *and* process sentinel at once.
 - **Zero-copy graph shipping.**  The graph's seven backing numpy arrays
-  (edge list + both CSR adjacency structures) are placed in one
-  ``multiprocessing.shared_memory`` segment; workers adopt views of
-  that segment via :meth:`TemporalGraph.from_arrays`, so no per-run
-  pickling of Python tuples and no CSR rebuild happens in workers.
-  Where shared memory is unavailable the arrays are pickled once per
-  worker as raw buffers (still no tuple explosion).
-- **Dynamic chunk dispatch.**  Root ranges are cut with a guided
-  (decaying-size) schedule and handed to workers through a bounded
-  in-flight window driven by ``concurrent.futures.wait``: whenever any
-  chunk finishes, the next chunk is dispatched to the freed worker.
-  Hub-rooted straggler chunks therefore no longer serialize the tail
-  the way a barrier-style ``pool.map`` over static chunks did — the
-  work-stealing effect of the paper's baseline, without threads.
+  (edge list + both CSR adjacency structures) are placed once in a
+  ``multiprocessing.shared_memory`` segment
+  (:class:`~repro.mining.dispatch.GraphShipment`); workers adopt views
+  of it via :meth:`TemporalGraph.from_arrays`, so no per-run pickling
+  of Python tuples and no CSR rebuild happens in workers.
 
-:class:`MiningPool` keeps the worker pool (and the resident graph)
-alive across many ``count`` calls, so multi-motif workloads such as the
-36-motif Paranjape census ship the graph exactly once.
+The pool stays alive across many ``count`` calls, so multi-motif
+workloads such as the 36-motif Paranjape census ship the graph exactly
+once.  Fault injection: a :class:`~repro.resilience.faults.FaultPlan`
+passed at construction is installed in every worker, which calls
+``fault_point("worker.chunk", worker=<id>)`` before each chunk.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+import itertools
+from multiprocessing import get_context
+from typing import Callable, List, Optional, Sequence
 
 from repro.graph.temporal_graph import TemporalGraph
-from repro.graph.window import window_t_limit
-from repro.mining.mackey import MackeyMiner
-from repro.mining.results import MiningResult, SearchCounters
+from repro.mining.dispatch import (  # noqa: F401 - re-exported
+    POOL_ENGINES,
+    ChunkDispatcher,
+    FamilyParallelResult,
+    GraphShipment,
+    MiningCancelled,
+    ParallelResult,
+    _guided_bounds,
+    check_engine,
+    make_miner,
+    worker_main,
+)
 from repro.motifs.motif import Motif
 
-#: Engines a pool can run per root chunk.  Both are exact and produce
-#: byte-identical counts/counters; ``batched`` replaces the scalar DFS
-#: inner loop with vectorized frontier expansion
-#: (:mod:`repro.mining.batched`).
-POOL_ENGINES = ("mackey", "batched")
 
-try:  # pragma: no cover - always present on CPython >= 3.8
-    from multiprocessing import shared_memory as _shm
-except ImportError:  # pragma: no cover
-    _shm = None
-
-# Module-level worker state (set up once per worker process via the
-# initializer so the graph is shipped exactly once, not per chunk).
-_WORKER_STATE: dict = {}
+class PoolDegraded(RuntimeError):
+    """The respawn budget is exhausted and the pool is running below
+    its target worker count.  Raised by the mining calls only when
+    ``allow_degraded=False``; by default the pool completes the run on
+    the survivors (shedding throughput, never correctness)."""
 
 
-# -- worker side ---------------------------------------------------------------
+class PoolFailed(PoolDegraded):
+    """The respawn budget is exhausted and *no* workers survive: the
+    run cannot complete and the pool is permanently broken."""
 
 
-def _adopt_graph(arrays: Dict[str, np.ndarray], num_nodes: int) -> None:
-    graph = TemporalGraph.from_arrays(num_nodes=num_nodes, validate=False, **arrays)
-    _WORKER_STATE["graph"] = graph
-    _WORKER_STATE["miners"] = {}
+class MiningPool(ChunkDispatcher):
+    """A supervised worker pool with ``graph`` resident (zero-copy) in
+    every worker; also importable as
+    :class:`repro.resilience.SupervisedMiningPool`.
 
-
-def _attach_untracked(shm_name: str):
-    """Attach to an existing segment without resource-tracker bookkeeping.
-
-    The parent owns (and unlinks) the segment; if every worker also
-    registered it, the tracker would warn about double-unregistration at
-    shutdown.  Python >= 3.13 exposes ``track=False`` for exactly this;
-    older versions need the register call suppressed during attach.
-    """
-    try:
-        return _shm.SharedMemory(name=shm_name, track=False)
-    except TypeError:  # Python < 3.13
-        from multiprocessing import resource_tracker
-
-        original = resource_tracker.register
-        resource_tracker.register = lambda *a, **k: None
-        try:
-            return _shm.SharedMemory(name=shm_name)
-        finally:
-            resource_tracker.register = original
-
-
-def _init_worker_shm(
-    shm_name: str, layout: Dict[str, Tuple[int, int]], num_nodes: int
-) -> None:
-    """Attach the shared-memory segment and adopt zero-copy array views."""
-    seg = _attach_untracked(shm_name)
-    _WORKER_STATE["shm"] = seg  # keep the mapping alive
-    arrays = {
-        name: np.ndarray((length,), dtype=np.int64, buffer=seg.buf, offset=start * 8)
-        for name, (start, length) in layout.items()
-    }
-    _adopt_graph(arrays, num_nodes)
-
-
-def _init_worker_arrays(arrays: Dict[str, np.ndarray], num_nodes: int) -> None:
-    """Fallback initializer: arrays arrive pickled once per worker."""
-    _adopt_graph(arrays, num_nodes)
-
-
-def _miner_for(motif_edges: Tuple[Tuple[int, int], ...], delta: int) -> "_RangeMiner":
-    miners: dict = _WORKER_STATE["miners"]
-    key = (motif_edges, delta)
-    miner = miners.get(key)
-    if miner is None:
-        miner = _RangeMiner(_WORKER_STATE["graph"], Motif(motif_edges), delta)
-        miners[key] = miner
-    return miner
-
-
-def _mine_chunk(
-    task: Tuple[Tuple[Tuple[int, int], ...], int, int, int]
-) -> Tuple[int, dict]:
-    motif_edges, delta, lo, hi = task
-    result = _miner_for(motif_edges, delta).mine_range(lo, hi)
-    return result.count, result.counters.as_dict()
-
-
-def _batched_miner_for(motif_edges: Tuple[Tuple[int, int], ...], delta: int):
-    """Worker-resident :class:`~repro.mining.batched.BatchedMiner`.
-
-    Like :func:`_miner_for`, built once per (motif, delta) and reused
-    across that motif's chunks (the level plan is precomputed once).
-    """
-    from repro.mining.batched import BatchedMiner  # lazy: avoids an import cycle
-
-    miners: dict = _WORKER_STATE.setdefault("batched_miners", {})
-    key = (motif_edges, delta)
-    miner = miners.get(key)
-    if miner is None:
-        miner = BatchedMiner(_WORKER_STATE["graph"], Motif(motif_edges), delta)
-        miners[key] = miner
-    return miner
-
-
-def _mine_batched_chunk(
-    task: Tuple[Tuple[Tuple[int, int], ...], int, int, int]
-) -> Tuple[int, dict]:
-    """Chunk body of :func:`_mine_chunk` on the batched frontier engine."""
-    motif_edges, delta, lo, hi = task
-    result = _batched_miner_for(motif_edges, delta).mine_range(lo, hi)
-    return result.count, result.counters.as_dict()
-
-
-def _cominer_for(family_edges: Tuple[Tuple[Tuple[int, int], ...], ...], delta: int):
-    """Worker-resident :class:`~repro.comine.engine.CoMiner` per family.
-
-    Like :func:`_miner_for`, the co-miner (and its motif trie) is built
-    once per (family, delta) and reused across that family's chunks.
-    """
-    from repro.comine.engine import CoMiner  # lazy: avoids an import cycle
-
-    cominers: dict = _WORKER_STATE.setdefault("cominers", {})
-    key = (family_edges, delta)
-    cominer = cominers.get(key)
-    if cominer is None:
-        cominer = CoMiner(
-            _WORKER_STATE["graph"],
-            [Motif(edges) for edges in family_edges],
-            delta,
-        )
-        cominers[key] = cominer
-    return cominer
-
-
-def _mine_family_chunk(
-    task: Tuple[Tuple[Tuple[Tuple[int, int], ...], ...], int, int, int]
-) -> dict:
-    """Co-mine one root-range chunk for a whole family (one traversal)."""
-    family_edges, delta, lo, hi = task
-    return _cominer_for(family_edges, delta).mine_range(lo, hi).as_payload()
-
-
-class _RangeMiner(MackeyMiner):
-    """A Mackey miner that can restrict root tasks to an index range."""
-
-    def mine_range(self, root_lo: int, root_hi: int) -> MiningResult:
-        self._counters = SearchCounters()
-        self._matches = []
-        self._count = 0
-        self._m2g = [-1] * self.motif.num_nodes
-        self._g2m = {}
-        self._seq = []
-        self._root_edge = -1
-        self._memo["out"].clear()
-        self._memo["in"].clear()
-
-        l = self.motif.num_edges
-        u0, v0 = self.motif.edge(0)
-        counters = self._counters
-        src, dst, ts = self._src, self._dst, self._ts
-        for e0 in range(root_lo, min(root_hi, self.graph.num_edges)):
-            counters.root_tasks += 1
-            s, d = src[e0], dst[e0]
-            if s == d:
-                continue
-            self._root_edge = e0
-            self._m2g[u0] = s
-            self._m2g[v0] = d
-            self._g2m[s] = u0
-            self._g2m[d] = v0
-            self._seq.append(e0)
-            counters.bookkeeps += 1
-            if l == 1:
-                self._emit()
-            else:
-                self._extend(1, e0, window_t_limit(ts[e0], self.delta))
-            self._seq.pop()
-            del self._g2m[s]
-            del self._g2m[d]
-            self._m2g[u0] = -1
-            self._m2g[v0] = -1
-            counters.backtracks += 1
-        return MiningResult(count=self._count, counters=counters)
-
-
-# -- parent side ---------------------------------------------------------------
-
-
-class GraphShipment:
-    """One-time shipment of a graph's backing arrays to worker processes.
-
-    Prefers a single ``multiprocessing.shared_memory`` segment (workers
-    adopt zero-copy views); falls back to pickling the contiguous
-    arrays once per worker.  Exposes the ``(initializer, initargs)``
-    pair any process-based pool can run in its workers; ``close``
-    unlinks the segment.  Shared by :class:`MiningPool` and
-    :class:`~repro.resilience.supervisor.SupervisedMiningPool`.
+    ``policy`` is :class:`~repro.mining.dispatch.ChunkDispatcher`'s
+    keyword-only failure policy.  Every mining call is byte-identical to
+    the serial miner through any pattern of worker deaths; it raises
+    :class:`PoolFailed` when no worker survives and the respawn budget
+    is spent, :class:`PoolDegraded` additionally (before completing on
+    survivors) when ``allow_degraded=False``, ``ChunkFailed`` when
+    one chunk keeps raising, and :class:`MiningCancelled` when
+    ``cancel_check`` — polled at every chunk boundary, the serving
+    layer's deadline hook — returns True (the pool stays reusable).
+    Use as a context manager so the shared segment is always unlinked.
     """
 
-    def __init__(self, graph: TemporalGraph) -> None:
-        self._seg = None
-        arrays = graph.as_arrays()
-        if _shm is not None:
-            try:
-                total = sum(len(a) for a in arrays.values())
-                seg = _shm.SharedMemory(create=True, size=max(1, total * 8))
-                layout: Dict[str, Tuple[int, int]] = {}
-                start = 0
-                for name, a in arrays.items():
-                    length = len(a)
-                    view = np.ndarray(
-                        (length,), dtype=np.int64, buffer=seg.buf, offset=start * 8
-                    )
-                    view[:] = np.asarray(a, dtype=np.int64)
-                    layout[name] = (start, length)
-                    start += length
-                self._seg = seg
-                self.initializer = _init_worker_shm
-                self.initargs = (seg.name, layout, graph.num_nodes)
-                return
-            except OSError:  # pragma: no cover - e.g. /dev/shm unavailable
-                self._seg = None
-        contiguous = {
-            name: np.ascontiguousarray(a, dtype=np.int64)
-            for name, a in arrays.items()
-        }
-        self.initializer = _init_worker_arrays
-        self.initargs = (contiguous, graph.num_nodes)
+    site = "worker.chunk"
+    Degraded, Failed = PoolDegraded, PoolFailed
 
-    def close(self) -> None:
-        if self._seg is not None:
-            self._seg.close()
-            try:
-                self._seg.unlink()
-            except FileNotFoundError:  # pragma: no cover
-                pass
-            self._seg = None
-
-
-class MiningCancelled(RuntimeError):
-    """Raised by :meth:`MiningPool.count_many` when its ``cancel_check``
-    fires.  Cancellation is best-effort at chunk granularity: chunks
-    already executing run to completion, but no further chunks are
-    dispatched and partial counts are discarded."""
-
-
-@dataclass(frozen=True)
-class ParallelResult:
-    count: int
-    counters: SearchCounters
-    num_workers: int
-    num_chunks: int
-
-
-@dataclass(frozen=True)
-class FamilyParallelResult:
-    """Per-motif results of one sharded co-mining wave.
-
-    ``results`` follow the family's input order; each carries the
-    motif's exact count and its attributed per-motif counters (byte-
-    identical to a dedicated serial miner).  ``counters`` is the shared
-    work actually performed, ``sharing`` what the trie saved.
-    """
-
-    results: Tuple[ParallelResult, ...]
-    counters: SearchCounters
-    sharing: "SharingStats"  # noqa: F821 - repro.comine.engine.SharingStats
-    num_workers: int
-    num_chunks: int
-
-
-def _guided_bounds(
-    num_edges: int, num_workers: int, chunks_per_worker: int
-) -> List[Tuple[int, int]]:
-    """Guided (decaying-size) root-range schedule over ``[0, num_edges)``.
-
-    Early chunks are large (low dispatch overhead); the tail is cut into
-    chunks no smaller than ``num_edges / (workers * chunks_per_worker)``
-    so a late hub-rooted range cannot hold the whole pool hostage —
-    OpenMP's ``schedule(guided)``, which the work-stealing baseline
-    approximates.
-    """
-    bounds: List[Tuple[int, int]] = []
-    min_chunk = max(1, num_edges // max(1, num_workers * chunks_per_worker))
-    lo = 0
-    while lo < num_edges:
-        size = max(min_chunk, (num_edges - lo) // (2 * num_workers))
-        hi = min(num_edges, lo + size)
-        bounds.append((lo, hi))
-        lo = hi
-    return bounds
-
-
-class MiningPool:
-    """A worker pool with the graph resident (zero-copy) in every worker.
-
-    The graph is shipped once at pool construction — through a
-    ``multiprocessing.shared_memory`` segment when the platform supports
-    it, otherwise by pickling the numpy arrays once per worker — and
-    every subsequent :meth:`count` / :meth:`count_many` call only sends
-    tiny ``(motif, delta, root range)`` task tuples.  Use as a context
-    manager so the shared segment is always unlinked.
-    """
-
-    def __init__(self, graph: TemporalGraph, num_workers: Optional[int] = None) -> None:
-        if num_workers is None:
-            num_workers = os.cpu_count() or 1
-        if num_workers < 1:
-            raise ValueError("MiningPool needs at least one worker")
+    def __init__(
+        self, graph: TemporalGraph, num_workers: Optional[int] = None, **policy
+    ) -> None:
+        super().__init__(num_workers, **policy)
         self.graph = graph
-        self.num_workers = int(num_workers)
-        self._closed = False
-        self._broken = False
-        self._shipment = GraphShipment(graph)
-        self._pool = ProcessPoolExecutor(
-            max_workers=self.num_workers,
-            initializer=self._shipment.initializer,
-            initargs=self._shipment.initargs,
+        self._ctx = get_context()
+        # Respawned workers get fresh ids, so a one-shot fault spec for
+        # worker k cannot fire again in k's replacement.
+        self._wids = itertools.count()
+        self._ensure_graph_locked(graph)
+        self._spawn_all()
+
+    def _pack(self, graph: TemporalGraph) -> GraphShipment:
+        return GraphShipment(graph)
+
+    def _open_channel(self, slot: int):
+        wid = next(self._wids)
+        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
+        process = self._ctx.Process(
+            target=worker_main,
+            args=(wid, self.site, child_conn, self._fault_plan),
+            name=f"mint-worker-{wid}",
+            daemon=True,
         )
-
-    # -- lifecycle -------------------------------------------------------------
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    @property
-    def broken(self) -> bool:
-        """True once a worker death has poisoned the executor: every
-        later submit raises ``BrokenProcessPool``, so holders (e.g. the
-        service's per-graph pool LRU) must evict and rebuild."""
-        return self._broken or getattr(self._pool, "_broken", False)
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        self._pool.shutdown(wait=True)
-        self._shipment.close()
-
-    def __enter__(self) -> "MiningPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+        process.start()
+        child_conn.close()  # the parent keeps only its end
+        return process, parent_conn
 
     # -- mining ----------------------------------------------------------------
 
@@ -395,11 +116,12 @@ class MiningPool:
         delta: int,
         chunks_per_worker: int = 8,
         cancel_check: Optional[Callable[[], bool]] = None,
+        allow_degraded: bool = True,
         engine: str = "mackey",
     ) -> ParallelResult:
         """Exactly count one motif; results identical to :class:`MackeyMiner`."""
         return self.count_many(
-            [motif], delta, chunks_per_worker, cancel_check, engine=engine
+            [motif], delta, chunks_per_worker, cancel_check, allow_degraded, engine
         )[0]
 
     def count_many(
@@ -408,94 +130,15 @@ class MiningPool:
         delta: int,
         chunks_per_worker: int = 8,
         cancel_check: Optional[Callable[[], bool]] = None,
+        allow_degraded: bool = True,
         engine: str = "mackey",
     ) -> List[ParallelResult]:
-        """Count several motifs in one dispatch wave.
-
-        All motifs' chunks share the dynamic dispatch window, so workers
-        drain straight from one motif's tail into the next motif's head
-        with no inter-motif barrier.
-
-        ``cancel_check`` is polled at every chunk boundary (the serving
-        layer's deadline hook): when it returns True, dispatch stops,
-        in-flight chunks are drained, and :class:`MiningCancelled` is
-        raised — the pool stays alive and reusable for the next call.
-
-        ``engine`` picks the per-chunk core (:data:`POOL_ENGINES`);
-        counts and counters are byte-identical either way.
-        """
-        if self._closed:
-            raise RuntimeError("MiningPool is closed")
-        if engine not in POOL_ENGINES:
-            raise ValueError(f"unknown engine {engine!r}; expected one of {POOL_ENGINES}")
-        chunk_fn = _mine_batched_chunk if engine == "batched" else _mine_chunk
-        m = self.graph.num_edges
-        totals = [0] * len(motifs)
-        merged = [SearchCounters() for _ in motifs]
-        chunk_counts = [0] * len(motifs)
-        if m == 0 or not motifs:
-            return [
-                ParallelResult(totals[i], merged[i], self.num_workers, 0)
-                for i in range(len(motifs))
-            ]
-
-        bounds = _guided_bounds(m, self.num_workers, chunks_per_worker)
-        tasks = [
-            (i, motif.edges, int(delta), lo, hi)
-            for i, motif in enumerate(motifs)
-            for lo, hi in bounds
-        ]
-        for i in range(len(motifs)):
-            chunk_counts[i] = len(bounds)
-
-        task_iter = iter(tasks)
-        pending: Dict = {}
-
-        def submit_next() -> None:
-            try:
-                idx, edges, d, lo, hi = next(task_iter)
-            except StopIteration:
-                return
-            try:
-                fut = self._pool.submit(chunk_fn, (edges, d, lo, hi))
-            except BrokenProcessPool:
-                self._broken = True
-                raise
-            pending[fut] = idx
-
-        def drain_and_cancel() -> None:
-            for fut in pending:
-                fut.cancel()
-            wait(set(pending))
-            pending.clear()
-            raise MiningCancelled("mining cancelled by cancel_check")
-
-        # Keep a bounded in-flight window: whenever any chunk completes,
-        # dispatch the next one to the freed worker (dynamic scheduling).
-        for _ in range(2 * self.num_workers):
-            submit_next()
-        while pending:
-            if cancel_check is not None and cancel_check():
-                drain_and_cancel()
-            done, _ = wait(set(pending), return_when=FIRST_COMPLETED)
-            for fut in done:
-                idx = pending.pop(fut)
-                try:
-                    count, counter_dict = fut.result()
-                except BrokenProcessPool:
-                    # A worker died; the executor is permanently
-                    # poisoned.  Mark it so holders can evict/rebuild
-                    # instead of failing every later call.
-                    self._broken = True
-                    raise
-                totals[idx] += count
-                merged[idx].merge(SearchCounters(**counter_dict))
-                submit_next()
-
-        return [
-            ParallelResult(totals[i], merged[i], self.num_workers, chunk_counts[i])
-            for i in range(len(motifs))
-        ]
+        """Count several motifs in one dispatch wave; ``engine`` picks
+        the per-chunk core (:data:`POOL_ENGINES`)."""
+        return self._count_many(
+            self.graph, motifs, delta, chunks_per_worker, cancel_check,
+            allow_degraded, engine,
+        )
 
     def count_family(
         self,
@@ -503,65 +146,13 @@ class MiningPool:
         delta: int,
         chunks_per_worker: int = 8,
         cancel_check: Optional[Callable[[], bool]] = None,
+        allow_degraded: bool = True,
     ) -> FamilyParallelResult:
-        """Co-mine a whole family: each chunk is ONE shared traversal.
-
-        Where :meth:`count_many` dispatches ``len(motifs)`` chunk waves
-        (one per motif), this sends each root range to a worker once and
-        the worker's resident :class:`~repro.comine.engine.CoMiner`
-        extends it toward every motif simultaneously.  Per-motif counts
-        and counters are byte-identical to :meth:`count_many`; the
-        family-level counters and sharing stats report the saved work.
-        """
-        from repro.comine.engine import FamilyResult
-        from repro.comine.trie import MotifTrie
-
-        if self._closed:
-            raise RuntimeError("MiningPool is closed")
-        trie = MotifTrie(motifs)  # validates the family (raises on empty)
-        acc = FamilyResult.empty(trie)
-        m = self.graph.num_edges
-        if m == 0:
-            return self._family_result(motifs, acc, 0)
-
-        bounds = _guided_bounds(m, self.num_workers, chunks_per_worker)
-        family_edges = tuple(m_.edges for m_ in motifs)
-        task_iter = iter(
-            (family_edges, int(delta), lo, hi) for lo, hi in bounds
+        """Co-mine a whole family: each chunk is ONE shared traversal."""
+        return self._count_family(
+            self.graph, motifs, delta, chunks_per_worker, cancel_check,
+            allow_degraded,
         )
-        pending: set = set()
-
-        def submit_next() -> None:
-            try:
-                task = next(task_iter)
-            except StopIteration:
-                return
-            try:
-                pending.add(self._pool.submit(_mine_family_chunk, task))
-            except BrokenProcessPool:
-                self._broken = True
-                raise
-
-        for _ in range(2 * self.num_workers):
-            submit_next()
-        while pending:
-            if cancel_check is not None and cancel_check():
-                for fut in pending:
-                    fut.cancel()
-                wait(pending)
-                pending.clear()
-                raise MiningCancelled("mining cancelled by cancel_check")
-            done, _ = wait(pending, return_when=FIRST_COMPLETED)
-            for fut in done:
-                pending.discard(fut)
-                try:
-                    payload = fut.result()
-                except BrokenProcessPool:
-                    self._broken = True
-                    raise
-                acc.merge(FamilyResult.from_payload(payload))
-                submit_next()
-        return self._family_result(motifs, acc, len(bounds))
 
     def sample_intervals(
         self,
@@ -571,81 +162,32 @@ class MiningPool:
         lo: int,
         hi: int,
         cancel_check: Optional[Callable[[], bool]] = None,
+        allow_degraded: bool = True,
     ):
         """Run approximate sample indices ``[lo, hi)`` as pool chunks.
 
         Each chunk is a pure function of its index range (per-sample
         RNG substreams, see :mod:`repro.approx.sampler`), and batches
         merge commutatively, so the merged result is byte-identical to
-        an inline :meth:`IntervalSampler.sample_range(lo, hi)
-        <repro.approx.sampler.IntervalSampler.sample_range>` no matter
-        how the range was chunked or which workers ran it.  ``spec`` is
-        an :class:`~repro.approx.estimate.ApproxSpec`.
+        an inline ``IntervalSampler.sample_range(lo, hi)`` no matter how
+        the range was chunked, which workers ran it, or which died.
+        ``spec`` is an :class:`~repro.approx.estimate.ApproxSpec`.
         """
         from repro.approx.estimate import SampleBatch
-        from repro.approx.sampler import _sample_chunk
 
-        if self._closed:
-            raise RuntimeError("MiningPool is closed")
         merged = SampleBatch()
-        n = hi - lo
-        if n <= 0:
-            return merged
-        params = spec.sampler_params()
-        size = max(1, n // (2 * self.num_workers))
-        bounds = [(i, min(hi, i + size)) for i in range(lo, hi, size)]
-        task_iter = iter(
-            (motif.edges, int(delta), params, c_lo, c_hi) for c_lo, c_hi in bounds
+        size = max(1, (hi - lo) // (2 * self.num_workers))
+        wire_spec = (motif.edges, spec.sampler_params())
+        tasks = [
+            ("sample", wire_spec, int(delta), c_lo, min(hi, c_lo + size))
+            for c_lo in range(lo, hi, size)
+        ]
+        self._mine(
+            self.graph, tasks,
+            lambda _task_id, result: merged.merge(SampleBatch.from_payload(result)),
+            cancel_check, allow_degraded,
         )
-        pending: set = set()
-
-        def submit_next() -> None:
-            try:
-                task = next(task_iter)
-            except StopIteration:
-                return
-            try:
-                pending.add(self._pool.submit(_sample_chunk, task))
-            except BrokenProcessPool:
-                self._broken = True
-                raise
-
-        for _ in range(2 * self.num_workers):
-            submit_next()
-        while pending:
-            if cancel_check is not None and cancel_check():
-                for fut in pending:
-                    fut.cancel()
-                wait(pending)
-                pending.clear()
-                raise MiningCancelled("sampling cancelled by cancel_check")
-            done, _ = wait(pending, return_when=FIRST_COMPLETED)
-            for fut in done:
-                pending.discard(fut)
-                try:
-                    payload = fut.result()
-                except BrokenProcessPool:
-                    self._broken = True
-                    raise
-                merged.merge(SampleBatch.from_payload(payload))
-                submit_next()
         return merged
-
-    def _family_result(
-        self, motifs: Sequence[Motif], acc, num_chunks: int
-    ) -> FamilyParallelResult:
-        return FamilyParallelResult(
-            results=tuple(
-                ParallelResult(
-                    acc.counts[i], acc.per_motif[i], self.num_workers, num_chunks
-                )
-                for i in range(len(motifs))
-            ),
-            counters=acc.counters,
-            sharing=acc.sharing,
-            num_workers=self.num_workers,
-            num_chunks=num_chunks,
-        )
 
 
 def count_motifs_parallel(
@@ -663,17 +205,9 @@ def count_motifs_parallel(
     defaults to the machine's CPU count; ``num_workers=0`` runs inline
     (useful for tests and small graphs, where process startup dominates).
     """
-    if engine not in POOL_ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {POOL_ENGINES}")
-    if num_workers is None:
-        num_workers = os.cpu_count() or 1
-    if num_workers <= 0 or graph.num_edges == 0:
-        if engine == "batched":
-            from repro.mining.batched import BatchedMiner
-
-            result = BatchedMiner(graph, motif, delta).mine()
-        else:
-            result = MackeyMiner(graph, motif, delta).mine()
+    check_engine(engine)
+    if (num_workers is not None and num_workers <= 0) or graph.num_edges == 0:
+        result = make_miner(engine, graph, motif, delta).mine()
         return ParallelResult(result.count, result.counters, 0, 1)
     with MiningPool(graph, num_workers) as pool:
         return pool.count(motif, delta, chunks_per_worker, engine=engine)

@@ -11,9 +11,9 @@ that property into operational resilience:
   handling is exercised by ordinary tests and the ``repro chaos`` CLI
   rather than hoped-for;
 - :mod:`~repro.resilience.supervisor` —
-  :class:`SupervisedMiningPool`, process workers with explicit pipes,
-  sentinel monitoring, chunk-level retry and budgeted respawn with
-  capped exponential backoff;
+  :class:`SupervisedMiningPool`, the resilience-layer name of
+  :class:`repro.mining.parallel.MiningPool` (chunk-level retry and
+  budgeted respawn live in :mod:`repro.mining.dispatch`);
 - :mod:`~repro.resilience.breaker` — :class:`CircuitBreaker`, the
   per-graph closed/open/half-open guard the serving layer uses to shed
   throughput (degraded serial mining) instead of correctness when a

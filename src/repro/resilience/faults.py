@@ -12,17 +12,16 @@ Production code marks its interesting failure points with
 :func:`fault_point`; with no plan installed the call is a dict lookup
 and an ``is None`` check — effectively free.  Tests install a plan
 (globally via :meth:`FaultPlan.installed`, or shipped into worker
-processes by :class:`~repro.resilience.supervisor.SupervisedMiningPool`)
+processes by the dispatchers of :mod:`repro.mining.dispatch`)
 and the exact same failure fires on every run: chaos tests are ordinary
 deterministic tests.
 
 Known sites:
 
-- ``worker.chunk`` — a supervised mining worker, just before it mines a
-  root-range chunk (context: ``worker`` = worker id).
-- ``node.chunk`` — a cluster worker node
-  (:mod:`repro.cluster.node`), just before it mines a chunk (context:
-  ``worker`` = node slot index).  Same shape as ``worker.chunk``, one
+- ``worker.chunk`` — a pool worker, just before it mines a root-range
+  chunk (context: ``worker`` = worker id).
+- ``node.chunk`` — a cluster worker node, just before it mines a chunk
+  (context: ``worker`` = node slot index).  Same worker main, one
   level up the deployment ladder.
 - ``executor.batch`` — :class:`~repro.service.executor.PoolExecutor`
   and :class:`~repro.cluster.executor.ClusterExecutor`, just before a

@@ -1,813 +1,24 @@
-"""`SupervisedMiningPool` — fault-tolerant parallel mining.
+"""`SupervisedMiningPool` — the fault-tolerant worker pool.
 
-The task-centric model makes mining restartable at chunk granularity:
-every root-range chunk is a pure, idempotent function of
-``(motif, delta, root_lo, root_hi)`` against the immutable shipped
-graph, so re-executing a chunk on a different worker is always safe and
-merging is order-independent (integer sums) — counts stay byte-identical
-to the serial miner no matter which workers died along the way.
-
-Where :class:`~repro.mining.parallel.MiningPool` rides
-``ProcessPoolExecutor`` — one dead worker poisons the executor
-(``BrokenProcessPool``) and loses every in-flight chunk — this pool
-owns its ``multiprocessing.Process`` workers directly:
-
-- **Explicit channels.**  Each worker talks to the supervisor over its
-  own duplex pipe; sends are synchronous (no feeder thread), so results
-  a worker managed to send before dying are still readable afterwards.
-- **Sentinel monitoring.**  The supervisor waits on every worker's
-  connection *and* its process sentinel at once
-  (``multiprocessing.connection.wait``), so a death is observed the
-  moment it happens, not on a timeout.
-- **Chunk-level retry.**  A worker death (or a per-chunk soft-timeout
-  "wedge", answered with SIGKILL) costs exactly its current chunk: the
-  supervisor drains the dead worker's pipe (accepting any result that
-  did make it out), requeues the unfinished chunk at the front, and a
-  surviving worker picks it up.  A chunk that *raises* in a healthy
-  worker is also retried, but at most ``max_chunk_errors`` times —
-  past that the run fails with :class:`ChunkFailed` rather than
-  requeueing a deterministically-bad input forever.
-- **Serialized calls.**  :meth:`count_many` is thread-safe: concurrent
-  callers (scheduler lanes sharing one cached pool) take turns on an
-  internal lock, since the epoch counter, worker pipes, and task ids
-  are per-pool shared state.
-- **Respawn with backoff.**  Dead workers are replaced, subject to a
-  respawn budget, with capped exponential backoff and deterministic
-  seeded jitter.  When the budget runs out the pool keeps mining on
-  survivors (*degraded*); only when no workers remain does
-  :meth:`count_many` raise :class:`PoolFailed`.
-
-Fault injection: a :class:`~repro.resilience.faults.FaultPlan` passed
-at construction is shipped to (and installed in) every worker, which
-calls ``fault_point("worker.chunk", worker=<id>)`` before each chunk —
-the hook the chaos suite and ``repro chaos`` kill/delay workers through.
+The pool that survives worker deaths at chunk granularity is the only
+pool there is: :class:`repro.mining.parallel.MiningPool`, built on the
+supervision loop in :mod:`repro.mining.dispatch` (chunk-level retry,
+wedge SIGKILL, budgeted seeded-jitter respawn, degraded completion —
+see that module and ``docs/ARCHITECTURE.md`` "Chunk dispatch").  This
+module keeps the names the resilience layer introduced importable.
 """
 
-from __future__ import annotations
-
-import itertools
-import os
-import random
-import threading
-import time
-from collections import deque
-from dataclasses import dataclass
-from multiprocessing import connection, get_context
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
-
-from repro.graph.temporal_graph import TemporalGraph
+from repro.mining.dispatch import ChunkFailed, DispatchStats as PoolStats
 from repro.mining.parallel import (
-    FamilyParallelResult,
-    GraphShipment,
-    MiningCancelled,
-    ParallelResult,
-    POOL_ENGINES,
-    _guided_bounds,
-    _mine_batched_chunk,
-    _mine_chunk,
-    _mine_family_chunk,
+    MiningPool as SupervisedMiningPool,
+    PoolDegraded,
+    PoolFailed,
 )
-from repro.mining.results import SearchCounters
-from repro.resilience.faults import FaultPlan, fault_point
 
-
-class PoolDegraded(RuntimeError):
-    """The respawn budget is exhausted and the pool is running below
-    its target worker count.  Raised by :meth:`count_many` only when
-    ``allow_degraded=False``; by default the pool completes the run on
-    the survivors (shedding throughput, never correctness)."""
-
-
-class PoolFailed(PoolDegraded):
-    """The respawn budget is exhausted and *no* workers survive: the
-    run cannot complete and the pool is permanently broken."""
-
-
-class ChunkFailed(RuntimeError):
-    """One chunk kept raising inside healthy workers past the per-chunk
-    retry cap (``max_chunk_errors``) — a deterministic failure of that
-    (motif, root-range) input, not a worker-health problem.  The pool
-    itself stays usable; retrying the same input would loop forever."""
-
-
-@dataclass
-class PoolStats:
-    """Cumulative supervision accounting for one pool."""
-
-    worker_deaths: int = 0
-    wedged_kills: int = 0
-    chunk_retries: int = 0
-    respawns: int = 0
-    chunks_completed: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-
-class _SerializedTurn:
-    """Acquire the pool's mining lock, honoring the caller's deadline.
-
-    Callers waiting for their turn poll ``cancel_check`` so a batch
-    whose deadline expired in the queue raises
-    :class:`~repro.mining.parallel.MiningCancelled` without ever
-    touching the workers.
-    """
-
-    def __init__(self, lock, cancel_check) -> None:
-        self._lock = lock
-        self._cancel_check = cancel_check
-
-    def __enter__(self) -> None:
-        while not self._lock.acquire(timeout=0.05):
-            if self._cancel_check is not None and self._cancel_check():
-                raise MiningCancelled(
-                    "mining cancelled while waiting for the pool"
-                )
-
-    def __exit__(self, *exc) -> None:
-        self._lock.release()
-
-
-class _Worker:
-    """Supervisor-side record of one worker process."""
-
-    __slots__ = ("wid", "process", "conn", "ready", "current", "started_at")
-
-    def __init__(self, wid: int, process, conn) -> None:
-        self.wid = wid
-        self.process = process
-        self.conn = conn
-        self.ready = False
-        #: (epoch, task_id) of the chunk in flight on this worker.
-        self.current: Optional[Tuple[int, int]] = None
-        self.started_at = 0.0
-
-
-def _supervised_worker(  # pragma: no cover - runs in spawned workers only
-    wid: int, initializer, initargs, conn, fault_plan
-) -> None:
-    """Worker main: adopt the graph, then mine chunks until told to stop.
-
-    Every message is sent synchronously over the pipe, so anything sent
-    before a crash survives the crash.  A chunk-level exception is
-    reported (the worker survives and keeps serving); only an injected
-    ``kill`` / external SIGKILL takes the process down.
-    """
-    if fault_plan is not None:
-        fault_plan.install()
-    try:
-        initializer(*initargs)
-    except BaseException as exc:  # noqa: BLE001 - reported, then exit
-        try:
-            conn.send(("init_error", wid, repr(exc)))
-        finally:
-            return
-    conn.send(("ready", wid, None))
-    while True:
-        try:
-            msg = conn.recv()
-        except (EOFError, OSError):
-            return  # supervisor went away
-        if msg is None:
-            return
-        epoch, task_id, kind, spec, delta, lo, hi = msg
-        try:
-            fault_point("worker.chunk", worker=wid, chunk=task_id)
-            if kind == "family":
-                # One shared co-mining traversal for the whole family.
-                result = _mine_family_chunk((spec, delta, lo, hi))
-            elif kind == "batched":
-                result = _mine_batched_chunk((spec, delta, lo, hi))
-            elif kind == "sample":
-                # spec = (motif_edges, sampler params); lo/hi are sample
-                # indices, not root edges (repro.approx chunk protocol).
-                from repro.approx.sampler import _sample_chunk
-
-                motif_edges, params = spec
-                result = _sample_chunk((motif_edges, delta, params, lo, hi))
-            else:
-                result = _mine_chunk((spec, delta, lo, hi))
-        except BaseException as exc:  # noqa: BLE001
-            conn.send(("chunk_error", wid, (epoch, task_id, repr(exc))))
-            continue
-        conn.send(("done", wid, (epoch, task_id, result)))
-
-
-class SupervisedMiningPool:
-    """Drop-in sibling of :class:`~repro.mining.parallel.MiningPool`
-    that survives worker deaths at chunk granularity.
-
-    Parameters beyond MiningPool's:
-
-    - ``chunk_timeout_s`` — soft per-chunk timeout; a worker that holds
-      one chunk longer is presumed wedged, SIGKILLed, and its chunk
-      retried elsewhere (``None`` disables wedge detection).
-    - ``respawn_budget`` — total worker respawns allowed over the pool's
-      lifetime (default ``3 * num_workers``).
-    - ``max_chunk_errors`` — how many times one chunk may *raise* in a
-      healthy worker before :meth:`count_many` gives up on the run with
-      :class:`ChunkFailed`.  Chunks lost to worker deaths are retried
-      without limit (deaths are bounded by the respawn budget); this cap
-      only stops a deterministically-failing chunk from requeueing
-      forever.
-    - ``backoff_base_s`` / ``backoff_cap_s`` — capped exponential
-      respawn backoff; jitter is drawn from a ``seed``-ed RNG so runs
-      are reproducible.
-    - ``fault_plan`` — shipped to every worker and installed there
-      (chaos testing); the parent process is untouched.
-    - ``on_event`` — ``callback(counter_name, n)`` mirror of
-      :class:`PoolStats` increments, used by the serving layer to feed
-      shared service metrics.
-    - ``clock`` / ``sleep`` — injectable time sources (monotonic clock
-      and blocking sleep) used by every supervision-side deadline: the
-      respawn backoff, wedge detection, and chunk timing.  Tests drive
-      them with a fake clock so backoff schedules are asserted without
-      real waiting; ``close()`` stays on real time (it bounds talking
-      to real processes, not a policy decision).
-    """
-
-    def __init__(
-        self,
-        graph: TemporalGraph,
-        num_workers: Optional[int] = None,
-        *,
-        chunk_timeout_s: Optional[float] = 30.0,
-        respawn_budget: Optional[int] = None,
-        max_chunk_errors: int = 3,
-        backoff_base_s: float = 0.05,
-        backoff_cap_s: float = 2.0,
-        seed: int = 0,
-        fault_plan: Optional[FaultPlan] = None,
-        on_event: Optional[Callable[[str, int], None]] = None,
-        clock: Callable[[], float] = time.monotonic,
-        sleep: Callable[[float], None] = time.sleep,
-    ) -> None:
-        if num_workers is None:
-            num_workers = os.cpu_count() or 1
-        if num_workers < 1:
-            raise ValueError("SupervisedMiningPool needs at least one worker")
-        if chunk_timeout_s is not None and chunk_timeout_s <= 0:
-            raise ValueError("chunk_timeout_s must be positive (or None)")
-        if max_chunk_errors < 1:
-            raise ValueError("max_chunk_errors must be >= 1")
-        self.graph = graph
-        self.num_workers = int(num_workers)
-        self.chunk_timeout_s = chunk_timeout_s
-        self.respawn_budget = (
-            3 * self.num_workers if respawn_budget is None else int(respawn_budget)
-        )
-        self.max_chunk_errors = int(max_chunk_errors)
-        self.backoff_base_s = float(backoff_base_s)
-        self.backoff_cap_s = float(backoff_cap_s)
-        self.stats = PoolStats()
-        self._fault_plan = fault_plan
-        self._on_event = on_event
-        self._clock = clock
-        self._sleep = sleep
-        self._jitter = random.Random(seed)
-        #: One supervision loop at a time: the epoch counter, the worker
-        #: pipes, and per-call task ids are all shared state, so
-        #: concurrent scheduler lanes must take turns (see count_many).
-        self._mine_lock = threading.Lock()
-        self._ctx = get_context()
-        self._closed = False
-        self._failed = False
-        self._degraded = False
-        self._epoch = 0
-        self._respawns_used = 0
-        self._consecutive_respawns = 0
-        self._next_spawn_at = 0.0
-        self._wid_counter = itertools.count()
-        self._shipment = GraphShipment(graph)
-        self._workers: Dict[int, _Worker] = {}
-        for _ in range(self.num_workers):
-            self._spawn_worker()
-
-    # -- events ----------------------------------------------------------------
-
-    def _event(self, name: str, n: int = 1) -> None:
-        setattr(self.stats, name, getattr(self.stats, name) + n)
-        if self._on_event is not None:
-            self._on_event(name, n)
-
-    # -- worker lifecycle ------------------------------------------------------
-
-    def _spawn_worker(self) -> _Worker:
-        wid = next(self._wid_counter)
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        process = self._ctx.Process(
-            target=_supervised_worker,
-            args=(
-                wid,
-                self._shipment.initializer,
-                self._shipment.initargs,
-                child_conn,
-                self._fault_plan,
-            ),
-            name=f"mint-worker-{wid}",
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()  # the parent keeps only its end
-        worker = _Worker(wid, process, parent_conn)
-        self._workers[wid] = worker
-        return worker
-
-    def _backoff_delay(self) -> float:
-        base = min(
-            self.backoff_cap_s,
-            self.backoff_base_s * (2 ** self._consecutive_respawns),
-        )
-        return base * (0.5 + self._jitter.random())  # jitter in [0.5x, 1.5x)
-
-    def _bury(self, worker: _Worker, on_result, completed_ids) -> None:
-        """Drain and retire a dead worker, requeueing its lost chunk."""
-        self._drain_conn(worker, on_result, completed_ids)
-        worker.conn.close()
-        worker.process.join(timeout=1.0)
-        del self._workers[worker.wid]
-        if worker.current is not None:
-            epoch, task_id = worker.current
-            if epoch == self._epoch and task_id not in completed_ids:
-                on_result("retry", task_id, "worker died mid-chunk")
-            worker.current = None
-        self._event("worker_deaths")
-        self._consecutive_respawns += 1
-        self._next_spawn_at = self._clock() + self._backoff_delay()
-
-    def _drain_conn(self, worker: _Worker, on_result, completed_ids) -> None:
-        """Read out anything the worker sent before it stopped.
-
-        Synchronous pipe sends mean a completed chunk's result survives
-        the worker's death; accepting it here (instead of blindly
-        retrying) keeps retries to truly-unfinished chunks.
-        """
-        try:
-            while worker.conn.poll(0):
-                self._handle_message(worker, worker.conn.recv(), on_result,
-                                     completed_ids)
-        except (EOFError, OSError):
-            pass
-
-    # -- supervision loop ------------------------------------------------------
-
-    def _handle_message(self, worker: _Worker, msg, on_result, completed_ids):
-        kind, wid, payload = msg
-        if kind == "ready":
-            worker.ready = True
-            self._consecutive_respawns = 0
-            return
-        if kind == "init_error":
-            # The worker will exit right after; the sentinel sweep
-            # buries it. Nothing was in flight yet.
-            return
-        if kind == "chunk_error":
-            epoch, task_id, message = payload
-            worker.current = None
-            if epoch == self._epoch and task_id not in completed_ids:
-                on_result("error", task_id, message)
-            return
-        if kind == "done":
-            epoch, task_id, result = payload
-            worker.current = None
-            if epoch == self._epoch and task_id not in completed_ids:
-                on_result("done", task_id, result)
-            return
-
-    @property
-    def live_workers(self) -> int:
-        return sum(1 for w in self._workers.values() if w.process.is_alive())
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    @property
-    def broken(self) -> bool:
-        """True when the pool can no longer mine (all workers dead with
-        no respawn budget, or a failed run already proved it)."""
-        if self._closed or self._failed:
-            return True
-        return (
-            self.live_workers == 0
-            and self._respawns_used >= self.respawn_budget
-        )
-
-    @property
-    def degraded(self) -> bool:
-        """True once the pool has permanently lost redundancy (budget
-        exhausted while below target worker count)."""
-        return self._degraded
-
-    # -- mining ----------------------------------------------------------------
-
-    def count(
-        self,
-        motif,
-        delta: int,
-        chunks_per_worker: int = 8,
-        cancel_check: Optional[Callable[[], bool]] = None,
-        allow_degraded: bool = True,
-        engine: str = "mackey",
-    ) -> ParallelResult:
-        return self.count_many(
-            [motif], delta, chunks_per_worker, cancel_check, allow_degraded,
-            engine=engine,
-        )[0]
-
-    def count_many(
-        self,
-        motifs: Sequence,
-        delta: int,
-        chunks_per_worker: int = 8,
-        cancel_check: Optional[Callable[[], bool]] = None,
-        allow_degraded: bool = True,
-        engine: str = "mackey",
-    ) -> List[ParallelResult]:
-        """Count several motifs in one supervised dispatch wave.
-
-        Byte-identical to the serial miner: chunks are idempotent and
-        merging is commutative, so deaths/retries cannot change counts.
-        Raises :class:`PoolFailed` when no worker survives and the
-        respawn budget is spent; :class:`PoolDegraded` additionally
-        (before completing on survivors) when ``allow_degraded=False``;
-        :class:`ChunkFailed` when one chunk keeps raising past
-        ``max_chunk_errors`` attempts.
-
-        Thread-safe: concurrent callers (the service runs several
-        scheduler lanes against one cached pool) are serialized on an
-        internal lock — the epoch counter, worker pipes, and per-call
-        task ids are shared, so interleaved supervision loops would
-        mis-attribute or discard each other's chunks.  A caller whose
-        ``cancel_check`` trips while waiting for its turn raises
-        :class:`MiningCancelled` without ever touching the workers.
-
-        ``engine`` picks the per-chunk core: ``"batched"`` ships the
-        ``"batched"`` chunk kind (vectorized frontier expansion in the
-        worker), ``"mackey"`` the scalar DFS.  Chunks of either kind are
-        equally idempotent, so all retry semantics are unchanged.
-        """
-        if engine not in POOL_ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; expected one of {POOL_ENGINES}"
-            )
-        with self._serialized(cancel_check):
-            return self._count_many_locked(
-                motifs, delta, chunks_per_worker, cancel_check, allow_degraded,
-                engine,
-            )
-
-    def count_family(
-        self,
-        motifs: Sequence,
-        delta: int,
-        chunks_per_worker: int = 8,
-        cancel_check: Optional[Callable[[], bool]] = None,
-        allow_degraded: bool = True,
-    ) -> FamilyParallelResult:
-        """Co-mine a motif family under supervision (one shared traversal
-        per chunk, the ``"family"`` chunk kind).
-
-        Family chunks are as idempotent as per-motif ones — a chunk is a
-        pure function of ``(family, delta, root range)`` and merging is
-        commutative — so the same retry/respawn/chaos machinery applies
-        unchanged and per-motif counts stay byte-identical to the serial
-        miner across any pattern of worker deaths.
-        """
-        with self._serialized(cancel_check):
-            return self._count_family_locked(
-                motifs, delta, chunks_per_worker, cancel_check, allow_degraded
-            )
-
-    def sample_intervals(
-        self,
-        motif,
-        delta: int,
-        spec,
-        lo: int,
-        hi: int,
-        cancel_check: Optional[Callable[[], bool]] = None,
-        allow_degraded: bool = True,
-    ):
-        """Run approximate sample indices ``[lo, hi)`` under supervision.
-
-        Sample chunks are as idempotent as mining chunks — each is a
-        pure function of ``(motif, δ, spec, index range)`` thanks to the
-        per-index RNG substreams — and batches merge commutatively, so
-        worker deaths and retries cannot change the estimate: the merged
-        batch is byte-identical to an inline ``sample_range(lo, hi)``.
-        ``spec`` is an :class:`~repro.approx.estimate.ApproxSpec`.
-        """
-        from repro.approx.estimate import SampleBatch
-
-        with self._serialized(cancel_check):
-            merged = SampleBatch()
-            n = hi - lo
-            if n <= 0:
-                self._check_usable()
-                return merged
-            params = spec.sampler_params()
-            size = max(1, n // (2 * self.num_workers))
-            specs = [
-                ("sample", (motif.edges, params), int(delta), c_lo, min(hi, c_lo + size))
-                for c_lo in range(lo, hi, size)
-            ]
-
-            def apply_result(task_id: int, result) -> None:
-                merged.merge(SampleBatch.from_payload(result))
-
-            self._run_chunks(specs, apply_result, cancel_check, allow_degraded)
-            return merged
-
-    def _serialized(self, cancel_check: Optional[Callable[[], bool]]):
-        return _SerializedTurn(self._mine_lock, cancel_check)
-
-    def _count_many_locked(
-        self,
-        motifs: Sequence,
-        delta: int,
-        chunks_per_worker: int,
-        cancel_check: Optional[Callable[[], bool]],
-        allow_degraded: bool,
-        engine: str = "mackey",
-    ) -> List[ParallelResult]:
-        m = self.graph.num_edges
-        totals = [0] * len(motifs)
-        merged = [SearchCounters() for _ in motifs]
-        if m == 0 or not motifs:
-            self._check_usable()
-            return [
-                ParallelResult(totals[i], merged[i], self.num_workers, 0)
-                for i in range(len(motifs))
-            ]
-
-        bounds = _guided_bounds(m, self.num_workers, chunks_per_worker)
-        kind = "batched" if engine == "batched" else "motif"
-        specs: List[Tuple[str, Tuple, int, int, int]] = []
-        owners: List[int] = []
-        for i, motif in enumerate(motifs):
-            for lo, hi in bounds:
-                specs.append((kind, motif.edges, int(delta), lo, hi))
-                owners.append(i)
-
-        def apply_result(task_id: int, result) -> None:
-            count, counter_dict = result
-            idx = owners[task_id]
-            totals[idx] += count
-            merged[idx].merge(SearchCounters(**counter_dict))
-
-        self._run_chunks(specs, apply_result, cancel_check, allow_degraded)
-        return [
-            ParallelResult(totals[i], merged[i], self.num_workers, len(bounds))
-            for i in range(len(motifs))
-        ]
-
-    def _count_family_locked(
-        self,
-        motifs: Sequence,
-        delta: int,
-        chunks_per_worker: int,
-        cancel_check: Optional[Callable[[], bool]],
-        allow_degraded: bool,
-    ) -> FamilyParallelResult:
-        from repro.comine.engine import FamilyResult
-        from repro.comine.trie import MotifTrie
-
-        trie = MotifTrie(motifs)  # validates the family (raises on empty)
-        acc = FamilyResult.empty(trie)
-        m = self.graph.num_edges
-        if m == 0:
-            self._check_usable()
-            return self._family_result(motifs, acc, 0)
-
-        bounds = _guided_bounds(m, self.num_workers, chunks_per_worker)
-        family_edges = tuple(m_.edges for m_ in motifs)
-        specs = [
-            ("family", family_edges, int(delta), lo, hi) for lo, hi in bounds
-        ]
-
-        def apply_result(task_id: int, result) -> None:
-            acc.merge(FamilyResult.from_payload(result))
-
-        self._run_chunks(specs, apply_result, cancel_check, allow_degraded)
-        return self._family_result(motifs, acc, len(bounds))
-
-    def _family_result(
-        self, motifs: Sequence, acc, num_chunks: int
-    ) -> FamilyParallelResult:
-        return FamilyParallelResult(
-            results=tuple(
-                ParallelResult(
-                    acc.counts[i], acc.per_motif[i], self.num_workers, num_chunks
-                )
-                for i in range(len(motifs))
-            ),
-            counters=acc.counters,
-            sharing=acc.sharing,
-            num_workers=self.num_workers,
-            num_chunks=num_chunks,
-        )
-
-    def _check_usable(self) -> None:
-        if self._closed:
-            raise RuntimeError("SupervisedMiningPool is closed")
-        if self._failed:
-            raise PoolFailed("pool is broken (a previous run exhausted it)")
-
-    def _run_chunks(
-        self,
-        specs: Sequence[Tuple[str, Tuple, int, int, int]],
-        apply_result: Callable[[int, object], None],
-        cancel_check: Optional[Callable[[], bool]],
-        allow_degraded: bool,
-    ) -> None:
-        """The supervision loop, agnostic of chunk kind.
-
-        ``specs[i]`` is ``(kind, spec, delta, lo, hi)`` — the wire task
-        a worker dispatches on — and ``apply_result(task_id, result)``
-        folds one completed chunk into the caller's accumulator.  All
-        retry, wedge-kill, respawn-backoff, degraded and failure
-        semantics live here, shared by per-motif and family runs.
-        """
-        self._check_usable()
-        self._epoch += 1
-        tasks: Dict[int, Tuple[str, Tuple, int, int, int]] = dict(
-            enumerate(specs)
-        )
-        pending: Deque[int] = deque(sorted(tasks))
-        completed: Set[int] = set()
-        error_counts: Dict[int, int] = {}
-        #: First chunk to exhaust its error cap: (task_id, last message).
-        fatal: List[Tuple[int, str]] = []
-
-        def on_result(kind: str, task_id: int, payload) -> None:
-            if kind == "done":
-                apply_result(task_id, payload)
-                completed.add(task_id)
-                self._event("chunks_completed")
-                return
-            if kind == "error":
-                # The chunk raised in a surviving worker.  Unlike chunks
-                # lost to deaths (bounded by the respawn budget), a
-                # deterministic per-chunk exception would requeue
-                # forever — cap it and fail the run instead.
-                n = error_counts[task_id] = error_counts.get(task_id, 0) + 1
-                if n >= self.max_chunk_errors:
-                    fatal.append((task_id, str(payload)))
-                    return
-            # Requeue: a sub-cap "error", or a "retry" (the chunk was
-            # lost with a dead/wedged worker — bounded by the budget).
-            pending.appendleft(task_id)
-            self._event("chunk_retries")
-
-        while len(completed) < len(tasks):
-            if cancel_check is not None and cancel_check():
-                # Chunks in flight keep running; their results carry
-                # this epoch and are discarded by the next call.
-                raise MiningCancelled("mining cancelled by cancel_check")
-            if fatal:
-                task_id, message = fatal[0]
-                raise ChunkFailed(
-                    f"chunk {task_id} raised on all {self.max_chunk_errors} "
-                    f"attempts; last error: {message}"
-                )
-            self._sweep_dead(on_result, completed)
-            self._maybe_respawn()
-            if not self._workers:
-                if self._respawns_used >= self.respawn_budget:
-                    self._failed = True
-                    raise PoolFailed(
-                        "all workers dead and respawn budget "
-                        f"({self.respawn_budget}) exhausted"
-                    )
-                # Budget remains: wait out the backoff, then respawn —
-                # in small ticks, so a cancelled/deadline-expired batch
-                # stops blocking its lane immediately rather than after
-                # the full backoff delay.
-                while True:
-                    remaining = self._next_spawn_at - self._clock()
-                    if remaining <= 0:
-                        break
-                    if cancel_check is not None and cancel_check():
-                        raise MiningCancelled(
-                            "mining cancelled during respawn backoff"
-                        )
-                    self._sleep(min(0.05, remaining))
-                self._maybe_respawn()
-                continue
-            if (
-                self._respawns_used >= self.respawn_budget
-                and len(self._workers) < self.num_workers
-                and not self._degraded
-            ):
-                self._degraded = True
-                if not allow_degraded:
-                    raise PoolDegraded(
-                        f"respawn budget ({self.respawn_budget}) exhausted; "
-                        f"{len(self._workers)}/{self.num_workers} workers remain"
-                    )
-            self._dispatch(pending, tasks, completed)
-            self._wait_and_collect(on_result, completed)
-
-    # -- supervision internals -------------------------------------------------
-
-    def _dispatch(self, pending: Deque[int], tasks, completed) -> None:
-        for worker in list(self._workers.values()):
-            if not pending:
-                return
-            if not worker.ready or worker.current is not None:
-                continue
-            task_id = pending.popleft()
-            if task_id in completed:  # pragma: no cover - defensive
-                continue
-            kind, spec, delta, lo, hi = tasks[task_id]
-            try:
-                worker.conn.send(
-                    (self._epoch, task_id, kind, spec, delta, lo, hi)
-                )
-            except (BrokenPipeError, OSError):
-                # Died between sweep and send; requeue, next sweep buries.
-                pending.appendleft(task_id)
-                continue
-            worker.current = (self._epoch, task_id)
-            worker.started_at = self._clock()
-
-    def _wait_and_collect(self, on_result, completed, tick: float = 0.05) -> None:
-        """Block until a message or a death, then process every ready one."""
-        sources: List = []
-        by_source: Dict = {}
-        for worker in self._workers.values():
-            sources.append(worker.conn)
-            by_source[worker.conn] = worker
-            sources.append(worker.process.sentinel)
-            by_source[worker.process.sentinel] = worker
-        if not sources:  # pragma: no cover - guarded by caller
-            return
-        for source in connection.wait(sources, timeout=tick):
-            worker = by_source[source]
-            if source is worker.conn:
-                try:
-                    msg = worker.conn.recv()
-                except (EOFError, OSError):
-                    continue  # the sentinel sweep buries it
-                self._handle_message(worker, msg, on_result, completed)
-            # Sentinel readiness is handled by _sweep_dead on the next
-            # loop turn (after the conn is fully drained).
-
-    def _sweep_dead(self, on_result, completed) -> None:
-        now = self._clock()
-        for worker in list(self._workers.values()):
-            if not worker.process.is_alive():
-                self._bury(worker, on_result, completed)
-                continue
-            if (
-                self.chunk_timeout_s is not None
-                and worker.current is not None
-                and now - worker.started_at > self.chunk_timeout_s
-            ):
-                # Presumed wedged; give its pipe one last chance (it
-                # may have finished this instant), then SIGKILL.
-                self._drain_conn(worker, on_result, completed)
-                if worker.current is None:
-                    continue  # it had finished after all
-                self._event("wedged_kills")
-                worker.process.kill()
-                worker.process.join(timeout=1.0)
-                self._bury(worker, on_result, completed)
-
-    def _maybe_respawn(self) -> None:
-        while (
-            len(self._workers) < self.num_workers
-            and self._respawns_used < self.respawn_budget
-            and self._clock() >= self._next_spawn_at
-        ):
-            self._respawns_used += 1
-            self._event("respawns")
-            self._spawn_worker()
-
-    # -- lifecycle -------------------------------------------------------------
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        for worker in self._workers.values():
-            try:
-                worker.conn.send(None)
-            except (BrokenPipeError, OSError):
-                pass
-        deadline = time.monotonic() + 2.0
-        for worker in self._workers.values():
-            worker.process.join(timeout=max(0.0, deadline - time.monotonic()))
-            if worker.process.is_alive():
-                worker.process.kill()
-                worker.process.join(timeout=1.0)
-            worker.conn.close()
-        self._workers.clear()
-        self._shipment.close()
-
-    def __enter__(self) -> "SupervisedMiningPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+__all__ = [
+    "ChunkFailed",
+    "PoolDegraded",
+    "PoolFailed",
+    "PoolStats",
+    "SupervisedMiningPool",
+]

@@ -15,16 +15,15 @@ behave exactly as before, just cheaper.  Two implementations:
   deployments where query concurrency (lanes) already saturates the
   cores.
 - :class:`PoolExecutor` — per-graph resident worker pool reuse
-  (:class:`~repro.resilience.supervisor.SupervisedMiningPool` by
-  default).  The first batch against a graph ships it (zero-copy shared
-  memory) into a resident pool; subsequent batches only send tiny task
-  tuples.  Pools are closed when the registry evicts their graph.
+  (:class:`~repro.mining.parallel.MiningPool`).  The first batch
+  against a graph ships it (zero-copy shared memory) into a resident
+  pool; subsequent batches only send tiny task tuples.  Pools are
+  closed when the registry evicts their graph.
 
 Fault tolerance in :class:`PoolExecutor` (degrade, never corrupt):
 
-- **Checkout health.**  A cached pool that is closed or broken (e.g. a
-  ``MiningPool`` poisoned by ``BrokenProcessPool``, or a supervised
-  pool that exhausted its respawn budget) is evicted at checkout and a
+- **Checkout health.**  A cached pool that is closed or broken (it
+  exhausted its respawn budget) is evicted at checkout and a
   fresh pool is built — one broken pool can no longer fail every later
   query for its graph.
 - **Per-graph circuit breaker.**  ``breaker_failures`` consecutive
@@ -48,12 +47,11 @@ import threading
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.graph.temporal_graph import TemporalGraph
-from repro.mining.mackey import MackeyMiner
-from repro.mining.parallel import POOL_ENGINES, MiningCancelled, MiningPool
+from repro.mining.dispatch import MiningCancelled, check_engine, make_miner
+from repro.mining.parallel import MiningPool
 from repro.motifs.motif import Motif
 from repro.resilience.breaker import CLOSED, CircuitBreaker
 from repro.resilience.faults import FaultPlan, fault_point
-from repro.resilience.supervisor import SupervisedMiningPool
 from repro.service.metrics import ResilienceCounters
 
 #: One batch item's result: (count, counters-as-dict).
@@ -69,9 +67,8 @@ class InlineExecutor:
     (the co-miner's correctness contract), so cached payloads don't
     depend on how queries happened to batch.  Singleton batches always
     use a per-motif miner (there is nothing to share); ``engine`` picks
-    which one — the scalar :class:`MackeyMiner` or the vectorized
-    :class:`~repro.mining.batched.BatchedMiner` (identical results, so
-    the knob is pure throughput).
+    which one of :data:`~repro.mining.dispatch.ENGINES` (identical
+    results, so the knob is pure throughput).
     """
 
     # Class-level defaults so subclasses that skip __init__ (test fakes
@@ -86,10 +83,7 @@ class InlineExecutor:
         counters: Optional[ResilienceCounters] = None,
         engine: str = "mackey",
     ) -> None:
-        if engine not in POOL_ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; expected one of {POOL_ENGINES}"
-            )
+        check_engine(engine)
         self.comine = bool(comine)
         self.counters = counters
         self.engine = engine
@@ -117,14 +111,9 @@ class InlineExecutor:
         for motif in motifs:
             if cancel_check is not None and cancel_check():
                 raise MiningCancelled("batch cancelled between motifs")
-            if self.engine == "batched":
-                from repro.mining.batched import BatchedMiner
-
-                result = BatchedMiner(
-                    graph, motif, delta, cancel_check=cancel_check
-                ).mine()
-            else:
-                result = MackeyMiner(graph, motif, delta).mine()
+            result = make_miner(
+                self.engine, graph, motif, delta, cancel_check=cancel_check
+            ).mine()
             out.append((result.count, result.counters.as_dict()))
         return out
 
@@ -175,13 +164,9 @@ class PoolExecutor:
     resident (they hold worker processes and a shared-memory graph
     copy), evicted least-recently-used beyond that.
 
-    ``supervised=True`` (default) builds
-    :class:`SupervisedMiningPool` workers that survive individual
-    deaths; ``supervised=False`` keeps the plain
-    :class:`~repro.mining.parallel.MiningPool`.  ``fault_plan`` is
-    shipped into supervised workers (chaos testing).  ``counters``
-    shares a :class:`ResilienceCounters` with the scheduler so service
-    metrics see executor-side events.  ``engine`` picks the per-chunk
+    ``fault_plan`` is shipped into the pools' workers (chaos testing).
+    ``counters`` shares a :class:`ResilienceCounters` with the
+    scheduler so service metrics see executor-side events.  ``engine`` picks the per-chunk
     mining core for non-comined batches (and for the inline fallback);
     results are byte-identical either way.
     """
@@ -191,7 +176,6 @@ class PoolExecutor:
         num_workers: int,
         max_pools: int = 2,
         *,
-        supervised: bool = True,
         breaker_failures: int = 3,
         breaker_cooldown_s: float = 5.0,
         chunk_timeout_s: Optional[float] = 30.0,
@@ -205,13 +189,8 @@ class PoolExecutor:
             raise ValueError("PoolExecutor needs at least one worker")
         if max_pools < 1:
             raise ValueError("max_pools must be positive")
-        if engine not in POOL_ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; expected one of {POOL_ENGINES}"
-            )
         self.num_workers = int(num_workers)
         self.max_pools = int(max_pools)
-        self.supervised = bool(supervised)
         self.breaker_failures = int(breaker_failures)
         self.breaker_cooldown_s = float(breaker_cooldown_s)
         self.chunk_timeout_s = chunk_timeout_s
@@ -225,34 +204,28 @@ class PoolExecutor:
         )
         self._lock = threading.Lock()
         #: fingerprint -> pool, most recently used last.
-        self._pools: Dict[str, object] = {}
+        self._pools: Dict[str, MiningPool] = {}
         self._order: List[str] = []
         self._breakers: Dict[str, CircuitBreaker] = {}
 
     # -- pool residency --------------------------------------------------------
 
-    def _build_pool(self, graph: TemporalGraph):
-        if self.supervised:
-            return SupervisedMiningPool(
-                graph,
-                self.num_workers,
-                chunk_timeout_s=self.chunk_timeout_s,
-                respawn_budget=self.respawn_budget,
-                fault_plan=self.fault_plan,
-                on_event=self.counters.inc,
-            )
-        return MiningPool(graph, self.num_workers)
-
-    @staticmethod
-    def _unhealthy(pool) -> bool:
-        return pool.closed or getattr(pool, "broken", False)
+    def _build_pool(self, graph: TemporalGraph) -> MiningPool:
+        return MiningPool(
+            graph,
+            self.num_workers,
+            chunk_timeout_s=self.chunk_timeout_s,
+            respawn_budget=self.respawn_budget,
+            fault_plan=self.fault_plan,
+            on_event=self.counters.inc,
+        )
 
     def _pool_for(self, graph: TemporalGraph):
         fp = graph.fingerprint()
         doomed: List = []
         with self._lock:
             pool = self._pools.get(fp)
-            if pool is not None and self._unhealthy(pool):
+            if pool is not None and pool.broken:
                 # A broken pool must never be handed out again: evict
                 # and rebuild instead of failing every later query.
                 doomed.append(self._pools.pop(fp))
@@ -310,14 +283,10 @@ class PoolExecutor:
         """``fingerprint -> {live, target}`` for resident pools."""
         with self._lock:
             pools = dict(self._pools)
-        out: Dict[str, Dict[str, int]] = {}
-        for fp, pool in pools.items():
-            live = getattr(pool, "live_workers", None)
-            if live is None:
-                # Plain MiningPool: infer from brokenness.
-                live = 0 if self._unhealthy(pool) else self.num_workers
-            out[fp] = {"live": int(live), "target": self.num_workers}
-        return out
+        return {
+            fp: {"live": pool.live_workers, "target": self.num_workers}
+            for fp, pool in pools.items()
+        }
 
     @property
     def degraded(self) -> bool:

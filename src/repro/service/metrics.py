@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Sequence
 
 from repro.analysis.reporting import format_table
+from repro.mining.dispatch import DispatchStats
 
 
 def percentile(values: Sequence[float], p: float) -> float:
@@ -47,12 +48,10 @@ class ResilienceCounters:
     counted.
     """
 
-    KNOWN = (
-        "worker_deaths",
-        "wedged_kills",
-        "chunk_retries",
-        "respawns",
-        "chunks_completed",
+    # The dispatchers' supervision counters arrive through their
+    # ``on_event`` hook under DispatchStats' field names (pool and
+    # cluster alike), so that part is not hand-kept.
+    KNOWN = tuple(DispatchStats.__dataclass_fields__) + (
         "backend_failures",
         "degraded_queries",
         "comined_batches",
@@ -152,6 +151,11 @@ class ServiceMetrics:
     wedged_kills: int = 0
     chunk_retries: int = 0
     worker_respawns: int = 0
+    #: Cluster nodes lost, graphs shipped to workers (pool or cluster),
+    #: and graphs re-homed off dead slots (``serve --cluster N``).
+    node_deaths: int = 0
+    graph_ships: int = 0
+    failovers: int = 0
     backend_failures: int = 0
     degraded_queries: int = 0
     #: Multi-motif batches served by one shared co-mining traversal.
@@ -251,6 +255,9 @@ class ServiceMetrics:
             ["wedged kills", self.wedged_kills],
             ["chunk retries", self.chunk_retries],
             ["worker respawns", self.worker_respawns],
+            ["node deaths", self.node_deaths],
+            ["graph ships", self.graph_ships],
+            ["failovers", self.failovers],
             ["backend failures", self.backend_failures],
             ["degraded queries", self.degraded_queries],
             ["co-mined batches", self.comined_batches],

@@ -692,6 +692,9 @@ class QueryScheduler:
             wedged_kills=res["wedged_kills"],
             chunk_retries=res["chunk_retries"],
             worker_respawns=res["respawns"],
+            node_deaths=res["node_deaths"],
+            graph_ships=res["graph_ships"],
+            failovers=res["failovers"],
             backend_failures=res["backend_failures"],
             degraded_queries=res["degraded_queries"],
             comined_batches=res["comined_batches"],

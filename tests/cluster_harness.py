@@ -16,8 +16,11 @@ the serial Mackey reference — under no faults, and under seeded plans
 that kill supervised workers (``worker.chunk``) or whole cluster nodes
 (``node.chunk``) mid-run.
 
-Fault plans only make sense for the fault-tolerant modes; passing one
-with ``mode="serial"``/``"pooled"`` is a test bug and raises.
+``pooled`` and ``supervised`` build the same class (the pool rides the
+one supervision loop; ``SupervisedMiningPool`` is ``MiningPool``); the
+grid keeps both names as its fault-free pool cell and its
+pool-under-kills cell.  Only ``serial`` has nothing to kill: passing it
+a fault plan is a test bug and raises.
 """
 
 from __future__ import annotations
@@ -41,8 +44,10 @@ ENGINES: Tuple[str, ...] = ("mackey", "batched", "comine")
 #: One (count, counters-dict) pair per motif, the normalized result.
 MotifResult = Tuple[int, Dict[str, int]]
 
-#: Fault-injection site used by each fault-tolerant mode.
-FAULT_SITES = {"supervised": "worker.chunk", "cluster": "node.chunk"}
+#: Fault-injection site of each mode that spawns workers.
+FAULT_SITES = {
+    "pooled": "worker.chunk", "supervised": "worker.chunk", "cluster": "node.chunk",
+}
 
 
 def node_kill_plan(seed: int, num_nodes: int, kills: int) -> FaultPlan:
@@ -101,24 +106,12 @@ def _serial(graph, motifs, delta, engine) -> List[MotifResult]:
     ]
 
 
-def _pooled(graph, motifs, delta, engine, workers) -> List[MotifResult]:
-    from repro.mining.parallel import MiningPool
-
-    with MiningPool(graph, workers) as pool:
-        if engine == "comine":
-            fam = pool.count_family(list(motifs), delta)
-            results = list(fam.results)
-        else:
-            results = pool.count_many(list(motifs), delta, engine=engine)
-    return [(r.count, r.counters.as_dict()) for r in results]
-
-
-def _supervised(
+def _pool(
     graph, motifs, delta, engine, workers, fault_plan, seed
 ) -> List[MotifResult]:
-    from repro.resilience import SupervisedMiningPool
+    from repro.mining.parallel import MiningPool
 
-    with SupervisedMiningPool(
+    with MiningPool(
         graph, workers, fault_plan=fault_plan, seed=seed,
         backoff_base_s=0.01,
     ) as pool:
@@ -172,7 +165,7 @@ def mine(
     """Run one grid cell; returns per-motif ``(count, counters_dict)``.
 
     ``workers`` is pool workers or cluster nodes depending on mode.
-    ``fault_plan`` is shipped to the fault-tolerant modes only.  Passing
+    ``fault_plan`` is shipped into the mode's workers.  Passing
     an existing ``cluster`` reuses it for ``mode="cluster"`` (no plan
     allowed: a shared cluster's faults belong to whoever built it).
     """
@@ -184,12 +177,8 @@ def mine(
         raise ValueError(f"mode {mode!r} cannot take a fault plan")
     if mode == "serial":
         return _serial(graph, motifs, delta, engine)
-    if mode == "pooled":
-        return _pooled(graph, motifs, delta, engine, workers)
-    if mode == "supervised":
-        return _supervised(
-            graph, motifs, delta, engine, workers, fault_plan, seed
-        )
+    if mode in ("pooled", "supervised"):
+        return _pool(graph, motifs, delta, engine, workers, fault_plan, seed)
     return _cluster(
         graph, motifs, delta, engine, workers, fault_plan, seed, cluster
     )

@@ -34,7 +34,7 @@ from repro.cluster import (
     MiningCluster,
     slot_name,
 )
-from repro.cluster.node import build_graph_state, mine_in_state
+from repro.mining.dispatch import ResidentGraph
 from repro.mining.mackey import MackeyMiner
 from repro.motifs.catalog import M1, PING_PONG
 from repro.resilience import FaultPlan
@@ -185,8 +185,8 @@ def partitions(draw, m):
 class TestShardSplitMerge:
     """Mining root ranges in any split, merged in any order, equals the
     whole-range serial result — counts AND counters.  This runs the
-    actual node-side chunk body (:func:`mine_in_state`), so it is the
-    exact computation a retried/failed-over chunk re-executes."""
+    actual worker-side chunk body (:meth:`ResidentGraph.run`), so it is
+    the exact computation a retried/failed-over chunk re-executes."""
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -199,7 +199,7 @@ class TestShardSplitMerge:
         graph = random_temporal_graph(rng, 12, 80, time_range=120)
         delta = 40
         serial = MackeyMiner(graph, motif, delta).mine()
-        state = build_graph_state(graph.as_arrays(), graph.num_nodes)
+        resident = ResidentGraph(graph)
         chunks = data.draw(partitions(graph.num_edges))
         data.draw(st.randoms(use_true_random=False)).shuffle(chunks)
         total = 0
@@ -207,9 +207,7 @@ class TestShardSplitMerge:
 
         counters = SearchCounters()
         for lo, hi in chunks:
-            count, cdict = mine_in_state(
-                state, "motif", motif.edges, delta, lo, hi
-            )
+            count, cdict = resident.run("motif", motif.edges, delta, lo, hi)
             total += count
             counters.merge(SearchCounters(**cdict))
         assert total == serial.count
@@ -255,6 +253,23 @@ class TestMiningClusterUnits:
             ClusterExecutor(num_nodes=2, engine="nope")
         with pytest.raises(ValueError):
             ClusterExecutor(object(), seed=3)  # kwargs with shared cluster
+
+    def test_fresh_cluster_service_reports_zeroed_cluster_counters(self):
+        """/metrics must carry the cluster's supervision counters from
+        the start, not only after the first node death or failover."""
+        from repro.service import MotifService
+        from repro.service.metrics import ResilienceCounters
+
+        cluster_keys = ("node_deaths", "graph_ships", "failovers")
+        fresh = ResilienceCounters().snapshot()
+        assert [fresh[k] for k in cluster_keys] == [0, 0, 0]
+        with MotifService(executor=ClusterExecutor(num_nodes=1)) as svc:
+            metrics = svc.metrics().as_dict()
+            assert [metrics[k] for k in cluster_keys] == [0, 0, 0]
+            rng = random.Random(35)
+            svc.register_graph(random_temporal_graph(rng, 10, 40), name="g")
+            assert svc.query("g", M1, 30).ok
+            assert svc.metrics().graph_ships == 1
 
     def test_respawn_backoff_runs_on_fake_time(self):
         """A one-node cluster whose node dies mid-run, with a backoff so

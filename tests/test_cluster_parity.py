@@ -82,12 +82,14 @@ class TestDifferentialGrid:
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_cluster_kill_actually_fires(self, engine, graph, motifs, reference):
-        """The grid cells above must not pass vacuously: with the same
-        seeded plan on an explicit cluster, at least one whole node
-        really dies and parity still holds."""
+        """The grid cells above must not pass vacuously: on an explicit
+        cluster a whole node really dies and parity still holds.  The
+        kill is at the victim's *first* chunk — every ready node is
+        handed one before any result is awaited — so that it fires does
+        not depend on how the OS schedules the nodes."""
+        plan = FaultPlan.kill_worker(1, at_chunk=1, site="node.chunk")
         with MiningCluster(
-            WORKERS, fault_plan=node_kill_plan(SEED, WORKERS, 1),
-            seed=SEED, backoff_base_s=0.01,
+            WORKERS, fault_plan=plan, seed=SEED, backoff_base_s=0.01,
         ) as cluster:
             results = mine(
                 "cluster", engine, graph, motifs, DELTA, cluster=cluster

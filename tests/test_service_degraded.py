@@ -73,7 +73,7 @@ class TestBrokenPoolCheckout:
             first = executor.count_batch(graph, [M1], DELTA)
             assert first[0][0] is not None
             # Break the cached pool from outside (as a respawn-budget
-            # exhaustion or a BrokenProcessPool would).
+            # exhaustion would).
             executor._pools[fp].close()
             again = executor.count_batch(graph, [M2], DELTA)
             payload = payload_bytes(
@@ -83,23 +83,6 @@ class TestBrokenPoolCheckout:
             assert executor.counters.get("pools_rebuilt") == 1
             # The rebuilt pool is healthy and cached.
             assert not executor._pools[fp].closed
-        finally:
-            executor.close()
-
-    def test_unsupervised_broken_pool_is_evicted_too(self, graph, expected):
-        # The plain MiningPool marks itself broken on BrokenProcessPool;
-        # checkout must treat that exactly like a closed pool.
-        executor = PoolExecutor(2, supervised=False)
-        try:
-            fp = graph.fingerprint()
-            executor.count_batch(graph, [M1], DELTA)
-            executor._pools[fp]._broken = True
-            again = executor.count_batch(graph, [M1], DELTA)
-            payload = payload_bytes(
-                build_payload(fp, M1, DELTA, again[0][0], again[0][1])
-            )
-            assert payload == expected[M1.name]
-            assert executor.counters.get("pools_rebuilt") == 1
         finally:
             executor.close()
 

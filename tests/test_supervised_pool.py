@@ -274,26 +274,11 @@ class TestSupervisedPool:
             SupervisedMiningPool(graph, 1, chunk_timeout_s=0.0)
 
 
-class _FakeClock:
-    """Deterministic time source: ``sleep`` advances ``clock`` instantly."""
-
-    def __init__(self) -> None:
-        self.now = 0.0
-        self.sleeps = []
-
-    def clock(self) -> float:
-        return self.now
-
-    def sleep(self, seconds: float) -> None:
-        self.sleeps.append(seconds)
-        self.now += seconds
-
-
 @pytest.mark.timeout(120)
 class TestInjectableClock:
     """The respawn budget's timing runs entirely on the injected
-    clock/sleep — the same treatment the breaker already had — so
-    backoff behavior is testable without sleeping real seconds."""
+    clock/sleep; tests/test_dispatch_loop.py drives whole runs on a fake
+    clock (and tests/test_cluster.py does so across real processes)."""
 
     def test_backoff_schedule_is_capped_exponential_with_jitter(self, graph):
         pool = SupervisedMiningPool(
@@ -311,45 +296,3 @@ class TestInjectableClock:
             assert delays[4] < 1.5 * 0.8 and delays[5] < 1.5 * 0.8
         finally:
             pool.close()
-
-    def test_sole_worker_death_respawns_on_fake_time(self, graph, truth):
-        """One worker, killed mid-run, with a 60 s backoff base that
-        would stall the suite in real time: the fake clock absorbs the
-        whole backoff, the worker respawns, and parity holds."""
-        fake = _FakeClock()
-        with SupervisedMiningPool(
-            graph,
-            1,
-            fault_plan=FaultPlan.kill_worker(0, at_chunk=2),
-            respawn_budget=50,
-            backoff_base_s=60.0,
-            backoff_cap_s=120.0,
-            clock=fake.clock,
-            sleep=fake.sleep,
-        ) as pool:
-            results = pool.count_many([M1], DELTA, chunks_per_worker=2)
-            assert_parity(results, truth, [M1])
-            assert pool.stats.worker_deaths >= 1
-            assert pool.stats.respawns >= 1
-        assert fake.now >= 30.0  # the backoff elapsed on fake time only
-        assert fake.sleeps
-
-    def test_budget_exhaustion_on_fake_time(self, graph):
-        """Every respawned worker dies instantly; the budget burns down
-        and PoolFailed surfaces without any real backoff waiting."""
-        fake = _FakeClock()
-        with SupervisedMiningPool(
-            graph,
-            1,
-            fault_plan=FaultPlan.kill_every_worker(at_chunk=1),
-            respawn_budget=2,
-            backoff_base_s=60.0,
-            backoff_cap_s=120.0,
-            clock=fake.clock,
-            sleep=fake.sleep,
-        ) as pool:
-            with pytest.raises(PoolFailed):
-                pool.count_many([M1], DELTA)
-            assert pool.stats.respawns == 2
-            assert pool.stats.worker_deaths == 3  # initial + both respawns
-        assert fake.sleeps
