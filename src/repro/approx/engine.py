@@ -1,13 +1,15 @@
 """Adaptive sampling rounds: sample until the CI meets the target.
 
 The driver is deliberately backend-agnostic: it only needs a
-``run_range(lo, hi) -> SampleBatch`` callable, so the same round
-schedule runs over an inline :class:`~repro.approx.sampler.IntervalSampler`
-or a :class:`~repro.mining.parallel.MiningPool`.  Because the
-round boundaries are a pure function of the spec (``base_samples``,
-then doubling up to ``max_samples``) and every sample's value is a pure
-function of its index, all backends walk the *same* sample prefix and
-produce byte-identical estimates whenever they stop at the same round.
+``run_range(lo, hi) -> SampleBatch`` callable, and :func:`estimate`
+supplies the one every caller uses — ``sample_intervals`` of a
+:class:`~repro.mining.dispatch.ChunkRunner`, which is the in-process
+:data:`~repro.mining.dispatch.INLINE`, a worker pool or a cluster.
+Because the round boundaries are a pure function of the spec
+(``base_samples``, then doubling up to ``max_samples``) and every
+sample's value is a pure function of its index, all runners walk the
+*same* sample prefix and produce byte-identical estimates whenever
+they stop at the same round.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.approx.estimate import ApproxEstimate, ApproxSpec, SampleBatch
-from repro.approx.sampler import IntervalSampler
+from repro.approx.sampler import window_length_for
 from repro.graph.temporal_graph import TemporalGraph
-from repro.mining.parallel import MiningCancelled
+from repro.mining.dispatch import INLINE, ChunkRunner, MiningCancelled
 from repro.motifs.motif import Motif
 
 
@@ -74,6 +76,27 @@ def adaptive_estimate(
     return estimate
 
 
+def estimate(
+    runner: ChunkRunner,
+    graph: TemporalGraph,
+    motif: Motif,
+    delta: int,
+    spec: ApproxSpec,
+    cancel_check: Optional[Callable[[], bool]] = None,
+    on_round: Optional[Callable[[ApproxEstimate], None]] = None,
+) -> ApproxEstimate:
+    """Adaptive estimation with each round's samples run on ``runner``."""
+    return adaptive_estimate(
+        lambda lo, hi: runner.sample_intervals(
+            graph, motif, delta, spec, lo, hi, cancel_check
+        ),
+        spec,
+        window_length_for(delta, spec),
+        cancel_check,
+        on_round,
+    )
+
+
 def estimate_inline(
     graph: TemporalGraph,
     motif: Motif,
@@ -82,13 +105,10 @@ def estimate_inline(
     cancel_check: Optional[Callable[[], bool]] = None,
     on_round: Optional[Callable[[ApproxEstimate], None]] = None,
 ) -> ApproxEstimate:
-    """Adaptive estimation in the calling process (no pool needed).
+    """:func:`estimate` in the calling process (no workers needed).
 
     This is both the small-graph fast path and the degraded path the
     executor falls back to when a breaker is open — byte-identical to
-    the pooled result by the substream construction.
+    the dispatched result by the substream construction.
     """
-    sampler = IntervalSampler(graph, motif, delta, spec)
-    return adaptive_estimate(
-        sampler.sample_range, spec, sampler.window_length, cancel_check, on_round
-    )
+    return estimate(INLINE, graph, motif, delta, spec, cancel_check, on_round)

@@ -36,8 +36,10 @@ from repro.analysis.reporting import format_table
 from repro.graph.generators import DATASET_NAMES, make_dataset
 from repro.graph.loaders import load_snap_text, save_snap_text
 from repro.graph.stats import compute_stats
+from repro.mining.dispatch import ENGINES
 from repro.mining.mackey import MackeyMiner
 from repro.mining.multi import grid_census, render_grid
+from repro.mining.parallel import open_runner
 from repro.motifs.catalog import motif_by_name
 from repro.sim.accelerator import MintSimulator
 from repro.sim.config import MintConfig
@@ -83,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     mine.add_argument(
         "--engine",
-        choices=("mackey", "batched", "comine"),
+        choices=tuple(ENGINES),
         default="mackey",
         help="mining engine: the dedicated serial miner, the vectorized "
         "batched frontier engine, or the shared-traversal co-miner "
@@ -144,7 +146,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     census.add_argument(
         "--engine",
-        choices=("mackey", "batched", "comine"),
+        choices=tuple(ENGINES),
         default="mackey",
         help="census engine: per-motif loop (scalar or vectorized "
         "batched), or one shared co-mining traversal for the whole "
@@ -248,7 +250,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         metavar="N",
-        help="mining worker processes per resident pool "
+        help="worker processes of the one resident mining pool "
         "(0 = in-process serial mining)",
     )
     serve.add_argument(
@@ -420,6 +422,7 @@ def cmd_mine(args) -> int:
         motif = motif_by_name(args.motif)
     workers = getattr(args, "workers", 0)
     as_json = getattr(args, "json", False)
+    engine = getattr(args, "engine", "mackey")
     if args.show_matches > 0 and (workers > 0 or as_json):
         print("error: --show-matches requires the serial text mode "
               "(--workers 0, no --json)")
@@ -429,67 +432,44 @@ def cmd_mine(args) -> int:
             print("error: --approx is incompatible with --memoize and "
                   "--show-matches")
             return 2
-        if getattr(args, "engine", "mackey") != "mackey":
+        if engine != "mackey":
             print("error: --approx always mines sampled windows with the "
                   "mackey engine; drop --engine")
             return 2
         return _mine_approx(graph, motif, args)
-    engine = getattr(args, "engine", "mackey")
-    if engine != "mackey":
-        if args.memoize or args.show_matches > 0:
-            print(f"error: --engine {engine} is incompatible with "
-                  "--memoize and --show-matches")
-            return 2
-        from repro.mining.multi import count_motif_family
-
-        census = count_motif_family(
-            graph, [motif], args.delta, engine=engine, num_workers=workers
-        )
-        count = census.counts[motif.name]
-        counters = census.per_motif[motif.name]
-        if as_json:
-            _print_mine_payload(graph, motif, args.delta, count, counters)
-            return 0
-        print(f"{motif.name} count (delta={args.delta}s): {count}")
-        print(
-            f"  candidates examined: {counters.candidates_scanned:,}  "
-            f"searches: {counters.searches:,}  "
-            f"bookkeeps: {counters.bookkeeps:,}  [{engine}]"
-        )
-        return 0
-    if workers > 0:
-        from repro.mining.parallel import count_motifs_parallel
-
-        presult = count_motifs_parallel(graph, motif, args.delta, num_workers=workers)
-        if as_json:
-            _print_mine_payload(graph, motif, args.delta, presult.count,
-                                presult.counters)
-            return 0
-        print(f"{motif.name} count (delta={args.delta}s): {presult.count}")
-        c = presult.counters
-        print(
-            f"  candidates examined: {c.candidates_scanned:,}  "
-            f"searches: {c.searches:,}  bookkeeps: {c.bookkeeps:,}  "
-            f"[{presult.num_workers} workers, {presult.num_chunks} chunks]"
-        )
-        return 0
-    # Record only the first N matches (bounded memory on large graphs)
-    # by streaming them through the on_match callback.
+    serial_only = args.memoize or args.show_matches > 0
+    if serial_only and engine != "mackey":
+        print(f"error: --engine {engine} is incompatible with "
+              "--memoize and --show-matches")
+        return 2
+    if args.memoize and workers > 0:
+        print("error: --memoize is a serial cost-model option "
+              "(--workers 0); worker chunks would silently drop it")
+        return 2
     shown: list = []
-    want = args.show_matches
+    if serial_only:
+        # Mackey-only options with no chunk kind: the dedicated serial
+        # miner, streaming the first N matches through on_match (bounded
+        # memory on large graphs).
+        want = args.show_matches
 
-    def _keep(match) -> None:
-        if len(shown) < want:
-            shown.append(match)
+        def _keep(match) -> None:
+            if len(shown) < want:
+                shown.append(match)
 
-    miner = MackeyMiner(
-        graph,
-        motif,
-        args.delta,
-        memoize=args.memoize,
-        on_match=_keep if want > 0 else None,
-    )
-    result = miner.mine()
+        result = MackeyMiner(
+            graph,
+            motif,
+            args.delta,
+            memoize=args.memoize,
+            on_match=_keep if want > 0 else None,
+        ).mine()
+        how = ""
+    else:
+        with open_runner(graph, workers) as runner:
+            result = runner.count(graph, motif, args.delta, engine=engine)
+        how = (f"  [{engine}, {result.num_workers} workers, "
+               f"{result.num_chunks} chunks]")
     if as_json:
         _print_mine_payload(graph, motif, args.delta, result.count,
                             result.counters)
@@ -498,7 +478,7 @@ def cmd_mine(args) -> int:
     c = result.counters
     print(
         f"  candidates examined: {c.candidates_scanned:,}  "
-        f"searches: {c.searches:,}  bookkeeps: {c.bookkeeps:,}"
+        f"searches: {c.searches:,}  bookkeeps: {c.bookkeeps:,}{how}"
     )
     for match in shown:
         edges = [graph.edge(i) for i in match.edge_indices]
@@ -510,13 +490,12 @@ def _mine_approx(graph, motif, args) -> int:
     """`repro mine --approx`: sampled estimate with error bounds.
 
     Serial (`--workers 0`) samples inline; with workers the sample
-    batches run as pool chunks.  Either path is byte-identical for the
+    batches run as pool chunks.  Either is byte-identical for the
     same ``(graph, motif, delta, seed)`` — and identical to what the
     service's approx query mode serves (`--json` prints that payload).
     """
-    from repro.approx.engine import adaptive_estimate, estimate_inline
+    from repro.approx.engine import estimate
     from repro.approx.estimate import ApproxSpec, build_approx_payload
-    from repro.approx.sampler import window_length_for
 
     try:
         spec = ApproxSpec(
@@ -528,21 +507,8 @@ def _mine_approx(graph, motif, args) -> int:
     except ValueError as exc:
         print(f"error: {exc}")
         return 2
-    workers = getattr(args, "workers", 0)
-    if workers > 0:
-        from repro.mining.parallel import MiningPool
-
-        window = window_length_for(args.delta, spec)
-        with MiningPool(graph, workers) as pool:
-            est = adaptive_estimate(
-                lambda lo, hi: pool.sample_intervals(
-                    motif, args.delta, spec, lo, hi
-                ),
-                spec,
-                window,
-            )
-    else:
-        est = estimate_inline(graph, motif, args.delta, spec)
+    with open_runner(graph, getattr(args, "workers", 0)) as runner:
+        est = estimate(runner, graph, motif, args.delta, spec)
     if getattr(args, "json", False):
         from repro.service.query import payload_bytes
 

@@ -6,8 +6,10 @@ per-partition counts; root-range chunks and ``FamilyResult.merge`` are
 exactly that decomposition, and
 :class:`~repro.mining.dispatch.ChunkDispatcher` is the loop that runs
 it (chunk queue, retry, wedge kill, budgeted respawn, degraded
-completion, failover — shared with the local pool, so every engine that
-works in a pool works on a node unchanged).  What the cluster adds:
+completion, failover — and the graph-first ``count`` / ``count_many`` /
+``count_family`` / ``sample_intervals`` it inherits — shared with the
+local pool, so every engine and chunk kind that works in a pool works
+on a node unchanged).  What the cluster adds:
 
 - **Socket transport.**  Each node is the dispatcher's worker process
   dialling the coordinator's ``multiprocessing.connection`` listener (a
@@ -30,15 +32,13 @@ from __future__ import annotations
 
 import os
 from multiprocessing import connection, get_context
-from typing import Callable, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional
 
 from repro.cluster.ring import DEFAULT_VNODES, HashRing
 from repro.graph.temporal_graph import TemporalGraph
 from repro.mining.dispatch import (
     ChunkDispatcher,
     DispatchStats as ClusterStats,  # noqa: F401 - re-exported
-    FamilyParallelResult,
-    ParallelResult,
     PickledGraph,
     worker_main,
 )
@@ -86,6 +86,7 @@ class MiningCluster(ChunkDispatcher):
     """
 
     site = "node.chunk"
+    label = "cluster"
     Degraded, Failed = ClusterDegraded, ClusterFailed
 
     def __init__(
@@ -98,23 +99,18 @@ class MiningCluster(ChunkDispatcher):
         **policy,
     ) -> None:
         super().__init__(num_nodes, **policy)
-        self.num_nodes = self.num_workers
         if replication is not None:
-            if not 1 <= replication <= self.num_nodes:
+            if not 1 <= replication <= self.num_workers:
                 raise ValueError("replication must be in [1, num_nodes]")
             self.replication = int(replication)
         self.connect_timeout_s = float(connect_timeout_s)
         self.ring = HashRing(
-            (slot_name(i) for i in range(self.num_nodes)), vnodes=vnodes
+            (slot_name(i) for i in range(self.num_workers)), vnodes=vnodes
         )
         self._ctx = get_context()
         self._authkey = os.urandom(16)
         self._listener = connection.Listener(("127.0.0.1", 0), authkey=self._authkey)
         self._spawn_all()
-
-    @property
-    def live_nodes(self) -> int:
-        return self.live_workers
 
     # -- transport and placement -----------------------------------------------
 
@@ -147,54 +143,6 @@ class MiningCluster(ChunkDispatcher):
     def _successors(self, fp: str, placed: List[int]) -> Iterable[int]:
         names = self.ring.successors(fp, exclude={slot_name(s) for s in placed})
         return map(_slot_index, names)
-
-    # -- mining ----------------------------------------------------------------
-
-    def count(
-        self,
-        graph: TemporalGraph,
-        motif,
-        delta: int,
-        chunks_per_node: int = 8,
-        cancel_check: Optional[Callable[[], bool]] = None,
-        allow_degraded: bool = True,
-        engine: str = "mackey",
-    ) -> ParallelResult:
-        return self.count_many(
-            graph, [motif], delta, chunks_per_node, cancel_check, allow_degraded,
-            engine,
-        )[0]
-
-    def count_many(
-        self,
-        graph: TemporalGraph,
-        motifs: Sequence,
-        delta: int,
-        chunks_per_node: int = 8,
-        cancel_check: Optional[Callable[[], bool]] = None,
-        allow_degraded: bool = True,
-        engine: str = "mackey",
-    ) -> List[ParallelResult]:
-        """Count several motifs in one cluster dispatch wave."""
-        return self._count_many(
-            graph, motifs, delta, chunks_per_node, cancel_check, allow_degraded,
-            engine,
-        )
-
-    def count_family(
-        self,
-        graph: TemporalGraph,
-        motifs: Sequence,
-        delta: int,
-        chunks_per_node: int = 8,
-        cancel_check: Optional[Callable[[], bool]] = None,
-        allow_degraded: bool = True,
-    ) -> FamilyParallelResult:
-        """Co-mine a motif family across the cluster (one shared
-        traversal per chunk, the ``"family"`` chunk kind)."""
-        return self._count_family(
-            graph, motifs, delta, chunks_per_node, cancel_check, allow_degraded
-        )
 
     # -- lifecycle -------------------------------------------------------------
 

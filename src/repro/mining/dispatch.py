@@ -13,12 +13,20 @@ failure policy below cost nothing in correctness: counts and
 ``SearchCounters`` stay byte-identical to the serial miner no matter
 which workers died along the way.
 
-Two halves, each defined exactly once:
+Three parts, each defined exactly once:
 
+- :class:`ChunkRunner` — "mine this batch": the engine table
+  (:data:`ENGINES`: which chunk kind a request dispatches as, and
+  whether one chunk mines the whole family), task construction and
+  result merging for the motif / batched / family / sample kinds, as
+  graph-first ``count`` / ``count_many`` / ``count_family`` /
+  ``sample_intervals``.  The base class runs each spec's one chunk in
+  the calling thread (:data:`INLINE`, the zero-worker case); a
+  dispatcher inherits the methods and changes only where chunks run.
 - :func:`worker_main` — the process every dispatcher spawns.  It keeps
   graphs resident by fingerprint (:class:`ResidentGraph`) and runs a
   chunk by looking its kind up in :data:`CHUNK_KINDS`; miners are built
-  once per ``(kind, spec, delta)`` and reused across that run's chunks.
+  once per ``(kind, spec, delta)`` and shared by that run's chunks.
 - :class:`ChunkDispatcher` — the supervision loop: chunk queue, results
   tagged with a per-call epoch (a cancelled call's stragglers are
   discarded by the next), a dead worker's channel drained before it is
@@ -34,7 +42,7 @@ Two halves, each defined exactly once:
 A concrete dispatcher supplies only what really differs: how a worker's
 channel is opened and how a graph's arrays reach it, the fault site its
 workers announce, and where graphs are placed
-(:class:`~repro.mining.parallel.MiningPool`,
+(:class:`~repro.mining.parallel.WorkerPool`,
 :class:`~repro.cluster.coordinator.MiningCluster`).
 """
 
@@ -85,17 +93,18 @@ class ParallelResult:
 
 @dataclass(frozen=True)
 class FamilyParallelResult:
-    """Per-motif results of one sharded co-mining wave.
+    """Per-motif results of one dispatch wave over a motif family.
 
     ``results`` follow the family's input order; each carries the
     motif's exact count and its attributed per-motif counters (byte-
-    identical to a dedicated serial miner).  ``counters`` is the shared
-    work actually performed, ``sharing`` what the trie saved.
+    identical to a dedicated serial miner).  ``counters`` is the work
+    actually performed, ``sharing`` what the trie saved (``None`` for
+    the per-motif engines, which share nothing).
     """
 
     results: Tuple[ParallelResult, ...]
     counters: SearchCounters
-    sharing: "SharingStats"  # noqa: F821 - repro.comine.engine.SharingStats
+    sharing: Optional["SharingStats"]  # noqa: F821 - repro.comine.engine
     num_workers: int
     num_chunks: int
 
@@ -103,48 +112,49 @@ class FamilyParallelResult:
 # -- engines and chunk kinds ---------------------------------------------------
 
 
-def _mackey_miner(graph, motif, delta, cancel_check=None, **kwargs):
-    # The scalar DFS has no cancellation poll of its own; its callers
-    # poll between motifs (inline) or between chunks (dispatched).
-    return MackeyMiner(graph, motif, delta, **kwargs)
+@dataclass(frozen=True)
+class Engine:
+    """One row of the engine table: the chunk kind a request for this
+    engine dispatches as, and whether one chunk mines the whole motif
+    list in a shared traversal (``family``) or one motif of it."""
+
+    kind: str
+    family: bool = False
 
 
-def _batched_miner(graph, motif, delta, **kwargs):
-    from repro.mining.batched import BatchedMiner  # lazy: avoids an import cycle
-
-    return BatchedMiner(graph, motif, delta, **kwargs)
-
-
-#: Exact per-motif engines: name -> (chunk kind it dispatches as, miner
-#: factory).  Every engine yields byte-identical counts and counters;
-#: ``batched`` replaces the scalar DFS inner loop with vectorized
-#: frontier expansion (:mod:`repro.mining.batched`).
-ENGINES: Dict[str, Tuple[str, Callable]] = {
-    "mackey": ("motif", _mackey_miner),
-    "batched": ("batched", _batched_miner),
+#: The exact engines.  Every row yields byte-identical per-motif counts
+#: and counters; ``batched`` replaces the scalar DFS inner loop with
+#: vectorized frontier expansion (:mod:`repro.mining.batched`) and
+#: ``comine`` walks the family's prefix trie once per root edge
+#: (:mod:`repro.comine`), so shared prefixes are searched once.
+ENGINES: Dict[str, Engine] = {
+    "mackey": Engine("motif"),
+    "batched": Engine("batched"),
+    "comine": Engine("family", family=True),
 }
-
-#: The engine names, for messages and argument parsers.
-POOL_ENGINES = tuple(ENGINES)
 
 
 def check_engine(engine: str) -> None:
     if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {POOL_ENGINES}")
+        raise ValueError(
+            f"unknown engine {engine!r}; expected one of {tuple(ENGINES)}"
+        )
 
 
-def make_miner(engine: str, graph: TemporalGraph, motif: Motif, delta: int, **kwargs):
-    """An exact miner (``mine()`` / ``mine_range(lo, hi)``) for ``engine``.
-
-    ``kwargs`` reach the engine's constructor; ``cancel_check`` is
-    honoured by the engines that poll (``batched``).
-    """
-    check_engine(engine)
-    return ENGINES[engine][1](graph, motif, delta, **kwargs)
+def _mackey_miner(graph, motif, delta, cancel_check=None):
+    # The scalar DFS has no cancellation poll of its own; its runs are
+    # cancelled between chunks.
+    return MackeyMiner(graph, motif, delta)
 
 
-def _exact_chunks(factory: Callable, graph, motif_edges, delta):
-    miner = factory(graph, Motif(motif_edges), delta)
+def _batched_miner(graph, motif, delta, cancel_check=None):
+    from repro.mining.batched import BatchedMiner  # lazy: avoids an import cycle
+
+    return BatchedMiner(graph, motif, delta, cancel_check=cancel_check)
+
+
+def _exact_chunks(factory: Callable, graph, motif_edges, delta, cancel_check=None):
+    miner = factory(graph, Motif(motif_edges), delta, cancel_check)
 
     def run(lo: int, hi: int):
         result = miner.mine_range(lo, hi)
@@ -153,18 +163,22 @@ def _exact_chunks(factory: Callable, graph, motif_edges, delta):
     return run
 
 
-def _family_chunks(graph, family_edges, delta):
+def _family_chunks(graph, family_edges, delta, cancel_check=None):
     """One shared co-mining traversal per chunk for a whole family."""
     from repro.comine.engine import CoMiner  # lazy: avoids an import cycle
 
-    cominer = CoMiner(graph, [Motif(edges) for edges in family_edges], delta)
+    cominer = CoMiner(
+        graph, [Motif(edges) for edges in family_edges], delta,
+        cancel_check=cancel_check,
+    )
     return lambda lo, hi: cominer.mine_range(lo, hi).as_payload()
 
 
-def _sample_chunks(graph, spec, delta):
+def _sample_chunks(graph, spec, delta, cancel_check=None):
     """``spec`` is ``(motif_edges, ApproxSpec.sampler_params())`` — exactly
     the fields per-sample values depend on — and ``lo``/``hi`` are sample
-    indices, not root edges (the :mod:`repro.approx` chunk protocol)."""
+    indices, not root edges (the :mod:`repro.approx` chunk protocol).
+    Sampled windows are mined by the scalar DFS: cancelled between chunks."""
     from repro.approx.sampler import IntervalSampler, spec_from_params
 
     motif_edges, params = spec
@@ -174,10 +188,13 @@ def _sample_chunks(graph, spec, delta):
     return lambda lo, hi: sampler.sample_range(lo, hi).as_payload()
 
 
-#: chunk kind -> ``build(graph, spec, delta)`` returning the resident
-#: ``run(lo, hi) -> picklable result`` for that kind.
+#: chunk kind -> ``build(graph, spec, delta, cancel_check=None)`` returning
+#: the ``run(lo, hi) -> picklable result`` for that kind.  Workers keep
+#: the built runner for the run's chunks; in-process runs pass their
+#: ``cancel_check`` so engines that poll mid-chunk can.
 CHUNK_KINDS: Dict[str, Callable] = {
-    **{kind: partial(_exact_chunks, factory) for kind, factory in ENGINES.values()},
+    "motif": partial(_exact_chunks, _mackey_miner),
+    "batched": partial(_exact_chunks, _batched_miner),
     "family": _family_chunks,
     "sample": _sample_chunks,
 }
@@ -187,20 +204,27 @@ CHUNK_KINDS: Dict[str, Callable] = {
 
 
 class ResidentGraph:
-    """One graph held by a worker, with the miners built against it.
+    """One graph held by a worker, with the current run's miners.
 
     Miners (and their plans, tries, samplers) are built once per
-    ``(kind, spec, delta)`` and reused across that run's chunks, so a
-    chunk costs one ``mine_range`` call, not a rebuild.
+    ``(kind, spec, delta)`` and shared by that run's chunks, so a chunk
+    costs one ``mine_range`` call, not a rebuild.  The key is chosen by
+    clients (every distinct δ is a new one), so the cache lives for one
+    run only: it is dropped when a chunk arrives with a new epoch.
     """
 
     def __init__(self, graph: TemporalGraph, segment=None) -> None:
         self.graph = graph
         self._segment = segment  # keeps a shared-memory mapping alive
+        self._epoch: Optional[int] = None
         self._runners: Dict[Tuple, Callable] = {}
 
-    def run(self, kind: str, spec, delta: int, lo: int, hi: int):
-        """Run one chunk; a pure function of its arguments and the graph."""
+    def run(self, epoch: int, kind: str, spec, delta: int, lo: int, hi: int):
+        """Run one chunk; a pure function of its arguments (``epoch``
+        aside, which only scopes the miner cache) and the graph."""
+        if epoch != self._epoch:
+            self._epoch = epoch
+            self._runners.clear()
         key = (kind, spec, delta)
         runner = self._runners.get(key)
         if runner is None:
@@ -343,7 +367,7 @@ def worker_main(  # pragma: no cover - runs in spawned worker processes only
                 fault_point(site, worker=wid, chunk=task_id)
                 if fp not in resident:
                     raise KeyError(f"graph {fp} not resident on worker {wid}")
-                result = resident[fp].run(kind, spec, delta, lo, hi)
+                result = resident[fp].run(epoch, kind, spec, delta, lo, hi)
             except BaseException as exc:  # noqa: BLE001 - reported, worker survives
                 conn.send(("error", epoch, task_id, repr(exc)))
                 continue
@@ -375,21 +399,6 @@ def _guided_bounds(
     return bounds
 
 
-def _family_result(
-    motifs: Sequence[Motif], acc, num_workers: int, num_chunks: int
-) -> FamilyParallelResult:
-    return FamilyParallelResult(
-        results=tuple(
-            ParallelResult(acc.counts[i], acc.per_motif[i], num_workers, num_chunks)
-            for i in range(len(motifs))
-        ),
-        counters=acc.counters,
-        sharing=acc.sharing,
-        num_workers=num_workers,
-        num_chunks=num_chunks,
-    )
-
-
 @dataclass
 class DispatchStats:
     """Cumulative supervision accounting for one dispatcher.  A pool
@@ -406,6 +415,197 @@ class DispatchStats:
 
     def as_dict(self) -> Dict[str, int]:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
+
+
+class ChunkRunner:
+    """The one "mine this batch": task construction and result merging
+    for every chunk kind, run in-process.
+
+    This base class is the zero-worker case — each spec's single
+    ``[0, num_edges)`` chunk is built and run in the calling thread via
+    the same :data:`CHUNK_KINDS` builders the workers use, so an inline
+    run does exactly the ``mine_range(0, m)`` a serial ``mine()`` is —
+    and :class:`ChunkDispatcher` overrides only *where* the chunks run
+    (:meth:`_mine`) and how finely a run is cut.  Where a task runs
+    never changes the answer, so every method is byte-identical to the
+    serial miner on either.  :data:`INLINE` is the shared in-process
+    instance; both work as context managers.
+    """
+
+    num_workers = 0
+
+    def _root_bounds(self, num_edges: int, chunks_per_worker: int):
+        return [(0, num_edges)]
+
+    def _sample_bounds(self, lo: int, hi: int):
+        return [(lo, hi)]
+
+    def _mine(self, graph, tasks, apply_result, cancel_check, allow_degraded) -> None:
+        """Run ``tasks`` — ``(kind, spec, delta, lo, hi)`` chunks —
+        folding each result in with ``apply_result(task_id, result)``."""
+        for task_id, (kind, spec, delta, lo, hi) in enumerate(tasks):
+            if cancel_check is not None and cancel_check():
+                raise MiningCancelled("mining cancelled between chunks")
+            run = CHUNK_KINDS[kind](graph, spec, delta, cancel_check)
+            apply_result(task_id, run(lo, hi))
+
+    def count(
+        self,
+        graph: TemporalGraph,
+        motif: Motif,
+        delta: int,
+        chunks_per_worker: int = 8,
+        cancel_check: Optional[Callable[[], bool]] = None,
+        allow_degraded: bool = True,
+        engine: str = "mackey",
+    ) -> ParallelResult:
+        """Exactly count one motif; identical to :class:`MackeyMiner`."""
+        return self._count(
+            graph, [motif], delta, chunks_per_worker, cancel_check,
+            allow_degraded, engine,
+        ).results[0]
+
+    def count_many(
+        self,
+        graph: TemporalGraph,
+        motifs: Sequence[Motif],
+        delta: int,
+        chunks_per_worker: int = 8,
+        cancel_check: Optional[Callable[[], bool]] = None,
+        allow_degraded: bool = True,
+        engine: str = "mackey",
+    ) -> List[ParallelResult]:
+        """Count several motifs in one dispatch wave; ``engine`` is any
+        row of :data:`ENGINES`."""
+        return list(self._count(
+            graph, motifs, delta, chunks_per_worker, cancel_check,
+            allow_degraded, engine,
+        ).results)
+
+    def count_family(
+        self,
+        graph: TemporalGraph,
+        motifs: Sequence[Motif],
+        delta: int,
+        chunks_per_worker: int = 8,
+        cancel_check: Optional[Callable[[], bool]] = None,
+        allow_degraded: bool = True,
+        engine: str = "comine",
+    ) -> FamilyParallelResult:
+        """:meth:`count_many` keeping the family-level accounting: the
+        work actually performed and, for a ``family`` engine (the
+        default: one shared co-mining traversal), what the trie saved."""
+        return self._count(
+            graph, motifs, delta, chunks_per_worker, cancel_check,
+            allow_degraded, engine,
+        )
+
+    def _count(
+        self, graph, motifs, delta, chunks_per_worker, cancel_check,
+        allow_degraded, engine,
+    ) -> FamilyParallelResult:
+        """Count a motif family in one dispatch wave.
+
+        A per-motif engine queues every motif's root-range chunks on the
+        one queue, so workers drain straight from one motif's tail into
+        the next motif's head with no inter-motif barrier; a ``family``
+        engine sends each root range out once and the chunk's resident
+        :class:`~repro.comine.engine.CoMiner` extends it toward every
+        motif simultaneously (an empty family raises).  Per-motif counts
+        and counters are byte-identical to the serial miner either way:
+        chunks are idempotent and merging is commutative, so deaths,
+        retries and failovers cannot change them.
+        """
+        from repro.comine.engine import FamilyResult
+        from repro.comine.trie import MotifTrie
+
+        check_engine(engine)
+        row = ENGINES[engine]
+        bounds = self._root_bounds(graph.num_edges, chunks_per_worker)
+        if row.family:
+            acc = FamilyResult.empty(MotifTrie(motifs))
+            specs = [tuple(m.edges for m in motifs)]
+
+            def apply_result(_task_id: int, result) -> None:
+                acc.merge(FamilyResult.from_payload(result))
+        else:
+            acc = FamilyResult(
+                [0] * len(motifs), [SearchCounters() for _ in motifs],
+                SearchCounters(), sharing=None,
+            )
+            specs = [m.edges for m in motifs]
+
+            def apply_result(task_id: int, result) -> None:
+                count, counter_dict = result
+                chunk = SearchCounters(**counter_dict)
+                i = task_id // len(bounds)
+                acc.counts[i] += count
+                acc.per_motif[i].merge(chunk)
+                acc.counters.merge(chunk)
+
+        tasks = [
+            (row.kind, spec, int(delta), lo, hi) for spec in specs for lo, hi in bounds
+        ]
+        self._mine(graph, tasks, apply_result, cancel_check, allow_degraded)
+        return FamilyParallelResult(
+            results=tuple(
+                ParallelResult(count, counters, self.num_workers, len(bounds))
+                for count, counters in zip(acc.counts, acc.per_motif)
+            ),
+            counters=acc.counters,
+            sharing=acc.sharing,
+            num_workers=self.num_workers,
+            num_chunks=len(bounds),
+        )
+
+    def sample_intervals(
+        self,
+        graph: TemporalGraph,
+        motif: Motif,
+        delta: int,
+        spec,
+        lo: int,
+        hi: int,
+        cancel_check: Optional[Callable[[], bool]] = None,
+        allow_degraded: bool = True,
+    ):
+        """Run approximate sample indices ``[lo, hi)`` as chunks.
+
+        Each chunk is a pure function of its index range (per-sample
+        RNG substreams, see :mod:`repro.approx.sampler`), and batches
+        merge commutatively, so the merged
+        :class:`~repro.approx.estimate.SampleBatch` is byte-identical to
+        one ``IntervalSampler.sample_range(lo, hi)`` no matter how the
+        range was chunked, which workers ran it, or which died.
+        ``spec`` is an :class:`~repro.approx.estimate.ApproxSpec`.
+        """
+        from repro.approx.estimate import SampleBatch
+
+        merged = SampleBatch()
+        wire_spec = (motif.edges, spec.sampler_params())
+        tasks = [
+            ("sample", wire_spec, int(delta), c_lo, c_hi)
+            for c_lo, c_hi in self._sample_bounds(lo, hi)
+        ]
+        self._mine(
+            graph, tasks,
+            lambda _task_id, result: merged.merge(SampleBatch.from_payload(result)),
+            cancel_check, allow_degraded,
+        )
+        return merged
+
+    def close(self) -> None:
+        """Nothing to shut down in-process."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+#: The in-process runner (stateless, so one instance serves everyone).
+INLINE = ChunkRunner()
 
 
 @contextmanager
@@ -452,7 +652,7 @@ class _Run:
         self.fatal: Optional[Tuple[int, str]] = None
 
 
-class ChunkDispatcher:
+class ChunkDispatcher(ChunkRunner):
     """The supervision loop over ``num_workers`` worker slots.
 
     Graphs are shipped on first use (or explicitly via
@@ -486,7 +686,7 @@ class ChunkDispatcher:
       tests assert schedules without real waiting; ``close()`` stays on
       real time (it bounds talking to real processes).
 
-    Subclasses set :attr:`site`, :attr:`Degraded` and :attr:`Failed`,
+    Subclasses set :attr:`site`, :attr:`label`, :attr:`Degraded` and :attr:`Failed`,
     implement :meth:`_open_channel` and :meth:`_pack`, and may override
     :meth:`_place` / :meth:`_successors` (default: every graph on every
     slot, nowhere to fail over to).
@@ -495,6 +695,8 @@ class ChunkDispatcher:
     #: Fault site workers announce before each chunk.  Its prefix names
     #: the worker kind in messages, process names and the death counter.
     site = "worker.chunk"
+    #: What the dispatcher is called in health reports.
+    label = "dispatcher"
     #: Raised with ``allow_degraded=False`` once the budget is spent and
     #: slots are missing; and (a subclass of it) when no placed slot is left.
     Degraded = Failed = RuntimeError
@@ -594,7 +796,7 @@ class ChunkDispatcher:
     def broken(self) -> bool:
         """True when the dispatcher can no longer mine (closed, a failed
         run already proved it, or nothing alive and no budget): holders
-        (e.g. the service's per-graph pool LRU) must evict and rebuild."""
+        (the service's executor) must rebuild it."""
         if self._closed or self._failed:
             return True
         return self.live_workers == 0 and self._respawns_used >= self.respawn_budget
@@ -774,81 +976,12 @@ class ChunkDispatcher:
 
     # -- mining ----------------------------------------------------------------
 
-    def _count_many(
-        self,
-        graph: TemporalGraph,
-        motifs: Sequence[Motif],
-        delta: int,
-        chunks_per_worker: int,
-        cancel_check: Optional[Callable[[], bool]],
-        allow_degraded: bool,
-        engine: str,
-    ) -> List[ParallelResult]:
-        """Count several motifs in one dispatch wave.
+    def _root_bounds(self, num_edges: int, chunks_per_worker: int):
+        return _guided_bounds(num_edges, self.replication, chunks_per_worker)
 
-        All motifs' chunks share the queue, so workers drain straight
-        from one motif's tail into the next motif's head with no
-        inter-motif barrier.  Byte-identical to the serial miner for
-        every engine: chunks are idempotent and merging is commutative,
-        so deaths, retries and failovers cannot change counts.
-        """
-        check_engine(engine)
-        kind = ENGINES[engine][0]
-        bounds = (
-            _guided_bounds(graph.num_edges, self.replication, chunks_per_worker)
-            if motifs else []
-        )
-        tasks = [
-            (kind, motif.edges, int(delta), lo, hi)
-            for motif in motifs
-            for lo, hi in bounds
-        ]
-        totals = [0] * len(motifs)
-        merged = [SearchCounters() for _ in motifs]
-
-        def apply_result(task_id: int, result) -> None:
-            count, counter_dict = result
-            idx = task_id // len(bounds)
-            totals[idx] += count
-            merged[idx].merge(SearchCounters(**counter_dict))
-
-        self._mine(graph, tasks, apply_result, cancel_check, allow_degraded)
-        return [
-            ParallelResult(totals[i], merged[i], self.num_workers, len(bounds))
-            for i in range(len(motifs))
-        ]
-
-    def _count_family(
-        self,
-        graph: TemporalGraph,
-        motifs: Sequence[Motif],
-        delta: int,
-        chunks_per_worker: int,
-        cancel_check: Optional[Callable[[], bool]],
-        allow_degraded: bool,
-    ) -> FamilyParallelResult:
-        """Co-mine a whole family: each chunk is ONE shared traversal.
-
-        Where :meth:`_count_many` queues ``len(motifs)`` chunk waves,
-        this sends each root range to a worker once and the worker's
-        resident :class:`~repro.comine.engine.CoMiner` extends it toward
-        every motif simultaneously.  Per-motif counts and counters are
-        byte-identical; the family-level counters and sharing stats
-        report the saved work.
-        """
-        from repro.comine.engine import FamilyResult
-        from repro.comine.trie import MotifTrie
-
-        acc = FamilyResult.empty(MotifTrie(motifs))  # raises on an empty family
-        bounds = _guided_bounds(graph.num_edges, self.replication, chunks_per_worker)
-        family_edges = tuple(m.edges for m in motifs)
-        tasks = [("family", family_edges, int(delta), lo, hi) for lo, hi in bounds]
-        self._mine(
-            graph, tasks,
-            lambda _task_id, result: acc.merge(FamilyResult.from_payload(result)),
-            cancel_check, allow_degraded,
-        )
-        return _family_result(motifs, acc, self.num_workers, len(bounds))
+    def _sample_bounds(self, lo: int, hi: int):
+        size = max(1, (hi - lo) // (2 * self.replication))
+        return [(c_lo, min(hi, c_lo + size)) for c_lo in range(lo, hi, size)]
 
     def _mine(self, graph, tasks, apply_result, cancel_check, allow_degraded) -> None:
         """Take a turn, then run ``tasks`` — ``(kind, spec, delta, lo,
@@ -1000,9 +1133,3 @@ class ChunkDispatcher:
         for shipment in self._graphs.values():
             shipment.close()
         self._graphs.clear()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

@@ -2,15 +2,16 @@
 
 Counting a whole family of motifs (e.g. the 36-motif grid used for
 temporal network fingerprinting, paper §II-B's "features built with
-temporal motif distributions") is a common workload.  Three engines:
+temporal motif distributions") is a common workload.  ``engine`` is a
+row of :data:`repro.mining.dispatch.ENGINES`:
 
-- ``engine="mackey"`` — the exact miner once per motif (the historical
+- ``"mackey"`` — the exact miner once per motif (the historical
   per-motif loop);
-- ``engine="batched"`` — the vectorized frontier engine
+- ``"batched"`` — the vectorized frontier engine
   (:mod:`repro.mining.batched`) once per motif: byte-identical counts
   and counters, with the per-candidate Python loop replaced by numpy
   frontier expansion (the fast path for large graphs);
-- ``engine="comine"`` — one shared traversal for the whole family via
+- ``"comine"`` — one shared traversal for the whole family via
   :class:`repro.comine.CoMiner`: the family's canonical prefix trie is
   walked once per root edge, so shared prefixes (every grid row shares
   its first two edges) are searched once instead of once per motif.
@@ -18,9 +19,11 @@ temporal motif distributions") is a common workload.  Three engines:
   loop; the census additionally reports
   :class:`~repro.comine.engine.SharingStats`.
 
-Both engines keep a per-motif :class:`SearchCounters` breakdown so a
-census report can attribute work to individual motifs, and both shard
-across worker processes with ``num_workers > 0``.
+Every engine keeps a per-motif :class:`SearchCounters` breakdown so a
+census report can attribute work to individual motifs, and every engine
+shards across worker processes with ``num_workers > 0`` — the census is
+one ``count_family`` call on whichever runner
+:func:`~repro.mining.parallel.open_runner` picks.
 """
 
 from __future__ import annotations
@@ -29,17 +32,15 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.graph.temporal_graph import TemporalGraph
-from repro.mining.dispatch import POOL_ENGINES, make_miner
-from repro.mining.results import MiningResult, SearchCounters
+from repro.mining.dispatch import check_engine
+from repro.mining.mackey import MackeyMiner
+from repro.mining.parallel import open_runner
+from repro.mining.results import SearchCounters
 from repro.motifs.grid import paranjape_grid
 from repro.motifs.motif import Motif
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from repro.comine.engine import SharingStats
-
-#: Engines :func:`count_motif_family` accepts: the exact per-motif
-#: engines plus the shared family traversal.
-CENSUS_ENGINES = POOL_ENGINES + ("comine",)
 
 
 @dataclass
@@ -97,55 +98,33 @@ def count_motif_family(
 
     ``engine="comine"`` mines the family in one shared traversal
     (identical counts, shared-prefix work done once); ``num_workers >
-    0`` shards root-range chunks across a worker pool for either
-    engine.  An empty family raises :class:`ValueError` — a census of
-    nothing is a caller bug, not an all-zero result.
+    0`` shards root-range chunks across a worker pool for any engine.
+    ``memoize`` is a :class:`MackeyMiner` cost-model knob with no chunk
+    kind: it runs the dedicated serial miner and is rejected with any
+    other engine or with workers.  An empty family raises
+    :class:`ValueError` — a census of nothing is a caller bug, not an
+    all-zero result.
     """
     if not motifs:
         raise ValueError("cannot count an empty motif family")
-    if engine not in CENSUS_ENGINES:
-        raise ValueError(
-            f"unknown census engine {engine!r}; expected one of {CENSUS_ENGINES}"
-        )
-    if engine != "mackey" and memoize:
-        raise ValueError(
-            "memoize is a MackeyMiner cost-model knob; the "
-            f"{engine!r} engine does not support it (counts would be "
-            "identical anyway)"
-        )
-    pooled = num_workers > 0 and graph.num_edges > 0
-    if pooled:
-        from repro.mining.parallel import MiningPool
-    if engine == "comine":
-        if pooled:
-            with MiningPool(graph, num_workers) as pool:
-                family = pool.count_family(list(motifs), delta, chunks_per_worker)
-            mined = family.results
-        else:
-            from repro.comine.engine import CoMiner
-
-            family = CoMiner(graph, motifs, delta).mine()
-            mined = [
-                MiningResult(count, counters=counters)
-                for count, counters in zip(family.counts, family.per_motif)
-            ]
-        # The shared traversal's own work, and what the trie saved.
-        counters, sharing = family.counters, family.sharing
-    else:
-        if pooled:
-            with MiningPool(graph, num_workers) as pool:
-                mined = pool.count_many(
-                    list(motifs), delta, chunks_per_worker, engine=engine
-                )
-        else:
-            options = {"memoize": True} if memoize else {}  # mackey-only, checked above
-            mined = [
-                make_miner(engine, graph, motif, delta, **options).mine()
-                for motif in motifs
-            ]
+    check_engine(engine)
+    if memoize:
+        if engine != "mackey" or num_workers > 0:
+            raise ValueError(
+                "memoize is a MackeyMiner cost-model knob; it is not supported "
+                f"with engine={engine!r}, num_workers={num_workers} (counts "
+                "would be identical anyway)"
+            )
+        mined = [MackeyMiner(graph, m, delta, memoize=True).mine() for m in motifs]
         counters, sharing = SearchCounters(), None
         for r in mined:
             counters.merge(r.counters)
+    else:
+        with open_runner(graph, num_workers) as runner:
+            family = runner.count_family(
+                graph, list(motifs), delta, chunks_per_worker, engine=engine
+            )
+        mined, counters, sharing = family.results, family.counters, family.sharing
     return MotifCensus(
         delta=int(delta),
         counts={m.name: r.count for m, r in zip(motifs, mined)},
@@ -195,8 +174,6 @@ def grid_family_census(
     """The grid census as a full :class:`MotifCensus` (per-motif counters,
     sharing stats) rather than a bare count grid."""
     keys_motifs = sorted(paranjape_grid().items())
-    if graph.num_edges == 0:
-        num_workers = 0
     return count_motif_family(
         graph,
         [motif for _, motif in keys_motifs],

@@ -1,48 +1,56 @@
-"""`MiningPool` — parallel task-centric mining on one graph's worker pool.
+"""`WorkerPool` / `MiningPool` — parallel task-centric mining on local workers.
 
-The pool is the one-graph, place-everywhere case of
+The pool is the place-everywhere case of
 :class:`~repro.mining.dispatch.ChunkDispatcher` (which holds the
-supervision loop, the worker main and the failure policy): every worker
-holds the pool's graph, and any idle worker takes the next chunk —
-the work-stealing effect of the paper's OpenMP baseline (§VII-D),
-without threads.  What the pool adds is its transport:
+supervision loop, the worker main, the failure policy and — inherited
+from :class:`~repro.mining.dispatch.ChunkRunner` — the graph-first
+``count`` / ``count_many`` / ``count_family`` / ``sample_intervals``):
+every worker holds every graph the pool was handed, and any idle worker
+takes the next chunk — the work-stealing effect of the paper's OpenMP
+baseline (§VII-D), without threads.  What the pool adds is its
+transport:
 
 - **Inherited duplex pipes.**  Each worker is an owned
   ``multiprocessing.Process`` talking over its own pipe; sends are
   synchronous (no feeder thread), so results a worker managed to send
   before dying are still readable afterwards, and the supervisor waits
   on every pipe *and* process sentinel at once.
-- **Zero-copy graph shipping.**  The graph's seven backing numpy arrays
+- **Zero-copy graph shipping.**  A graph's seven backing numpy arrays
   (edge list + both CSR adjacency structures) are placed once in a
   ``multiprocessing.shared_memory`` segment
   (:class:`~repro.mining.dispatch.GraphShipment`); workers adopt views
   of it via :meth:`TemporalGraph.from_arrays`, so no per-run pickling
   of Python tuples and no CSR rebuild happens in workers.
 
-The pool stays alive across many ``count`` calls, so multi-motif
-workloads such as the 36-motif Paranjape census ship the graph exactly
-once.  Fault injection: a :class:`~repro.resilience.faults.FaultPlan`
-passed at construction is installed in every worker, which calls
+:class:`WorkerPool` is graph-agnostic (graphs ship on first use and
+leave with ``drop_graph`` — what the service's ``PoolExecutor`` holds);
+:class:`MiningPool` binds one graph at construction, so multi-motif
+workloads such as the 36-motif Paranjape census ship it exactly once
+and call ``pool.count_many(motifs, delta)``.  :func:`open_runner` is
+how one-shot callers pick between a pool and in-process mining.  Fault
+injection: a :class:`~repro.resilience.faults.FaultPlan` passed at
+construction is installed in every worker, which calls
 ``fault_point("worker.chunk", worker=<id>)`` before each chunk.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import partial
 from multiprocessing import get_context
-from typing import Callable, List, Optional, Sequence
+from typing import Optional
 
 from repro.graph.temporal_graph import TemporalGraph
 from repro.mining.dispatch import (  # noqa: F401 - re-exported
-    POOL_ENGINES,
+    INLINE,
     ChunkDispatcher,
+    ChunkRunner,
     FamilyParallelResult,
     GraphShipment,
     MiningCancelled,
     ParallelResult,
     _guided_bounds,
     check_engine,
-    make_miner,
     worker_main,
 )
 from repro.motifs.motif import Motif
@@ -60,10 +68,9 @@ class PoolFailed(PoolDegraded):
     run cannot complete and the pool is permanently broken."""
 
 
-class MiningPool(ChunkDispatcher):
-    """A supervised worker pool with ``graph`` resident (zero-copy) in
-    every worker; also importable as
-    :class:`repro.resilience.SupervisedMiningPool`.
+class WorkerPool(ChunkDispatcher):
+    """A supervised pool of local worker processes; every graph it is
+    handed becomes resident (zero-copy) in every worker.
 
     ``policy`` is :class:`~repro.mining.dispatch.ChunkDispatcher`'s
     keyword-only failure policy.  Every mining call is byte-identical to
@@ -74,22 +81,19 @@ class MiningPool(ChunkDispatcher):
     one chunk keeps raising, and :class:`MiningCancelled` when
     ``cancel_check`` — polled at every chunk boundary, the serving
     layer's deadline hook — returns True (the pool stays reusable).
-    Use as a context manager so the shared segment is always unlinked.
+    Use as a context manager so shared segments are always unlinked.
     """
 
     site = "worker.chunk"
+    label = "pool"
     Degraded, Failed = PoolDegraded, PoolFailed
 
-    def __init__(
-        self, graph: TemporalGraph, num_workers: Optional[int] = None, **policy
-    ) -> None:
+    def __init__(self, num_workers: Optional[int] = None, **policy) -> None:
         super().__init__(num_workers, **policy)
-        self.graph = graph
         self._ctx = get_context()
         # Respawned workers get fresh ids, so a one-shot fault spec for
         # worker k cannot fire again in k's replacement.
         self._wids = itertools.count()
-        self._ensure_graph_locked(graph)
         self._spawn_all()
 
     def _pack(self, graph: TemporalGraph) -> GraphShipment:
@@ -108,86 +112,35 @@ class MiningPool(ChunkDispatcher):
         child_conn.close()  # the parent keeps only its end
         return process, parent_conn
 
-    # -- mining ----------------------------------------------------------------
 
-    def count(
-        self,
-        motif: Motif,
-        delta: int,
-        chunks_per_worker: int = 8,
-        cancel_check: Optional[Callable[[], bool]] = None,
-        allow_degraded: bool = True,
-        engine: str = "mackey",
-    ) -> ParallelResult:
-        """Exactly count one motif; results identical to :class:`MackeyMiner`."""
-        return self.count_many(
-            [motif], delta, chunks_per_worker, cancel_check, allow_degraded, engine
-        )[0]
+class MiningPool(WorkerPool):
+    """A :class:`WorkerPool` bound to one ``graph``: shipped at
+    construction, and ``count`` / ``count_many`` / ``count_family`` /
+    ``sample_intervals`` take ``(motif(s), delta, …)`` without it.  Also
+    importable as :class:`repro.resilience.SupervisedMiningPool`."""
 
-    def count_many(
-        self,
-        motifs: Sequence[Motif],
-        delta: int,
-        chunks_per_worker: int = 8,
-        cancel_check: Optional[Callable[[], bool]] = None,
-        allow_degraded: bool = True,
-        engine: str = "mackey",
-    ) -> List[ParallelResult]:
-        """Count several motifs in one dispatch wave; ``engine`` picks
-        the per-chunk core (:data:`POOL_ENGINES`)."""
-        return self._count_many(
-            self.graph, motifs, delta, chunks_per_worker, cancel_check,
-            allow_degraded, engine,
-        )
+    def __init__(
+        self, graph: TemporalGraph, num_workers: Optional[int] = None, **policy
+    ) -> None:
+        super().__init__(num_workers, **policy)
+        self.graph = graph
+        for name in ("count", "count_many", "count_family", "sample_intervals"):
+            setattr(self, name, partial(getattr(self, name), graph))
+        try:
+            self.ensure_graph(graph)
+        except BaseException:
+            self.close()
+            raise
 
-    def count_family(
-        self,
-        motifs: Sequence[Motif],
-        delta: int,
-        chunks_per_worker: int = 8,
-        cancel_check: Optional[Callable[[], bool]] = None,
-        allow_degraded: bool = True,
-    ) -> FamilyParallelResult:
-        """Co-mine a whole family: each chunk is ONE shared traversal."""
-        return self._count_family(
-            self.graph, motifs, delta, chunks_per_worker, cancel_check,
-            allow_degraded,
-        )
 
-    def sample_intervals(
-        self,
-        motif: Motif,
-        delta: int,
-        spec,
-        lo: int,
-        hi: int,
-        cancel_check: Optional[Callable[[], bool]] = None,
-        allow_degraded: bool = True,
-    ):
-        """Run approximate sample indices ``[lo, hi)`` as pool chunks.
-
-        Each chunk is a pure function of its index range (per-sample
-        RNG substreams, see :mod:`repro.approx.sampler`), and batches
-        merge commutatively, so the merged result is byte-identical to
-        an inline ``IntervalSampler.sample_range(lo, hi)`` no matter how
-        the range was chunked, which workers ran it, or which died.
-        ``spec`` is an :class:`~repro.approx.estimate.ApproxSpec`.
-        """
-        from repro.approx.estimate import SampleBatch
-
-        merged = SampleBatch()
-        size = max(1, (hi - lo) // (2 * self.num_workers))
-        wire_spec = (motif.edges, spec.sampler_params())
-        tasks = [
-            ("sample", wire_spec, int(delta), c_lo, min(hi, c_lo + size))
-            for c_lo in range(lo, hi, size)
-        ]
-        self._mine(
-            self.graph, tasks,
-            lambda _task_id, result: merged.merge(SampleBatch.from_payload(result)),
-            cancel_check, allow_degraded,
-        )
-        return merged
+def open_runner(graph: TemporalGraph, num_workers: Optional[int]) -> ChunkRunner:
+    """The runner a one-shot caller mines ``graph`` on, as a context
+    manager: in-process for ``num_workers <= 0`` (and for an empty
+    graph, where process startup is all there would be), else a fresh
+    :class:`WorkerPool` (``None``: one worker per CPU)."""
+    if (num_workers is not None and num_workers <= 0) or graph.num_edges == 0:
+        return INLINE
+    return WorkerPool(num_workers)
 
 
 def count_motifs_parallel(
@@ -205,9 +158,6 @@ def count_motifs_parallel(
     defaults to the machine's CPU count; ``num_workers=0`` runs inline
     (useful for tests and small graphs, where process startup dominates).
     """
-    check_engine(engine)
-    if (num_workers is not None and num_workers <= 0) or graph.num_edges == 0:
-        result = make_miner(engine, graph, motif, delta).mine()
-        return ParallelResult(result.count, result.counters, 0, 1)
-    with MiningPool(graph, num_workers) as pool:
-        return pool.count(motif, delta, chunks_per_worker, engine=engine)
+    check_engine(engine)  # before any process is spawned
+    with open_runner(graph, num_workers) as runner:
+        return runner.count(graph, motif, delta, chunks_per_worker, engine=engine)

@@ -23,9 +23,9 @@ Known sites:
 - ``node.chunk`` — a cluster worker node, just before it mines a chunk
   (context: ``worker`` = node slot index).  Same worker main, one
   level up the deployment ladder.
-- ``executor.batch`` — :class:`~repro.service.executor.PoolExecutor`
-  and :class:`~repro.cluster.executor.ClusterExecutor`, just before a
-  batch is handed to the backend (context: ``graph`` = fingerprint).
+- ``executor.batch`` — the service executor
+  (:mod:`repro.service.executor`), just before a batch is handed to
+  its pool or cluster (context: ``graph`` = fingerprint).
 - ``live.ingest`` — :meth:`~repro.live.ingest.LiveGraph.append_batch`,
   after validation but *before any mutation* (context: ``graph`` =
   live-graph name, ``batch`` = sequence number).  A fault here plus a

@@ -18,8 +18,8 @@ Module map (request lifecycle: admit → coalesce → batch → mine → cache):
 - :mod:`~repro.service.cache` — bytes-bounded LRU result cache;
 - :mod:`~repro.service.scheduler` — bounded admission queue,
   single-flight coalescing, per-graph batching, deadlines/cancellation;
-- :mod:`~repro.service.executor` — mining backends (inline serial, or
-  resident :class:`~repro.mining.parallel.MiningPool` per graph);
+- :mod:`~repro.service.executor` — the mining backend: one executor,
+  inline or over one resident worker pool (or a cluster);
 - :mod:`~repro.service.metrics` — latency reservoir and metrics
   snapshots;
 - :mod:`~repro.service.service` — the :class:`MotifService` front end

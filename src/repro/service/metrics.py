@@ -263,7 +263,10 @@ class ServiceMetrics:
             ["co-mined batches", self.comined_batches],
             ["batch retries", self.batch_retries],
             ["dispatcher crashes", self.dispatcher_crashes],
+            ["pools rebuilt", self.pools_rebuilt],
             ["breaker opens", self.breaker_opens],
+            ["breaker half-opens", self.breaker_half_opens],
+            ["breaker closes", self.breaker_closes],
             ["breakers open (now)", self.breakers_open],
             ["degraded", str(self.degraded).lower()],
             ["approx served", self.approx_served],
@@ -271,6 +274,7 @@ class ServiceMetrics:
             ["degraded estimates", self.degraded_estimates],
             ["approx eps p50", f"{self.approx_eps_p50:.4f}"],
             ["approx eps p99", f"{self.approx_eps_p99:.4f}"],
+            ["approx eps samples", self.approx_eps_samples],
             ["approx cache entries", self.approx_cache_entries],
             ["edges ingested", self.edges_ingested],
             ["ingest batches", self.ingest_batches],

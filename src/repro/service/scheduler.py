@@ -17,10 +17,9 @@ Request lifecycle
    coalescing is exact.
 3. **Batch.**  A dispatcher thread drains the queue and groups
    compatible entries — same graph, same δ — into one batch, which an
-   execution lane hands to the backend as a single multi-motif call
-   (:meth:`MiningPool.count_many` under :class:`PoolExecutor`), so a
-   burst of different motifs against one graph shares a single
-   dispatch wave.
+   execution lane hands to the executor as a single multi-motif call
+   (``count_batch`` / ``estimate_batch``), so a burst of different
+   motifs against one graph shares a single dispatch wave.
 4. **Mine.**  Lanes (a small thread pool) execute batches concurrently
    across graphs.  Per-request deadlines are enforced throughout:
    entries whose waiters have all expired are cancelled *before*
@@ -216,9 +215,7 @@ class QueryScheduler:
         #: Achieved relative error of served approximate answers.
         self.approx_eps = LatencyReservoir(latency_capacity)
         #: Shared with the executor so one snapshot shows both sides.
-        self.counters = counters if counters is not None else (
-            getattr(executor, "counters", None) or ResilienceCounters()
-        )
+        self.counters = counters if counters is not None else executor.counters
 
         self._lane_pool = ThreadPoolExecutor(
             max_workers=self._lanes_count, thread_name_prefix="mint-lane"
@@ -462,40 +459,49 @@ class QueryScheduler:
             t = time.monotonic()
             return all(e.all_expired(t) for e in live)
 
+        motifs = [e.motif for e in live]
         if live[0].mode == APPROX:
-            self._execute_approx_group(graph, live, delta)
+            self._execute_approx_group(graph, live, motifs, delta, cancel_check)
             return
-
-        attempts = 0
-        while True:
-            try:
-                results = self.executor.count_batch(
-                    graph, [e.motif for e in live], delta, cancel_check
-                )
-                break
-            except MiningCancelled:
-                for entry in live:
-                    self._deliver(
-                        entry, "deadline_exceeded", error="cancelled while running"
-                    )
-                return
-            except Exception as exc:  # noqa: BLE001 - must never wedge the lanes
-                # One retry before erroring the waiters: a backend
-                # failure is usually a dead pool that the executor has
-                # already evicted, so the second attempt runs on a
-                # fresh pool (or the degraded inline path).
-                attempts += 1
-                if attempts > 1:
-                    message = f"{type(exc).__name__}: {exc}"
-                    for entry in live:
-                        self._deliver(entry, "error", error=message)
-                    return
-                self.counters.inc("batch_retries")
-        for entry, (count, counters) in zip(live, results):
+        results = self._call_backend(
+            live,
+            lambda: self.executor.count_batch(graph, motifs, delta, cancel_check),
+            lambda entry: self._deliver(
+                entry, "deadline_exceeded", error="cancelled while running"
+            ),
+        )
+        for entry, (count, counters) in zip(live, results or ()):
             self.cache.put(entry.key, count, counters)
             self._deliver(entry, "ok", count=count, counters=counters)
 
-    def _execute_approx_group(self, graph, live: List[_Entry], delta: int) -> None:
+    def _call_backend(self, live: List[_Entry], call, on_cancelled) -> Optional[List]:
+        """``call()`` the executor with one retry; ``None`` when the
+        waiters were answered here instead.
+
+        :class:`MiningCancelled` hands every entry to ``on_cancelled``.
+        Any other exception is retried once before erroring the waiters:
+        a backend failure is usually a dead pool that the executor
+        rebuilds at its next checkout, so the second attempt runs on a
+        fresh one (or the degraded inline path).
+        """
+        for attempt in (1, 2):
+            try:
+                return call()
+            except MiningCancelled:
+                for entry in live:
+                    on_cancelled(entry)
+                return None
+            except Exception as exc:  # noqa: BLE001 - must never wedge the lanes
+                if attempt == 2:
+                    message = f"{type(exc).__name__}: {exc}"
+                    for entry in live:
+                        self._deliver(entry, "error", error=message)
+                    return None
+                self.counters.inc("batch_retries")
+
+    def _execute_approx_group(
+        self, graph, live: List[_Entry], motifs: List[Motif], delta: int, cancel_check
+    ) -> None:
         """Adaptive-sampling execution for one approx batch.
 
         Each completed round is stashed on its entry (``partial``) so
@@ -506,58 +512,25 @@ class QueryScheduler:
         """
         spec = live[0].spec or ApproxSpec()
 
-        def cancel_check() -> bool:
-            t = time.monotonic()
-            return all(e.all_expired(t) for e in live)
-
         def on_round(i: int, est: ApproxEstimate) -> None:
             live[i].partial = est
 
-        estimate_batch = getattr(self.executor, "estimate_batch", None)
-        if estimate_batch is None:
-            # Backend without native sampling support (e.g. a cluster
-            # executor): estimate inline against the resident graph.
-            from repro.approx.engine import estimate_inline
-
-            def estimate_batch(graph, motifs, d, s, cancel, hook):  # noqa: ANN001
-                return [
-                    estimate_inline(
-                        graph, m, d, s, cancel,
-                        (lambda est, _i=i: hook(_i, est)) if hook else None,
-                    )
-                    for i, m in enumerate(motifs)
-                ]
-
-        attempts = 0
-        while True:
-            try:
-                estimates = estimate_batch(
-                    graph, [e.motif for e in live], delta, spec,
-                    cancel_check, on_round,
+        def on_cancelled(entry: _Entry) -> None:
+            if entry.partial is not None:
+                self._deliver_approx(entry, entry.partial.with_truncated(True))
+            else:
+                self._deliver(
+                    entry, "deadline_exceeded", error="cancelled while running"
                 )
-                break
-            except MiningCancelled:
-                for entry in live:
-                    if entry.partial is not None:
-                        self._deliver_approx(
-                            entry, entry.partial.with_truncated(True)
-                        )
-                    else:
-                        self._deliver(
-                            entry,
-                            "deadline_exceeded",
-                            error="cancelled while running",
-                        )
-                return
-            except Exception as exc:  # noqa: BLE001 - must never wedge the lanes
-                attempts += 1
-                if attempts > 1:
-                    message = f"{type(exc).__name__}: {exc}"
-                    for entry in live:
-                        self._deliver(entry, "error", error=message)
-                    return
-                self.counters.inc("batch_retries")
-        for entry, est in zip(live, estimates):
+
+        estimates = self._call_backend(
+            live,
+            lambda: self.executor.estimate_batch(
+                graph, motifs, delta, spec, cancel_check, on_round
+            ),
+            on_cancelled,
+        )
+        for entry, est in zip(live, estimates or ()):
             self.cache.put(
                 entry.key,
                 int(round(est.estimate)),
@@ -668,8 +641,9 @@ class QueryScheduler:
         quantiles = self.latency.quantiles()
         eps_quantiles = self.approx_eps.quantiles()
         res = self.counters.snapshot()
-        breaker_states = getattr(self.executor, "breaker_states", dict)()
-        breakers_open = sum(1 for s in breaker_states.values() if s != CLOSED)
+        breakers_open = sum(
+            1 for s in self.executor.breaker_states().values() if s != CLOSED
+        )
         return ServiceMetrics(
             queue_depth=queue_depth,
             inflight=inflight,

@@ -2,11 +2,11 @@
 
 Ties the pieces together: a :class:`GraphRegistry` (graph identity +
 residency), a :class:`ResultCache` (fingerprint-keyed memoization), a
-mining backend (:class:`InlineExecutor` or :class:`PoolExecutor`) and
-the :class:`QueryScheduler` (admission, coalescing, batching,
-deadlines).  Registry evictions cascade: the evicted graph's cache
-entries are invalidated and its resident mining pool (if any) is
-closed.
+mining backend (:class:`InlineExecutor`, or a dispatching subclass such
+as :class:`PoolExecutor`) and the :class:`QueryScheduler` (admission,
+coalescing, batching, deadlines).  Registry evictions cascade: the
+evicted graph's cache entries are invalidated and the executor drops
+it from its workers.
 
 Beyond batch queries over registered graphs, the service hosts **live
 streams**: named incremental counters
@@ -85,9 +85,7 @@ class MotifService:
             # Caller-supplied backend (custom breaker/fault settings);
             # adopt its counters so metrics stay coherent.
             self.executor = executor
-            self.resilience = (
-                getattr(executor, "counters", None) or self.resilience
-            )
+            self.resilience = executor.counters
         elif num_workers > 0:
             self.executor = PoolExecutor(
                 num_workers, counters=self.resilience, engine=engine
@@ -394,11 +392,13 @@ class MotifService:
         False only when the service cannot answer queries at all — it
         is closed, or the dispatcher thread is gone.  ``degraded`` is
         softer: the service still answers correctly, but some graph's
-        breaker is open (serial fallback mining) or a resident pool is
-        running below its target worker count.
+        breaker is open (serial fallback mining) or the executor's
+        dispatcher (``workers``: one ``{live, target}`` entry keyed
+        ``"pool"`` / ``"cluster"``, none inline) is running below its
+        target worker count.
         """
-        breakers = getattr(self.executor, "breaker_states", dict)()
-        workers = getattr(self.executor, "worker_liveness", dict)()
+        breakers = self.executor.breaker_states()
+        workers = self.executor.worker_liveness()
         dispatcher_alive = self.scheduler.dispatcher_alive
         below_target = any(w["live"] < w["target"] for w in workers.values())
         degraded = (
@@ -410,7 +410,7 @@ class MotifService:
             "queue_depth": self.scheduler.queue_depth,
             "dispatcher_alive": bool(dispatcher_alive),
             "breakers": dict(breakers),
-            "workers": {fp: dict(w) for fp, w in workers.items()},
+            "workers": workers,
             "dispatcher_crashes": self.resilience.get("dispatcher_crashes"),
         }
 

@@ -20,26 +20,40 @@ that kill supervised workers (``worker.chunk``) or whole cluster nodes
 one supervision loop; ``SupervisedMiningPool`` is ``MiningPool``); the
 grid keeps both names as its fault-free pool cell and its
 pool-under-kills cell.  Only ``serial`` has nothing to kill: passing it
-a fault plan is a test bug and raises.
+a fault plan is a test bug and raises.  Every cell is the same
+graph-first ``count_many(graph, motifs, delta, engine=)`` call — on the
+in-process runner, a worker pool or a cluster.
+
+:func:`serve` is the same contract one layer up: one batch through any
+``(executor, engine, mode)`` cell of the service's executor grid.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.approx.engine import adaptive_estimate
+from repro.approx.estimate import ApproxSpec, build_approx_payload
+from repro.approx.sampler import IntervalSampler
+from repro.cluster import ClusterExecutor, MiningCluster
 from repro.graph.temporal_graph import TemporalGraph
+from repro.mining import dispatch
+from repro.mining.dispatch import INLINE
 from repro.mining.mackey import MackeyMiner
+from repro.mining.parallel import WorkerPool
 from repro.motifs.motif import Motif
 from repro.resilience.faults import FaultPlan
+from repro.service.executor import InlineExecutor, PoolExecutor
 from repro.service.query import build_payload, payload_bytes
 
 #: Dispatch modes, in deployment-ladder order.
 MODES: Tuple[str, ...] = ("serial", "pooled", "supervised", "cluster")
 
-#: Engines every mode must agree on.  ``comine`` means the shared
-#: family traversal (one pass for the whole motif family); the other
-#: two mine per-motif chunks.
-ENGINES: Tuple[str, ...] = ("mackey", "batched", "comine")
+#: Engines every mode must agree on: every row of the engine table.
+#: ``comine`` is the shared family traversal (one pass for the whole
+#: motif family); the other two mine per-motif chunks.
+ENGINES: Tuple[str, ...] = tuple(dispatch.ENGINES)
 
 #: One (count, counters-dict) pair per motif, the normalized result.
 MotifResult = Tuple[int, Dict[str, int]]
@@ -87,67 +101,19 @@ def payloads(
     ]
 
 
-def _serial(graph, motifs, delta, engine) -> List[MotifResult]:
-    if engine == "mackey":
-        return serial_reference(graph, motifs, delta)
-    if engine == "batched":
-        from repro.mining.batched import BatchedMiner
-
-        out = []
-        for motif in motifs:
-            r = BatchedMiner(graph, motif, delta).mine()
-            out.append((r.count, r.counters.as_dict()))
-        return out
-    from repro.comine import CoMiner
-
-    fam = CoMiner(graph, list(motifs), delta).mine()
-    return [
-        (fam.counts[i], fam.per_motif[i].as_dict()) for i in range(len(motifs))
-    ]
-
-
-def _pool(
-    graph, motifs, delta, engine, workers, fault_plan, seed
-) -> List[MotifResult]:
-    from repro.mining.parallel import MiningPool
-
-    with MiningPool(
-        graph, workers, fault_plan=fault_plan, seed=seed,
-        backoff_base_s=0.01,
-    ) as pool:
-        if engine == "comine":
-            fam = pool.count_family(list(motifs), delta)
-            results = list(fam.results)
-        else:
-            results = pool.count_many(list(motifs), delta, engine=engine)
+def _count_many(runner, graph, motifs, delta, engine) -> List[MotifResult]:
+    """One graph-first call, the same on every runner — ``engine`` is a
+    row of the engine table, ``comine`` included."""
+    results = runner.count_many(graph, list(motifs), delta, engine=engine)
     return [(r.count, r.counters.as_dict()) for r in results]
 
 
-def _cluster(
-    graph, motifs, delta, engine, workers, fault_plan, seed, cluster
-) -> List[MotifResult]:
-    from repro.cluster import MiningCluster
-
-    if cluster is not None:
-        if fault_plan is not None:
-            raise ValueError("a shared cluster cannot take a fault plan")
-        owned = None
-    else:
-        owned = cluster = MiningCluster(
-            workers, fault_plan=fault_plan, seed=seed, backoff_base_s=0.01,
-        )
-    try:
-        if engine == "comine":
-            fam = cluster.count_family(graph, list(motifs), delta)
-            results = list(fam.results)
-        else:
-            results = cluster.count_many(
-                graph, list(motifs), delta, engine=engine
-            )
-    finally:
-        if owned is not None:
-            owned.close()
-    return [(r.count, r.counters.as_dict()) for r in results]
+def _runner(mode, workers, fault_plan, seed):
+    """A fresh runner for ``mode`` (a context manager)."""
+    if mode == "serial":
+        return INLINE
+    build = MiningCluster if mode == "cluster" else WorkerPool
+    return build(workers, fault_plan=fault_plan, seed=seed, backoff_base_s=0.01)
 
 
 def mine(
@@ -175,10 +141,77 @@ def mine(
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
     if fault_plan is not None and mode not in FAULT_SITES:
         raise ValueError(f"mode {mode!r} cannot take a fault plan")
-    if mode == "serial":
-        return _serial(graph, motifs, delta, engine)
-    if mode in ("pooled", "supervised"):
-        return _pool(graph, motifs, delta, engine, workers, fault_plan, seed)
-    return _cluster(
-        graph, motifs, delta, engine, workers, fault_plan, seed, cluster
-    )
+    if cluster is not None:
+        if mode != "cluster" or fault_plan is not None:
+            raise ValueError("a shared cluster serves mode='cluster', without a plan")
+        return _count_many(cluster, graph, motifs, delta, engine)
+    with _runner(mode, workers, fault_plan, seed) as runner:
+        return _count_many(runner, graph, motifs, delta, engine)
+
+
+# -- the executor grid ---------------------------------------------------------
+
+#: Service executors, in deployment-ladder order; ``shared-cluster`` is a
+#: facade over a cluster someone else owns.
+EXECUTORS: Tuple[str, ...] = ("inline", "pool", "owned-cluster", "shared-cluster")
+
+
+def make_executor(kind: str, engine: str, *, workers: int = 2, cluster=None, **options):
+    """One service executor of ``kind`` (``cluster``: the node pool a
+    ``shared-cluster`` facade is handed; ``options``: policy)."""
+    if kind == "inline":
+        return InlineExecutor(engine=engine, **options)
+    if kind == "pool":
+        return PoolExecutor(workers, engine=engine, **options)
+    if kind == "owned-cluster":
+        return ClusterExecutor(num_nodes=workers, engine=engine, **options)
+    return ClusterExecutor(cluster, engine=engine, **options)
+
+
+def own_children(before) -> list:
+    """Worker processes started since ``before`` (a snapshot of
+    ``multiprocessing.active_children()``)."""
+    return [c for c in multiprocessing.active_children() if c not in before]
+
+
+def kill(processes) -> None:
+    """SIGKILL worker processes from outside, and wait until they are gone."""
+    for process in processes:
+        process.kill()
+        process.join(timeout=10)
+        assert not process.is_alive()
+
+
+def approx_reference(
+    graph: TemporalGraph, motifs: Sequence[Motif], delta: int, spec: ApproxSpec
+) -> List[bytes]:
+    """Served approx payload bytes from one serial
+    :class:`IntervalSampler` per motif — no runner, no executor."""
+    out = []
+    for motif in motifs:
+        sampler = IntervalSampler(graph, motif, delta, spec)
+        est = adaptive_estimate(sampler.sample_range, spec, sampler.window_length)
+        out.append(payload_bytes(
+            build_approx_payload(graph.fingerprint(), motif, delta, est)
+        ))
+    return out
+
+
+def serve(
+    executor,
+    graph: TemporalGraph,
+    motifs: Sequence[Motif],
+    delta: int,
+    spec: Optional[ApproxSpec] = None,
+) -> List[bytes]:
+    """One batch through ``executor`` — exact, or approximate under
+    ``spec`` — as the payload bytes a replica would serve for it."""
+    if spec is None:
+        return payloads(graph, motifs, delta, executor.count_batch(graph, motifs, delta))
+    fp = graph.fingerprint()
+    return [
+        payload_bytes(build_approx_payload(fp, motif, delta, est))
+        for motif, est in zip(
+            motifs, executor.estimate_batch(graph, motifs, delta, spec)
+        )
+    ]

@@ -207,9 +207,13 @@ class TestServiceLaneParity:
         from repro.service.executor import PoolExecutor
 
         expected = scalar_payloads(graph, CATALOG[:3])
-        ex = PoolExecutor(2, comine=False, engine="batched")
+        ex = PoolExecutor(2, engine="batched")
         try:
-            items = ex.count_batch(graph, list(CATALOG[:3]), DELTA)
+            # Singleton batches use the executor's engine.
+            items = [
+                item for motif in CATALOG[:3]
+                for item in ex.count_batch(graph, [motif], DELTA)
+            ]
         finally:
             ex.close()
         for motif, (count, counters) in zip(CATALOG[:3], items):

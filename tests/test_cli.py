@@ -72,6 +72,15 @@ class TestMine:
                      "--show-matches", "1"]) == 2
         assert "error" in capsys.readouterr().out
 
+    def test_mine_workers_rejects_memoize(self, graph_file, capsys):
+        """Worker chunks have no memoize option: silently reporting the
+        un-memoized counters would misstate the cost model."""
+        path, g = graph_file
+        delta = g.time_span // 30
+        assert main(["mine", path, "--delta", str(delta), "--workers", "2",
+                     "--memoize"]) == 2
+        assert "error: --memoize" in capsys.readouterr().out
+
 
 class TestOtherCommands:
     def test_info(self, graph_file, capsys):

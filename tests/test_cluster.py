@@ -207,7 +207,7 @@ class TestShardSplitMerge:
 
         counters = SearchCounters()
         for lo, hi in chunks:
-            count, cdict = resident.run("motif", motif.edges, delta, lo, hi)
+            count, cdict = resident.run(1, "motif", motif.edges, delta, lo, hi)
             total += count
             counters.merge(SearchCounters(**cdict))
         assert total == serial.count
@@ -291,7 +291,7 @@ class TestMiningClusterUnits:
             clock=fake.clock,
             sleep=fake.sleep,
         ) as cluster:
-            result = cluster.count(graph, M1, 60, chunks_per_node=2)
+            result = cluster.count(graph, M1, 60, chunks_per_worker=2)
             stats = cluster.stats.as_dict()
         assert result.count == serial.count
         assert result.counters.as_dict() == serial.counters.as_dict()

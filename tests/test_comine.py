@@ -255,6 +255,10 @@ class TestCensusEngine:
             count_motif_family(graph, [M1], 10, engine="quantum")
         with pytest.raises(ValueError):
             count_motif_family(graph, [M1], 10, engine="comine", memoize=True)
+        # memoize has no chunk kind: fail loud rather than silently
+        # report the un-memoized counters from worker chunks.
+        with pytest.raises(ValueError, match="memoize.*num_workers=2"):
+            count_motif_family(graph, [M1], 10, memoize=True, num_workers=2)
 
     def test_distribution_fails_loud_on_zero_total(self):
         g = TemporalGraph([], num_nodes=2)

@@ -28,11 +28,12 @@ from repro.cluster import MiningCluster, coordinator
 from repro.mining.dispatch import (
     CHUNK_KINDS,
     ENGINES,
+    INLINE,
     ChunkDispatcher,
     ChunkFailed,
     MiningCancelled,
+    ResidentGraph,
     check_engine,
-    make_miner,
 )
 from repro.mining.mackey import MackeyMiner
 from repro.mining.parallel import MiningPool
@@ -355,17 +356,47 @@ class TestSupervisionLoop:
 
 class TestEngineTable:
     def test_every_engine_has_its_chunk_kind(self):
-        assert {kind for kind, _ in ENGINES.values()} <= set(CHUNK_KINDS)
+        assert {row.kind for row in ENGINES.values()} <= set(CHUNK_KINDS)
+        assert [name for name, row in ENGINES.items() if row.family] == ["comine"]
         with pytest.raises(ValueError, match="unknown engine"):
             check_engine("quantum")
 
     @pytest.mark.parametrize("engine", sorted(ENGINES))
-    def test_make_miner_matches_the_serial_miner(self, engine):
+    def test_inline_engines_match_the_serial_miner(self, engine):
+        """The zero-worker runner is one chunk per spec through the same
+        builders the workers use."""
         graph = random_temporal_graph(random.Random(3), 12, 90, time_range=120)
         serial = MackeyMiner(graph, M1, 40).mine()
-        result = make_miner(engine, graph, M1, 40, cancel_check=lambda: False).mine()
+        result = INLINE.count(graph, M1, 40, cancel_check=lambda: False, engine=engine)
+        assert (result.num_workers, result.num_chunks) == (0, 1)
         assert result.count == serial.count
         assert result.counters.as_dict() == serial.counters.as_dict()
+
+    def test_inline_run_is_cancelled_between_chunks(self):
+        graph = random_temporal_graph(random.Random(3), 12, 90, time_range=120)
+        polls = iter([False, True])
+        with pytest.raises(MiningCancelled, match="between chunks"):
+            INLINE.count_many(graph, [M1, M1], 40, cancel_check=lambda: next(polls))
+
+
+class TestResidentGraph:
+    def test_miner_cache_lives_for_one_epoch(self):
+        """The cache key is client-controlled (every distinct δ is a new
+        miner), so a long-lived worker must not keep one per query: a
+        run's chunks share their miner, the next run starts empty."""
+        graph = random_temporal_graph(random.Random(3), 12, 90, time_range=120)
+        resident = ResidentGraph(graph)
+        for epoch in range(200):
+            for lo, hi in ((0, 40), (40, 90)):
+                resident.run(epoch, "motif", M1.edges, 10 + epoch, lo, hi)
+            assert len(resident._runners) == 1
+        # Several specs in one run are all kept for that run...
+        for delta in (5, 6, 7):
+            resident.run(200, "motif", M1.edges, delta, 0, 90)
+        assert len(resident._runners) == 3
+        # ...and chunk results do not depend on what was cached.
+        fresh = ResidentGraph(graph).run(0, "motif", M1.edges, 7, 0, 90)
+        assert resident.run(200, "motif", M1.edges, 7, 0, 90) == fresh
 
 
 # -- a constructor that fails part-way leaks nothing ------------------------------

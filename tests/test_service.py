@@ -8,10 +8,14 @@ end-to-end behaviour live in ``test_service_scheduler.py``.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import re
 import threading
 
 import pytest
 
+from cluster_harness import own_children
 from repro.graph.temporal_graph import TemporalGraph
 from repro.motifs.catalog import M1, M2, motif_by_name
 from repro.motifs.motif import Motif
@@ -309,6 +313,25 @@ class TestServiceMetrics:
         assert "shed (rejected)" in text
         assert "latency p99 (ms)" in text
 
+    def test_render_shows_every_field(self):
+        """What is counted and in ``as_dict()`` is also in the text
+        body: each field gets a number no other field has (seconds
+        fields render as milliseconds), and every one of them must show
+        up in the value column."""
+        fields = list(ServiceMetrics.__dataclass_fields__)
+        values = {
+            name: (100 + i) / 1e3 if name.endswith("_s") else 100 + i
+            for i, name in enumerate(fields)
+        }
+        values["degraded"] = True
+        text = ServiceMetrics(**values).render()
+        shown = set(re.findall(r"\| (\w+)", text))
+        missing = [
+            name for i, name in enumerate(fields)
+            if ("true" if name == "degraded" else str(100 + i)) not in shown
+        ]
+        assert missing == []
+
 
 class TestMotifQuery:
     def test_key_triple(self):
@@ -350,63 +373,77 @@ class TestPayload:
         assert payload_bytes(p1) == b'{"a":2,"b":1}'
 
 
+def _shm() -> set:
+    return set(os.listdir("/dev/shm"))
+
+
 class TestPoolExecutor:
     def test_validation(self):
         from repro.service import PoolExecutor
 
         with pytest.raises(ValueError, match="at least one worker"):
             PoolExecutor(0)
-        with pytest.raises(ValueError, match="positive"):
-            PoolExecutor(1, max_pools=0)
 
-    def test_pool_reuse_and_lru_eviction(self):
+    def test_second_graph_ships_into_the_same_processes(self):
+        """One graph-agnostic pool: a graph is shipped on first use,
+        reused afterwards, and a second graph joins it in the same
+        worker processes instead of spawning a pool of its own."""
         from repro.mining.mackey import count_motifs
         from repro.service import PoolExecutor
 
         g1, g2 = make_graph(0), make_graph(1)
-        executor = PoolExecutor(1, max_pools=1)
+        before = multiprocessing.active_children()
+        executor = PoolExecutor(2)
         try:
+            workers = own_children(before)
+            assert len(workers) == 2
             (count1, _), = executor.count_batch(g1, [M1], 100, None)
             assert count1 == count_motifs(g1, M1, 100)
-            pool1 = executor._pools[g1.fingerprint()]
-            # Same graph again: the pool is reused, not rebuilt.
+            assert executor.counters.get("graph_ships") == 2  # once per worker
+            # Same graph again: resident, nothing shipped.
             executor.count_batch(g1, [M1], 100, None)
-            assert executor._pools[g1.fingerprint()] is pool1
-            # A second graph exceeds max_pools=1: g1's pool is evicted
-            # and closed.
+            assert executor.counters.get("graph_ships") == 2
             (count2, _), = executor.count_batch(g2, [M1], 100, None)
             assert count2 == count_motifs(g2, M1, 100)
-            assert list(executor._pools) == [g2.fingerprint()]
-            assert pool1.closed
+            assert executor.counters.get("graph_ships") == 4
+            assert own_children(before) == workers  # no new children
+            assert executor.worker_liveness() == {"pool": {"live": 2, "target": 2}}
         finally:
             executor.close()
-        assert executor._pools == {}
+        assert own_children(before) == []
 
-    def test_release_graph_closes_pool(self):
+    def test_release_graph_unlinks_its_segment(self):
         from repro.service import PoolExecutor
 
-        g = make_graph()
+        g1, g2 = make_graph(0), make_graph(1)
+        before = _shm()
         executor = PoolExecutor(1)
         try:
-            executor.count_batch(g, [M1], 100, None)
-            pool = executor._pools[g.fingerprint()]
-            executor.release_graph(g.fingerprint())
-            assert pool.closed
-            assert executor._pools == {}
+            executor.count_batch(g1, [M1], 100, None)
+            only_g1 = _shm() - before
+            executor.count_batch(g2, [M1], 100, None)
+            assert len(_shm() - before) == 2
+            executor.release_graph(g2.fingerprint())
+            assert _shm() - before == only_g1
+            # The pool itself stays up and re-ships on demand.
+            executor.count_batch(g2, [M1], 100, None)
+            assert len(_shm() - before) == 2
             # Releasing an unknown fingerprint is a no-op.
             executor.release_graph("nope")
         finally:
             executor.close()
+        assert _shm() == before
 
     def test_inline_executor_cancel_between_motifs(self, tiny_graph):
+        """A per-motif run in the calling thread polls between motifs
+        (the executor co-mines multi-motif batches, so this is the
+        inline runner it runs on)."""
+        from repro.mining.dispatch import INLINE
         from repro.mining.parallel import MiningCancelled
-        from repro.service import InlineExecutor
 
         calls = iter([False, True])
         with pytest.raises(MiningCancelled):
-            InlineExecutor(comine=False).count_batch(
-                tiny_graph, [M1, M2], 100, lambda: next(calls)
-            )
+            INLINE.count_many(tiny_graph, [M1, M2], 100, cancel_check=lambda: next(calls))
 
     def test_inline_executor_comine_cancel(self, tiny_graph):
         from repro.mining.parallel import MiningCancelled
@@ -420,8 +457,11 @@ class TestPoolExecutor:
     def test_inline_executor_comine_matches_per_motif(self, tiny_graph):
         from repro.service import InlineExecutor
 
-        comined = InlineExecutor().count_batch(tiny_graph, [M1, M2], 100)
-        looped = InlineExecutor(comine=False).count_batch(
-            tiny_graph, [M1, M2], 100
-        )
+        executor = InlineExecutor()
+        comined = executor.count_batch(tiny_graph, [M1, M2], 100)
+        assert executor.counters.get("comined_batches") == 1
+        looped = [
+            item for m in (M1, M2) for item in executor.count_batch(tiny_graph, [m], 100)
+        ]
+        assert executor.counters.get("comined_batches") == 1
         assert comined == looped

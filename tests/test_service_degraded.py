@@ -3,8 +3,8 @@
 The serving layer's failure contract — *shed throughput, never
 correctness* — pinned deterministically:
 
-- a cached pool found broken/closed at checkout is evicted and rebuilt,
-  not handed out again;
+- a pool found broken/closed at checkout is rebuilt, not handed out
+  again;
 - an injected backend failure trips the per-graph breaker; while open,
   queries are mined serially inline (correct answers, degraded flag
   up); after the cooldown one probe closes it again;
@@ -17,12 +17,14 @@ correctness* — pinned deterministically:
 from __future__ import annotations
 
 import json
+import multiprocessing
 import random
 import time
 from http.client import HTTPConnection
 
 import pytest
 
+from cluster_harness import kill, own_children
 from repro.mining.mackey import MackeyMiner
 from repro.mining.parallel import MiningCancelled
 from repro.motifs.catalog import M1, M2
@@ -67,22 +69,25 @@ def assert_ok_and_correct(result, expected, motif):
 @pytest.mark.timeout(180)
 class TestBrokenPoolCheckout:
     def test_closed_pool_is_evicted_and_rebuilt(self, graph, expected):
-        executor = PoolExecutor(2)
+        before = multiprocessing.active_children()
+        executor = PoolExecutor(2, respawn_budget=0)
         try:
             fp = graph.fingerprint()
             first = executor.count_batch(graph, [M1], DELTA)
             assert first[0][0] is not None
-            # Break the cached pool from outside (as a respawn-budget
-            # exhaustion would).
-            executor._pools[fp].close()
+            # Break the pool from outside: no worker left, no budget.
+            kill(own_children(before))
+            assert executor.worker_liveness() == {"pool": {"live": 0, "target": 2}}
             again = executor.count_batch(graph, [M2], DELTA)
             payload = payload_bytes(
                 build_payload(fp, M2, DELTA, again[0][0], again[0][1])
             )
             assert payload == expected[M2.name]
             assert executor.counters.get("pools_rebuilt") == 1
-            # The rebuilt pool is healthy and cached.
-            assert not executor._pools[fp].closed
+            # It was found broken at checkout, so the batch ran on the
+            # rebuilt pool — not on the inline fallback.
+            assert executor.counters.get("backend_failures") == 0
+            assert executor.worker_liveness() == {"pool": {"live": 2, "target": 2}}
         finally:
             executor.close()
 

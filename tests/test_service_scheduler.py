@@ -62,6 +62,7 @@ class RecordingExecutor(InlineExecutor):
     """Inline backend that records every batch it executes."""
 
     def __init__(self) -> None:
+        super().__init__()
         self.calls = []
 
     def count_batch(self, graph, motifs, delta, cancel_check=None):
@@ -73,6 +74,7 @@ class CrashingExecutor(InlineExecutor):
     """Fails the first ``crashes`` batches, then behaves normally."""
 
     def __init__(self, crashes: int = 1) -> None:
+        super().__init__()
         self.remaining = crashes
 
     def count_batch(self, graph, motifs, delta, cancel_check=None):
@@ -86,6 +88,7 @@ class BlockingExecutor(InlineExecutor):
     """Blocks in the cancellation poll until ``cancel_check`` fires."""
 
     def __init__(self) -> None:
+        super().__init__()
         self.entered = threading.Event()
 
     def count_batch(self, graph, motifs, delta, cancel_check=None):
