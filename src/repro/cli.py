@@ -87,10 +87,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=tuple(ENGINES),
         default="mackey",
-        help="mining engine: the dedicated serial miner, the vectorized "
-        "batched frontier engine, or the shared-traversal co-miner "
-        "(all produce identical counts/counters; batched/comine are "
-        "incompatible with --memoize and --show-matches)",
+        help="mining engine: the scalar serial miner (mackey) or the "
+        "vectorized trie-walking family engine (batched; comine is its "
+        "older spelling) — identical counts/counters; the family engine "
+        "is incompatible with --memoize and --show-matches",
     )
     mine.add_argument(
         "--approx",
@@ -147,10 +147,11 @@ def _build_parser() -> argparse.ArgumentParser:
     census.add_argument(
         "--engine",
         choices=tuple(ENGINES),
-        default="mackey",
-        help="census engine: per-motif loop (scalar or vectorized "
-        "batched), or one shared co-mining traversal for the whole "
-        "grid (identical counts; comine reports prefix-sharing stats)",
+        default="batched",
+        help="census engine: the vectorized family engine (batched, the "
+        "default; comine is its older spelling) walks the grid's prefix "
+        "trie once and reports prefix-sharing stats, mackey runs the "
+        "scalar miner once per motif (identical counts/counters)",
     )
 
     simulate = sub.add_parser("simulate", help="run the Mint simulator")
@@ -554,7 +555,7 @@ def cmd_census(args) -> int:
         graph,
         args.delta,
         num_workers=getattr(args, "workers", 0),
-        engine=getattr(args, "engine", "mackey"),
+        engine=getattr(args, "engine", "batched"),
     )
     grid = {
         key: census.counts[motif.name]

@@ -1,24 +1,27 @@
-"""Shared-traversal co-mining for motif families (``repro.comine``).
+"""Shared-traversal mining for motif families (``repro.comine``).
 
 Multi-motif workloads — the 36-motif Paranjape grid census, the
 service layer's same-(graph, δ) batched queries, streaming catalogs —
 historically re-walked the graph once per motif.  This subsystem mines
-a whole family in ONE chronological traversal per root edge:
+a whole family in ONE traversal:
 
 - :mod:`repro.comine.trie` canonicalizes the family into a prefix trie
   of partial edge-orderings (shared prefixes merged, leaves tagged with
   the motifs they complete);
-- :mod:`repro.comine.engine` runs the Mackey-style DFS down that trie,
-  scanning each node's candidates once for every motif below it, with
-  per-motif counts *and* per-motif search counters byte-identical to a
-  dedicated :class:`~repro.mining.mackey.MackeyMiner` run, plus
+- :mod:`repro.comine.engine` walks that trie with vectorised numpy
+  frontiers — each node's windows found once for every motif below it,
+  the last level counted instead of enumerated — with per-motif counts
+  *and* per-motif search counters byte-identical to a dedicated
+  :class:`~repro.mining.mackey.MackeyMiner` run, plus
   :class:`~repro.comine.engine.SharingStats` quantifying the traversal
-  the trie saved.
+  the trie saved.  A single motif is the family of one
+  (:class:`repro.mining.batched.BatchedMiner`).
 
-Integration points: ``repro.mining.multi`` (``engine="comine"``),
-``MiningPool.count_family`` / ``SupervisedMiningPool.count_family``
-(root-range family chunks with the existing retry/chaos machinery), the
-service batch lanes, and the ``repro census --engine comine`` CLI.
+It is the repo's one family engine: ``engine="batched"`` (older
+spelling ``"comine"``) in ``repro.mining.multi``, ``count`` /
+``count_many`` / ``count_family`` on every runner (root-range family
+chunks with the existing retry/chaos machinery), the service batch
+lanes, and the ``repro census`` default.
 """
 
 from repro.comine.trie import MotifTrie, TrieNode

@@ -1,39 +1,62 @@
-"""The co-mining engine: one chronological DFS for a whole motif family.
+"""The family engine: one vectorised trie walk for a whole motif family.
 
-:class:`CoMiner` mines every motif of a family in a single task-centric
-search per root edge.  Instead of re-walking the graph once per motif
-(what :func:`repro.mining.multi.count_motif_family` historically did),
-the search descends the family's :class:`~repro.comine.trie.MotifTrie`:
-at each trie node the candidate scan — out-neighborhood, in-neighborhood
-or edge-list tail, exactly as in
-:class:`~repro.mining.mackey.MackeyMiner` — runs **once** and its
-partial match is extended toward every motif below that node.  A match
-reaching a node increments the count of every family member completing
-there.
+:class:`CoMiner` is the repo's one frontier engine — ``engine="batched"``
+and its older spelling ``engine="comine"`` — and the software analogue
+of Mint's two-phase search engine (a search to the first edge after the
+last match, then a stream up to the window bound).  It descends the
+family's :class:`~repro.comine.trie.MotifTrie` level by level with a
+*frontier* per trie node: every partial match of that node is one row of
+parallel numpy arrays (the graph node bound to each canonical label, the
+last matched edge, and the root's window carried as a *rank* — the
+first edge index past ``t_root + δ``, computed once per root).  Per
+frontier:
+
+- **Windows are searches, not scans.**  Both ends of every row's
+  candidate range — "first edge of this node after ``last_e``", "first
+  edge of this node past the window" — are one C-level
+  ``np.searchsorted`` each over the composite keys of the graph's cached
+  :class:`~repro.graph.temporal_graph.RangeIndex`; so are the ends of
+  "edges u→v in the window" over its pair index.
+- **Siblings share.**  Each (direction, bound label) window and each
+  (label, label) pair range is computed once per frontier and used by
+  every child that needs it — the grid's 36 leaves under 6 two-edge
+  prefixes cost 4 windows and a handful of pair ranges per prefix.
+- **The last level is counted, never enumerated.**  What a leaf (or any
+  node's ``complete`` list) needs is its accepted count.  A closing
+  edge (both labels bound) accepts its pair range; a new-node edge
+  accepts its window minus the pair ranges to every bound node, which
+  are disjoint subsets of the window because bound nodes are distinct
+  (the self-loop is the scanned node paired with itself).  Candidate
+  rows are materialized only for children that have children, a slab of
+  at most :data:`TILE_ROWS` at a time, and for the edge-list tail scan
+  of a disconnected edge.
 
 Correctness contract (enforced by the parity suites): per-motif counts
-are byte-identical to :class:`MackeyMiner`, and so are the per-motif
-:class:`~repro.mining.results.SearchCounters` — every counter event is
-charged to the trie node it happened at, and a motif's counters are the
-sum over its own path, which is exactly the work a dedicated traversal
-of that path performs.  The *family* counters aggregate each event once
+are byte-identical to :class:`~repro.mining.mackey.MackeyMiner`, and so
+are the per-motif :class:`~repro.mining.results.SearchCounters` — every
+counter event is a function of frontier size, scanned-node degree,
+window size, whether the scan crossed the window, and accepted count,
+so none needs the candidate rows; each is charged to the trie node the
+scalar miner would charge it at, and a motif's counters are the sum
+over its own path, which is exactly the work a dedicated traversal of
+that path performs.  The *family* counters aggregate each event once
 (the work actually done), so ``sharing`` quantifies what the trie
 saved: ``searches_unshared - searches`` scans and
 ``candidates_unshared - candidates_scanned`` candidate touches never
 re-executed.
 
 Root tasks are independent, so :meth:`CoMiner.mine_range` restricts the
-root-edge range for chunked execution — the family analog of the
-parallel layer's root-range chunks — and :meth:`FamilyResult.merge`
-recombines chunk results commutatively.
+root-edge range for chunked execution — the ``family`` chunk kind of
+the dispatchers — and :meth:`FamilyResult.merge` recombines chunk
+results commutatively.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
-from math import ceil, log2
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.graph.temporal_graph import TemporalGraph
 from repro.graph.window import window_t_limit
@@ -237,8 +260,37 @@ class FamilyResult:
         )
 
 
+#: Candidate rows materialized at once.  A frontier is extended slab by
+#: slab (rows are independent), so the widest internal trie level costs
+#: this much memory, not the size of the level.
+TILE_ROWS = 1 << 14
+
+
+def _ragged_take(starts: np.ndarray, sizes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Materialize the ragged ranges ``[starts[i], starts[i] + sizes[i])``
+    as ``(rows, positions)``: for every element of every range, the row
+    it belongs to and its absolute position."""
+    rows = np.repeat(np.arange(len(sizes)), sizes)
+    ends = np.cumsum(sizes)
+    positions = np.arange(len(rows)) + (starts + sizes - ends)[rows]
+    return rows, positions
+
+
+def _slabs(sizes: np.ndarray) -> Iterator[Tuple[int, int]]:
+    """Row ranges ``[a, b)`` whose ``sizes`` sum to at most
+    :data:`TILE_ROWS` each (a single row wider than that is a slab of
+    its own), covering every row in order."""
+    ends = np.cumsum(sizes)
+    a = 0
+    while a < len(sizes):
+        done = int(ends[a - 1]) if a else 0
+        b = max(a + 1, int(np.searchsorted(ends, done + TILE_ROWS, side="right")))
+        yield a, b
+        a = b
+
+
 class CoMiner:
-    """Exact δ-temporal co-miner for a motif family (shared traversal).
+    """Exact δ-temporal miner for a motif family: the vectorised trie walk.
 
     Parameters
     ----------
@@ -246,11 +298,14 @@ class CoMiner:
         The mining problem; ``motifs`` is the family (non-empty, any
         order, duplicates allowed).
     cancel_check:
-        Optional hook polled every ``cancel_stride`` root edges; when it
-        returns True the run raises
+        Optional hook polled between root blocks, trie nodes and tiles;
+        when it returns True the run raises
         :class:`~repro.mining.parallel.MiningCancelled` (the serving
         layer's deadline contract).
     """
+
+    #: Root edges expanded per wave.  Results never depend on it.
+    root_block = 4096
 
     def __init__(
         self,
@@ -258,22 +313,14 @@ class CoMiner:
         motifs: Sequence[Motif],
         delta: int,
         cancel_check: Optional[Callable[[], bool]] = None,
-        cancel_stride: int = 256,
     ) -> None:
         if delta < 0:
             raise ValueError("delta must be non-negative")
-        if cancel_stride < 1:
-            raise ValueError("cancel_stride must be positive")
         self.graph = graph
         self.motifs: Sequence[Motif] = tuple(motifs)
         self.trie = MotifTrie(self.motifs)  # raises on an empty family
         self.delta = int(delta)
         self.cancel_check = cancel_check
-        self.cancel_stride = int(cancel_stride)
-        self._src, self._dst, self._ts, self._out, self._in = (
-            graph.adjacency_lists()
-        )
-        self._max_labels = max(m.num_nodes for m in self.motifs)
 
     # -- public API ------------------------------------------------------------
 
@@ -287,148 +334,167 @@ class CoMiner:
         Chunk results merge commutatively (:meth:`FamilyResult.merge`),
         so sharding the root range across workers cannot change counts.
         """
-        trie = self.trie
-        node_counters = [SearchCounters() for _ in range(trie.num_nodes)]
-        counts = [0] * trie.family_size
-        self._node_counters = node_counters
-        self._counts = counts
-        m2g = self._m2g = [-1] * self._max_labels
-        g2m = self._g2m = {}
-
-        src, dst, ts = self._src, self._dst, self._ts
-        d1 = trie.first_edge_node
-        nc_root = node_counters[d1.index]
-        complete_1 = d1.complete
-        has_children = bool(d1.child_order)
-        delta = self.delta
-        cancel, stride = self.cancel_check, self.cancel_stride
-
+        g = self.graph
+        self._index = g.range_index()
+        self._node_counters = [SearchCounters() for _ in range(self.trie.num_nodes)]
+        self._counts = [0] * self.trie.family_size
         lo = max(0, root_lo)
-        hi = min(root_hi, self.graph.num_edges)
-        for e0 in range(lo, hi):
-            if cancel is not None and (e0 - lo) % stride == 0 and cancel():
-                raise MiningCancelled("co-mining cancelled by cancel_check")
-            nc_root.root_tasks += 1
-            s, d = src[e0], dst[e0]
-            if s == d:
-                continue  # motif edges are never self-loops
-            m2g[0] = s
-            m2g[1] = d
-            g2m[s] = 0
-            g2m[d] = 1
-            nc_root.bookkeeps += 1
-            for i in complete_1:
-                counts[i] += 1
-            if has_children:
-                self._recurse(d1, e0, window_t_limit(ts[e0], delta))
-            del g2m[s]
-            del g2m[d]
-            m2g[0] = -1
-            m2g[1] = -1
-            nc_root.backtracks += 1
-        return self._finish(node_counters, counts)
+        hi = min(root_hi, g.num_edges)
+        for block_lo in range(lo, hi, self.root_block):
+            self._mine_block(block_lo, min(hi, block_lo + self.root_block))
+        return self._finish(self._node_counters, self._counts)
 
     # -- internals -------------------------------------------------------------
 
-    def _recurse(self, node: TrieNode, last_e: int, t_limit: int) -> None:
-        """Scan each child's candidates once; extend down its subtree.
+    def _poll_cancel(self) -> None:
+        if self.cancel_check is not None and self.cancel_check():
+            raise MiningCancelled("mining cancelled by cancel_check")
 
-        The per-child scan is exactly :class:`MackeyMiner`'s find-next-
-        matching-edge for that edge spec, with counter events charged to
-        the child node — per-motif sums over path nodes therefore
-        reproduce the dedicated miner's counters identically.
-        """
-        src, dst, ts = self._src, self._dst, self._ts
-        m2g, g2m = self._m2g, self._g2m
-        node_counters = self._node_counters
-        for child in node.child_order:
-            nc = node_counters[child.index]
-            nc.searches += 1
-            u, v = child.edge
-            u_g, v_g = m2g[u], m2g[v]
-            if u_g >= 0:
-                neigh = self._out[u_g]
-                nc.binary_searches += 1
-                nc.binary_search_steps += max(1, ceil(log2(len(neigh) + 1)))
-                start = bisect_right(neigh, last_e)
-                for pos in range(start, len(neigh)):
-                    e = neigh[pos]
-                    t = ts[e]
-                    nc.candidates_scanned += 1
-                    nc.neighbor_items_touched += 1
-                    nc.bytes_touched += EDGE_RECORD_BYTES + INDEX_BYTES
-                    if t > t_limit:
-                        break
-                    d = dst[e]
-                    if v_g >= 0:
-                        if d != v_g:
-                            continue
-                    elif d in g2m or d == u_g:
-                        continue
-                    self._accept(child, nc, e, src[e], d, t_limit)
-            elif v_g >= 0:
-                neigh = self._in[v_g]
-                nc.binary_searches += 1
-                nc.binary_search_steps += max(1, ceil(log2(len(neigh) + 1)))
-                start = bisect_right(neigh, last_e)
-                for pos in range(start, len(neigh)):
-                    e = neigh[pos]
-                    t = ts[e]
-                    nc.candidates_scanned += 1
-                    nc.neighbor_items_touched += 1
-                    nc.bytes_touched += EDGE_RECORD_BYTES + INDEX_BYTES
-                    if t > t_limit:
-                        break
-                    s = src[e]
-                    if s in g2m or s == v_g:
-                        continue
-                    self._accept(child, nc, e, s, dst[e], t_limit)
-            else:
-                # Neither endpoint mapped (disconnected motifs): the
-                # search space is the tail of the entire edge list.
-                for e in range(last_e + 1, self.graph.num_edges):
-                    t = ts[e]
-                    nc.candidates_scanned += 1
-                    nc.bytes_touched += EDGE_RECORD_BYTES
-                    if t > t_limit:
-                        break
-                    s, d = src[e], dst[e]
-                    if s in g2m or d in g2m or s == d:
-                        continue
-                    self._accept(child, nc, e, s, d, t_limit)
-            nc.backtracks += 1
+    def _mine_block(self, lo: int, hi: int) -> None:
+        """Root step for edges ``[lo, hi)``: bind the first motif edge,
+        turn each root's window into a rank, descend."""
+        self._poll_cancel()
+        g = self.graph
+        first = self.trie.first_edge_node
+        src, dst = g.src[lo:hi], g.dst[lo:hi]
+        valid = src != dst  # motif edges are never self-loops
+        roots = np.arange(lo, hi)[valid]
+        nc = self._node_counters[first.index]
+        nc.root_tasks += hi - lo
+        # Every valid root is one book-keep and (when its tree unwinds)
+        # one backtrack, exactly as the scalar root loop counts them.
+        nc.bookkeeps += len(roots)
+        nc.backtracks += len(roots)
+        for i in first.complete:
+            self._counts[i] += len(roots)
+        if not first.child_order or not len(roots):
+            return
+        # Any δ at or past the span is the same whole-graph window;
+        # saturating it keeps ``t_root + δ`` inside int64.
+        delta = min(self.delta, g.time_span)
+        r_limit = np.searchsorted(g.ts, window_t_limit(g.ts[roots], delta), side="right")
+        self._walk(first, (src[valid], dst[valid]), roots, r_limit)
 
-    def _accept(
+    def _walk(
         self,
-        child: TrieNode,
-        nc: SearchCounters,
-        e: int,
-        s: int,
-        d: int,
-        t_limit: int,
+        node: TrieNode,
+        cols: Tuple[np.ndarray, ...],
+        last_e: np.ndarray,
+        r_limit: np.ndarray,
     ) -> None:
-        """Book-keep edge ``e`` at ``child``, emit completions, recurse, undo."""
-        m2g, g2m = self._m2g, self._g2m
-        u, v = child.edge
-        new_u = m2g[u] == -1
-        if new_u:
-            m2g[u] = s
-            g2m[s] = u
-        new_v = m2g[v] == -1
-        if new_v:
-            m2g[v] = d
-            g2m[d] = v
-        nc.bookkeeps += 1
-        for i in child.complete:
-            self._counts[i] += 1
-        if child.child_order:
-            self._recurse(child, e, t_limit)
-        if new_v:
-            m2g[v] = -1
-            del g2m[d]
-        if new_u:
-            m2g[u] = -1
-            del g2m[s]
+        """Extend a frontier of partial matches of ``node`` toward every
+        child: ``cols[x]`` is the graph node bound to canonical label
+        ``x`` (bound iff ``x < node.seen``), ``last_e`` the edge matched
+        at ``node`` and ``r_limit`` the root's window as a rank — the
+        first edge index past ``t_root + δ``.
+
+        The scan of each (direction, bound label) and the pair range of
+        each (label, label) are computed once and shared by the
+        siblings.  A child's accepted count never needs its candidate
+        rows: a closing edge accepts its pair range; a new-node edge
+        accepts its window minus the pair ranges to every bound node
+        (bound nodes are distinct, so those are disjoint subsets of the
+        window, the self-loop being the pair of the scanned node with
+        itself).  Rows are materialized only for children that have
+        children, and for the edge-list tail scan of a disconnected
+        edge.  Every counter event is charged to the child, as the
+        scalar miner would on that edge.
+        """
+        g, index = self.graph, self._index
+        rows = len(last_e)
+        lo = last_e + 1
+        scans: Dict[Tuple[bool, int], Tuple] = {}
+        pairs: Dict[Tuple[int, int], Tuple] = {}
+
+        def scan(out: bool, label: int) -> Tuple:
+            """(start, end, window total, bisection steps, touches)."""
+            if (out, label) not in scans:
+                key, offsets, bisect_steps = (
+                    (index.out_key, g.out_offsets, index.out_steps) if out
+                    else (index.in_key, g.in_offsets, index.in_steps)
+                )
+                nodes = cols[label]
+                start, end = index.node_ranges(key, nodes, lo, r_limit)
+                total = int((end - start).sum())
+                # The edge that ends a scan by crossing the window is
+                # touched too; a scan that exhausts its slice is not.
+                crossed = int(np.count_nonzero(end < offsets[nodes + 1]))
+                steps = int(bisect_steps[nodes].sum())
+                scans[out, label] = start, end, total, steps, total + crossed
+            return scans[out, label]
+
+        def pair(a: int, b: int) -> Tuple:
+            """(start, end, total) of the edges ``a → b`` in the window."""
+            if (a, b) not in pairs:
+                start, end = index.pair_ranges(cols[a], cols[b], lo, r_limit)
+                pairs[a, b] = start, end, int((end - start).sum())
+            return pairs[a, b]
+
+        for child in node.child_order:
+            u, v = child.edge
+            nc = self._node_counters[child.index]
+            nc.searches += rows
+            nc.backtracks += rows
+            if u >= node.seen and v >= node.seen:
+                # Neither endpoint bound (disconnected motifs): the scan
+                # is the edge-list tail, counted by materializing it.
+                start, end, accepted = lo, r_limit, None
+                touched = int((end - start).sum()) + int(np.count_nonzero(end < g.num_edges))
+                nc.bytes_touched += touched * EDGE_RECORD_BYTES
+                edge_of, fresh = None, (g.src, g.dst)
+            else:
+                out = u < node.seen
+                start, end, total, steps, touched = scan(out, u if out else v)
+                nc.binary_searches += rows
+                nc.binary_search_steps += steps
+                nc.neighbor_items_touched += touched
+                nc.bytes_touched += touched * (EDGE_RECORD_BYTES + INDEX_BYTES)
+                if out and v < node.seen:
+                    start, end, accepted = pair(u, v)
+                    edge_of, fresh = index.pair_edges, ()
+                elif out:
+                    accepted = total - sum(pair(u, x)[2] for x in range(node.seen))
+                    edge_of, fresh = g.out_edge_idx, (g.dst,)
+                else:
+                    accepted = total - sum(pair(x, v)[2] for x in range(node.seen))
+                    edge_of, fresh = g.in_edge_idx, (g.src,)
+            nc.candidates_scanned += touched
+            if accepted is None or (accepted and child.child_order):
+                accepted = 0
+                for frontier in self._materialize(
+                    cols, r_limit, start, end - start, edge_of, fresh
+                ):
+                    accepted += len(frontier[1])
+                    if child.child_order:
+                        self._walk(child, *frontier)
+            nc.bookkeeps += accepted
+            for i in child.complete:
+                self._counts[i] += accepted
+
+    def _materialize(self, cols, r_limit, start, sizes, edge_of, fresh):
+        """The child frontiers ``(cols, last_e, r_limit)`` of the ragged
+        candidate ranges ``[start, start + sizes)``, one per slab of at
+        most :data:`TILE_ROWS` candidates.  ``edge_of`` maps a position
+        to its edge (``None``: positions are edge indices); ``fresh``
+        holds the endpoint arrays that bind a new label each, whose
+        nodes must differ from every node bound before them."""
+        for a, b in _slabs(sizes):
+            self._poll_cancel()
+            rows, e = _ragged_take(start[a:b], sizes[a:b])
+            rows += a
+            if edge_of is not None:
+                e = edge_of[e]
+            bound = [c[rows] for c in cols]
+            if fresh:
+                keep = np.ones(len(e), dtype=bool)
+                for endpoint in fresh:
+                    x = endpoint[e]
+                    for c in bound:
+                        keep &= c != x
+                    bound.append(x)
+                rows, e = rows[keep], e[keep]
+                bound = [c[keep] for c in bound]
+            yield tuple(bound), e, r_limit[rows]
 
     def _finish(
         self, node_counters: List[SearchCounters], counts: List[int]

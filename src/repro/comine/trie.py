@@ -13,9 +13,9 @@ appearance (:meth:`~repro.motifs.motif.Motif.canonical_key`), and equal
 canonical prefixes collapse into one trie path.  A node represents one
 matched motif edge; its children are the distinct next-edge
 alternatives anywhere in the family; ``complete`` tags the family
-members whose full edge sequence ends at that node.  The co-mining
-engine (:mod:`repro.comine.engine`) then runs ONE chronological DFS per
-root edge, scanning each trie node's candidates once no matter how many
+members whose full edge sequence ends at that node.  The family
+engine (:mod:`repro.comine.engine`) then walks the trie ONCE per root
+block, finding each trie node's candidates once no matter how many
 motifs share it.
 
 Construction is deterministic: the node set, edge labels and child

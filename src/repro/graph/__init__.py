@@ -1,10 +1,6 @@
 """Temporal graph substrate: data structures, loaders, generators, stats."""
 
-from repro.graph.temporal_graph import (
-    TemporalEdge,
-    TemporalGraph,
-    segmented_searchsorted,
-)
+from repro.graph.temporal_graph import RangeIndex, TemporalEdge, TemporalGraph
 from repro.graph.window import in_delta_window, window_horizon, window_t_limit
 from repro.graph.loaders import load_snap_text, save_snap_text
 from repro.graph.generators import (
@@ -26,9 +22,9 @@ from repro.graph.transforms import (
 )
 
 __all__ = [
+    "RangeIndex",
     "TemporalEdge",
     "TemporalGraph",
-    "segmented_searchsorted",
     "in_delta_window",
     "window_horizon",
     "window_t_limit",

@@ -23,38 +23,6 @@ from typing import Iterable, Iterator, List, Sequence, Set, Tuple
 import numpy as np
 
 
-def segmented_searchsorted(
-    values: np.ndarray,
-    seg_lo: np.ndarray,
-    seg_hi: np.ndarray,
-    needles: np.ndarray,
-) -> np.ndarray:
-    """Right-bisect many sorted segments of one array at once.
-
-    Returns, for each row ``i``, the insertion point of ``needles[i]``
-    in the sorted slice ``values[seg_lo[i]:seg_hi[i]]`` (side="right"),
-    as an **absolute** index into ``values``.  This is the software
-    analogue of Mint's phase-1 stream unit: one vectorized bisection
-    over a whole frontier of (node-slice, needle) pairs, instead of one
-    Python ``bisect``/``searchsorted`` call per partial match.  Runs
-    ``O(log max_segment)`` numpy passes over the row arrays.
-    """
-    lo = np.asarray(seg_lo, dtype=np.int64).copy()
-    hi = np.asarray(seg_hi, dtype=np.int64).copy()
-    needles = np.asarray(needles)
-    if len(values) == 0 or len(lo) == 0:
-        return lo
-    while True:
-        active = lo < hi
-        if not active.any():
-            return lo
-        mid = (lo + hi) >> 1
-        probe = values[np.where(active, mid, 0)]
-        go_right = active & (probe <= needles)
-        lo = np.where(go_right, mid + 1, lo)
-        hi = np.where(active & ~go_right, mid, hi)
-
-
 @dataclass(frozen=True)
 class TemporalEdge:
     """A directed timestamped edge ``src -> dst`` at time ``t``."""
@@ -399,42 +367,16 @@ class TemporalGraph:
             np.searchsorted(self.in_edge_idx[lo:hi], edge_index, side="right")
         )
 
-    # -- vectorized slice helpers (batched frontier engine) ----------------------
+    # -- vectorized range index (family engine) ----------------------------------
 
-    @property
-    def out_ts(self) -> np.ndarray:
-        """Timestamps aligned with ``out_edge_idx`` (sorted within each
-        node's slice, since per-node edge indices are chronological).
-
-        The batched engine binary-searches these slices directly —
-        ``ts[out_edge_idx[lo:hi]]`` gathered once per graph instead of
-        once per probe.  Cached on the graph.
-        """
-        cached = getattr(self, "_out_ts", None)
-        if cached is None:
-            cached = self.ts[self.out_edge_idx]
-            self._out_ts = cached
-        return cached
-
-    @property
-    def in_ts(self) -> np.ndarray:
-        """Timestamps aligned with ``in_edge_idx`` (see :attr:`out_ts`)."""
-        cached = getattr(self, "_in_ts", None)
-        if cached is None:
-            cached = self.ts[self.in_edge_idx]
-            self._in_ts = cached
-        return cached
-
-    def out_slices(self, nodes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """CSR ``(lo, hi)`` bounds of ``out_edge_idx`` for a whole array
-        of node ids at once (one fancy-index, no per-node Python)."""
-        nodes = np.asarray(nodes, dtype=np.int64)
-        return self.out_offsets[nodes], self.out_offsets[nodes + 1]
-
-    def in_slices(self, nodes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """CSR ``(lo, hi)`` bounds of ``in_edge_idx`` per node id."""
-        nodes = np.asarray(nodes, dtype=np.int64)
-        return self.in_offsets[nodes], self.in_offsets[nodes + 1]
+    def range_index(self) -> "RangeIndex":
+        """The composite-key :class:`RangeIndex` over this graph, built on
+        first use and cached like :meth:`adjacency_lists` (workers adopt
+        only the seven backing arrays and build their own)."""
+        cache = getattr(self, "_range_index", None)
+        if cache is None:
+            cache = self._range_index = RangeIndex(self)
+        return cache
 
     # -- projections -------------------------------------------------------------
 
@@ -463,4 +405,83 @@ class TemporalGraph:
         return (
             f"TemporalGraph(num_nodes={self.num_nodes}, "
             f"num_edges={self.num_edges}, time_span={self.time_span})"
+        )
+
+
+class RangeIndex:
+    """Composite ``int64`` keys that answer "which of this node's — or
+    this node pair's — edges have an index in ``[lo, hi)``" for a whole
+    frontier of questions with ONE C-level ``np.searchsorted`` per range
+    end: the software analogue of Mint's phase-1 search, batched.
+
+    - ``out_key[pos] = src·(m+1) + edge`` for the edge at ``out_edge_idx[pos]``
+      (``in_key`` likewise with ``dst``).  CSR is node-major and per-node
+      edge indices are chronological, so the keys are globally sorted and
+      a node's edges with index in ``[lo, hi)`` are the positions between
+      the insertion points of ``node·(m+1) + lo`` and ``node·(m+1) + hi``.
+    - ``pair_edges`` lists edge indices sorted by (src, dst, index) and
+      ``pair_key[pos] = rank(src, dst)·(m+1) + edge``, where ``rank`` is
+      the position of ``src·n + dst`` among the distinct pair codes
+      (``pair_codes``).  Ranking keeps the key below ``(m+1)²`` whatever
+      the node count, where ``(src·n + dst)·(m+1)`` would wrap.
+
+    ``out_steps`` / ``in_steps`` hold, per node, what one binary search
+    over its neighbor list costs the scalar miner (its counter model).
+
+    Every value formed is below ``max(n, m+1)²``; construction raises
+    :class:`ValueError` where that does not fit ``int64``.
+    """
+
+    #: ``floor(sqrt(2**63 - 1))``: the largest ``max(num_nodes, num_edges + 1)``.
+    MAX_EXTENT = 3_037_000_499
+
+    def __init__(self, graph: TemporalGraph) -> None:
+        n, m = graph.num_nodes, graph.num_edges
+        if max(n, m + 1) > self.MAX_EXTENT:
+            raise ValueError(
+                f"graph too large for int64 range keys: max(num_nodes, "
+                f"num_edges + 1) = {max(n, m + 1)} exceeds {self.MAX_EXTENT}"
+            )
+        self.num_nodes = n
+        self.stride = m + 1
+        self.out_key = graph.src[graph.out_edge_idx] * self.stride + graph.out_edge_idx
+        self.in_key = graph.dst[graph.in_edge_idx] * self.stride + graph.in_edge_idx
+        codes, rank = np.unique(graph.src * n + graph.dst, return_inverse=True)
+        self.pair_edges = np.argsort(rank, kind="stable")
+        self.pair_key = rank[self.pair_edges] * self.stride + self.pair_edges
+        # A sentinel past every code keeps an absent pair's lookup in bounds.
+        self.pair_codes = np.append(codes, np.iinfo(np.int64).max)
+        self.out_steps = self._bisect_steps(np.diff(graph.out_offsets))
+        self.in_steps = self._bisect_steps(np.diff(graph.in_offsets))
+
+    @staticmethod
+    def _bisect_steps(degrees: np.ndarray) -> np.ndarray:
+        """Steps of one binary search over a neighbor list of each degree:
+        ``max(1, ceil(log2(d + 1)))``.  ``ceil(log2(d + 1))`` is the bit
+        length of ``d``, which ``np.frexp`` yields exactly for every
+        degree below 2**53 — no log-rounding hazard at powers of two."""
+        return np.maximum(np.frexp(degrees.astype(np.float64))[1], 1).astype(np.int64)
+
+    def node_ranges(
+        self, key: np.ndarray, nodes: np.ndarray, lo: np.ndarray, hi: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Per row, the positions ``[start, end)`` of ``key`` (``out_key``
+        → ``out_edge_idx``, ``in_key`` → ``in_edge_idx``) holding the
+        node's edges with index in ``[lo, hi)``; ``hi`` at most ``m``."""
+        base = nodes * self.stride
+        return np.searchsorted(key, base + lo), np.searchsorted(key, base + hi)
+
+    def pair_ranges(
+        self, a: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Per row, the positions ``[start, end)`` of ``pair_edges`` holding
+        the edges ``a → b`` with index in ``[lo, hi)``."""
+        code = a * self.num_nodes + b
+        rank = np.searchsorted(self.pair_codes, code)
+        # An absent pair takes the rank past every key: an empty range.
+        absent = len(self.pair_codes) - 1
+        base = np.where(self.pair_codes[rank] == code, rank, absent) * self.stride
+        return (
+            np.searchsorted(self.pair_key, base + lo),
+            np.searchsorted(self.pair_key, base + hi),
         )

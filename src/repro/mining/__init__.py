@@ -3,10 +3,11 @@
 - :mod:`repro.mining.mackey` — the Mackey et al. exact chronological
   edge-driven DFS miner (paper Algorithm 1), with optional search index
   memoization (§VI-A) for the "CPU w/ memoization" baseline.
-- :mod:`repro.mining.batched` — the vectorized frontier-expansion
-  engine: byte-identical counts/counters to the Mackey miner with the
-  per-candidate Python loop replaced by batched numpy scans (the
-  software analogue of Mint's stream unit).
+- :mod:`repro.mining.batched` — one motif on the vectorised family
+  engine (:mod:`repro.comine.engine`): byte-identical counts/counters
+  to the Mackey miner with the per-candidate Python loop replaced by
+  numpy frontiers and binary-searched windows (the software analogue
+  of Mint's search engine).
 - :mod:`repro.mining.bruteforce` — an exhaustive oracle used as ground
   truth in tests.
 - :mod:`repro.mining.taskcentric` — the paper's task-centric programming

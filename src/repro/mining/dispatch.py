@@ -18,7 +18,7 @@ Three parts, each defined exactly once:
 - :class:`ChunkRunner` — "mine this batch": the engine table
   (:data:`ENGINES`: which chunk kind a request dispatches as, and
   whether one chunk mines the whole family), task construction and
-  result merging for the motif / batched / family / sample kinds, as
+  result merging for the motif / family / sample kinds, as
   graph-first ``count`` / ``count_many`` / ``count_family`` /
   ``sample_intervals``.  The base class runs each spec's one chunk in
   the calling thread (:data:`INLINE`, the zero-worker case); a
@@ -55,7 +55,6 @@ import time
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
 from multiprocessing import connection, shared_memory
 from typing import Callable, Deque, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -99,7 +98,7 @@ class FamilyParallelResult:
     motif's exact count and its attributed per-motif counters (byte-
     identical to a dedicated serial miner).  ``counters`` is the work
     actually performed, ``sharing`` what the trie saved (``None`` for
-    the per-motif engines, which share nothing).
+    a per-motif engine, which shares nothing).
     """
 
     results: Tuple[ParallelResult, ...]
@@ -123,14 +122,15 @@ class Engine:
 
 
 #: The exact engines.  Every row yields byte-identical per-motif counts
-#: and counters; ``batched`` replaces the scalar DFS inner loop with
-#: vectorized frontier expansion (:mod:`repro.mining.batched`) and
-#: ``comine`` walks the family's prefix trie once per root edge
-#: (:mod:`repro.comine`), so shared prefixes are searched once.
+#: and counters.  ``mackey`` runs the scalar DFS once per motif; the
+#: family engine (:class:`repro.comine.engine.CoMiner`) walks the motif
+#: list's prefix trie with numpy frontiers, once per root range for the
+#: whole list.  ``comine`` is its older published spelling.
+_FAMILY = Engine("family", family=True)
 ENGINES: Dict[str, Engine] = {
     "mackey": Engine("motif"),
-    "batched": Engine("batched"),
-    "comine": Engine("family", family=True),
+    "batched": _FAMILY,
+    "comine": _FAMILY,
 }
 
 
@@ -141,20 +141,10 @@ def check_engine(engine: str) -> None:
         )
 
 
-def _mackey_miner(graph, motif, delta, cancel_check=None):
-    # The scalar DFS has no cancellation poll of its own; its runs are
-    # cancelled between chunks.
-    return MackeyMiner(graph, motif, delta)
-
-
-def _batched_miner(graph, motif, delta, cancel_check=None):
-    from repro.mining.batched import BatchedMiner  # lazy: avoids an import cycle
-
-    return BatchedMiner(graph, motif, delta, cancel_check=cancel_check)
-
-
-def _exact_chunks(factory: Callable, graph, motif_edges, delta, cancel_check=None):
-    miner = factory(graph, Motif(motif_edges), delta, cancel_check)
+def _motif_chunks(graph, motif_edges, delta, cancel_check=None):
+    """One motif on the scalar DFS, which has no cancellation poll of its
+    own: its runs are cancelled between chunks."""
+    miner = MackeyMiner(graph, Motif(motif_edges), delta)
 
     def run(lo: int, hi: int):
         result = miner.mine_range(lo, hi)
@@ -164,7 +154,7 @@ def _exact_chunks(factory: Callable, graph, motif_edges, delta, cancel_check=Non
 
 
 def _family_chunks(graph, family_edges, delta, cancel_check=None):
-    """One shared co-mining traversal per chunk for a whole family."""
+    """One shared trie walk per chunk for a whole family."""
     from repro.comine.engine import CoMiner  # lazy: avoids an import cycle
 
     cominer = CoMiner(
@@ -193,8 +183,7 @@ def _sample_chunks(graph, spec, delta, cancel_check=None):
 #: the built runner for the run's chunks; in-process runs pass their
 #: ``cancel_check`` so engines that poll mid-chunk can.
 CHUNK_KINDS: Dict[str, Callable] = {
-    "motif": partial(_exact_chunks, _mackey_miner),
-    "batched": partial(_exact_chunks, _batched_miner),
+    "motif": _motif_chunks,
     "family": _family_chunks,
     "sample": _sample_chunks,
 }
@@ -490,11 +479,11 @@ class ChunkRunner:
         chunks_per_worker: int = 8,
         cancel_check: Optional[Callable[[], bool]] = None,
         allow_degraded: bool = True,
-        engine: str = "comine",
+        engine: str = "batched",
     ) -> FamilyParallelResult:
         """:meth:`count_many` keeping the family-level accounting: the
         work actually performed and, for a ``family`` engine (the
-        default: one shared co-mining traversal), what the trie saved."""
+        default: one shared trie walk), what the trie saved."""
         return self._count(
             graph, motifs, delta, chunks_per_worker, cancel_check,
             allow_degraded, engine,
@@ -1025,12 +1014,14 @@ class ChunkDispatcher(ChunkRunner):
                     # Wait out the backoff in small ticks, so a cancelled
                     # batch stops blocking its lane immediately rather
                     # than after the full delay; then respawn.
-                    while self._next_spawn_at - self._clock() > 0:
+                    # (One clock read per tick: a second read could
+                    # land past the deadline and ask for a negative sleep.)
+                    while (wait := self._next_spawn_at - self._clock()) > 0:
                         if cancel_check is not None and cancel_check():
                             raise MiningCancelled(
                                 "mining cancelled during respawn backoff"
                             )
-                        self._sleep(min(0.05, self._next_spawn_at - self._clock()))
+                        self._sleep(min(0.05, wait))
                     continue
                 # Budget spent: hand the graph to a slot it was not
                 # placed on, if the placement policy has one.

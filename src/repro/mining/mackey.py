@@ -237,7 +237,7 @@ class MackeyMiner:
                         continue
                 elif d in g2m or d == u_g:
                     continue
-                self._accept(level, e, src[e], d, t_limit, last_level)
+                self._bookkeep(level, e, src[e], d, t_limit, last_level)
         elif v_g >= 0:
             neigh = self._in[v_g]
             start = self._scan_start(neigh, v_g, "in", last_e)
@@ -252,7 +252,7 @@ class MackeyMiner:
                 s = src[e]
                 if s in g2m or s == v_g:
                     continue
-                self._accept(level, e, s, dst[e], t_limit, last_level)
+                self._bookkeep(level, e, s, dst[e], t_limit, last_level)
         else:
             # Neither endpoint mapped (possible for disconnected motifs):
             # the search space is the tail of the entire edge list.
@@ -265,10 +265,10 @@ class MackeyMiner:
                 s, d = src[e], dst[e]
                 if s in g2m or d in g2m or s == d:
                     continue
-                self._accept(level, e, s, d, t_limit, last_level)
+                self._bookkeep(level, e, s, d, t_limit, last_level)
         counters.backtracks += 1
 
-    def _accept(
+    def _bookkeep(
         self, level: int, e: int, s: int, d: int, t_limit: int, last_level: bool
     ) -> None:
         """Book-keep edge ``e`` at ``level``, recurse, then undo (backtrack)."""

@@ -5,19 +5,16 @@ temporal network fingerprinting, paper §II-B's "features built with
 temporal motif distributions") is a common workload.  ``engine`` is a
 row of :data:`repro.mining.dispatch.ENGINES`:
 
-- ``"mackey"`` — the exact miner once per motif (the historical
-  per-motif loop);
-- ``"batched"`` — the vectorized frontier engine
-  (:mod:`repro.mining.batched`) once per motif: byte-identical counts
-  and counters, with the per-candidate Python loop replaced by numpy
-  frontier expansion (the fast path for large graphs);
-- ``"comine"`` — one shared traversal for the whole family via
-  :class:`repro.comine.CoMiner`: the family's canonical prefix trie is
-  walked once per root edge, so shared prefixes (every grid row shares
-  its first two edges) are searched once instead of once per motif.
-  Per-motif counts and counters are byte-identical to the per-motif
-  loop; the census additionally reports
-  :class:`~repro.comine.engine.SharingStats`.
+- ``"mackey"`` — the scalar exact miner once per motif (the
+  historical per-motif loop);
+- ``"batched"`` (``"comine"`` is its older spelling) — the vectorised
+  family engine, :class:`repro.comine.engine.CoMiner`: the family's
+  canonical prefix trie is walked once with numpy frontiers, so shared
+  prefixes (every grid row shares its first two edges) are searched
+  once instead of once per motif and the last level is counted, not
+  enumerated.  Per-motif counts and counters are byte-identical to the
+  per-motif loop; the census additionally reports the shared work
+  actually done and :class:`~repro.comine.engine.SharingStats`.
 
 Every engine keeps a per-motif :class:`SearchCounters` breakdown so a
 census report can attribute work to individual motifs, and every engine
@@ -49,9 +46,9 @@ class MotifCensus:
 
     ``counters`` aggregates the work the chosen engine actually
     performed; ``per_motif`` attributes search work to each motif (for
-    both engines it equals what a dedicated serial miner would report,
+    every engine it equals what a dedicated serial miner would report,
     so attributions are engine-independent).  ``sharing`` is populated
-    by the co-mining engine only.
+    by the family engine only.
     """
 
     delta: int
@@ -96,7 +93,7 @@ def count_motif_family(
 ) -> MotifCensus:
     """Exactly count every motif in ``motifs`` within δ windows.
 
-    ``engine="comine"`` mines the family in one shared traversal
+    ``engine="batched"`` mines the family in one shared trie walk
     (identical counts, shared-prefix work done once); ``num_workers >
     0`` shards root-range chunks across a worker pool for any engine.
     ``memoize`` is a :class:`MackeyMiner` cost-model knob with no chunk
@@ -145,11 +142,11 @@ def grid_census(
 ) -> Dict[Tuple[int, int], int]:
     """Count the full Paranjape 6x6 grid; returns counts keyed (row, col).
 
-    ``engine="comine"`` runs the whole grid in one shared traversal
+    ``engine="batched"`` runs the whole grid in one shared trie walk
     (every row's two-edge prefix searched once for its six motifs);
     ``num_workers > 0`` shards either engine's root-range chunks across
-    one shared :class:`~repro.mining.parallel.MiningPool`.  Counts are
-    identical across all four combinations by construction.
+    one worker pool.  Counts are identical across all four combinations
+    by construction.
     """
     census = grid_family_census(
         graph,

@@ -50,9 +50,11 @@ from repro.service.query import build_payload, payload_bytes
 #: Dispatch modes, in deployment-ladder order.
 MODES: Tuple[str, ...] = ("serial", "pooled", "supervised", "cluster")
 
-#: Engines every mode must agree on: every row of the engine table.
-#: ``comine`` is the shared family traversal (one pass for the whole
-#: motif family); the other two mine per-motif chunks.
+#: Engines every mode must agree on: every name in the engine table.
+#: ``mackey`` mines per-motif chunks; ``batched`` and ``comine`` are the
+#: one family engine (a shared trie walk per root range for the whole
+#: motif list), so both columns carry family chunks through every kill
+#: plan.
 ENGINES: Tuple[str, ...] = tuple(dispatch.ENGINES)
 
 #: One (count, counters-dict) pair per motif, the normalized result.
@@ -103,7 +105,7 @@ def payloads(
 
 def _count_many(runner, graph, motifs, delta, engine) -> List[MotifResult]:
     """One graph-first call, the same on every runner — ``engine`` is a
-    row of the engine table, ``comine`` included."""
+    name in the engine table."""
     results = runner.count_many(graph, list(motifs), delta, engine=engine)
     return [(r.count, r.counters.as_dict()) for r in results]
 

@@ -8,6 +8,37 @@ from typing import List, Tuple
 import pytest
 
 from repro.graph.temporal_graph import TemporalGraph
+from repro.motifs.catalog import M1, M2, PATH3, PING_PONG
+from repro.motifs.motif import Motif
+
+
+def _motif(name: str, *edges: Tuple[str, str]) -> Motif:
+    return Motif.from_labels(list(edges), name=name)
+
+
+#: One family holding every shape of trie node the family engine's walk
+#: distinguishes (``test_comine.py`` pins it on a fixed graph,
+#: ``test_property.py`` fuzzes it).
+WALKER_FAMILY = [
+    M1,
+    # The root step itself completes a motif; so does M1's own two-edge
+    # prefix: internal nodes with a completion.
+    _motif("edge", ("A", "B")),
+    _motif("m1-prefix", ("A", "B"), ("B", "C")),
+    M1,  # a duplicate: one completion node, two family members
+    M2,
+    PATH3,
+    PING_PONG,
+    # A non-leaf closing edge: its accepted rows come out of the pair index.
+    _motif("pong-then-out", ("A", "B"), ("B", "A"), ("A", "C")),
+    # Four nodes, four edges: three bound labels subtracted at the leaf.
+    _motif("cycle-then-out", ("A", "B"), ("B", "C"), ("C", "A"), ("A", "D")),
+    _motif("cycle-then-in", ("A", "B"), ("B", "C"), ("C", "A"), ("D", "B")),
+    # Disconnected: the edge-list tail scan, as a leaf and as an internal node.
+    _motif("two-islands", ("A", "B"), ("C", "D")),
+    _motif("islands-bridged", ("A", "B"), ("C", "D"), ("D", "A")),
+    _motif("islands-then-out", ("A", "B"), ("C", "D"), ("B", "E")),
+]
 
 
 def random_temporal_graph(

@@ -11,7 +11,10 @@ exercising the exact semantics of §II-A that off-by-one bugs hit first:
   deterministic nudge (``t' = max(t, prev' + 1)``), which can push the
   last edge of a would-be match just past the window;
 - self-loop graph edges never participate in a match (motif edges are
-  never self-loops), in any position — root, middle, or final edge.
+  never self-loops), in any position — root, middle, or final edge;
+- any δ at or past the graph's time span is the same whole-graph
+  window, up to the largest ``int64``: ``t_root + δ`` must saturate,
+  not wrap (the vectorised engine once crashed on ``δ = 2**63 - 1``).
 
 ``expected`` is the hand-derived count; every miner — Mackey,
 brute-force, task-centric, the streaming engine, the shared-traversal
@@ -44,6 +47,15 @@ class DeltaCase:
     def graph(self) -> TemporalGraph:
         return TemporalGraph(self.edges)
 
+
+#: Two consecutive M1 cycles over one node triple.  With the whole graph
+#: (span 260) in one window, six time-increasing cycles match: four
+#: starting at a 0->1 edge, and the rotations (e1, e2, e3) and
+#: (e2, e3, e4).  The two that pair the first edge with the last span
+#: exactly 260.
+_TWO_CYCLES = (
+    (0, 1, 0), (1, 2, 50), (2, 0, 100), (0, 1, 150), (1, 2, 200), (2, 0, 260),
+)
 
 DELTA_BOUNDARY_CASES: List[DeltaCase] = [
     # -- exact-span matches: t_l - t_1 == δ is IN the window ------------------
@@ -163,6 +175,16 @@ DELTA_BOUNDARY_CASES: List[DeltaCase] = [
         delta=100,
         expected=1,
     ),
+    # -- the whole graph is one window: δ saturates at the time span ----------
+    DeltaCase("whole-graph-delta-one-short-of-span", _TWO_CYCLES, M1, 259, 4),
+    DeltaCase("whole-graph-delta-is-span", _TWO_CYCLES, M1, 260, 6),
+    DeltaCase("whole-graph-delta-2**62", _TWO_CYCLES, M1, 2**62, 6),
+    DeltaCase(
+        # t_root + δ fits int64 for the first roots and wraps for the rest.
+        "whole-graph-delta-wraps-late-roots-only",
+        _TWO_CYCLES, M1, 2**63 - 1 - 260 + 5, 6,
+    ),
+    DeltaCase("whole-graph-delta-int64-max", _TWO_CYCLES, M1, 2**63 - 1, 6),
     # -- self-loop-free invariants --------------------------------------------
     DeltaCase(
         name="self-loop-never-roots",

@@ -1,20 +1,23 @@
-"""Byte-parity of the batched frontier engine against the scalar miner.
+"""Byte-parity of ``engine="batched"`` against the scalar miner.
 
-The engine's contract (the discipline ``repro.comine`` established):
-counts AND every `SearchCounters` field must be byte-identical to
-`MackeyMiner` — compared here as the canonical service payload bytes,
-so any drift in counts, counters, or their serialization fails.  The
-contract is checked everywhere the engine plugs in:
+``BatchedMiner`` is the family-of-one binding of the vectorised trie
+walk (``repro.comine.engine``; its trie-shaped cells live in
+``test_comine.py``).  The contract: counts AND every `SearchCounters`
+field must be byte-identical to `MackeyMiner` — compared here as the
+canonical service payload bytes, so any drift in counts, counters, or
+their serialization fails.  It is checked everywhere the engine name
+plugs in:
 
 - serial, across the motif catalog and the synthetic generator families;
 - chunked ``mine_range`` with commutative merge (any chunking);
-- pooled (``MiningPool`` with ``engine="batched"``);
-- supervised with injected worker kills (the ``"batched"`` chunk kind
-  retried across deaths);
+- pooled (``MiningPool`` with ``engine="batched"``: one family chunk
+  per root range);
+- supervised with injected worker kills (family chunks retried across
+  deaths);
 - service batch lanes (``InlineExecutor``/``PoolExecutor`` with
   ``engine="batched"``).
 
-Plus the engine's own edge contracts: cancel_check honored mid-frontier
+Plus the binding's own edge contracts: cancel_check honored mid-frontier
 and input validation.
 """
 
@@ -152,6 +155,8 @@ class TestPooledParity:
             results = pool.count_many(
                 list(CATALOG[:4]), DELTA, engine="batched"
             )
+            # One family chunk per root range, not one per (motif, range).
+            assert pool.stats.chunks_completed == results[0].num_chunks > 1
         for motif, r in zip(CATALOG[:4], results):
             got = payload(graph, motif, r.count, r.counters)
             assert got == expected[motif.name], motif.name
@@ -165,8 +170,9 @@ class TestPooledParity:
 @pytest.mark.timeout(300)
 class TestSupervisedChaosParity:
     def test_batched_chunks_survive_worker_kills(self, graph):
-        """Family + batched chunk kinds under injected deaths: byte
-        parity must hold for both in the same pool lifetime."""
+        """Family chunks under injected deaths, by either spelling of
+        the engine: byte parity must hold for both in the same pool
+        lifetime."""
         expected = scalar_payloads(graph, CATALOG)
         plan = FaultPlan.random_kills(5, WORKERS, WORKERS - 1)
         with SupervisedMiningPool(

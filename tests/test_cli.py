@@ -241,15 +241,18 @@ class TestJsonOutput:
         delta = g.time_span // 60
         assert main(["census", path, "--delta", str(delta)]) == 0
         text_out = capsys.readouterr().out
-        total = int(text_out.rsplit("total:", 1)[1].strip().replace(",", ""))
+        total_line = text_out.rsplit("total:", 1)[1].splitlines()[0]
+        total = int(total_line.strip().replace(",", ""))
+        # The default is the family engine, so the sharing summary follows.
+        assert "prefix-hit ratio" in text_out
         assert main(["census", path, "--delta", str(delta), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert set(payload) == {
             "graph", "delta", "engine", "grid", "total", "counters",
-            "per_motif",
+            "per_motif", "sharing",
         }
         assert payload["total"] == total
-        assert payload["engine"] == "mackey"
+        assert payload["engine"] == "batched"
         assert len(payload["grid"]) == 36
         assert len(payload["per_motif"]) == 36
         assert payload["graph"] == g.fingerprint()
@@ -259,8 +262,10 @@ class TestJsonOutput:
 
         path, g = graph_file
         delta = g.time_span // 60
-        assert main(["census", path, "--delta", str(delta), "--json"]) == 0
+        assert main(["census", path, "--delta", str(delta), "--json",
+                     "--engine", "mackey"]) == 0
         mackey = json.loads(capsys.readouterr().out)
+        assert mackey["engine"] == "mackey" and "sharing" not in mackey
         assert main(["census", path, "--delta", str(delta), "--json",
                      "--engine", "comine"]) == 0
         comine = json.loads(capsys.readouterr().out)
@@ -269,6 +274,10 @@ class TestJsonOutput:
         # Per-motif attribution is engine-independent (byte-identical).
         assert comine["per_motif"] == mackey["per_motif"]
         assert "sharing" in comine
+        # ``comine`` is only the older spelling of the default engine.
+        assert main(["census", path, "--delta", str(delta), "--json"]) == 0
+        default = json.loads(capsys.readouterr().out)
+        assert dict(default, engine="comine") == comine
         assert comine["sharing"]["trie_nodes"] < comine["sharing"]["unshared_nodes"]
         # Text mode prints the sharing summary line.
         assert main(["census", path, "--delta", str(delta),

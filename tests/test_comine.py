@@ -1,6 +1,6 @@
-"""Unit and parity tests for ``repro.comine`` (trie + co-mining engine).
+"""Unit and parity tests for ``repro.comine`` (trie + family engine).
 
-Two layers:
+Three layers:
 
 - **Trie construction** — deterministic shared-prefix merging of
   canonical edge-orderings: node counts, completion tags, path lookup,
@@ -11,13 +11,25 @@ Two layers:
   :class:`MackeyMiner` run, for singleton families, the full Paranjape
   grid, and generator graphs; plus sharing-stats arithmetic, chunked
   ``mine_range`` merging, and cancellation.
+- **Walker cells** — every shape of trie node the vectorised walk
+  treats differently (counted and materialized, closing, new-node and
+  tail edges, internal completions, duplicates), on a graph with
+  self-loops and multi-edges, against :class:`MackeyMiner` and the
+  brute-force oracle, under any root block, tile size, chunking and
+  family order; and the family-level counters pinned to what the scalar
+  co-miner this walk replaced reported.
 """
+
+import random
 
 import pytest
 
+from conftest import WALKER_FAMILY, random_temporal_graph
 from repro.comine import CoMiner, FamilyResult, MotifTrie, SharingStats, co_count
+from repro.comine import engine as comine_engine
 from repro.graph.generators import make_dataset
 from repro.graph.temporal_graph import TemporalGraph
+from repro.mining.bruteforce import brute_force_count
 from repro.mining.mackey import MackeyMiner
 from repro.mining.multi import count_motif_family, grid_family_census
 from repro.mining.parallel import MiningCancelled
@@ -191,8 +203,6 @@ class TestEngineParity:
             CoMiner(graph, [M1], -1)
         with pytest.raises(ValueError):
             CoMiner(graph, [], 10)
-        with pytest.raises(ValueError):
-            CoMiner(graph, [M1], 10, cancel_stride=0)
 
     def test_empty_graph(self):
         g = TemporalGraph([], num_nodes=2)
@@ -231,22 +241,173 @@ class TestEngineParity:
         assert fam.per_motif[0].as_dict() == solo.counters.as_dict()
 
 
+@pytest.fixture(scope="module")
+def loopy_graph():
+    """Few nodes, many edges: self-loops and repeated (u, v) pairs."""
+    return random_temporal_graph(
+        random.Random(23), 6, 90, time_range=200, allow_self_loops=True
+    )
+
+
+@pytest.fixture(scope="module")
+def loopy_reference(loopy_graph):
+    return [MackeyMiner(loopy_graph, m, WALKER_DELTA).mine() for m in WALKER_FAMILY]
+
+
+WALKER_DELTA = 45
+
+
+def assert_family_equals(result, reference, order=None):
+    order = range(len(reference)) if order is None else order
+    for pos, i in enumerate(order):
+        assert result.counts[pos] == reference[i].count, WALKER_FAMILY[i].name
+        assert (
+            result.per_motif[pos].as_dict() == reference[i].counters.as_dict()
+        ), WALKER_FAMILY[i].name
+
+
+class TestWalkerCells:
+    def test_fixture_is_not_vacuous(self, loopy_graph, loopy_reference):
+        g = loopy_graph
+        assert (g.src == g.dst).any()
+        assert len(set(zip(g.src.tolist(), g.dst.tolist()))) < g.num_edges
+        assert all(r.count > 0 for r in loopy_reference)
+        trie = MotifTrie(WALKER_FAMILY)
+        assert any(n.complete and n.child_order for n in trie.nodes())
+        assert max(n.seen for n in trie.nodes()) == 5
+
+    @pytest.mark.parametrize("root_block", [1, 7, 4096])
+    def test_family_equals_mackey_and_bruteforce(
+        self, loopy_graph, loopy_reference, root_block
+    ):
+        miner = CoMiner(loopy_graph, WALKER_FAMILY, WALKER_DELTA)
+        miner.root_block = root_block
+        result = miner.mine()
+        assert_family_equals(result, loopy_reference)
+        assert result.counts == [
+            brute_force_count(loopy_graph, m, WALKER_DELTA) for m in WALKER_FAMILY
+        ]
+
+    def test_tile_size_never_changes_results(
+        self, loopy_graph, loopy_reference, monkeypatch
+    ):
+        """The frontier bound: five candidate rows at a time, seven
+        roots a wave, and a five-label motif still count the same."""
+        full = CoMiner(loopy_graph, WALKER_FAMILY, WALKER_DELTA).mine()
+        monkeypatch.setattr(comine_engine, "TILE_ROWS", 5)
+        miner = CoMiner(loopy_graph, WALKER_FAMILY, WALKER_DELTA)
+        miner.root_block = 7
+        tiled = miner.mine()
+        assert_family_equals(tiled, loopy_reference)
+        assert tiled.counters.as_dict() == full.counters.as_dict()
+        assert tiled.sharing.as_dict() == full.sharing.as_dict()
+
+    @pytest.mark.parametrize("step", [1, 13, 1000])
+    def test_mine_range_splits_sum_to_mine(self, loopy_graph, loopy_reference, step):
+        miner = CoMiner(loopy_graph, WALKER_FAMILY, WALKER_DELTA)
+        acc = FamilyResult.empty(miner.trie)
+        for lo in range(0, loopy_graph.num_edges, step):
+            acc.merge(miner.mine_range(lo, lo + step))
+        assert_family_equals(acc, loopy_reference)
+        assert acc.as_payload() == miner.mine().as_payload()
+
+    def test_family_order_is_only_a_relabelling(self, loopy_graph, loopy_reference):
+        order = list(range(len(WALKER_FAMILY)))
+        random.Random(4).shuffle(order)
+        base = CoMiner(loopy_graph, WALKER_FAMILY, WALKER_DELTA).mine()
+        permuted = CoMiner(
+            loopy_graph, [WALKER_FAMILY[i] for i in order], WALKER_DELTA
+        ).mine()
+        assert_family_equals(permuted, loopy_reference, order)
+        assert permuted.counters.as_dict() == base.counters.as_dict()
+
+    def test_singletons_equal_the_family(self, loopy_graph, loopy_reference):
+        """The family-of-one binding is the same walk with nothing shared."""
+        from repro.mining.batched import BatchedMiner
+
+        for motif, ref in zip(WALKER_FAMILY, loopy_reference):
+            solo = BatchedMiner(loopy_graph, motif, WALKER_DELTA, root_block=7).mine()
+            assert solo.count == ref.count, motif.name
+            assert solo.counters.as_dict() == ref.counters.as_dict(), motif.name
+
+    def test_cancel_is_polled_between_trie_nodes(self, loopy_graph):
+        """One root block: every poll after the first comes from inside
+        the walk, not from the block loop."""
+        polls = []
+
+        def cancel() -> bool:
+            polls.append(1)
+            return len(polls) > 4
+
+        miner = CoMiner(loopy_graph, WALKER_FAMILY, WALKER_DELTA, cancel_check=cancel)
+        with pytest.raises(MiningCancelled):
+            miner.mine()
+        assert len(polls) == 5
+
+
+#: ``FamilyResult.counters`` and the dynamic ``SharingStats`` fields of
+#: the grid census, as reported by the scalar co-miner this walk
+#: replaced (captured at its last commit): (dataset, scale, δ divisor)
+#: -> (family counters, searches_unshared, candidates_unshared,
+#: bytes_unshared).  The two "candidate scans saved" figures are the
+#: sharing rows of the retired ``comine_census_speedup`` table.
+SCALAR_COMINER_GRID = {
+    ("email-eu", 0.12, 20): (
+        dict(searches=52776, candidates_scanned=230647, binary_searches=52776,
+             binary_search_steps=352696, neighbor_items_touched=230647,
+             bookkeeps=65153, backtracks=53256, matches=56357, root_tasks=480,
+             bytes_touched=3690352),
+        67176, 317842, 5085472,
+    ),
+    ("superuser", 0.08, 25): (
+        dict(searches=75456, candidates_scanned=331853, binary_searches=75456,
+             binary_search_steps=505042, neighbor_items_touched=331853,
+             bookkeeps=92642, backtracks=76096, matches=80066, root_tasks=640,
+             bytes_touched=5309648),
+        94656, 454773, 7276368,
+    ),
+}
+
+
+class TestFamilyAccounting:
+    @pytest.mark.parametrize("key", sorted(SCALAR_COMINER_GRID), ids=lambda k: k[0])
+    def test_grid_family_counters_equal_the_scalar_cominer(self, key):
+        name, scale, delta_div = key
+        counters, searches, candidates, bytes_ = SCALAR_COMINER_GRID[key]
+        g = make_dataset(name, scale=scale, seed=5)
+        result = CoMiner(g, GRID_MOTIFS, g.time_span // delta_div).mine()
+        assert result.counters.as_dict() == counters
+        s = result.sharing
+        assert (s.trie_nodes, s.unshared_nodes, s.shared_nodes) == (43, 108, 7)
+        assert (s.searches, s.candidates_scanned, s.bytes_touched) == (
+            counters["searches"], counters["candidates_scanned"],
+            counters["bytes_touched"],
+        )
+        assert (s.searches_unshared, s.candidates_unshared, s.bytes_unshared) == (
+            searches, candidates, bytes_,
+        )
+        assert s.traversals_saved == candidates - counters["candidates_scanned"]
+        assert 0.2 < s.prefix_hit_ratio < 0.22
+        assert s.traversal_sharing > 1.3
+
+
 class TestCensusEngine:
     def test_census_engines_agree(self, graph, delta):
         mackey = grid_family_census(graph, delta, engine="mackey")
-        comine = grid_family_census(graph, delta, engine="comine")
-        assert comine.engine == "comine"
-        assert comine.counts == mackey.counts
-        assert {k: v.as_dict() for k, v in comine.per_motif.items()} == {
-            k: v.as_dict() for k, v in mackey.per_motif.items()
-        }
-        assert comine.sharing is not None
         assert mackey.sharing is None
-        # The co-mining census does strictly less search work.
-        assert (
-            comine.counters.candidates_scanned
-            < mackey.counters.candidates_scanned
-        )
+        for engine in ("batched", "comine"):
+            family = grid_family_census(graph, delta, engine=engine)
+            assert family.engine == engine
+            assert family.counts == mackey.counts
+            assert {k: v.as_dict() for k, v in family.per_motif.items()} == {
+                k: v.as_dict() for k, v in mackey.per_motif.items()
+            }
+            # One shared walk does strictly less search work, and says so.
+            assert family.sharing is not None
+            assert family.sharing.traversals_saved == (
+                mackey.counters.candidates_scanned
+                - family.counters.candidates_scanned
+            ) > 0
 
     def test_count_motif_family_validates_arguments(self, graph):
         with pytest.raises(ValueError):

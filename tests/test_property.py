@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import WALKER_FAMILY
 from delta_cases import (
     COUNT_BACKENDS,
     DELTA_BOUNDARY_CASES,
@@ -119,6 +120,35 @@ class TestGraphInvariants:
             assert lo <= e.t
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(graph_strategy, st.data())
+    def test_range_index_equals_brute_force_counts(self, g, data):
+        """The composite-key index alone: per-node and per-pair edge
+        counts over an index range, on graphs with self-loops, repeated
+        (u, v) pairs and isolated node ids."""
+        index = g.range_index()
+        node = st.integers(0, g.num_nodes - 1)
+        bound = st.integers(0, g.num_edges)
+        rows = data.draw(st.lists(st.tuples(node, node, bound, bound), min_size=1))
+        a, b, lo, hi = (np.array(col, dtype=np.int64) for col in zip(*rows))
+        lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+        edges = np.arange(g.num_edges)
+        for key, ends, edge_of in (
+            (index.out_key, g.src, g.out_edge_idx),
+            (index.in_key, g.dst, g.in_edge_idx),
+        ):
+            start, end = index.node_ranges(key, a, lo, hi)
+            for i in range(len(rows)):
+                inside = (ends == a[i]) & (lo[i] <= edges) & (edges < hi[i])
+                assert edge_of[start[i]:end[i]].tolist() == edges[inside].tolist()
+        start, end = index.pair_ranges(a, b, lo, hi)
+        for i in range(len(rows)):
+            inside = (
+                (g.src == a[i]) & (g.dst == b[i]) & (lo[i] <= edges) & (edges < hi[i])
+            )
+            assert index.pair_edges[start[i]:end[i]].tolist() == edges[inside].tolist()
+
+
 class TestCountProperties:
     @settings(max_examples=40, deadline=None)
     @given(graph_strategy, motif_strategy, st.integers(0, 30))
@@ -162,6 +192,21 @@ class TestDeltaBoundary:
     @pytest.mark.parametrize(
         "case", DELTA_BOUNDARY_CASES, ids=lambda c: c.name
     )
+    def test_family_engine_counters_equal_mackey(self, case):
+        """Not only the count: at every boundary — the saturating δ rows
+        included — the vectorised walk charges exactly the scalar
+        miner's `SearchCounters`."""
+        from repro.mining.batched import BatchedMiner
+
+        g = case.graph()
+        scalar = MackeyMiner(g, case.motif, case.delta).mine()
+        vectorised = BatchedMiner(g, case.motif, case.delta).mine()
+        assert vectorised.count == scalar.count == case.expected
+        assert vectorised.counters.as_dict() == scalar.counters.as_dict()
+
+    @pytest.mark.parametrize(
+        "case", DELTA_BOUNDARY_CASES, ids=lambda c: c.name
+    )
     def test_all_backends_agree_at_perturbed_deltas(self, case):
         """Beyond the pinned expectation: at δ±1 all four backends still
         agree with the brute-force oracle (the off-by-one hot zone)."""
@@ -194,33 +239,37 @@ class TestDeltaBoundary:
 
 
 class TestCoMiningFamilies:
-    """The shared-traversal co-miner against the per-motif loop, as a
-    *family*: one traversal must reproduce not only every motif's count
-    but its exact per-motif search counters (the engine's byte-parity
-    contract)."""
+    """The family engine against the per-motif loop, as a *family*: one
+    trie walk must reproduce not only every motif's count (checked
+    against the brute-force oracle too) but its exact per-motif search
+    counters (the engine's byte-parity contract), whatever the root
+    block."""
 
     @settings(max_examples=30, deadline=None)
-    @given(graph_strategy, delta_strategy)
+    @given(graph_strategy, delta_strategy, st.sampled_from([1, 7, 4096]))
     def test_family_counts_and_counters_equal_dedicated_miners(
-        self, g, delta
+        self, g, delta, root_block
     ):
         from repro.comine import CoMiner
 
-        result = CoMiner(g, MOTIFS, delta).mine()
-        for i, motif in enumerate(MOTIFS):
+        miner = CoMiner(g, WALKER_FAMILY, delta)
+        miner.root_block = root_block
+        result = miner.mine()
+        for i, motif in enumerate(WALKER_FAMILY):
             solo = MackeyMiner(g, motif, delta).mine()
             assert result.counts[i] == solo.count, motif.name
+            assert result.counts[i] == brute_force_count(g, motif, delta), motif.name
             assert (
                 result.per_motif[i].as_dict() == solo.counters.as_dict()
             ), motif.name
 
     @settings(max_examples=20, deadline=None)
-    @given(graph_strategy, delta_strategy, st.permutations(range(4)))
+    @given(graph_strategy, delta_strategy, st.permutations(range(len(WALKER_FAMILY))))
     def test_family_order_does_not_change_results(self, g, delta, order):
         from repro.comine import CoMiner
 
-        base = CoMiner(g, MOTIFS, delta).mine()
-        permuted = CoMiner(g, [MOTIFS[i] for i in order], delta).mine()
+        base = CoMiner(g, WALKER_FAMILY, delta).mine()
+        permuted = CoMiner(g, [WALKER_FAMILY[i] for i in order], delta).mine()
         for pos, i in enumerate(order):
             assert permuted.counts[pos] == base.counts[i]
             assert (
@@ -233,13 +282,13 @@ class TestCoMiningFamilies:
 
 
 class TestBatchedFrontier:
-    """The vectorized frontier engine against the scalar miner: counts
-    AND the full `SearchCounters` must match byte-for-byte on arbitrary
+    """The family-of-one binding against the scalar miner: counts AND
+    the full `SearchCounters` must match byte-for-byte on arbitrary
     graphs, windows, and root-block sizes (the block size may change
     memory behaviour, never results)."""
 
     @settings(max_examples=30, deadline=None)
-    @given(graph_strategy, motif_strategy, delta_strategy,
+    @given(graph_strategy, st.sampled_from(WALKER_FAMILY), delta_strategy,
            st.integers(1, 40))
     def test_counts_and_counters_equal_mackey(self, g, motif, delta, block):
         from repro.mining.batched import BatchedMiner
@@ -250,7 +299,7 @@ class TestBatchedFrontier:
         assert batched.counters.as_dict() == scalar.counters.as_dict()
 
     @settings(max_examples=20, deadline=None)
-    @given(graph_strategy, motif_strategy, delta_strategy,
+    @given(graph_strategy, st.sampled_from(WALKER_FAMILY), delta_strategy,
            st.integers(1, 15))
     def test_mine_range_chunks_merge_to_full_run(self, g, motif, delta, step):
         from repro.mining.batched import BatchedMiner

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.graph.temporal_graph import TemporalEdge, TemporalGraph
+from repro.graph.temporal_graph import RangeIndex, TemporalEdge, TemporalGraph
 
 
 class TestConstruction:
@@ -139,6 +139,44 @@ class TestSearchHelpers:
             for probe in range(-1, g.num_edges + 1):
                 want = sum(1 for e in slice_idx if e <= probe)
                 assert g.first_in_after(u, probe) == want, (u, probe)
+
+
+class TestRangeIndex:
+    def test_cached_on_the_graph(self, burst_graph):
+        assert burst_graph.range_index() is burst_graph.range_index()
+
+    def test_keys_are_sorted_and_pairs_rank_compressed(self, burst_graph):
+        g, index = burst_graph, burst_graph.range_index()
+        for key in (index.out_key, index.in_key, index.pair_key):
+            assert (np.diff(key) > 0).all()
+        # 9 edges over 6 distinct (src, dst) pairs: the pair key is
+        # bounded by pairs x edges, not by nodes squared x edges.
+        assert len(index.pair_codes) - 1 == 6
+        assert index.pair_key.max() < 6 * index.stride
+        assert sorted(index.pair_edges.tolist()) == list(range(g.num_edges))
+
+    def test_absent_pair_is_an_empty_range(self, burst_graph):
+        index = burst_graph.range_index()
+        every = np.zeros(2, dtype=np.int64), np.full(2, burst_graph.num_edges)
+        a, b = np.array([2, 0]), np.array([2, 1])  # 2 -> 2 never occurs
+        start, end = index.pair_ranges(a, b, *every)
+        assert (end - start).tolist() == [0, 3]
+
+    def test_bisect_steps_are_exact_bit_lengths(self, burst_graph):
+        degrees = np.array([0, 1, 2, 3, 4, 7, 8, 2**40 - 1, 2**40])
+        steps = burst_graph.range_index()._bisect_steps(degrees)
+        assert steps.tolist() == [max(1, int(d).bit_length()) for d in degrees]
+
+    def test_extent_past_int64_keys_fails_loud(self, tiny_graph):
+        """A composite key that could wrap is a ValueError naming the
+        limit when the index is built, never a silent wrong answer."""
+        limit = RangeIndex.MAX_EXTENT
+        assert limit**2 <= np.iinfo(np.int64).max < (limit + 1) ** 2
+        tiny_graph._num_nodes = limit  # the largest extent that fits
+        RangeIndex(tiny_graph)
+        tiny_graph._num_nodes = limit + 1
+        with pytest.raises(ValueError, match=str(limit)):
+            RangeIndex(tiny_graph)
 
 
 class TestProjectionsAndSlices:
