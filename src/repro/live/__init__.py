@@ -3,9 +3,11 @@
 Turns the serving layer from request/response into ingest/notify:
 clients append edge batches to named mutable graphs
 (:class:`~repro.live.ingest.LiveGraph`), register standing motif
-queries (:class:`~repro.live.subscriptions.Subscription`) and receive
-pushed events — per-window updates and threshold alerts — through
-bounded at-least-once outboxes (:class:`~repro.live.outbox.Outbox`).
+queries (:class:`~repro.live.subscriptions.Subscription`, views over
+one :class:`~repro.live.subscriptions.SharedCounter` per distinct
+query) and receive pushed events — per-window updates and threshold
+alerts — through bounded at-least-once outboxes
+(:class:`~repro.live.outbox.Outbox`).
 Every live firing is checkable byte-for-byte against an offline
 ``repro.streaming`` replay (:mod:`repro.live.oracle`).
 """
@@ -22,6 +24,7 @@ from repro.live.outbox import Outbox
 from repro.live.subscriptions import (
     THRESHOLD,
     UPDATE,
+    SharedCounter,
     Subscription,
     WindowTracker,
 )
@@ -31,6 +34,7 @@ __all__ = [
     "LiveManager",
     "Outbox",
     "ReorderBuffer",
+    "SharedCounter",
     "SubSpec",
     "Subscription",
     "THRESHOLD",

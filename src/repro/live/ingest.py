@@ -19,15 +19,27 @@ engines:
    before any mutation), released edges flow through the shared
    :class:`~repro.streaming.window.StreamBuffer` (whose timestamp
    uniquification keeps snapshots byte-identical to an offline replay)
-   and into every standing subscription's engine, then the graph
-   **version** bumps and subscriptions are evaluated once.
+   and into every :class:`~repro.live.subscriptions.SharedCounter` —
+   one per *distinct* standing query, however many subscriptions read
+   it — then the graph **version** bumps, each counter's window expires
+   once and every subscription is evaluated against its counter.
+
+   Counters are interned by ``(motif.canonical_key(), δ, edges released
+   when the subscription attached)``.  The attach position is what keeps
+   sharing exact: two subscriptions share a counter iff they have seen
+   the same suffix of the released stream, so a subscriber that opens
+   mid-feed gets its own counter and counts only matches lying wholly
+   after it opened.
 
 3. Ingestion is **idempotent per batch sequence number**: a retried
    batch (client timeout, killed worker) whose ``seq`` was already
    applied returns the original ack with ``duplicate: true`` instead of
-   double-applying.  The two fault-injection sites bracket the commit —
-   ``live.ingest`` fires *before* any mutation and ``live.ingest.ack``
-   *after* it — so a seeded crash at either point plus a retry proves
+   double-applying.  The ledger is a run of consecutive applied seqs
+   (two integers) plus the stragglers outside it, so a producer that
+   numbers its batches consecutively costs O(1) memory.  The two
+   fault-injection sites bracket the commit — ``live.ingest`` fires
+   *before* any mutation and ``live.ingest.ack`` *after* it — so a
+   seeded crash at either point plus a retry proves
    no-loss/no-duplication (the `repro chaos --live` drill).
 """
 
@@ -40,7 +52,7 @@ from collections import OrderedDict
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.graph.temporal_graph import TemporalGraph
-from repro.live.subscriptions import Subscription
+from repro.live.subscriptions import SharedCounter, Subscription
 from repro.resilience.faults import fault_point
 from repro.streaming.window import StreamBuffer
 
@@ -161,7 +173,8 @@ class LiveGraph:
 
     Owns the ingestion lock, the reorder buffer, the shared
     :class:`StreamBuffer` (edge log + δ-window ring), the standing
-    subscriptions attached to it, and the per-batch idempotency ledger.
+    subscriptions attached to it with the interned counters they read,
+    and the per-batch idempotency ledger.
     The **version** counts applied snapshots: it bumps exactly when at
     least one edge reaches the edge log, so every version names distinct
     content and ``(name, version)`` is a stable cache key.
@@ -184,8 +197,13 @@ class LiveGraph:
         self.reorder = ReorderBuffer(lateness, reorder_capacity)
         self.version = 0
         self.subscriptions: "OrderedDict[str, Subscription]" = OrderedDict()
+        #: Interned incremental state, ref-counted by attach/detach.
+        self._counters: Dict[Tuple, SharedCounter] = {}
         #: seq -> ack for recently applied batches (bounded, FIFO evict).
         self._acks: "OrderedDict[int, Dict]" = OrderedDict()
+        #: Applied seqs: every seq in [_run_lo, _run_hi), plus the sparse
+        #: set of those applied outside that run.
+        self._run_lo = self._run_hi = 0
         self._applied_seqs: set = set()
         self._auto_seq = itertools.count(1)
         #: Called under the lock after every version bump (cache/registry
@@ -233,7 +251,7 @@ class LiveGraph:
         with self.lock:
             if seq is not None:
                 seq = int(seq)
-                if seq in self._applied_seqs:
+                if self._is_applied(seq):
                     ack = self._acks.get(seq)
                     if ack is None:
                         ack = {"graph": self.name, "seq": seq,
@@ -246,13 +264,25 @@ class LiveGraph:
                     return ack
             else:
                 seq = next(self._auto_seq)
-                while seq in self._applied_seqs:
+                while self._is_applied(seq):
                     seq = next(self._auto_seq)
             ack = self._apply(batch, seq, flush)
         # Crash-after-commit site: the batch is applied and remembered;
         # a retry hits the duplicate path above — no double-apply.
         fault_point("live.ingest.ack", graph=self.name, batch=seq)
         return ack
+
+    def _is_applied(self, seq: int) -> bool:
+        return self._run_lo <= seq < self._run_hi or seq in self._applied_seqs
+
+    def _mark_applied(self, seq: int) -> None:
+        if self._run_lo == self._run_hi:  # first batch: the run starts here
+            self._run_lo, self._run_hi = seq, seq + 1
+        else:
+            self._applied_seqs.add(seq)
+        while self._run_hi in self._applied_seqs:
+            self._applied_seqs.remove(self._run_hi)
+            self._run_hi += 1
 
     def _apply(self, batch: List[Edge], seq: int, flush: bool) -> Dict:
         accepted = 0
@@ -261,22 +291,24 @@ class LiveGraph:
                 accepted += 1
         released = self.reorder.flush() if flush else self.reorder.release_ready()
 
-        batch_completed = {sub_id: 0 for sub_id in self.subscriptions}
+        counters = self._counters.values()  # stable: we hold the lock
+        for counter in counters:
+            counter.batch_completed = 0
         for s, d, t in released:
             _, t_adj = self.buffer.append(s, d, t)
             self.edges_ingested += 1
-            for sub_id, sub in self.subscriptions.items():
-                batch_completed[sub_id] += sub.advance(s, d, t_adj)
+            for counter in counters:
+                counter.advance(s, d, t_adj)
 
         events: List[Dict] = []
         if released:
             self.version += 1
             t_now = self.buffer.t_now
             window_edges = self.buffer.window_size
-            for sub_id, sub in self.subscriptions.items():
-                event = sub.evaluate(
-                    self.version, t_now, batch_completed[sub_id], window_edges
-                )
+            for counter in counters:
+                counter.window.expire(t_now)
+            for sub in self.subscriptions.values():
+                event = sub.evaluate(self.version, t_now, window_edges)
                 if event is not None:
                     events.append(event)
             if self._on_commit is not None:
@@ -297,7 +329,7 @@ class LiveGraph:
             "t_now": self.buffer.t_now,
             "events": len(events),
         }
-        self._applied_seqs.add(seq)
+        self._mark_applied(seq)
         self._acks[seq] = ack
         while len(self._acks) > ACK_CACHE_SIZE:
             self._acks.popitem(last=False)
@@ -306,20 +338,42 @@ class LiveGraph:
     # -- subscriptions ---------------------------------------------------------
 
     def attach(self, sub: Subscription) -> None:
+        """Point ``sub`` at the counter for its query, opening it if new.
+
+        Subscriptions share a counter iff motif shape, δ and the number
+        of edges released so far all agree — i.e. they will see exactly
+        the same edges — so sharing never changes what any of them counts.
+        """
         with self.lock:
             if sub.sub_id in self.subscriptions:
                 raise ValueError(
                     f"subscription {sub.sub_id!r} already attached"
                 )
+            key = (sub.motif.canonical_key(), sub.delta, self.buffer.num_edges)
+            counter = self._counters.get(key)
+            if counter is None:
+                counter = SharedCounter(key, sub.motif, sub.delta)
+                self._counters[key] = counter
+            counter.refs += 1
+            sub.counter = counter
             self.subscriptions[sub.sub_id] = sub
 
     def detach(self, sub_id: str) -> Subscription:
         with self.lock:
             sub = self.subscriptions.pop(sub_id, None)
+            if sub is not None:
+                sub.counter.refs -= 1
+                if sub.counter.refs == 0:
+                    del self._counters[sub.counter.key]
         if sub is None:
             raise KeyError(sub_id)
         sub.close()
         return sub
+
+    @property
+    def shared_counters(self) -> int:
+        """Distinct counters the attached subscriptions are views over."""
+        return len(self._counters)
 
     # -- snapshots / introspection ---------------------------------------------
 
@@ -346,6 +400,7 @@ class LiveGraph:
                 "t_now": self.buffer.t_now,
                 "batches_applied": self.batches_applied,
                 "subscriptions": len(self.subscriptions),
+                "counters": self.shared_counters,
                 "window_fingerprint": window.fingerprint(),
                 "reorder": self.reorder.stats(),
             }
@@ -355,6 +410,7 @@ class LiveGraph:
             for sub in self.subscriptions.values():
                 sub.close()
             self.subscriptions.clear()
+            self._counters.clear()
 
     def __repr__(self) -> str:
         return (

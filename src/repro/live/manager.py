@@ -247,10 +247,14 @@ class LiveManager:
         with self._lock:
             live_graphs = len(self._graphs)
             live_subscriptions = len(self._subs)
+            live_shared_counters = sum(
+                live.shared_counters for live in self._graphs.values()
+            )
         q = self.delivery_lag.quantiles()
         return {
             "live_graphs": live_graphs,
             "live_subscriptions": live_subscriptions,
+            "live_shared_counters": live_shared_counters,
             "delivery_lag_p50_s": q["p50_s"],
             "delivery_lag_p99_s": q["p99_s"],
             "delivery_lag_samples": self.delivery_lag.recorded_total,

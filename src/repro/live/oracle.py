@@ -4,19 +4,24 @@ The live path and this oracle share *nothing* of the counting plumbing:
 
 - **live** routes edges through a :class:`ReorderBuffer`, one shared
   :class:`StreamBuffer` (which computes adjusted timestamps once per
-  graph), and hands ``(src, dst, t_adj)`` to each subscription's
-  :class:`MotifStreamEngine`;
-- **offline** feeds each subscription an independent
+  graph), and hands ``(src, dst, t_adj)`` to one interned
+  :class:`~repro.live.subscriptions.SharedCounter` per distinct
+  ``(motif, δ, attach position)``, which any number of subscriptions
+  read;
+- **offline** feeds each subscription an independent, *private*
   :class:`~repro.streaming.counter.StreamingCounter` — the canonical
   PR-2 replay machinery, owning its *own* buffer and its own timestamp
-  adjustment — over the time-sorted edge sequence.
+  adjustment — and its own completion window and alert latch, over the
+  time-sorted edge sequence.
 
-What they do share are the event builders and the
-:class:`~repro.live.subscriptions.WindowTracker` evaluation rule, so a
+What they do share are the event builders, the
+:class:`~repro.live.subscriptions.WindowTracker` expiry rule and the
+:func:`~repro.live.subscriptions.crossed` arming rule, so a
 byte-for-byte match between live firings and oracle events proves the
-live data path (reordering, shared-buffer adjustment, per-batch
-evaluation, outbox seq stamping) is equivalent to an offline replay —
-not merely that one formatting function agrees with itself.
+live data path (reordering, shared-buffer adjustment, counter sharing,
+per-batch evaluation, outbox seq stamping) is equivalent to an
+unshared offline replay — not merely that one formatting function
+agrees with itself.
 
 The oracle consumes the ingest **schedule** — ``(version,
 released_count)`` per committed batch, read off the live acks — so it
@@ -37,6 +42,7 @@ from repro.live.subscriptions import (
     WindowTracker,
     build_alert_event,
     build_update_event,
+    crossed,
 )
 from repro.motifs.motif import Motif
 from repro.streaming.counter import StreamingCounter
@@ -93,11 +99,13 @@ def offline_replay(
     """
     counters: Dict[str, StreamingCounter] = {}
     trackers: Dict[str, WindowTracker] = {}
+    armed: Dict[str, bool] = {}
     seqs: Dict[str, int] = {}
     events: Dict[str, List[Dict]] = {}
     for spec in specs:
         counters[spec.sub_id] = StreamingCounter(spec.motif, int(spec.delta))
         trackers[spec.sub_id] = WindowTracker(int(spec.delta))
+        armed[spec.sub_id] = True
         seqs[spec.sub_id] = 0
         events[spec.sub_id] = []
 
@@ -144,18 +152,22 @@ def offline_replay(
                     tracker.window_count,
                     window_edges,
                 )
-            elif spec.kind == THRESHOLD and tracker.crossed(spec.threshold):
-                event = build_alert_event(
-                    spec.sub_id,
-                    graph_name,
-                    spec.motif.name,
-                    spec.delta,
-                    version,
-                    t_now,
-                    counters[spec.sub_id].count,
-                    tracker.window_count,
-                    spec.threshold,
+            elif spec.kind == THRESHOLD:
+                fired, armed[spec.sub_id] = crossed(
+                    tracker.window_count, spec.threshold, armed[spec.sub_id]
                 )
+                if fired:
+                    event = build_alert_event(
+                        spec.sub_id,
+                        graph_name,
+                        spec.motif.name,
+                        spec.delta,
+                        version,
+                        t_now,
+                        counters[spec.sub_id].count,
+                        tracker.window_count,
+                        spec.threshold,
+                    )
             if event is not None:
                 seqs[spec.sub_id] += 1
                 event["seq"] = seqs[spec.sub_id]

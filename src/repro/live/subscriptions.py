@@ -12,19 +12,22 @@ pushes.  Two kinds:
   then re-arm once it falls back to or below it (edge-triggered, so a
   sustained burst produces one alert, not one per batch).
 
-Each subscription owns its incremental state — one
+Subscriptions are **views**: the incremental state — one
 :class:`~repro.streaming.counter.MotifStreamEngine` (the same
 continuation tables, under the same heap-eviction memory bounds, as the
 offline streaming counters) plus a :class:`WindowTracker` deque of
-recent completion times — and is advanced *per ingest batch*, not per
-query: a batch touching a graph with a hundred standing subscriptions
-costs one pass over the released edges per subscription engine and zero
-mining runs.
+recent completion times — lives in a :class:`SharedCounter` that the
+owning ``LiveGraph`` interns per distinct standing query, so a hundred
+subscriptions over fourteen (motif, δ) pairs advance fourteen engines
+per released edge, not a hundred.  A :class:`Subscription` keeps only
+what is the subscriber's own: id, the motif as the subscriber spelled
+it, kind, threshold, the alert latch, the fire count and the outbox.
 
-Event payloads are built by the module-level builders below, which the
-offline oracle (:mod:`repro.live.oracle`) shares — so "live firings
-byte-match offline replay" compares the *state machines and the
-delivery plumbing*, not two copies of a formatting function.
+Event payloads are built by the module-level builders below and alerts
+armed by :func:`crossed`, all of which the offline oracle
+(:mod:`repro.live.oracle`) shares — so "live firings byte-match offline
+replay" compares the *state machines and the delivery plumbing*, not
+two copies of a formatting function.
 """
 
 from __future__ import annotations
@@ -98,23 +101,22 @@ def build_alert_event(
 
 
 class WindowTracker:
-    """Matches completed in the trailing δ-window, plus alert arming.
+    """Matches completed in the trailing δ-window.
 
-    Shared verbatim by the live :class:`Subscription` and the offline
-    oracle so the two sides' *evaluation rule* is identical by
-    construction; what parity then proves is that the live engines saw
-    exactly the edges the offline replay did, in the same order, at the
-    same batch boundaries.
+    One per :class:`SharedCounter` on the live side and one per spec in
+    the offline oracle, so both sides expire completions by the same
+    rule; what parity then proves is that the live engines saw exactly
+    the edges the offline replay did, in the same order, at the same
+    batch boundaries.
     """
 
-    __slots__ = ("delta", "_recent", "window_count", "armed")
+    __slots__ = ("delta", "_recent", "window_count")
 
     def __init__(self, delta: int) -> None:
         self.delta = int(delta)
         #: (completion_time, completions) per completing edge, oldest first.
         self._recent: Deque[Tuple[int, int]] = deque()
         self.window_count = 0
-        self.armed = True
 
     def record(self, t_completed: int, completions: int) -> None:
         if completions > 0:
@@ -127,18 +129,52 @@ class WindowTracker:
         while recent and recent[0][0] < horizon:
             self.window_count -= recent.popleft()[1]
 
-    def crossed(self, threshold: int) -> bool:
-        """Edge-triggered threshold check; mutates the arming latch."""
-        if self.window_count > threshold:
-            fired = self.armed
-            self.armed = False
-            return fired
-        self.armed = True
-        return False
+
+def crossed(window_count: int, threshold: int, armed: bool) -> Tuple[bool, bool]:
+    """The edge-triggered alert rule: ``(fired, armed afterwards)``.
+
+    Fires when the window count is above the threshold and the latch is
+    armed, disarms while it stays above, re-arms once it is back at or
+    below.  The live subscriptions and the offline oracle both call
+    this, each keeping its own latch.
+    """
+    if window_count > threshold:
+        return armed, False
+    return False, True
+
+
+class SharedCounter:
+    """The incremental state of one distinct standing query.
+
+    One :class:`MotifStreamEngine` plus one :class:`WindowTracker`,
+    interned by the owning :class:`~repro.live.ingest.LiveGraph` under
+    ``(motif.canonical_key(), δ, edges released at attach)`` and
+    advanced once per released edge however many subscriptions point at
+    it (``refs``).
+    """
+
+    __slots__ = ("key", "engine", "window", "batch_completed", "refs")
+
+    def __init__(self, key: Tuple, motif: Motif, delta: int) -> None:
+        self.key = key
+        self.engine = MotifStreamEngine(motif, delta)
+        self.window = WindowTracker(delta)
+        #: Completions since the current ingest batch began.
+        self.batch_completed = 0
+        self.refs = 0
+
+    def advance(self, s: int, d: int, t_adj: int) -> None:
+        """Feed one released edge (under the owning graph's lock)."""
+        completed = self.engine.advance(s, d, t_adj)
+        if completed:
+            self.window.record(t_adj, completed)
+            self.batch_completed += completed
 
 
 class Subscription:
-    """One standing motif query and its delivery outbox."""
+    """One standing motif query: a view over a :class:`SharedCounter`
+    plus what is the subscriber's own — kind, threshold, the alert
+    latch, the fire count and the delivery outbox."""
 
     def __init__(
         self,
@@ -169,8 +205,10 @@ class Subscription:
         self.delta = int(delta)
         self.kind = kind
         self.threshold = threshold
-        self.engine = MotifStreamEngine(motif, self.delta)
-        self.tracker = WindowTracker(self.delta)
+        #: Set by :meth:`LiveGraph.attach` and kept after detach, when it
+        #: moves only for as long as another subscription still reads it.
+        self.counter: Optional[SharedCounter] = None
+        self.armed = True
         self.outbox = Outbox(
             sub_id,
             capacity=outbox_capacity,
@@ -182,24 +220,16 @@ class Subscription:
 
     # -- evaluation (called under the owning LiveGraph's lock) -----------------
 
-    def advance(self, s: int, d: int, t_adj: int) -> int:
-        """Feed one released edge; returns completions it produced."""
-        completed = self.engine.advance(s, d, t_adj)
-        self.tracker.record(t_adj, completed)
-        return completed
-
     def evaluate(
-        self,
-        version: int,
-        t_now: int,
-        batch_completed: int,
-        window_edges: int,
+        self, version: int, t_now: int, window_edges: int
     ) -> Optional[Dict]:
         """End-of-batch evaluation; returns the emitted event (if any).
 
-        The emitted event is already appended to the outbox.
+        The counter has already been advanced and its window expired for
+        this batch.  The emitted event is already appended to the outbox.
         """
-        self.tracker.expire(t_now)
+        counter = self.counter
+        window_count = counter.window.window_count
         event: Optional[Dict] = None
         if self.kind == UPDATE:
             event = build_update_event(
@@ -209,23 +239,27 @@ class Subscription:
                 self.delta,
                 version,
                 t_now,
-                self.engine.count,
-                batch_completed,
-                self.tracker.window_count,
+                counter.engine.count,
+                counter.batch_completed,
+                window_count,
                 window_edges,
             )
-        elif self.tracker.crossed(self.threshold):
-            event = build_alert_event(
-                self.sub_id,
-                self.graph_name,
-                self.motif.name,
-                self.delta,
-                version,
-                t_now,
-                self.engine.count,
-                self.tracker.window_count,
-                self.threshold,
+        else:
+            fired, self.armed = crossed(
+                window_count, self.threshold, self.armed
             )
+            if fired:
+                event = build_alert_event(
+                    self.sub_id,
+                    self.graph_name,
+                    self.motif.name,
+                    self.delta,
+                    version,
+                    t_now,
+                    counter.engine.count,
+                    window_count,
+                    self.threshold,
+                )
         if event is not None:
             self.fires += 1
             self.outbox.append(event)
@@ -236,24 +270,25 @@ class Subscription:
     @property
     def count(self) -> int:
         """Cumulative matches completed since the subscription opened."""
-        return self.engine.count
+        return self.counter.engine.count if self.counter else 0
 
     def status(self) -> Dict:
+        counter = self.counter
         st = {
             "subscription": self.sub_id,
             "graph": self.graph_name,
             "motif": self.motif.name,
             "delta": self.delta,
             "kind": self.kind,
-            "count": self.engine.count,
-            "window_count": self.tracker.window_count,
-            "live_partials": self.engine.live_partials,
+            "count": self.count,
+            "window_count": counter.window.window_count if counter else 0,
+            "live_partials": counter.engine.live_partials if counter else 0,
             "fires": self.fires,
             "outbox": self.outbox.stats(),
         }
         if self.kind == THRESHOLD:
             st["threshold"] = self.threshold
-            st["armed"] = self.tracker.armed
+            st["armed"] = self.armed
         return st
 
     def close(self) -> None:

@@ -2,7 +2,15 @@
 
 A deliberately dependency-free front door (``http.server`` +
 ``ThreadingHTTPServer``; one thread per connection feeding the shared
-scheduler).  Routes:
+scheduler).  Every response leaves through :meth:`_send` as **one
+write** — header block and body in a single segment — on a socket with
+``TCP_NODELAY`` set; the SSE stream writes its header block once and
+then one segment per batch of frames.  (Headers and body as two small
+writes on a keep-alive socket cost every response ~40 ms: Nagle holds
+the second until the client's delayed ACK of the first.)  A request
+body no route consumed is drained before the response, or the
+connection is closed, so the next request on a keep-alive connection is
+never parsed out of leftover bytes.  Routes:
 
 - ``GET  /healthz`` — health probe: queue depth, per-graph breaker
   states, worker liveness and the degraded flag.  200 while the
@@ -61,6 +69,11 @@ from repro.service.query import QueryRejected, QueryResult, UnknownGraph
 from repro.service.service import MotifService
 
 
+#: Largest unread request body drained to keep a connection reusable;
+#: past it the response carries ``Connection: close`` instead.
+MAX_DRAIN_BYTES = 1 << 20
+
+
 class _HTTPError(Exception):
     def __init__(self, status: int, message: str) -> None:
         super().__init__(message)
@@ -81,6 +94,10 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
 
     server_version = "mint-repro-serve/1.0"
     protocol_version = "HTTP/1.1"
+    #: ``wfile`` stays unbuffered, so one ``write`` is one ``sendall``.
+    wbufsize = 0
+    #: socketserver's name for TCP_NODELAY on every accepted socket.
+    disable_nagle_algorithm = True
 
     @property
     def service(self) -> MotifService:
@@ -92,30 +109,64 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
 
     # -- plumbing --------------------------------------------------------------
 
+    def parse_request(self) -> bool:
+        self._body_read = False
+        return super().parse_request()
+
+    def _send(
+        self,
+        status: int,
+        content_type: str,
+        raw: bytes,
+        headers: Optional[Dict[str, str]] = None,
+    ) -> None:
+        """The one way a response leaves: headers + body in one write."""
+        self.send_response(status)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(raw)))
+        for name, value in (headers or {}).items():
+            self.send_header(name, value)
+        if not self._discard_unread_body():
+            self.send_header("Connection", "close")
+        # end_headers() would flush the header block as a segment of its
+        # own; ride the body on the same buffer instead.
+        self._headers_buffer.append(b"\r\n" + raw)
+        self.flush_headers()
+
     def _send_json(
         self, status: int, body: Dict, headers: Optional[Dict[str, str]] = None
     ) -> None:
         raw = json.dumps(body, sort_keys=True).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(raw)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(raw)
+        self._send(status, "application/json", raw, headers)
 
     def _send_text(self, status: int, text: str) -> None:
-        raw = text.encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "text/plain; charset=utf-8")
-        self.send_header("Content-Length", str(len(raw)))
-        self.end_headers()
-        self.wfile.write(raw)
+        self._send(status, "text/plain; charset=utf-8", text.encode())
+
+    def _discard_unread_body(self) -> bool:
+        """False when a declared request body is still on the socket.
+
+        A route that answered without reading its body (unknown path, an
+        error raised first, DELETE) would otherwise leave those bytes to
+        be parsed as the next request line.  Small ones are drained.
+        """
+        if self._body_read:
+            return True
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            return False
+        if length > MAX_DRAIN_BYTES:
+            return False
+        if length > 0:
+            self.rfile.read(length)
+        self._body_read = True
+        return True
 
     def _read_body(self) -> Dict:
         length = int(self.headers.get("Content-Length") or 0)
         if length <= 0:
             raise _HTTPError(400, "a JSON request body is required")
+        self._body_read = True
         try:
             body = json.loads(self.rfile.read(length))
         except (ValueError, UnicodeDecodeError) as exc:
@@ -436,7 +487,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Type", "text/event-stream")
         self.send_header("Cache-Control", "no-cache")
         self.send_header("Connection", "close")
-        self.end_headers()
+        self.end_headers()  # one write: the whole header block
         sent = 0
         try:
             while True:
@@ -450,18 +501,16 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                     if sub.outbox.closed:
                         return
                     self.wfile.write(b": heartbeat\n\n")
-                    self.wfile.flush()
                     continue
-                for event in events:
-                    frame = (
-                        f"id: {event['seq']}\n"
-                        f"event: {event['type']}\n"
-                        f"data: {json.dumps(event, sort_keys=True)}\n\n"
-                    )
-                    self.wfile.write(frame.encode())
-                    after = max(after, int(event["seq"]))
-                    sent += 1
-                self.wfile.flush()
+                frames = [
+                    f"id: {event['seq']}\n"
+                    f"event: {event['type']}\n"
+                    f"data: {json.dumps(event, sort_keys=True)}\n\n"
+                    for event in events
+                ]
+                self.wfile.write("".join(frames).encode())
+                after = max(after, *(int(event["seq"]) for event in events))
+                sent += len(events)
         except (BrokenPipeError, ConnectionResetError):
             return  # client went away; the outbox keeps their cursor safe
 

@@ -202,9 +202,12 @@ class ServiceMetrics:
     events_dropped: int = 0
     #: Synthetic gap events surfaced to lagging consumers.
     gap_events: int = 0
-    #: Gauges: live graphs and standing subscriptions right now.
+    #: Gauges: live graphs and standing subscriptions right now, and the
+    #: distinct (motif, δ, attach position) counters those subscriptions
+    #: are views over — the engines ingest actually advances.
     live_graphs: int = 0
     live_subscriptions: int = 0
+    live_shared_counters: int = 0
     #: Enqueue-to-delivery lag over recently delivered events.
     delivery_lag_p50_s: float = 0.0
     delivery_lag_p99_s: float = 0.0
@@ -286,6 +289,7 @@ class ServiceMetrics:
             ["gap events", self.gap_events],
             ["live graphs (now)", self.live_graphs],
             ["live subscriptions (now)", self.live_subscriptions],
+            ["live shared counters (now)", self.live_shared_counters],
             ["delivery lag p50 (ms)", f"{self.delivery_lag_p50_s * 1e3:.2f}"],
             ["delivery lag p99 (ms)", f"{self.delivery_lag_p99_s * 1e3:.2f}"],
             ["delivery lag samples", self.delivery_lag_samples],

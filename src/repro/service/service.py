@@ -377,6 +377,7 @@ class MotifService:
             snap,
             live_graphs=int(gauges["live_graphs"]),
             live_subscriptions=int(gauges["live_subscriptions"]),
+            live_shared_counters=int(gauges["live_shared_counters"]),
             delivery_lag_p50_s=gauges["delivery_lag_p50_s"],
             delivery_lag_p99_s=gauges["delivery_lag_p99_s"],
             delivery_lag_samples=int(gauges["delivery_lag_samples"]),

@@ -103,6 +103,7 @@ class MotifStreamEngine:
         self._next_pid = 0
         # Per-depth demand endpoints, precomputed once.
         self._edges = [motif.edge(i) for i in range(motif.num_edges)]
+        self._num_nodes = motif.num_nodes
 
     # -- queries ---------------------------------------------------------------
 
@@ -193,7 +194,7 @@ class MotifStreamEngine:
                 completed += 1
             else:
                 u0, v0 = motif_edges[0]
-                m2g = [UNMAPPED] * self.motif.num_nodes
+                m2g = [UNMAPPED] * self._num_nodes
                 m2g[u0] = s
                 m2g[v0] = d
                 m2g_t = tuple(m2g)

@@ -4,6 +4,7 @@ the bounded-outbox slow-consumer guarantees."""
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 from http.client import HTTPConnection
@@ -12,6 +13,7 @@ import pytest
 
 from repro.graph.generators import make_dataset
 from repro.service import MotifService, make_server
+from repro.service.http import ServiceRequestHandler
 
 DELTA = 1_000_000
 
@@ -284,6 +286,113 @@ class TestSubscriptionRoutes:
         frames, comments = parse_sse(raw)
         assert frames and frames[0]["id"] == "1"
         assert any("heartbeat" in c for c in comments)
+
+
+class TestSharingGauges:
+    def test_counters_beside_subscriptions(self, live_server):
+        conn, service, _ = live_server
+        create_feed(conn)
+        create_feed(conn, name="other")
+        for body in (
+            {"motif": "M1"},
+            {"motif": "M1", "threshold": 2},
+            {"motif_spec": "x->y, y->z, z->x"},      # M1 by another name
+            {"motif": "M1", "delta": DELTA // 2},    # δ is in the key
+            {"motif": "M1", "graph": "other"},       # counters are per graph
+        ):
+            body.setdefault("graph", "feed")
+            resp, _ = request(conn, "POST", "/subscriptions", body)
+            assert resp.status == 200
+        _, status = request(conn, "GET", "/live/feed")
+        assert (status["subscriptions"], status["counters"]) == (4, 2)
+        _, out = request(conn, "GET", "/metrics")
+        assert out["metrics"]["live_subscriptions"] == 5
+        assert out["metrics"]["live_shared_counters"] == 3
+        assert "live shared counters (now)" in service.render_metrics()
+        # A subscriber arriving after edges landed cannot share with those
+        # that saw them; dropping the graph gives every counter back.
+        request(conn, "POST", "/graphs/feed/edges",
+                {"edges": [[0, 1, 10]], "seq": 0})
+        request(conn, "POST", "/subscriptions", {"graph": "feed", "motif": "M1"})
+        assert service.live.gauges()["live_shared_counters"] == 4
+        request(conn, "DELETE", "/live/feed")
+        assert service.live.gauges()["live_shared_counters"] == 1
+
+
+class TestFrontDoor:
+    """No timing here: count the writes.  ``wfile`` is unbuffered, so one
+    ``write`` is one ``sendall``; a response split over two of them is
+    what used to wait ~40 ms for the client's delayed ACK."""
+
+    @pytest.fixture
+    def tapped(self, live_server):
+        conn, service, _ = live_server
+        writes, nodelay = [], []
+
+        class Tapped(ServiceRequestHandler):
+            def setup(self):
+                super().setup()
+                nodelay.append(self.connection.getsockopt(
+                    socket.IPPROTO_TCP, socket.TCP_NODELAY))
+                sendall = self.wfile.write
+
+                def write(data):
+                    writes.append(bytes(data))
+                    return sendall(data)
+
+                self.wfile.write = write
+
+        assert ServiceRequestHandler.wbufsize == 0
+        server = make_server(service, port=0)
+        server.RequestHandlerClass = Tapped
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        side = HTTPConnection(*server.server_address[:2], timeout=30)
+        try:
+            yield side, service, writes, nodelay
+        finally:
+            side.close()
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+
+    def test_each_response_is_one_write_on_a_nodelay_socket(self, tapped):
+        conn, service, writes, nodelay = tapped
+        g = make_dataset("email-eu", scale=0.02, seed=0)
+        service.register_graph(g, name="static")
+        query = {"graph": "static", "motif": "M1", "delta": g.time_span // 20}
+        replies = [
+            request(conn, "GET", "/healthz"),
+            request(conn, "POST", "/query", query),
+            request(conn, "POST", "/query", query),       # the cache hit
+            request(conn, "POST", "/query", {"graph": "nope"}),
+        ]
+        assert [r.status for r, _ in replies] == [200, 200, 200, 400]
+        assert replies[2][1]["count"] == replies[1][1]["count"]
+        conn.request("GET", "/metrics?format=text")
+        assert b"cache hits" in conn.getresponse().read()
+        assert nodelay and all(nodelay)
+        assert len(writes) == len(replies) + 1
+        for raw in writes:
+            head, _, body = raw.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 ")
+            assert f"Content-Length: {len(body)}".encode() in head
+
+    def test_sse_writes_once_per_batch_of_frames(self, tapped):
+        conn, service, writes, nodelay = tapped
+        service.create_live_graph("feed", DELTA)
+        sid = service.subscribe("feed", "M1").sub_id
+        for i in range(3):
+            service.append_live("feed", [(0, 1, 10 * (i + 1))], seq=i)
+        conn.request("GET", f"/subscriptions/{sid}/events?max_events=3")
+        frames, _ = parse_sse(conn.getresponse().read())
+        assert [f["id"] for f in frames] == ["1", "2", "3"]
+        assert all(f["event"] == "update" for f in frames)
+        assert [json.loads(f["data"])["version"] for f in frames] == [1, 2, 3]
+        # The header block, then all three queued frames in one segment.
+        assert len(writes) == 2 and all(nodelay)
+        assert writes[0].endswith(b"\r\n\r\n")
+        assert writes[1].count(b"\n\n") == 3
 
 
 class TestSlowConsumer:

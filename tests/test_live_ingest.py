@@ -110,6 +110,36 @@ class TestLiveGraph:
         ack = live.append_batch([(1, 2, 6)])  # auto seq must not collide
         assert ack["seq"] != 1 and not ack["duplicate"]
 
+    def test_ledger_is_constant_size_for_consecutive_seqs(self):
+        for first in (0, 1):  # the driver numbers from 0, auto-seq from 1
+            live = LiveGraph("g", delta=10)
+            for seq in range(first, first + 10_000):
+                live.append_batch([], seq=seq)
+            assert live._applied_seqs == set()
+            for seq in (first, first + 5_000, first + 9_999):
+                assert live.append_batch([(0, 1, 5)], seq=seq)["duplicate"]
+            assert live.buffer.num_edges == 0
+        auto = LiveGraph("g", delta=10)
+        assert [auto.append_batch([])["seq"] for _ in range(3)] == [1, 2, 3]
+        assert auto._applied_seqs == set()
+
+    def test_ledger_out_of_order_and_resent_seqs(self):
+        live = LiveGraph("g", delta=10)
+        for seq in (5, 3, 7, 4):  # a gap at 6; 3 arrives below the run
+            assert not live.append_batch([], seq=seq)["duplicate"]
+        for seq in (3, 4, 5, 7):
+            assert live.append_batch([(0, 1, 5)], seq=seq)["duplicate"]
+        assert live.buffer.num_edges == 0
+        ack = live.append_batch([(0, 1, 5)], seq=6)  # the gap was never applied
+        assert not ack["duplicate"] and ack["released"] == 1
+        assert live.append_batch([], seq=6)["duplicate"]
+        assert live._applied_seqs == {3, 4}  # 5..7 folded into the run
+        # An ack evicted from the replay cache still answers duplicate.
+        live._acks.clear()
+        again = live.append_batch([], seq=5)
+        assert again == {"graph": "g", "seq": 5, "version": 1,
+                         "duplicate": True}
+
     def test_snapshot_matches_offline_construction(self):
         g = make_dataset("email-eu", scale=0.03, seed=1)
         live = LiveGraph("g", delta=int(g.time_span // 10))

@@ -1,11 +1,13 @@
 """Standing subscriptions: window tracking, threshold arming, and the
 bounded at-least-once outbox."""
 
+import sys
 import threading
 
 import pytest
 
 from repro.graph.generators import make_dataset
+from repro.graph.temporal_graph import TemporalGraph
 from repro.live.ingest import LiveGraph
 from repro.live.outbox import Outbox
 from repro.live.subscriptions import (
@@ -13,8 +15,11 @@ from repro.live.subscriptions import (
     UPDATE,
     Subscription,
     WindowTracker,
+    crossed,
 )
+from repro.mining.mackey import MackeyMiner
 from repro.motifs.catalog import motif_by_name
+from repro.service.query import payload_bytes
 
 
 class TestWindowTracker:
@@ -35,13 +40,17 @@ class TestWindowTracker:
     def test_crossed_is_edge_triggered(self):
         w = WindowTracker(delta=100)
         w.record(1, 3)
-        assert w.crossed(2)          # 3 > 2, armed -> fires
+        fired, armed = crossed(w.window_count, 2, True)
+        assert fired and not armed   # 3 > 2, armed -> fires
         w.record(2, 1)
-        assert not w.crossed(2)      # still above, disarmed
+        fired, armed = crossed(w.window_count, 2, armed)
+        assert not fired and not armed  # still above, disarmed
         w.expire(200)                # window empties -> re-arms at <= k
-        assert not w.crossed(2)
+        fired, armed = crossed(w.window_count, 2, armed)
+        assert not fired and armed
         w.record(201, 5)
-        assert w.crossed(2)          # fires again after re-arm
+        fired, armed = crossed(w.window_count, 2, armed)
+        assert fired                 # fires again after re-arm
 
 
 class TestSubscription:
@@ -61,33 +70,32 @@ class TestSubscription:
             self.make(kind="bogus")
 
     def test_update_kind_fires_every_evaluation(self):
+        live = LiveGraph("g", 50)
         sub = self.make()
-        sub.advance(0, 1, 10)
-        ev = sub.evaluate(version=1, t_now=10, batch_completed=0,
-                          window_edges=1)
-        assert ev is not None and ev["type"] == "update"
-        assert ev["version"] == 1
+        live.attach(sub)
+        assert live.append_batch([(0, 1, 10)], seq=0)["events"] == 1
+        assert live.append_batch([], seq=1)["events"] == 0  # nothing released
+        assert live.append_batch([(1, 2, 11)], seq=2)["events"] == 1
         queued = sub.outbox.read_after(0)
-        assert [e["seq"] for e in queued] == [1]
-        assert sub.status()["fires"] == 1
+        assert [e["type"] for e in queued] == ["update", "update"]
+        assert [(e["seq"], e["version"]) for e in queued] == [(1, 1), (2, 2)]
+        assert sub.status()["fires"] == 2
 
     def test_threshold_kind_fires_only_on_crossing(self):
         # ping-pong (a->b, b->a) completes once per returning edge.
+        live = LiveGraph("g", 50)
         sub = self.make(motif=motif_by_name("ping-pong"), kind=THRESHOLD,
                         threshold=1)
-        events = []
-        t = 0
-        for s, d in [(0, 1), (1, 0), (0, 1), (1, 0)]:
-            t += 1
-            done = sub.advance(s, d, t)
-            ev = sub.evaluate(version=t, t_now=t, batch_completed=done,
-                              window_edges=t)
-            if ev is not None:
-                events.append(ev)
-        # Window count goes 0,1,1,2(+1 new pair): crosses 1 exactly once.
-        assert [e["type"] for e in events] == ["alert"]
-        assert events[0]["threshold"] == 1
-        assert events[0]["window_count"] > 1
+        live.attach(sub)
+        fired = []
+        for t, (s, d) in enumerate([(0, 1), (1, 0), (0, 1), (1, 0)], start=1):
+            fired.append(live.append_batch([(s, d, t)], seq=t)["events"])
+        # Window count goes 0,1,2,4: crosses 1 exactly once and stays above.
+        assert fired == [0, 0, 1, 0]
+        (alert,) = sub.outbox.read_after(0)
+        assert alert["type"] == "alert" and alert["threshold"] == 1
+        assert alert["window_count"] > 1 and alert["version"] == 3
+        assert sub.status()["armed"] is False
 
     def test_counts_match_live_graph_feed(self):
         g = make_dataset("email-eu", scale=0.03, seed=7)
@@ -97,7 +105,6 @@ class TestSubscription:
         live.attach(sub)
         edges = list(zip(g.src.tolist(), g.dst.tolist(), g.ts.tolist()))
         live.append_batch(edges, seq=0, flush=True)
-        from repro.mining.mackey import MackeyMiner
         serial = MackeyMiner(g, sub.motif, delta).mine()
         assert sub.count == serial.count
 
@@ -106,6 +113,141 @@ class TestSubscription:
         st = sub.status()
         assert st["kind"] == "threshold" and st["threshold"] == 4
         assert "armed" in st and "outbox" in st and st["count"] == 0
+
+
+class TestSharedCounters:
+    """Subscriptions are views over counters interned per (motif shape,
+    δ, attach position); these pin when they share and when they must not."""
+
+    @staticmethod
+    def feed():
+        g = make_dataset("email-eu", scale=0.03, seed=7)
+        edges = list(zip(g.src.tolist(), g.dst.tolist(), g.ts.tolist()))
+        return edges, max(1, g.time_span // 20)
+
+    @staticmethod
+    def sub(sub_id, delta, **kw):
+        return Subscription(sub_id, "g", motif_by_name("M2"), delta, **kw)
+
+    @staticmethod
+    def push(live, edges, start, stop, size=10):
+        for i in range(start, stop, size):
+            live.append_batch(edges[i:min(i + size, stop)], seq=i)
+
+    def test_mid_feed_subscriber_gets_its_own_counter(self):
+        edges, delta = self.feed()
+        cut = len(edges) // 2
+        live = LiveGraph("g", delta)
+        early = self.sub("early", delta)
+        live.attach(early)
+        self.push(live, edges, 0, cut)
+        assert early.count > 0
+        late = self.sub("late", delta)
+        twin = self.sub("twin", delta)
+        live.attach(late)
+        live.attach(twin)
+        # Same (motif, δ), different suffix of the stream: no sharing with
+        # the version-0 subscriber, sharing with the one beside it.
+        assert late.counter is not early.counter
+        assert late.counter is twin.counter
+        assert live.status()["counters"] == 2
+        assert late.count == 0 and late.status()["live_partials"] == 0
+        self.push(live, edges, cut, len(edges))
+        # The late count is exactly the matches lying wholly after it
+        # opened: a match begun before the cut is not half-counted.
+        snap = live.snapshot()
+        suffix = TemporalGraph(list(zip(
+            snap.src[cut:].tolist(), snap.dst[cut:].tolist(),
+            snap.ts[cut:].tolist())))
+        tail = MackeyMiner(suffix, late.motif, delta).mine().count
+        whole = MackeyMiner(snap, early.motif, delta).mine().count
+        assert 0 < late.count == tail < early.count == whole
+        first = late.outbox.read_after(0)[0]
+        assert first["count"] == first["batch_completed"]  # started from 0
+
+    def test_detach_leaves_the_survivor_untouched(self):
+        edges, delta = self.feed()
+        cut = len(edges) // 2
+
+        def run(detach_at_cut):
+            live = LiveGraph("g", delta)
+            keep = self.sub("keep", delta, outbox_capacity=len(edges))
+            gone = self.sub("gone", delta, outbox_capacity=len(edges))
+            live.attach(keep)
+            live.attach(gone)
+            assert keep.counter is gone.counter and keep.counter.refs == 2
+            self.push(live, edges, 0, cut)
+            if detach_at_cut:
+                assert live.detach("gone") is gone and gone.outbox.closed
+                assert live.shared_counters == 1 and keep.counter.refs == 1
+            self.push(live, edges, cut, len(edges))
+            return live, keep, gone
+
+        live, keep, gone = run(detach_at_cut=True)
+        _, reference, reference_gone = run(detach_at_cut=False)
+        assert [payload_bytes(e) for e in keep.outbox.read_after(0)] == [
+            payload_bytes(e) for e in reference.outbox.read_after(0)]
+        # The detached view is closed: it fired nothing after the cut.
+        assert gone.fires < reference_gone.fires
+        # The last detach frees the counter; close frees whatever is left.
+        live.detach("keep")
+        assert live.shared_counters == 0 and live.status()["counters"] == 0
+        live.attach(self.sub("again", delta))
+        live.attach(self.sub("other", max(1, delta // 2)))
+        assert live.shared_counters == 2
+        live.close()
+        assert live.shared_counters == 0 and not live.subscriptions
+
+
+    def test_attach_detach_racing_ingest_keeps_refs_exact(self):
+        """More threads than cores churn subscriptions while a feeder
+        appends: every counter's refs must equal the views pointing at
+        it, and a sharer that stayed attached throughout must match a
+        quiet run byte for byte."""
+        edges, delta = self.feed()
+        edges = edges[:200]
+
+        def quiet_run():
+            live = LiveGraph("g", delta)
+            sub = self.sub("steady", delta, outbox_capacity=len(edges))
+            live.attach(sub)
+            self.push(live, edges, 0, len(edges), size=5)
+            return [payload_bytes(e) for e in sub.outbox.read_after(0)]
+
+        live = LiveGraph("g", delta)
+        steady = self.sub("steady", delta, outbox_capacity=len(edges))
+        live.attach(steady)
+        stop = threading.Event()
+        errors = []
+
+        def churn(worker):
+            try:
+                i = 0
+                while not stop.is_set():
+                    sub_id = f"churn-{worker}-{i}"
+                    live.attach(self.sub(sub_id, delta if i % 2 else delta // 2))
+                    live.detach(sub_id)
+                    i += 1
+            except Exception as exc:  # surfaced below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        workers = [threading.Thread(target=churn, args=(w,)) for w in range(6)]
+        try:
+            for w in workers:
+                w.start()
+            self.push(live, edges, 0, len(edges), size=5)
+        finally:
+            stop.set()
+            for w in workers:
+                w.join(timeout=10)
+            sys.setswitchinterval(interval)
+        assert not errors and not any(w.is_alive() for w in workers)
+        assert list(live.subscriptions) == ["steady"]
+        assert live.shared_counters == 1 and steady.counter.refs == 1
+        assert [payload_bytes(e) for e in steady.outbox.read_after(0)] == \
+            quiet_run()
 
 
 class TestOutbox:

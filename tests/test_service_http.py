@@ -242,6 +242,51 @@ class TestErrorMapping:
             service.scheduler.resume()
 
 
+class TestKeepAliveFraming:
+    """A request body no route read must not become the next request."""
+
+    @staticmethod
+    def healthz_on_same_socket(conn, sock):
+        resp, body = request(conn, "GET", "/healthz")
+        assert resp.status == 200 and body["ok"] is True
+        assert resp.getheader("Content-Type") == "application/json"
+        assert conn.sock is sock, "the connection was reused, not reopened"
+
+    def test_unknown_route_post_with_body_then_get(self, served_graph):
+        conn, *_ = served_graph
+        resp, _ = request(conn, "POST", "/nope", {"graph": "burst", "x": [1] * 50})
+        assert resp.status == 404 and resp.getheader("Connection") is None
+        self.healthz_on_same_socket(conn, conn.sock)
+
+    def test_delete_and_get_with_bodies_then_get(self, served_graph):
+        conn, *_ = served_graph
+        resp, _ = request(conn, "DELETE", "/subscriptions/sub-9", {"why": "x"})
+        assert resp.status == 404
+        sock = conn.sock
+        resp, _ = request(conn, "GET", "/graphs", {"unexpected": True})
+        assert resp.status == 200
+        self.healthz_on_same_socket(conn, sock)
+
+    def test_undrainable_body_closes_the_connection(self, served_graph,
+                                                   monkeypatch):
+        import repro.service.http as http_mod
+
+        conn, *_ = served_graph
+        monkeypatch.setattr(http_mod, "MAX_DRAIN_BYTES", 8)
+        resp, _ = request(conn, "POST", "/nope", {"longer": "than eight"})
+        assert resp.status == 404
+        assert resp.getheader("Connection") == "close"
+        # A length that cannot be parsed cannot be drained either.
+        conn.putrequest("POST", "/query")
+        conn.putheader("Content-Length", "ten")
+        conn.endheaders()
+        resp = conn.getresponse()
+        assert resp.status == 400 and resp.getheader("Connection") == "close"
+        assert "error" in json.loads(resp.read())
+        resp, body = request(conn, "GET", "/healthz")  # http.client reconnects
+        assert resp.status == 200 and body["ok"] is True
+
+
 class TestServeCLIBuilder:
     def test_build_serve_server_registers_and_binds(self, tmp_path, capsys):
         from repro.cli import _build_parser, build_serve_server
