@@ -31,7 +31,6 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.analysis import experiments as experiments_mod
 from repro.analysis.reporting import format_table
 from repro.graph.generators import DATASET_NAMES, make_dataset
 from repro.graph.loaders import load_snap_text, save_snap_text
@@ -86,11 +85,12 @@ def _build_parser() -> argparse.ArgumentParser:
     mine.add_argument(
         "--engine",
         choices=tuple(ENGINES),
-        default="mackey",
-        help="mining engine: the scalar serial miner (mackey) or the "
-        "vectorized trie-walking family engine (batched; comine is its "
-        "older spelling) — identical counts/counters; the family engine "
-        "is incompatible with --memoize and --show-matches",
+        default=None,
+        help="mining engine: the vectorized trie-walking family engine "
+        "(batched, the default; comine is its older spelling) or the "
+        "scalar serial miner (mackey, the default under --memoize and "
+        "--show-matches, which only it supports) — identical "
+        "counts/counters",
     )
     mine.add_argument(
         "--approx",
@@ -423,7 +423,11 @@ def cmd_mine(args) -> int:
         motif = motif_by_name(args.motif)
     workers = getattr(args, "workers", 0)
     as_json = getattr(args, "json", False)
-    engine = getattr(args, "engine", "mackey")
+    serial_only = args.memoize or args.show_matches > 0
+    # The family engine unless the options ask for what only the scalar
+    # miner does.
+    asked = getattr(args, "engine", None)
+    engine = asked or ("mackey" if serial_only else "batched")
     if args.show_matches > 0 and (workers > 0 or as_json):
         print("error: --show-matches requires the serial text mode "
               "(--workers 0, no --json)")
@@ -433,12 +437,11 @@ def cmd_mine(args) -> int:
             print("error: --approx is incompatible with --memoize and "
                   "--show-matches")
             return 2
-        if engine != "mackey":
+        if asked not in (None, "mackey"):
             print("error: --approx always mines sampled windows with the "
                   "mackey engine; drop --engine")
             return 2
         return _mine_approx(graph, motif, args)
-    serial_only = args.memoize or args.show_matches > 0
     if serial_only and engine != "mackey":
         print(f"error: --engine {engine} is incompatible with "
               "--memoize and --show-matches")
@@ -599,6 +602,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_experiment(args) -> int:
+    # Imported here so that no other command — `serve` above all, which
+    # is resident — loads the experiment harness and the baseline models.
+    from repro.analysis import experiments as experiments_mod
+
     policy = experiments_mod.DEFAULT_POLICY
     overrides = {}
     if args.scale is not None:

@@ -37,7 +37,6 @@ class ClusterExecutor(InlineExecutor):
         *,
         num_nodes: Optional[int] = None,
         counters: Optional[ResilienceCounters] = None,
-        engine: str = "mackey",
         **policy,
     ) -> None:
         if (cluster is None) == (num_nodes is None):
@@ -48,7 +47,7 @@ class ClusterExecutor(InlineExecutor):
             )
         self.owns_dispatcher = cluster is None
         self._shared, self._num_nodes, self._policy = cluster, num_nodes, policy
-        super().__init__(counters, engine)
+        super().__init__(counters)
 
     def _open_dispatcher(self) -> MiningCluster:
         if self._shared is not None:

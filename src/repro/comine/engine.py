@@ -17,19 +17,29 @@ frontier:
   ``np.searchsorted`` each over the composite keys of the graph's cached
   :class:`~repro.graph.temporal_graph.RangeIndex`; so are the ends of
   "edges u→v in the window" over its pair index.
-- **Siblings share.**  Each (direction, bound label) window and each
-  (label, label) pair range is computed once per frontier and used by
-  every child that needs it — the grid's 36 leaves under 6 two-edge
-  prefixes cost 4 windows and a handful of pair ranges per prefix.
+- **Siblings share, and keep what a sibling consumes.**  Each
+  (direction, bound label) window and each (label, label) pair range is
+  computed once per frontier and used by every child that needs it — the
+  grid's 36 leaves under 6 two-edge prefixes cost 4 windows and a
+  handful of pair ranges per prefix.  What outlives the computation is
+  decided by the consumers: integer totals for leaves; the ``(start,
+  end)`` arrays only of a window an internal new-node child enumerates
+  and of a pair an internal child closes on.
 - **The last level is counted, never enumerated.**  What a leaf (or any
   node's ``complete`` list) needs is its accepted count.  A closing
   edge (both labels bound) accepts its pair range; a new-node edge
   accepts its window minus the pair ranges to every bound node, which
   are disjoint subsets of the window because bound nodes are distinct
-  (the self-loop is the scanned node paired with itself).  Candidate
-  rows are materialized only for children that have children, a slab of
-  at most :data:`TILE_ROWS` at a time, and for the edge-list tail scan
-  of a disconnected edge.
+  (the self-loop is the scanned node paired with itself, skipped
+  outright on a graph without self-loops).  A new-node child that *has*
+  children computes none of those pairs: the frontier it must build
+  anyway is filtered of already-bound nodes, and its size is the
+  accepted count.  Candidate rows are materialized only for children
+  that have children, a slab of at most :data:`TILE_ROWS` at a time —
+  filtered before the bound columns are gathered, and with no scratch
+  outliving the slab, so a level holds its frontier and nothing else
+  while its children run — and for the edge-list tail scan of a
+  disconnected edge.
 
 Correctness contract (enforced by the parity suites): per-motif counts
 are byte-identical to :class:`~repro.mining.mackey.MackeyMiner`, and so
@@ -262,8 +272,21 @@ class FamilyResult:
 
 #: Candidate rows materialized at once.  A frontier is extended slab by
 #: slab (rows are independent), so the widest internal trie level costs
-#: this much memory, not the size of the level.
-TILE_ROWS = 1 << 14
+#: this much memory, not the size of the level — and a resident server
+#: pays it once per lane thread, which is what chose the number.
+#: 8,192, by this table (PR 24; medians of three alternating 12 s runs,
+#: 2 cores; ``serve_miss`` is two lanes mining singleton misses, its
+#: budget 45.8 MB against the parent's 42.2):
+#:
+#:   TILE_ROWS  serve_miss p50 / peak RSS   census_dense   census_sparse
+#:   parent     117.8 ms / 42.2 MB          116.5 ms       301.0 ms
+#:   1 << 14      8.3 ms / 46.4 MB          108.2 ms       326.7 ms
+#:   1 << 13      8.5 ms / 45.4 MB          106.2 ms       270.5 ms
+#:   1 << 12     11.1 ms / 44.6 MB          119.0 ms       290.2 ms
+#:
+#: the largest tile inside the budget, and no slower on either census
+#: than the next one up.
+TILE_ROWS = 1 << 13
 
 
 def _ragged_take(starts: np.ndarray, sizes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -271,8 +294,9 @@ def _ragged_take(starts: np.ndarray, sizes: np.ndarray) -> Tuple[np.ndarray, np.
     as ``(rows, positions)``: for every element of every range, the row
     it belongs to and its absolute position."""
     rows = np.repeat(np.arange(len(sizes)), sizes)
-    ends = np.cumsum(sizes)
-    positions = np.arange(len(rows)) + (starts + sizes - ends)[rows]
+    # Element j of row i is ``starts[i] + (j - elements before row i)``.
+    positions = np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
+    positions += np.arange(len(rows))
     return rows, positions
 
 
@@ -284,7 +308,7 @@ def _slabs(sizes: np.ndarray) -> Iterator[Tuple[int, int]]:
     a = 0
     while a < len(sizes):
         done = int(ends[a - 1]) if a else 0
-        b = max(a + 1, int(np.searchsorted(ends, done + TILE_ROWS, side="right")))
+        b = max(a + 1, int(ends.searchsorted(done + TILE_ROWS, side="right")))
         yield a, b
         a = b
 
@@ -298,7 +322,7 @@ class CoMiner:
         The mining problem; ``motifs`` is the family (non-empty, any
         order, duplicates allowed).
     cancel_check:
-        Optional hook polled between root blocks, trie nodes and tiles;
+        Optional hook polled per root block and per frontier tile;
         when it returns True the run raises
         :class:`~repro.mining.parallel.MiningCancelled` (the serving
         layer's deadline contract).
@@ -372,7 +396,7 @@ class CoMiner:
         # Any δ at or past the span is the same whole-graph window;
         # saturating it keeps ``t_root + δ`` inside int64.
         delta = min(self.delta, g.time_span)
-        r_limit = np.searchsorted(g.ts, window_t_limit(g.ts[roots], delta), side="right")
+        r_limit = g.ts.searchsorted(window_t_limit(g.ts[roots], delta), side="right")
         self._walk(first, (src[valid], dst[valid]), roots, r_limit)
 
     def _walk(
@@ -390,24 +414,41 @@ class CoMiner:
 
         The scan of each (direction, bound label) and the pair range of
         each (label, label) are computed once and shared by the
-        siblings.  A child's accepted count never needs its candidate
-        rows: a closing edge accepts its pair range; a new-node edge
-        accepts its window minus the pair ranges to every bound node
-        (bound nodes are distinct, so those are disjoint subsets of the
-        window, the self-loop being the pair of the scanned node with
-        itself).  Rows are materialized only for children that have
-        children, and for the edge-list tail scan of a disconnected
-        edge.  Every counter event is charged to the child, as the
-        scalar miner would on that edge.
+        siblings, and what is kept of each is what a sibling consumes:
+
+        - a **leaf** needs its accepted count only.  A closing edge
+          accepts its pair total; a new-node edge accepts its window
+          total minus the pair totals to every bound node (bound nodes
+          are distinct, so those are disjoint subsets of the window, the
+          self-loop being the pair of the scanned node with itself).
+          Totals are integers: no range array outlives its sum.
+        - an **internal closing** child enumerates its pair range, so
+          that pair's ``(start, end)`` is kept.
+        - an **internal new-node** child enumerates its window, so that
+          scan's ``(start, end)`` is kept — and it computes no pair at
+          all: its accepted count is the size of the frontier it has to
+          build anyway (the rows whose new node is not already bound).
+
+        The edge-list tail scan of a disconnected edge is always
+        enumerated.  Every counter event is charged to the child, as
+        the scalar miner would on that edge.
         """
         g, index = self.graph, self._index
-        rows = len(last_e)
+        seen, rows = node.seen, len(last_e)
         lo = last_e + 1
         scans: Dict[Tuple[bool, int], Tuple] = {}
         pairs: Dict[Tuple[int, int], Tuple] = {}
+        internal = [c for c in node.child_order if c.child_order]
+        #: The tables' keys whose ranges an internal child enumerates.
+        closed = {c.edge for c in internal if max(c.edge) < seen}
+        walked = {
+            (c.edge[0] < seen, min(c.edge)) for c in internal
+            if min(c.edge) < seen <= max(c.edge)
+        }
 
         def scan(out: bool, label: int) -> Tuple:
-            """(start, end, window total, bisection steps, touches)."""
+            """(start, end, window total, bisection steps, touches); the
+            ranges only for a scan in ``walked``."""
             if (out, label) not in scans:
                 key, offsets, bisect_steps = (
                     (index.out_key, g.out_offsets, index.out_steps) if out
@@ -415,19 +456,27 @@ class CoMiner:
                 )
                 nodes = cols[label]
                 start, end = index.node_ranges(key, nodes, lo, r_limit)
-                total = int((end - start).sum())
+                total = int(end.sum() - start.sum())
                 # The edge that ends a scan by crossing the window is
                 # touched too; a scan that exhausts its slice is not.
                 crossed = int(np.count_nonzero(end < offsets[nodes + 1]))
                 steps = int(bisect_steps[nodes].sum())
+                if (out, label) not in walked:
+                    start = end = None
                 scans[out, label] = start, end, total, steps, total + crossed
             return scans[out, label]
 
         def pair(a: int, b: int) -> Tuple:
-            """(start, end, total) of the edges ``a → b`` in the window."""
+            """(start, end, total) of the edges ``a → b`` in the window;
+            the ranges only for a pair in ``closed``."""
             if (a, b) not in pairs:
+                if a == b and not index.self_loops:
+                    return None, None, 0  # asked only as an exclusion
                 start, end = index.pair_ranges(cols[a], cols[b], lo, r_limit)
-                pairs[a, b] = start, end, int((end - start).sum())
+                total = int(end.sum() - start.sum())
+                if (a, b) not in closed:
+                    start = end = None
+                pairs[a, b] = start, end, total
             return pairs[a, b]
 
         for child in node.child_order:
@@ -435,66 +484,78 @@ class CoMiner:
             nc = self._node_counters[child.index]
             nc.searches += rows
             nc.backtracks += rows
-            if u >= node.seen and v >= node.seen:
+            if u >= seen and v >= seen:
                 # Neither endpoint bound (disconnected motifs): the scan
                 # is the edge-list tail, counted by materializing it.
                 start, end, accepted = lo, r_limit, None
-                touched = int((end - start).sum()) + int(np.count_nonzero(end < g.num_edges))
+                touched = int(end.sum() - start.sum()) + int(np.count_nonzero(end < g.num_edges))
                 nc.bytes_touched += touched * EDGE_RECORD_BYTES
                 edge_of, fresh = None, (g.src, g.dst)
             else:
-                out = u < node.seen
+                out = u < seen
                 start, end, total, steps, touched = scan(out, u if out else v)
                 nc.binary_searches += rows
                 nc.binary_search_steps += steps
                 nc.neighbor_items_touched += touched
                 nc.bytes_touched += touched * (EDGE_RECORD_BYTES + INDEX_BYTES)
-                if out and v < node.seen:
+                if out and v < seen:
                     start, end, accepted = pair(u, v)
                     edge_of, fresh = index.pair_edges, ()
-                elif out:
-                    accepted = total - sum(pair(u, x)[2] for x in range(node.seen))
-                    edge_of, fresh = g.out_edge_idx, (g.dst,)
                 else:
-                    accepted = total - sum(pair(x, v)[2] for x in range(node.seen))
-                    edge_of, fresh = g.in_edge_idx, (g.src,)
+                    edge_of, fresh = (
+                        (g.out_edge_idx, (g.dst,)) if out else (g.in_edge_idx, (g.src,))
+                    )
+                    if child.child_order:
+                        accepted = None if total else 0
+                    else:
+                        accepted = total - sum(
+                            pair(u, x)[2] if out else pair(x, v)[2]
+                            for x in range(seen)
+                        )
             nc.candidates_scanned += touched
             if accepted is None or (accepted and child.child_order):
-                accepted = 0
-                for frontier in self._materialize(
-                    cols, r_limit, start, end - start, edge_of, fresh
-                ):
+                accepted, sizes = 0, end - start
+                for a, b in _slabs(sizes):
+                    self._poll_cancel()
+                    frontier = self._materialize(
+                        cols, r_limit, start[a:b], sizes[a:b], a, edge_of, fresh
+                    )
                     accepted += len(frontier[1])
-                    if child.child_order:
+                    if child.child_order and len(frontier[1]):
                         self._walk(child, *frontier)
             nc.bookkeeps += accepted
             for i in child.complete:
                 self._counts[i] += accepted
 
-    def _materialize(self, cols, r_limit, start, sizes, edge_of, fresh):
-        """The child frontiers ``(cols, last_e, r_limit)`` of the ragged
-        candidate ranges ``[start, start + sizes)``, one per slab of at
-        most :data:`TILE_ROWS` candidates.  ``edge_of`` maps a position
-        to its edge (``None``: positions are edge indices); ``fresh``
-        holds the endpoint arrays that bind a new label each, whose
-        nodes must differ from every node bound before them."""
-        for a, b in _slabs(sizes):
-            self._poll_cancel()
-            rows, e = _ragged_take(start[a:b], sizes[a:b])
-            rows += a
-            if edge_of is not None:
-                e = edge_of[e]
-            bound = [c[rows] for c in cols]
-            if fresh:
-                keep = np.ones(len(e), dtype=bool)
-                for endpoint in fresh:
-                    x = endpoint[e]
-                    for c in bound:
-                        keep &= c != x
-                    bound.append(x)
-                rows, e = rows[keep], e[keep]
-                bound = [c[keep] for c in bound]
-            yield tuple(bound), e, r_limit[rows]
+    @staticmethod
+    def _materialize(cols, r_limit, start, sizes, first_row, edge_of, fresh):
+        """The child frontier ``(cols, last_e, r_limit)`` of one slab:
+        the ragged candidate ranges ``[start, start + sizes)`` of the
+        rows from ``first_row`` on.  ``edge_of`` maps a position to its
+        edge (``None``: positions are edge indices); ``fresh`` holds the
+        endpoint arrays that bind a new label each, whose nodes must
+        differ from every node bound before them.  Candidates are
+        filtered before the bound columns are gathered, and nothing but
+        the frontier outlives the call, so a level of the walk holds
+        its own frontier and no candidate scratch while its children
+        run."""
+        rows, e = _ragged_take(start, sizes)
+        rows += first_row
+        if edge_of is not None:
+            e = edge_of[e]
+        new: List[np.ndarray] = []
+        if fresh:
+            keep = np.ones(len(e), dtype=bool)
+            for endpoint in fresh:
+                x = endpoint[e]
+                for c in cols:
+                    keep &= c[rows] != x
+                for y in new:
+                    keep &= y != x
+                new.append(x)
+            rows, e = rows[keep], e[keep]
+            new = [x[keep] for x in new]
+        return tuple(c[rows] for c in cols) + tuple(new), e, r_limit[rows]
 
     def _finish(
         self, node_counters: List[SearchCounters], counts: List[int]

@@ -444,6 +444,9 @@ class RangeIndex:
             )
         self.num_nodes = n
         self.stride = m + 1
+        #: Whether any edge ``u → u`` exists: where none does, the pair
+        #: range of a node with itself is empty without a search.
+        self.self_loops = bool((graph.src == graph.dst).any())
         self.out_key = graph.src[graph.out_edge_idx] * self.stride + graph.out_edge_idx
         self.in_key = graph.dst[graph.in_edge_idx] * self.stride + graph.in_edge_idx
         codes, rank = np.unique(graph.src * n + graph.dst, return_inverse=True)
@@ -469,7 +472,7 @@ class RangeIndex:
         → ``out_edge_idx``, ``in_key`` → ``in_edge_idx``) holding the
         node's edges with index in ``[lo, hi)``; ``hi`` at most ``m``."""
         base = nodes * self.stride
-        return np.searchsorted(key, base + lo), np.searchsorted(key, base + hi)
+        return key.searchsorted(base + lo), key.searchsorted(base + hi)
 
     def pair_ranges(
         self, a: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray
@@ -477,11 +480,9 @@ class RangeIndex:
         """Per row, the positions ``[start, end)`` of ``pair_edges`` holding
         the edges ``a → b`` with index in ``[lo, hi)``."""
         code = a * self.num_nodes + b
-        rank = np.searchsorted(self.pair_codes, code)
+        base = self.pair_codes.searchsorted(code)
         # An absent pair takes the rank past every key: an empty range.
-        absent = len(self.pair_codes) - 1
-        base = np.where(self.pair_codes[rank] == code, rank, absent) * self.stride
-        return (
-            np.searchsorted(self.pair_key, base + lo),
-            np.searchsorted(self.pair_key, base + hi),
-        )
+        base[self.pair_codes[base] != code] = len(self.pair_codes) - 1
+        del code  # a frontier-sized array the range searches need not hold
+        base *= self.stride
+        return self.pair_key.searchsorted(base + lo), self.pair_key.searchsorted(base + hi)

@@ -15,11 +15,13 @@ Module map (request lifecycle: admit → coalesce → batch → mine → cache):
   the canonical wire payload;
 - :mod:`~repro.service.registry` — fingerprint-keyed, ref-counted
   resident graph table;
-- :mod:`~repro.service.cache` — bytes-bounded LRU result cache;
+- :mod:`~repro.service.cache` — LRU result cache bounded in resident
+  bytes (exact results packed);
 - :mod:`~repro.service.scheduler` — bounded admission queue,
   single-flight coalescing, per-graph batching, deadlines/cancellation;
-- :mod:`~repro.service.executor` — the mining backend: one executor,
-  inline or over one resident worker pool (or a cluster);
+- :mod:`~repro.service.executor` — the mining backend: one executor
+  and one exact engine (the family walker), inline or over one resident
+  worker pool (or a cluster);
 - :mod:`~repro.service.metrics` — latency reservoir and metrics
   snapshots;
 - :mod:`~repro.service.service` — the :class:`MotifService` front end

@@ -3,12 +3,16 @@
 The scheduler groups compatible queries (same graph, same δ) into one
 batch; the executor turns a batch into per-motif ``(count, counters)``
 pairs (``count_batch``) or labelled estimates (``estimate_batch``).
-There is one executor class and one way a batch is mined: a batch of
-more than one motif is co-mined — ONE pass down the motifs' prefix
-trie, per-motif counts and counters byte-identical to per-motif mining,
-so cached payloads do not depend on how queries happened to batch — and
-a singleton uses the executor's ``engine``.  *Where* it is mined is the
-executor's dispatcher (:class:`~repro.mining.dispatch.ChunkRunner`):
+There is one executor class, one engine and one way a batch is mined:
+ONE pass of the vectorised family walker
+(:class:`~repro.comine.engine.CoMiner`, :data:`ENGINE`) down the batch's
+motif prefix trie, whether the batch holds one motif or sixteen — a
+singleton is a family of one.  Per-motif counts and counters are
+byte-identical to the scalar :class:`~repro.mining.mackey.MackeyMiner`
+(the oracle the parity grids compare against, not a route the serving
+stack can reach), so cached payloads do not depend on how queries
+happened to batch.  *Where* it is mined is the executor's dispatcher
+(:class:`~repro.mining.dispatch.ChunkRunner`):
 
 - :class:`InlineExecutor` has none: every batch runs in the calling
   lane thread.  No processes, no setup cost; the right backend for
@@ -42,9 +46,10 @@ dispatched batch (degrade, never corrupt):
   every later query.  A shared dispatcher belongs to whoever built it;
   its breakers keep batches inline while it is down.
 
-``cancel_check`` — the scheduler's deadline hook — is honoured at chunk
-granularity everywhere (between motifs' chunks inline, and inside the
-engines that poll) by raising :class:`MiningCancelled`.
+``cancel_check`` — the scheduler's deadline hook — is honoured between
+chunks on every dispatcher and, in-process, inside the walker itself
+(per root block and per frontier tile) by raising
+:class:`MiningCancelled`.
 """
 
 from __future__ import annotations
@@ -60,7 +65,6 @@ from repro.mining.dispatch import (
     ChunkDispatcher,
     ChunkRunner,
     MiningCancelled,
-    check_engine,
 )
 from repro.mining.parallel import WorkerPool
 from repro.motifs.motif import Motif
@@ -71,17 +75,17 @@ from repro.service.metrics import ResilienceCounters
 #: One batch item's result: (count, counters-as-dict).
 BatchItem = Tuple[int, Dict[str, int]]
 
-#: The engine a batch of more than one motif is mined with.
-FAMILY_ENGINE = "comine"
+#: The one exact engine behind the serving stack: the row of
+#: :data:`~repro.mining.dispatch.ENGINES` every batch is mined with
+#: (reported, read-only, by ``/metrics`` and ``/healthz``).
+ENGINE = "batched"
 
 
 class InlineExecutor:
     """The executor; on its own, serial in-process mining.
 
-    ``engine`` picks which of :data:`~repro.mining.dispatch.ENGINES`
-    mines singleton batches (identical results, so the knob is pure
-    throughput).  ``counters`` shares a :class:`ResilienceCounters`
-    with the scheduler so service metrics see executor-side events.
+    ``counters`` shares a :class:`ResilienceCounters` with the scheduler
+    so service metrics see executor-side events.
     """
 
     #: Breaker policy for dispatched batches: consecutive failures that
@@ -89,14 +93,8 @@ class InlineExecutor:
     breaker_failures = 3
     breaker_cooldown_s = 5.0
 
-    def __init__(
-        self,
-        counters: Optional[ResilienceCounters] = None,
-        engine: str = "mackey",
-    ) -> None:
-        check_engine(engine)
+    def __init__(self, counters: Optional[ResilienceCounters] = None) -> None:
         self.counters = counters if counters is not None else ResilienceCounters()
-        self.engine = engine
         self._lock = threading.Lock()
         self._breakers: Dict[str, CircuitBreaker] = {}
         self._dispatcher: Optional[ChunkDispatcher] = self._open_dispatcher()
@@ -176,12 +174,10 @@ class InlineExecutor:
         delta: int,
         cancel_check: Optional[Callable[[], bool]] = None,
     ) -> List[BatchItem]:
-        comine = len(motifs) > 1
         results = self._run(graph, len(motifs), lambda runner: runner.count_many(
-            graph, list(motifs), delta, cancel_check=cancel_check,
-            engine=FAMILY_ENGINE if comine else self.engine,
+            graph, list(motifs), delta, cancel_check=cancel_check, engine=ENGINE,
         ))
-        if comine:
+        if len(motifs) > 1:
             self.counters.inc("comined_batches")
         return [(r.count, r.counters.as_dict()) for r in results]
 
@@ -273,7 +269,6 @@ class PoolExecutor(InlineExecutor):
         respawn_budget: Optional[int] = None,
         fault_plan: Optional[FaultPlan] = None,
         counters: Optional[ResilienceCounters] = None,
-        engine: str = "mackey",
     ) -> None:
         if num_workers < 1:
             raise ValueError("PoolExecutor needs at least one worker")
@@ -285,7 +280,7 @@ class PoolExecutor(InlineExecutor):
             respawn_budget=respawn_budget,
             fault_plan=fault_plan,
         )
-        super().__init__(counters, engine)
+        super().__init__(counters)
 
     def _open_dispatcher(self) -> WorkerPool:
         return WorkerPool(

@@ -223,6 +223,19 @@ class ServiceMetrics:
         lookups = self.cache_hits + self.cache_misses
         return self.cache_hits / lookups if lookups else 0.0
 
+    @property
+    def cache_bytes_per_entry(self) -> float:
+        """Resident bytes booked per cache entry (0.0 when empty)."""
+        return self.cache_bytes / self.cache_entries if self.cache_entries else 0.0
+
+    @property
+    def engine(self) -> str:
+        """The exact engine that mines every batch: a constant of the
+        serving stack, reported so a running server can be asked."""
+        from repro.service.executor import ENGINE  # executor imports this module
+
+        return ENGINE
+
     def as_dict(self) -> Dict[str, float]:
         d = {
             name: getattr(self, name)
@@ -230,6 +243,8 @@ class ServiceMetrics:
         }
         d["coalesce_ratio"] = self.coalesce_ratio
         d["cache_hit_rate"] = self.cache_hit_rate
+        d["cache_bytes_per_entry"] = self.cache_bytes_per_entry
+        d["engine"] = self.engine
         return d
 
     def render(self) -> str:
@@ -249,11 +264,13 @@ class ServiceMetrics:
             ["cache hit rate", f"{self.cache_hit_rate:.3f}"],
             ["cache entries", self.cache_entries],
             ["cache bytes", self.cache_bytes],
+            ["cache bytes per entry", f"{self.cache_bytes_per_entry:.1f}"],
             ["cache evictions", self.cache_evictions],
             ["resident graphs", self.resident_graphs],
             ["latency p50 (ms)", f"{self.latency_p50_s * 1e3:.2f}"],
             ["latency p99 (ms)", f"{self.latency_p99_s * 1e3:.2f}"],
             ["latency samples", self.latency_samples],
+            ["engine", self.engine],
             ["worker deaths", self.worker_deaths],
             ["wedged kills", self.wedged_kills],
             ["chunk retries", self.chunk_retries],

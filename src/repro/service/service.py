@@ -39,7 +39,7 @@ from repro.motifs.motif import Motif
 if TYPE_CHECKING:  # imported lazily at runtime (repro.live uses the
     from repro.live.subscriptions import Subscription  # service internals)
 from repro.service.cache import ResultCache
-from repro.service.executor import InlineExecutor, PoolExecutor
+from repro.service.executor import ENGINE, InlineExecutor, PoolExecutor
 from repro.service.metrics import ResilienceCounters, ServiceMetrics
 from repro.service.query import MotifQuery, QueryResult, UnknownGraph
 from repro.service.registry import GraphRegistry
@@ -74,7 +74,6 @@ class MotifService:
         cache_bytes: int = 64 * 1024 * 1024,
         max_idle_graphs: int = 4,
         executor=None,
-        engine: str = "mackey",
         refiner: bool = False,
         refiner_interval_s: float = 0.05,
     ) -> None:
@@ -87,13 +86,9 @@ class MotifService:
             self.executor = executor
             self.resilience = executor.counters
         elif num_workers > 0:
-            self.executor = PoolExecutor(
-                num_workers, counters=self.resilience, engine=engine
-            )
+            self.executor = PoolExecutor(num_workers, counters=self.resilience)
         else:
-            self.executor = InlineExecutor(
-                counters=self.resilience, engine=engine
-            )
+            self.executor = InlineExecutor(counters=self.resilience)
         self.scheduler = QueryScheduler(
             self.registry,
             self.cache,
@@ -396,7 +391,8 @@ class MotifService:
         breaker is open (serial fallback mining) or the executor's
         dispatcher (``workers``: one ``{live, target}`` entry keyed
         ``"pool"`` / ``"cluster"``, none inline) is running below its
-        target worker count.
+        target worker count.  ``engine`` names the one exact engine
+        behind every answer (read-only).
         """
         breakers = self.executor.breaker_states()
         workers = self.executor.worker_liveness()
@@ -408,6 +404,7 @@ class MotifService:
         return {
             "ok": bool(dispatcher_alive and not self._closed),
             "degraded": bool(degraded),
+            "engine": ENGINE,
             "queue_depth": self.scheduler.queue_depth,
             "dispatcher_alive": bool(dispatcher_alive),
             "breakers": dict(breakers),

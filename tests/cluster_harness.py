@@ -25,7 +25,9 @@ graph-first ``count_many(graph, motifs, delta, engine=)`` call — on the
 in-process runner, a worker pool or a cluster.
 
 :func:`serve` is the same contract one layer up: one batch through any
-``(executor, engine, mode)`` cell of the service's executor grid.
+``(executor, mode)`` cell of the service's executor grid.  Executors
+have no engine axis — every batch is one family walk — so there the
+scalar miner appears only as the oracle (:func:`serial_reference`).
 """
 
 from __future__ import annotations
@@ -158,16 +160,16 @@ def mine(
 EXECUTORS: Tuple[str, ...] = ("inline", "pool", "owned-cluster", "shared-cluster")
 
 
-def make_executor(kind: str, engine: str, *, workers: int = 2, cluster=None, **options):
+def make_executor(kind: str, *, workers: int = 2, cluster=None, **options):
     """One service executor of ``kind`` (``cluster``: the node pool a
     ``shared-cluster`` facade is handed; ``options``: policy)."""
     if kind == "inline":
-        return InlineExecutor(engine=engine, **options)
+        return InlineExecutor(**options)
     if kind == "pool":
-        return PoolExecutor(workers, engine=engine, **options)
+        return PoolExecutor(workers, **options)
     if kind == "owned-cluster":
-        return ClusterExecutor(num_nodes=workers, engine=engine, **options)
-    return ClusterExecutor(cluster, engine=engine, **options)
+        return ClusterExecutor(num_nodes=workers, **options)
+    return ClusterExecutor(cluster, **options)
 
 
 def own_children(before) -> list:

@@ -14,8 +14,8 @@ plugs in:
   per root range);
 - supervised with injected worker kills (family chunks retried across
   deaths);
-- service batch lanes (``InlineExecutor``/``PoolExecutor`` with
-  ``engine="batched"``).
+- service batch lanes (``InlineExecutor``/``PoolExecutor``, which have
+  no other engine: a singleton batch is a family of one).
 
 Plus the binding's own edge contracts: cancel_check honored mid-frontier
 and input validation.
@@ -199,7 +199,7 @@ class TestServiceLaneParity:
         from repro.service.executor import InlineExecutor
 
         expected = scalar_payloads(graph, CATALOG[:3])
-        ex = InlineExecutor(engine="batched")
+        ex = InlineExecutor()
         for motif in CATALOG[:3]:
             [(count, counters)] = ex.count_batch(graph, [motif], DELTA)
             got = payload_bytes(
@@ -213,9 +213,10 @@ class TestServiceLaneParity:
         from repro.service.executor import PoolExecutor
 
         expected = scalar_payloads(graph, CATALOG[:3])
-        ex = PoolExecutor(2, engine="batched")
+        ex = PoolExecutor(2)
         try:
-            # Singleton batches use the executor's engine.
+            # A singleton batch is a family of one: one family chunk per
+            # root range on the workers.
             items = [
                 item for motif in CATALOG[:3]
                 for item in ex.count_batch(graph, [motif], DELTA)
@@ -229,25 +230,3 @@ class TestServiceLaneParity:
                 )
             )
             assert got == expected[motif.name], motif.name
-
-    def test_service_engine_knob(self, graph):
-        from repro.service import MotifService
-
-        expected = scalar_payloads(graph, CATALOG[:2])
-        svc = MotifService(num_workers=0, engine="batched")
-        try:
-            fp = svc.register_graph(graph)
-            for motif in CATALOG[:2]:
-                resp = svc.query(fp, motif, DELTA)
-                got = payload_bytes(resp.payload)
-                assert got == expected[motif.name], motif.name
-        finally:
-            svc.close()
-
-    def test_executor_engine_validation(self):
-        from repro.service.executor import InlineExecutor, PoolExecutor
-
-        with pytest.raises(ValueError):
-            InlineExecutor(engine="quantum")
-        with pytest.raises(ValueError):
-            PoolExecutor(1, engine="quantum")

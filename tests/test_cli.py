@@ -286,11 +286,33 @@ class TestJsonOutput:
 
     def test_mine_comine_engine_matches_mackey(self, graph_file, capsys):
         path, g = graph_file
-        assert main(["mine", path, "--delta", "10", "--json"]) == 0
-        expected = capsys.readouterr().out
         assert main(["mine", path, "--delta", "10", "--json",
-                     "--engine", "comine"]) == 0
-        assert capsys.readouterr().out == expected
+                     "--engine", "mackey"]) == 0
+        expected = capsys.readouterr().out
+        for engine in (["--engine", "comine"], []):  # [] = the default
+            assert main(["mine", path, "--delta", "10", "--json", *engine]) == 0
+            assert capsys.readouterr().out == expected
+
+    def test_mine_engine_default_follows_the_options(self, graph_file, capsys):
+        """The family engine unless an option asks for what only the
+        scalar miner does; the text summary differs in the tag alone."""
+        path, g = graph_file
+        assert main(["mine", path, "--delta", "10"]) == 0
+        default = capsys.readouterr().out
+        assert "[batched, 0 workers, 1 chunks]" in default
+        assert main(["mine", path, "--delta", "10", "--engine", "mackey"]) == 0
+        mackey = capsys.readouterr().out
+        assert mackey == default.replace("[batched,", "[mackey,")
+        # --memoize / --show-matches run the dedicated scalar miner (no
+        # tag), with no --engine needed.
+        assert main(["mine", path, "--delta", "10", "--memoize"]) == 0
+        assert "[" not in capsys.readouterr().out
+        assert main(["mine", path, "--delta", "10", "--show-matches", "1"]) == 0
+        assert "[" not in capsys.readouterr().out
+        assert main(["mine", path, "--delta", "10", "--approx"]) == 0
+        capsys.readouterr()
+        assert main(["mine", path, "--delta", "10", "--approx",
+                     "--engine", "batched"]) == 2
 
     def test_mine_comine_rejects_memoize(self, graph_file, capsys):
         path, g = graph_file

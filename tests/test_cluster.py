@@ -250,8 +250,6 @@ class TestMiningClusterUnits:
         with pytest.raises(ValueError):
             ClusterExecutor(object(), num_nodes=2)  # both
         with pytest.raises(ValueError):
-            ClusterExecutor(num_nodes=2, engine="nope")
-        with pytest.raises(ValueError):
             ClusterExecutor(object(), seed=3)  # kwargs with shared cluster
 
     def test_fresh_cluster_service_reports_zeroed_cluster_counters(self):

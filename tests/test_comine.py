@@ -16,7 +16,9 @@ Three layers:
   tail edges, internal completions, duplicates), on a graph with
   self-loops and multi-edges, against :class:`MackeyMiner` and the
   brute-force oracle, under any root block, tile size, chunking and
-  family order; and the family-level counters pinned to what the scalar
+  family order; what the walk keeps of a shared scan or pair range
+  (leaf / internal / closing consumers under one prefix, a frontier of
+  zero rows); and the family-level counters pinned to what the scalar
   co-miner this walk replaced reported.
 """
 
@@ -343,6 +345,88 @@ class TestWalkerCells:
         with pytest.raises(MiningCancelled):
             miner.mine()
         assert len(polls) == 5
+
+
+def _motif(name, *edges):
+    return Motif.from_labels(list(edges), name=name)
+
+
+#: What the walk keeps of a scan or a pair range depends on which kind
+#: of child consumes it; this family has every combination under one
+#: two-edge prefix (A→B, B→C).
+RANGE_FAMILY = [
+    # Third edge C→D binds a new node and has a child: an internal
+    # new-node child, which computes no pair and counts its frontier.
+    _motif("square", ("A", "B"), ("B", "C"), ("C", "D"), ("D", "A")),
+    PATH3,  # completes at that internal child
+    # C→A closes on the pair (C, A) and has a child: the pair's ranges
+    # are enumerated ...
+    _motif("cycle-then-out", ("A", "B"), ("B", "C"), ("C", "A"), ("A", "D")),
+    # ... while this sibling leaf D→A only excludes (C, A): its total.
+    _motif("path-then-in", ("A", "B"), ("B", "C"), ("D", "A")),
+    M1,  # and this one closes on it as a leaf
+    # Every edge binds a new node: two internal new-node levels deep.
+    _motif("star4", ("A", "B"), ("A", "C"), ("A", "D"), ("A", "E")),
+]
+
+
+class TestRangeRetention:
+    """Per-motif counts and ``SearchCounters`` equal ``MackeyMiner``
+    whatever the walk kept or dropped, at any tile size."""
+
+    #: 0→1 then only 1→0 edges: B's window is non-empty and its every
+    #: candidate leads back to A, which is bound.
+    BOUNCE = TemporalGraph([(0, 1, 1), (1, 0, 2), (1, 0, 3), (1, 0, 5), (2, 1, 6)])
+
+    def test_family_is_not_vacuous(self):
+        trie = MotifTrie(RANGE_FAMILY)
+        prefix = trie.first_edge_node.children[(1, 2)]
+        kinds = {c.edge: bool(c.child_order) for c in prefix.child_order}
+        assert kinds == {(2, 0): True, (2, 3): True, (3, 0): False}
+        assert prefix.children[(2, 0)].complete and prefix.children[(2, 3)].complete
+
+    @pytest.mark.parametrize("tile", [1, 7, None])
+    def test_equals_mackey_at_any_tile(self, loopy_graph, monkeypatch, tile):
+        if tile is not None:
+            monkeypatch.setattr(comine_engine, "TILE_ROWS", tile)
+        for graph in (loopy_graph, self.BOUNCE):
+            result = CoMiner(graph, RANGE_FAMILY, WALKER_DELTA).mine()
+            for motif, count, counters in zip(
+                RANGE_FAMILY, result.counts, result.per_motif
+            ):
+                ref = MackeyMiner(graph, motif, WALKER_DELTA).mine()
+                assert count == ref.count, motif.name
+                assert counters.as_dict() == ref.counters.as_dict(), motif.name
+
+    @pytest.mark.parametrize("tile", [1, 7, None])
+    def test_fully_bound_window_is_a_frontier_of_zero_rows(self, monkeypatch, tile):
+        """An internal child's window holds candidates, every one of
+        them already bound: the frontier is built, found empty, counted
+        as zero and not descended into."""
+        if tile is not None:
+            monkeypatch.setattr(comine_engine, "TILE_ROWS", tile)
+        built, walked = [], []
+        materialize, walk = CoMiner._materialize, CoMiner._walk
+
+        def spy_materialize(*args):
+            frontier = materialize(*args)
+            built.append((int(args[3].sum()), len(frontier[1])))
+            return frontier
+
+        def spy_walk(miner, node, cols, last_e, r_limit):
+            walked.append(len(last_e))
+            return walk(miner, node, cols, last_e, r_limit)
+
+        monkeypatch.setattr(CoMiner, "_materialize", staticmethod(spy_materialize))
+        monkeypatch.setattr(CoMiner, "_walk", spy_walk)
+        result = CoMiner(self.BOUNCE, [M1], 10).mine()
+        ref = MackeyMiner(self.BOUNCE, M1, 10).mine()
+        assert (result.counts[0], result.per_motif[0].as_dict()) == (
+            ref.count, ref.counters.as_dict()
+        )
+        assert sum(candidates for candidates, _ in built) == 3
+        assert all(rows == 0 for _, rows in built)
+        assert 0 not in walked
 
 
 #: ``FamilyResult.counters`` and the dynamic ``SharingStats`` fields of

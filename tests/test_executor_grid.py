@@ -1,20 +1,27 @@
 """The service executor, as one declared grid.
 
-There is one executor (``repro.service.executor.InlineExecutor``) and
-the pool / cluster backends only hand it a dispatcher, so coverage is a
-grid rather than a file per backend:
+There is one executor (``repro.service.executor.InlineExecutor``), one
+engine behind it (the family walker: a singleton batch is a family of
+one) and the pool / cluster backends only hand it a dispatcher, so
+coverage is a grid rather than a file per backend:
 
+    oracle   = mackey | batched
     executor = inline | pool | owned-cluster | shared-cluster
-    engine   = mackey | batched
     batch    = singleton | multi-motif
-    mode     = exact | approx
+    mode     = exact | approx | degraded
 
-and every cell must serve the payload bytes of the serial reference
-(:func:`cluster_harness.serve`).  After the grid: the recovery and
-health behaviour every dispatching cell shares because the wrapper is
-shared — rebuild of an owned dispatcher that broke mid-batch, dispatched
-sampling on a cluster, ``/healthz`` worker liveness — and the leak check
-for the service-lifetime pool under seeded worker kills.
+Executors have no engine axis.  The oracle axis is what a cell's served
+payload bytes (count, counters and all) must equal: ``mackey`` is the
+byte oracle, the scalar ``MackeyMiner`` run serially one motif at a time
+(:func:`cluster_harness.serial_reference`); ``batched`` is the unchunked
+in-process family walk, i.e. what the executor's own same-call inline
+fallback serves.  ``degraded`` is the exact mode with the dispatched
+attempt failed by an injected ``executor.batch`` fault, so the answer
+comes from that fallback.  After the grid: the recovery and health
+behaviour every dispatching cell shares because the wrapper is shared —
+rebuild of an owned dispatcher that broke mid-batch, dispatched sampling
+on a cluster, ``/healthz`` worker liveness — and the leak check for the
+service-lifetime pool under seeded worker kills.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from cluster_harness import (
     approx_reference,
     kill,
     make_executor,
+    mine,
     own_children,
     payloads,
     serial_reference,
@@ -40,6 +48,7 @@ from conftest import random_temporal_graph
 from repro.approx.estimate import ApproxSpec
 from repro.cluster import MiningCluster
 from repro.motifs.catalog import M1, M2, M3
+from repro.resilience.faults import FaultPlan
 from repro.service import MotifService
 from repro.service.query import payload_bytes
 
@@ -47,6 +56,14 @@ DELTA = 50
 #: Cheap sampling contract: wide error budget, two rounds at most.
 SPEC = ApproxSpec(max_error=0.5, seed=1, base_samples=16, max_samples=32)
 BATCHES = {"singleton": [M1], "multi-motif": [M1, M2, M3]}
+#: oracle -> per-motif ``(count, counters)`` of one batch, mined without
+#: any executor.
+ORACLES = {
+    "mackey": serial_reference,
+    "batched": lambda graph, motifs, delta: mine(
+        "serial", "batched", graph, motifs, delta
+    ),
+}
 
 
 @pytest.fixture(scope="module")
@@ -54,16 +71,25 @@ def graph():
     return random_temporal_graph(random.Random(31), 30, 400, time_range=400)
 
 
-@pytest.fixture(scope="module")
-def reference(graph):
-    """(batch, mode) -> the serial reference's served bytes."""
+def served_by(oracle, graph):
+    """(batch, mode) -> the bytes ``oracle`` says must be served."""
     out = {}
     for name, motifs in BATCHES.items():
-        out[name, "exact"] = payloads(
-            graph, motifs, DELTA, serial_reference(graph, motifs, DELTA)
+        out[name, "exact"] = out[name, "degraded"] = payloads(
+            graph, motifs, DELTA, ORACLES[oracle](graph, motifs, DELTA)
         )
         out[name, "approx"] = approx_reference(graph, motifs, DELTA, SPEC)
     return out
+
+
+@pytest.fixture(scope="module", params=("mackey", "batched"))
+def oracle(request, graph):
+    return served_by(request.param, graph)
+
+
+@pytest.fixture(scope="module")
+def reference(graph):
+    return served_by("mackey", graph)
 
 
 @pytest.fixture(scope="module")
@@ -77,40 +103,49 @@ def kind(request):
     return request.param
 
 
-@pytest.fixture(scope="module", params=("mackey", "batched"))
-def executor(request, kind, shared_cluster):
-    """One executor per (kind, engine), serving that pair's four cells."""
-    executor = make_executor(kind, request.param, cluster=shared_cluster)
+@pytest.fixture(scope="module")
+def executor(kind, shared_cluster):
+    """One executor per kind, serving that kind's cells."""
+    executor = make_executor(kind, cluster=shared_cluster)
     yield executor
     executor.close()
 
 
 @pytest.mark.timeout(300)
 class TestExecutorGrid:
-    @pytest.mark.parametrize("mode", ("exact", "approx"))
+    @pytest.mark.parametrize("mode", ("exact", "approx", "degraded"))
     @pytest.mark.parametrize("batch", sorted(BATCHES))
     def test_served_bytes_match_serial_reference(
-        self, executor, kind, batch, mode, graph, reference
+        self, oracle, executor, kind, batch, mode, graph
     ):
+        motifs = BATCHES[batch]
         before = executor.counters.snapshot()
-        served = serve(
-            executor, graph, BATCHES[batch], DELTA, SPEC if mode == "approx" else None
-        )
-        assert served == reference[batch, mode]
+        if mode == "degraded":
+            with FaultPlan.raise_at("executor.batch", [1]).installed():
+                served = serve(executor, graph, motifs, DELTA)
+        else:
+            served = serve(
+                executor, graph, motifs, DELTA, SPEC if mode == "approx" else None
+            )
+        assert served == oracle[batch, mode]
         after = executor.counters.snapshot()
-        # Not vacuous: a dispatching executor really ran it on workers.
-        assert after["backend_failures"] == after["degraded_queries"] == 0
-        ran_chunks = after["chunks_completed"] > before["chunks_completed"]
+        grew = {name: after[name] - before[name] for name in after}
+        # Not vacuous: a dispatching executor really ran it on workers —
+        # or, degraded, really failed over to its inline fallback.
+        fell_back = mode == "degraded" and kind != "inline"
+        assert grew["backend_failures"] == fell_back
+        assert grew["degraded_queries"] == fell_back * len(motifs)
         if kind == "shared-cluster":
             # The cluster's owner, not this facade, hears its events.
             assert executor.worker_liveness() == {"cluster": {"live": 2, "target": 2}}
         else:
-            assert ran_chunks == (kind != "inline")
-        comined = after["comined_batches"] - before["comined_batches"]
-        assert comined == (mode == "exact" and batch == "multi-motif")
+            assert (grew["chunks_completed"] > 0) == (
+                kind != "inline" and not fell_back
+            )
+        assert grew["comined_batches"] == (mode != "approx" and batch == "multi-motif")
 
     def test_shared_cluster_outlives_its_facades(self, shared_cluster):
-        make_executor("shared-cluster", "mackey", cluster=shared_cluster).close()
+        make_executor("shared-cluster", cluster=shared_cluster).close()
         assert not shared_cluster.closed
 
 
@@ -122,7 +157,7 @@ class TestSharedWrapperOnTheClusterBackend:
         next checkout, and the next batch runs on nodes again — instead
         of failing and re-mining inline on every later batch."""
         before = multiprocessing.active_children()
-        executor = make_executor("owned-cluster", "mackey", workers=1, respawn_budget=0)
+        executor = make_executor("owned-cluster", workers=1, respawn_budget=0)
         try:
             node = own_children(before)
 
@@ -155,7 +190,7 @@ class TestSharedWrapperOnTheClusterBackend:
         failed attempts and keeps its batches inline while it is down."""
         before = multiprocessing.active_children()
         with MiningCluster(1, respawn_budget=0) as cluster:
-            executor = make_executor("shared-cluster", "mackey", cluster=cluster)
+            executor = make_executor("shared-cluster", cluster=cluster)
             kill(own_children(before))
             for _ in range(5):
                 assert serve(executor, graph, [M1], DELTA) == reference[
@@ -170,7 +205,7 @@ class TestSharedWrapperOnTheClusterBackend:
             assert not cluster.closed
 
     def test_approx_query_through_a_cluster_is_dispatched(self, graph, reference):
-        with MotifService(executor=make_executor("owned-cluster", "mackey", workers=1)) as svc:
+        with MotifService(executor=make_executor("owned-cluster", workers=1)) as svc:
             svc.register_graph(graph, name="g")
             result = svc.query("g", M1, DELTA, approx=SPEC)
             assert result.ok and result.source == "mined"
@@ -188,7 +223,7 @@ class TestHealthReportsTheDispatcher:
 
     def test_lost_worker_without_budget_shows_live_below_target(self, graph):
         before = multiprocessing.active_children()
-        executor = make_executor("pool", "mackey", workers=2, respawn_budget=0)
+        executor = make_executor("pool", workers=2, respawn_budget=0)
         with MotifService(executor=executor) as svc:
             svc.register_graph(graph, name="g")
             assert svc.query("g", M1, DELTA).ok
@@ -214,7 +249,7 @@ class TestServiceLifetimePoolLeavesNothingBehind:
         children = multiprocessing.active_children()
         shm_before = set(os.listdir("/dev/shm"))
         plan = worker_kill_plan(seed=7, num_workers=2, kills=2)
-        executor = make_executor("pool", "mackey", fault_plan=plan)
+        executor = make_executor("pool", fault_plan=plan)
         try:
             for g in (graph, other, graph):
                 for motifs in BATCHES.values():

@@ -12,11 +12,13 @@ import multiprocessing
 import os
 import re
 import threading
+import tracemalloc
 
 import pytest
 
 from cluster_harness import own_children
 from repro.graph.temporal_graph import TemporalGraph
+from repro.mining.results import SearchCounters
 from repro.motifs.catalog import M1, M2, motif_by_name
 from repro.motifs.motif import Motif
 from repro.motifs.parse import parse_motif
@@ -139,6 +141,13 @@ def key_for(fp: str, motif: Motif = M1, delta: int = 10):
     return (fp, motif.canonical_key(), delta)
 
 
+def booked(key, count, counters) -> int:
+    """What one entry is booked at (entries of one shape book alike)."""
+    cache = ResultCache()
+    assert cache.put(key, count, counters)
+    return cache.bytes_used
+
+
 class TestResultCache:
     def test_miss_then_hit(self):
         cache = ResultCache()
@@ -152,9 +161,9 @@ class TestResultCache:
         assert cache.hit_rate == pytest.approx(0.5)
 
     def test_lru_eviction_under_byte_budget(self):
-        # Each entry here estimates to 66 bytes: room for one, not two.
-        cache = ResultCache(max_bytes=100)
         k1, k2 = key_for("fp-a"), key_for("fp-b")
+        # Room for one entry, not two.
+        cache = ResultCache(max_bytes=booked(k1, 1, {}) * 3 // 2)
         assert cache.put(k1, 1, {})
         assert cache.put(k2, 2, {})
         assert cache.entry_count == 1
@@ -163,8 +172,9 @@ class TestResultCache:
         assert cache.evictions == 1
 
     def test_get_refreshes_lru_order(self):
-        cache = ResultCache(max_bytes=140)
         k1, k2 = key_for("fp-a"), key_for("fp-b")
+        # Room for two entries, not three.
+        cache = ResultCache(max_bytes=booked(k1, 1, {}) * 5 // 2)
         assert cache.put(k1, 1, {})
         assert cache.put(k2, 2, {})
         assert cache.entry_count == 2
@@ -224,7 +234,7 @@ class TestResultCache:
         assert errors == []
         assert 0 <= cache.bytes_used <= cache.max_bytes
         # Byte accounting must agree with the surviving entries.
-        total = sum(e.nbytes for e in cache._entries.values())
+        total = sum(cache.peek(k).nbytes for k in list(cache._entries))
         assert total == cache.bytes_used
 
     def test_clear(self):
@@ -232,6 +242,69 @@ class TestResultCache:
         cache.put(key_for("fp-a"), 1, {})
         cache.clear()
         assert cache.entry_count == 0 and cache.bytes_used == 0
+
+    def test_exact_entry_round_trips_through_the_packed_form(self):
+        """A miner's result is stored packed; the view a hit gets is
+        indistinguishable from the unpacked entry it replaced."""
+        cache = ResultCache()
+        counters = SearchCounters(searches=5, bytes_touched=2**40, matches=7)
+        k = key_for("fp-a")
+        shuffled = dict(reversed(list(counters.as_dict().items())))
+        assert cache.put(k, 7, shuffled)
+        assert isinstance(cache._entries[k], bytes)
+        got = cache.get(k)
+        assert (got.count, got.accuracy, got.approx) == (7, "exact", None)
+        assert got.is_exact and got.achieved_eps == 0.0
+        # A fresh dict each time, in SearchCounters field order.
+        assert list(got.counters.items()) == list(counters.as_dict().items())
+        assert got.counters is not cache.get(k).counters
+        assert got.nbytes == cache.bytes_used == cache.stats()["bytes_per_entry"]
+
+    @pytest.mark.parametrize("count, counters", [
+        (2**63, SearchCounters().as_dict()),  # count past int64
+        (1, dict(SearchCounters().as_dict(), searches=-(2**63) - 1)),
+        (1, {"edges": 3}),  # not the SearchCounters fields
+        (1, dict(SearchCounters().as_dict(), extra=1)),
+    ])
+    def test_what_does_not_pack_is_kept_unpacked_not_truncated(self, count, counters):
+        cache = ResultCache()
+        k = key_for("fp-a")
+        assert cache.put(k, count, counters)
+        assert not isinstance(cache._entries[k], bytes)
+        got = cache.get(k)
+        assert got.count == count and got.counters == counters and got.is_exact
+        assert got.nbytes == cache.bytes_used > booked(k, 1, SearchCounters().as_dict())
+
+    def test_booked_bytes_are_the_resident_bytes(self):
+        """The byte budget is honest: for 5,000 distinct exact entries
+        (fresh key tuples, canonical keys and counter dicts each time,
+        as queries build them) what ``bytes_used`` books is what
+        ``tracemalloc`` sees the cache keep, within allocator rounding
+        and the table's resize cycle — it booked under a third of it
+        when an entry was a dataclass over a dict of boxed ints."""
+        entries = 5000
+        counters = SearchCounters(
+            searches=123456, candidates_scanned=7654321, binary_searches=4321,
+            binary_search_steps=54321, neighbor_items_touched=987654,
+            bookkeeps=34567, backtracks=45678, matches=1234, root_tasks=2000,
+            bytes_touched=123456789,
+        )
+        cache = ResultCache()
+        fingerprint = "f" * 64
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for d in range(entries):
+                motif = (M1, M2)[d % 2]
+                key = (str(fingerprint), motif.canonical_key(), 100_000 + d)
+                assert cache.put(key, 1000 + d, counters.as_dict())
+            resident = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert cache.entry_count == entries
+        assert 0.7 <= resident / cache.bytes_used <= 1.5
+        assert resident / entries <= 600
+        assert cache.stats()["bytes_per_entry"] == cache.bytes_used / entries
 
 
 class TestPercentile:

@@ -9,7 +9,9 @@ the error mapping (400 bad input, 404 unknown, 429 overload with
 from __future__ import annotations
 
 import json
+import re
 import threading
+import time
 from http.client import HTTPConnection
 
 import pytest
@@ -62,6 +64,7 @@ class TestRoutes:
         assert body["queue_depth"] == 0
         assert body["breakers"] == {}
         assert body["dispatcher_crashes"] == 0
+        assert body["engine"] == "batched"
 
     def test_query_matches_direct_miner(self, served_graph):
         conn, graph, fp, _ = served_graph
@@ -115,13 +118,22 @@ class TestRoutes:
                 {"graph": "burst", "motif": "M1", "delta": DELTA})
         resp, body = request(conn, "GET", "/metrics")
         assert resp.status == 200
-        assert body["metrics"]["admitted"] >= 1
-        assert "coalesce_ratio" in body["metrics"]
+        metrics = body["metrics"]
+        assert metrics["admitted"] >= 1
+        assert "coalesce_ratio" in metrics
+        # The engine that answered, and what its answer costs the cache:
+        # one packed exact entry, booked at what it keeps resident.
+        assert metrics["engine"] == "batched"
+        assert metrics["cache_entries"] == 1
+        assert metrics["cache_bytes_per_entry"] == metrics["cache_bytes"]
+        assert 200 <= metrics["cache_bytes"] <= 400
         conn.request("GET", "/metrics?format=text")
         resp = conn.getresponse()
         text = resp.read().decode()
         assert resp.status == 200
         assert "coalesce ratio" in text
+        assert re.search(r"engine\s*\| batched", text)
+        assert re.search(r"cache bytes per entry\s*\| \d+\.\d", text)
 
 
 class TestStreamsRoutes:
@@ -221,6 +233,49 @@ class TestErrorMapping:
             assert "deadline" in body["error"]
         finally:
             service.scheduler.resume()
+
+    def test_deadline_inside_the_mine_cancels_it_at_a_tile(
+        self, served_graph, monkeypatch
+    ):
+        """A miss whose deadline passes while the family walker is
+        mining is answered 504, and the mine itself stops at its next
+        cancellation poll — a frontier tile, since a graph smaller than
+        one root block has a single per-block poll, the first."""
+        from repro.comine.engine import CoMiner
+        from repro.mining.parallel import MiningCancelled
+
+        conn, _, _, service = served_graph
+        polls, cancelled_at, release = [], [], threading.Event()
+        poll = CoMiner._poll_cancel
+
+        def held_poll(miner):
+            polls.append(len(polls) + 1)
+            if len(polls) == 2:
+                assert release.wait(10.0)  # the mine outlasts its deadline
+            try:
+                poll(miner)
+            except MiningCancelled:
+                cancelled_at.append(len(polls))
+                raise
+
+        monkeypatch.setattr(CoMiner, "_poll_cancel", held_poll)
+        try:
+            resp, body = request(
+                conn, "POST", "/query",
+                {"graph": "burst", "motif": "M1", "delta": DELTA,
+                 "timeout_s": 0.05},
+            )
+        finally:
+            release.set()
+        assert resp.status == 504 and "deadline" in body["error"]
+        for _ in range(1000):
+            if service.scheduler.idle:
+                break
+            time.sleep(0.01)
+        assert cancelled_at == [2]
+        metrics = service.metrics()
+        assert metrics.cancelled == 1 and metrics.errors == 0
+        assert metrics.cache_entries == 0  # nothing half-mined was kept
 
     def test_overload_maps_to_429_with_retry_after(self, served_graph):
         conn, _, fp, service = served_graph
