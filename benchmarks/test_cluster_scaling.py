@@ -31,12 +31,12 @@ def test_cluster_scaling(save_result):
     motifs = grid_motifs()
 
     t0 = time.perf_counter()
-    census = grid_family_census(graph, delta, engine="comine")
+    census = grid_family_census(graph, delta)
     serial_s = time.perf_counter() - t0
 
     rows = [
         f"dataset: email-eu x0.5 ({graph.num_edges} edges), delta={delta}",
-        f"serial comine grid census: {serial_s:.3f}s "
+        f"serial grid census: {serial_s:.3f}s "
         f"total={census.total():,}",
     ]
     elapsed_by_nodes = {}

@@ -1,23 +1,26 @@
 #!/usr/bin/env python
-"""Approximate mining: window sampling (PRESTO) vs edge sampling.
+"""Approximate mining: fixed-budget PRESTO vs adaptive interval sampling.
 
-The paper's §II-C surveys two sampling families and argues Mint helps
-both, because both run the exact miner as a subroutine.  This example
-compares their accuracy/work trade-offs on the same workload:
+The paper's §II-C surveys sampling estimators and argues Mint helps
+them too, because they run the exact miner as a subroutine.  This
+example compares two window samplers on the same workload:
 
-- PRESTO samples c·δ windows — cheap per sample, blind to instances it
-  never covers, variance driven by temporal burstiness;
-- edge sampling keeps each edge with probability p — sees the whole
-  timeline, but an l-edge instance survives only with probability p^l,
-  so variance explodes with motif size.
+- PRESTO samples c·δ windows uniformly for a fixed sample count —
+  cheap per sample, variance driven by temporal burstiness, and no say
+  in how accurate the answer ends up;
+- :func:`repro.approx.engine.estimate_inline` (what ``repro mine
+  --approx`` and the service's approx mode run) weights window starts
+  by edge density and keeps doubling its sample count until the
+  relative CI half-width meets a target, so accuracy is a contract.
 
 Run:  python examples/approximate_mining.py
 """
 
 from repro.analysis.charts import bar_chart
+from repro.approx.engine import estimate_inline
+from repro.approx.estimate import ApproxSpec
 from repro.graph.generators import make_dataset
-from repro.mining.edge_sampling import EdgeSamplingEstimator
-from repro.mining.mackey import count_motifs
+from repro.mining.mackey import MackeyMiner
 from repro.mining.presto import PrestoEstimator
 from repro.motifs.catalog import M1, M4
 
@@ -25,45 +28,43 @@ from repro.motifs.catalog import M1, M4
 def main() -> None:
     graph = make_dataset("email-eu", scale=0.5, seed=2)
     delta = graph.time_span // 300
-    print(f"workload: {graph}, delta={delta}s\n")
+    spec = ApproxSpec(max_error=0.1, seed=0)
+    print(f"workload: {graph}, delta={delta}s, target eps={spec.max_error}\n")
 
     for motif in (M1, M4):
-        exact = count_motifs(graph, motif, delta)
+        exact = MackeyMiner(graph, motif, delta).mine()
         presto = PrestoEstimator(graph, motif, delta, c=1.6, seed=0).estimate(80)
-        edges = EdgeSamplingEstimator(graph, motif, delta, p=0.6, seed=0).estimate(20)
+        adaptive = estimate_inline(graph, motif, delta, spec)
         print(f"--- {motif.name} ({motif.num_edges} edges) ---")
-        print(f"exact count: {exact}")
+        print(f"exact count: {exact.count}")
         rows = {
             "PRESTO estimate": presto.estimate,
-            "edge-sampling estimate": edges.estimate,
-            "exact": float(exact),
+            "adaptive estimate": adaptive.estimate,
+            "exact": float(exact.count),
         }
         print(bar_chart(rows, width=36))
+        lo, hi = adaptive.ci_low, adaptive.ci_high
         print(
             f"relative std error: PRESTO {presto.relative_std_error():.1%}  "
-            f"edge-sampling {edges.relative_std_error():.1%}"
+            f"adaptive {adaptive.std_error / max(adaptive.estimate, 1.0):.1%} "
+            f"({adaptive.num_samples} samples, "
+            f"{'converged' if adaptive.converged else 'budget exhausted'}, "
+            f"{adaptive.confidence:.0%} CI [{lo:,.0f}, {hi:,.0f}])"
         )
         print(
             "candidates examined: "
             f"PRESTO {presto.counters.candidates_scanned:,}  "
-            f"edge-sampling {edges.counters.candidates_scanned:,}  "
-            f"exact {count_work(graph, motif, delta):,}\n"
+            f"adaptive {adaptive.counters['candidates_scanned']:,}  "
+            f"exact {exact.counters.candidates_scanned:,}\n"
         )
 
     print(
-        "takeaway: PRESTO is cheap per sample but high-variance (it only\n"
-        "sees instances its windows cover); edge sampling is accurate but\n"
-        "its cost grows with p and trial count — at these settings it\n"
-        "spends MORE candidates than the exact miner for its accuracy.\n"
-        "Both run the exact miner as the inner loop, which is why the\n"
-        "paper notes Mint accelerates approximate mining too (§II-C)."
+        "takeaway: both samplers run the exact miner inside each window,\n"
+        "which is why the paper notes Mint accelerates approximate mining\n"
+        "too (§II-C); the adaptive sampler spends samples until its\n"
+        "interval meets the requested error or its sample budget runs\n"
+        "out, and says which, instead of stopping at a fixed count."
     )
-
-
-def count_work(graph, motif, delta) -> int:
-    from repro.mining.mackey import MackeyMiner
-
-    return MackeyMiner(graph, motif, delta).mine().counters.candidates_scanned
 
 
 if __name__ == "__main__":

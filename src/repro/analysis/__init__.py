@@ -6,8 +6,6 @@ from repro.analysis.reporting import format_table, format_markdown, geomean
 from repro.analysis.charts import bar_chart, line_chart, sparkline
 from repro.analysis.persistence import compare_runs, load_run, save_run
 from repro.analysis.sweeps import delta_sweep, motif_size_sweep
-from repro.analysis.timeseries import MotifTimeSeries, motif_count_timeseries
-from repro.analysis.verification import VerificationReport, verify_all_miners
 
 __all__ = [
     "AreaPowerModel",
@@ -25,8 +23,4 @@ __all__ = [
     "save_run",
     "delta_sweep",
     "motif_size_sweep",
-    "MotifTimeSeries",
-    "motif_count_timeseries",
-    "VerificationReport",
-    "verify_all_miners",
 ]

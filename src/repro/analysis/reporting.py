@@ -85,7 +85,7 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
 def format_sharing_stats(sharing) -> str:
     """One-line summary of co-mining :class:`~repro.comine.SharingStats`.
 
-    Used by ``repro census --engine comine`` and the census benchmark to
+    Used by ``repro census`` and the census benchmark to
     report how much traversal the family's prefix trie saved.
     """
     head = (

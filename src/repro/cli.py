@@ -31,13 +31,13 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.analysis.reporting import format_table
+from repro.analysis.reporting import format_sharing_stats, format_table
 from repro.graph.generators import DATASET_NAMES, make_dataset
 from repro.graph.loaders import load_snap_text, save_snap_text
 from repro.graph.stats import compute_stats
-from repro.mining.dispatch import ENGINES
+from repro.mining.dispatch import ENGINE
 from repro.mining.mackey import MackeyMiner
-from repro.mining.multi import grid_census, render_grid
+from repro.mining.multi import grid_family_census, render_grid
 from repro.mining.parallel import open_runner
 from repro.motifs.catalog import motif_by_name
 from repro.sim.accelerator import MintSimulator
@@ -81,16 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="emit the machine-readable result payload (same shape as "
         "the `repro serve` HTTP endpoint returns)",
-    )
-    mine.add_argument(
-        "--engine",
-        choices=tuple(ENGINES),
-        default=None,
-        help="mining engine: the vectorized trie-walking family engine "
-        "(batched, the default; comine is its older spelling) or the "
-        "scalar serial miner (mackey, the default under --memoize and "
-        "--show-matches, which only it supports) — identical "
-        "counts/counters",
     )
     mine.add_argument(
         "--approx",
@@ -143,15 +133,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="emit the machine-readable grid payload (per-motif "
         "search counters included)",
-    )
-    census.add_argument(
-        "--engine",
-        choices=tuple(ENGINES),
-        default="batched",
-        help="census engine: the vectorized family engine (batched, the "
-        "default; comine is its older spelling) walks the grid's prefix "
-        "trie once and reports prefix-sharing stats, mackey runs the "
-        "scalar miner once per motif (identical counts/counters)",
     )
 
     simulate = sub.add_parser("simulate", help="run the Mint simulator")
@@ -424,10 +405,6 @@ def cmd_mine(args) -> int:
     workers = getattr(args, "workers", 0)
     as_json = getattr(args, "json", False)
     serial_only = args.memoize or args.show_matches > 0
-    # The family engine unless the options ask for what only the scalar
-    # miner does.
-    asked = getattr(args, "engine", None)
-    engine = asked or ("mackey" if serial_only else "batched")
     if args.show_matches > 0 and (workers > 0 or as_json):
         print("error: --show-matches requires the serial text mode "
               "(--workers 0, no --json)")
@@ -437,24 +414,16 @@ def cmd_mine(args) -> int:
             print("error: --approx is incompatible with --memoize and "
                   "--show-matches")
             return 2
-        if asked not in (None, "mackey"):
-            print("error: --approx always mines sampled windows with the "
-                  "mackey engine; drop --engine")
-            return 2
         return _mine_approx(graph, motif, args)
-    if serial_only and engine != "mackey":
-        print(f"error: --engine {engine} is incompatible with "
-              "--memoize and --show-matches")
-        return 2
     if args.memoize and workers > 0:
         print("error: --memoize is a serial cost-model option "
               "(--workers 0); worker chunks would silently drop it")
         return 2
     shown: list = []
     if serial_only:
-        # Mackey-only options with no chunk kind: the dedicated serial
-        # miner, streaming the first N matches through on_match (bounded
-        # memory on large graphs).
+        # Options only the scalar miner has, with no chunk kind: the
+        # dedicated serial miner, streaming the first N matches through
+        # on_match (bounded memory on large graphs).
         want = args.show_matches
 
         def _keep(match) -> None:
@@ -471,8 +440,8 @@ def cmd_mine(args) -> int:
         how = ""
     else:
         with open_runner(graph, workers) as runner:
-            result = runner.count(graph, motif, args.delta, engine=engine)
-        how = (f"  [{engine}, {result.num_workers} workers, "
+            result = runner.count(graph, motif, args.delta)
+        how = (f"  [{ENGINE}, {result.num_workers} workers, "
                f"{result.num_chunks} chunks]")
     if as_json:
         _print_mine_payload(graph, motif, args.delta, result.count,
@@ -550,7 +519,6 @@ def _print_mine_payload(graph, motif, delta, count, counters) -> None:
 def cmd_census(args) -> int:
     import json
 
-    from repro.mining.multi import grid_family_census
     from repro.motifs.grid import paranjape_grid
 
     graph = _load(args.graph)
@@ -558,7 +526,6 @@ def cmd_census(args) -> int:
         graph,
         args.delta,
         num_workers=getattr(args, "workers", 0),
-        engine=getattr(args, "engine", "batched"),
     )
     grid = {
         key: census.counts[motif.name]
@@ -576,17 +543,13 @@ def cmd_census(args) -> int:
                 name: c.as_dict()
                 for name, c in sorted(census.per_motif.items())
             },
+            "sharing": census.sharing.as_dict(),
         }
-        if census.sharing is not None:
-            payload["sharing"] = census.sharing.as_dict()
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
         return 0
     print(render_grid(grid))
     print(f"total: {census.total():,}")
-    if census.sharing is not None:
-        from repro.analysis.reporting import format_sharing_stats
-
-        print(format_sharing_stats(census.sharing))
+    print(format_sharing_stats(census.sharing))
     return 0
 
 
@@ -701,8 +664,6 @@ def cmd_stream(args) -> int:
     if args.per_batch:
         print(format_batch_table(result, max_rows=200))
     if args.grid:
-        from repro.mining.multi import render_grid
-
         print(render_grid(counter.grid_counts))
         print(f"total: {counter.count:,}")
     elif args.catalog:

@@ -17,11 +17,11 @@ a whole family in ONE traversal:
   the trie saved.  A single motif is the family of one
   (:class:`repro.mining.batched.BatchedMiner`).
 
-It is the repo's one family engine: ``engine="batched"`` (older
-spelling ``"comine"``) in ``repro.mining.multi``, ``count`` /
-``count_many`` / ``count_family`` on every runner (root-range family
-chunks with the existing retry/chaos machinery), the service batch
-lanes, and the ``repro census`` default.
+It is the repo's one exact engine (:data:`repro.mining.dispatch.ENGINE`):
+``repro.mining.multi``'s censuses, ``count`` / ``count_many`` /
+``count_family`` on every runner (root-range family chunks with the
+existing retry/chaos machinery), the service, ``repro mine`` and
+``repro census``.
 """
 
 from repro.comine.trie import MotifTrie, TrieNode

@@ -1,7 +1,7 @@
 """The family engine: one vectorised trie walk for a whole motif family.
 
-:class:`CoMiner` is the repo's one frontier engine — ``engine="batched"``
-and its older spelling ``engine="comine"`` — and the software analogue
+:class:`CoMiner` is the repo's one exact engine — the only one a runner
+dispatches, :data:`repro.mining.dispatch.ENGINE` — and the software analogue
 of Mint's two-phase search engine (a search to the first edge after the
 last match, then a stream up to the window bound).  It descends the
 family's :class:`~repro.comine.trie.MotifTrie` level by level with a

@@ -11,15 +11,6 @@ from repro.graph.generators import (
     synthesize,
 )
 from repro.graph.stats import GraphStats, compute_stats, dataset_table
-from repro.graph.io_binary import load_binary, save_binary
-from repro.graph.transforms import (
-    compact_node_ids,
-    degree_filtered,
-    filter_time_range,
-    induced_subgraph,
-    merge,
-    temporal_split,
-)
 
 __all__ = [
     "RangeIndex",
@@ -38,12 +29,4 @@ __all__ = [
     "GraphStats",
     "compute_stats",
     "dataset_table",
-    "load_binary",
-    "save_binary",
-    "compact_node_ids",
-    "degree_filtered",
-    "filter_time_range",
-    "induced_subgraph",
-    "merge",
-    "temporal_split",
 ]

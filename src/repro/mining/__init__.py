@@ -43,7 +43,6 @@ from repro.mining.multi import (
     grid_census,
     grid_family_census,
 )
-from repro.mining.features import motif_feature_matrix, node_motif_counts
 
 __all__ = [
     "Match",
@@ -72,6 +71,4 @@ __all__ = [
     "count_motif_family",
     "grid_census",
     "grid_family_census",
-    "motif_feature_matrix",
-    "node_motif_counts",
 ]

@@ -15,14 +15,14 @@ which workers died along the way.
 
 Three parts, each defined exactly once:
 
-- :class:`ChunkRunner` — "mine this batch": the engine table
-  (:data:`ENGINES`: which chunk kind a request dispatches as, and
-  whether one chunk mines the whole family), task construction and
-  result merging for the motif / family / sample kinds, as
-  graph-first ``count`` / ``count_many`` / ``count_family`` /
-  ``sample_intervals``.  The base class runs each spec's one chunk in
-  the calling thread (:data:`INLINE`, the zero-worker case); a
-  dispatcher inherits the methods and changes only where chunks run.
+- :class:`ChunkRunner` — "mine this batch": task construction and
+  result merging for the two chunk kinds (``family``: one walk of the
+  exact engine, :data:`ENGINE`, down a motif list's prefix trie;
+  ``sample``: approximate sample indices), as graph-first ``count`` /
+  ``count_many`` / ``count_family`` / ``sample_intervals``.  The base
+  class runs each spec's one chunk in the calling thread
+  (:data:`INLINE`, the zero-worker case); a dispatcher inherits the
+  methods and changes only where chunks run.
 - :func:`worker_main` — the process every dispatcher spawns.  It keeps
   graphs resident by fingerprint (:class:`ResidentGraph`) and runs a
   chunk by looking its kind up in :data:`CHUNK_KINDS`; miners are built
@@ -61,7 +61,6 @@ from typing import Callable, Deque, Dict, Iterable, List, Optional, Sequence, Se
 import numpy as np
 
 from repro.graph.temporal_graph import TemporalGraph
-from repro.mining.mackey import MackeyMiner
 from repro.mining.results import SearchCounters
 from repro.motifs.motif import Motif
 
@@ -97,60 +96,35 @@ class FamilyParallelResult:
     ``results`` follow the family's input order; each carries the
     motif's exact count and its attributed per-motif counters (byte-
     identical to a dedicated serial miner).  ``counters`` is the work
-    actually performed, ``sharing`` what the trie saved (``None`` for
-    a per-motif engine, which shares nothing).
+    actually performed, ``sharing`` what the trie saved.
     """
 
     results: Tuple[ParallelResult, ...]
     counters: SearchCounters
-    sharing: Optional["SharingStats"]  # noqa: F821 - repro.comine.engine
+    sharing: "SharingStats"  # noqa: F821 - repro.comine.engine
     num_workers: int
     num_chunks: int
 
 
-# -- engines and chunk kinds ---------------------------------------------------
+# -- the engine and the chunk kinds -------------------------------------------
 
 
-@dataclass(frozen=True)
-class Engine:
-    """One row of the engine table: the chunk kind a request for this
-    engine dispatches as, and whether one chunk mines the whole motif
-    list in a shared traversal (``family``) or one motif of it."""
-
-    kind: str
-    family: bool = False
+#: The one exact engine a runner dispatches: the family walker
+#: (:class:`repro.comine.engine.CoMiner`), once per root range for a
+#: whole motif list.  The scalar :class:`~repro.mining.mackey.MackeyMiner`
+#: is the oracle it is checked against, run serially, never dispatched.
+ENGINE = "batched"
 
 
-#: The exact engines.  Every row yields byte-identical per-motif counts
-#: and counters.  ``mackey`` runs the scalar DFS once per motif; the
-#: family engine (:class:`repro.comine.engine.CoMiner`) walks the motif
-#: list's prefix trie with numpy frontiers, once per root range for the
-#: whole list.  ``comine`` is its older published spelling.
-_FAMILY = Engine("family", family=True)
-ENGINES: Dict[str, Engine] = {
-    "mackey": Engine("motif"),
-    "batched": _FAMILY,
-    "comine": _FAMILY,
-}
-
-
-def check_engine(engine: str) -> None:
-    if engine not in ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r}; expected one of {tuple(ENGINES)}"
+def require_walker(name: str) -> None:
+    """What is left of an ``engine=`` keyword: it may name :data:`ENGINE`."""
+    if name != ENGINE:
+        hint = (
+            "the scalar miner is not dispatched; run it serially as "
+            "repro.mining.mackey.MackeyMiner"
+            if name == "mackey" else f"the one engine is {ENGINE!r}"
         )
-
-
-def _motif_chunks(graph, motif_edges, delta, cancel_check=None):
-    """One motif on the scalar DFS, which has no cancellation poll of its
-    own: its runs are cancelled between chunks."""
-    miner = MackeyMiner(graph, Motif(motif_edges), delta)
-
-    def run(lo: int, hi: int):
-        result = miner.mine_range(lo, hi)
-        return result.count, result.counters.as_dict()
-
-    return run
+        raise ValueError(f"unknown engine {name!r}: {hint}")
 
 
 def _family_chunks(graph, family_edges, delta, cancel_check=None):
@@ -183,7 +157,6 @@ def _sample_chunks(graph, spec, delta, cancel_check=None):
 #: the built runner for the run's chunks; in-process runs pass their
 #: ``cancel_check`` so engines that poll mid-chunk can.
 CHUNK_KINDS: Dict[str, Callable] = {
-    "motif": _motif_chunks,
     "family": _family_chunks,
     "sample": _sample_chunks,
 }
@@ -446,7 +419,7 @@ class ChunkRunner:
         chunks_per_worker: int = 8,
         cancel_check: Optional[Callable[[], bool]] = None,
         allow_degraded: bool = True,
-        engine: str = "mackey",
+        engine: str = ENGINE,
     ) -> ParallelResult:
         """Exactly count one motif; identical to :class:`MackeyMiner`."""
         return self._count(
@@ -462,10 +435,11 @@ class ChunkRunner:
         chunks_per_worker: int = 8,
         cancel_check: Optional[Callable[[], bool]] = None,
         allow_degraded: bool = True,
-        engine: str = "mackey",
+        engine: str = ENGINE,
     ) -> List[ParallelResult]:
-        """Count several motifs in one dispatch wave; ``engine`` is any
-        row of :data:`ENGINES`."""
+        """Count several motifs in one dispatch wave (none: no wave)."""
+        if not motifs:
+            return []
         return list(self._count(
             graph, motifs, delta, chunks_per_worker, cancel_check,
             allow_degraded, engine,
@@ -479,11 +453,10 @@ class ChunkRunner:
         chunks_per_worker: int = 8,
         cancel_check: Optional[Callable[[], bool]] = None,
         allow_degraded: bool = True,
-        engine: str = "batched",
+        engine: str = ENGINE,
     ) -> FamilyParallelResult:
         """:meth:`count_many` keeping the family-level accounting: the
-        work actually performed and, for a ``family`` engine (the
-        default: one shared trie walk), what the trie saved."""
+        work actually performed and what the trie saved."""
         return self._count(
             graph, motifs, delta, chunks_per_worker, cancel_check,
             allow_degraded, engine,
@@ -495,47 +468,27 @@ class ChunkRunner:
     ) -> FamilyParallelResult:
         """Count a motif family in one dispatch wave.
 
-        A per-motif engine queues every motif's root-range chunks on the
-        one queue, so workers drain straight from one motif's tail into
-        the next motif's head with no inter-motif barrier; a ``family``
-        engine sends each root range out once and the chunk's resident
+        Each root range goes out once and the chunk's resident
         :class:`~repro.comine.engine.CoMiner` extends it toward every
         motif simultaneously (an empty family raises).  Per-motif counts
-        and counters are byte-identical to the serial miner either way:
-        chunks are idempotent and merging is commutative, so deaths,
-        retries and failovers cannot change them.
+        and counters are byte-identical to the serial miner: chunks are
+        idempotent and merging is commutative, so deaths, retries and
+        failovers cannot change them.  ``engine`` may only name
+        :data:`ENGINE`.
         """
         from repro.comine.engine import FamilyResult
         from repro.comine.trie import MotifTrie
 
-        check_engine(engine)
-        row = ENGINES[engine]
+        require_walker(engine)
         bounds = self._root_bounds(graph.num_edges, chunks_per_worker)
-        if row.family:
-            acc = FamilyResult.empty(MotifTrie(motifs))
-            specs = [tuple(m.edges for m in motifs)]
-
-            def apply_result(_task_id: int, result) -> None:
-                acc.merge(FamilyResult.from_payload(result))
-        else:
-            acc = FamilyResult(
-                [0] * len(motifs), [SearchCounters() for _ in motifs],
-                SearchCounters(), sharing=None,
-            )
-            specs = [m.edges for m in motifs]
-
-            def apply_result(task_id: int, result) -> None:
-                count, counter_dict = result
-                chunk = SearchCounters(**counter_dict)
-                i = task_id // len(bounds)
-                acc.counts[i] += count
-                acc.per_motif[i].merge(chunk)
-                acc.counters.merge(chunk)
-
-        tasks = [
-            (row.kind, spec, int(delta), lo, hi) for spec in specs for lo, hi in bounds
-        ]
-        self._mine(graph, tasks, apply_result, cancel_check, allow_degraded)
+        acc = FamilyResult.empty(MotifTrie(motifs))
+        spec = tuple(m.edges for m in motifs)
+        tasks = [("family", spec, int(delta), lo, hi) for lo, hi in bounds]
+        self._mine(
+            graph, tasks,
+            lambda _task_id, result: acc.merge(FamilyResult.from_payload(result)),
+            cancel_check, allow_degraded,
+        )
         return FamilyParallelResult(
             results=tuple(
                 ParallelResult(count, counters, self.num_workers, len(bounds))

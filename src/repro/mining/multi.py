@@ -2,25 +2,19 @@
 
 Counting a whole family of motifs (e.g. the 36-motif grid used for
 temporal network fingerprinting, paper §II-B's "features built with
-temporal motif distributions") is a common workload.  ``engine`` is a
-row of :data:`repro.mining.dispatch.ENGINES`:
-
-- ``"mackey"`` — the scalar exact miner once per motif (the
-  historical per-motif loop);
-- ``"batched"`` (``"comine"`` is its older spelling) — the vectorised
-  family engine, :class:`repro.comine.engine.CoMiner`: the family's
-  canonical prefix trie is walked once with numpy frontiers, so shared
-  prefixes (every grid row shares its first two edges) are searched
-  once instead of once per motif and the last level is counted, not
-  enumerated.  Per-motif counts and counters are byte-identical to the
-  per-motif loop; the census additionally reports the shared work
-  actually done and :class:`~repro.comine.engine.SharingStats`.
-
-Every engine keeps a per-motif :class:`SearchCounters` breakdown so a
-census report can attribute work to individual motifs, and every engine
-shards across worker processes with ``num_workers > 0`` — the census is
-one ``count_family`` call on whichever runner
-:func:`~repro.mining.parallel.open_runner` picks.
+temporal motif distributions") is a common workload.  A census is one
+``count_family`` call on whichever runner
+:func:`~repro.mining.parallel.open_runner` picks, so it runs the one
+exact engine, :class:`repro.comine.engine.CoMiner`: the family's
+canonical prefix trie is walked once with numpy frontiers, so shared
+prefixes (every grid row shares its first two edges) are searched once
+instead of once per motif and the last level is counted, not
+enumerated.  Per-motif counts and counters are byte-identical to a
+dedicated serial :class:`MackeyMiner` per motif; the census additionally
+reports the shared work actually done and
+:class:`~repro.comine.engine.SharingStats`.  ``memoize=True`` asks for a
+:class:`MackeyMiner` cost-model knob, so it runs that serial miner once
+per motif instead.
 """
 
 from __future__ import annotations
@@ -29,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.graph.temporal_graph import TemporalGraph
-from repro.mining.dispatch import check_engine
+from repro.mining.dispatch import ENGINE, require_walker
 from repro.mining.mackey import MackeyMiner
 from repro.mining.parallel import open_runner
 from repro.mining.results import SearchCounters
@@ -44,19 +38,22 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
 class MotifCensus:
     """Counts for a family of motifs on one graph at one δ.
 
-    ``counters`` aggregates the work the chosen engine actually
-    performed; ``per_motif`` attributes search work to each motif (for
-    every engine it equals what a dedicated serial miner would report,
-    so attributions are engine-independent).  ``sharing`` is populated
-    by the family engine only.
+    ``counters`` aggregates the work actually performed; ``per_motif``
+    attributes search work to each motif (it equals what a dedicated
+    serial miner would report).  ``sharing`` is what the family walk
+    saved, ``None`` for a memoized serial census.
     """
 
     delta: int
     counts: Dict[str, int]
     counters: SearchCounters
     per_motif: Dict[str, SearchCounters] = field(default_factory=dict)
-    engine: str = "mackey"
     sharing: Optional["SharingStats"] = None
+
+    @property
+    def engine(self) -> str:
+        """``"mackey"`` for a memoized serial census, else :data:`ENGINE`."""
+        return "mackey" if self.sharing is None else ENGINE
 
     def total(self) -> int:
         return sum(self.counts.values())
@@ -87,30 +84,26 @@ def count_motif_family(
     motifs: Sequence[Motif],
     delta: int,
     memoize: bool = False,
-    engine: str = "mackey",
     num_workers: int = 0,
     chunks_per_worker: int = 8,
 ) -> MotifCensus:
     """Exactly count every motif in ``motifs`` within δ windows.
 
-    ``engine="batched"`` mines the family in one shared trie walk
-    (identical counts, shared-prefix work done once); ``num_workers >
-    0`` shards root-range chunks across a worker pool for any engine.
-    ``memoize`` is a :class:`MackeyMiner` cost-model knob with no chunk
-    kind: it runs the dedicated serial miner and is rejected with any
-    other engine or with workers.  An empty family raises
-    :class:`ValueError` — a census of nothing is a caller bug, not an
-    all-zero result.
+    The family is mined in one shared trie walk; ``num_workers > 0``
+    shards its root-range chunks across a worker pool.  ``memoize`` is a
+    :class:`MackeyMiner` cost-model knob with no chunk kind: it runs the
+    dedicated serial miner and is rejected with workers.  An empty
+    family raises :class:`ValueError` — a census of nothing is a caller
+    bug, not an all-zero result.
     """
     if not motifs:
         raise ValueError("cannot count an empty motif family")
-    check_engine(engine)
     if memoize:
-        if engine != "mackey" or num_workers > 0:
+        if num_workers > 0:
             raise ValueError(
                 "memoize is a MackeyMiner cost-model knob; it is not supported "
-                f"with engine={engine!r}, num_workers={num_workers} (counts "
-                "would be identical anyway)"
+                f"with num_workers={num_workers} (counts would be identical "
+                "anyway)"
             )
         mined = [MackeyMiner(graph, m, delta, memoize=True).mine() for m in motifs]
         counters, sharing = SearchCounters(), None
@@ -118,16 +111,13 @@ def count_motif_family(
             counters.merge(r.counters)
     else:
         with open_runner(graph, num_workers) as runner:
-            family = runner.count_family(
-                graph, list(motifs), delta, chunks_per_worker, engine=engine
-            )
+            family = runner.count_family(graph, list(motifs), delta, chunks_per_worker)
         mined, counters, sharing = family.results, family.counters, family.sharing
     return MotifCensus(
         delta=int(delta),
         counts={m.name: r.count for m, r in zip(motifs, mined)},
         counters=counters,
         per_motif={m.name: r.counters for m, r in zip(motifs, mined)},
-        engine=engine,
         sharing=sharing,
     )
 
@@ -138,15 +128,12 @@ def grid_census(
     memoize: bool = False,
     num_workers: int = 0,
     chunks_per_worker: int = 8,
-    engine: str = "mackey",
 ) -> Dict[Tuple[int, int], int]:
     """Count the full Paranjape 6x6 grid; returns counts keyed (row, col).
 
-    ``engine="batched"`` runs the whole grid in one shared trie walk
-    (every row's two-edge prefix searched once for its six motifs);
-    ``num_workers > 0`` shards either engine's root-range chunks across
-    one worker pool.  Counts are identical across all four combinations
-    by construction.
+    The whole grid runs in one shared trie walk (every row's two-edge
+    prefix searched once for its six motifs); ``num_workers > 0`` shards
+    its root-range chunks across one worker pool.
     """
     census = grid_family_census(
         graph,
@@ -154,7 +141,6 @@ def grid_census(
         memoize=memoize,
         num_workers=num_workers,
         chunks_per_worker=chunks_per_worker,
-        engine=engine,
     )
     grid = paranjape_grid()
     return {key: census.counts[motif.name] for key, motif in grid.items()}
@@ -166,17 +152,18 @@ def grid_family_census(
     memoize: bool = False,
     num_workers: int = 0,
     chunks_per_worker: int = 8,
-    engine: str = "mackey",
+    engine: str = ENGINE,
 ) -> MotifCensus:
     """The grid census as a full :class:`MotifCensus` (per-motif counters,
-    sharing stats) rather than a bare count grid."""
+    sharing stats) rather than a bare count grid.  ``engine`` may only
+    name :data:`ENGINE`."""
+    require_walker(engine)
     keys_motifs = sorted(paranjape_grid().items())
     return count_motif_family(
         graph,
         [motif for _, motif in keys_motifs],
         delta,
         memoize=memoize,
-        engine=engine,
         num_workers=num_workers,
         chunks_per_worker=chunks_per_worker,
     )

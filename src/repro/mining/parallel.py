@@ -50,7 +50,6 @@ from repro.mining.dispatch import (  # noqa: F401 - re-exported
     MiningCancelled,
     ParallelResult,
     _guided_bounds,
-    check_engine,
     worker_main,
 )
 from repro.motifs.motif import Motif
@@ -149,7 +148,6 @@ def count_motifs_parallel(
     delta: int,
     num_workers: Optional[int] = None,
     chunks_per_worker: int = 8,
-    engine: str = "mackey",
 ) -> ParallelResult:
     """Exactly count ``motif`` using a pool of worker processes.
 
@@ -158,6 +156,5 @@ def count_motifs_parallel(
     defaults to the machine's CPU count; ``num_workers=0`` runs inline
     (useful for tests and small graphs, where process startup dominates).
     """
-    check_engine(engine)  # before any process is spawned
     with open_runner(graph, num_workers) as runner:
-        return runner.count(graph, motif, delta, chunks_per_worker, engine=engine)
+        return runner.count(graph, motif, delta, chunks_per_worker)

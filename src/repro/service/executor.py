@@ -5,7 +5,8 @@ batch; the executor turns a batch into per-motif ``(count, counters)``
 pairs (``count_batch``) or labelled estimates (``estimate_batch``).
 There is one executor class, one engine and one way a batch is mined:
 ONE pass of the vectorised family walker
-(:class:`~repro.comine.engine.CoMiner`, :data:`ENGINE`) down the batch's
+(:class:`~repro.comine.engine.CoMiner`,
+:data:`~repro.mining.dispatch.ENGINE`) down the batch's
 motif prefix trie, whether the batch holds one motif or sixteen — a
 singleton is a family of one.  Per-motif counts and counters are
 byte-identical to the scalar :class:`~repro.mining.mackey.MackeyMiner`
@@ -74,12 +75,6 @@ from repro.service.metrics import ResilienceCounters
 
 #: One batch item's result: (count, counters-as-dict).
 BatchItem = Tuple[int, Dict[str, int]]
-
-#: The one exact engine behind the serving stack: the row of
-#: :data:`~repro.mining.dispatch.ENGINES` every batch is mined with
-#: (reported, read-only, by ``/metrics`` and ``/healthz``).
-ENGINE = "batched"
-
 
 class InlineExecutor:
     """The executor; on its own, serial in-process mining.
@@ -175,7 +170,7 @@ class InlineExecutor:
         cancel_check: Optional[Callable[[], bool]] = None,
     ) -> List[BatchItem]:
         results = self._run(graph, len(motifs), lambda runner: runner.count_many(
-            graph, list(motifs), delta, cancel_check=cancel_check, engine=ENGINE,
+            graph, list(motifs), delta, cancel_check=cancel_check,
         ))
         if len(motifs) > 1:
             self.counters.inc("comined_batches")

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Sequence
 
 from repro.analysis.reporting import format_table
-from repro.mining.dispatch import DispatchStats
+from repro.mining.dispatch import ENGINE, DispatchStats
 
 
 def percentile(values: Sequence[float], p: float) -> float:
@@ -228,13 +228,9 @@ class ServiceMetrics:
         """Resident bytes booked per cache entry (0.0 when empty)."""
         return self.cache_bytes / self.cache_entries if self.cache_entries else 0.0
 
-    @property
-    def engine(self) -> str:
-        """The exact engine that mines every batch: a constant of the
-        serving stack, reported so a running server can be asked."""
-        from repro.service.executor import ENGINE  # executor imports this module
-
-        return ENGINE
+    #: The exact engine that mines every batch, reported so a running
+    #: server can be asked.
+    engine = ENGINE
 
     def as_dict(self) -> Dict[str, float]:
         d = {

@@ -33,13 +33,14 @@ from typing import TYPE_CHECKING
 from repro.approx.estimate import APPROX, EXACT, ApproxSpec
 from repro.approx.refiner import CacheRefiner
 from repro.graph.temporal_graph import TemporalGraph
+from repro.mining.dispatch import ENGINE
 from repro.motifs.catalog import motif_by_name
 from repro.motifs.motif import Motif
 
 if TYPE_CHECKING:  # imported lazily at runtime (repro.live uses the
     from repro.live.subscriptions import Subscription  # service internals)
 from repro.service.cache import ResultCache
-from repro.service.executor import ENGINE, InlineExecutor, PoolExecutor
+from repro.service.executor import InlineExecutor, PoolExecutor
 from repro.service.metrics import ResilienceCounters, ServiceMetrics
 from repro.service.query import MotifQuery, QueryResult, UnknownGraph
 from repro.service.registry import GraphRegistry

@@ -1,16 +1,15 @@
-"""The cluster differential fixture: every dispatch mode, every engine,
-one parity contract.
+"""The cluster differential fixture: every dispatch mode, one parity
+contract.
 
 The repo's correctness story is a chain of byte-parity links — serial
 vs pooled, pooled vs supervised, supervised vs chaos — and this module
 closes the chain at cluster scale.  :func:`mine` runs one motif family
-through any ``(mode, engine)`` cell of the grid
+through any mode
 
-    modes   = serial | pooled | supervised | cluster
-    engines = mackey | batched | comine
+    modes = serial | pooled | supervised | cluster
 
-and returns per-motif ``(count, counters_dict)`` pairs in a single
-normalized shape, so a test can assert that the *served payload bytes*
+as family chunks of the one exact engine, and returns per-motif
+``(count, counters_dict)`` pairs in a single normalized shape, so a test can assert that the *served payload bytes*
 (:func:`repro.service.query.payload_bytes`) of every cell agree with
 the serial Mackey reference — under no faults, and under seeded plans
 that kill supervised workers (``worker.chunk``) or whole cluster nodes
@@ -21,13 +20,12 @@ one supervision loop; ``SupervisedMiningPool`` is ``MiningPool``); the
 grid keeps both names as its fault-free pool cell and its
 pool-under-kills cell.  Only ``serial`` has nothing to kill: passing it
 a fault plan is a test bug and raises.  Every cell is the same
-graph-first ``count_many(graph, motifs, delta, engine=)`` call — on the
+graph-first ``count_many(graph, motifs, delta)`` call — on the
 in-process runner, a worker pool or a cluster.
 
 :func:`serve` is the same contract one layer up: one batch through any
-``(executor, mode)`` cell of the service's executor grid.  Executors
-have no engine axis — every batch is one family walk — so there the
-scalar miner appears only as the oracle (:func:`serial_reference`).
+``(executor, mode)`` cell of the service's executor grid.  In both grids
+the scalar miner appears only as the oracle (:func:`serial_reference`).
 """
 
 from __future__ import annotations
@@ -40,7 +38,6 @@ from repro.approx.estimate import ApproxSpec, build_approx_payload
 from repro.approx.sampler import IntervalSampler
 from repro.cluster import ClusterExecutor, MiningCluster
 from repro.graph.temporal_graph import TemporalGraph
-from repro.mining import dispatch
 from repro.mining.dispatch import INLINE
 from repro.mining.mackey import MackeyMiner
 from repro.mining.parallel import WorkerPool
@@ -51,13 +48,6 @@ from repro.service.query import build_payload, payload_bytes
 
 #: Dispatch modes, in deployment-ladder order.
 MODES: Tuple[str, ...] = ("serial", "pooled", "supervised", "cluster")
-
-#: Engines every mode must agree on: every name in the engine table.
-#: ``mackey`` mines per-motif chunks; ``batched`` and ``comine`` are the
-#: one family engine (a shared trie walk per root range for the whole
-#: motif list), so both columns carry family chunks through every kill
-#: plan.
-ENGINES: Tuple[str, ...] = tuple(dispatch.ENGINES)
 
 #: One (count, counters-dict) pair per motif, the normalized result.
 MotifResult = Tuple[int, Dict[str, int]]
@@ -105,10 +95,9 @@ def payloads(
     ]
 
 
-def _count_many(runner, graph, motifs, delta, engine) -> List[MotifResult]:
-    """One graph-first call, the same on every runner — ``engine`` is a
-    name in the engine table."""
-    results = runner.count_many(graph, list(motifs), delta, engine=engine)
+def _count_many(runner, graph, motifs, delta) -> List[MotifResult]:
+    """One graph-first call, the same on every runner."""
+    results = runner.count_many(graph, list(motifs), delta)
     return [(r.count, r.counters.as_dict()) for r in results]
 
 
@@ -122,7 +111,6 @@ def _runner(mode, workers, fault_plan, seed):
 
 def mine(
     mode: str,
-    engine: str,
     graph: TemporalGraph,
     motifs: Sequence[Motif],
     delta: int,
@@ -141,16 +129,14 @@ def mine(
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
     if fault_plan is not None and mode not in FAULT_SITES:
         raise ValueError(f"mode {mode!r} cannot take a fault plan")
     if cluster is not None:
         if mode != "cluster" or fault_plan is not None:
             raise ValueError("a shared cluster serves mode='cluster', without a plan")
-        return _count_many(cluster, graph, motifs, delta, engine)
+        return _count_many(cluster, graph, motifs, delta)
     with _runner(mode, workers, fault_plan, seed) as runner:
-        return _count_many(runner, graph, motifs, delta, engine)
+        return _count_many(runner, graph, motifs, delta)
 
 
 # -- the executor grid ---------------------------------------------------------

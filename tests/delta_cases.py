@@ -17,9 +17,9 @@ exercising the exact semantics of §II-A that off-by-one bugs hit first:
   not wrap (the vectorised engine once crashed on ``δ = 2**63 - 1``).
 
 ``expected`` is the hand-derived count; every miner — Mackey,
-brute-force, task-centric, the streaming engine, the shared-traversal
-co-miner, and the batched frontier engine — must report it
-*identically*.
+brute-force, task-centric, the streaming engine, the vectorised family
+walker, the Mint simulator, and the walker dispatched over a worker pool
+and a cluster — must report it *identically*.
 """
 
 from __future__ import annotations
@@ -227,44 +227,52 @@ def streaming_count(graph: TemporalGraph, motif: Motif, delta: int) -> int:
     return stream_count(graph, motif, delta)
 
 
-def comine_count(graph: TemporalGraph, motif: Motif, delta: int) -> int:
-    """The shared-traversal co-miner, run as a family of one."""
-    from repro.comine import CoMiner
-
-    return CoMiner(graph, [motif], delta).mine().counts[0]
-
-
 def batched_count(graph: TemporalGraph, motif: Motif, delta: int) -> int:
-    """The vectorized frontier-expansion engine."""
+    """The vectorised family walker, run as a family of one."""
     from repro.mining.batched import count_motifs_batched
 
     return count_motifs_batched(graph, motif, delta)
 
 
-_SHARED_CLUSTER = None
+def simulator_count(graph: TemporalGraph, motif: Motif, delta: int) -> int:
+    """The Mint simulator's functional result (a small configuration)."""
+    from repro.sim.accelerator import MintSimulator
+    from repro.sim.config import CacheConfig, MintConfig
+
+    config = MintConfig(num_pes=4, cache=CacheConfig(num_banks=4, bank_kb=2))
+    return MintSimulator(graph, motif, delta, config).run().matches
 
 
-def _shared_cluster():
-    """A lazily-started 2-node mining cluster, shared by every case.
+_SHARED_RUNNERS = {}
 
-    Spinning up node processes per case would dominate the suite's
-    runtime; residency is per-fingerprint, so all the tiny case graphs
-    coexist on one cluster.  Closed at interpreter exit.
+
+def _shared_runner(kind: str):
+    """A lazily-started 2-process runner of ``kind``, shared by every case.
+
+    Spinning up processes per case would dominate the suite's runtime;
+    residency is per-fingerprint, so all the tiny case graphs coexist on
+    one runner.  Closed at interpreter exit.
     """
-    global _SHARED_CLUSTER
-    if _SHARED_CLUSTER is None:
+    if kind not in _SHARED_RUNNERS:
         import atexit
 
         from repro.cluster import MiningCluster
+        from repro.mining.parallel import WorkerPool
 
-        _SHARED_CLUSTER = MiningCluster(2)
-        atexit.register(_SHARED_CLUSTER.close)
-    return _SHARED_CLUSTER
+        runner = (MiningCluster if kind == "cluster" else WorkerPool)(2)
+        _SHARED_RUNNERS[kind] = runner
+        atexit.register(runner.close)
+    return _SHARED_RUNNERS[kind]
+
+
+def pool_count(graph: TemporalGraph, motif: Motif, delta: int) -> int:
+    """Root-range chunks across local worker processes (repro.mining.parallel)."""
+    return _shared_runner("pool").count(graph, motif, delta).count
 
 
 def cluster_count(graph: TemporalGraph, motif: Motif, delta: int) -> int:
     """Sharded dispatch across worker nodes (repro.cluster)."""
-    return _shared_cluster().count(graph, motif, delta).count
+    return _shared_runner("cluster").count(graph, motif, delta).count
 
 
 #: name -> count(graph, motif, delta); every backend must agree on every
@@ -274,12 +282,12 @@ COUNT_BACKENDS = {
     "bruteforce": bruteforce_count,
     "taskcentric": taskcentric_count,
     "streaming": streaming_count,
-    "comine": comine_count,
     "batched": batched_count,
+    "simulator": simulator_count,
 }
 
 #: COUNT_BACKENDS plus dispatch layers that cost real processes to
 #: stand up.  Used where each case runs once (the boundary-case
 #: parametrization), NOT inside hypothesis loops — a property run would
 #: pay the cluster socket round-trips hundreds of times.
-EXTENDED_COUNT_BACKENDS = dict(COUNT_BACKENDS, cluster=cluster_count)
+EXTENDED_COUNT_BACKENDS = dict(COUNT_BACKENDS, pool=pool_count, cluster=cluster_count)

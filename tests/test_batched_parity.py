@@ -1,12 +1,11 @@
-"""Byte-parity of ``engine="batched"`` against the scalar miner.
+"""Byte-parity of the vectorised walker against the scalar miner.
 
 ``BatchedMiner`` is the family-of-one binding of the vectorised trie
 walk (``repro.comine.engine``; its trie-shaped cells live in
 ``test_comine.py``).  The contract: counts AND every `SearchCounters`
 field must be byte-identical to `MackeyMiner` — compared here as the
 canonical service payload bytes, so any drift in counts, counters, or
-their serialization fails.  It is checked everywhere the engine name
-plugs in:
+their serialization fails.  It is checked everywhere the walker runs:
 
 - serial, across the motif catalog and the synthetic generator families;
 - chunked ``mine_range`` with commutative merge (any chunking);
@@ -170,9 +169,8 @@ class TestPooledParity:
 @pytest.mark.timeout(300)
 class TestSupervisedChaosParity:
     def test_batched_chunks_survive_worker_kills(self, graph):
-        """Family chunks under injected deaths, by either spelling of
-        the engine: byte parity must hold for both in the same pool
-        lifetime."""
+        """Family chunks under injected deaths, for a batch and for a
+        family in the same pool lifetime: byte parity must hold for both."""
         expected = scalar_payloads(graph, CATALOG)
         plan = FaultPlan.random_kills(5, WORKERS, WORKERS - 1)
         with SupervisedMiningPool(

@@ -5,6 +5,8 @@ import pytest
 from repro.cli import main
 from repro.graph.generators import make_dataset
 from repro.graph.loaders import save_snap_text
+from repro.mining.mackey import MackeyMiner
+from repro.motifs.catalog import M1
 
 
 @pytest.fixture
@@ -257,65 +259,54 @@ class TestJsonOutput:
         assert len(payload["per_motif"]) == 36
         assert payload["graph"] == g.fingerprint()
 
-    def test_census_comine_engine_matches_mackey(self, graph_file, capsys):
+    def test_census_matches_mackey(self, graph_file, capsys):
         import json
+
+        from repro.motifs.grid import paranjape_grid
 
         path, g = graph_file
         delta = g.time_span // 60
-        assert main(["census", path, "--delta", str(delta), "--json",
-                     "--engine", "mackey"]) == 0
-        mackey = json.loads(capsys.readouterr().out)
-        assert mackey["engine"] == "mackey" and "sharing" not in mackey
-        assert main(["census", path, "--delta", str(delta), "--json",
-                     "--engine", "comine"]) == 0
-        comine = json.loads(capsys.readouterr().out)
-        assert comine["engine"] == "comine"
-        assert comine["grid"] == mackey["grid"]
-        # Per-motif attribution is engine-independent (byte-identical).
-        assert comine["per_motif"] == mackey["per_motif"]
-        assert "sharing" in comine
-        # ``comine`` is only the older spelling of the default engine.
         assert main(["census", path, "--delta", str(delta), "--json"]) == 0
-        default = json.loads(capsys.readouterr().out)
-        assert dict(default, engine="comine") == comine
-        assert comine["sharing"]["trie_nodes"] < comine["sharing"]["unshared_nodes"]
-        # Text mode prints the sharing summary line.
-        assert main(["census", path, "--delta", str(delta),
-                     "--engine", "comine"]) == 0
-        assert "prefix-hit ratio" in capsys.readouterr().out
+        payload = json.loads(capsys.readouterr().out)
+        for (r, c), motif in paranjape_grid().items():
+            serial = MackeyMiner(g, motif, delta).mine()
+            assert payload["grid"][f"r{r}c{c}"] == serial.count
+            assert payload["per_motif"][motif.name] == serial.counters.as_dict()
+        assert (payload["sharing"]["trie_nodes"]
+                < payload["sharing"]["unshared_nodes"])
 
-    def test_mine_comine_engine_matches_mackey(self, graph_file, capsys):
+    def test_mine_json_matches_mackey(self, graph_file, capsys):
+        import json
+
         path, g = graph_file
-        assert main(["mine", path, "--delta", "10", "--json",
-                     "--engine", "mackey"]) == 0
-        expected = capsys.readouterr().out
-        for engine in (["--engine", "comine"], []):  # [] = the default
-            assert main(["mine", path, "--delta", "10", "--json", *engine]) == 0
-            assert capsys.readouterr().out == expected
+        assert main(["mine", path, "--delta", "10", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        serial = MackeyMiner(g, M1, 10).mine()
+        assert payload["count"] == serial.count
+        assert payload["counters"] == serial.counters.as_dict()
 
     def test_mine_engine_default_follows_the_options(self, graph_file, capsys):
-        """The family engine unless an option asks for what only the
+        """The family walker unless an option asks for what only the
         scalar miner does; the text summary differs in the tag alone."""
         path, g = graph_file
         assert main(["mine", path, "--delta", "10"]) == 0
         default = capsys.readouterr().out
         assert "[batched, 0 workers, 1 chunks]" in default
-        assert main(["mine", path, "--delta", "10", "--engine", "mackey"]) == 0
-        mackey = capsys.readouterr().out
-        assert mackey == default.replace("[batched,", "[mackey,")
-        # --memoize / --show-matches run the dedicated scalar miner (no
-        # tag), with no --engine needed.
+        # --memoize / --show-matches run the dedicated scalar miner (no tag).
         assert main(["mine", path, "--delta", "10", "--memoize"]) == 0
-        assert "[" not in capsys.readouterr().out
+        memoized = capsys.readouterr().out
+        assert "[" not in memoized
+        assert memoized.splitlines()[0] == default.splitlines()[0]
         assert main(["mine", path, "--delta", "10", "--show-matches", "1"]) == 0
         assert "[" not in capsys.readouterr().out
         assert main(["mine", path, "--delta", "10", "--approx"]) == 0
         capsys.readouterr()
-        assert main(["mine", path, "--delta", "10", "--approx",
-                     "--engine", "batched"]) == 2
 
-    def test_mine_comine_rejects_memoize(self, graph_file, capsys):
+    @pytest.mark.parametrize("command", ["mine", "census"])
+    @pytest.mark.parametrize("engine", ["mackey", "batched", "comine"])
+    def test_engine_flag_is_gone(self, graph_file, capsys, command, engine):
         path, g = graph_file
-        assert main(["mine", path, "--delta", "10",
-                     "--engine", "comine", "--memoize"]) == 2
-        assert "error" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exit_:
+            main([command, path, "--delta", "10", "--engine", engine])
+        assert exit_.value.code == 2
+        assert "--engine" in capsys.readouterr().err

@@ -202,16 +202,15 @@ class TestShardSplitMerge:
         resident = ResidentGraph(graph)
         chunks = data.draw(partitions(graph.num_edges))
         data.draw(st.randoms(use_true_random=False)).shuffle(chunks)
-        total = 0
-        from repro.mining.results import SearchCounters
+        from repro.comine.engine import FamilyResult
+        from repro.comine.trie import MotifTrie
 
-        counters = SearchCounters()
+        merged = FamilyResult.empty(MotifTrie([motif]))
         for lo, hi in chunks:
-            count, cdict = resident.run(1, "motif", motif.edges, delta, lo, hi)
-            total += count
-            counters.merge(SearchCounters(**cdict))
-        assert total == serial.count
-        assert counters.as_dict() == serial.counters.as_dict()
+            payload = resident.run(1, "family", (motif.edges,), delta, lo, hi)
+            merged.merge(FamilyResult.from_payload(payload))
+        assert merged.counts[0] == serial.count
+        assert merged.per_motif[0].as_dict() == serial.counters.as_dict()
 
 
 # -- fake-clock supervision ---------------------------------------------------

@@ -1,8 +1,8 @@
 """Differential byte-parity suite for cluster dispatch.
 
-The tentpole contract, asserted end to end: every cell of
+The contract, asserted end to end: every dispatch mode of
 
-    (serial | pooled | supervised | cluster) x (mackey | batched | comine)
+    serial | pooled | supervised | cluster
 
 produces served-payload bytes identical to the serial Mackey reference
 — with the fault-tolerant modes running under *seeded kill plans*
@@ -20,7 +20,6 @@ import random
 import pytest
 
 from cluster_harness import (
-    ENGINES,
     MODES,
     mine,
     node_kill_plan,
@@ -67,21 +66,19 @@ def _plan(mode):
 
 
 class TestDifferentialGrid:
-    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("mode", MODES)
     def test_payload_bytes_match_serial_reference(
-        self, mode, engine, graph, motifs, reference
+        self, mode, graph, motifs, reference
     ):
-        """Every dispatch mode, every engine, under that mode's seeded
-        kill plan: byte-identical served payloads."""
+        """Every dispatch mode, under that mode's seeded kill plan:
+        byte-identical served payloads."""
         results = mine(
-            mode, engine, graph, motifs, DELTA,
+            mode, graph, motifs, DELTA,
             workers=WORKERS, fault_plan=_plan(mode), seed=SEED,
         )
         assert payloads(graph, motifs, DELTA, results) == reference
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_cluster_kill_actually_fires(self, engine, graph, motifs, reference):
+    def test_cluster_kill_actually_fires(self, graph, motifs, reference):
         """The grid cells above must not pass vacuously: on an explicit
         cluster a whole node really dies and parity still holds.  The
         kill is at the victim's *first* chunk — every ready node is
@@ -91,9 +88,7 @@ class TestDifferentialGrid:
         with MiningCluster(
             WORKERS, fault_plan=plan, seed=SEED, backoff_base_s=0.01,
         ) as cluster:
-            results = mine(
-                "cluster", engine, graph, motifs, DELTA, cluster=cluster
-            )
+            results = mine("cluster", graph, motifs, DELTA, cluster=cluster)
             stats = cluster.stats.as_dict()
         assert stats["node_deaths"] >= 1
         assert stats["chunk_retries"] >= 1

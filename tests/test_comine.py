@@ -477,29 +477,30 @@ class TestFamilyAccounting:
 
 class TestCensusEngine:
     def test_census_engines_agree(self, graph, delta):
-        mackey = grid_family_census(graph, delta, engine="mackey")
-        assert mackey.sharing is None
-        for engine in ("batched", "comine"):
-            family = grid_family_census(graph, delta, engine=engine)
-            assert family.engine == engine
-            assert family.counts == mackey.counts
-            assert {k: v.as_dict() for k, v in family.per_motif.items()} == {
-                k: v.as_dict() for k, v in mackey.per_motif.items()
-            }
-            # One shared walk does strictly less search work, and says so.
-            assert family.sharing is not None
-            assert family.sharing.traversals_saved == (
-                mackey.counters.candidates_scanned
-                - family.counters.candidates_scanned
-            ) > 0
+        """The walker census against one dedicated scalar miner per motif,
+        and the memoized census (the one that runs ``MackeyMiner``)."""
+        mackey = {m.name: MackeyMiner(graph, m, delta).mine() for m in GRID_MOTIFS}
+        family = grid_family_census(graph, delta)
+        assert family.engine == "batched"
+        assert family.counts == {k: r.count for k, r in mackey.items()}
+        assert {k: v.as_dict() for k, v in family.per_motif.items()} == {
+            k: r.counters.as_dict() for k, r in mackey.items()
+        }
+        # One shared walk does strictly less search work, and says so.
+        assert family.sharing.traversals_saved == (
+            sum(r.counters.candidates_scanned for r in mackey.values())
+            - family.counters.candidates_scanned
+        ) > 0
+        memoized = grid_family_census(graph, delta, memoize=True)
+        assert memoized.engine == "mackey" and memoized.sharing is None
+        assert memoized.counts == family.counts
 
     def test_count_motif_family_validates_arguments(self, graph):
         with pytest.raises(ValueError):
             count_motif_family(graph, [], 10)
-        with pytest.raises(ValueError):
-            count_motif_family(graph, [M1], 10, engine="quantum")
-        with pytest.raises(ValueError):
-            count_motif_family(graph, [M1], 10, engine="comine", memoize=True)
+        for engine in ("quantum", "comine", "mackey"):
+            with pytest.raises(ValueError, match="unknown engine"):
+                grid_family_census(graph, 10, engine=engine)
         # memoize has no chunk kind: fail loud rather than silently
         # report the un-memoized counters from worker chunks.
         with pytest.raises(ValueError, match="memoize.*num_workers=2"):

@@ -127,8 +127,8 @@ class TestSupervisedFamily:
     def test_family_and_motif_chunks_interleave_on_one_pool(
         self, graph, delta, serial
     ):
-        # The kind-dispatched protocol serves both chunk types from the
-        # same resident workers.
+        # A single motif (a family of one) and a whole family are
+        # served by the same resident workers.
         with SupervisedMiningPool(graph, 2, chunk_timeout_s=None) as pool:
             solo = pool.count(M1, delta)
             fam = pool.count_family(FAMILY, delta)

@@ -27,14 +27,12 @@ from conftest import random_temporal_graph
 from repro.cluster import MiningCluster, coordinator
 from repro.mining.dispatch import (
     CHUNK_KINDS,
-    ENGINES,
+    ENGINE,
     INLINE,
     ChunkDispatcher,
     ChunkFailed,
-    Engine,
     MiningCancelled,
     ResidentGraph,
-    check_engine,
 )
 from repro.mining.mackey import MackeyMiner
 from repro.mining.parallel import MiningPool
@@ -355,32 +353,54 @@ class TestSupervisionLoop:
             d.run()
 
 
-class TestEngineTable:
-    def test_every_engine_has_its_chunk_kind(self):
-        assert set(CHUNK_KINDS) == {"motif", "family", "sample"}
-        assert ENGINES["mackey"] == Engine("motif")
-        # One family engine under two published spellings.
-        assert ENGINES["batched"] == ENGINES["comine"] == Engine("family", family=True)
-        assert set(ENGINES) == {"mackey", "batched", "comine"}
-        with pytest.raises(ValueError, match="unknown engine"):
-            check_engine("quantum")
+class TestChunkKinds:
+    def test_the_kinds_are_family_and_sample(self):
+        assert set(CHUNK_KINDS) == {"family", "sample"}
 
-    @pytest.mark.parametrize("engine", sorted(ENGINES))
-    def test_inline_engines_match_the_serial_miner(self, engine):
+    def test_motif_kind_is_unknown_and_a_pool_worker_survives_it(self):
+        graph = random_temporal_graph(random.Random(3), 12, 90, time_range=120)
+        with pytest.raises(ValueError, match="unknown chunk kind"):
+            ResidentGraph(graph).run(0, "motif", M1.edges, 40, 0, 90)
+        serial = MackeyMiner(graph, M1, 40).mine()
+        with MiningPool(graph, 1, max_chunk_errors=2) as pool:
+            with pytest.raises(ChunkFailed, match="unknown chunk kind"):
+                pool._mine(
+                    graph, [("motif", M1.edges, 40, 0, 90)],
+                    lambda _task_id, _result: None, None, True,
+                )
+            result = pool.count(M1, 40)
+            assert pool.stats.worker_deaths == 0
+            assert pool.stats.chunk_retries == 1
+        assert result.count == serial.count
+        assert result.counters.as_dict() == serial.counters.as_dict()
+
+    @pytest.mark.parametrize("engine", ["mackey", "comine"])
+    def test_count_many_names_only_the_walker(self, engine):
+        graph = random_temporal_graph(random.Random(3), 12, 90, time_range=120)
+        with pytest.raises(ValueError, match="unknown engine") as err:
+            INLINE.count_many(graph, [M1], 40, engine=engine)
+        if engine == "mackey":
+            assert "MackeyMiner" in str(err.value)
+        result = INLINE.count_many(graph, [M1], 40, engine=ENGINE)[0]
+        assert result.count == MackeyMiner(graph, M1, 40).mine().count
+
+    def test_inline_run_matches_the_serial_miner(self):
         """The zero-worker runner is one chunk per spec through the same
         builders the workers use."""
         graph = random_temporal_graph(random.Random(3), 12, 90, time_range=120)
         serial = MackeyMiner(graph, M1, 40).mine()
-        result = INLINE.count(graph, M1, 40, cancel_check=lambda: False, engine=engine)
+        result = INLINE.count(graph, M1, 40, cancel_check=lambda: False)
         assert (result.num_workers, result.num_chunks) == (0, 1)
         assert result.count == serial.count
         assert result.counters.as_dict() == serial.counters.as_dict()
 
     def test_inline_run_is_cancelled_between_chunks(self):
         graph = random_temporal_graph(random.Random(3), 12, 90, time_range=120)
-        polls = iter([False, True])
         with pytest.raises(MiningCancelled, match="between chunks"):
-            INLINE.count_many(graph, [M1, M1], 40, cancel_check=lambda: next(polls))
+            INLINE.count_many(graph, [M1, M1], 40, cancel_check=lambda: True)
+
+
+FAMILY = (M1.edges,)
 
 
 class TestResidentGraph:
@@ -392,15 +412,15 @@ class TestResidentGraph:
         resident = ResidentGraph(graph)
         for epoch in range(200):
             for lo, hi in ((0, 40), (40, 90)):
-                resident.run(epoch, "motif", M1.edges, 10 + epoch, lo, hi)
+                resident.run(epoch, "family", FAMILY, 10 + epoch, lo, hi)
             assert len(resident._runners) == 1
         # Several specs in one run are all kept for that run...
         for delta in (5, 6, 7):
-            resident.run(200, "motif", M1.edges, delta, 0, 90)
+            resident.run(200, "family", FAMILY, delta, 0, 90)
         assert len(resident._runners) == 3
         # ...and chunk results do not depend on what was cached.
-        fresh = ResidentGraph(graph).run(0, "motif", M1.edges, 7, 0, 90)
-        assert resident.run(200, "motif", M1.edges, 7, 0, 90) == fresh
+        fresh = ResidentGraph(graph).run(0, "family", FAMILY, 7, 0, 90)
+        assert resident.run(200, "family", FAMILY, 7, 0, 90) == fresh
 
 
 # -- a constructor that fails part-way leaks nothing ------------------------------

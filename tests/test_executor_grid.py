@@ -10,7 +10,7 @@ coverage is a grid rather than a file per backend:
     batch    = singleton | multi-motif
     mode     = exact | approx | degraded
 
-Executors have no engine axis.  The oracle axis is what a cell's served
+The oracle axis is what a cell's served
 payload bytes (count, counters and all) must equal: ``mackey`` is the
 byte oracle, the scalar ``MackeyMiner`` run serially one motif at a time
 (:func:`cluster_harness.serial_reference`); ``batched`` is the unchunked
@@ -60,9 +60,7 @@ BATCHES = {"singleton": [M1], "multi-motif": [M1, M2, M3]}
 #: any executor.
 ORACLES = {
     "mackey": serial_reference,
-    "batched": lambda graph, motifs, delta: mine(
-        "serial", "batched", graph, motifs, delta
-    ),
+    "batched": lambda graph, motifs, delta: mine("serial", graph, motifs, delta),
 }
 
 

@@ -1,6 +1,5 @@
 """End-to-end integration tests across subsystem boundaries."""
 
-import numpy as np
 import pytest
 
 from repro import (
@@ -13,12 +12,21 @@ from repro import (
     TemporalGraph,
 )
 from repro.graph.generators import make_dataset
-from repro.graph.io_binary import load_binary, save_binary
 from repro.graph.loaders import load_snap_text, save_snap_text
-from repro.graph.transforms import temporal_split
 from repro.mining.presto import PrestoEstimator
 from repro.motifs.parse import parse_motif
 from repro.sim.config import CacheConfig
+
+
+def temporal_split(graph, train_fraction):
+    """The first ``train_fraction`` of edges (by time) and the rest, over
+    the same node IDs."""
+    cut = int(round(graph.num_edges * train_fraction))
+    rows = list(zip(graph.src.tolist(), graph.dst.tolist(), graph.ts.tolist()))
+    return (
+        TemporalGraph(rows[:cut], num_nodes=graph.num_nodes),
+        TemporalGraph(rows[cut:], num_nodes=graph.num_nodes),
+    )
 
 
 class TestFullPipeline:
@@ -29,31 +37,22 @@ class TestFullPipeline:
         tmp = tmp_path_factory.mktemp("pipeline")
         graph = make_dataset("superuser", scale=0.06, seed=33)
         text_path = tmp / "graph.txt"
-        bin_path = tmp / "graph.npz"
         save_snap_text(graph, text_path)
-        save_binary(graph, bin_path)
-        return graph, text_path, bin_path
-
-    def test_text_and_binary_agree(self, pipeline):
-        graph, text_path, bin_path = pipeline
-        from_text = load_snap_text(text_path)
-        from_bin = load_binary(bin_path)
-        assert np.array_equal(from_text.ts, from_bin.ts)
-        assert np.array_equal(from_text.src, from_bin.src)
+        return graph, text_path
 
     def test_mine_simulate_consistent_across_formats(self, pipeline):
-        graph, text_path, bin_path = pipeline
+        graph, text_path = pipeline
         delta = graph.time_span // 25
         motif = parse_motif("A->B, B->C, C->A")
         expected = MackeyMiner(graph, motif, delta).mine().count
 
-        for loaded in (load_snap_text(text_path), load_binary(bin_path)):
+        for loaded in (graph, load_snap_text(text_path)):
             assert MackeyMiner(loaded, motif, delta).mine().count == expected
             cfg = MintConfig(num_pes=16, cache=CacheConfig(num_banks=16, bank_kb=2))
             assert MintSimulator(loaded, motif, delta, cfg).run().matches == expected
 
     def test_all_miners_agree_on_pipeline_graph(self, pipeline):
-        graph, _, _ = pipeline
+        graph, _ = pipeline
         delta = graph.time_span // 25
         a = MackeyMiner(graph, M1, delta).mine().count
         b = TaskCentricMiner(graph, M1, delta).mine().count

@@ -1,14 +1,7 @@
-"""Tests for the motif DSL parser and binary graph I/O."""
+"""Tests for the motif DSL parser."""
 
-import numpy as np
 import pytest
 
-from repro.graph.generators import make_dataset
-from repro.graph.io_binary import (
-    BinaryFormatError,
-    load_binary,
-    save_binary,
-)
 from repro.motifs.catalog import M1, M4
 from repro.motifs.parse import MotifParseError, format_motif, parse_motif
 
@@ -55,58 +48,3 @@ class TestParseMotif:
         for motif in (M1, M4, parse_motif("A->B, C->B, D->B")):
             again = parse_motif(format_motif(motif))
             assert again.edges == motif.edges
-
-
-class TestBinaryIO:
-    def test_roundtrip(self, tmp_path):
-        g = make_dataset("email-eu", scale=0.05, seed=2)
-        path = tmp_path / "g.npz"
-        save_binary(g, path)
-        loaded = load_binary(path)
-        assert loaded.num_nodes == g.num_nodes
-        assert np.array_equal(loaded.src, g.src)
-        assert np.array_equal(loaded.dst, g.dst)
-        assert np.array_equal(loaded.ts, g.ts)
-        assert np.array_equal(loaded.out_edge_idx, g.out_edge_idx)
-        assert np.array_equal(loaded.in_offsets, g.in_offsets)
-
-    def test_roundtrip_preserves_mining(self, tmp_path):
-        from repro.mining.mackey import count_motifs
-
-        g = make_dataset("mathoverflow", scale=0.05, seed=2)
-        path = tmp_path / "g.npz"
-        save_binary(g, path)
-        loaded = load_binary(path)
-        delta = g.time_span // 30
-        assert count_motifs(loaded, M1, delta) == count_motifs(g, M1, delta)
-
-    def test_empty_graph(self, tmp_path):
-        from repro.graph.temporal_graph import TemporalGraph
-
-        g = TemporalGraph([], num_nodes=3)
-        path = tmp_path / "e.npz"
-        save_binary(g, path)
-        assert load_binary(path).num_edges == 0
-
-    def test_wrong_magic_rejected(self, tmp_path):
-        path = tmp_path / "bad.npz"
-        np.savez(path, magic=np.array("other"), version=np.array(1))
-        with pytest.raises(BinaryFormatError, match="not a mint-repro"):
-            load_binary(path)
-
-    def test_corruption_detected(self, tmp_path):
-        g = make_dataset("email-eu", scale=0.05, seed=2)
-        path = tmp_path / "g.npz"
-        save_binary(g, path)
-        with np.load(path) as data:
-            arrays = {k: data[k] for k in data.files}
-        arrays["ts"] = arrays["ts"] + 1  # corrupt timestamps
-        np.savez_compressed(path, **arrays)
-        with pytest.raises(BinaryFormatError, match="checksum"):
-            load_binary(path)
-
-    def test_not_json_garbage(self, tmp_path):
-        path = tmp_path / "junk.npz"
-        path.write_bytes(b"not a zip at all")
-        with pytest.raises(Exception):
-            load_binary(path)

@@ -176,8 +176,8 @@ class TestDeltaBoundary:
     spanning exactly δ (inclusive ``t_l - t_1 <= δ``, §II-A), duplicate
     timestamps at the window edge, and self-loop-free invariants —
     asserted identically against mackey, bruteforce, taskcentric,
-    streaming, the shared-traversal co-miner, the batched engine, and
-    cluster dispatch across worker nodes."""
+    streaming, the family walker, the Mint simulator, and the walker
+    dispatched over a worker pool and across cluster nodes."""
 
     @pytest.mark.parametrize("backend", sorted(EXTENDED_COUNT_BACKENDS))
     @pytest.mark.parametrize(
@@ -208,7 +208,7 @@ class TestDeltaBoundary:
         "case", DELTA_BOUNDARY_CASES, ids=lambda c: c.name
     )
     def test_all_backends_agree_at_perturbed_deltas(self, case):
-        """Beyond the pinned expectation: at δ±1 all four backends still
+        """Beyond the pinned expectation: at δ±1 every in-process backend still
         agree with the brute-force oracle (the off-by-one hot zone)."""
         g = case.graph()
         for delta in (max(0, case.delta - 1), case.delta + 1):

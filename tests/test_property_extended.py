@@ -1,16 +1,7 @@
-"""Extended property-based tests: transforms, cycles, grid, time series."""
+"""Extended property-based tests: cycles and the grid census."""
 
-import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.timeseries import motif_count_timeseries
-from repro.graph.temporal_graph import TemporalGraph
-from repro.graph.transforms import (
-    compact_node_ids,
-    induced_subgraph,
-    merge,
-    temporal_split,
-)
 from repro.mining.cycles import count_temporal_cycles
 from repro.mining.mackey import count_motifs
 from repro.mining.multi import count_motif_family
@@ -20,44 +11,6 @@ from repro.motifs.grid import grid_motifs
 from test_property import temporal_graphs
 
 graph_strategy = temporal_graphs()
-nonempty_graphs = temporal_graphs().filter(lambda g: g.num_edges >= 2)
-
-
-class TestTransformProperties:
-    @settings(max_examples=40, deadline=None)
-    @given(nonempty_graphs, st.floats(0.1, 0.9))
-    def test_split_then_merge_is_identity(self, g, frac):
-        train, test = temporal_split(g, frac)
-        merged = merge([train, test])
-        assert [e.as_tuple() for e in merged.edges()] == [
-            e.as_tuple() for e in g.edges()
-        ]
-
-    @settings(max_examples=40, deadline=None)
-    @given(graph_strategy)
-    def test_compact_preserves_edge_structure(self, g):
-        compacted, mapping = compact_node_ids(g)
-        assert compacted.num_edges == g.num_edges
-        for old, new in mapping.items():
-            assert 0 <= new < len(mapping)
-        # Degrees are permuted, not changed.
-        old_deg = sorted(
-            g.out_degree(u) for u in range(g.num_nodes) if g.out_degree(u)
-        )
-        new_deg = sorted(
-            compacted.out_degree(u)
-            for u in range(compacted.num_nodes)
-            if compacted.out_degree(u)
-        )
-        assert old_deg == new_deg
-
-    @settings(max_examples=40, deadline=None)
-    @given(graph_strategy, st.integers(0, 40))
-    def test_induced_subgraph_monotone_counts(self, g, delta):
-        """Counts on an induced subgraph never exceed the full graph's."""
-        nodes = range(0, g.num_nodes, 2)
-        sub = induced_subgraph(g, nodes)
-        assert count_motifs(sub, M1, delta) <= count_motifs(g, M1, delta)
 
 
 class TestCycleProperties:
@@ -79,12 +32,3 @@ class TestCensusProperties:
         assert census.total() == sum(
             count_motifs(g, m, delta) for m in motifs
         )
-
-
-class TestTimeSeriesProperties:
-    @settings(max_examples=30, deadline=None)
-    @given(nonempty_graphs, st.integers(1, 40), st.integers(1, 12))
-    def test_bucket_totals_equal_exact_count(self, g, delta, buckets):
-        series = motif_count_timeseries(g, PING_PONG, delta, num_buckets=buckets)
-        assert series.total == count_motifs(g, PING_PONG, delta)
-        assert (series.counts >= 0).all()

@@ -1,13 +1,10 @@
-"""Tests for complexity sweeps (§III-A) and node motif features."""
+"""Tests for complexity sweeps (§III-A)."""
 
-import numpy as np
 import pytest
 
 from repro.analysis.sweeps import SweepResult, SweepPoint, delta_sweep, motif_size_sweep
 from repro.graph.generators import make_dataset
-from repro.mining.features import motif_feature_matrix, node_motif_counts
-from repro.mining.mackey import MackeyMiner
-from repro.motifs.catalog import M1, PING_PONG
+from repro.motifs.catalog import M1
 
 
 @pytest.fixture(scope="module")
@@ -64,40 +61,3 @@ class TestMotifSizeSweep:
 
         m = _chain_motif(4)
         assert m.edges == ((0, 1), (1, 0), (0, 1), (1, 0))
-
-
-class TestNodeFeatures:
-    def test_totals_consistent_with_matches(self, graph):
-        delta = graph.time_span // 40
-        feats = node_motif_counts(graph, M1, delta)
-        count = MackeyMiner(graph, M1, delta).mine().count
-        # Every match contributes one participation per motif node.
-        assert feats.total.sum() == count * M1.num_nodes
-        assert feats.per_role.sum() == count * M1.num_nodes
-
-    def test_roles_partition_totals(self, graph):
-        delta = graph.time_span // 40
-        feats = node_motif_counts(graph, M1, delta)
-        assert np.array_equal(feats.per_role.sum(axis=0), feats.total)
-
-    def test_top_nodes_sorted(self, graph):
-        delta = graph.time_span // 20
-        feats = node_motif_counts(graph, M1, delta)
-        top = feats.top_nodes(5)
-        values = [feats.total[n] for n in top]
-        assert values == sorted(values, reverse=True)
-
-    def test_role_counts(self, graph):
-        delta = graph.time_span // 20
-        feats = node_motif_counts(graph, M1, delta)
-        if feats.top_nodes(1):
-            node = feats.top_nodes(1)[0]
-            roles = feats.role_counts(node)
-            assert sum(roles.values()) == feats.total[node]
-
-    def test_feature_matrix_shape(self, graph):
-        delta = graph.time_span // 40
-        X = motif_feature_matrix(graph, [M1, PING_PONG], delta)
-        assert X.shape == (graph.num_nodes, 2)
-        assert X.dtype == np.int64
-        assert (X >= 0).all()

@@ -1,12 +1,6 @@
-"""Tests for streaming match consumption and motif time series."""
+"""Tests for streaming match consumption (``MackeyMiner(on_match=...)``)."""
 
-import numpy as np
-import pytest
-
-from repro.analysis.timeseries import motif_count_timeseries
-from repro.graph.generators import make_dataset
-from repro.graph.temporal_graph import TemporalGraph
-from repro.mining.mackey import MackeyMiner, count_motifs
+from repro.mining.mackey import MackeyMiner
 from repro.motifs.catalog import M1, PING_PONG
 
 
@@ -31,63 +25,3 @@ class TestOnMatchCallback:
         result = MackeyMiner(burst_graph, PING_PONG, 8, on_match=seen.append).mine()
         assert result.matches is None
         assert len(seen) == result.count
-
-
-class TestTimeSeries:
-    @pytest.fixture(scope="class")
-    def graph(self):
-        return make_dataset("email-eu", scale=0.15, seed=27)
-
-    def test_totals_match_exact_count(self, graph):
-        delta = graph.time_span // 40
-        series = motif_count_timeseries(graph, M1, delta, num_buckets=20)
-        assert series.total == count_motifs(graph, M1, delta)
-        assert series.num_buckets == 20
-
-    def test_bucket_edges_cover_span(self, graph):
-        delta = graph.time_span // 40
-        series = motif_count_timeseries(graph, M1, delta, num_buckets=10)
-        assert series.bucket_edges[0] <= graph.ts[0]
-        assert series.bucket_edges[-1] > graph.ts[-1]
-
-    def test_peak_and_burstiness(self, graph):
-        delta = graph.time_span // 40
-        series = motif_count_timeseries(graph, M1, delta, num_buckets=20)
-        if series.total:
-            peak = series.peak_bucket()
-            assert series.counts[peak] == series.counts.max()
-            assert series.burstiness() >= 1.0
-
-    def test_bucket_span(self, graph):
-        delta = graph.time_span // 40
-        series = motif_count_timeseries(graph, M1, delta, num_buckets=4)
-        lo, hi = series.bucket_span(0)
-        assert lo < hi
-
-    def test_injected_burst_detected(self):
-        """A planted burst of ping-pongs lands in one anomalous bucket."""
-        rng = np.random.default_rng(3)
-        edges = []
-        for _ in range(400):  # sparse background over a long span
-            a, b = rng.integers(0, 50, size=2)
-            if a == b:
-                b = (b + 1) % 50
-            edges.append((int(a), int(b), int(rng.uniform(0, 1_000_000))))
-        for i in range(30):  # dense ping-pong burst around t=500k
-            edges.append((1, 2, 500_000 + 20 * i))
-            edges.append((2, 1, 500_000 + 20 * i + 7))
-        g = TemporalGraph(edges)
-        series = motif_count_timeseries(g, PING_PONG, delta=500, num_buckets=50)
-        anomalies = series.anomalous_buckets(z_threshold=3.0)
-        assert anomalies, "burst not detected"
-        lo, hi = series.bucket_span(anomalies[0])
-        assert lo <= 500_000 + 700 and hi >= 500_000
-
-    def test_empty_graph(self):
-        g = TemporalGraph([], num_nodes=2)
-        series = motif_count_timeseries(g, M1, 10)
-        assert series.total == 0
-
-    def test_validation(self, graph):
-        with pytest.raises(ValueError):
-            motif_count_timeseries(graph, M1, 10, num_buckets=0)

@@ -1,4 +1,4 @@
-"""Tests for workload profiling and the extension experiments."""
+"""Tests for the extension experiments."""
 
 import pytest
 
@@ -6,11 +6,9 @@ from repro.analysis.extensions import arbitrary_motif_sweep, presto_on_mint
 from repro.baselines.cpu_model import CpuModel, CpuSpec
 from repro.graph.generators import make_dataset
 from repro.graph.stats import storage_bytes
-from repro.mining.mackey import count_motifs
 from repro.motifs.catalog import M1
 from repro.motifs.grid import grid_motifs
 from repro.sim.config import CacheConfig, MintConfig
-from repro.sim.trace import profile_workload
 
 
 @pytest.fixture(scope="module")
@@ -21,38 +19,6 @@ def workload():
 
 def small_config():
     return MintConfig(num_pes=16, cache=CacheConfig(num_banks=16, bank_kb=2))
-
-
-class TestProfiling:
-    def test_profile_covers_all_roots(self, workload):
-        g, delta = workload
-        profile = profile_workload(g, M1, delta)
-        assert len(profile.trees) == g.num_edges
-        assert profile.total_matches() == count_motifs(g, M1, delta)
-
-    def test_max_roots_cap(self, workload):
-        g, delta = workload
-        profile = profile_workload(g, M1, delta, max_roots=10)
-        assert len(profile.trees) == 10
-
-    def test_imbalance_metrics(self, workload):
-        g, delta = workload
-        profile = profile_workload(g, M1, delta)
-        assert profile.load_imbalance() >= 1.0
-        assert 0.0 <= profile.gini() <= 1.0
-
-    def test_top_trees_sorted_by_weight(self, workload):
-        g, delta = workload
-        profile = profile_workload(g, M1, delta)
-        top = profile.top_trees(3)
-        assert top[0].weight >= top[1].weight >= top[2].weight
-
-    def test_hub_graphs_are_skewed(self):
-        """The heavy-tailed datasets must show concentrated tree weights —
-        the scaled-workload hazard DESIGN.md documents."""
-        g = make_dataset("stackoverflow", scale=0.04, seed=17)
-        profile = profile_workload(g, M1, g.time_span // 25)
-        assert profile.gini() > 0.3
 
 
 class TestPrestoOnMint:
