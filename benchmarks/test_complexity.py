@@ -14,7 +14,7 @@ from repro.analysis import experiments as ex
 from repro.analysis.reporting import format_table
 from repro.analysis.sweeps import delta_sweep, motif_size_sweep
 from repro.graph.generators import make_dataset
-from repro.mining.mackey import MackeyMiner
+from repro.mining.batched import BatchedMiner
 from repro.motifs.catalog import M1
 
 from conftest import BENCH_POLICY
@@ -32,7 +32,7 @@ def test_complexity_claims(benchmark, save_result):
         for scale in (0.25, 0.5, 1.0):
             gg = make_dataset("superuser", scale=scale, seed=BENCH_POLICY.seed)
             d = max(1, int(5 * gg.time_span / gg.num_edges))  # k = 5
-            counters = MackeyMiner(gg, M1, d).mine().counters
+            counters = BatchedMiner(gg, M1, d).mine().counters
             esweep.append((gg.num_edges, counters.candidates_scanned))
         return dsweep, msweep, esweep
 

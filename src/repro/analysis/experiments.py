@@ -40,6 +40,7 @@ from repro.baselines.gpu_model import GpuModel
 from repro.graph.generators import DATASET_NAMES, DatasetSpec, dataset_spec, make_dataset
 from repro.graph.stats import compute_stats, storage_bytes
 from repro.graph.temporal_graph import TemporalGraph
+from repro.mining.batched import BatchedMiner
 from repro.mining.mackey import MackeyMiner
 from repro.mining.paranjape import ParanjapeMiner
 from repro.mining.presto import PrestoEstimator
@@ -357,7 +358,7 @@ def run_fig2(
     cpi: Dict[str, float] = {}
     for name in datasets:
         w = build_workload(name, policy)
-        result = MackeyMiner(w.graph, motif, w.delta).mine()
+        result = BatchedMiner(w.graph, motif, w.delta).mine()
         cpu = scaled_cpu_model(w)
         curve = cpu.scaling_curve(result.counters, w.working_set_bytes, thread_counts)
         base = curve[0].total_s
@@ -366,7 +367,7 @@ def run_fig2(
             cpi = cpu.cpi_stack(result.counters, w.working_set_bytes, threads=32)
     if not cpi:
         w = build_workload("wiki-talk", policy)
-        result = MackeyMiner(w.graph, motif, w.delta).mine()
+        result = BatchedMiner(w.graph, motif, w.delta).mine()
         cpi = scaled_cpu_model(w).cpi_stack(result.counters, w.working_set_bytes, 32)
     return Fig2Result(scaling=scaling, cpi_stack=cpi)
 
@@ -592,7 +593,7 @@ def _presto_time_s(
     best = cpu.best_runtime(est.counters, w.working_set_bytes)
     # Window extraction + estimator bookkeeping overhead per sample.
     overhead_s = policy.presto_samples * 3e-6
-    exact = MackeyMiner(w.graph, motif, w.delta).mine().count
+    exact = BatchedMiner(w.graph, motif, w.delta).mine().count
     if exact:
         rel_err = abs(est.estimate - exact) / exact
     else:

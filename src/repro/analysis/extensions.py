@@ -24,7 +24,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.baselines.cpu_model import CpuModel
+from repro.comine import CoMiner
 from repro.graph.temporal_graph import TemporalGraph
+from repro.mining.batched import BatchedMiner
 from repro.mining.mackey import MackeyMiner
 from repro.mining.results import SearchCounters
 from repro.motifs.grid import grid_motifs
@@ -98,7 +100,7 @@ def presto_on_mint(
             estimate += domain / (w_len - (last - first))
     estimate /= num_samples
 
-    exact = MackeyMiner(graph, motif, delta).mine().count
+    exact = BatchedMiner(graph, motif, delta).mine().count
     cpu_s = cpu.best_runtime(cpu_counters, working_set_bytes).total_s
     return PrestoOnMintResult(
         estimate=estimate,
@@ -129,16 +131,17 @@ def arbitrary_motif_sweep(
     motifs of the paper's evaluation — demonstrating the architecture's
     motif-agnostic claim end to end.
     """
+    motifs = list(motifs if motifs is not None else grid_motifs())
+    expected = CoMiner(graph, motifs, delta).mine().counts
     results = []
-    for motif in motifs if motifs is not None else grid_motifs():
-        expected = MackeyMiner(graph, motif, delta).mine().count
+    for motif, count in zip(motifs, expected):
         report = MintSimulator(graph, motif, delta, config).run()
         results.append(
             ArbitraryMotifResult(
                 motif_name=motif.name,
                 matches=report.matches,
                 cycles=report.cycles,
-                exact=report.matches == expected,
+                exact=report.matches == count,
             )
         )
     return results

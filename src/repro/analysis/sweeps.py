@@ -14,8 +14,9 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+from repro.comine import CoMiner
 from repro.graph.temporal_graph import TemporalGraph
-from repro.mining.mackey import MackeyMiner
+from repro.mining.batched import BatchedMiner
 from repro.motifs.motif import Motif
 
 
@@ -67,7 +68,7 @@ def delta_sweep(
     span = max(1, graph.time_span)
     points = []
     for delta in deltas:
-        counters = MackeyMiner(graph, motif, delta).mine().counters
+        counters = BatchedMiner(graph, motif, delta).mine().counters
         points.append(
             SweepPoint(
                 parameter=float(delta),
@@ -102,10 +103,10 @@ def motif_size_sweep(
     """
     build = motif_builder or _chain_motif
     span = max(1, graph.time_span)
+    # One family walk: the chains are one another's prefixes.
+    family = CoMiner(graph, [build(size) for size in sizes], delta).mine()
     points = []
-    for size in sizes:
-        motif = build(size)
-        counters = MackeyMiner(graph, motif, delta).mine().counters
+    for size, counters in zip(sizes, family.per_motif):
         points.append(
             SweepPoint(
                 parameter=float(size),

@@ -6,17 +6,31 @@ of Mint's two-phase search engine (a search to the first edge after the
 last match, then a stream up to the window bound).  It descends the
 family's :class:`~repro.comine.trie.MotifTrie` level by level with a
 *frontier* per trie node: every partial match of that node is one row of
-parallel numpy arrays (the graph node bound to each canonical label, the
-last matched edge, and the root's window carried as a *rank* — the
-first edge index past ``t_root + δ``, computed once per root).  Per
-frontier:
+parallel numpy arrays (the graph node bound to each canonical label,
+the last matched edge, and the row's root within its block, whose window
+is carried as a *rank* — the first edge index past ``t_root + δ``,
+computed once per root).  Per frontier:
 
-- **Windows are searches, not scans.**  Both ends of every row's
-  candidate range — "first edge of this node after ``last_e``", "first
-  edge of this node past the window" — are one C-level
-  ``np.searchsorted`` each over the composite keys of the graph's cached
-  :class:`~repro.graph.temporal_graph.RangeIndex`; so are the ends of
-  "edges u→v in the window" over its pair index.
+- **Windows are searches, not scans — and only where the walk does not
+  already know the answer.**  The ends of every row's candidate range —
+  "first edge of this node after ``last_e``", "first edge of this node
+  past the window", and the same two for "edges u→v" over the pair
+  index — are positions in the composite keys of the graph's cached
+  :class:`~repro.graph.temporal_graph.RangeIndex`.  Each is one of:
+
+  - a **gather**, when the range is anchored on the edge just matched:
+    the out-scan of its source, the in-scan of its destination and its
+    own pair's range start at that edge's position + 1, and the ranks
+    of its pair and of the reverse pair are per-edge arrays;
+  - a **per-root lookup**, when the range is over labels 0 and 1, which
+    the root edge binds: window end, crossed flag and pair rank are
+    computed once per root of a block and read by the row's root;
+  - otherwise one C-level ``np.searchsorted`` per row (a pair's rank
+    one more).
+
+  This is Mint's search-index memoization (§VI-A) in software: a
+  search whose answer the walk holds is not repeated, which cuts a grid
+  census's searches by about 45 %.
 - **Siblings share, and keep what a sibling consumes.**  Each
   (direction, bound label) window and each (label, label) pair range is
   computed once per frontier and used by every child that needs it — the
@@ -273,19 +287,23 @@ class FamilyResult:
 #: Candidate rows materialized at once.  A frontier is extended slab by
 #: slab (rows are independent), so the widest internal trie level costs
 #: this much memory, not the size of the level — and a resident server
-#: pays it once per lane thread, which is what chose the number.
-#: 8,192, by this table (PR 24; medians of three alternating 12 s runs,
-#: 2 cores; ``serve_miss`` is two lanes mining singleton misses, its
-#: budget 45.8 MB against the parent's 42.2):
+#: pays it once per lane thread, which is what chose the number: 8,192,
+#: the largest tile whose ``serve_miss`` (two lanes mining singleton
+#: misses) stayed inside its memory budget and that was no slower on
+#: either census than the next one up.  Re-measured since ranges the
+#: frontier implies are no longer searched (medians of three
+#: alternating 12 s runs, 2 cores; "before" is 8,192 rows on the walker
+#: that searched every range bound):
 #:
 #:   TILE_ROWS  serve_miss p50 / peak RSS   census_dense   census_sparse
-#:   parent     117.8 ms / 42.2 MB          116.5 ms       301.0 ms
-#:   1 << 14      8.3 ms / 46.4 MB          108.2 ms       326.7 ms
-#:   1 << 13      8.5 ms / 45.4 MB          106.2 ms       270.5 ms
-#:   1 << 12     11.1 ms / 44.6 MB          119.0 ms       290.2 ms
+#:   before       5.8 ms / 46.2 MB           99.5 ms       252.5 ms
+#:   1 << 14      5.6 ms / 47.2 MB           69.1 ms       158.6 ms
+#:   1 << 13      6.2 ms / 46.5 MB           69.7 ms       156.1 ms
+#:   1 << 12      5.8 ms / 46.0 MB           71.4 ms       148.6 ms
 #:
-#: the largest tile inside the budget, and no slower on either census
-#: than the next one up.
+#: the three tiles are inside one another's run-to-run spread on every
+#: latency, and each 2x step moves ``serve_miss`` RSS by ~0.6 MB, all
+#: within its bound, so nothing in the table moves the constant.
 TILE_ROWS = 1 << 13
 
 
@@ -397,20 +415,61 @@ class CoMiner:
         # saturating it keeps ``t_root + δ`` inside int64.
         delta = min(self.delta, g.time_span)
         r_limit = g.ts.searchsorted(window_t_limit(g.ts[roots], delta), side="right")
-        self._walk(first, (src[valid], dst[valid]), roots, r_limit)
+        cols = (src[valid], dst[valid])
+        # Root columns, root edges, windows, and the _per_root memo.
+        self._block = cols, roots, r_limit, {}
+        self._walk(first, cols, roots, np.arange(len(roots)))
+
+    def _per_root(self, key: Tuple) -> Tuple[np.ndarray, np.ndarray]:
+        """What a range over root labels 0 and 1 ends at, per root of the
+        block, computed on first use: for ``("scan", out, label)`` the
+        window end and whether it stops before the node's last edge, for
+        ``("pair", a, b)`` the pair rank and the window end."""
+        cols, roots, r_limit, memo = self._block
+        if key not in memo:
+            g, index = self.graph, self._index
+            kind, x, y = key
+            if kind == "scan":
+                keys, offsets = (
+                    (index.out_key, g.out_offsets) if x else (index.in_key, g.in_offsets)
+                )
+                end = index.seek(keys, cols[y], r_limit)
+                memo[key] = end, end < offsets[cols[y] + 1]
+            else:
+                rank = (
+                    index.edge_rank[roots] if (x, y) == (0, 1)
+                    else index.rev_rank[roots] if (x, y) == (1, 0)
+                    else index.pair_rank(cols[x], cols[y])
+                )
+                memo[key] = rank, index.seek(index.pair_key, rank, r_limit)
+        return memo[key]
 
     def _walk(
         self,
         node: TrieNode,
         cols: Tuple[np.ndarray, ...],
         last_e: np.ndarray,
-        r_limit: np.ndarray,
+        root: np.ndarray,
     ) -> None:
         """Extend a frontier of partial matches of ``node`` toward every
         child: ``cols[x]`` is the graph node bound to canonical label
         ``x`` (bound iff ``x < node.seen``), ``last_e`` the edge matched
-        at ``node`` and ``r_limit`` the root's window as a rank — the
-        first edge index past ``t_root + δ``.
+        at ``node`` and ``root`` the row's root, as an index into the
+        block's roots — whose window, carried as a rank (the first edge
+        index past ``t_root + δ``), is gathered only where a search
+        needs it.
+
+        A range bound is searched only where the frontier does not
+        already imply it:
+
+        - a range anchored on the matched edge (the out-scan of its
+          source, the in-scan of its destination, its own pair) starts
+          at that edge's position + 1 (``RangeIndex.out_pos`` …), and the
+          ranks of its pair and of the reverse pair are the edge's;
+        - labels 0 and 1 are bound by the root edge, so the window end,
+          crossed flag and pair rank of a range over them are per root
+          (:meth:`_per_root`), read by ``root`` — at depth 1, where the
+          rows are the roots, read as they are.
 
         The scan of each (direction, bound label) and the pair range of
         each (label, label) are computed once and shared by the
@@ -446,24 +505,41 @@ class CoMiner:
             if min(c.edge) < seen <= max(c.edge)
         }
 
+        def per_row(values: np.ndarray) -> np.ndarray:
+            return values if node.depth == 1 else values[root]
+
+        # Only a label past the root edge's two, or the edge-list tail,
+        # searches up to each row's window.
+        r_limit = None
+        if seen > 2 or any(min(c.edge) >= seen for c in node.child_order):
+            r_limit = per_row(self._block[2])
+
         def scan(out: bool, label: int) -> Tuple:
             """(start, end, window total, bisection steps, touches); the
             ranges only for a scan in ``walked``."""
             if (out, label) not in scans:
-                key, offsets, bisect_steps = (
-                    (index.out_key, g.out_offsets, index.out_steps) if out
-                    else (index.in_key, g.in_offsets, index.in_steps)
+                key, offsets, bisect_steps, pos = (
+                    (index.out_key, g.out_offsets, index.out_steps, index.out_pos) if out
+                    else (index.in_key, g.in_offsets, index.in_steps, index.in_pos)
                 )
                 nodes = cols[label]
-                start, end = index.node_ranges(key, nodes, lo, r_limit)
+                if label == node.edge[0 if out else 1]:  # the last edge's own end
+                    start = pos[last_e] + 1
+                else:
+                    start = index.seek(key, nodes, lo)
+                if label < 2:
+                    end, crossed = map(per_row, self._per_root(("scan", out, label)))
+                else:
+                    end = index.seek(key, nodes, r_limit)
+                    crossed = end < offsets[nodes + 1]
                 total = int(end.sum() - start.sum())
                 # The edge that ends a scan by crossing the window is
                 # touched too; a scan that exhausts its slice is not.
-                crossed = int(np.count_nonzero(end < offsets[nodes + 1]))
+                touched = total + int(np.count_nonzero(crossed))
                 steps = int(bisect_steps[nodes].sum())
                 if (out, label) not in walked:
                     start = end = None
-                scans[out, label] = start, end, total, steps, total + crossed
+                scans[out, label] = start, end, total, steps, touched
             return scans[out, label]
 
         def pair(a: int, b: int) -> Tuple:
@@ -472,7 +548,21 @@ class CoMiner:
             if (a, b) not in pairs:
                 if a == b and not index.self_loops:
                     return None, None, 0  # asked only as an exclusion
-                start, end = index.pair_ranges(cols[a], cols[b], lo, r_limit)
+                own = (a, b) == node.edge
+                if max(a, b) < 2:
+                    rank, end = self._per_root(("pair", a, b))
+                    rank, end = None if own else per_row(rank), per_row(end)
+                else:
+                    rank = (
+                        index.edge_rank[last_e] if own
+                        else index.rev_rank[last_e] if (b, a) == node.edge
+                        else index.pair_rank(cols[a], cols[b])
+                    )
+                    end = index.seek(index.pair_key, rank, r_limit)
+                if own:
+                    start = index.pair_pos[last_e] + 1
+                else:
+                    start = index.seek(index.pair_key, rank, lo)
                 total = int(end.sum() - start.sum())
                 if (a, b) not in closed:
                     start = end = None
@@ -518,7 +608,7 @@ class CoMiner:
                 for a, b in _slabs(sizes):
                     self._poll_cancel()
                     frontier = self._materialize(
-                        cols, r_limit, start[a:b], sizes[a:b], a, edge_of, fresh
+                        cols, root, start[a:b], sizes[a:b], a, edge_of, fresh
                     )
                     accepted += len(frontier[1])
                     if child.child_order and len(frontier[1]):
@@ -528,8 +618,8 @@ class CoMiner:
                 self._counts[i] += accepted
 
     @staticmethod
-    def _materialize(cols, r_limit, start, sizes, first_row, edge_of, fresh):
-        """The child frontier ``(cols, last_e, r_limit)`` of one slab:
+    def _materialize(cols, root, start, sizes, first_row, edge_of, fresh):
+        """The child frontier ``(cols, last_e, root)`` of one slab:
         the ragged candidate ranges ``[start, start + sizes)`` of the
         rows from ``first_row`` on.  ``edge_of`` maps a position to its
         edge (``None``: positions are edge indices); ``fresh`` holds the
@@ -555,7 +645,7 @@ class CoMiner:
                 new.append(x)
             rows, e = rows[keep], e[keep]
             new = [x[keep] for x in new]
-        return tuple(c[rows] for c in cols) + tuple(new), e, r_limit[rows]
+        return tuple(c[rows] for c in cols) + tuple(new), e, root[rows]
 
     def _finish(
         self, node_counters: List[SearchCounters], counts: List[int]

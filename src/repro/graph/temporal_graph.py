@@ -412,7 +412,8 @@ class RangeIndex:
     """Composite ``int64`` keys that answer "which of this node's — or
     this node pair's — edges have an index in ``[lo, hi)``" for a whole
     frontier of questions with ONE C-level ``np.searchsorted`` per range
-    end: the software analogue of Mint's phase-1 search, batched.
+    end (:meth:`seek`): the software analogue of Mint's phase-1 search,
+    batched.
 
     - ``out_key[pos] = src·(m+1) + edge`` for the edge at ``out_edge_idx[pos]``
       (``in_key`` likewise with ``dst``).  CSR is node-major and per-node
@@ -422,8 +423,20 @@ class RangeIndex:
     - ``pair_edges`` lists edge indices sorted by (src, dst, index) and
       ``pair_key[pos] = rank(src, dst)·(m+1) + edge``, where ``rank`` is
       the position of ``src·n + dst`` among the distinct pair codes
-      (``pair_codes``).  Ranking keeps the key below ``(m+1)²`` whatever
-      the node count, where ``(src·n + dst)·(m+1)`` would wrap.
+      (``pair_codes``, :meth:`pair_rank`).  Ranking keeps the key below
+      ``(m+1)²`` whatever the node count, where ``(src·n + dst)·(m+1)``
+      would wrap.
+
+    Some answers need no search, because an edge already knows them:
+
+    - ``out_pos`` / ``in_pos`` / ``pair_pos`` are the inverse
+      permutations of ``out_edge_idx`` / ``in_edge_idx`` / ``pair_edges``:
+      where edge ``e`` sits in each key array.  The range of ``e``'s
+      source's out-edges — or its destination's in-edges, or its own
+      pair's edges — from index ``e + 1`` on starts at that position + 1.
+    - ``edge_rank[e]`` is the rank of ``e``'s pair and ``rev_rank[e]``
+      that of its reverse (the sentinel's rank when that pair never
+      occurs).
 
     ``out_steps`` / ``in_steps`` hold, per node, what one binary search
     over its neighbor list costs the scalar miner (its counter model).
@@ -449,13 +462,23 @@ class RangeIndex:
         self.self_loops = bool((graph.src == graph.dst).any())
         self.out_key = graph.src[graph.out_edge_idx] * self.stride + graph.out_edge_idx
         self.in_key = graph.dst[graph.in_edge_idx] * self.stride + graph.in_edge_idx
-        codes, rank = np.unique(graph.src * n + graph.dst, return_inverse=True)
-        self.pair_edges = np.argsort(rank, kind="stable")
-        self.pair_key = rank[self.pair_edges] * self.stride + self.pair_edges
+        codes, self.edge_rank = np.unique(graph.src * n + graph.dst, return_inverse=True)
+        self.pair_edges = np.argsort(self.edge_rank, kind="stable")
+        self.pair_key = self.edge_rank[self.pair_edges] * self.stride + self.pair_edges
         # A sentinel past every code keeps an absent pair's lookup in bounds.
         self.pair_codes = np.append(codes, np.iinfo(np.int64).max)
+        self.rev_rank = self.pair_rank(graph.dst, graph.src)
+        self.out_pos, self.in_pos, self.pair_pos = (
+            self._inverse(p) for p in (graph.out_edge_idx, graph.in_edge_idx, self.pair_edges)
+        )
         self.out_steps = self._bisect_steps(np.diff(graph.out_offsets))
         self.in_steps = self._bisect_steps(np.diff(graph.in_offsets))
+
+    @staticmethod
+    def _inverse(perm: np.ndarray) -> np.ndarray:
+        inverse = np.empty_like(perm)
+        inverse[perm] = np.arange(len(perm))
+        return inverse
 
     @staticmethod
     def _bisect_steps(degrees: np.ndarray) -> np.ndarray:
@@ -465,24 +488,17 @@ class RangeIndex:
         degree below 2**53 — no log-rounding hazard at powers of two."""
         return np.maximum(np.frexp(degrees.astype(np.float64))[1], 1).astype(np.int64)
 
-    def node_ranges(
-        self, key: np.ndarray, nodes: np.ndarray, lo: np.ndarray, hi: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per row, the positions ``[start, end)`` of ``key`` (``out_key``
-        → ``out_edge_idx``, ``in_key`` → ``in_edge_idx``) holding the
-        node's edges with index in ``[lo, hi)``; ``hi`` at most ``m``."""
-        base = nodes * self.stride
-        return key.searchsorted(base + lo), key.searchsorted(base + hi)
+    def seek(self, key: np.ndarray, owner: np.ndarray, at: np.ndarray) -> np.ndarray:
+        """Per row, the first position of ``key`` past ``owner``'s edges
+        with index below ``at`` (at most ``m``): ``owner`` is a node for
+        ``out_key`` / ``in_key``, a :meth:`pair_rank` for ``pair_key``.
+        A range ``[lo, hi)`` of edge indices is ``[seek(lo), seek(hi))``."""
+        return key.searchsorted(owner * self.stride + at)
 
-    def pair_ranges(
-        self, a: np.ndarray, b: np.ndarray, lo: np.ndarray, hi: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per row, the positions ``[start, end)`` of ``pair_edges`` holding
-        the edges ``a → b`` with index in ``[lo, hi)``."""
+    def pair_rank(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Per row, the rank of the pair ``a → b``; an absent pair takes
+        the sentinel's, past every key, so its ranges are empty."""
         code = a * self.num_nodes + b
-        base = self.pair_codes.searchsorted(code)
-        # An absent pair takes the rank past every key: an empty range.
-        base[self.pair_codes[base] != code] = len(self.pair_codes) - 1
-        del code  # a frontier-sized array the range searches need not hold
-        base *= self.stride
-        return self.pair_key.searchsorted(base + lo), self.pair_key.searchsorted(base + hi)
+        rank = self.pair_codes.searchsorted(code)
+        rank[self.pair_codes[rank] != code] = len(self.pair_codes) - 1
+        return rank

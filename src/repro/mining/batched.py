@@ -3,9 +3,9 @@
 :class:`BatchedMiner` is the family-of-one binding of
 :class:`repro.comine.engine.CoMiner` — the one frontier engine, which
 walks a motif family's prefix trie with numpy frontiers, finds every
-window with a C-level ``np.searchsorted`` over the graph's
-:class:`~repro.graph.temporal_graph.RangeIndex` and counts the last
-level instead of enumerating it.  A single motif's trie is a path, so
+window bound it does not already hold with a C-level ``np.searchsorted``
+over the graph's :class:`~repro.graph.temporal_graph.RangeIndex` and
+counts the last level instead of enumerating it.  A single motif's trie is a path, so
 this is that walk with nothing to share; counts and
 :class:`~repro.mining.results.SearchCounters` are byte-identical to
 :class:`~repro.mining.mackey.MackeyMiner` (``memoize=False``), which

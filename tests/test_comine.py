@@ -18,8 +18,11 @@ Three layers:
   brute-force oracle, under any root block, tile size, chunking and
   family order; what the walk keeps of a shared scan or pair range
   (leaf / internal / closing consumers under one prefix, a frontier of
-  zero rows); and the family-level counters pinned to what the scalar
-  co-miner this walk replaced reported.
+  zero rows); which range bounds it reads off the matched edge or the
+  root instead of searching (each rule where it applies and where it
+  does not, the rows searched per depth pinned per motif); and the
+  family-level counters pinned to what the scalar co-miner this walk
+  replaced reported.
 """
 
 import random
@@ -413,9 +416,9 @@ class TestRangeRetention:
             built.append((int(args[3].sum()), len(frontier[1])))
             return frontier
 
-        def spy_walk(miner, node, cols, last_e, r_limit):
+        def spy_walk(miner, node, cols, last_e, root):
             walked.append(len(last_e))
-            return walk(miner, node, cols, last_e, r_limit)
+            return walk(miner, node, cols, last_e, root)
 
         monkeypatch.setattr(CoMiner, "_materialize", staticmethod(spy_materialize))
         monkeypatch.setattr(CoMiner, "_walk", spy_walk)
@@ -427,6 +430,142 @@ class TestRangeRetention:
         assert sum(candidates for candidates, _ in built) == 3
         assert all(rows == 0 for _, rows in built)
         assert 0 not in walked
+
+
+@pytest.fixture(scope="module")
+def one_way_graph():
+    """Many nodes, few edges per pair: the reverse of many a matched
+    edge never occurs (and no self-loops)."""
+    return random_temporal_graph(random.Random(31), 14, 120, time_range=200)
+
+
+def _by_name(name):
+    return next(m for m in WALKER_FAMILY if m.name == name)
+
+
+class TestSearchElision:
+    """The walk searches only range bounds its frontier does not imply:
+    (a) a range anchored on the matched edge starts right after it, (b)
+    the ranks of that edge's pair and of its reverse are the edge's, (c)
+    ranges over root labels 0 and 1 end where the root says.  Each rule
+    has a ``WALKER_FAMILY`` cell where it applies and one where it does
+    not, and every cell equals ``MackeyMiner`` in counts and counters."""
+
+    def test_each_rule_has_cells_where_it_applies_and_where_not(self):
+        cells = set()
+        for node in MotifTrie(WALKER_FAMILY).nodes():
+            if node.depth < 2:
+                continue  # the last edge is the root edge: rule (c) owns it
+            for child in node.child_order:
+                u, v = child.edge
+                if min(u, v) >= node.seen:
+                    continue  # the edge-list tail: no range index
+                out = u < node.seen
+                label = u if out else v
+                cells.add(("a", out, "src" if label == node.edge[0]
+                           else "dst" if label == node.edge[1] else None))
+                if node.depth >= 3:
+                    cells.add(("c", label < 2))
+                if max(u, v) < node.seen and max(u, v) >= 2:
+                    cells.add(("b", "own" if child.edge == node.edge
+                               else "reverse" if child.edge == node.edge[::-1]
+                               else None))
+        assert {
+            ("a", True, "src"), ("a", True, "dst"),  # out-scans: (a) / not
+            ("a", False, "dst"), ("a", False, None),  # in-scans: (a) / not
+            ("b", "own"), ("b", "reverse"), ("b", None),
+            ("c", True), ("c", False),
+        } <= cells
+
+    def test_fixture_reaches_absent_and_present_reverse_pairs(self, one_way_graph):
+        """Rows of ``close-reverse`` reach the closing edge with a last
+        edge whose reverse pair never occurs, and with one whose does."""
+        g = one_way_graph
+        index = g.range_index()
+        sentinel = len(index.pair_codes) - 1
+        prefix = MackeyMiner(
+            g, _by_name("m1-prefix"), WALKER_DELTA, record_matches=True
+        ).mine()
+        absent = {
+            bool(index.rev_rank[match.edge_indices[-1]] == sentinel)
+            for match in prefix.matches
+        }
+        assert absent == {True, False}
+        assert MackeyMiner(g, _by_name("close-reverse"), WALKER_DELTA).mine().count > 0
+
+    @pytest.mark.parametrize("root_block", [1, 7, 4096])
+    def test_one_way_graph_equals_mackey(self, one_way_graph, root_block):
+        miner = CoMiner(one_way_graph, WALKER_FAMILY, WALKER_DELTA)
+        miner.root_block = root_block
+        reference = [
+            MackeyMiner(one_way_graph, m, WALKER_DELTA).mine() for m in WALKER_FAMILY
+        ]
+        assert_family_equals(miner.mine(), reference)
+
+    @pytest.mark.parametrize("graph_name", ["loopy", "one-way"])
+    def test_splits_that_cut_a_block(self, loopy_graph, one_way_graph, graph_name):
+        """Chunks of 10 roots over blocks of 7: the per-root values are
+        indexed block-locally, whatever root a block starts at."""
+        g = loopy_graph if graph_name == "loopy" else one_way_graph
+        miner = CoMiner(g, WALKER_FAMILY, WALKER_DELTA)
+        miner.root_block = 7
+        acc = FamilyResult.empty(miner.trie)
+        for lo in range(0, g.num_edges, 10):
+            acc.merge(miner.mine_range(lo, lo + 10))
+        assert_family_equals(
+            acc, [MackeyMiner(g, m, WALKER_DELTA).mine() for m in WALKER_FAMILY]
+        )
+        assert acc.as_payload() == miner.mine().as_payload()
+
+    #: Rows searched per frontier row at each depth, for a motif alone on
+    #: a graph without self-loops.  A per-root search (rule c) costs one
+    #: row per root, so it shows up in the depth-1 coefficient whatever
+    #: depth asks for it.
+    PLANS = {
+        # Nothing is implied past the root: the depth-2 out-scan is of
+        # the last edge's destination, the closing pair unrelated to it.
+        "M1": (2, 5),
+        "ping-pong": (4,),
+        # (b): the reverse pair's rank is the edge's: 2 + 2, not 2 + 3.
+        "close-reverse": (2, 4),
+        # (a)+(c): the out-scan of B after B→C is free; (a)+(b): its own
+        # pair costs the end search only.
+        "close-own-pair": (2, 1, 7),
+        # (a): C→E after C→D starts after it; (b) for the pair (C, D).
+        "fan-from-last-src": (2, 2, 8),
+        # (c): the depth-3 scan of A ends per root, one row per root.
+        "root-scan-deep": (3, 2, 1, 5),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PLANS))
+    def test_searched_rows_follow_the_plan(self, one_way_graph, monkeypatch, name):
+        from repro.graph.temporal_graph import RangeIndex
+
+        g, plan = one_way_graph, self.PLANS[name]
+        g.range_index()  # built (its reverse ranks searched) before the spy
+        searched, rows = [0], [0] * len(plan)
+        seek, pair_rank, walk = RangeIndex.seek, RangeIndex.pair_rank, CoMiner._walk
+
+        def spy_seek(index, *args):
+            found = seek(index, *args)
+            searched[0] += len(found)
+            return found
+
+        def spy_pair_rank(index, *args):
+            found = pair_rank(index, *args)
+            searched[0] += len(found)
+            return found
+
+        def spy_walk(miner, node, cols, last_e, root):
+            rows[node.depth - 1] += len(last_e)
+            return walk(miner, node, cols, last_e, root)
+
+        monkeypatch.setattr(RangeIndex, "seek", spy_seek)
+        monkeypatch.setattr(RangeIndex, "pair_rank", spy_pair_rank)
+        monkeypatch.setattr(CoMiner, "_walk", spy_walk)
+        CoMiner(g, [_by_name(name)], WALKER_DELTA).mine()
+        assert all(rows), rows
+        assert searched[0] == sum(c * r for c, r in zip(plan, rows))
 
 
 #: ``FamilyResult.counters`` and the dynamic ``SharingStats`` fields of

@@ -137,11 +137,12 @@ class TestGraphInvariants:
             (index.out_key, g.src, g.out_edge_idx),
             (index.in_key, g.dst, g.in_edge_idx),
         ):
-            start, end = index.node_ranges(key, a, lo, hi)
+            start, end = index.seek(key, a, lo), index.seek(key, a, hi)
             for i in range(len(rows)):
                 inside = (ends == a[i]) & (lo[i] <= edges) & (edges < hi[i])
                 assert edge_of[start[i]:end[i]].tolist() == edges[inside].tolist()
-        start, end = index.pair_ranges(a, b, lo, hi)
+        rank = index.pair_rank(a, b)
+        start, end = index.seek(index.pair_key, rank, lo), index.seek(index.pair_key, rank, hi)
         for i in range(len(rows)):
             inside = (
                 (g.src == a[i]) & (g.dst == b[i]) & (lo[i] <= edges) & (edges < hi[i])

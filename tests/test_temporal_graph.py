@@ -157,10 +157,39 @@ class TestRangeIndex:
 
     def test_absent_pair_is_an_empty_range(self, burst_graph):
         index = burst_graph.range_index()
-        every = np.zeros(2, dtype=np.int64), np.full(2, burst_graph.num_edges)
         a, b = np.array([2, 0]), np.array([2, 1])  # 2 -> 2 never occurs
-        start, end = index.pair_ranges(a, b, *every)
+        rank = index.pair_rank(a, b)
+        start = index.seek(index.pair_key, rank, np.zeros(2, dtype=np.int64))
+        end = index.seek(index.pair_key, rank, np.full(2, burst_graph.num_edges))
         assert (end - start).tolist() == [0, 3]
+
+    @pytest.mark.parametrize("adopted", [False, True], ids=["constructed", "from_arrays"])
+    def test_edge_positions_and_pair_ranks(self, adopted):
+        """What the walk reads off a matched edge instead of searching,
+        on a graph with self-loops, duplicate timestamps and pairs whose
+        reverse never occurs — built, or adopted from relabelled arrays."""
+        g = TemporalGraph(
+            [(0, 1, 5), (1, 1, 5), (1, 0, 5), (0, 1, 7), (2, 2, 7),
+             (2, 0, 9), (0, 2, 9), (3, 1, 9), (0, 1, 12), (4, 3, 12)],
+            num_nodes=6,
+        )
+        if adopted:
+            perm = np.array([5, 3, 0, 1, 4, 2])
+            g = TemporalGraph.from_arrays(perm[g.src], perm[g.dst], g.ts, num_nodes=6)
+        index, n, edge = g.range_index(), g.num_nodes, np.arange(g.num_edges)
+        assert (index.out_key[index.out_pos] == g.src * index.stride + edge).all()
+        assert (index.in_key[index.in_pos] == g.dst * index.stride + edge).all()
+        assert (index.pair_edges[index.pair_pos] == edge).all()
+        assert (index.pair_codes[index.edge_rank] == g.src * n + g.dst).all()
+        sentinel = len(index.pair_codes) - 1
+        pairs = set(zip(g.src.tolist(), g.dst.tolist()))
+        for e in edge:
+            src, dst = int(g.src[e]), int(g.dst[e])
+            if (dst, src) in pairs:
+                assert index.pair_codes[index.rev_rank[e]] == dst * n + src
+            else:
+                assert index.rev_rank[e] == sentinel
+        assert {bool(r == sentinel) for r in index.rev_rank} == {True, False}
 
     def test_bisect_steps_are_exact_bit_lengths(self, burst_graph):
         degrees = np.array([0, 1, 2, 3, 4, 7, 8, 2**40 - 1, 2**40])
