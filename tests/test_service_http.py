@@ -23,6 +23,47 @@ from repro.service import MotifService, build_payload, make_server, payload_byte
 
 DELTA = 30
 
+#: The ``/metrics`` JSON keys, sorted.
+METRIC_NAMES = [
+    "admitted", "approx_cache_entries", "approx_eps_p50", "approx_eps_p99",
+    "approx_eps_samples", "approx_served", "backend_failures",
+    "batch_retries", "breaker_closes", "breaker_half_opens", "breaker_opens",
+    "breakers_open", "cache_bytes", "cache_bytes_per_entry", "cache_entries",
+    "cache_evictions", "cache_hit_rate", "cache_hits", "cache_misses",
+    "cancelled", "chunk_retries", "coalesce_ratio", "coalesced",
+    "comined_batches", "completed", "degraded", "degraded_estimates",
+    "degraded_queries", "delivery_lag_p50_s", "delivery_lag_p99_s",
+    "delivery_lag_samples", "dispatcher_crashes", "duplicate_batches",
+    "edges_ingested", "engine", "errors", "events_delivered",
+    "events_dropped", "failovers", "gap_events", "graph_ships", "inflight",
+    "ingest_batches", "late_edges_dropped", "latency_p50_s", "latency_p99_s",
+    "latency_samples", "live_graphs", "live_shared_counters",
+    "live_subscriptions", "node_deaths", "pools_rebuilt", "queue_depth",
+    "refined_entries", "resident_graphs", "shed", "subscription_fires",
+    "wedged_kills", "worker_deaths", "worker_respawns",
+]
+
+#: The ``/metrics?format=text`` label column, in row order.
+METRIC_LABELS = [
+    "queue depth", "in flight", "admitted", "coalesced", "coalesce ratio",
+    "shed (rejected)", "completed", "errors", "cancelled (deadline)",
+    "cache hits", "cache misses", "cache hit rate", "cache entries",
+    "cache bytes", "cache bytes per entry", "cache evictions",
+    "resident graphs", "latency p50 (ms)", "latency p99 (ms)",
+    "latency samples", "engine", "worker deaths", "wedged kills",
+    "chunk retries", "worker respawns", "node deaths", "graph ships",
+    "failovers", "backend failures", "degraded queries", "co-mined batches",
+    "batch retries", "dispatcher crashes", "pools rebuilt", "breaker opens",
+    "breaker half-opens", "breaker closes", "breakers open (now)", "degraded",
+    "approx served", "refined entries", "degraded estimates",
+    "approx eps p50", "approx eps p99", "approx eps samples",
+    "approx cache entries", "edges ingested", "ingest batches",
+    "duplicate batches", "late edges dropped", "subscription fires",
+    "events delivered", "events dropped", "gap events", "live graphs (now)",
+    "live subscriptions (now)", "live shared counters (now)",
+    "delivery lag p50 (ms)", "delivery lag p99 (ms)", "delivery lag samples",
+]
+
 
 @pytest.fixture
 def served_graph(burst_graph):
@@ -134,6 +175,18 @@ class TestRoutes:
         assert "coalesce ratio" in text
         assert re.search(r"engine\s*\| batched", text)
         assert re.search(r"cache bytes per entry\s*\| \d+\.\d", text)
+
+    def test_metrics_surface_is_pinned(self, served_graph):
+        """Every name ``/metrics`` reports, and every text-body label in
+        order: a metric is added, renamed or dropped only on purpose."""
+        conn, *_ = served_graph
+        _, body = request(conn, "GET", "/metrics")
+        assert sorted(body["metrics"]) == METRIC_NAMES
+        conn.request("GET", "/metrics?format=text")
+        lines = conn.getresponse().read().decode().splitlines()
+        assert lines[0].split(" | ")[0].rstrip() == "metric"
+        labels = [line.split(" | ")[0].rstrip() for line in lines[2:]]
+        assert labels == METRIC_LABELS
 
 
 class TestStreamsRoutes:
