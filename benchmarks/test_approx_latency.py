@@ -10,8 +10,7 @@ Asserted shape (the serving claim, not a raw-compute claim):
 
 - warm approximate serving beats cold exact serving by ≥3x at p99 —
   popular queries get bounded-error answers at cache speed while the
-  exact answer is still minutes of mining away (the refiner upgrades
-  them in the background);
+  exact answer is still minutes of mining away;
 - every approximate answer is labelled, converged runs meet their
   requested ``max_error``, and the realized error against the exact
   count stays within a small multiple of the target.

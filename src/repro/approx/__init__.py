@@ -4,9 +4,8 @@ Importance-weighted temporal-interval sampling (Liu/Benson/Charikar,
 arxiv 1810.00980) productionized on top of the PRESTO window scheme:
 unbiased estimates with standard errors and (1−α) confidence intervals,
 chunkable across the repo's execution backends with byte-identical
-results, adaptive sampling rounds against a relative-error target, a
-background refiner upgrading popular cached estimates to exact counts,
-and deadline/breaker degradation that serves the best available
+results, adaptive sampling rounds against a relative-error target, and
+deadline/breaker degradation that serves the best available
 *labelled* estimate where the service would otherwise reject.
 """
 
@@ -20,7 +19,6 @@ from repro.approx.estimate import (
     build_approx_payload,
     normal_quantile,
 )
-from repro.approx.refiner import CacheRefiner
 from repro.approx.sampler import IntervalSampler, window_length_for
 
 __all__ = [
@@ -28,7 +26,6 @@ __all__ = [
     "EXACT",
     "ApproxEstimate",
     "ApproxSpec",
-    "CacheRefiner",
     "IntervalSampler",
     "SampleBatch",
     "adaptive_estimate",

@@ -257,11 +257,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="result-cache byte budget in MB (default 64)",
     )
     serve.add_argument(
-        "--refiner", action="store_true",
-        help="background-upgrade popular approximate cache entries to "
-        "exact results whenever the scheduler is idle",
-    )
-    serve.add_argument(
         "--verbose", action="store_true", help="log every HTTP request"
     )
 
@@ -695,7 +690,6 @@ def build_serve_server(args):
         lanes=args.lanes,
         cache_bytes=int(args.cache_mb * 1024 * 1024),
         executor=executor,
-        refiner=getattr(args, "refiner", False),
     )
     try:
         for spec in args.graphs:

@@ -243,22 +243,17 @@ class LiveManager:
         return st
 
     def gauges(self) -> Dict[str, float]:
-        """The live-side gauge block merged into ``ServiceMetrics``."""
+        """The live side's rows of ``/metrics``
+        (:data:`~repro.service.metrics.METRICS`)."""
         with self._lock:
-            live_graphs = len(self._graphs)
-            live_subscriptions = len(self._subs)
-            live_shared_counters = sum(
-                live.shared_counters for live in self._graphs.values()
-            )
-        q = self.delivery_lag.quantiles()
-        return {
-            "live_graphs": live_graphs,
-            "live_subscriptions": live_subscriptions,
-            "live_shared_counters": live_shared_counters,
-            "delivery_lag_p50_s": q["p50_s"],
-            "delivery_lag_p99_s": q["p99_s"],
-            "delivery_lag_samples": self.delivery_lag.recorded_total,
-        }
+            gauges = {
+                "live_graphs": len(self._graphs),
+                "live_subscriptions": len(self._subs),
+                "live_shared_counters": sum(
+                    live.shared_counters for live in self._graphs.values()
+                ),
+            }
+        return {**gauges, **self.delivery_lag.metrics("delivery_lag")}
 
     def close(self) -> None:
         with self._lock:

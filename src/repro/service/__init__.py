@@ -22,8 +22,8 @@ Module map (request lifecycle: admit → coalesce → batch → mine → cache):
 - :mod:`~repro.service.executor` — the mining backend: one executor
   and one exact engine (the family walker), inline or over one resident
   worker pool (or a cluster);
-- :mod:`~repro.service.metrics` — latency reservoir and metrics
-  snapshots;
+- :mod:`~repro.service.metrics` — the ``/metrics`` table (one row per
+  reported number), counters, latency reservoirs and snapshots;
 - :mod:`~repro.service.service` — the :class:`MotifService` front end
   (plus live streams);
 - :mod:`~repro.service.http` — stdlib JSON/HTTP endpoint

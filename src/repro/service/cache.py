@@ -18,10 +18,6 @@ error-bound block kept alongside).  The tiering rules are strict:
 - ``get`` serves approximate entries only to callers that opted in
   (``accept_approx=True``) — exact queries never see estimates.
 
-Per-key hit counts are tracked so the background refiner can pick the
-most-requested approximate entries to upgrade to exact during idle
-capacity (:mod:`repro.approx.refiner`).
-
 Eviction is LRU bounded by **resident** bytes.  An exact result — the
 common entry by orders of magnitude — is not kept as an object at all:
 its count and its ten :class:`~repro.mining.results.SearchCounters`
@@ -36,8 +32,9 @@ bytes within a factor of each other) — not the JSON length an earlier
 version booked at under a third of the truth.  Approximate entries, and
 an exact result whose counters are not exactly the ``SearchCounters``
 fields in ``int64``, stay unpacked :class:`CachedResult` objects and
-are booked by following their containers.  Hit/miss/eviction accounting
-feeds the service metrics snapshot.
+are booked by following their containers.  :meth:`ResultCache.stats`
+hands occupancy and hit/miss/eviction accounting to the service
+metrics snapshot under the names ``/metrics`` reports them by.
 """
 
 from __future__ import annotations
@@ -47,7 +44,7 @@ import sys
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, fields
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from repro.approx.estimate import EXACT
 from repro.mining.results import SearchCounters
@@ -160,8 +157,6 @@ class ResultCache:
         self.max_bytes = int(max_bytes)
         self._lock = threading.Lock()
         self._entries: "OrderedDict[QueryKey, _Stored]" = OrderedDict()
-        #: Hits per *approximate* entry (the refiner's worklist order).
-        self._hit_counts: Dict[QueryKey, int] = {}
         #: The one copy of each fingerprint and canonical motif the
         #: stored keys point at (a query builds fresh ones every time).
         self._shared: Dict = {}
@@ -178,7 +173,6 @@ class ResultCache:
 
     def _remove(self, key: QueryKey) -> None:
         self.bytes_used -= _nbytes(key, self._entries.pop(key))
-        self._hit_counts.pop(key, None)
 
     def _intern(self, key: QueryKey) -> QueryKey:
         """``key`` pointing at the shared copies of its fingerprint and
@@ -208,8 +202,6 @@ class ResultCache:
                 self.misses += 1
                 return None
             self._entries.move_to_end(key)
-            if not entry.is_exact:
-                self._hit_counts[key] = self._hit_counts.get(key, 0) + 1
             self.hits += 1
             return entry
 
@@ -269,20 +261,6 @@ class ResultCache:
                 self.evictions += 1
             return True
 
-    # -- refiner support -------------------------------------------------------
-
-    def popular_approx(self, limit: int = 8) -> List[Tuple[QueryKey, int]]:
-        """Approximate entries by descending hit count — the refiner's
-        upgrade worklist."""
-        with self._lock:
-            candidates = [
-                (key, self._hit_counts.get(key, 0))
-                for key, entry in self._entries.items()
-                if _is_approx(entry)
-            ]
-        candidates.sort(key=lambda kv: (-kv[1], repr(kv[0])))
-        return candidates[:limit]
-
     # -- maintenance -----------------------------------------------------------
 
     def invalidate_fingerprint(self, fingerprint: str) -> int:
@@ -326,7 +304,6 @@ class ResultCache:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
-            self._hit_counts.clear()
             self._shared.clear()
             self.bytes_used = 0
 
@@ -343,18 +320,17 @@ class ResultCache:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
-    def stats(self) -> Dict[str, float]:
+    def stats(self) -> Dict[str, int]:
+        """Occupancy and accounting, keyed by the names ``/metrics``
+        reports them under, plus ``refinements``: approximate entries
+        upgraded in place by an exact result."""
         with self._lock:
-            entries = len(self._entries)
             return {
-                "entries": entries,
-                "approx_entries": sum(map(_is_approx, self._entries.values())),
-                "bytes_used": self.bytes_used,
-                "bytes_per_entry": self.bytes_used / entries if entries else 0.0,
-                "max_bytes": self.max_bytes,
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
+                "cache_entries": len(self._entries),
+                "approx_cache_entries": sum(map(_is_approx, self._entries.values())),
+                "cache_bytes": self.bytes_used,
+                "cache_hits": self.hits,
+                "cache_misses": self.misses,
+                "cache_evictions": self.evictions,
                 "refinements": self.refinements,
-                "hit_rate": self.hit_rate,
             }

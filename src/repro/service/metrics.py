@@ -1,10 +1,23 @@
-"""Service observability: latency reservoir and metrics snapshots.
+"""Service observability: the metrics table, latency reservoirs and snapshots.
 
-The snapshot carries exactly the quantities an operator needs to steer
-the serving layer: admission-queue depth (backpressure), coalesce ratio
-(how much single-flight is saving), cache hit-rate (how much memoization
-is saving), shed count (overload policy engaged) and p50/p99 latency
-(tail health).  Rendering goes through
+Every number ``GET /metrics`` reports is one row of :data:`METRICS`: its
+JSON name, its text-body label and how the text body shows it.  The
+snapshot's zero defaults, :meth:`ServiceMetrics.as_dict`, the derived
+ratios, ``engine`` and :meth:`ServiceMetrics.render` all come from that
+table.  The producers — :meth:`QueryScheduler.metrics
+<repro.service.scheduler.QueryScheduler.metrics>` for its own counters,
+:meth:`ResultCache.stats <repro.service.cache.ResultCache.stats>`,
+:meth:`ResilienceCounters.snapshot`, :meth:`LatencyReservoir.metrics`
+and :meth:`LiveManager.gauges <repro.live.manager.LiveManager.gauges>` —
+each hand over a dict keyed by row names, so adding a metric is one row
+plus the line that produces its value.
+
+The rows carry what an operator needs to steer the serving layer:
+admission-queue depth (backpressure), coalesce ratio (how much
+single-flight is saving), cache hit-rate (how much memoization is
+saving), shed count (overload policy engaged), p50/p99 latency (tail
+health), then the resilience, approximate-serving and live-ingestion
+counters.  Rendering goes through
 :func:`repro.analysis.reporting.format_table` like every other report in
 the repo.
 """
@@ -12,12 +25,13 @@ the repo.
 from __future__ import annotations
 
 import threading
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Sequence
+from collections import defaultdict, deque
+from typing import (
+    Any, Callable, Deque, Dict, List, Mapping, NamedTuple, Optional, Sequence,
+)
 
 from repro.analysis.reporting import format_table
-from repro.mining.dispatch import ENGINE, DispatchStats
+from repro.mining.dispatch import ENGINE
 
 
 def percentile(values: Sequence[float], p: float) -> float:
@@ -38,43 +52,17 @@ def percentile(values: Sequence[float], p: float) -> float:
 
 
 class ResilienceCounters:
-    """Shared, thread-safe monotonic counters for the resilience layer.
+    """Shared, thread-safe monotonic counters.
 
     One instance is threaded through the executor (worker deaths, chunk
-    retries, respawns, breaker transitions, degraded-mode queries) and
-    the scheduler (batch retries, dispatcher crashes), so the metrics
-    snapshot shows one coherent failure-handling picture.  Unknown
-    names are allowed — the snapshot simply carries whatever was
-    counted.
+    retries, respawns, breaker transitions, degraded-mode queries), the
+    dispatchers' ``on_event`` hook (under :class:`DispatchStats
+    <repro.mining.dispatch.DispatchStats>` field names), the scheduler
+    (batch retries, dispatcher crashes, approximate and degraded
+    answers) and live ingestion, so one snapshot shows one coherent
+    picture.  Names are free: ``/metrics`` reports those :data:`METRICS`
+    lists, and a name never counted reads as zero.
     """
-
-    # The dispatchers' supervision counters arrive through their
-    # ``on_event`` hook under DispatchStats' field names (pool and
-    # cluster alike), so that part is not hand-kept.
-    KNOWN = tuple(DispatchStats.__dataclass_fields__) + (
-        "backend_failures",
-        "degraded_queries",
-        "comined_batches",
-        "batch_retries",
-        "dispatcher_crashes",
-        "pools_rebuilt",
-        "breaker_opens",
-        "breaker_half_opens",
-        "breaker_closes",
-        # -- approximate serving (repro.approx) --------------------------------
-        "approx_served",
-        "refined_entries",
-        "degraded_estimates",
-        # -- live ingestion / subscriptions (repro.live) ------------------------
-        "edges_ingested",
-        "ingest_batches",
-        "duplicate_batches",
-        "late_edges_dropped",
-        "subscription_fires",
-        "events_delivered",
-        "events_dropped",
-        "gap_events",
-    )
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -89,14 +77,14 @@ class ResilienceCounters:
             return self._counts.get(name, 0)
 
     def snapshot(self) -> Dict[str, int]:
+        """Every name counted so far."""
         with self._lock:
-            out = {name: 0 for name in self.KNOWN}
-            out.update(self._counts)
-            return out
+            return dict(self._counts)
 
 
 class LatencyReservoir:
-    """Bounded sliding reservoir of recent request latencies (seconds)."""
+    """Bounded sliding reservoir of recent samples (latencies in seconds,
+    or any other quantity whose p50/p99 ``/metrics`` reports)."""
 
     def __init__(self, capacity: int = 4096) -> None:
         if capacity <= 0:
@@ -124,187 +112,170 @@ class LatencyReservoir:
             "p99_s": percentile(samples, 99),
         }
 
-
-@dataclass(frozen=True)
-class ServiceMetrics:
-    """A point-in-time snapshot of the serving layer's health."""
-
-    queue_depth: int
-    inflight: int
-    admitted: int
-    coalesced: int
-    shed: int
-    completed: int
-    errors: int
-    cancelled: int
-    cache_hits: int
-    cache_misses: int
-    cache_entries: int
-    cache_bytes: int
-    cache_evictions: int
-    resident_graphs: int
-    latency_p50_s: float
-    latency_p99_s: float
-    latency_samples: int
-    # -- resilience (defaults keep older constructors working) -----------------
-    worker_deaths: int = 0
-    wedged_kills: int = 0
-    chunk_retries: int = 0
-    worker_respawns: int = 0
-    #: Cluster nodes lost, graphs shipped to workers (pool or cluster),
-    #: and graphs re-homed off dead slots (``serve --cluster N``).
-    node_deaths: int = 0
-    graph_ships: int = 0
-    failovers: int = 0
-    backend_failures: int = 0
-    degraded_queries: int = 0
-    #: Multi-motif batches served by one shared co-mining traversal.
-    comined_batches: int = 0
-    batch_retries: int = 0
-    dispatcher_crashes: int = 0
-    pools_rebuilt: int = 0
-    breaker_opens: int = 0
-    breaker_half_opens: int = 0
-    breaker_closes: int = 0
-    #: Gauge: breakers currently not closed (open or half-open).
-    breakers_open: int = 0
-    #: True while any breaker is non-closed: queries on that graph are
-    #: served by degraded serial mining rather than the worker pool.
-    degraded: bool = False
-    # -- approximate serving (repro.approx) ------------------------------------
-    #: Answers served with error bounds instead of exact counts.
-    approx_served: int = 0
-    #: Approximate cache entries upgraded to exact by the refiner.
-    refined_entries: int = 0
-    #: Labelled estimates served where the service would otherwise have
-    #: rejected or 504'd (deadline expiry, queue-full shed).
-    degraded_estimates: int = 0
-    #: Achieved relative CI half-width ε over recent approx answers.
-    approx_eps_p50: float = 0.0
-    approx_eps_p99: float = 0.0
-    approx_eps_samples: int = 0
-    #: Gauge: cache entries currently carrying an approx accuracy tag.
-    approx_cache_entries: int = 0
-    # -- live ingestion / subscriptions (repro.live) ----------------------------
-    #: Edges applied to live graphs (post reorder-buffer release).
-    edges_ingested: int = 0
-    ingest_batches: int = 0
-    #: Retried batches answered from the idempotency ledger.
-    duplicate_batches: int = 0
-    #: Edges arriving below the reorder watermark, dropped + counted.
-    late_edges_dropped: int = 0
-    #: Subscription evaluations that emitted an event (update or alert).
-    subscription_fires: int = 0
-    #: Events handed to consumers across all outboxes (at-least-once, so
-    #: redeliveries count again).
-    events_delivered: int = 0
-    #: Events dropped from full outboxes (slow consumers).
-    events_dropped: int = 0
-    #: Synthetic gap events surfaced to lagging consumers.
-    gap_events: int = 0
-    #: Gauges: live graphs and standing subscriptions right now, and the
-    #: distinct (motif, δ, attach position) counters those subscriptions
-    #: are views over — the engines ingest actually advances.
-    live_graphs: int = 0
-    live_subscriptions: int = 0
-    live_shared_counters: int = 0
-    #: Enqueue-to-delivery lag over recently delivered events.
-    delivery_lag_p50_s: float = 0.0
-    delivery_lag_p99_s: float = 0.0
-    delivery_lag_samples: int = 0
-
-    @property
-    def coalesce_ratio(self) -> float:
-        """Fraction of admitted requests that rode an in-flight twin."""
-        return self.coalesced / self.admitted if self.admitted else 0.0
-
-    @property
-    def cache_hit_rate(self) -> float:
-        lookups = self.cache_hits + self.cache_misses
-        return self.cache_hits / lookups if lookups else 0.0
-
-    @property
-    def cache_bytes_per_entry(self) -> float:
-        """Resident bytes booked per cache entry (0.0 when empty)."""
-        return self.cache_bytes / self.cache_entries if self.cache_entries else 0.0
-
-    #: The exact engine that mines every batch, reported so a running
-    #: server can be asked.
-    engine = ENGINE
-
-    def as_dict(self) -> Dict[str, float]:
-        d = {
-            name: getattr(self, name)
-            for name in self.__dataclass_fields__  # type: ignore[attr-defined]
+    def metrics(self, name: str, unit: str = "_s") -> Dict[str, float]:
+        """This reservoir's :data:`METRICS` rows: ``{name}_p50{unit}``,
+        ``{name}_p99{unit}`` and ``{name}_samples`` (every sample ever
+        recorded, not only those still held)."""
+        q = self.quantiles()
+        return {
+            f"{name}_p50{unit}": q["p50_s"],
+            f"{name}_p99{unit}": q["p99_s"],
+            f"{name}_samples": self.recorded_total,
         }
-        d["coalesce_ratio"] = self.coalesce_ratio
-        d["cache_hit_rate"] = self.cache_hit_rate
-        d["cache_bytes_per_entry"] = self.cache_bytes_per_entry
-        d["engine"] = self.engine
-        return d
+
+
+class Metric(NamedTuple):
+    """One row of ``/metrics``."""
+
+    #: The JSON key, and the snapshot attribute.
+    name: str
+    #: The row's label in the text body.
+    label: str
+    #: The text-body cell for a value.
+    show: Callable[[Any], str] = "{:,}".format
+    #: The value when no producer reports one; every value is coerced
+    #: to its type, so it also fixes how the JSON body spells the value.
+    zero: Any = 0
+    #: Computes the value from everything reported (names never
+    #: reported read as 0) instead of reading it under ``name``.
+    derive: Optional[Callable[[Mapping[str, Any]], Any]] = None
+
+
+def _ratio(part: float, whole: float) -> float:
+    return part / whole if whole else 0.0
+
+
+def _ms(seconds: float) -> str:
+    return f"{seconds * 1e3:.2f}"
+
+
+_RATIO = "{:.3f}".format
+_EPS = "{:.4f}".format
+
+#: Every number ``/metrics`` reports, in text-body order.
+METRICS = (
+    Metric("queue_depth", "queue depth"),
+    Metric("inflight", "in flight"),
+    Metric("admitted", "admitted"),
+    Metric("coalesced", "coalesced"),
+    # Fraction of admitted requests that rode an in-flight twin.
+    Metric("coalesce_ratio", "coalesce ratio", _RATIO, 0.0,
+           lambda r: _ratio(r["coalesced"], r["admitted"])),
+    Metric("shed", "shed (rejected)"),
+    Metric("completed", "completed"),
+    Metric("errors", "errors"),
+    Metric("cancelled", "cancelled (deadline)"),
+    Metric("cache_hits", "cache hits"),
+    Metric("cache_misses", "cache misses"),
+    Metric("cache_hit_rate", "cache hit rate", _RATIO, 0.0,
+           lambda r: _ratio(r["cache_hits"], r["cache_hits"] + r["cache_misses"])),
+    Metric("cache_entries", "cache entries"),
+    Metric("cache_bytes", "cache bytes"),
+    # Resident bytes booked per cache entry.
+    Metric("cache_bytes_per_entry", "cache bytes per entry", "{:.1f}".format, 0.0,
+           lambda r: _ratio(r["cache_bytes"], r["cache_entries"])),
+    Metric("cache_evictions", "cache evictions"),
+    Metric("resident_graphs", "resident graphs"),
+    Metric("latency_p50_s", "latency p50 (ms)", _ms, 0.0),
+    Metric("latency_p99_s", "latency p99 (ms)", _ms, 0.0),
+    Metric("latency_samples", "latency samples"),
+    # The exact engine that mines every batch, so a running server can
+    # be asked.
+    Metric("engine", "engine", str, ENGINE),
+    # -- resilience ------------------------------------------------------------
+    Metric("worker_deaths", "worker deaths"),
+    Metric("wedged_kills", "wedged kills"),
+    Metric("chunk_retries", "chunk retries"),
+    Metric("worker_respawns", "worker respawns", derive=lambda r: r["respawns"]),
+    # Cluster nodes lost, graphs shipped to workers (pool or cluster),
+    # and graphs re-homed off dead slots (``serve --cluster N``).
+    Metric("node_deaths", "node deaths"),
+    Metric("graph_ships", "graph ships"),
+    Metric("failovers", "failovers"),
+    Metric("backend_failures", "backend failures"),
+    Metric("degraded_queries", "degraded queries"),
+    # Multi-motif batches served by one shared co-mining traversal.
+    Metric("comined_batches", "co-mined batches"),
+    Metric("batch_retries", "batch retries"),
+    Metric("dispatcher_crashes", "dispatcher crashes"),
+    Metric("pools_rebuilt", "pools rebuilt"),
+    Metric("breaker_opens", "breaker opens"),
+    Metric("breaker_half_opens", "breaker half-opens"),
+    Metric("breaker_closes", "breaker closes"),
+    # Gauge: breakers currently not closed (open or half-open), while
+    # which their graphs are served by degraded serial mining.
+    Metric("breakers_open", "breakers open (now)"),
+    Metric("degraded", "degraded", lambda b: str(b).lower(), False,
+           lambda r: r["breakers_open"] > 0),
+    # -- approximate serving (repro.approx) ------------------------------------
+    # Answers served with error bounds instead of exact counts.
+    Metric("approx_served", "approx served"),
+    # Labelled answers served where the service would otherwise have
+    # rejected or 504'd (deadline expiry, queue-full shed).
+    Metric("degraded_estimates", "degraded estimates"),
+    # Achieved relative CI half-width ε over recent approx answers.
+    Metric("approx_eps_p50", "approx eps p50", _EPS, 0.0),
+    Metric("approx_eps_p99", "approx eps p99", _EPS, 0.0),
+    Metric("approx_eps_samples", "approx eps samples"),
+    # Gauge: cache entries currently carrying an approx accuracy tag.
+    Metric("approx_cache_entries", "approx cache entries"),
+    # -- live ingestion / subscriptions (repro.live) ---------------------------
+    # Edges applied to live graphs (post reorder-buffer release).
+    Metric("edges_ingested", "edges ingested"),
+    Metric("ingest_batches", "ingest batches"),
+    # Retried batches answered from the idempotency ledger.
+    Metric("duplicate_batches", "duplicate batches"),
+    # Edges arriving below the reorder watermark, dropped and counted.
+    Metric("late_edges_dropped", "late edges dropped"),
+    # Subscription evaluations that emitted an event (update or alert).
+    Metric("subscription_fires", "subscription fires"),
+    # Events handed to consumers across all outboxes (at-least-once, so
+    # redeliveries count again), and events dropped from full outboxes.
+    Metric("events_delivered", "events delivered"),
+    Metric("events_dropped", "events dropped"),
+    # Synthetic gap events surfaced to lagging consumers.
+    Metric("gap_events", "gap events"),
+    # Gauges: live graphs and standing subscriptions right now, and the
+    # distinct (motif, δ, attach position) counters those subscriptions
+    # are views over — the engines ingest actually advances.
+    Metric("live_graphs", "live graphs (now)"),
+    Metric("live_subscriptions", "live subscriptions (now)"),
+    Metric("live_shared_counters", "live shared counters (now)"),
+    # Enqueue-to-delivery lag over recently delivered events.
+    Metric("delivery_lag_p50_s", "delivery lag p50 (ms)", _ms, 0.0),
+    Metric("delivery_lag_p99_s", "delivery lag p99 (ms)", _ms, 0.0),
+    Metric("delivery_lag_samples", "delivery lag samples"),
+)
+
+
+class ServiceMetrics:
+    """A point-in-time snapshot of the serving layer's health: one value
+    per :data:`METRICS` row, read as an attribute (``m.cache_hits``).
+
+    Built from what the producers report, keyed by row name.  A row
+    nobody reports is its zero; a reported name no row lists is not
+    part of the snapshot.
+    """
+
+    def __init__(self, **reported: Any) -> None:
+        r = defaultdict(int, reported)
+        self._values: Dict[str, Any] = {
+            m.name: type(m.zero)(m.derive(r) if m.derive else r.get(m.name, m.zero))
+            for m in METRICS
+        }
+
+    def __getattr__(self, name: str) -> Any:
+        if not name.startswith("_") and name in self._values:
+            return self._values[name]
+        raise AttributeError(name)
+
+    def as_dict(self) -> Dict[str, Any]:
+        """The ``GET /metrics`` JSON body's ``metrics`` object."""
+        return dict(self._values)
 
     def render(self) -> str:
         """Operator-facing table (the ``GET /metrics?format=text`` body)."""
-        rows = [
-            ["queue depth", self.queue_depth],
-            ["in flight", self.inflight],
-            ["admitted", self.admitted],
-            ["coalesced", self.coalesced],
-            ["coalesce ratio", f"{self.coalesce_ratio:.3f}"],
-            ["shed (rejected)", self.shed],
-            ["completed", self.completed],
-            ["errors", self.errors],
-            ["cancelled (deadline)", self.cancelled],
-            ["cache hits", self.cache_hits],
-            ["cache misses", self.cache_misses],
-            ["cache hit rate", f"{self.cache_hit_rate:.3f}"],
-            ["cache entries", self.cache_entries],
-            ["cache bytes", self.cache_bytes],
-            ["cache bytes per entry", f"{self.cache_bytes_per_entry:.1f}"],
-            ["cache evictions", self.cache_evictions],
-            ["resident graphs", self.resident_graphs],
-            ["latency p50 (ms)", f"{self.latency_p50_s * 1e3:.2f}"],
-            ["latency p99 (ms)", f"{self.latency_p99_s * 1e3:.2f}"],
-            ["latency samples", self.latency_samples],
-            ["engine", self.engine],
-            ["worker deaths", self.worker_deaths],
-            ["wedged kills", self.wedged_kills],
-            ["chunk retries", self.chunk_retries],
-            ["worker respawns", self.worker_respawns],
-            ["node deaths", self.node_deaths],
-            ["graph ships", self.graph_ships],
-            ["failovers", self.failovers],
-            ["backend failures", self.backend_failures],
-            ["degraded queries", self.degraded_queries],
-            ["co-mined batches", self.comined_batches],
-            ["batch retries", self.batch_retries],
-            ["dispatcher crashes", self.dispatcher_crashes],
-            ["pools rebuilt", self.pools_rebuilt],
-            ["breaker opens", self.breaker_opens],
-            ["breaker half-opens", self.breaker_half_opens],
-            ["breaker closes", self.breaker_closes],
-            ["breakers open (now)", self.breakers_open],
-            ["degraded", str(self.degraded).lower()],
-            ["approx served", self.approx_served],
-            ["refined entries", self.refined_entries],
-            ["degraded estimates", self.degraded_estimates],
-            ["approx eps p50", f"{self.approx_eps_p50:.4f}"],
-            ["approx eps p99", f"{self.approx_eps_p99:.4f}"],
-            ["approx eps samples", self.approx_eps_samples],
-            ["approx cache entries", self.approx_cache_entries],
-            ["edges ingested", self.edges_ingested],
-            ["ingest batches", self.ingest_batches],
-            ["duplicate batches", self.duplicate_batches],
-            ["late edges dropped", self.late_edges_dropped],
-            ["subscription fires", self.subscription_fires],
-            ["events delivered", self.events_delivered],
-            ["events dropped", self.events_dropped],
-            ["gap events", self.gap_events],
-            ["live graphs (now)", self.live_graphs],
-            ["live subscriptions (now)", self.live_subscriptions],
-            ["live shared counters (now)", self.live_shared_counters],
-            ["delivery lag p50 (ms)", f"{self.delivery_lag_p50_s * 1e3:.2f}"],
-            ["delivery lag p99 (ms)", f"{self.delivery_lag_p99_s * 1e3:.2f}"],
-            ["delivery lag samples", self.delivery_lag_samples],
-        ]
-        return format_table(["metric", "value"], rows)
+        return format_table(
+            ["metric", "value"],
+            [[m.label, m.show(self._values[m.name])] for m in METRICS],
+        )

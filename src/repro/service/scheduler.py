@@ -25,7 +25,9 @@ Request lifecycle
    entries whose waiters have all expired are cancelled *before*
    mining, and a running batch polls a cancel hook so an expired batch
    stops at the next chunk boundary
-   (:class:`~repro.mining.parallel.MiningCancelled`).
+   (:class:`~repro.mining.parallel.MiningCancelled`).  A deadline-cut
+   answer is labelled ``degraded`` whichever thread serves it: the
+   waiter at its deadline, or the lane that saw the run cancelled.
 5. **Cache.**  Fresh results are inserted into the result cache keyed
    by the same triple, then delivered to every waiter.
 
@@ -342,11 +344,13 @@ class QueryScheduler:
     ) -> Callable[[_Waiter], Optional[QueryResult]]:
         """Build the deadline-degradation hook for one entry's waiters.
 
-        Called from the *waiter's* thread at deadline expiry.  The
-        ladder: (1) the entry's last completed sampling round, served
-        truncated; (2) any cached entry for the triple, whatever its
-        accuracy tag.  Returns None when nothing labelled exists — the
-        caller then reports ``deadline_exceeded`` exactly as before.
+        Called from the *waiter's* thread at deadline expiry, or from
+        the lane when the run was cancelled (whichever gets there first
+        answers the same way).  The ladder: (1) the entry's last
+        completed sampling round, served truncated; (2) any cached entry
+        for the triple, whatever its accuracy tag.  Returns None when
+        nothing labelled exists — the caller then reports
+        ``deadline_exceeded``.
         """
 
         def fallback(w: _Waiter) -> Optional[QueryResult]:
@@ -466,30 +470,27 @@ class QueryScheduler:
         results = self._call_backend(
             live,
             lambda: self.executor.count_batch(graph, motifs, delta, cancel_check),
-            lambda entry: self._deliver(
-                entry, "deadline_exceeded", error="cancelled while running"
-            ),
         )
         for entry, (count, counters) in zip(live, results or ()):
             self.cache.put(entry.key, count, counters)
             self._deliver(entry, "ok", count=count, counters=counters)
 
-    def _call_backend(self, live: List[_Entry], call, on_cancelled) -> Optional[List]:
+    def _call_backend(self, live: List[_Entry], call) -> Optional[List]:
         """``call()`` the executor with one retry; ``None`` when the
         waiters were answered here instead.
 
-        :class:`MiningCancelled` hands every entry to ``on_cancelled``.
-        Any other exception is retried once before erroring the waiters:
-        a backend failure is usually a dead pool that the executor
-        rebuilds at its next checkout, so the second attempt runs on a
-        fresh one (or the degraded inline path).
+        :class:`MiningCancelled` hands every entry to
+        :meth:`_deliver_cancelled`.  Any other exception is retried once
+        before erroring the waiters: a backend failure is usually a dead
+        pool that the executor rebuilds at its next checkout, so the
+        second attempt runs on a fresh one (or the degraded inline path).
         """
         for attempt in (1, 2):
             try:
                 return call()
             except MiningCancelled:
                 for entry in live:
-                    on_cancelled(entry)
+                    self._deliver_cancelled(entry)
                 return None
             except Exception as exc:  # noqa: BLE001 - must never wedge the lanes
                 if attempt == 2:
@@ -506,29 +507,19 @@ class QueryScheduler:
 
         Each completed round is stashed on its entry (``partial``) so
         deadline-expired waiters can be served the latest truncated
-        estimate; a run cancelled *after* its first round still delivers
-        that estimate (labelled truncated) to any waiters that have not
-        expired, instead of a 504.
+        estimate; a run cancelled *after* its first round returns that
+        estimate flagged truncated, delivered as ``degraded``.
         """
         spec = live[0].spec or ApproxSpec()
 
         def on_round(i: int, est: ApproxEstimate) -> None:
             live[i].partial = est
 
-        def on_cancelled(entry: _Entry) -> None:
-            if entry.partial is not None:
-                self._deliver_approx(entry, entry.partial.with_truncated(True))
-            else:
-                self._deliver(
-                    entry, "deadline_exceeded", error="cancelled while running"
-                )
-
         estimates = self._call_backend(
             live,
             lambda: self.executor.estimate_batch(
                 graph, motifs, delta, spec, cancel_check, on_round
             ),
-            on_cancelled,
         )
         for entry, est in zip(live, estimates or ()):
             self.cache.put(
@@ -541,24 +532,60 @@ class QueryScheduler:
             self._deliver_approx(entry, est)
 
     def _deliver_approx(self, entry: _Entry, est: ApproxEstimate) -> None:
-        """Deliver one labelled estimate to every waiter of an entry."""
+        """Deliver one labelled estimate to every waiter of an entry.
+
+        A truncated estimate is a deadline-cut run, so it is served as
+        ``degraded`` — what the waiter's own fallback would have said had
+        its thread reached the deadline first.
+        """
         now = time.monotonic()
+        waiters = self._retire(entry)
         with self._cond:
-            self._entries.pop(entry.ckey, None)
-            if entry.state == "running":
-                self._inflight -= 1
-            waiters = list(entry.waiters)
             self.completed += len(waiters)
         for w in waiters:
             latency = now - w.admit_t
             payload = build_approx_payload(
                 entry.fingerprint, w.query.motif, entry.delta, est
             )
-            w.result = QueryResult("ok", payload, w.source, None, latency)
+            source = "degraded" if est.truncated else w.source
+            w.result = QueryResult("ok", payload, source, None, latency)
             self.latency.record(latency)
             self.counters.inc("approx_served")
+            if est.truncated:
+                self.counters.inc("degraded_estimates")
             self.approx_eps.record(est.achieved_eps)
             w.event.set()
+
+    def _deliver_cancelled(self, entry: _Entry) -> None:
+        """Answer an entry whose run was cancelled while running.
+
+        Each waiter that has not already taken its own fallback gets the
+        degradation ladder's labelled answer (:meth:`_make_fallback`) when
+        one exists; the rest get ``deadline_exceeded``.
+        """
+        waiters = self._retire(entry)
+        fallback = self._make_fallback(entry)
+        answers = [None if w.expired else fallback(w) for w in waiters]
+        served = sum(a is not None for a in answers)
+        with self._cond:
+            self.completed += served
+            self.cancelled += len(waiters) - served
+        now = time.monotonic()
+        for w, answer in zip(waiters, answers):
+            w.result = answer or QueryResult(
+                "deadline_exceeded", None, w.source, "cancelled while running",
+                now - w.admit_t,
+            )
+            w.event.set()
+
+    def _retire(self, entry: _Entry) -> List[_Waiter]:
+        """Take an entry out of the coalescing map and the running count;
+        returns its waiters, which no later query can join."""
+        with self._cond:
+            self._entries.pop(entry.ckey, None)
+            if entry.state == "running":
+                self._inflight -= 1
+            return list(entry.waiters)
 
     def _deliver(
         self,
@@ -569,11 +596,8 @@ class QueryScheduler:
         error: Optional[str] = None,
     ) -> None:
         now = time.monotonic()
+        waiters = self._retire(entry)
         with self._cond:
-            self._entries.pop(entry.ckey, None)
-            if entry.state == "running":
-                self._inflight -= 1
-            waiters = list(entry.waiters)
             if status == "ok":
                 self.completed += len(waiters)
             elif status == "deadline_exceeded":
@@ -618,84 +642,35 @@ class QueryScheduler:
     def dispatcher_alive(self) -> bool:
         return self._dispatcher.is_alive()
 
-    @property
-    def idle(self) -> bool:
-        """True when nothing is queued or running — the refiner's gate
-        for spending capacity on cache upgrades."""
-        with self._cond:
-            return not self._queue and self._inflight == 0 and not self._closed
-
     # -- observability ---------------------------------------------------------
 
-    def metrics(self) -> ServiceMetrics:
+    def metrics(self, **reported) -> ServiceMetrics:
+        """The ``/metrics`` snapshot: this scheduler's rows with its
+        cache's, counters' and reservoirs', plus the rows ``reported``
+        by producers it does not own (the service's live gauges)."""
         with self._cond:
-            queue_depth = len(self._queue)
-            inflight = self._inflight
-            admitted = self.admitted
-            coalesced = self.coalesced
-            shed = self.shed
-            completed = self.completed
-            errors = self.errors
-            cancelled = self.cancelled
-        cache_stats = self.cache.stats()
-        quantiles = self.latency.quantiles()
-        eps_quantiles = self.approx_eps.quantiles()
-        res = self.counters.snapshot()
-        breakers_open = sum(
-            1 for s in self.executor.breaker_states().values() if s != CLOSED
-        )
-        return ServiceMetrics(
-            queue_depth=queue_depth,
-            inflight=inflight,
-            admitted=admitted,
-            coalesced=coalesced,
-            shed=shed,
-            completed=completed,
-            errors=errors,
-            cancelled=cancelled,
-            cache_hits=int(cache_stats["hits"]),
-            cache_misses=int(cache_stats["misses"]),
-            cache_entries=int(cache_stats["entries"]),
-            cache_bytes=int(cache_stats["bytes_used"]),
-            cache_evictions=int(cache_stats["evictions"]),
-            resident_graphs=self.registry.resident_count,
-            latency_p50_s=quantiles["p50_s"],
-            latency_p99_s=quantiles["p99_s"],
-            latency_samples=self.latency.recorded_total,
-            worker_deaths=res["worker_deaths"],
-            wedged_kills=res["wedged_kills"],
-            chunk_retries=res["chunk_retries"],
-            worker_respawns=res["respawns"],
-            node_deaths=res["node_deaths"],
-            graph_ships=res["graph_ships"],
-            failovers=res["failovers"],
-            backend_failures=res["backend_failures"],
-            degraded_queries=res["degraded_queries"],
-            comined_batches=res["comined_batches"],
-            batch_retries=res["batch_retries"],
-            dispatcher_crashes=res["dispatcher_crashes"],
-            pools_rebuilt=res["pools_rebuilt"],
-            breaker_opens=res["breaker_opens"],
-            breaker_half_opens=res["breaker_half_opens"],
-            breaker_closes=res["breaker_closes"],
-            breakers_open=breakers_open,
-            degraded=breakers_open > 0,
-            approx_served=res["approx_served"],
-            refined_entries=res["refined_entries"],
-            degraded_estimates=res["degraded_estimates"],
-            approx_eps_p50=eps_quantiles["p50_s"],
-            approx_eps_p99=eps_quantiles["p99_s"],
-            approx_eps_samples=self.approx_eps.recorded_total,
-            approx_cache_entries=int(cache_stats.get("approx_entries", 0)),
-            edges_ingested=res["edges_ingested"],
-            ingest_batches=res["ingest_batches"],
-            duplicate_batches=res["duplicate_batches"],
-            late_edges_dropped=res["late_edges_dropped"],
-            subscription_fires=res["subscription_fires"],
-            events_delivered=res["events_delivered"],
-            events_dropped=res["events_dropped"],
-            gap_events=res["gap_events"],
-        )
+            own = {
+                "queue_depth": len(self._queue),
+                "inflight": self._inflight,
+                "admitted": self.admitted,
+                "coalesced": self.coalesced,
+                "shed": self.shed,
+                "completed": self.completed,
+                "errors": self.errors,
+                "cancelled": self.cancelled,
+            }
+        return ServiceMetrics(**{
+            **own,
+            **self.cache.stats(),
+            **self.counters.snapshot(),
+            **self.latency.metrics("latency"),
+            **self.approx_eps.metrics("approx_eps", unit=""),
+            "resident_graphs": self.registry.resident_count,
+            "breakers_open": sum(
+                1 for s in self.executor.breaker_states().values() if s != CLOSED
+            ),
+            **reported,
+        })
 
     # -- lifecycle -------------------------------------------------------------
 

@@ -27,11 +27,9 @@ from __future__ import annotations
 import threading
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from dataclasses import replace as _dc_replace
 from typing import TYPE_CHECKING
 
 from repro.approx.estimate import APPROX, EXACT, ApproxSpec
-from repro.approx.refiner import CacheRefiner
 from repro.graph.temporal_graph import TemporalGraph
 from repro.mining.dispatch import ENGINE
 from repro.motifs.catalog import motif_by_name
@@ -75,8 +73,6 @@ class MotifService:
         cache_bytes: int = 64 * 1024 * 1024,
         max_idle_graphs: int = 4,
         executor=None,
-        refiner: bool = False,
-        refiner_interval_s: float = 0.05,
     ) -> None:
         self.registry = GraphRegistry(max_idle=max_idle_graphs)
         self.cache = ResultCache(max_bytes=cache_bytes)
@@ -114,13 +110,6 @@ class MotifService:
         self._streams: Dict[str, _LiveStream] = {}
         self._streams_lock = threading.Lock()
         self._closed = False
-        #: Optional background upgrade of popular approx cache entries
-        #: to exact results during idle capacity (`serve --refiner`).
-        self.refiner: Optional[CacheRefiner] = None
-        if refiner:
-            self.refiner = CacheRefiner(
-                self.scheduler, interval_s=refiner_interval_s
-            ).start()
 
     def _on_graph_evicted(self, fingerprint: str) -> None:
         self.cache.invalidate_fingerprint(fingerprint)
@@ -367,17 +356,7 @@ class MotifService:
     # -- observability / lifecycle ---------------------------------------------
 
     def metrics(self) -> ServiceMetrics:
-        snap = self.scheduler.metrics()
-        gauges = self.live.gauges()
-        return _dc_replace(
-            snap,
-            live_graphs=int(gauges["live_graphs"]),
-            live_subscriptions=int(gauges["live_subscriptions"]),
-            live_shared_counters=int(gauges["live_shared_counters"]),
-            delivery_lag_p50_s=gauges["delivery_lag_p50_s"],
-            delivery_lag_p99_s=gauges["delivery_lag_p99_s"],
-            delivery_lag_samples=int(gauges["delivery_lag_samples"]),
-        )
+        return self.scheduler.metrics(**self.live.gauges())
 
     def render_metrics(self) -> str:
         return self.metrics().render()
@@ -417,8 +396,6 @@ class MotifService:
         if self._closed:
             return
         self._closed = True
-        if self.refiner is not None:
-            self.refiner.close()
         self.live.close()
         self.scheduler.close()
         self.executor.close()

@@ -9,8 +9,6 @@ preferred, degradation never serves unlabelled bytes*:
 - the cache tiers accuracy: exact entries are never downgraded,
   approximate entries are replaced by exact (a *refinement*) or by a
   tighter-ε estimate, and an exact hit satisfies an approx query;
-- the background refiner upgrades popular approx entries to exact
-  during idle capacity;
 - the degradation ladder (open breaker, full queue, missed deadline)
   serves the best available labelled estimate where the service would
   otherwise 504 / 429;
@@ -22,14 +20,12 @@ from __future__ import annotations
 import json
 import random
 import threading
-import time
 from http.client import HTTPConnection
 
 import pytest
 
 from repro.approx.engine import estimate_inline
 from repro.approx.estimate import APPROX, EXACT, ApproxSpec, build_approx_payload
-from repro.approx.refiner import CacheRefiner
 from repro.mining.mackey import MackeyMiner
 from repro.motifs.catalog import M1, M2
 from repro.resilience import OPEN, FaultPlan
@@ -193,11 +189,11 @@ class TestCacheTiers:
             self.key(), 5, {}, accuracy="approx(a)",
             approx={"achieved_eps": 0.2, "confidence": 0.95},
         )
-        assert cache.stats()["approx_entries"] == 1
+        assert cache.stats()["approx_cache_entries"] == 1
         cache.put(self.key(), 6, {})
         stats = cache.stats()
         assert stats["refinements"] == 1
-        assert stats["approx_entries"] == 0
+        assert stats["approx_cache_entries"] == 0
         assert cache.peek(self.key()).is_exact
 
     def test_exact_get_misses_approx_entry(self):
@@ -209,9 +205,9 @@ class TestCacheTiers:
         assert cache.get(self.key()) is None
         assert cache.get(self.key(), accept_approx=True) is not None
         stats = cache.stats()
-        assert stats["misses"] == 1 and stats["hits"] == 1
+        assert stats["cache_misses"] == 1 and stats["cache_hits"] == 1
         # The miss must not evict the entry.
-        assert stats["entries"] == 1
+        assert stats["cache_entries"] == 1
 
     def test_peek_does_not_touch_accounting(self):
         cache = ResultCache()
@@ -220,68 +216,9 @@ class TestCacheTiers:
         assert cache.peek(self.key()) is not None
         assert cache.peek(("other", (), 1)) is None
         after = cache.stats()
-        assert (after["hits"], after["misses"]) == (
-            before["hits"], before["misses"]
+        assert (after["cache_hits"], after["cache_misses"]) == (
+            before["cache_hits"], before["cache_misses"]
         )
-
-    def test_popular_approx_orders_by_hits(self):
-        cache = ResultCache()
-        a, b = ("fp", ("a",), 1), ("fp", ("b",), 1)
-        meta = {"achieved_eps": 0.2, "confidence": 0.95}
-        cache.put(a, 1, {}, accuracy="approx(x)", approx=meta)
-        cache.put(b, 2, {}, accuracy="approx(x)", approx=meta)
-        for _ in range(3):
-            cache.get(b, accept_approx=True)
-        cache.get(a, accept_approx=True)
-        ranked = cache.popular_approx()
-        assert ranked[0][0] == b and ranked[0][1] == 3
-        assert ranked[1][0] == a
-        # Exact entries never appear.
-        cache.put(b, 2, {})
-        assert [k for k, _ in cache.popular_approx()] == [a]
-
-
-class TestRefiner:
-    def test_refine_once_upgrades_popular_entry(self, graph, service):
-        service.query("g", M1, DELTA, approx=SPEC)
-        refiner = CacheRefiner(service.scheduler)
-        assert refiner.refine_once()
-        assert refiner.refined == 1
-        key = MotifQuery(graph.fingerprint(), M1, DELTA).key
-        entry = service.cache.peek(key)
-        assert entry.is_exact
-        expected = MackeyMiner(graph, M1, DELTA).mine()
-        assert entry.count == expected.count
-        assert service.metrics().refined_entries == 1
-        # A later approx query now serves the exact count from cache.
-        r = service.query("g", M1, DELTA, approx=SPEC)
-        assert r.source == "cache" and r.payload["accuracy"] == EXACT
-
-    def test_refine_once_noop_without_approx_entries(self, service):
-        service.query("g", M1, DELTA)  # exact only
-        refiner = CacheRefiner(service.scheduler)
-        assert not refiner.refine_once()
-        assert refiner.refined == 0
-
-    def test_background_refiner_thread(self, graph):
-        with MotifService(refiner=True, refiner_interval_s=0.01) as svc:
-            assert svc.refiner is not None
-            svc.register_graph(graph, name="g")
-            svc.query("g", M2, DELTA, approx=SPEC)
-            key = MotifQuery(graph.fingerprint(), M2, DELTA).key
-            deadline = time.monotonic() + 20.0
-            while time.monotonic() < deadline:
-                entry = svc.cache.peek(key)
-                if entry is not None and entry.is_exact:
-                    break
-                time.sleep(0.02)
-            entry = svc.cache.peek(key)
-            assert entry is not None and entry.is_exact
-            assert svc.metrics().refined_entries >= 1
-
-    def test_interval_validation(self, service):
-        with pytest.raises(ValueError, match="interval_s"):
-            CacheRefiner(service.scheduler, interval_s=0)
 
 
 class TestDegradedServing:
@@ -394,8 +331,8 @@ class TestMetricsPlumbing:
         assert m.approx_eps_p50 > 0
         assert m.approx_cache_entries == 1
         rendered = service.render_metrics()
-        for row in ("approx served", "refined entries", "degraded estimates",
-                    "approx eps p50", "approx cache entries"):
+        for row in ("approx served", "degraded estimates", "approx eps p50",
+                    "approx cache entries"):
             assert row in rendered
 
 

@@ -255,10 +255,10 @@ class TestMiningClusterUnits:
         """/metrics must carry the cluster's supervision counters from
         the start, not only after the first node death or failover."""
         from repro.service import MotifService
-        from repro.service.metrics import ResilienceCounters
+        from repro.service.metrics import ServiceMetrics
 
         cluster_keys = ("node_deaths", "graph_ships", "failovers")
-        fresh = ResilienceCounters().snapshot()
+        fresh = ServiceMetrics().as_dict()
         assert [fresh[k] for k in cluster_keys] == [0, 0, 0]
         with MotifService(executor=ClusterExecutor(num_nodes=1)) as svc:
             metrics = svc.metrics().as_dict()

@@ -29,6 +29,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import random
+from collections import Counter
 
 import pytest
 
@@ -127,7 +128,8 @@ class TestExecutorGrid:
             )
         assert served == oracle[batch, mode]
         after = executor.counters.snapshot()
-        grew = {name: after[name] - before[name] for name in after}
+        grew = Counter(after)
+        grew.subtract(before)
         # Not vacuous: a dispatching executor really ran it on workers —
         # or, degraded, really failed over to its inline fallback.
         fell_back = mode == "degraded" and kind != "inline"

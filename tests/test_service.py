@@ -33,6 +33,7 @@ from repro.service import (
     payload_bytes,
     percentile,
 )
+from repro.service.metrics import METRICS
 
 
 def make_graph(shift: int = 0) -> TemporalGraph:
@@ -258,7 +259,8 @@ class TestResultCache:
         # A fresh dict each time, in SearchCounters field order.
         assert list(got.counters.items()) == list(counters.as_dict().items())
         assert got.counters is not cache.get(k).counters
-        assert got.nbytes == cache.bytes_used == cache.stats()["bytes_per_entry"]
+        per_entry = ServiceMetrics(**cache.stats()).cache_bytes_per_entry
+        assert got.nbytes == cache.bytes_used == per_entry
 
     @pytest.mark.parametrize("count, counters", [
         (2**63, SearchCounters().as_dict()),  # count past int64
@@ -304,7 +306,8 @@ class TestResultCache:
         assert cache.entry_count == entries
         assert 0.7 <= resident / cache.bytes_used <= 1.5
         assert resident / entries <= 600
-        assert cache.stats()["bytes_per_entry"] == cache.bytes_used / entries
+        per_entry = ServiceMetrics(**cache.stats()).cache_bytes_per_entry
+        assert per_entry == cache.bytes_used / entries
 
 
 class TestPercentile:
@@ -351,57 +354,59 @@ class TestLatencyReservoir:
             LatencyReservoir(capacity=0)
 
 
-def make_metrics(**overrides) -> ServiceMetrics:
-    base = dict(
-        queue_depth=0, inflight=0, admitted=0, coalesced=0, shed=0,
-        completed=0, errors=0, cancelled=0, cache_hits=0, cache_misses=0,
-        cache_entries=0, cache_bytes=0, cache_evictions=0,
-        resident_graphs=0, latency_p50_s=0.0, latency_p99_s=0.0,
-        latency_samples=0,
-    )
-    base.update(overrides)
-    return ServiceMetrics(**base)
-
-
 class TestServiceMetrics:
     def test_ratios(self):
-        m = make_metrics(admitted=10, coalesced=4, cache_hits=3, cache_misses=1)
+        m = ServiceMetrics(admitted=10, coalesced=4, cache_hits=3, cache_misses=1)
         assert m.coalesce_ratio == pytest.approx(0.4)
         assert m.cache_hit_rate == pytest.approx(0.75)
 
     def test_ratios_zero_denominator(self):
-        m = make_metrics()
+        m = ServiceMetrics()
         assert m.coalesce_ratio == 0.0
         assert m.cache_hit_rate == 0.0
+        assert m.cache_bytes_per_entry == 0.0
+
+    def test_unreported_rows_are_their_zeros(self):
+        d = ServiceMetrics(chunks_completed=5).as_dict()
+        assert list(d) == [m.name for m in METRICS]
+        assert d == {m.name: m.zero for m in METRICS}
+        assert d["engine"] == "batched" and d["degraded"] is False
+        with pytest.raises(AttributeError):
+            ServiceMetrics().chunks_completed
 
     def test_as_dict_carries_derived_fields(self):
-        d = make_metrics(admitted=2, coalesced=1).as_dict()
+        d = ServiceMetrics(admitted=2, coalesced=1, respawns=3).as_dict()
         assert d["coalesce_ratio"] == pytest.approx(0.5)
         assert "cache_hit_rate" in d
         assert d["admitted"] == 2
+        # The dispatchers count ``respawns``; /metrics has always said
+        # ``worker_respawns``.
+        assert d["worker_respawns"] == 3 and "respawns" not in d
+        assert ServiceMetrics(breakers_open=1).degraded is True
 
     def test_render_mentions_key_metrics(self):
-        text = make_metrics(shed=3).render()
+        text = ServiceMetrics(shed=3).render()
         assert "coalesce ratio" in text
         assert "shed (rejected)" in text
         assert "latency p99 (ms)" in text
 
     def test_render_shows_every_field(self):
-        """What is counted and in ``as_dict()`` is also in the text
-        body: each field gets a number no other field has (seconds
-        fields render as milliseconds), and every one of them must show
-        up in the value column."""
-        fields = list(ServiceMetrics.__dataclass_fields__)
+        """Every row of the table is one line of the text body, in table
+        order, under its label: each reported row gets a number no other
+        row has (seconds rows render as milliseconds), and it must show
+        up on its own line."""
+        reported = [m for m in METRICS if m.derive is None and m.name != "engine"]
         values = {
-            name: (100 + i) / 1e3 if name.endswith("_s") else 100 + i
-            for i, name in enumerate(fields)
+            m.name: (100 + i) / 1e3 if m.name.endswith("_s") else 100 + i
+            for i, m in enumerate(reported)
         }
-        values["degraded"] = True
-        text = ServiceMetrics(**values).render()
-        shown = set(re.findall(r"\| (\w+)", text))
+        lines = ServiceMetrics(**values).render().splitlines()[2:]
+        rows = [[cell.strip() for cell in line.split(" | ")] for line in lines]
+        assert [label for label, _ in rows] == [m.label for m in METRICS]
+        shown = dict(rows)
         missing = [
-            name for i, name in enumerate(fields)
-            if ("true" if name == "degraded" else str(100 + i)) not in shown
+            m.name for i, m in enumerate(reported)
+            if not re.fullmatch(rf"{100 + i}(\.0+)?", shown[m.label])
         ]
         assert missing == []
 

@@ -39,7 +39,7 @@ METRIC_NAMES = [
     "ingest_batches", "late_edges_dropped", "latency_p50_s", "latency_p99_s",
     "latency_samples", "live_graphs", "live_shared_counters",
     "live_subscriptions", "node_deaths", "pools_rebuilt", "queue_depth",
-    "refined_entries", "resident_graphs", "shed", "subscription_fires",
+    "resident_graphs", "shed", "subscription_fires",
     "wedged_kills", "worker_deaths", "worker_respawns",
 ]
 
@@ -55,7 +55,7 @@ METRIC_LABELS = [
     "failovers", "backend failures", "degraded queries", "co-mined batches",
     "batch retries", "dispatcher crashes", "pools rebuilt", "breaker opens",
     "breaker half-opens", "breaker closes", "breakers open (now)", "degraded",
-    "approx served", "refined entries", "degraded estimates",
+    "approx served", "degraded estimates",
     "approx eps p50", "approx eps p99", "approx eps samples",
     "approx cache entries", "edges ingested", "ingest batches",
     "duplicate batches", "late edges dropped", "subscription fires",
@@ -322,7 +322,7 @@ class TestErrorMapping:
             release.set()
         assert resp.status == 504 and "deadline" in body["error"]
         for _ in range(1000):
-            if service.scheduler.idle:
+            if service.scheduler.metrics().inflight == 0:
                 break
             time.sleep(0.01)
         assert cancelled_at == [2]

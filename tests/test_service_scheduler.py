@@ -23,6 +23,8 @@ import time
 
 import pytest
 
+from repro.approx.engine import estimate_inline
+from repro.approx.estimate import APPROX, ApproxSpec, build_approx_payload
 from repro.graph.temporal_graph import TemporalGraph
 from repro.mining.mackey import MackeyMiner
 from repro.mining.parallel import MiningCancelled
@@ -38,6 +40,7 @@ from repro.service import (
     build_payload,
     payload_bytes,
 )
+from repro.service.query import MotifQuery
 
 DELTA = 30
 
@@ -99,6 +102,24 @@ class BlockingExecutor(InlineExecutor):
                 raise MiningCancelled("cancelled at poll")
             time.sleep(0.005)
         raise AssertionError("cancel_check never fired")
+
+
+class TruncatingExecutor(InlineExecutor):
+    """Returns every estimate flagged truncated, as the sampler does
+    when ``cancel_check`` fires after a completed round."""
+
+    def estimate_batch(self, graph, motifs, delta, spec, *_):
+        return [
+            est.with_truncated(True)
+            for est in super().estimate_batch(graph, motifs, delta, spec)
+        ]
+
+
+class CancellingExecutor(InlineExecutor):
+    """Every batch is cancelled while running."""
+
+    def count_batch(self, graph, motifs, delta, cancel_check=None):
+        raise MiningCancelled("cancelled while running")
 
 
 def make_scheduler(executor, **kwargs):
@@ -251,6 +272,45 @@ class TestDeadlines:
             assert payload_bytes(result.payload) == direct_payload(
                 graph, M1, DELTA
             )
+
+
+class TestDeadlineProvenance:
+    """A deadline-cut answer is labelled ``degraded`` whichever thread
+    hands it over: the lane that saw the run cancelled, or the waiter
+    whose deadline passed.  The fake executors below stand in for the
+    lane winning that race, so no waiter needs a deadline."""
+
+    SPEC = ApproxSpec(max_error=0.5, seed=1, base_samples=16, max_samples=64)
+
+    def test_truncated_estimate_from_the_lane_is_degraded(self, graph):
+        registry, scheduler = make_scheduler(TruncatingExecutor())
+        registry.register(graph)
+        query = MotifQuery(
+            graph.fingerprint(), M1, DELTA, mode=APPROX, approx=self.SPEC
+        )
+        result = scheduler.submit(query).result()
+        scheduler.close()
+        assert result.ok and result.source == "degraded"
+        assert result.payload["truncated"] is True
+        assert scheduler.counters.get("degraded_estimates") == 1
+
+    def test_cancelled_run_serves_the_cached_entry(self, graph):
+        registry, scheduler = make_scheduler(CancellingExecutor())
+        registry.register(graph)
+        query = MotifQuery(graph.fingerprint(), M1, DELTA)
+        stale = estimate_inline(graph, M1, DELTA, self.SPEC)
+        scheduler.cache.put(
+            query.key, round(stale.estimate), stale.counters,
+            accuracy=stale.accuracy, approx=stale.stats_dict(),
+        )
+        result = scheduler.submit(query).result()
+        scheduler.close()
+        assert result.ok and result.source == "degraded"
+        assert payload_bytes(result.payload) == payload_bytes(
+            build_approx_payload(graph.fingerprint(), M1, DELTA, stale)
+        )
+        assert scheduler.counters.get("degraded_estimates") == 1
+        assert (scheduler.completed, scheduler.cancelled) == (1, 0)
 
 
 class TestFailureIsolation:
