@@ -9,7 +9,8 @@ completed results are **cached** under content fingerprints, compatible
 queries are **batched** into one multi-motif dispatch, and overload is
 handled by **bounded admission with explicit shedding**.
 
-Module map (request lifecycle: admit → coalesce → batch → mine → cache):
+Module map (request lifecycle: admit → coalesce → batch → mine → cache
+→ answer):
 
 - :mod:`~repro.service.query` — query/result records, the cache key,
   the canonical wire payload;
@@ -18,14 +19,15 @@ Module map (request lifecycle: admit → coalesce → batch → mine → cache):
 - :mod:`~repro.service.cache` — LRU result cache bounded in resident
   bytes (exact results packed);
 - :mod:`~repro.service.scheduler` — bounded admission queue,
-  single-flight coalescing, per-graph batching, deadlines/cancellation;
+  single-flight coalescing, per-graph batching, deadlines/cancellation,
+  and the one place a waiter is answered and counted;
 - :mod:`~repro.service.executor` — the mining backend: one executor
   and one exact engine (the family walker), inline or over one resident
   worker pool (or a cluster);
 - :mod:`~repro.service.metrics` — the ``/metrics`` table (one row per
   reported number), counters, latency reservoirs and snapshots;
 - :mod:`~repro.service.service` — the :class:`MotifService` front end
-  (plus live streams);
+  (plus live graphs, their subscriptions and window queries);
 - :mod:`~repro.service.http` — stdlib JSON/HTTP endpoint
   (``repro serve``).
 """

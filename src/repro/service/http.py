@@ -25,17 +25,16 @@ never parsed out of leftover bytes.  Routes:
   "motif_spec": optional DSL, "delta": int, "timeout_s": optional}``;
   answers the canonical payload.  Overload maps to HTTP 429 with a
   ``Retry-After`` header; a missed deadline maps to 504.
-- ``POST /streams`` — ``{"name", "motif", "delta"}`` opens a live
-  stream; ``POST /streams/<name>/edges`` ingests; ``GET
-  /streams/<name>`` reads running totals; ``POST
-  /streams/<name>/window-query`` mines the current window.
 
 Live graphs and standing subscriptions (:mod:`repro.live`):
 
 - ``POST /live`` — ``{"name", "delta", "lateness"?, "reorder_capacity"?}``
   creates a mutable graph; ``DELETE /live/<name>`` drops it; ``GET
   /live`` lists names, ``GET /live/<name>`` returns status (version,
-  window fingerprint, reorder-buffer stats).
+  window fingerprint, reorder-buffer stats).  ``POST
+  /live/<name>/window-query`` — ``{"motif" | "motif_spec", "delta"?,
+  "timeout_s"?}`` mines the edges inside the current δ-window as an
+  ordinary query.
 - ``POST /graphs/<name>/edges`` — the append path: ``{"edges": [[src,
   dst, t], ...], "seq"?: int, "flush"?: bool}``.  ``seq`` makes the
   batch idempotent (a retry returns the original ack with
@@ -220,9 +219,6 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                         "num_edges": g.num_edges,
                     }
                 self._send_json(200, {"graphs": out})
-            elif path.startswith("/streams/"):
-                name = path[len("/streams/"):]
-                self._send_json(200, self.service.stream_counts(name))
             elif path == "/live":
                 self._send_json(200, {"live": self.service.live_graphs()})
             elif path.startswith("/live/"):
@@ -263,32 +259,15 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             elif self.path.startswith("/graphs/") and self.path.endswith("/edges"):
                 name = self.path[len("/graphs/"):-len("/edges")]
                 self._handle_append_live(name)
-            elif self.path == "/streams":
-                self._handle_open_stream()
-            elif self.path.startswith("/streams/") and self.path.endswith("/edges"):
-                name = self.path[len("/streams/"):-len("/edges")]
+            elif self.path.startswith("/live/") and self.path.endswith("/window-query"):
                 body = self._read_body()
-                edges = self._require(body, "edges")
-                self._send_json(
-                    200,
-                    self.service.append_stream(
-                        name, [(int(s), int(d), int(t)) for s, d, t in edges]
-                    ),
-                )
-            elif self.path.startswith("/streams/") and self.path.endswith(
-                "/window-query"
-            ):
-                name = self.path[len("/streams/"):-len("/window-query")]
-                body = self._read_body()
-                motif = self._resolve_motif(body)
-                result = self.service.stream_window_query(
-                    name,
-                    motif,
+                result = self.service.live_window_query(
+                    self.path[len("/live/"):-len("/window-query")],
+                    self._resolve_motif(body),
                     delta=body.get("delta"),
                     timeout_s=body.get("timeout_s"),
                 )
-                status, payload = _result_to_response(result)
-                self._send_json(status, payload)
+                self._send_json(*_result_to_response(result))
             else:
                 raise _HTTPError(404, f"no such route {self.path!r}")
         except _HTTPError as exc:
@@ -366,14 +345,6 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                 "num_edges": graph.num_edges,
             },
         )
-
-    def _handle_open_stream(self) -> None:
-        body = self._read_body()
-        name = str(self._require(body, "name"))
-        delta = int(self._require(body, "delta"))
-        motif = self._resolve_motif(body)
-        self.service.open_stream(name, motif, delta)
-        self._send_json(200, {"stream": name, "motif": motif.name, "delta": delta})
 
     # -- live graphs + subscriptions (repro.live) ------------------------------
 

@@ -1,4 +1,4 @@
-"""The query scheduler: admit → coalesce → batch → mine → cache.
+"""The query scheduler: admit → coalesce → batch → mine → cache → answer.
 
 Request lifecycle
 -----------------
@@ -25,11 +25,22 @@ Request lifecycle
    entries whose waiters have all expired are cancelled *before*
    mining, and a running batch polls a cancel hook so an expired batch
    stops at the next chunk boundary
-   (:class:`~repro.mining.parallel.MiningCancelled`).  A deadline-cut
-   answer is labelled ``degraded`` whichever thread serves it: the
-   waiter at its deadline, or the lane that saw the run cancelled.
+   (:class:`~repro.mining.parallel.MiningCancelled`).
 5. **Cache.**  Fresh results are inserted into the result cache keyed
    by the same triple, then delivered to every waiter.
+6. **Answer.**  :meth:`QueryScheduler._answer` is the only code that
+   hands a waiter its :class:`~repro.service.query.QueryResult`, and
+   the first answer wins: the waiter's own thread at its deadline and
+   the lane can both try, and the later one is dropped.  It alone
+   counts the answer — ``completed`` (with a latency sample),
+   ``cancelled`` or ``errors`` by status, ``approx_served`` plus an ε
+   sample for an approximate payload, ``degraded_estimates`` for a
+   ``degraded`` one — so ``/metrics`` agrees with what clients got.  A
+   waiter out of time takes one ladder (:meth:`QueryScheduler._degrade`):
+   the entry's latest sampling round flagged truncated, else any
+   labelled cache entry, else ``deadline_exceeded``; either thread
+   labels the first two ``degraded``.  Overload takes the ladder's
+   cache rung before it sheds.
 
 A worker crash or any backend exception is delivered to the affected
 waiters as an ``"error"`` result; the dispatcher, lanes and queue are
@@ -42,7 +53,7 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple, Union
 
 from repro.approx.estimate import APPROX, ApproxEstimate, ApproxSpec, build_approx_payload
 from repro.mining.parallel import MiningCancelled
@@ -67,28 +78,31 @@ from repro.service.registry import GraphRegistry
 
 
 class _Waiter:
-    """One submitted request waiting on (possibly shared) execution."""
+    """One submitted request waiting on (possibly shared) execution.
 
-    __slots__ = (
-        "query", "event", "result", "deadline", "expired", "admit_t",
-        "source", "fallback",
-    )
+    ``result`` is set once, by :meth:`QueryScheduler._answer`; ``entry``
+    is the in-flight entry it waits on (None when answered at
+    admission), whose partial estimate the degradation ladder reads.
+    """
 
-    def __init__(self, query: MotifQuery, admit_t: float, source: str) -> None:
+    __slots__ = ("query", "event", "result", "deadline", "admit_t", "source", "entry")
+
+    def __init__(
+        self,
+        query: MotifQuery,
+        admit_t: float,
+        source: str,
+        entry: Optional["_Entry"] = None,
+    ) -> None:
         self.query = query
         self.event = threading.Event()
         self.result: Optional[QueryResult] = None
         self.deadline = (
             admit_t + query.timeout_s if query.timeout_s is not None else None
         )
-        self.expired = False
         self.admit_t = admit_t
         self.source = source
-        #: Degradation hook: called on deadline expiry to serve the best
-        #: available *labelled* answer instead of a bare 504 (set by the
-        #: scheduler for queued/coalesced waiters; None keeps the old
-        #: behavior).
-        self.fallback: Optional["Callable[[_Waiter], Optional[QueryResult]]"] = None
+        self.entry = entry
 
 
 class _Entry:
@@ -99,8 +113,8 @@ class _Entry:
     triple must not coalesce (different answer contracts), but both
     fill the same cache slot.  ``partial`` holds the latest completed
     sampling round's estimate while an approx entry is running: the
-    deadline-degradation path serves it (labelled truncated) where the
-    service would otherwise 504.
+    degradation ladder serves it (labelled truncated) where the service
+    would otherwise 504.
     """
 
     __slots__ = (
@@ -108,22 +122,23 @@ class _Entry:
         "mode", "spec", "partial",
     )
 
-    def __init__(self, key: QueryKey, query: MotifQuery, waiter: _Waiter) -> None:
+    def __init__(self, key: QueryKey, query: MotifQuery) -> None:
         self.key = key
         self.ckey = (key, query.mode, query.approx)
         self.fingerprint = query.fingerprint
         self.motif: Motif = query.motif
         self.delta = int(query.delta)
-        self.waiters: List[_Waiter] = [waiter]
+        self.waiters: List[_Waiter] = []
         self.state = "queued"
         self.mode = query.mode
         self.spec: Optional[ApproxSpec] = query.approx
         self.partial: Optional[ApproxEstimate] = None
 
     def all_expired(self, now: float) -> bool:
-        """True when no attached waiter can still use the result."""
+        """True when no attached waiter can still use the result: each
+        has its answer already or is past its deadline."""
         return all(
-            w.expired or (w.deadline is not None and now > w.deadline)
+            w.result is not None or (w.deadline is not None and now > w.deadline)
             for w in self.waiters
         )
 
@@ -131,7 +146,8 @@ class _Entry:
 class PendingQuery:
     """Caller-side handle for one submitted query."""
 
-    def __init__(self, waiter: _Waiter) -> None:
+    def __init__(self, scheduler: "QueryScheduler", waiter: _Waiter) -> None:
+        self._scheduler = scheduler
         self._waiter = waiter
 
     def done(self) -> bool:
@@ -140,35 +156,20 @@ class PendingQuery:
     def result(self) -> QueryResult:
         """Block until delivery or the query's own deadline.
 
-        On deadline expiry the waiter is marked expired — the scheduler
-        will skip the entry if it is still queued and cancel a running
-        batch once every attached waiter has expired.  If the scheduler
-        installed a degradation fallback and it can produce a *labelled*
-        answer (a partial sampling round flagged truncated, or any
-        cached entry with its accuracy tag), that is served instead of a
-        bare ``"deadline_exceeded"`` — never wrong, sometimes
-        approximate, always labelled.
+        At the deadline this thread answers the waiter from the
+        degradation ladder (:meth:`QueryScheduler._degrade`): a labelled
+        ``degraded`` answer when one exists, else ``deadline_exceeded``.
+        The scheduler then skips the entry if it is still queued and
+        cancels a running batch once no waiter can use it.  Every call
+        returns the same, first answer.
         """
         w = self._waiter
-        while True:
-            if w.deadline is None:
-                w.event.wait()
-            else:
-                w.event.wait(max(0.0, w.deadline - time.monotonic()))
-            if w.event.is_set():
-                return w.result  # type: ignore[return-value]
-            if w.deadline is not None and time.monotonic() >= w.deadline:
-                w.expired = True
-                if w.fallback is not None:
-                    degraded = w.fallback(w)
-                    if degraded is not None:
-                        return degraded
-                return QueryResult(
-                    status="deadline_exceeded",
-                    source=w.source,
-                    error="deadline exceeded before completion",
-                    latency_s=time.monotonic() - w.admit_t,
-                )
+        timeout = (
+            None if w.deadline is None else max(0.0, w.deadline - time.monotonic())
+        )
+        if not w.event.wait(timeout):
+            self._scheduler._degrade(w, "deadline exceeded before completion")
+        return w.result  # type: ignore[return-value]
 
 
 class QueryScheduler:
@@ -199,7 +200,8 @@ class QueryScheduler:
         self.max_batch = int(max_batch)
         self._lanes_count = int(lanes)
 
-        self._cond = threading.Condition()
+        #: Over an RLock, so ``submit`` can answer while it holds it.
+        self._cond = threading.Condition(threading.RLock())
         #: Coalescing map keyed by (cache key, mode, approx spec).
         self._entries: Dict[Tuple, _Entry] = {}
         self._queue: Deque[_Entry] = deque()
@@ -249,21 +251,12 @@ class QueryScheduler:
             return cached
         return None
 
-    def _cached_payload(
-        self, fingerprint: str, motif: Motif, delta: int, cached: CachedResult
-    ) -> Dict:
+    @staticmethod
+    def _cached_payload(query: MotifQuery, cached: CachedResult) -> Dict:
         """Rebuild the served payload for a cache entry (labelled)."""
-        if cached.is_exact:
-            return build_payload(
-                fingerprint, motif, delta, cached.count, cached.counters
-            )
-        payload = {
-            "graph": fingerprint,
-            "motif": motif.name,
-            "delta": int(delta),
-            "count": int(cached.count),
-            "counters": {k: int(v) for k, v in cached.counters.items()},
-        }
+        payload = build_payload(
+            query.fingerprint, query.motif, query.delta, cached.count, cached.counters
+        )
         payload.update(cached.approx or {})
         return payload
 
@@ -276,116 +269,136 @@ class QueryScheduler:
             if self._closed:
                 raise ServiceClosed("scheduler is closed")
             cached = self._cache_acceptable(query)
+            entry = self._entries.get(ckey)
             if cached is not None:
                 waiter = _Waiter(query, now, "cache")
-                payload = self._cached_payload(
-                    query.fingerprint, query.motif, query.delta, cached
-                )
-                latency = time.monotonic() - now
-                waiter.result = QueryResult("ok", payload, "cache", None, latency)
-                waiter.event.set()
-                self.admitted += 1
-                self.completed += 1
-                self.latency.record(latency)
-                if not cached.is_exact:
-                    self.counters.inc("approx_served")
-                    self.approx_eps.record(cached.achieved_eps)
-                return PendingQuery(waiter)
-            entry = self._entries.get(ckey)
-            if entry is not None:
-                waiter = _Waiter(query, now, "coalesced")
-                waiter.fallback = self._make_fallback(entry)
+                self._answer(waiter, "ok", self._cached_payload(query, cached))
+            elif entry is not None:
+                waiter = _Waiter(query, now, "coalesced", entry)
                 entry.waiters.append(waiter)
-                self.admitted += 1
                 self.coalesced += 1
-                return PendingQuery(waiter)
-            if len(self._queue) >= self.max_queue:
-                # Overload.  Before shedding, try the degradation ladder:
-                # *any* labelled cache entry for this triple (stale-tier
-                # approx, or exact an approx query would have taken
-                # anyway) beats a 429.
-                stale = self.cache.peek(key)
-                if stale is not None:
-                    waiter = _Waiter(query, now, "degraded")
-                    payload = self._cached_payload(
-                        query.fingerprint, query.motif, query.delta, stale
+            elif len(self._queue) >= self.max_queue:
+                # Overload: any labelled cache entry for this triple
+                # (stale-tier approx, or exact an approx query would
+                # have taken anyway) beats a 429.
+                waiter = _Waiter(query, now, "degraded")
+                if self._degrade(waiter, None) is None:
+                    self.shed += 1
+                    hint = self._retry_hint_locked()
+                    raise QueryRejected(
+                        f"admission queue full ({self.max_queue} queries queued); "
+                        f"retry after {hint:.2f}s",
+                        retry_after_s=hint,
                     )
-                    latency = time.monotonic() - now
-                    waiter.result = QueryResult(
-                        "ok", payload, "degraded", None, latency
-                    )
-                    waiter.event.set()
-                    self.admitted += 1
-                    self.completed += 1
-                    self.latency.record(latency)
-                    self.counters.inc("degraded_estimates")
-                    if not stale.is_exact:
-                        self.counters.inc("approx_served")
-                        self.approx_eps.record(stale.achieved_eps)
-                    return PendingQuery(waiter)
-                self.shed += 1
-                hint = self._retry_hint_locked()
-                raise QueryRejected(
-                    f"admission queue full ({self.max_queue} queries queued); "
-                    f"retry after {hint:.2f}s",
-                    retry_after_s=hint,
-                )
-            waiter = _Waiter(query, now, "mined")
-            entry = _Entry(key, query, waiter)
-            waiter.fallback = self._make_fallback(entry)
-            self._entries[ckey] = entry
-            self._queue.append(entry)
+            else:
+                entry = _Entry(key, query)
+                waiter = _Waiter(query, now, "mined", entry)
+                entry.waiters.append(waiter)
+                self._entries[ckey] = entry
+                self._queue.append(entry)
+                self._cond.notify_all()
             self.admitted += 1
-            self._cond.notify_all()
-            return PendingQuery(waiter)
-
-    def _make_fallback(
-        self, entry: _Entry
-    ) -> Callable[[_Waiter], Optional[QueryResult]]:
-        """Build the deadline-degradation hook for one entry's waiters.
-
-        Called from the *waiter's* thread at deadline expiry, or from
-        the lane when the run was cancelled (whichever gets there first
-        answers the same way).  The ladder: (1) the entry's last
-        completed sampling round, served truncated; (2) any cached entry
-        for the triple, whatever its accuracy tag.  Returns None when
-        nothing labelled exists — the caller then reports
-        ``deadline_exceeded``.
-        """
-
-        def fallback(w: _Waiter) -> Optional[QueryResult]:
-            latency = time.monotonic() - w.admit_t
-            partial = entry.partial
-            if partial is not None:
-                est = partial.with_truncated(True)
-                payload = build_approx_payload(
-                    entry.fingerprint, w.query.motif, entry.delta, est
-                )
-                self.counters.inc("approx_served")
-                self.counters.inc("degraded_estimates")
-                self.approx_eps.record(est.achieved_eps)
-                self.latency.record(latency)
-                return QueryResult("ok", payload, "degraded", None, latency)
-            stale = self.cache.peek(entry.key)
-            if stale is not None:
-                payload = self._cached_payload(
-                    entry.fingerprint, w.query.motif, entry.delta, stale
-                )
-                self.counters.inc("degraded_estimates")
-                if not stale.is_exact:
-                    self.counters.inc("approx_served")
-                    self.approx_eps.record(stale.achieved_eps)
-                self.latency.record(latency)
-                return QueryResult("ok", payload, "degraded", None, latency)
-            return None
-
-        return fallback
+            return PendingQuery(self, waiter)
 
     def _retry_hint_locked(self) -> float:
         """Retry-after estimate: backlog drained at recent p50 per lane."""
         per_query = self.latency.quantiles()["p50_s"] or 0.05
         backlog = len(self._queue) + self._inflight
         return min(30.0, max(0.05, backlog * per_query / self._lanes_count))
+
+    # -- answers ---------------------------------------------------------------
+
+    def _answer(
+        self,
+        w: _Waiter,
+        status: str,
+        payload: Optional[Dict] = None,
+        source: Optional[str] = None,
+        error: Optional[str] = None,
+    ) -> QueryResult:
+        """Give ``w`` its answer, unless it has one; returns the one it has.
+
+        The only code that sets ``w.result`` and the only code that
+        counts an answer, so every client-visible answer is counted once
+        and a dropped one not at all.  ``source`` defaults to how the
+        waiter was admitted.
+        """
+        with self._cond:
+            if w.result is not None:
+                return w.result
+            latency = time.monotonic() - w.admit_t
+            w.result = QueryResult(status, payload, source or w.source, error, latency)
+            if status == "ok":
+                self.completed += 1
+                self.latency.record(latency)
+                eps = payload.get("achieved_eps")
+                if eps is not None:
+                    self.counters.inc("approx_served")
+                    self.approx_eps.record(eps)
+                if source == "degraded":
+                    self.counters.inc("degraded_estimates")
+            elif status == "deadline_exceeded":
+                self.cancelled += 1
+            else:
+                self.errors += 1
+            w.event.set()
+            return w.result
+
+    def _degrade(self, w: _Waiter, error: Optional[str]) -> Optional[QueryResult]:
+        """Answer a waiter that has run out of time: the entry's latest
+        sampling round flagged truncated, else any cached entry for the
+        triple whatever its accuracy tag (both ``degraded``), else
+        ``deadline_exceeded`` with ``error``.  With ``error`` None the
+        last rung is skipped and None returned (overload sheds instead).
+        """
+        q = w.query
+        partial = w.entry.partial if w.entry is not None else None
+        if partial is not None:
+            payload = build_approx_payload(
+                q.fingerprint, q.motif, q.delta, partial.with_truncated(True)
+            )
+        else:
+            stale = self.cache.peek(q.key)
+            if stale is None:
+                if error is None:
+                    return None
+                return self._answer(w, "deadline_exceeded", error=error)
+            payload = self._cached_payload(q, stale)
+        return self._answer(w, "ok", payload, "degraded")
+
+    def _deliver(
+        self,
+        entry: _Entry,
+        status: str,
+        value: Union[None, Tuple[int, Dict[str, int]], ApproxEstimate] = None,
+        error: Optional[str] = None,
+    ) -> None:
+        """Retire an entry (no later query can join it) and answer
+        every waiter.
+
+        ``ok`` carries ``value``: a mined ``(count, counters)`` pair or
+        an estimate — a truncated one is a deadline-cut run, served
+        ``degraded``.  ``deadline_exceeded`` sends each waiter down the
+        degradation ladder; any other status is an answer without a
+        payload.
+        """
+        with self._cond:
+            self._entries.pop(entry.ckey, None)
+            if entry.state == "running":
+                self._inflight -= 1
+        for w in entry.waiters:
+            motif = w.query.motif
+            if status == "deadline_exceeded":
+                self._degrade(w, error)
+            elif status != "ok":
+                self._answer(w, status, error=error)
+            elif isinstance(value, ApproxEstimate):
+                payload = build_approx_payload(entry.fingerprint, motif, entry.delta, value)
+                self._answer(w, "ok", payload, "degraded" if value.truncated else None)
+            else:
+                count, counters = value
+                payload = build_payload(entry.fingerprint, motif, entry.delta, count, counters)
+                self._answer(w, "ok", payload)
 
     # -- dispatch --------------------------------------------------------------
 
@@ -473,14 +486,14 @@ class QueryScheduler:
         )
         for entry, (count, counters) in zip(live, results or ()):
             self.cache.put(entry.key, count, counters)
-            self._deliver(entry, "ok", count=count, counters=counters)
+            self._deliver(entry, "ok", (count, counters))
 
     def _call_backend(self, live: List[_Entry], call) -> Optional[List]:
         """``call()`` the executor with one retry; ``None`` when the
         waiters were answered here instead.
 
-        :class:`MiningCancelled` hands every entry to
-        :meth:`_deliver_cancelled`.  Any other exception is retried once
+        :class:`MiningCancelled` sends every entry's waiters down the
+        degradation ladder.  Any other exception is retried once
         before erroring the waiters: a backend failure is usually a dead
         pool that the executor rebuilds at its next checkout, so the
         second attempt runs on a fresh one (or the degraded inline path).
@@ -490,7 +503,9 @@ class QueryScheduler:
                 return call()
             except MiningCancelled:
                 for entry in live:
-                    self._deliver_cancelled(entry)
+                    self._deliver(
+                        entry, "deadline_exceeded", error="cancelled while running"
+                    )
                 return None
             except Exception as exc:  # noqa: BLE001 - must never wedge the lanes
                 if attempt == 2:
@@ -529,96 +544,7 @@ class QueryScheduler:
                 accuracy=est.accuracy,
                 approx=est.stats_dict(),
             )
-            self._deliver_approx(entry, est)
-
-    def _deliver_approx(self, entry: _Entry, est: ApproxEstimate) -> None:
-        """Deliver one labelled estimate to every waiter of an entry.
-
-        A truncated estimate is a deadline-cut run, so it is served as
-        ``degraded`` — what the waiter's own fallback would have said had
-        its thread reached the deadline first.
-        """
-        now = time.monotonic()
-        waiters = self._retire(entry)
-        with self._cond:
-            self.completed += len(waiters)
-        for w in waiters:
-            latency = now - w.admit_t
-            payload = build_approx_payload(
-                entry.fingerprint, w.query.motif, entry.delta, est
-            )
-            source = "degraded" if est.truncated else w.source
-            w.result = QueryResult("ok", payload, source, None, latency)
-            self.latency.record(latency)
-            self.counters.inc("approx_served")
-            if est.truncated:
-                self.counters.inc("degraded_estimates")
-            self.approx_eps.record(est.achieved_eps)
-            w.event.set()
-
-    def _deliver_cancelled(self, entry: _Entry) -> None:
-        """Answer an entry whose run was cancelled while running.
-
-        Each waiter that has not already taken its own fallback gets the
-        degradation ladder's labelled answer (:meth:`_make_fallback`) when
-        one exists; the rest get ``deadline_exceeded``.
-        """
-        waiters = self._retire(entry)
-        fallback = self._make_fallback(entry)
-        answers = [None if w.expired else fallback(w) for w in waiters]
-        served = sum(a is not None for a in answers)
-        with self._cond:
-            self.completed += served
-            self.cancelled += len(waiters) - served
-        now = time.monotonic()
-        for w, answer in zip(waiters, answers):
-            w.result = answer or QueryResult(
-                "deadline_exceeded", None, w.source, "cancelled while running",
-                now - w.admit_t,
-            )
-            w.event.set()
-
-    def _retire(self, entry: _Entry) -> List[_Waiter]:
-        """Take an entry out of the coalescing map and the running count;
-        returns its waiters, which no later query can join."""
-        with self._cond:
-            self._entries.pop(entry.ckey, None)
-            if entry.state == "running":
-                self._inflight -= 1
-            return list(entry.waiters)
-
-    def _deliver(
-        self,
-        entry: _Entry,
-        status: str,
-        count: int = 0,
-        counters: Optional[Dict[str, int]] = None,
-        error: Optional[str] = None,
-    ) -> None:
-        now = time.monotonic()
-        waiters = self._retire(entry)
-        with self._cond:
-            if status == "ok":
-                self.completed += len(waiters)
-            elif status == "deadline_exceeded":
-                self.cancelled += len(waiters)
-            else:
-                self.errors += len(waiters)
-        for w in waiters:
-            latency = now - w.admit_t
-            if status == "ok":
-                payload = build_payload(
-                    entry.fingerprint,
-                    w.query.motif,
-                    entry.delta,
-                    count,
-                    counters or {},
-                )
-                w.result = QueryResult("ok", payload, w.source, None, latency)
-                self.latency.record(latency)
-            else:
-                w.result = QueryResult(status, None, w.source, error, latency)
-            w.event.set()
+            self._deliver(entry, "ok", est)
 
     # -- flow control ----------------------------------------------------------
 

@@ -8,23 +8,17 @@ coalescing, batching, deadlines).  Registry evictions cascade: the
 evicted graph's cache entries are invalidated and the executor drops
 it from its workers.
 
-Beyond batch queries over registered graphs, the service hosts **live
-streams**: named incremental counters
-(:class:`~repro.streaming.counter.StreamingCounter`) that ingest edges
-online and answer two kinds of questions —
-
-- *running totals* (:meth:`stream_counts`): the exact count over the
-  whole ingested prefix, maintained incrementally;
-- *live-window queries* (:meth:`stream_window_query`): any catalog
-  motif counted on the edges currently inside the δ-window, served
-  through the ordinary scheduler path (the window snapshot is
-  registered under its own fingerprint, so identical windows coalesce
-  and cache like any other graph).
+Live graphs (:mod:`repro.live`) share the registry, cache and
+counters: a query against a live name serves its current version, and
+:meth:`MotifService.live_window_query` counts any catalog motif on the
+edges inside the live graph's current δ-window through the ordinary
+scheduler path (the window snapshot is registered under its own
+fingerprint, so identical windows coalesce and cache like any other
+graph).
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from typing import TYPE_CHECKING
@@ -40,24 +34,12 @@ if TYPE_CHECKING:  # imported lazily at runtime (repro.live uses the
 from repro.service.cache import ResultCache
 from repro.service.executor import InlineExecutor, PoolExecutor
 from repro.service.metrics import ResilienceCounters, ServiceMetrics
-from repro.service.query import MotifQuery, QueryResult, UnknownGraph
+from repro.service.query import MotifQuery, QueryResult
 from repro.service.registry import GraphRegistry
 from repro.service.scheduler import PendingQuery, QueryScheduler
-from repro.streaming.counter import StreamingCounter
 
 GraphRef = Union[TemporalGraph, str]
 MotifRef = Union[Motif, str]
-
-
-class _LiveStream:
-    """One named online counter plus its ingestion lock."""
-
-    __slots__ = ("name", "counter", "lock")
-
-    def __init__(self, name: str, counter: StreamingCounter) -> None:
-        self.name = name
-        self.counter = counter
-        self.lock = threading.Lock()
 
 
 class MotifService:
@@ -107,8 +89,6 @@ class MotifService:
         self.live = LiveManager(
             self.registry, self.cache, counters=self.resilience
         )
-        self._streams: Dict[str, _LiveStream] = {}
-        self._streams_lock = threading.Lock()
         self._closed = False
 
     def _on_graph_evicted(self, fingerprint: str) -> None:
@@ -275,83 +255,25 @@ class MotifService:
             approx=approx,
         )
 
-    # -- live streams (legacy single-motif counters) ---------------------------
-
-    def open_stream(self, name: str, motif: MotifRef, delta: int) -> str:
-        """Create a named online counter; returns the name."""
-        stream = _LiveStream(
-            name, StreamingCounter(self._resolve_motif(motif), int(delta))
-        )
-        with self._streams_lock:
-            if name in self._streams:
-                raise ValueError(f"stream {name!r} already exists")
-            self._streams[name] = stream
-        return name
-
-    def _stream(self, name: str) -> _LiveStream:
-        with self._streams_lock:
-            try:
-                return self._streams[name]
-            except KeyError:
-                raise UnknownGraph(f"unknown stream {name!r}") from None
-
-    def append_stream(
-        self, name: str, edges: Iterable[Tuple[int, int, int]]
-    ) -> Dict[str, int]:
-        """Ingest edges into a live stream; returns ingest accounting."""
-        stream = self._stream(name)
-        with stream.lock:
-            completed = stream.counter.add_batch(edges)
-            return {
-                "appended": stream.counter.num_edges,
-                "completed": completed,
-                "count": stream.counter.count,
-                "window_edges": stream.counter.window_size,
-            }
-
-    def stream_counts(self, name: str) -> Dict[str, int]:
-        """Running exact totals for one live stream."""
-        stream = self._stream(name)
-        with stream.lock:
-            c = stream.counter
-            return {
-                "stream": name,
-                "motif": c.motif.name,
-                "delta": c.delta,
-                "count": c.count,
-                "num_edges": c.num_edges,
-                "window_edges": c.window_size,
-                "live_partials": c.live_partials,
-            }
-
-    def stream_window_query(
+    def live_window_query(
         self,
         name: str,
         motif: MotifRef,
         delta: Optional[int] = None,
         timeout_s: Optional[float] = None,
     ) -> QueryResult:
-        """Count any motif on a stream's *current* δ-window.
+        """Count any motif on a live graph's *current* δ-window.
 
         The window snapshot goes through the normal serve path, so two
         clients asking about the same unchanged window coalesce, and an
         unchanged window re-queried later is a cache hit.
         """
-        stream = self._stream(name)
-        with stream.lock:
-            snapshot = stream.counter.window_snapshot()
-            if delta is None:
-                delta = stream.counter.delta
-        return self.query(snapshot, motif, int(delta), timeout_s=timeout_s)
-
-    def close_stream(self, name: str) -> None:
-        with self._streams_lock:
-            if self._streams.pop(name, None) is None:
-                raise UnknownGraph(f"unknown stream {name!r}")
-
-    def streams(self) -> List[str]:
-        with self._streams_lock:
-            return sorted(self._streams)
+        live = self.live.get(name)
+        if delta is None:
+            delta = live.delta
+        return self.query(
+            live.window_snapshot(), motif, int(delta), timeout_s=timeout_s
+        )
 
     # -- observability / lifecycle ---------------------------------------------
 

@@ -18,7 +18,7 @@ import pytest
 
 from repro.graph.temporal_graph import TemporalGraph
 from repro.mining.mackey import MackeyMiner
-from repro.motifs.catalog import M1
+from repro.motifs.catalog import M1, M2
 from repro.service import MotifService, build_payload, make_server, payload_bytes
 
 DELTA = 30
@@ -189,36 +189,45 @@ class TestRoutes:
         assert labels == METRIC_LABELS
 
 
-class TestStreamsRoutes:
-    def test_stream_lifecycle(self, served_graph):
+class TestLiveWindowQueryRoute:
+    def test_window_query_lifecycle(self, served_graph):
         conn, graph, _, service = served_graph
-        resp, body = request(
-            conn, "POST", "/streams",
-            {"name": "live", "motif": "M1", "delta": DELTA},
+        resp, _ = request(conn, "POST", "/live", {"name": "feed", "delta": DELTA})
+        assert resp.status == 200
+        resp, sub = request(
+            conn, "POST", "/subscriptions", {"graph": "feed", "motif": "M1"}
         )
-        assert resp.status == 200 and body["stream"] == "live"
+        assert resp.status == 200
         edges = list(zip(graph.src.tolist(), graph.dst.tolist(),
                          graph.ts.tolist()))
+        resp, _ = request(conn, "POST", "/graphs/feed/edges", {"edges": edges})
+        assert resp.status == 200
+        # The running count comes from the subscription.
+        resp, body = request(conn, "GET", f"/subscriptions/{sub['subscription']}")
+        assert body["count"] == MackeyMiner(graph, M1, DELTA).mine().count
         resp, body = request(
-            conn, "POST", "/streams/live/edges", {"edges": edges}
+            conn, "POST", "/live/feed/window-query", {"motif": "M2"}
         )
         assert resp.status == 200
-        assert body["appended"] == graph.num_edges
-        resp, body = request(conn, "GET", "/streams/live")
-        assert resp.status == 200
-        assert body["motif"] == "M1" and body["num_edges"] == graph.num_edges
-        resp, body = request(
-            conn, "POST", "/streams/live/window-query",
-            {"motif": "M2"},
+        window = service.live.get("feed").window_snapshot()
+        mined = MackeyMiner(window, M2, DELTA).mine()
+        assert payload_bytes(body) == payload_bytes(build_payload(
+            window.fingerprint(), M2, DELTA, mined.count,
+            mined.counters.as_dict(),
+        ))
+        hits = service.cache.hits
+        resp, again = request(
+            conn, "POST", "/live/feed/window-query", {"motif": "M2"}
         )
-        assert resp.status == 200
-        window = service._stream("live").counter.window_snapshot()
-        assert body["graph"] == window.fingerprint()
+        assert resp.status == 200 and again == body
+        assert service.cache.hits == hits + 1  # the unchanged window is cached
 
-    def test_unknown_stream_404(self, served_graph):
+    def test_unknown_live_graph_404(self, served_graph):
         conn, *_ = served_graph
-        resp, body = request(conn, "GET", "/streams/nope")
-        assert resp.status == 404 and "unknown stream" in body["error"]
+        resp, body = request(
+            conn, "POST", "/live/nope/window-query", {"motif": "M2"}
+        )
+        assert resp.status == 404 and "unknown live graph" in body["error"]
 
 
 class TestErrorMapping:

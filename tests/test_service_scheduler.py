@@ -13,7 +13,10 @@ module pins the scheduler's individual guarantees deterministically:
   stops running batches at the next cancellation poll;
 - **failure isolation** — one backend crash is absorbed by the single
   batch retry; persistent crashes yield ``"error"`` results and the
-  scheduler keeps serving.
+  scheduler keeps serving;
+- **answer accounting** — every waiter gets one answer, and ``/metrics``
+  counts exactly the answers clients received, whichever thread (the
+  waiter's at its deadline, or the lane) got there first.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from repro.service import (
     QueryScheduler,
     ResultCache,
     ServiceClosed,
+    UnknownGraph,
     build_payload,
     payload_bytes,
 )
@@ -120,6 +124,21 @@ class CancellingExecutor(InlineExecutor):
 
     def count_batch(self, graph, motifs, delta, cancel_check=None):
         raise MiningCancelled("cancelled while running")
+
+
+class GatedExecutor(InlineExecutor):
+    """Holds every batch at a gate the test opens; ignores cancellation,
+    so a run outlives its waiters' deadlines."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.entered = threading.Event()
+        self.gate = threading.Event()
+
+    def count_batch(self, graph, motifs, delta, cancel_check=None):
+        self.entered.set()
+        assert self.gate.wait(10.0), "gate never opened"
+        return super().count_batch(graph, motifs, delta)
 
 
 def make_scheduler(executor, **kwargs):
@@ -454,23 +473,249 @@ class TestServiceFrontEnd:
             again = svc.query(g1, M1, 10)
             assert again.ok and again.source == "mined"
 
-    def test_stream_window_query_matches_direct_window_mine(self, graph):
+    def test_live_window_query_matches_direct_window_mine(self, graph):
         with MotifService() as svc:
-            svc.open_stream("live", M1, DELTA)
+            svc.create_live_graph("live", DELTA)
+            sub = svc.subscribe("live", M1)
             edges = list(zip(graph.src.tolist(), graph.dst.tolist(),
                              graph.ts.tolist()))
-            svc.append_stream("live", edges)
-            counts = svc.stream_counts("live")
-            assert counts["stream"] == "live"
-            r = svc.stream_window_query("live", M2)
+            svc.append_live("live", edges)
+            # The running count comes from the subscription.
+            assert sub.count == MackeyMiner(graph, M1, DELTA).mine().count
+            r = svc.live_window_query("live", M2)
             assert r.ok
-            # Ground truth: mine M2 on the stream's current window.
-            window = svc._stream("live").counter.window_snapshot()
+            # Ground truth: mine M2 on the live graph's current window.
+            window = svc.live.get("live").window_snapshot()
             assert payload_bytes(r.payload) == direct_payload(
                 window, M2, DELTA
             )
             # Unchanged window, same question: served from cache.
-            again = svc.stream_window_query("live", M2)
+            again = svc.live_window_query("live", M2)
             assert again.ok and again.source == "cache"
-            svc.close_stream("live")
-            assert svc.streams() == []
+            with pytest.raises(UnknownGraph):
+                svc.live_window_query("nope", M2)
+
+
+SPEC = ApproxSpec(max_error=0.5, seed=1, base_samples=16, max_samples=64)
+
+
+def put_approx(scheduler, graph, motif=M1, delta=DELTA):
+    """Cache an approximate entry for ``(graph, motif, delta)``: an
+    approx query at ``SPEC`` accepts it, an exact query only as a
+    degraded answer."""
+    est = estimate_inline(graph, motif, delta, SPEC)
+    scheduler.cache.put(
+        MotifQuery(graph.fingerprint(), motif, delta).key,
+        round(est.estimate), est.counters,
+        accuracy=est.accuracy, approx=est.stats_dict(),
+    )
+    return est
+
+
+class TestAnswerAccounting:
+    """One cell per way a waiter can be answered.  Each cell asserts
+    that ``/metrics`` counts exactly what the clients received, and
+    that asking a handle twice neither changes its answer nor moves a
+    counter.  Deterministic: ``pause()`` holds queued work, the fake
+    executors decide how a run ends, and a deadline is only ever waited
+    out by a handle whose run cannot answer first."""
+
+    def setup(self, graph, executor=None, **kwargs):
+        registry, scheduler = make_scheduler(executor or InlineExecutor(), **kwargs)
+        registry.register(graph)
+        return scheduler
+
+    def settle(self, scheduler, pending, results):
+        scheduler.close()  # every lane has answered by now
+        m = scheduler.metrics()
+        statuses = [r.status for r in results]
+        assert m.completed + m.cancelled + m.errors == m.admitted
+        assert m.completed == statuses.count("ok")
+        assert m.cancelled == statuses.count("deadline_exceeded")
+        assert m.errors == statuses.count("error") + statuses.count("closed")
+        assert m.latency_samples == m.completed
+        approx = sum(r.ok and "achieved_eps" in r.payload for r in results)
+        assert m.approx_served == m.approx_eps_samples == approx
+        assert m.degraded_estimates == sum(r.source == "degraded" for r in results)
+        for p, r in zip(pending, results):
+            assert p.result() is r
+        assert scheduler.metrics().as_dict() == m.as_dict()
+        return m
+
+    def query(self, graph, **kwargs):
+        return MotifQuery(graph.fingerprint(), M1, DELTA, **kwargs)
+
+    def test_exact_cache_hit(self, graph):
+        scheduler = self.setup(graph)
+        pending, results = [], []
+        for _ in range(2):
+            pending.append(scheduler.submit(self.query(graph)))
+            results.append(pending[-1].result())
+        assert [r.source for r in results] == ["mined", "cache"]
+        self.settle(scheduler, pending, results)
+
+    def test_approx_cache_hit(self, graph):
+        scheduler = self.setup(graph)
+        put_approx(scheduler, graph)
+        pending = [scheduler.submit(self.query(graph, mode=APPROX, approx=SPEC))]
+        results = [p.result() for p in pending]
+        assert results[0].source == "cache"
+        assert self.settle(scheduler, pending, results).approx_served == 1
+
+    def test_mined(self, graph):
+        scheduler = self.setup(graph)
+        pending = [scheduler.submit(self.query(graph))]
+        results = [p.result() for p in pending]
+        assert results[0].source == "mined"
+        self.settle(scheduler, pending, results)
+
+    def test_coalesced(self, graph):
+        scheduler = self.setup(graph)
+        scheduler.pause()
+        pending = [scheduler.submit(self.query(graph)) for _ in range(3)]
+        scheduler.resume()
+        results = [p.result() for p in pending]
+        assert [r.source for r in results] == ["mined", "coalesced", "coalesced"]
+        self.settle(scheduler, pending, results)
+
+    def test_overload_with_cached_entry_is_degraded(self, graph):
+        scheduler = self.setup(graph, max_queue=1)
+        put_approx(scheduler, graph)
+        scheduler.pause()
+        pending = [
+            scheduler.submit(MotifQuery(graph.fingerprint(), M2, DELTA)),
+            scheduler.submit(self.query(graph)),
+        ]
+        assert pending[1].result().source == "degraded"
+        scheduler.resume()
+        results = [p.result() for p in pending]
+        m = self.settle(scheduler, pending, results)
+        assert (m.admitted, m.shed, m.degraded_estimates) == (2, 0, 1)
+
+    def test_overload_without_cached_entry_sheds(self, graph):
+        scheduler = self.setup(graph, max_queue=1)
+        scheduler.pause()
+        pending = [scheduler.submit(MotifQuery(graph.fingerprint(), M2, DELTA))]
+        with pytest.raises(QueryRejected):
+            scheduler.submit(self.query(graph))
+        scheduler.resume()
+        results = [p.result() for p in pending]
+        m = self.settle(scheduler, pending, results)
+        assert (m.admitted, m.shed) == (1, 1)
+
+    def test_deadline_while_queued_without_cached_entry(self, graph):
+        """A 504'd leader and its no-deadline follower: one 504, one 200."""
+        scheduler = self.setup(graph)
+        scheduler.pause()
+        pending = [
+            scheduler.submit(self.query(graph, timeout_s=0.01)),
+            scheduler.submit(self.query(graph)),
+        ]
+        leader = pending[0].result()
+        assert leader.status == "deadline_exceeded"
+        scheduler.resume()
+        results = [leader, pending[1].result()]
+        assert results[1].ok
+        m = self.settle(scheduler, pending, results)
+        assert (m.completed, m.cancelled, m.latency_samples) == (1, 1, 1)
+
+    def test_deadline_while_queued_with_cached_entry(self, graph):
+        scheduler = self.setup(graph)
+        put_approx(scheduler, graph)
+        scheduler.pause()
+        pending = [scheduler.submit(self.query(graph, timeout_s=0.01))]
+        results = [p.result() for p in pending]
+        assert results[0].ok and results[0].source == "degraded"
+        pending[0].result()  # asked again before the lane sees the entry
+        scheduler.resume()
+        m = self.settle(scheduler, pending, results)
+        assert (m.completed, m.cancelled, m.degraded_estimates) == (1, 0, 1)
+
+    def test_deadline_while_running_then_lane_completes(self, graph):
+        executor = GatedExecutor()
+        scheduler = self.setup(graph, executor)
+        scheduler.pause()
+        pending = [
+            scheduler.submit(self.query(graph, timeout_s=0.05)),
+            scheduler.submit(self.query(graph)),
+        ]
+        scheduler.resume()
+        assert executor.entered.wait(10.0)
+        leader = pending[0].result()
+        assert leader.status == "deadline_exceeded"
+        executor.gate.set()
+        results = [leader, pending[1].result()]
+        assert results[1].ok and results[1].source == "coalesced"
+        m = self.settle(scheduler, pending, results)
+        assert (m.completed, m.cancelled, m.latency_samples) == (1, 1, 1)
+
+    def test_lane_cancelled_without_cached_entry(self, graph):
+        scheduler = self.setup(graph, CancellingExecutor())
+        pending = [scheduler.submit(self.query(graph))]
+        results = [p.result() for p in pending]
+        assert results[0].status == "deadline_exceeded"
+        assert results[0].error == "cancelled while running"
+        self.settle(scheduler, pending, results)
+
+    def test_lane_cancelled_with_cached_entry(self, graph):
+        scheduler = self.setup(graph, CancellingExecutor())
+        put_approx(scheduler, graph)
+        pending = [scheduler.submit(self.query(graph))]
+        results = [p.result() for p in pending]
+        assert results[0].ok and results[0].source == "degraded"
+        self.settle(scheduler, pending, results)
+
+    def test_truncated_estimate_from_the_lane(self, graph):
+        scheduler = self.setup(graph, TruncatingExecutor())
+        scheduler.pause()
+        pending = [
+            scheduler.submit(self.query(graph, mode=APPROX, approx=SPEC))
+            for _ in range(2)
+        ]
+        scheduler.resume()
+        results = [p.result() for p in pending]
+        assert {r.source for r in results} == {"degraded"}
+        m = self.settle(scheduler, pending, results)
+        assert (m.approx_served, m.degraded_estimates) == (2, 2)
+
+    def test_backend_error_twice(self, graph):
+        scheduler = self.setup(graph, CrashingExecutor(crashes=2))
+        pending = [scheduler.submit(self.query(graph))]
+        results = [p.result() for p in pending]
+        assert results[0].status == "error"
+        self.settle(scheduler, pending, results)
+
+    def test_closed_before_execution(self, graph):
+        scheduler = self.setup(graph)
+        scheduler.pause()
+        pending = [scheduler.submit(self.query(graph)) for _ in range(2)]
+        scheduler.close()
+        results = [p.result() for p in pending]
+        assert [r.status for r in results] == ["closed", "closed"]
+        assert self.settle(scheduler, pending, results).errors == 2
+
+
+def test_degraded_leader_and_coalesced_follower(graph):
+    """A leader with a deadline is served ``degraded`` from a cached
+    approximate entry while its no-deadline follower waits on the lane:
+    each answer keeps its own provenance, and each is counted once."""
+    executor = GatedExecutor()
+    registry, scheduler = make_scheduler(executor)
+    registry.register(graph)
+    put_approx(scheduler, graph)
+    scheduler.pause()
+    leader = scheduler.submit(
+        MotifQuery(graph.fingerprint(), M1, DELTA, timeout_s=0.05)
+    )
+    follower = scheduler.submit(MotifQuery(graph.fingerprint(), M1, DELTA))
+    scheduler.resume()
+    assert executor.entered.wait(10.0)
+    led = leader.result()
+    executor.gate.set()
+    followed = follower.result()
+    scheduler.close()
+    assert led.ok and led.source == "degraded"
+    assert followed.ok and followed.source == "coalesced"
+    assert payload_bytes(followed.payload) == direct_payload(graph, M1, DELTA)
+    m = scheduler.metrics()
+    assert (m.completed, m.degraded_estimates, m.latency_samples) == (2, 1, 2)
