@@ -9,7 +9,7 @@ example compares two window samplers on the same workload:
   cheap per sample, variance driven by temporal burstiness, and no say
   in how accurate the answer ends up;
 - :func:`repro.approx.engine.estimate_inline` (what ``repro mine
-  --approx`` and the service's approx mode run) weights window starts
+  --approx`` runs; the service answers exactly) weights window starts
   by edge density and keeps doubling its sample count until the
   relative CI half-width meets a target, so accuracy is a contract.
 

@@ -1,18 +1,16 @@
-"""`repro.approx` — tiered approximate serving with error bounds.
+"""`repro.approx` — the offline motif-count estimator with error bounds.
 
 Importance-weighted temporal-interval sampling (Liu/Benson/Charikar,
-arxiv 1810.00980) productionized on top of the PRESTO window scheme:
-unbiased estimates with standard errors and (1−α) confidence intervals,
-chunkable across the repo's execution backends with byte-identical
-results, adaptive sampling rounds against a relative-error target, and
-deadline/breaker degradation that serves the best available
-*labelled* estimate where the service would otherwise reject.
+arxiv 1810.00980) on top of the PRESTO window scheme: unbiased
+estimates with standard errors and (1−α) confidence intervals, adaptive
+sampling rounds against a relative-error target, and sample chunks that
+run inline or on a worker pool with byte-identical results.  It backs
+``repro mine --approx`` and the accuracy experiments; the serving layer
+answers exactly and never samples.
 """
 
 from repro.approx.engine import adaptive_estimate, estimate_inline, round_sizes
 from repro.approx.estimate import (
-    APPROX,
-    EXACT,
     ApproxEstimate,
     ApproxSpec,
     SampleBatch,
@@ -22,8 +20,6 @@ from repro.approx.estimate import (
 from repro.approx.sampler import IntervalSampler, window_length_for
 
 __all__ = [
-    "APPROX",
-    "EXACT",
     "ApproxEstimate",
     "ApproxSpec",
     "IntervalSampler",

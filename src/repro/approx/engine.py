@@ -19,7 +19,7 @@ from typing import Callable, Optional
 from repro.approx.estimate import ApproxEstimate, ApproxSpec, SampleBatch
 from repro.approx.sampler import window_length_for
 from repro.graph.temporal_graph import TemporalGraph
-from repro.mining.dispatch import INLINE, ChunkRunner, MiningCancelled
+from repro.mining.dispatch import INLINE, ChunkRunner
 from repro.motifs.motif import Motif
 
 
@@ -37,21 +37,11 @@ def adaptive_estimate(
     run_range: Callable[[int, int], SampleBatch],
     spec: ApproxSpec,
     window_length: int,
-    cancel_check: Optional[Callable[[], bool]] = None,
-    on_round: Optional[Callable[[ApproxEstimate], None]] = None,
 ) -> ApproxEstimate:
     """Run adaptive rounds of ``run_range`` until ε meets the target.
 
     After each round the estimate is recomputed; sampling stops when
     ``achieved_eps <= spec.max_error`` or ``max_samples`` is exhausted.
-    ``cancel_check`` (the serving deadline hook) is polled *after* the
-    convergence check, so a deadline firing exactly at convergence
-    cannot change the answer.  A cancellation — via the check or a
-    :class:`MiningCancelled` escaping ``run_range`` mid-round — returns
-    the last completed round's estimate flagged ``truncated`` (and
-    re-raises only when no round completed).  ``on_round`` observes
-    every intermediate estimate; the scheduler uses it to stash partial
-    results for deadline-degraded serving.
     """
     batch = SampleBatch()
     estimate: Optional[ApproxEstimate] = None
@@ -59,20 +49,11 @@ def adaptive_estimate(
     for target in round_sizes(spec):
         if target <= done:
             continue
-        try:
-            batch.merge(run_range(done, target))
-        except MiningCancelled:
-            if estimate is None:
-                raise
-            return estimate.with_truncated(True)
+        batch.merge(run_range(done, target))
         done = target
         estimate = ApproxEstimate.from_batch(batch, spec, window_length)
-        if on_round is not None:
-            on_round(estimate)
         if estimate.achieved_eps <= spec.max_error:
             return estimate
-        if cancel_check is not None and cancel_check():
-            return estimate.with_truncated(True)
     return estimate
 
 
@@ -82,18 +63,12 @@ def estimate(
     motif: Motif,
     delta: int,
     spec: ApproxSpec,
-    cancel_check: Optional[Callable[[], bool]] = None,
-    on_round: Optional[Callable[[ApproxEstimate], None]] = None,
 ) -> ApproxEstimate:
     """Adaptive estimation with each round's samples run on ``runner``."""
     return adaptive_estimate(
-        lambda lo, hi: runner.sample_intervals(
-            graph, motif, delta, spec, lo, hi, cancel_check
-        ),
+        lambda lo, hi: runner.sample_intervals(graph, motif, delta, spec, lo, hi),
         spec,
         window_length_for(delta, spec),
-        cancel_check,
-        on_round,
     )
 
 
@@ -102,13 +77,7 @@ def estimate_inline(
     motif: Motif,
     delta: int,
     spec: ApproxSpec,
-    cancel_check: Optional[Callable[[], bool]] = None,
-    on_round: Optional[Callable[[ApproxEstimate], None]] = None,
 ) -> ApproxEstimate:
-    """:func:`estimate` in the calling process (no workers needed).
-
-    This is both the small-graph fast path and the degraded path the
-    executor falls back to when a breaker is open — byte-identical to
-    the dispatched result by the substream construction.
-    """
-    return estimate(INLINE, graph, motif, delta, spec, cancel_check, on_round)
+    """:func:`estimate` in the calling process (no workers needed) —
+    byte-identical to a dispatched run by the substream construction."""
+    return estimate(INLINE, graph, motif, delta, spec)

@@ -1,4 +1,4 @@
-"""Approximate-serving records: specs, sample batches, labelled estimates.
+"""Offline estimator records: specs, sample batches, labelled estimates.
 
 The whole `repro.approx` subsystem pivots on three small records:
 
@@ -7,34 +7,29 @@ The whole `repro.approx` subsystem pivots on three small records:
   estimate, floored at 1.0 to keep zero counts meaningful), a
   ``confidence`` level for that interval, and the sampling seed /
   window parameters that make the run reproducible.  The spec is
-  frozen and hashable so the scheduler can coalesce identical
-  approximate queries exactly like exact ones.
+  frozen and hashable.
 - :class:`SampleBatch` — the unit of chunked execution: per-sample
   weighted totals keyed by *sample index* plus summed search counters.
   Because each sample's value depends only on ``(graph, motif, δ,
   seed, index)`` and merging is a disjoint dict union plus integer
   counter sums, batches merge **commutatively**: any chunking of the
   index range — inline, pooled, supervised, with retries — reassembles
-  into the identical batch, which is what makes approximate payloads
-  byte-identical across execution backends.
+  into the identical batch, which is what makes ``repro mine --approx``
+  payloads byte-identical across execution backends.
 - :class:`ApproxEstimate` — the labelled result: point estimate,
-  standard error, (1−α) confidence interval, achieved relative error
-  ε, and a ``truncated`` flag for deadline-cut runs.  The reduction
-  from a batch always walks samples in index order, so equal batches
-  give byte-equal estimates.
+  standard error, (1−α) confidence interval and achieved relative
+  error ε.  The reduction from a batch always walks samples in index
+  order, so equal batches give byte-equal estimates.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from statistics import NormalDist
 from typing import Dict, List, Optional, Tuple
 
 from repro.mining.results import SearchCounters
-
-#: Query modes the serving layer understands.
-EXACT, APPROX = "exact", "approx"
 
 
 def normal_quantile(confidence: float) -> float:
@@ -47,7 +42,7 @@ def normal_quantile(confidence: float) -> float:
 
 @dataclass(frozen=True)
 class ApproxSpec:
-    """One approximate query's accuracy contract and sampling recipe.
+    """One estimate's accuracy contract and sampling recipe.
 
     ``max_error`` is the *relative* CI half-width target:
     ``z * stderr / max(|estimate|, 1.0) <= max_error`` stops adaptive
@@ -159,10 +154,9 @@ class ApproxEstimate:
 
     ``achieved_eps`` is the realized relative CI half-width
     (``half_width / max(|estimate|, 1)``); the accuracy tag embeds it
-    alongside α so every served byte is auditable.  ``truncated``
-    marks a deadline-cut run whose ε may exceed the requested
-    ``max_error``; ``converged`` records whether the adaptive loop met
-    the target before exhausting ``max_samples``.
+    alongside α so every printed byte is auditable.  ``converged``
+    records whether the adaptive loop met the target before exhausting
+    ``max_samples``.
     """
 
     estimate: float
@@ -175,7 +169,6 @@ class ApproxEstimate:
     seed: int
     window_length: int
     counters: Dict[str, int] = field(default_factory=dict)
-    truncated: bool = False
     converged: bool = True
 
     @classmethod
@@ -184,7 +177,6 @@ class ApproxEstimate:
         batch: SampleBatch,
         spec: ApproxSpec,
         window_length: int,
-        truncated: bool = False,
     ) -> "ApproxEstimate":
         values = batch.ordered_values()
         n = len(values)
@@ -206,7 +198,6 @@ class ApproxEstimate:
             seed=spec.seed,
             window_length=window_length,
             counters=batch.counters.as_dict(),
-            truncated=truncated,
             converged=eps <= spec.max_error,
         )
 
@@ -222,11 +213,9 @@ class ApproxEstimate:
             f"alpha={1.0 - self.confidence:.6g})"
         )
 
-    def with_truncated(self, truncated: bool) -> "ApproxEstimate":
-        return replace(self, truncated=truncated)
-
     def stats_dict(self) -> Dict:
-        """The approx extras carried by payloads and cache entries."""
+        """The error-bound block of the payload (``truncated`` is kept
+        for the payload's shape and is always false)."""
         return {
             "estimate": float(self.estimate),
             "stderr": float(self.std_error),
@@ -235,7 +224,7 @@ class ApproxEstimate:
             "achieved_eps": float(self.achieved_eps),
             "num_samples": int(self.num_samples),
             "seed": int(self.seed),
-            "truncated": bool(self.truncated),
+            "truncated": False,
             "accuracy": self.accuracy,
         }
 
@@ -246,12 +235,10 @@ def build_approx_payload(
     delta: int,
     estimate: ApproxEstimate,
 ) -> Dict:
-    """The canonical approximate wire payload.
+    """The ``repro mine --approx --json`` payload.
 
     Shares the exact payload's leading fields (``count`` is the rounded
-    point estimate) and appends the error-bound block — the same shape
-    ``repro mine --approx --json`` emits, so CLI and service responses
-    stay byte-comparable.
+    point estimate) and appends the error-bound block.
     """
     payload = {
         "graph": fingerprint,

@@ -9,7 +9,7 @@ PRESTO window scheme already reproduced in
 :mod:`repro.mining.presto`.
 
 Differences from :class:`~repro.mining.presto.PrestoEstimator` that make
-this the *serving* estimator:
+this the estimator ``repro mine --approx`` runs:
 
 - **Integer start positions.**  Windows are ``W = max(δ+1, ceil(c·δ))``
   ticks long and start on integer timestamps drawn from

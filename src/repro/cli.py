@@ -459,8 +459,7 @@ def _mine_approx(graph, motif, args) -> int:
 
     Serial (`--workers 0`) samples inline; with workers the sample
     batches run as pool chunks.  Either is byte-identical for the
-    same ``(graph, motif, delta, seed)`` — and identical to what the
-    service's approx query mode serves (`--json` prints that payload).
+    same ``(graph, motif, delta, seed)`` (`--json` prints the payload).
     """
     from repro.approx.engine import estimate
     from repro.approx.estimate import ApproxSpec, build_approx_payload

@@ -1,6 +1,6 @@
 """`ClusterExecutor` — the service backend that dispatches to a cluster.
 
-The executor itself — ``count_batch`` / ``estimate_batch``, per-graph
+The executor itself — ``count_batch``, per-graph
 breakers, the ``executor.batch`` fault site, same-call inline fallback,
 rebuild of a broken dispatcher — is
 :class:`~repro.service.executor.InlineExecutor`; this module supplies

@@ -42,9 +42,9 @@ class PrestoEstimate:
 
     Carries the normal-approximation confidence interval alongside the
     point estimate: ``ci_low``/``ci_high`` bound the count at level
-    ``confidence`` (default 95%), matching the error-bound block served
-    by the approximate query mode so ``repro mine --json`` output and
-    service payloads stay comparable.
+    ``confidence`` (default 95%), matching the error-bound block of
+    ``repro mine --approx --json`` so the two estimators' outputs stay
+    comparable.
     """
 
     estimate: float
@@ -68,12 +68,12 @@ class PrestoEstimate:
         return (self.ci_low, self.ci_high)
 
     def achieved_eps(self) -> float:
-        """Relative CI half-width (the approximate-serving ε metric)."""
+        """Relative CI half-width (the ε ``repro mine --approx`` targets)."""
         half = (self.ci_high - self.ci_low) / 2.0
         return half / max(abs(self.estimate), 1.0)
 
     def stats_dict(self) -> dict:
-        """Error-bound block, shaped like the service's approx payloads."""
+        """Error-bound block, shaped like ``repro mine --approx --json``'s."""
         return {
             "estimate": float(self.estimate),
             "stderr": float(self.std_error),

@@ -7,7 +7,9 @@ search-index memoization exploits overlapping searches (§VI-A) —
 identical in-flight queries are **coalesced** into one execution,
 completed results are **cached** under content fingerprints, compatible
 queries are **batched** into one multi-motif dispatch, and overload is
-handled by **bounded admission with explicit shedding**.
+handled by **bounded admission with explicit shedding**.  Every answer
+is the exact count — from the cache, coalesced or mined — or an explicit
+``deadline_exceeded`` / shed; the service never estimates.
 
 Module map (request lifecycle: admit → coalesce → batch → mine → cache
 → answer):

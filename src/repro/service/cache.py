@@ -5,22 +5,11 @@ massively redundant work; at the serving layer the same redundancy shows
 up as *whole repeated queries*.  This cache memoizes completed counts
 keyed by ``(graph_fingerprint, canonical_motif, delta)`` — exactly the
 triple under which results are provably byte-identical — so a repeat
-query costs a dictionary lookup instead of a mining run.
+query costs a dictionary lookup instead of a mining run.  Every entry
+is an exact count: a ``put`` for a key already held replaces it.
 
-Entries carry an **accuracy tag**: ``"exact"`` for miner output,
-``"approx(eps, alpha)"`` for sampled estimates (with the full
-error-bound block kept alongside).  The tiering rules are strict:
-
-- an exact entry is never replaced by an approximate one (``put``
-  refuses);
-- an approximate entry is upgraded in place by an exact result, or
-  replaced by a tighter (lower achieved-ε) approximate one;
-- ``get`` serves approximate entries only to callers that opted in
-  (``accept_approx=True``) — exact queries never see estimates.
-
-Eviction is LRU bounded by **resident** bytes.  An exact result — the
-common entry by orders of magnitude — is not kept as an object at all:
-its count and its ten :class:`~repro.mining.results.SearchCounters`
+Eviction is LRU bounded by **resident** bytes.  A miner's result is
+not kept as an object at all: its count and its ten :class:`~repro.mining.results.SearchCounters`
 fields are one ``bytes`` of eleven packed ``int64`` (121 B), stored
 directly as the table's value, and :meth:`ResultCache.get` rebuilds the
 :class:`CachedResult` view on a hit.  The key's fingerprint and
@@ -29,11 +18,10 @@ its δ.  What is booked against ``max_bytes`` is what that keeps
 resident — key tuple, δ, packed value and the table slot (~310 B;
 ``tests/test_service.py`` holds booked and ``tracemalloc``-measured
 bytes within a factor of each other) — not the JSON length an earlier
-version booked at under a third of the truth.  Approximate entries, and
-an exact result whose counters are not exactly the ``SearchCounters``
-fields in ``int64``, stay unpacked :class:`CachedResult` objects and
-are booked by following their containers.  :meth:`ResultCache.stats`
-hands occupancy and hit/miss/eviction accounting to the service
+version booked at under a third of the truth.  A result whose counters
+are not exactly the ``SearchCounters`` fields in ``int64`` stays an
+unpacked :class:`CachedResult` object and is booked by following its
+counters dict.  :meth:`ResultCache.stats` hands occupancy and hit/miss/eviction accounting to the service
 metrics snapshot under the names ``/metrics`` reports them by.
 """
 
@@ -46,7 +34,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, fields
 from typing import Dict, Optional, Tuple, Union
 
-from repro.approx.estimate import EXACT
 from repro.mining.results import SearchCounters
 from repro.service.query import QueryKey
 
@@ -54,36 +41,16 @@ from repro.service.query import QueryKey
 @dataclass(frozen=True)
 class CachedResult:
     """An immutable cached count: the mined number plus its counters.
-
-    ``accuracy`` is ``"exact"`` or the ``approx(eps, alpha)`` tag of the
-    estimate; approximate entries keep the full error-bound block in
-    ``approx`` (the :meth:`ApproxEstimate.stats_dict
-    <repro.approx.estimate.ApproxEstimate.stats_dict>` dict) so a cache
-    hit can serve the same labelled payload the original run did.
-    ``nbytes`` is what the entry is booked at.
-    """
+    ``nbytes`` is what the entry is booked at."""
 
     count: int
     counters: Dict[str, int]
     nbytes: int
-    accuracy: str = EXACT
-    approx: Optional[Dict] = None
-
-    @property
-    def is_exact(self) -> bool:
-        return self.accuracy == EXACT
-
-    @property
-    def achieved_eps(self) -> float:
-        """Realized relative error (0.0 for exact entries)."""
-        if self.approx is None:
-            return 0.0
-        return float(self.approx["achieved_eps"])
 
 
 #: Counter names of a packed entry, in ``SearchCounters`` field order.
 _FIELDS = tuple(f.name for f in fields(SearchCounters))
-#: A packed exact entry: the count, then one ``int64`` per field.
+#: A packed entry: the count, then one ``int64`` per field.
 _PACKED = struct.Struct(f"<{1 + len(_FIELDS)}q")
 #: What one entry costs the ``OrderedDict`` itself — hash-table slot,
 #: order index and link node, averaged over the table's resize cycle
@@ -95,16 +62,12 @@ _OBJECT_BYTES = sys.getsizeof(CachedResult(0, {}, 0)) + sys.getsizeof(
     vars(CachedResult(0, {}, 0))
 )
 
-#: A stored value: packed exact result, or the unpacked object.
+#: A stored value: packed result, or the unpacked object.
 _Stored = Union[bytes, CachedResult]
 
 
-def _is_approx(stored: _Stored) -> bool:
-    return not isinstance(stored, bytes) and not stored.is_exact
-
-
 def _pack(count: int, counters: Dict[str, int]) -> Optional[bytes]:
-    """The packed form of an exact result, or ``None`` when it has no
+    """The packed form of a result, or ``None`` when it has no
     faithful one (foreign counter names, a value outside ``int64``)."""
     if len(counters) != len(_FIELDS):
         return None
@@ -115,14 +78,12 @@ def _pack(count: int, counters: Dict[str, int]) -> Optional[bytes]:
 
 
 def _sizeof(value) -> int:
-    """Resident bytes of a JSON-shaped value, containers followed.
+    """Resident bytes of an int or a dict of them, items followed.
     Shared names and small integers are counted where they appear, so
     this errs high: the budget admits less, never more."""
     size = sys.getsizeof(value)
     if isinstance(value, dict):
         size += sum(_sizeof(k) + _sizeof(v) for k, v in value.items())
-    elif isinstance(value, (list, tuple)):
-        size += sum(_sizeof(v) for v in value)
     return size
 
 
@@ -167,7 +128,6 @@ class ResultCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.refinements = 0
 
     # -- core ------------------------------------------------------------------
 
@@ -188,71 +148,36 @@ class ResultCache:
             delta,
         )
 
-    def get(self, key: QueryKey, accept_approx: bool = False) -> Optional[CachedResult]:
-        """Look up one key.
-
-        Exact entries serve every caller.  Approximate entries serve
-        only callers that accept them (``accept_approx=True``) — an
-        exact query observing an approx entry counts as a miss and the
-        entry stays put (the later exact result will upgrade it).
-        """
+    def get(self, key: QueryKey) -> Optional[CachedResult]:
+        """Look up one key, counting a hit or a miss."""
         with self._lock:
             entry = _view(key, self._entries.get(key))
-            if entry is None or (not entry.is_exact and not accept_approx):
+            if entry is None:
                 self.misses += 1
                 return None
             self._entries.move_to_end(key)
             self.hits += 1
             return entry
 
-    def peek(self, key: QueryKey) -> Optional[CachedResult]:
-        """Read without touching LRU order or hit/miss accounting — the
-        degraded-serving path's 'anything labelled beats a 504' probe."""
-        with self._lock:
-            return _view(key, self._entries.get(key))
-
-    def put(
-        self,
-        key: QueryKey,
-        count: int,
-        counters: Dict[str, int],
-        accuracy: str = EXACT,
-        approx: Optional[Dict] = None,
-    ) -> bool:
+    def put(self, key: QueryKey, count: int, counters: Dict[str, int]) -> bool:
         """Insert (or refresh) a result; returns False if not stored.
 
-        Tiering: exact entries are never downgraded to approximate, and
-        an approximate entry is only replaced by an exact result or by
-        an estimate with achieved ε no worse than the incumbent's.  An
-        entry larger than the whole budget is refused rather than
+        An entry larger than the whole budget is refused rather than
         evicting the entire cache for one oversized tenant.
         """
         count = int(count)
         counters = {k: int(v) for k, v in counters.items()}
-        exact = accuracy == EXACT
-        stored: Optional[_Stored] = (
-            _pack(count, counters) if exact and approx is None else None
-        )
+        stored: Optional[_Stored] = _pack(count, counters)
         if stored is None:
-            approx = dict(approx) if approx is not None else None
-            held = sum(_sizeof(v) for v in (count, counters, accuracy, approx))
+            held = _sizeof(count) + _sizeof(counters)
             stored = CachedResult(
-                count, counters, _key_nbytes(key) + _OBJECT_BYTES + held,
-                accuracy, approx,
+                count, counters, _key_nbytes(key) + _OBJECT_BYTES + held
             )
         nbytes = _nbytes(key, stored)
         if nbytes > self.max_bytes:
             return False
         with self._lock:
-            old = self._entries.get(key)
-            if old is not None:
-                if not _is_approx(old):
-                    if not exact:
-                        return False  # exact always preferred
-                elif exact:
-                    self.refinements += 1
-                elif stored.achieved_eps > old.achieved_eps:
-                    return False  # keep the tighter estimate
+            if key in self._entries:
                 self._remove(key)
             self._entries[self._intern(key)] = stored
             self.bytes_used += nbytes
@@ -322,15 +247,12 @@ class ResultCache:
 
     def stats(self) -> Dict[str, int]:
         """Occupancy and accounting, keyed by the names ``/metrics``
-        reports them under, plus ``refinements``: approximate entries
-        upgraded in place by an exact result."""
+        reports them under."""
         with self._lock:
             return {
                 "cache_entries": len(self._entries),
-                "approx_cache_entries": sum(map(_is_approx, self._entries.values())),
                 "cache_bytes": self.bytes_used,
                 "cache_hits": self.hits,
                 "cache_misses": self.misses,
                 "cache_evictions": self.evictions,
-                "refinements": self.refinements,
             }

@@ -2,9 +2,8 @@
 
 The scheduler groups compatible queries (same graph, same δ) into one
 batch; the executor turns a batch into per-motif ``(count, counters)``
-pairs (``count_batch``) or labelled estimates (``estimate_batch``).
-There is one executor class, one engine and one way a batch is mined:
-ONE pass of the vectorised family walker
+pairs (``count_batch``).  There is one executor class, one engine and
+one way a batch is mined: ONE pass of the vectorised family walker
 (:class:`~repro.comine.engine.CoMiner`,
 :data:`~repro.mining.dispatch.ENGINE`) down the batch's
 motif prefix trie, whether the batch holds one motif or sixteen — a
@@ -56,10 +55,8 @@ chunks on every dispatcher and, in-process, inside the walker itself
 from __future__ import annotations
 
 import threading
-from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.approx.engine import estimate
 from repro.graph.temporal_graph import TemporalGraph
 from repro.mining.dispatch import (
     INLINE,
@@ -175,37 +172,6 @@ class InlineExecutor:
         if len(motifs) > 1:
             self.counters.inc("comined_batches")
         return [(r.count, r.counters.as_dict()) for r in results]
-
-    def estimate_batch(
-        self,
-        graph: TemporalGraph,
-        motifs: Sequence[Motif],
-        delta: int,
-        spec,
-        cancel_check: Optional[Callable[[], bool]] = None,
-        on_round: Optional[Callable[[int, object], None]] = None,
-    ) -> List:
-        """Approximate each motif by adaptive interval sampling.
-
-        Returns per-motif :class:`~repro.approx.estimate.ApproxEstimate`
-        objects; sample-index chunks ride the dispatcher like mining
-        chunks, and the estimate is byte-identical wherever they ran
-        because per-sample substreams make batches chunking-invariant.
-        ``on_round(index, estimate)`` observes every completed sampling
-        round (the scheduler's partial-result stash for deadline-
-        degraded serving).  :class:`MiningCancelled` escapes only when a
-        motif's *first* round was cancelled (later rounds return a
-        truncated estimate).  The inline fallback is *still*
-        approximate-and-labelled, so the breaker path serves bounded
-        answers rather than rejecting.
-        """
-        return self._run(graph, len(motifs), lambda runner: [
-            estimate(
-                runner, graph, motif, delta, spec, cancel_check,
-                partial(on_round, i) if on_round is not None else None,
-            )
-            for i, motif in enumerate(motifs)
-        ])
 
     # -- health introspection (MotifService.health consumers) ------------------
 

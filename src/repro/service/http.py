@@ -22,8 +22,10 @@ never parsed out of leftover bytes.  Routes:
 - ``POST /graphs`` — ``{"name": ..., "edges": [[src, dst, t], ...]}``
   registers an uploaded graph; returns its fingerprint.
 - ``POST /query`` — ``{"graph": name-or-fingerprint, "motif": name,
-  "motif_spec": optional DSL, "delta": int, "timeout_s": optional}``;
-  answers the canonical payload.  Overload maps to HTTP 429 with a
+  "motif_spec": optional DSL, "delta": int, "timeout_s": optional,
+  "mode": optional, ``"exact"`` only}``; answers the canonical payload,
+  an exact count.  Any other ``mode`` is a 400; fields the route does
+  not read are ignored.  Overload maps to HTTP 429 with a
   ``Retry-After`` header; a missed deadline maps to 504.
 
 Live graphs and standing subscriptions (:mod:`repro.live`):
@@ -288,45 +290,13 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         graph = self._require(body, "graph")
         delta = int(self._require(body, "delta"))
         motif = self._resolve_motif(body)
-        timeout_s = body.get("timeout_s")
-        mode, approx = self._resolve_mode(body)
+        mode = body.get("mode", "exact")
+        if mode != "exact":
+            raise _HTTPError(400, f"unknown mode {mode!r}; expected 'exact'")
         result = self.service.query(
-            graph, motif, delta, timeout_s=timeout_s, mode=mode, approx=approx
+            graph, motif, delta, timeout_s=body.get("timeout_s")
         )
-        status, payload = _result_to_response(result)
-        self._send_json(status, payload)
-
-    @staticmethod
-    def _resolve_mode(body: Dict):
-        """Parse the approximate-serving fields of a ``/query`` body.
-
-        ``mode: "approx"`` (or any of ``max_error`` / ``confidence`` /
-        ``seed`` / ``max_samples``) selects sampling with error bounds;
-        the default stays exact.
-        """
-        from repro.approx.estimate import APPROX, EXACT, ApproxSpec
-
-        mode = str(body.get("mode", EXACT))
-        approx_fields = ("max_error", "confidence", "seed", "max_samples")
-        if mode == EXACT and any(f in body for f in approx_fields):
-            mode = APPROX
-        if mode == EXACT:
-            return EXACT, None
-        if mode != APPROX:
-            raise _HTTPError(
-                400, f"unknown mode {mode!r}; expected 'exact' or 'approx'"
-            )
-        defaults = ApproxSpec()
-        try:
-            spec = ApproxSpec(
-                max_error=float(body.get("max_error", defaults.max_error)),
-                confidence=float(body.get("confidence", defaults.confidence)),
-                seed=int(body.get("seed", defaults.seed)),
-                max_samples=int(body.get("max_samples", defaults.max_samples)),
-            )
-        except ValueError as exc:
-            raise _HTTPError(400, f"bad approx parameters: {exc}") from None
-        return APPROX, spec
+        self._send_json(*_result_to_response(result))
 
     def _handle_register_graph(self) -> None:
         from repro.graph.temporal_graph import TemporalGraph

@@ -16,8 +16,7 @@ The rows carry what an operator needs to steer the serving layer:
 admission-queue depth (backpressure), coalesce ratio (how much
 single-flight is saving), cache hit-rate (how much memoization is
 saving), shed count (overload policy engaged), p50/p99 latency (tail
-health), then the resilience, approximate-serving and live-ingestion
-counters.  Rendering goes through
+health), then the resilience and live-ingestion counters.  Rendering goes through
 :func:`repro.analysis.reporting.format_table` like every other report in
 the repo.
 """
@@ -58,8 +57,7 @@ class ResilienceCounters:
     retries, respawns, breaker transitions, degraded-mode queries), the
     dispatchers' ``on_event`` hook (under :class:`DispatchStats
     <repro.mining.dispatch.DispatchStats>` field names), the scheduler
-    (batch retries, dispatcher crashes, approximate and degraded
-    answers) and live ingestion, so one snapshot shows one coherent
+    (batch retries, dispatcher crashes) and live ingestion, so one snapshot shows one coherent
     picture.  Names are free: ``/metrics`` reports those :data:`METRICS`
     lists, and a name never counted reads as zero.
     """
@@ -83,8 +81,8 @@ class ResilienceCounters:
 
 
 class LatencyReservoir:
-    """Bounded sliding reservoir of recent samples (latencies in seconds,
-    or any other quantity whose p50/p99 ``/metrics`` reports)."""
+    """Bounded sliding reservoir of recent samples (latencies in
+    seconds), whose p50/p99 ``/metrics`` reports."""
 
     def __init__(self, capacity: int = 4096) -> None:
         if capacity <= 0:
@@ -112,14 +110,14 @@ class LatencyReservoir:
             "p99_s": percentile(samples, 99),
         }
 
-    def metrics(self, name: str, unit: str = "_s") -> Dict[str, float]:
-        """This reservoir's :data:`METRICS` rows: ``{name}_p50{unit}``,
-        ``{name}_p99{unit}`` and ``{name}_samples`` (every sample ever
+    def metrics(self, name: str) -> Dict[str, float]:
+        """This reservoir's :data:`METRICS` rows: ``{name}_p50_s``,
+        ``{name}_p99_s`` and ``{name}_samples`` (every sample ever
         recorded, not only those still held)."""
         q = self.quantiles()
         return {
-            f"{name}_p50{unit}": q["p50_s"],
-            f"{name}_p99{unit}": q["p99_s"],
+            f"{name}_p50_s": q["p50_s"],
+            f"{name}_p99_s": q["p99_s"],
             f"{name}_samples": self.recorded_total,
         }
 
@@ -150,7 +148,6 @@ def _ms(seconds: float) -> str:
 
 
 _RATIO = "{:.3f}".format
-_EPS = "{:.4f}".format
 
 #: Every number ``/metrics`` reports, in text-body order.
 METRICS = (
@@ -207,18 +204,6 @@ METRICS = (
     Metric("breakers_open", "breakers open (now)"),
     Metric("degraded", "degraded", lambda b: str(b).lower(), False,
            lambda r: r["breakers_open"] > 0),
-    # -- approximate serving (repro.approx) ------------------------------------
-    # Answers served with error bounds instead of exact counts.
-    Metric("approx_served", "approx served"),
-    # Labelled answers served where the service would otherwise have
-    # rejected or 504'd (deadline expiry, queue-full shed).
-    Metric("degraded_estimates", "degraded estimates"),
-    # Achieved relative CI half-width ε over recent approx answers.
-    Metric("approx_eps_p50", "approx eps p50", _EPS, 0.0),
-    Metric("approx_eps_p99", "approx eps p99", _EPS, 0.0),
-    Metric("approx_eps_samples", "approx eps samples"),
-    # Gauge: cache entries currently carrying an approx accuracy tag.
-    Metric("approx_cache_entries", "approx cache entries"),
     # -- live ingestion / subscriptions (repro.live) ---------------------------
     # Edges applied to live graphs (post reorder-buffer release).
     Metric("edges_ingested", "edges ingested"),

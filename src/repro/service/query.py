@@ -15,8 +15,8 @@ is the triple the whole serving layer pivots on —
 - **delta** is the window in seconds.
 
 Equal keys therefore imply byte-identical results, which is what makes
-single-flight coalescing and fingerprint-keyed caching *correct* rather
-than approximate.
+single-flight coalescing and fingerprint-keyed caching *correct*: a
+coalesced or cached answer is the exact count a fresh mine would give.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import json
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro.approx.estimate import APPROX, EXACT, ApproxSpec
 from repro.motifs.motif import Motif
 
 #: Type alias for the cache/coalescing key.
@@ -57,37 +56,19 @@ class UnknownGraph(KeyError):
 
 @dataclass(frozen=True)
 class MotifQuery:
-    """One motif-count request against a registered graph.
-
-    ``mode`` is ``"exact"`` (the default, bit-for-bit miner output) or
-    ``"approx"`` — answer from sampled intervals with error bounds per
-    the attached :class:`~repro.approx.estimate.ApproxSpec`.  The cache
-    :attr:`key` stays the exact triple in both modes: exact and approx
-    answers to the same question share one cache slot (the accuracy tag
-    on the entry tells them apart, exact always preferred).
-    """
+    """One exact motif-count request against a registered graph."""
 
     fingerprint: str
     motif: Motif
     delta: int
     #: Per-request deadline, seconds from admission (None = no deadline).
     timeout_s: Optional[float] = None
-    mode: str = EXACT
-    approx: Optional[ApproxSpec] = None
 
     def __post_init__(self) -> None:
         if self.delta < 0:
             raise ValueError("delta must be non-negative")
         if self.timeout_s is not None and self.timeout_s <= 0:
             raise ValueError("timeout_s must be positive (or None)")
-        if self.mode not in (EXACT, APPROX):
-            raise ValueError(
-                f"unknown mode {self.mode!r}; expected {EXACT!r} or {APPROX!r}"
-            )
-        if self.mode == APPROX and self.approx is None:
-            object.__setattr__(self, "approx", ApproxSpec())
-        if self.mode == EXACT and self.approx is not None:
-            raise ValueError("an exact query cannot carry an ApproxSpec")
 
     @property
     def key(self) -> QueryKey:
@@ -103,6 +84,7 @@ class QueryResult:
     produced: ``"mined"`` (this request triggered the execution),
     ``"coalesced"`` (attached to an identical in-flight request) or
     ``"cache"`` (served from the result cache without scheduling).
+    Every ``"ok"`` answer is the exact count.
     """
 
     status: str
@@ -127,11 +109,9 @@ def build_payload(
 
     The same builder is used by the service, by ``repro mine --json``
     and by the differential parity tests, so "byte-identical to a direct
-    miner run" is checkable with :func:`payload_bytes`.  Every served
-    payload carries an ``accuracy`` tag; exact answers say so
-    explicitly, approximate ones (see
-    :func:`repro.approx.estimate.build_approx_payload`) carry
-    ``approx(eps, alpha)`` plus the full error-bound block.
+    miner run" is checkable with :func:`payload_bytes`.  The
+    ``accuracy`` tag is always ``"exact"``: the service serves nothing
+    else.
     """
     return {
         "graph": fingerprint,
@@ -139,7 +119,7 @@ def build_payload(
         "delta": int(delta),
         "count": int(count),
         "counters": {k: int(v) for k, v in counters.items()},
-        "accuracy": EXACT,
+        "accuracy": "exact",
     }
 
 

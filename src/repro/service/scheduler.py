@@ -17,9 +17,9 @@ Request lifecycle
    coalescing is exact.
 3. **Batch.**  A dispatcher thread drains the queue and groups
    compatible entries — same graph, same δ — into one batch, which an
-   execution lane hands to the executor as a single multi-motif call
-   (``count_batch`` / ``estimate_batch``), so a burst of different
-   motifs against one graph shares a single dispatch wave.
+   execution lane hands to the executor as a single multi-motif
+   ``count_batch`` call, so a burst of different motifs against one
+   graph shares a single dispatch wave.
 4. **Mine.**  Lanes (a small thread pool) execute batches concurrently
    across graphs.  Per-request deadlines are enforced throughout:
    entries whose waiters have all expired are cancelled *before*
@@ -33,14 +33,10 @@ Request lifecycle
    the first answer wins: the waiter's own thread at its deadline and
    the lane can both try, and the later one is dropped.  It alone
    counts the answer — ``completed`` (with a latency sample),
-   ``cancelled`` or ``errors`` by status, ``approx_served`` plus an ε
-   sample for an approximate payload, ``degraded_estimates`` for a
-   ``degraded`` one — so ``/metrics`` agrees with what clients got.  A
-   waiter out of time takes one ladder (:meth:`QueryScheduler._degrade`):
-   the entry's latest sampling round flagged truncated, else any
-   labelled cache entry, else ``deadline_exceeded``; either thread
-   labels the first two ``degraded``.  Overload takes the ladder's
-   cache rung before it sheds.
+   ``cancelled`` or ``errors`` by status — so ``/metrics`` agrees with
+   what clients got.  Every ``ok`` answer is exact (``cache``,
+   ``coalesced`` or ``mined``); a waiter out of time is answered
+   ``deadline_exceeded``, and a query that cannot be admitted is shed.
 
 A worker crash or any backend exception is delivered to the affected
 waiters as an ``"error"`` result; the dispatcher, lanes and queue are
@@ -53,13 +49,12 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from typing import Deque, Dict, List, Optional, Tuple, Union
+from typing import Deque, Dict, List, Optional, Tuple
 
-from repro.approx.estimate import APPROX, ApproxEstimate, ApproxSpec, build_approx_payload
 from repro.mining.parallel import MiningCancelled
 from repro.motifs.motif import Motif
 from repro.resilience.breaker import CLOSED
-from repro.service.cache import CachedResult, ResultCache
+from repro.service.cache import ResultCache
 from repro.service.metrics import (
     LatencyReservoir,
     ResilienceCounters,
@@ -79,21 +74,11 @@ from repro.service.registry import GraphRegistry
 
 class _Waiter:
     """One submitted request waiting on (possibly shared) execution.
+    ``result`` is set once, by :meth:`QueryScheduler._answer`."""
 
-    ``result`` is set once, by :meth:`QueryScheduler._answer`; ``entry``
-    is the in-flight entry it waits on (None when answered at
-    admission), whose partial estimate the degradation ladder reads.
-    """
+    __slots__ = ("query", "event", "result", "deadline", "admit_t", "source")
 
-    __slots__ = ("query", "event", "result", "deadline", "admit_t", "source", "entry")
-
-    def __init__(
-        self,
-        query: MotifQuery,
-        admit_t: float,
-        source: str,
-        entry: Optional["_Entry"] = None,
-    ) -> None:
+    def __init__(self, query: MotifQuery, admit_t: float, source: str) -> None:
         self.query = query
         self.event = threading.Event()
         self.result: Optional[QueryResult] = None
@@ -102,37 +87,20 @@ class _Waiter:
         )
         self.admit_t = admit_t
         self.source = source
-        self.entry = entry
 
 
 class _Entry:
-    """One distinct in-flight (key, mode, spec) and its waiters.
+    """One distinct in-flight cache key and its waiters."""
 
-    ``key`` is the cache triple; ``ckey`` additionally carries the query
-    mode and approx spec — exact and approximate requests for the same
-    triple must not coalesce (different answer contracts), but both
-    fill the same cache slot.  ``partial`` holds the latest completed
-    sampling round's estimate while an approx entry is running: the
-    degradation ladder serves it (labelled truncated) where the service
-    would otherwise 504.
-    """
-
-    __slots__ = (
-        "key", "ckey", "fingerprint", "motif", "delta", "waiters", "state",
-        "mode", "spec", "partial",
-    )
+    __slots__ = ("key", "fingerprint", "motif", "delta", "waiters", "state")
 
     def __init__(self, key: QueryKey, query: MotifQuery) -> None:
         self.key = key
-        self.ckey = (key, query.mode, query.approx)
         self.fingerprint = query.fingerprint
         self.motif: Motif = query.motif
         self.delta = int(query.delta)
         self.waiters: List[_Waiter] = []
         self.state = "queued"
-        self.mode = query.mode
-        self.spec: Optional[ApproxSpec] = query.approx
-        self.partial: Optional[ApproxEstimate] = None
 
     def all_expired(self, now: float) -> bool:
         """True when no attached waiter can still use the result: each
@@ -156,19 +124,19 @@ class PendingQuery:
     def result(self) -> QueryResult:
         """Block until delivery or the query's own deadline.
 
-        At the deadline this thread answers the waiter from the
-        degradation ladder (:meth:`QueryScheduler._degrade`): a labelled
-        ``degraded`` answer when one exists, else ``deadline_exceeded``.
-        The scheduler then skips the entry if it is still queued and
-        cancels a running batch once no waiter can use it.  Every call
-        returns the same, first answer.
+        At the deadline this thread answers the waiter
+        ``deadline_exceeded``.  The scheduler then skips the entry if it
+        is still queued and cancels a running batch once no waiter can
+        use it.  Every call returns the same, first answer.
         """
         w = self._waiter
         timeout = (
             None if w.deadline is None else max(0.0, w.deadline - time.monotonic())
         )
         if not w.event.wait(timeout):
-            self._scheduler._degrade(w, "deadline exceeded before completion")
+            self._scheduler._answer(
+                w, "deadline_exceeded", error="deadline exceeded before completion"
+            )
         return w.result  # type: ignore[return-value]
 
 
@@ -202,8 +170,8 @@ class QueryScheduler:
 
         #: Over an RLock, so ``submit`` can answer while it holds it.
         self._cond = threading.Condition(threading.RLock())
-        #: Coalescing map keyed by (cache key, mode, approx spec).
-        self._entries: Dict[Tuple, _Entry] = {}
+        #: Coalescing map: the in-flight entry of each cache key.
+        self._entries: Dict[QueryKey, _Entry] = {}
         self._queue: Deque[_Entry] = deque()
         self._paused = False
         self._closed = False
@@ -216,8 +184,6 @@ class QueryScheduler:
         self.errors = 0
         self.cancelled = 0
         self.latency = LatencyReservoir(latency_capacity)
-        #: Achieved relative error of served approximate answers.
-        self.approx_eps = LatencyReservoir(latency_capacity)
         #: Shared with the executor so one snapshot shows both sides.
         self.counters = counters if counters is not None else executor.counters
 
@@ -231,70 +197,38 @@ class QueryScheduler:
 
     # -- admission -------------------------------------------------------------
 
-    def _cache_acceptable(self, query: MotifQuery) -> Optional[CachedResult]:
-        """The cache entry (if any) that satisfies this query's contract.
-
-        Exact queries accept only exact entries.  Approx queries prefer
-        an exact entry (always), and accept an approximate one whose
-        achieved ε meets the requested ``max_error`` at no lower
-        confidence.
-        """
-        cached = self.cache.get(query.key, accept_approx=query.mode == APPROX)
-        if cached is None or cached.is_exact:
-            return cached
-        spec = query.approx
-        if (
-            spec is not None
-            and cached.achieved_eps <= spec.max_error
-            and float(cached.approx["confidence"]) >= spec.confidence - 1e-12
-        ):
-            return cached
-        return None
-
-    @staticmethod
-    def _cached_payload(query: MotifQuery, cached: CachedResult) -> Dict:
-        """Rebuild the served payload for a cache entry (labelled)."""
-        payload = build_payload(
-            query.fingerprint, query.motif, query.delta, cached.count, cached.counters
-        )
-        payload.update(cached.approx or {})
-        return payload
-
     def submit(self, query: MotifQuery) -> PendingQuery:
         """Admit one query; returns a handle (never blocks on mining)."""
         now = time.monotonic()
         key = query.key
-        ckey = (key, query.mode, query.approx)
         with self._cond:
             if self._closed:
                 raise ServiceClosed("scheduler is closed")
-            cached = self._cache_acceptable(query)
-            entry = self._entries.get(ckey)
+            cached = self.cache.get(key)
+            entry = self._entries.get(key)
             if cached is not None:
                 waiter = _Waiter(query, now, "cache")
-                self._answer(waiter, "ok", self._cached_payload(query, cached))
+                self._answer(waiter, "ok", build_payload(
+                    query.fingerprint, query.motif, query.delta,
+                    cached.count, cached.counters,
+                ))
             elif entry is not None:
-                waiter = _Waiter(query, now, "coalesced", entry)
+                waiter = _Waiter(query, now, "coalesced")
                 entry.waiters.append(waiter)
                 self.coalesced += 1
             elif len(self._queue) >= self.max_queue:
-                # Overload: any labelled cache entry for this triple
-                # (stale-tier approx, or exact an approx query would
-                # have taken anyway) beats a 429.
-                waiter = _Waiter(query, now, "degraded")
-                if self._degrade(waiter, None) is None:
-                    self.shed += 1
-                    hint = self._retry_hint_locked()
-                    raise QueryRejected(
-                        f"admission queue full ({self.max_queue} queries queued); "
-                        f"retry after {hint:.2f}s",
-                        retry_after_s=hint,
-                    )
+                self.shed += 1
+                hint = self._retry_hint_locked()
+                raise QueryRejected(
+                    f"admission queue full ({self.max_queue} queries queued); "
+                    f"retry after {hint:.2f}s",
+                    retry_after_s=hint,
+                )
             else:
                 entry = _Entry(key, query)
-                waiter = _Waiter(query, now, "mined", entry)
+                waiter = _Waiter(query, now, "mined")
                 entry.waiters.append(waiter)
-                self._entries[ckey] = entry
+                self._entries[key] = entry
                 self._queue.append(entry)
                 self._cond.notify_all()
             self.admitted += 1
@@ -313,30 +247,22 @@ class QueryScheduler:
         w: _Waiter,
         status: str,
         payload: Optional[Dict] = None,
-        source: Optional[str] = None,
         error: Optional[str] = None,
     ) -> QueryResult:
         """Give ``w`` its answer, unless it has one; returns the one it has.
 
         The only code that sets ``w.result`` and the only code that
         counts an answer, so every client-visible answer is counted once
-        and a dropped one not at all.  ``source`` defaults to how the
-        waiter was admitted.
+        and a dropped one not at all.
         """
         with self._cond:
             if w.result is not None:
                 return w.result
             latency = time.monotonic() - w.admit_t
-            w.result = QueryResult(status, payload, source or w.source, error, latency)
+            w.result = QueryResult(status, payload, w.source, error, latency)
             if status == "ok":
                 self.completed += 1
                 self.latency.record(latency)
-                eps = payload.get("achieved_eps")
-                if eps is not None:
-                    self.counters.inc("approx_served")
-                    self.approx_eps.record(eps)
-                if source == "degraded":
-                    self.counters.inc("degraded_estimates")
             elif status == "deadline_exceeded":
                 self.cancelled += 1
             else:
@@ -344,61 +270,28 @@ class QueryScheduler:
             w.event.set()
             return w.result
 
-    def _degrade(self, w: _Waiter, error: Optional[str]) -> Optional[QueryResult]:
-        """Answer a waiter that has run out of time: the entry's latest
-        sampling round flagged truncated, else any cached entry for the
-        triple whatever its accuracy tag (both ``degraded``), else
-        ``deadline_exceeded`` with ``error``.  With ``error`` None the
-        last rung is skipped and None returned (overload sheds instead).
-        """
-        q = w.query
-        partial = w.entry.partial if w.entry is not None else None
-        if partial is not None:
-            payload = build_approx_payload(
-                q.fingerprint, q.motif, q.delta, partial.with_truncated(True)
-            )
-        else:
-            stale = self.cache.peek(q.key)
-            if stale is None:
-                if error is None:
-                    return None
-                return self._answer(w, "deadline_exceeded", error=error)
-            payload = self._cached_payload(q, stale)
-        return self._answer(w, "ok", payload, "degraded")
-
     def _deliver(
         self,
         entry: _Entry,
         status: str,
-        value: Union[None, Tuple[int, Dict[str, int]], ApproxEstimate] = None,
+        value: Optional[Tuple[int, Dict[str, int]]] = None,
         error: Optional[str] = None,
     ) -> None:
         """Retire an entry (no later query can join it) and answer
-        every waiter.
-
-        ``ok`` carries ``value``: a mined ``(count, counters)`` pair or
-        an estimate — a truncated one is a deadline-cut run, served
-        ``degraded``.  ``deadline_exceeded`` sends each waiter down the
-        degradation ladder; any other status is an answer without a
-        payload.
-        """
+        every waiter: ``ok`` with the mined ``(count, counters)``
+        ``value``, any other status without a payload."""
         with self._cond:
-            self._entries.pop(entry.ckey, None)
+            self._entries.pop(entry.key, None)
             if entry.state == "running":
                 self._inflight -= 1
         for w in entry.waiters:
-            motif = w.query.motif
-            if status == "deadline_exceeded":
-                self._degrade(w, error)
-            elif status != "ok":
+            if status != "ok":
                 self._answer(w, status, error=error)
-            elif isinstance(value, ApproxEstimate):
-                payload = build_approx_payload(entry.fingerprint, motif, entry.delta, value)
-                self._answer(w, "ok", payload, "degraded" if value.truncated else None)
-            else:
-                count, counters = value
-                payload = build_payload(entry.fingerprint, motif, entry.delta, count, counters)
-                self._answer(w, "ok", payload)
+                continue
+            count, counters = value
+            self._answer(w, "ok", build_payload(
+                entry.fingerprint, w.query.motif, entry.delta, count, counters
+            ))
 
     # -- dispatch --------------------------------------------------------------
 
@@ -416,16 +309,10 @@ class QueryScheduler:
                     group = [self._queue.popleft()]
                     head = group[0]
                     fp, delta = head.fingerprint, head.delta
-                    mode, spec = head.mode, head.spec
                     rest: Deque[_Entry] = deque()
                     while self._queue and len(group) < self.max_batch:
                         e = self._queue.popleft()
-                        if (
-                            e.fingerprint == fp
-                            and e.delta == delta
-                            and e.mode == mode
-                            and e.spec == spec
-                        ):
+                        if e.fingerprint == fp and e.delta == delta:
                             group.append(e)
                         else:
                             rest.append(e)
@@ -477,74 +364,29 @@ class QueryScheduler:
             return all(e.all_expired(t) for e in live)
 
         motifs = [e.motif for e in live]
-        if live[0].mode == APPROX:
-            self._execute_approx_group(graph, live, motifs, delta, cancel_check)
-            return
-        results = self._call_backend(
-            live,
-            lambda: self.executor.count_batch(graph, motifs, delta, cancel_check),
-        )
-        for entry, (count, counters) in zip(live, results or ()):
-            self.cache.put(entry.key, count, counters)
-            self._deliver(entry, "ok", (count, counters))
-
-    def _call_backend(self, live: List[_Entry], call) -> Optional[List]:
-        """``call()`` the executor with one retry; ``None`` when the
-        waiters were answered here instead.
-
-        :class:`MiningCancelled` sends every entry's waiters down the
-        degradation ladder.  Any other exception is retried once
-        before erroring the waiters: a backend failure is usually a dead
-        pool that the executor rebuilds at its next checkout, so the
-        second attempt runs on a fresh one (or the degraded inline path).
-        """
+        # One retry: a backend failure is usually a dead pool that the
+        # executor rebuilds at its next checkout, so the second attempt
+        # runs on a fresh one (or the degraded inline path).
         for attempt in (1, 2):
             try:
-                return call()
+                results = self.executor.count_batch(graph, motifs, delta, cancel_check)
+                break
             except MiningCancelled:
                 for entry in live:
                     self._deliver(
                         entry, "deadline_exceeded", error="cancelled while running"
                     )
-                return None
+                return
             except Exception as exc:  # noqa: BLE001 - must never wedge the lanes
                 if attempt == 2:
                     message = f"{type(exc).__name__}: {exc}"
                     for entry in live:
                         self._deliver(entry, "error", error=message)
-                    return None
+                    return
                 self.counters.inc("batch_retries")
-
-    def _execute_approx_group(
-        self, graph, live: List[_Entry], motifs: List[Motif], delta: int, cancel_check
-    ) -> None:
-        """Adaptive-sampling execution for one approx batch.
-
-        Each completed round is stashed on its entry (``partial``) so
-        deadline-expired waiters can be served the latest truncated
-        estimate; a run cancelled *after* its first round returns that
-        estimate flagged truncated, delivered as ``degraded``.
-        """
-        spec = live[0].spec or ApproxSpec()
-
-        def on_round(i: int, est: ApproxEstimate) -> None:
-            live[i].partial = est
-
-        estimates = self._call_backend(
-            live,
-            lambda: self.executor.estimate_batch(
-                graph, motifs, delta, spec, cancel_check, on_round
-            ),
-        )
-        for entry, est in zip(live, estimates or ()):
-            self.cache.put(
-                entry.key,
-                int(round(est.estimate)),
-                est.counters,
-                accuracy=est.accuracy,
-                approx=est.stats_dict(),
-            )
-            self._deliver(entry, "ok", est)
+        for entry, (count, counters) in zip(live, results):
+            self.cache.put(entry.key, count, counters)
+            self._deliver(entry, "ok", (count, counters))
 
     # -- flow control ----------------------------------------------------------
 
@@ -590,7 +432,6 @@ class QueryScheduler:
             **self.cache.stats(),
             **self.counters.snapshot(),
             **self.latency.metrics("latency"),
-            **self.approx_eps.metrics("approx_eps", unit=""),
             "resident_graphs": self.registry.resident_count,
             "breakers_open": sum(
                 1 for s in self.executor.breaker_states().values() if s != CLOSED

@@ -4,9 +4,9 @@ Ties the pieces together: a :class:`GraphRegistry` (graph identity +
 residency), a :class:`ResultCache` (fingerprint-keyed memoization), a
 mining backend (:class:`InlineExecutor`, or a dispatching subclass such
 as :class:`PoolExecutor`) and the :class:`QueryScheduler` (admission,
-coalescing, batching, deadlines).  Registry evictions cascade: the
-evicted graph's cache entries are invalidated and the executor drops
-it from its workers.
+coalescing, batching, deadlines).  Every answer is the exact count,
+or none at all.  Registry evictions cascade: the evicted graph's cache
+entries are invalidated and the executor drops it from its workers.
 
 Live graphs (:mod:`repro.live`) share the registry, cache and
 counters: a query against a live name serves its current version, and
@@ -23,7 +23,6 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from typing import TYPE_CHECKING
 
-from repro.approx.estimate import APPROX, EXACT, ApproxSpec
 from repro.graph.temporal_graph import TemporalGraph
 from repro.mining.dispatch import ENGINE
 from repro.motifs.catalog import motif_by_name
@@ -140,26 +139,14 @@ class MotifService:
         motif: MotifRef,
         delta: int,
         timeout_s: Optional[float] = None,
-        mode: str = EXACT,
-        approx: Optional[ApproxSpec] = None,
     ) -> PendingQuery:
         """Admit a query without blocking; raises
-        :class:`~repro.service.query.QueryRejected` under overload.
-
-        ``mode="approx"`` answers from sampled intervals with error
-        bounds; ``approx`` carries the accuracy contract
-        (``max_error``/``confidence``/``seed``), defaulting to
-        :class:`~repro.approx.estimate.ApproxSpec`'s defaults.
-        """
-        if approx is not None and mode == EXACT:
-            mode = APPROX
+        :class:`~repro.service.query.QueryRejected` under overload."""
         query = MotifQuery(
             fingerprint=self._resolve_graph(graph),
             motif=self._resolve_motif(motif),
             delta=int(delta),
             timeout_s=timeout_s,
-            mode=mode,
-            approx=approx,
         )
         return self.scheduler.submit(query)
 
@@ -169,13 +156,9 @@ class MotifService:
         motif: MotifRef,
         delta: int,
         timeout_s: Optional[float] = None,
-        mode: str = EXACT,
-        approx: Optional[ApproxSpec] = None,
     ) -> QueryResult:
         """Submit and block for the result (or deadline)."""
-        return self.submit(
-            graph, motif, delta, timeout_s, mode=mode, approx=approx
-        ).result()
+        return self.submit(graph, motif, delta, timeout_s).result()
 
     # -- live graphs (repro.live: ingestion + subscriptions) -------------------
 
@@ -244,16 +227,11 @@ class MotifService:
         motif: MotifRef,
         delta: Optional[int] = None,
         timeout_s: Optional[float] = None,
-        mode: str = EXACT,
-        approx: Optional[ApproxSpec] = None,
     ) -> QueryResult:
-        """Query a live graph's current version (exact or approx)."""
+        """Query a live graph's current version."""
         if delta is None:
             delta = self.live.get(name).delta
-        return self.query(
-            name, motif, int(delta), timeout_s=timeout_s, mode=mode,
-            approx=approx,
-        )
+        return self.query(name, motif, int(delta), timeout_s=timeout_s)
 
     def live_window_query(
         self,

@@ -24,7 +24,7 @@ graph-first ``count_many(graph, motifs, delta)`` call — on the
 in-process runner, a worker pool or a cluster.
 
 :func:`serve` is the same contract one layer up: one batch through any
-``(executor, mode)`` cell of the service's executor grid.  In both grids
+executor cell of the service's executor grid.  In both grids
 the scalar miner appears only as the oracle (:func:`serial_reference`).
 """
 
@@ -33,9 +33,6 @@ from __future__ import annotations
 import multiprocessing
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.approx.engine import adaptive_estimate
-from repro.approx.estimate import ApproxSpec, build_approx_payload
-from repro.approx.sampler import IntervalSampler
 from repro.cluster import ClusterExecutor, MiningCluster
 from repro.graph.temporal_graph import TemporalGraph
 from repro.mining.dispatch import INLINE
@@ -172,36 +169,9 @@ def kill(processes) -> None:
         assert not process.is_alive()
 
 
-def approx_reference(
-    graph: TemporalGraph, motifs: Sequence[Motif], delta: int, spec: ApproxSpec
-) -> List[bytes]:
-    """Served approx payload bytes from one serial
-    :class:`IntervalSampler` per motif — no runner, no executor."""
-    out = []
-    for motif in motifs:
-        sampler = IntervalSampler(graph, motif, delta, spec)
-        est = adaptive_estimate(sampler.sample_range, spec, sampler.window_length)
-        out.append(payload_bytes(
-            build_approx_payload(graph.fingerprint(), motif, delta, est)
-        ))
-    return out
-
-
 def serve(
-    executor,
-    graph: TemporalGraph,
-    motifs: Sequence[Motif],
-    delta: int,
-    spec: Optional[ApproxSpec] = None,
+    executor, graph: TemporalGraph, motifs: Sequence[Motif], delta: int
 ) -> List[bytes]:
-    """One batch through ``executor`` — exact, or approximate under
-    ``spec`` — as the payload bytes a replica would serve for it."""
-    if spec is None:
-        return payloads(graph, motifs, delta, executor.count_batch(graph, motifs, delta))
-    fp = graph.fingerprint()
-    return [
-        payload_bytes(build_approx_payload(fp, motif, delta, est))
-        for motif, est in zip(
-            motifs, executor.estimate_batch(graph, motifs, delta, spec)
-        )
-    ]
+    """One batch through ``executor`` as the payload bytes a replica
+    would serve for it."""
+    return payloads(graph, motifs, delta, executor.count_batch(graph, motifs, delta))

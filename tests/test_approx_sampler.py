@@ -12,7 +12,7 @@ Three layers of evidence, strongest first:
 - **Coverage rate** — across many seeds the nominal-confidence CI must
   cover the exact count at close to its advertised rate.
 
-Plus the determinism contract chunked serving relies on: identical
+Plus the determinism contract `repro mine --approx` relies on: identical
 ``(graph, motif, δ, seed)`` runs are byte-identical across inline,
 pooled and supervised execution, and batch merging is commutative.
 """
@@ -282,34 +282,13 @@ class TestAdaptiveEngine:
         spec = ApproxSpec(max_error=100.0, base_samples=8, max_samples=512)
         est = estimate_inline(graph, M1, DELTA, spec)
         assert est.num_samples == 8
-        assert est.converged and not est.truncated
+        assert est.converged
 
     def test_budget_exhaustion_reported(self, graph):
         spec = ApproxSpec(max_error=1e-6, base_samples=8, max_samples=16)
         est = estimate_inline(graph, M1, DELTA, spec)
         assert est.num_samples == 16
-        assert not est.converged and not est.truncated
-
-    def test_cancel_returns_truncated_partial(self, graph):
-        spec = ApproxSpec(max_error=1e-6, base_samples=8, max_samples=512)
-        rounds = []
-        est = estimate_inline(
-            graph, M1, DELTA, spec,
-            cancel_check=lambda: len(rounds) >= 2,
-            on_round=rounds.append,
-        )
-        assert est.truncated
-        assert est.num_samples == rounds[-1].num_samples == 16
-
-    def test_cancel_mid_first_round_raises(self, graph):
-        from repro.mining.parallel import MiningCancelled
-
-        def exploding_range(lo, hi):
-            raise MiningCancelled("deadline")
-
-        spec = ApproxSpec()
-        with pytest.raises(MiningCancelled):
-            adaptive_estimate(exploding_range, spec, 10)
+        assert not est.converged
 
     def test_accuracy_tag_format(self, graph):
         spec = ApproxSpec(max_error=0.5, confidence=0.95, base_samples=32,

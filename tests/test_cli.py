@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import hashlib
+
 import pytest
 
 from repro.cli import main
@@ -7,6 +9,14 @@ from repro.graph.generators import make_dataset
 from repro.graph.loaders import save_snap_text
 from repro.mining.mackey import MackeyMiner
 from repro.motifs.catalog import M1
+
+#: SHA-256 of ``mine --approx --json`` stdout for the ``graph_file``
+#: graph at δ = span // 30 and the default sampling contract: 1,024
+#: samples, estimate 70 ± 9.  Pinned so any change to the sampler, its
+#: chunking or the payload shows up as a byte diff.
+APPROX_JSON_SHA256 = (
+    "46ab9a35a6bf02aced24909c2b6b1016f73cfdf6ddbccefedad61c75f952573d"
+)
 
 
 @pytest.fixture
@@ -229,6 +239,16 @@ class TestJsonOutput:
                      "--workers", "2", "--json"]) == 0
         parallel = json.loads(capsys.readouterr().out)
         assert parallel == serial
+
+    @pytest.mark.parametrize("workers", ["0", "2"])
+    def test_mine_approx_json_bytes_are_pinned(self, graph_file, capsys, workers):
+        """Serial and pooled sampling print the same bytes: the pinned
+        ones."""
+        path, g = graph_file
+        assert main(["mine", path, "--delta", str(g.time_span // 30),
+                     "--approx", "--json", "--workers", workers]) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == APPROX_JSON_SHA256
 
     def test_mine_json_rejects_show_matches(self, graph_file, capsys):
         path, g = graph_file

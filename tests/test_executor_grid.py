@@ -8,7 +8,7 @@ coverage is a grid rather than a file per backend:
     oracle   = mackey | batched
     executor = inline | pool | owned-cluster | shared-cluster
     batch    = singleton | multi-motif
-    mode     = exact | approx | degraded
+    mode     = exact | degraded
 
 The oracle axis is what a cell's served
 payload bytes (count, counters and all) must equal: ``mackey`` is the
@@ -19,9 +19,9 @@ fallback serves.  ``degraded`` is the exact mode with the dispatched
 attempt failed by an injected ``executor.batch`` fault, so the answer
 comes from that fallback.  After the grid: the recovery and health
 behaviour every dispatching cell shares because the wrapper is shared —
-rebuild of an owned dispatcher that broke mid-batch, dispatched sampling
-on a cluster, ``/healthz`` worker liveness — and the leak check for the
-service-lifetime pool under seeded worker kills.
+rebuild of an owned dispatcher that broke mid-batch and ``/healthz``
+worker liveness — and the leak check for the service-lifetime pool
+under seeded worker kills.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ import pytest
 
 from cluster_harness import (
     EXECUTORS,
-    approx_reference,
     kill,
     make_executor,
     mine,
@@ -46,16 +45,12 @@ from cluster_harness import (
     worker_kill_plan,
 )
 from conftest import random_temporal_graph
-from repro.approx.estimate import ApproxSpec
 from repro.cluster import MiningCluster
 from repro.motifs.catalog import M1, M2, M3
 from repro.resilience.faults import FaultPlan
 from repro.service import MotifService
-from repro.service.query import payload_bytes
 
 DELTA = 50
-#: Cheap sampling contract: wide error budget, two rounds at most.
-SPEC = ApproxSpec(max_error=0.5, seed=1, base_samples=16, max_samples=32)
 BATCHES = {"singleton": [M1], "multi-motif": [M1, M2, M3]}
 #: oracle -> per-motif ``(count, counters)`` of one batch, mined without
 #: any executor.
@@ -77,7 +72,6 @@ def served_by(oracle, graph):
         out[name, "exact"] = out[name, "degraded"] = payloads(
             graph, motifs, DELTA, ORACLES[oracle](graph, motifs, DELTA)
         )
-        out[name, "approx"] = approx_reference(graph, motifs, DELTA, SPEC)
     return out
 
 
@@ -112,7 +106,7 @@ def executor(kind, shared_cluster):
 
 @pytest.mark.timeout(300)
 class TestExecutorGrid:
-    @pytest.mark.parametrize("mode", ("exact", "approx", "degraded"))
+    @pytest.mark.parametrize("mode", ("exact", "degraded"))
     @pytest.mark.parametrize("batch", sorted(BATCHES))
     def test_served_bytes_match_serial_reference(
         self, oracle, executor, kind, batch, mode, graph
@@ -123,9 +117,7 @@ class TestExecutorGrid:
             with FaultPlan.raise_at("executor.batch", [1]).installed():
                 served = serve(executor, graph, motifs, DELTA)
         else:
-            served = serve(
-                executor, graph, motifs, DELTA, SPEC if mode == "approx" else None
-            )
+            served = serve(executor, graph, motifs, DELTA)
         assert served == oracle[batch, mode]
         after = executor.counters.snapshot()
         grew = Counter(after)
@@ -142,7 +134,7 @@ class TestExecutorGrid:
             assert (grew["chunks_completed"] > 0) == (
                 kind != "inline" and not fell_back
             )
-        assert grew["comined_batches"] == (mode != "approx" and batch == "multi-motif")
+        assert grew["comined_batches"] == (batch == "multi-motif")
 
     def test_shared_cluster_outlives_its_facades(self, shared_cluster):
         make_executor("shared-cluster", cluster=shared_cluster).close()
@@ -203,16 +195,6 @@ class TestSharedWrapperOnTheClusterBackend:
             assert executor.degraded
             executor.close()
             assert not cluster.closed
-
-    def test_approx_query_through_a_cluster_is_dispatched(self, graph, reference):
-        with MotifService(executor=make_executor("owned-cluster", workers=1)) as svc:
-            svc.register_graph(graph, name="g")
-            result = svc.query("g", M1, DELTA, approx=SPEC)
-            assert result.ok and result.source == "mined"
-            assert [payload_bytes(result.payload)] == reference["singleton", "approx"]
-            metrics = svc.metrics()
-            assert metrics.backend_failures == 0
-            assert svc.resilience.get("chunks_completed") > 0  # sample chunks ran on the node
 
 
 @pytest.mark.timeout(300)

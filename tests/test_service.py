@@ -33,6 +33,7 @@ from repro.service import (
     payload_bytes,
     percentile,
 )
+from repro.service.cache import _nbytes
 from repro.service.metrics import METRICS
 
 
@@ -235,7 +236,7 @@ class TestResultCache:
         assert errors == []
         assert 0 <= cache.bytes_used <= cache.max_bytes
         # Byte accounting must agree with the surviving entries.
-        total = sum(cache.peek(k).nbytes for k in list(cache._entries))
+        total = sum(_nbytes(k, v) for k, v in list(cache._entries.items()))
         assert total == cache.bytes_used
 
     def test_clear(self):
@@ -254,8 +255,7 @@ class TestResultCache:
         assert cache.put(k, 7, shuffled)
         assert isinstance(cache._entries[k], bytes)
         got = cache.get(k)
-        assert (got.count, got.accuracy, got.approx) == (7, "exact", None)
-        assert got.is_exact and got.achieved_eps == 0.0
+        assert got.count == 7
         # A fresh dict each time, in SearchCounters field order.
         assert list(got.counters.items()) == list(counters.as_dict().items())
         assert got.counters is not cache.get(k).counters
@@ -274,7 +274,7 @@ class TestResultCache:
         assert cache.put(k, count, counters)
         assert not isinstance(cache._entries[k], bytes)
         got = cache.get(k)
-        assert got.count == count and got.counters == counters and got.is_exact
+        assert got.count == count and got.counters == counters
         assert got.nbytes == cache.bytes_used > booked(k, 1, SearchCounters().as_dict())
 
     def test_booked_bytes_are_the_resident_bytes(self):

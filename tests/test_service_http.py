@@ -25,13 +25,12 @@ DELTA = 30
 
 #: The ``/metrics`` JSON keys, sorted.
 METRIC_NAMES = [
-    "admitted", "approx_cache_entries", "approx_eps_p50", "approx_eps_p99",
-    "approx_eps_samples", "approx_served", "backend_failures",
+    "admitted", "backend_failures",
     "batch_retries", "breaker_closes", "breaker_half_opens", "breaker_opens",
     "breakers_open", "cache_bytes", "cache_bytes_per_entry", "cache_entries",
     "cache_evictions", "cache_hit_rate", "cache_hits", "cache_misses",
     "cancelled", "chunk_retries", "coalesce_ratio", "coalesced",
-    "comined_batches", "completed", "degraded", "degraded_estimates",
+    "comined_batches", "completed", "degraded",
     "degraded_queries", "delivery_lag_p50_s", "delivery_lag_p99_s",
     "delivery_lag_samples", "dispatcher_crashes", "duplicate_batches",
     "edges_ingested", "engine", "errors", "events_delivered",
@@ -55,9 +54,7 @@ METRIC_LABELS = [
     "failovers", "backend failures", "degraded queries", "co-mined batches",
     "batch retries", "dispatcher crashes", "pools rebuilt", "breaker opens",
     "breaker half-opens", "breaker closes", "breakers open (now)", "degraded",
-    "approx served", "degraded estimates",
-    "approx eps p50", "approx eps p99", "approx eps samples",
-    "approx cache entries", "edges ingested", "ingest batches",
+    "edges ingested", "ingest batches",
     "duplicate batches", "late edges dropped", "subscription fires",
     "events delivered", "events dropped", "gap events", "live graphs (now)",
     "live subscriptions (now)", "live shared counters (now)",

@@ -26,8 +26,6 @@ import time
 
 import pytest
 
-from repro.approx.engine import estimate_inline
-from repro.approx.estimate import APPROX, ApproxSpec, build_approx_payload
 from repro.graph.temporal_graph import TemporalGraph
 from repro.mining.mackey import MackeyMiner
 from repro.mining.parallel import MiningCancelled
@@ -106,17 +104,6 @@ class BlockingExecutor(InlineExecutor):
                 raise MiningCancelled("cancelled at poll")
             time.sleep(0.005)
         raise AssertionError("cancel_check never fired")
-
-
-class TruncatingExecutor(InlineExecutor):
-    """Returns every estimate flagged truncated, as the sampler does
-    when ``cancel_check`` fires after a completed round."""
-
-    def estimate_batch(self, graph, motifs, delta, spec, *_):
-        return [
-            est.with_truncated(True)
-            for est in super().estimate_batch(graph, motifs, delta, spec)
-        ]
 
 
 class CancellingExecutor(InlineExecutor):
@@ -293,45 +280,6 @@ class TestDeadlines:
             )
 
 
-class TestDeadlineProvenance:
-    """A deadline-cut answer is labelled ``degraded`` whichever thread
-    hands it over: the lane that saw the run cancelled, or the waiter
-    whose deadline passed.  The fake executors below stand in for the
-    lane winning that race, so no waiter needs a deadline."""
-
-    SPEC = ApproxSpec(max_error=0.5, seed=1, base_samples=16, max_samples=64)
-
-    def test_truncated_estimate_from_the_lane_is_degraded(self, graph):
-        registry, scheduler = make_scheduler(TruncatingExecutor())
-        registry.register(graph)
-        query = MotifQuery(
-            graph.fingerprint(), M1, DELTA, mode=APPROX, approx=self.SPEC
-        )
-        result = scheduler.submit(query).result()
-        scheduler.close()
-        assert result.ok and result.source == "degraded"
-        assert result.payload["truncated"] is True
-        assert scheduler.counters.get("degraded_estimates") == 1
-
-    def test_cancelled_run_serves_the_cached_entry(self, graph):
-        registry, scheduler = make_scheduler(CancellingExecutor())
-        registry.register(graph)
-        query = MotifQuery(graph.fingerprint(), M1, DELTA)
-        stale = estimate_inline(graph, M1, DELTA, self.SPEC)
-        scheduler.cache.put(
-            query.key, round(stale.estimate), stale.counters,
-            accuracy=stale.accuracy, approx=stale.stats_dict(),
-        )
-        result = scheduler.submit(query).result()
-        scheduler.close()
-        assert result.ok and result.source == "degraded"
-        assert payload_bytes(result.payload) == payload_bytes(
-            build_approx_payload(graph.fingerprint(), M1, DELTA, stale)
-        )
-        assert scheduler.counters.get("degraded_estimates") == 1
-        assert (scheduler.completed, scheduler.cancelled) == (1, 0)
-
-
 class TestFailureIsolation:
     def test_transient_backend_crash_is_retried_transparently(self, graph):
         # One crash is absorbed by the scheduler's single batch retry:
@@ -496,22 +444,6 @@ class TestServiceFrontEnd:
                 svc.live_window_query("nope", M2)
 
 
-SPEC = ApproxSpec(max_error=0.5, seed=1, base_samples=16, max_samples=64)
-
-
-def put_approx(scheduler, graph, motif=M1, delta=DELTA):
-    """Cache an approximate entry for ``(graph, motif, delta)``: an
-    approx query at ``SPEC`` accepts it, an exact query only as a
-    degraded answer."""
-    est = estimate_inline(graph, motif, delta, SPEC)
-    scheduler.cache.put(
-        MotifQuery(graph.fingerprint(), motif, delta).key,
-        round(est.estimate), est.counters,
-        accuracy=est.accuracy, approx=est.stats_dict(),
-    )
-    return est
-
-
 class TestAnswerAccounting:
     """One cell per way a waiter can be answered.  Each cell asserts
     that ``/metrics`` counts exactly what the clients received, and
@@ -534,9 +466,6 @@ class TestAnswerAccounting:
         assert m.cancelled == statuses.count("deadline_exceeded")
         assert m.errors == statuses.count("error") + statuses.count("closed")
         assert m.latency_samples == m.completed
-        approx = sum(r.ok and "achieved_eps" in r.payload for r in results)
-        assert m.approx_served == m.approx_eps_samples == approx
-        assert m.degraded_estimates == sum(r.source == "degraded" for r in results)
         for p, r in zip(pending, results):
             assert p.result() is r
         assert scheduler.metrics().as_dict() == m.as_dict()
@@ -554,14 +483,6 @@ class TestAnswerAccounting:
         assert [r.source for r in results] == ["mined", "cache"]
         self.settle(scheduler, pending, results)
 
-    def test_approx_cache_hit(self, graph):
-        scheduler = self.setup(graph)
-        put_approx(scheduler, graph)
-        pending = [scheduler.submit(self.query(graph, mode=APPROX, approx=SPEC))]
-        results = [p.result() for p in pending]
-        assert results[0].source == "cache"
-        assert self.settle(scheduler, pending, results).approx_served == 1
-
     def test_mined(self, graph):
         scheduler = self.setup(graph)
         pending = [scheduler.submit(self.query(graph))]
@@ -577,20 +498,6 @@ class TestAnswerAccounting:
         results = [p.result() for p in pending]
         assert [r.source for r in results] == ["mined", "coalesced", "coalesced"]
         self.settle(scheduler, pending, results)
-
-    def test_overload_with_cached_entry_is_degraded(self, graph):
-        scheduler = self.setup(graph, max_queue=1)
-        put_approx(scheduler, graph)
-        scheduler.pause()
-        pending = [
-            scheduler.submit(MotifQuery(graph.fingerprint(), M2, DELTA)),
-            scheduler.submit(self.query(graph)),
-        ]
-        assert pending[1].result().source == "degraded"
-        scheduler.resume()
-        results = [p.result() for p in pending]
-        m = self.settle(scheduler, pending, results)
-        assert (m.admitted, m.shed, m.degraded_estimates) == (2, 0, 1)
 
     def test_overload_without_cached_entry_sheds(self, graph):
         scheduler = self.setup(graph, max_queue=1)
@@ -619,18 +526,6 @@ class TestAnswerAccounting:
         m = self.settle(scheduler, pending, results)
         assert (m.completed, m.cancelled, m.latency_samples) == (1, 1, 1)
 
-    def test_deadline_while_queued_with_cached_entry(self, graph):
-        scheduler = self.setup(graph)
-        put_approx(scheduler, graph)
-        scheduler.pause()
-        pending = [scheduler.submit(self.query(graph, timeout_s=0.01))]
-        results = [p.result() for p in pending]
-        assert results[0].ok and results[0].source == "degraded"
-        pending[0].result()  # asked again before the lane sees the entry
-        scheduler.resume()
-        m = self.settle(scheduler, pending, results)
-        assert (m.completed, m.cancelled, m.degraded_estimates) == (1, 0, 1)
-
     def test_deadline_while_running_then_lane_completes(self, graph):
         executor = GatedExecutor()
         scheduler = self.setup(graph, executor)
@@ -646,6 +541,9 @@ class TestAnswerAccounting:
         executor.gate.set()
         results = [leader, pending[1].result()]
         assert results[1].ok and results[1].source == "coalesced"
+        # The lane answered both; the leader's answer was already given,
+        # so the lane's was dropped and not counted.
+        assert pending[0].result() is leader
         m = self.settle(scheduler, pending, results)
         assert (m.completed, m.cancelled, m.latency_samples) == (1, 1, 1)
 
@@ -656,27 +554,6 @@ class TestAnswerAccounting:
         assert results[0].status == "deadline_exceeded"
         assert results[0].error == "cancelled while running"
         self.settle(scheduler, pending, results)
-
-    def test_lane_cancelled_with_cached_entry(self, graph):
-        scheduler = self.setup(graph, CancellingExecutor())
-        put_approx(scheduler, graph)
-        pending = [scheduler.submit(self.query(graph))]
-        results = [p.result() for p in pending]
-        assert results[0].ok and results[0].source == "degraded"
-        self.settle(scheduler, pending, results)
-
-    def test_truncated_estimate_from_the_lane(self, graph):
-        scheduler = self.setup(graph, TruncatingExecutor())
-        scheduler.pause()
-        pending = [
-            scheduler.submit(self.query(graph, mode=APPROX, approx=SPEC))
-            for _ in range(2)
-        ]
-        scheduler.resume()
-        results = [p.result() for p in pending]
-        assert {r.source for r in results} == {"degraded"}
-        m = self.settle(scheduler, pending, results)
-        assert (m.approx_served, m.degraded_estimates) == (2, 2)
 
     def test_backend_error_twice(self, graph):
         scheduler = self.setup(graph, CrashingExecutor(crashes=2))
@@ -694,28 +571,3 @@ class TestAnswerAccounting:
         assert [r.status for r in results] == ["closed", "closed"]
         assert self.settle(scheduler, pending, results).errors == 2
 
-
-def test_degraded_leader_and_coalesced_follower(graph):
-    """A leader with a deadline is served ``degraded`` from a cached
-    approximate entry while its no-deadline follower waits on the lane:
-    each answer keeps its own provenance, and each is counted once."""
-    executor = GatedExecutor()
-    registry, scheduler = make_scheduler(executor)
-    registry.register(graph)
-    put_approx(scheduler, graph)
-    scheduler.pause()
-    leader = scheduler.submit(
-        MotifQuery(graph.fingerprint(), M1, DELTA, timeout_s=0.05)
-    )
-    follower = scheduler.submit(MotifQuery(graph.fingerprint(), M1, DELTA))
-    scheduler.resume()
-    assert executor.entered.wait(10.0)
-    led = leader.result()
-    executor.gate.set()
-    followed = follower.result()
-    scheduler.close()
-    assert led.ok and led.source == "degraded"
-    assert followed.ok and followed.source == "coalesced"
-    assert payload_bytes(followed.payload) == direct_payload(graph, M1, DELTA)
-    m = scheduler.metrics()
-    assert (m.completed, m.degraded_estimates, m.latency_samples) == (2, 1, 2)
