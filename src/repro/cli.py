@@ -529,7 +529,7 @@ def cmd_census(args) -> int:
         payload = {
             "graph": graph.fingerprint(),
             "delta": int(args.delta),
-            "engine": census.engine,
+            "engine": ENGINE,
             "grid": {f"r{r}c{c}": n for (r, c), n in sorted(grid.items())},
             "total": census.total(),
             "counters": census.counters.as_dict(),

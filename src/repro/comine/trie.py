@@ -26,7 +26,7 @@ follow input order).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.motifs.motif import Motif
 
@@ -162,9 +162,6 @@ class MotifTrie:
     def unshared_node_count(self) -> int:
         """Nodes a per-motif loop would visit: one path copy per motif."""
         return sum(len(key) for key in self.canonical_keys)
-
-    def iter_nodes(self) -> Iterator[TrieNode]:
-        yield from self._nodes
 
     def render(self) -> str:
         """ASCII rendering (tests / docs): one line per node."""

@@ -193,7 +193,11 @@ def run_live_feed(
 
         service = MotifService(max_queue=64)
         server = make_server(service, port=0)
-        threading.Thread(target=server.serve_forever, daemon=True).start()
+        # A short poll lets shutdown() return promptly instead of waiting
+        # out serve_forever's default 0.5 s.
+        threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+        ).start()
         client = LiveClient(*server.server_address[:2])
 
     try:

@@ -11,15 +11,15 @@ The coordination layer between :mod:`repro.live` and the service stack:
   (plus a delivery-lag reservoir for the p99 gauge);
 - implements **snapshot-at-version serving**: when a query names a live
   graph, :meth:`snapshot_for_query` materializes the current version's
-  immutable snapshot under the graph's ingestion lock, registers it via
-  :meth:`GraphRegistry.register_version` and binds its fingerprint to
-  ``(name, version)`` in the cache.  Registration is *lazy* — versions
+  immutable snapshot under the graph's ingestion lock and registers it
+  under the graph's name, recording ``version -> fingerprint`` in
+  :attr:`LiveManager._pinned`.  Registration is *lazy* — versions
   nobody queries cost nothing — and bounded: only the newest
   ``keep_versions`` snapshots stay pinned; older ones are released and
-  their cache entries invalidated **incrementally** by (graph, version)
-  rather than wholesale.  Because the snapshot is taken under the same
-  lock ingestion holds, a query admitted mid-ingest sees exactly one
-  version — never a mix.
+  their cache entries invalidated **incrementally**, by the retired
+  version's fingerprint, rather than wholesale.  Because the snapshot is
+  taken under the same lock ingestion holds, a query admitted mid-ingest
+  sees exactly one version — never a mix.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 import threading
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from repro.live.ingest import Edge, LiveGraph
 from repro.live.subscriptions import UPDATE, Subscription
@@ -110,8 +110,8 @@ class LiveManager:
                 self._subs.pop(sub_id, None)
             pinned = self._pinned.pop(name, OrderedDict())
         live.close()
-        for version, fp in pinned.items():
-            self.cache.invalidate_version(name, version)
+        for fp in pinned.values():
+            self.cache.invalidate_fingerprint(fp)
             self.registry.release(fp)
 
     # -- ingestion -------------------------------------------------------------
@@ -210,9 +210,8 @@ class LiveManager:
         # Registration happens outside the ingestion lock (fingerprinting
         # hashes the arrays); worst case a concurrent commit registers a
         # newer version first — both stay pinned, both are coherent.
-        fp = self.registry.register_version(snapshot, name, version)
-        self.cache.bind_version(fp, name, version)
-        retire: List[Tuple[int, str]] = []
+        fp = self.registry.register(snapshot, name=name)
+        retire: List[str] = []
         with self._lock:
             pinned = self._pinned.setdefault(name, OrderedDict())
             if version in pinned:  # lost a race: someone pinned it
@@ -225,9 +224,9 @@ class LiveManager:
             for v in sorted(pinned):
                 if len(pinned) <= self.keep_versions:
                     break
-                retire.append((v, pinned.pop(v)))
-        for old_version, old_fp in retire:
-            self.cache.invalidate_version(name, old_version)
+                retire.append(pinned.pop(v))
+        for old_fp in retire:
+            self.cache.invalidate_fingerprint(old_fp)
             self.registry.release(old_fp)
         return fp
 

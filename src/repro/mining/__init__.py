@@ -8,11 +8,11 @@
   to the Mackey miner with the per-candidate Python loop replaced by
   numpy frontiers and binary-searched windows (the software analogue
   of Mint's search engine).
-- :mod:`repro.mining.bruteforce` — an exhaustive oracle used as ground
-  truth in tests.
-- :mod:`repro.mining.taskcentric` — the paper's task-centric programming
-  model (§IV): explicit search / book-keeping / backtrack tasks driven
-  through a task queue over per-tree task contexts.
+- :mod:`repro.mining.bruteforce` — the §II-A definition, enumerated
+  exhaustively: the oracle that checks the Mackey miner on small graphs.
+- :mod:`repro.mining.context` — the per-search-tree task context of the
+  paper's programming model (§IV-B), the functional state the
+  simulator's walker (:mod:`repro.sim.walker`) runs on.
 - :mod:`repro.mining.static_mining` — static subgraph enumeration
   substrate used by the Paranjape baseline and the FlexMiner model.
 - :mod:`repro.mining.paranjape` — static-first exact baseline.
@@ -24,18 +24,15 @@ from repro.mining.results import Match, MiningResult, SearchCounters
 from repro.mining.context import MiningContext
 from repro.mining.bruteforce import brute_force_count, brute_force_matches
 from repro.mining.mackey import MackeyMiner, count_motifs
-from repro.mining.batched import BatchedMiner, count_motifs_batched
-from repro.mining.taskcentric import TaskCentricMiner, TaskType
+from repro.mining.batched import BatchedMiner
 from repro.mining.static_mining import StaticPatternMiner
 from repro.mining.paranjape import ParanjapeMiner
 from repro.mining.presto import PrestoEstimator
-from repro.mining.cycles import TemporalCycleMiner, count_temporal_cycles
 from repro.mining.parallel import (
     FamilyParallelResult,
     MiningCancelled,
     MiningPool,
     ParallelResult,
-    count_motifs_parallel,
 )
 from repro.mining.multi import (
     MotifCensus,
@@ -54,19 +51,13 @@ __all__ = [
     "MackeyMiner",
     "count_motifs",
     "BatchedMiner",
-    "count_motifs_batched",
-    "TaskCentricMiner",
-    "TaskType",
     "StaticPatternMiner",
     "ParanjapeMiner",
     "PrestoEstimator",
-    "TemporalCycleMiner",
-    "count_temporal_cycles",
     "FamilyParallelResult",
     "MiningCancelled",
     "MiningPool",
     "ParallelResult",
-    "count_motifs_parallel",
     "MotifCensus",
     "count_motif_family",
     "grid_census",

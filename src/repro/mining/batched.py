@@ -68,7 +68,3 @@ class BatchedMiner:
         family = self._walker.mine_range(root_lo, root_hi)
         return MiningResult(count=family.counts[0], counters=family.per_motif[0])
 
-
-def count_motifs_batched(graph: TemporalGraph, motif: Motif, delta: int) -> int:
-    """Count δ-temporal motif matches with the vectorised engine."""
-    return BatchedMiner(graph, motif, delta).mine().count

@@ -9,10 +9,10 @@ rewind) one search tree:
 - ``e_stack``: the DFS stack of matched graph edge indices,
 - ``t_limit``: ``time(first matched edge) + δ`` (Algorithm 1's t′).
 
-The same class backs the task-centric software miner
-(:class:`repro.mining.taskcentric.TaskCentricMiner`) and the Mint
-simulator's context memory, so the functional state the hardware holds
-on-chip is literally this object.
+The Mint simulator's search / book-keeping / backtrack flow
+(:class:`repro.sim.walker.TraceWalker`, checked against the Mackey miner
+by the simulator parity tests) runs on this class, so the functional
+state its context memory models on-chip is literally this object.
 """
 
 from __future__ import annotations

@@ -12,19 +12,16 @@ instead of once per motif and the last level is counted, not
 enumerated.  Per-motif counts and counters are byte-identical to a
 dedicated serial :class:`MackeyMiner` per motif; the census additionally
 reports the shared work actually done and
-:class:`~repro.comine.engine.SharingStats`.  ``memoize=True`` asks for a
-:class:`MackeyMiner` cost-model knob, so it runs that serial miner once
-per motif instead.
+:class:`~repro.comine.engine.SharingStats`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple, TYPE_CHECKING
 
 from repro.graph.temporal_graph import TemporalGraph
 from repro.mining.dispatch import ENGINE, require_walker
-from repro.mining.mackey import MackeyMiner
 from repro.mining.parallel import open_runner
 from repro.mining.results import SearchCounters
 from repro.motifs.grid import paranjape_grid
@@ -41,19 +38,14 @@ class MotifCensus:
     ``counters`` aggregates the work actually performed; ``per_motif``
     attributes search work to each motif (it equals what a dedicated
     serial miner would report).  ``sharing`` is what the family walk
-    saved, ``None`` for a memoized serial census.
+    saved.
     """
 
     delta: int
     counts: Dict[str, int]
     counters: SearchCounters
-    per_motif: Dict[str, SearchCounters] = field(default_factory=dict)
-    sharing: Optional["SharingStats"] = None
-
-    @property
-    def engine(self) -> str:
-        """``"mackey"`` for a memoized serial census, else :data:`ENGINE`."""
-        return "mackey" if self.sharing is None else ENGINE
+    per_motif: Dict[str, SearchCounters]
+    sharing: "SharingStats"
 
     def total(self) -> int:
         return sum(self.counts.values())
@@ -83,49 +75,32 @@ def count_motif_family(
     graph: TemporalGraph,
     motifs: Sequence[Motif],
     delta: int,
-    memoize: bool = False,
     num_workers: int = 0,
     chunks_per_worker: int = 8,
 ) -> MotifCensus:
     """Exactly count every motif in ``motifs`` within δ windows.
 
     The family is mined in one shared trie walk; ``num_workers > 0``
-    shards its root-range chunks across a worker pool.  ``memoize`` is a
-    :class:`MackeyMiner` cost-model knob with no chunk kind: it runs the
-    dedicated serial miner and is rejected with workers.  An empty
-    family raises :class:`ValueError` — a census of nothing is a caller
-    bug, not an all-zero result.
+    shards its root-range chunks across a worker pool.  An empty family
+    raises :class:`ValueError` — a census of nothing is a caller bug,
+    not an all-zero result.
     """
     if not motifs:
         raise ValueError("cannot count an empty motif family")
-    if memoize:
-        if num_workers > 0:
-            raise ValueError(
-                "memoize is a MackeyMiner cost-model knob; it is not supported "
-                f"with num_workers={num_workers} (counts would be identical "
-                "anyway)"
-            )
-        mined = [MackeyMiner(graph, m, delta, memoize=True).mine() for m in motifs]
-        counters, sharing = SearchCounters(), None
-        for r in mined:
-            counters.merge(r.counters)
-    else:
-        with open_runner(graph, num_workers) as runner:
-            family = runner.count_family(graph, list(motifs), delta, chunks_per_worker)
-        mined, counters, sharing = family.results, family.counters, family.sharing
+    with open_runner(graph, num_workers) as runner:
+        family = runner.count_family(graph, list(motifs), delta, chunks_per_worker)
     return MotifCensus(
         delta=int(delta),
-        counts={m.name: r.count for m, r in zip(motifs, mined)},
-        counters=counters,
-        per_motif={m.name: r.counters for m, r in zip(motifs, mined)},
-        sharing=sharing,
+        counts={m.name: r.count for m, r in zip(motifs, family.results)},
+        counters=family.counters,
+        per_motif={m.name: r.counters for m, r in zip(motifs, family.results)},
+        sharing=family.sharing,
     )
 
 
 def grid_census(
     graph: TemporalGraph,
     delta: int,
-    memoize: bool = False,
     num_workers: int = 0,
     chunks_per_worker: int = 8,
 ) -> Dict[Tuple[int, int], int]:
@@ -136,11 +111,7 @@ def grid_census(
     its root-range chunks across one worker pool.
     """
     census = grid_family_census(
-        graph,
-        delta,
-        memoize=memoize,
-        num_workers=num_workers,
-        chunks_per_worker=chunks_per_worker,
+        graph, delta, num_workers=num_workers, chunks_per_worker=chunks_per_worker
     )
     grid = paranjape_grid()
     return {key: census.counts[motif.name] for key, motif in grid.items()}
@@ -149,7 +120,6 @@ def grid_census(
 def grid_family_census(
     graph: TemporalGraph,
     delta: int,
-    memoize: bool = False,
     num_workers: int = 0,
     chunks_per_worker: int = 8,
     engine: str = ENGINE,
@@ -163,7 +133,6 @@ def grid_family_census(
         graph,
         [motif for _, motif in keys_motifs],
         delta,
-        memoize=memoize,
         num_workers=num_workers,
         chunks_per_worker=chunks_per_worker,
     )

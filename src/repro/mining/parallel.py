@@ -52,7 +52,6 @@ from repro.mining.dispatch import (  # noqa: F401 - re-exported
     _guided_bounds,
     worker_main,
 )
-from repro.motifs.motif import Motif
 
 
 class PoolDegraded(RuntimeError):
@@ -141,20 +140,3 @@ def open_runner(graph: TemporalGraph, num_workers: Optional[int]) -> ChunkRunner
         return INLINE
     return WorkerPool(num_workers)
 
-
-def count_motifs_parallel(
-    graph: TemporalGraph,
-    motif: Motif,
-    delta: int,
-    num_workers: Optional[int] = None,
-    chunks_per_worker: int = 8,
-) -> ParallelResult:
-    """Exactly count ``motif`` using a pool of worker processes.
-
-    Counts are identical to :class:`MackeyMiner` (root tasks are
-    independent); counters are merged across workers.  ``num_workers``
-    defaults to the machine's CPU count; ``num_workers=0`` runs inline
-    (useful for tests and small graphs, where process startup dominates).
-    """
-    with open_runner(graph, num_workers) as runner:
-        return runner.count(graph, motif, delta, chunks_per_worker)

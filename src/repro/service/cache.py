@@ -32,7 +32,7 @@ import sys
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, fields
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Union
 
 from repro.mining.results import SearchCounters
 from repro.service.query import QueryKey
@@ -121,9 +121,6 @@ class ResultCache:
         #: The one copy of each fingerprint and canonical motif the
         #: stored keys point at (a query builds fresh ones every time).
         self._shared: Dict = {}
-        #: ``(graph_name, version) -> fingerprint`` for mutable graphs,
-        #: so superseded versions can be invalidated incrementally.
-        self._version_fps: Dict[Tuple[str, int], str] = {}
         self.bytes_used = 0
         self.hits = 0
         self.misses = 0
@@ -194,37 +191,7 @@ class ResultCache:
             doomed = [k for k in self._entries if k[0] == fingerprint]
             for k in doomed:
                 self._remove(k)
-            for vk in [
-                vk for vk, fp in self._version_fps.items() if fp == fingerprint
-            ]:
-                del self._version_fps[vk]
             return len(doomed)
-
-    def bind_version(
-        self, fingerprint: str, graph: str, version: int
-    ) -> None:
-        """Associate ``fingerprint`` with one version of a mutable graph.
-
-        Entries stay keyed by fingerprint (content identity is what
-        makes results provably reusable); the binding lets
-        :meth:`invalidate_version` retire exactly one superseded
-        version's entries instead of clearing the whole cache when a
-        live graph advances.
-        """
-        with self._lock:
-            self._version_fps[(graph, int(version))] = fingerprint
-
-    def invalidate_version(self, graph: str, version: int) -> int:
-        """Drop the entries of one (graph, version); returns how many."""
-        with self._lock:
-            fp = self._version_fps.pop((graph, int(version)), None)
-        if fp is None:
-            return 0
-        return self.invalidate_fingerprint(fp)
-
-    def version_fingerprint(self, graph: str, version: int) -> Optional[str]:
-        with self._lock:
-            return self._version_fps.get((graph, int(version)))
 
     def clear(self) -> None:
         with self._lock:

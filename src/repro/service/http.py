@@ -49,7 +49,9 @@ Live graphs and standing subscriptions (:mod:`repro.live`):
 - ``GET /subscriptions/<id>/events`` — SSE push: one ``id:``/
   ``event:``/``data:`` frame per event, heartbeat comments while idle.
   Resume with ``?after=N`` or the standard ``Last-Event-ID`` header;
-  ``?max_events=K`` closes the stream after K events (testing/scripts).
+  ``?max_events=K`` closes the stream after K events (testing/scripts);
+  ``?heartbeat_s=S`` sets the idle heartbeat (default 5, capped at 60;
+  not a positive finite number is a 400).
 - ``GET /subscriptions/<id>/poll?after=N&timeout_s=S&max_events=K`` —
   long-poll fallback: blocks until events past ``N`` exist (or timeout),
   returns ``{"events": [...], "next_after": M}``.  Delivery everywhere
@@ -61,6 +63,7 @@ Live graphs and standing subscriptions (:mod:`repro.live`):
 from __future__ import annotations
 
 import json
+import math
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, Tuple
 from urllib.parse import parse_qs
@@ -424,6 +427,13 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             after = int(last_id)
         max_events = self._qs_int(params, "max_events")
         heartbeat_s = float(params.get("heartbeat_s", ["5"])[0])
+        if not (math.isfinite(heartbeat_s) and heartbeat_s > 0):
+            # 0 or less spins this thread on heartbeats; inf/nan kill it
+            # in the outbox wait after the 200 is already out.
+            raise _HTTPError(
+                400, f"heartbeat_s must be a positive number, got {heartbeat_s}"
+            )
+        heartbeat_s = min(heartbeat_s, 60.0)
         self.send_response(200)
         self.send_header("Content-Type", "text/event-stream")
         self.send_header("Cache-Control", "no-cache")

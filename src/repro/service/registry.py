@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.graph.temporal_graph import TemporalGraph
 from repro.service.query import UnknownGraph
@@ -49,9 +49,6 @@ class GraphRegistry:
         #: Zero-refcount graphs in LRU order (oldest first).
         self._idle: "OrderedDict[str, None]" = OrderedDict()
         self._names: Dict[str, str] = {}
-        #: Mutable (live) aliases: ``name -> (version, fingerprint)`` of
-        #: the most recently registered snapshot.
-        self._versions: Dict[str, Tuple[int, str]] = {}
         self._evict_listeners: List[Callable[[str], None]] = []
         self.registered_total = 0
         self.evicted_total = 0
@@ -78,29 +75,6 @@ class GraphRegistry:
             self.registered_total += 1
             return fp
 
-    def register_version(
-        self, graph: TemporalGraph, name: str, version: int
-    ) -> str:
-        """Pin one *version* of a mutable graph under ``name``.
-
-        Immutable registration keys purely by content; a live graph's
-        name instead tracks a moving head.  This pins the snapshot like
-        :meth:`register` (the alias now resolves to it) and records
-        ``name -> (version, fingerprint)`` so queries can tell *which*
-        version a fingerprint answers for — the (graph, version) cache
-        key underneath snapshot-consistent serving.
-        """
-        fp = self.register(graph, name=name)
-        with self._lock:
-            self._versions[name] = (int(version), fp)
-        return fp
-
-    def version_of(self, name: str) -> Optional[Tuple[int, str]]:
-        """``(version, fingerprint)`` of a mutable alias (None if not
-        version-tracked)."""
-        with self._lock:
-            return self._versions.get(name)
-
     def release(self, fingerprint: str) -> None:
         """Drop one reference; zero-ref graphs become idle-evictable."""
         evicted: List[str] = []
@@ -123,10 +97,6 @@ class GraphRegistry:
             del self._resident[fp]
             for alias in [n for n, f in self._names.items() if f == fp]:
                 del self._names[alias]
-            for alias in [
-                n for n, (_, f) in self._versions.items() if f == fp
-            ]:
-                del self._versions[alias]
             self.evicted_total += 1
             evicted.append(fp)
         return evicted

@@ -221,18 +221,6 @@ class MotifService:
     def subscription(self, sub_id: str) -> "Subscription":
         return self.live.subscription(sub_id)
 
-    def live_query(
-        self,
-        name: str,
-        motif: MotifRef,
-        delta: Optional[int] = None,
-        timeout_s: Optional[float] = None,
-    ) -> QueryResult:
-        """Query a live graph's current version."""
-        if delta is None:
-            delta = self.live.get(name).delta
-        return self.query(name, motif, int(delta), timeout_s=timeout_s)
-
     def live_window_query(
         self,
         name: str,

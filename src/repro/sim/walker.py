@@ -30,9 +30,9 @@ Emitted operations:
 - ``("match",)`` — a complete motif instance was found.
 
 Functional state lives in a :class:`~repro.mining.context.MiningContext`
-— the same class the task-centric software miner uses — so the
-simulator's motif counts are produced by the reference semantics, and a
-test suite asserts they equal the Mackey miner's on every input.
+— the per-search-tree task context of §IV-B — so the simulator's motif
+counts are produced by the reference semantics, and a test suite asserts
+they equal the Mackey miner's on every input.
 
 Memoization correctness (mirrors §VI-A): a stored entry ``(pos, root)``
 marks the first position of a neighborhood whose edge index exceeds

@@ -1,7 +1,9 @@
 """Streaming sliding-window motif counting (online workload).
 
 An incremental engine that keeps exact per-motif δ-window counts fresh
-as edges arrive, with the batch miners as differential oracle:
+as edges arrive, with the batch miners as differential oracle (the
+parity suites replay a graph through :class:`StreamingCounter` and
+compare with :class:`~repro.mining.mackey.MackeyMiner`):
 
 - :mod:`repro.streaming.window` — append-only edge log, incremental
   adjacency, sliding δ-window ring, batch-compatible snapshots;
@@ -17,7 +19,6 @@ from repro.streaming.counter import (
     StreamingCatalogCounter,
     StreamingCounter,
     StreamingGridCounter,
-    stream_count,
 )
 from repro.streaming.replay import (
     BatchStats,
@@ -42,5 +43,4 @@ __all__ = [
     "format_replay_summary",
     "iter_batches",
     "replay_stream",
-    "stream_count",
 ]

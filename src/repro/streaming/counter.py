@@ -1,7 +1,7 @@
 """Incremental δ-temporal motif counting over an edge stream.
 
-The batch miners (Mackey, task-centric) walk a DFS over a *finished*
-edge list.  The streaming engine inverts that control flow: edges arrive
+The batch miners (Mackey, the family walker) search a *finished* edge
+list.  The streaming engine inverts that control flow: edges arrive
 one at a time and the engine maintains **continuation tables** of
 partial matches — the same functional state a
 :class:`~repro.mining.context.MiningContext` holds for one search tree
@@ -115,9 +115,6 @@ class MotifStreamEngine:
     def iter_partials(self) -> Iterable[PartialMatch]:
         for bucket in self._buckets.values():
             yield from bucket.values()
-
-    def table_keys(self) -> int:
-        return len(self._buckets)
 
     # -- the one hot path ------------------------------------------------------
 
@@ -398,15 +395,3 @@ class StreamingGridCounter(StreamingCatalogCounter):
             cell: counts[name] for name, cell in self._name_to_cell.items()
         }
 
-
-def stream_count(
-    graph: TemporalGraph, motif: Motif, delta: int
-) -> int:
-    """Replay ``graph`` through a :class:`StreamingCounter` and return the
-    final count — the streaming twin of
-    :func:`repro.mining.mackey.count_motifs`, for differential tests."""
-    counter = StreamingCounter(motif, delta)
-    counter.add_batch(
-        zip(graph.src.tolist(), graph.dst.tolist(), graph.ts.tolist())
-    )
-    return counter.count

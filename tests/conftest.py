@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import random
-from typing import List, Tuple
+import threading
+from contextlib import contextmanager
+from typing import Iterator, List, Tuple
 
 import pytest
 
+from repro.analysis.experiments import ScalePolicy, run_all
 from repro.graph.temporal_graph import TemporalGraph
 from repro.motifs.catalog import M1, M2, PATH3, PING_PONG
 from repro.motifs.motif import Motif
@@ -57,6 +60,32 @@ WALKER_FAMILY = [
 ]
 
 
+@contextmanager
+def serving(service, handler=None) -> Iterator[Tuple[str, int]]:
+    """Serve ``service`` over HTTP on an ephemeral port in a daemon
+    thread; yields ``(host, port)`` and stops the server on exit.
+
+    ``handler`` replaces the request handler class (a tapped subclass).
+    The short ``poll_interval`` lets ``shutdown()`` return within ~10 ms
+    instead of waiting out ``serve_forever``'s default 0.5 s poll.
+    """
+    from repro.service import make_server
+
+    server = make_server(service, port=0)
+    if handler is not None:
+        server.RequestHandlerClass = handler
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+    )
+    thread.start()
+    try:
+        yield server.server_address[:2]
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+
+
 def random_temporal_graph(
     rng: random.Random,
     num_nodes: int,
@@ -73,6 +102,19 @@ def random_temporal_graph(
             d = (d + 1) % num_nodes
         edges.append((s, d, rng.randrange(time_range)))
     return TemporalGraph(edges, num_nodes=num_nodes)
+
+
+#: The small experiment policy :func:`tiny_run` runs at.
+TINY = ScalePolicy(scale=0.04, window_edges_cap=5.0, num_pes=16, presto_samples=4)
+
+
+@pytest.fixture(scope="session")
+def tiny_run(tmp_path_factory):
+    """One small ``run_all`` (email-eu, M1) and the path of its archive,
+    shared by ``test_run_all.py`` and ``test_report.py``."""
+    out = tmp_path_factory.mktemp("runs") / "run.json"
+    metrics = run_all(TINY, out_path=str(out), datasets=("email-eu",), motifs=(M1,))
+    return metrics, out
 
 
 @pytest.fixture

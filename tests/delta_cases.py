@@ -17,9 +17,10 @@ exercising the exact semantics of §II-A that off-by-one bugs hit first:
   not wrap (the vectorised engine once crashed on ``δ = 2**63 - 1``).
 
 ``expected`` is the hand-derived count; every miner — Mackey,
-brute-force, task-centric, the streaming engine, the vectorised family
-walker, the Mint simulator, and the walker dispatched over a worker pool
-and a cluster — must report it *identically*.
+brute-force, the streaming engine, the vectorised family walker, the
+Mint simulator (the paper's §IV search / book-keeping / backtrack flow),
+and the walker dispatched over a worker pool and a cluster — must report
+it *identically*.
 """
 
 from __future__ import annotations
@@ -30,10 +31,9 @@ from typing import List, Tuple
 from repro.graph.temporal_graph import TemporalGraph
 from repro.mining.bruteforce import brute_force_count
 from repro.mining.mackey import count_motifs
-from repro.mining.taskcentric import TaskCentricMiner
 from repro.motifs.catalog import M1, M2, PATH3, PING_PONG
 from repro.motifs.motif import Motif
-from repro.streaming.counter import stream_count
+from repro.streaming.counter import StreamingCounter
 
 
 @dataclass(frozen=True)
@@ -219,19 +219,18 @@ def bruteforce_count(graph: TemporalGraph, motif: Motif, delta: int) -> int:
     return brute_force_count(graph, motif, delta)
 
 
-def taskcentric_count(graph: TemporalGraph, motif: Motif, delta: int) -> int:
-    return TaskCentricMiner(graph, motif, delta, num_workers=3).mine().count
-
-
 def streaming_count(graph: TemporalGraph, motif: Motif, delta: int) -> int:
-    return stream_count(graph, motif, delta)
+    """Replay ``graph`` edge by edge through a :class:`StreamingCounter`."""
+    counter = StreamingCounter(motif, delta)
+    counter.add_batch(zip(graph.src.tolist(), graph.dst.tolist(), graph.ts.tolist()))
+    return counter.count
 
 
 def batched_count(graph: TemporalGraph, motif: Motif, delta: int) -> int:
     """The vectorised family walker, run as a family of one."""
-    from repro.mining.batched import count_motifs_batched
+    from repro.mining.batched import BatchedMiner
 
-    return count_motifs_batched(graph, motif, delta)
+    return BatchedMiner(graph, motif, delta).mine().count
 
 
 def simulator_count(graph: TemporalGraph, motif: Motif, delta: int) -> int:
@@ -280,7 +279,6 @@ def cluster_count(graph: TemporalGraph, motif: Motif, delta: int) -> int:
 COUNT_BACKENDS = {
     "mackey": mackey_count,
     "bruteforce": bruteforce_count,
-    "taskcentric": taskcentric_count,
     "streaming": streaming_count,
     "batched": batched_count,
     "simulator": simulator_count,

@@ -16,15 +16,15 @@ from __future__ import annotations
 
 import json
 import random
-import threading
+from contextlib import closing
 from http.client import HTTPConnection
 
 import pytest
 
 from repro.mining.mackey import MackeyMiner
 from repro.motifs.catalog import M1, M2
-from repro.service import MotifService, build_payload, make_server, payload_bytes
-from tests.conftest import random_temporal_graph
+from repro.service import MotifService, build_payload, payload_bytes
+from tests.conftest import random_temporal_graph, serving
 
 DELTA = 50
 
@@ -52,18 +52,11 @@ class TestHTTPApprox:
     def served(self, graph):
         svc = MotifService()
         fp = svc.register_graph(graph, name="g")
-        server = make_server(svc, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        conn = HTTPConnection(*server.server_address, timeout=30)
-        try:
+        with serving(svc) as address, closing(
+            HTTPConnection(*address, timeout=30)
+        ) as conn:
             yield conn, fp
-        finally:
-            conn.close()
-            server.shutdown()
-            server.server_close()
-            svc.close()
-            thread.join(timeout=5)
+        svc.close()
 
     @staticmethod
     def post_query(conn, body):

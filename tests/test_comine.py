@@ -616,11 +616,9 @@ class TestFamilyAccounting:
 
 class TestCensusEngine:
     def test_census_engines_agree(self, graph, delta):
-        """The walker census against one dedicated scalar miner per motif,
-        and the memoized census (the one that runs ``MackeyMiner``)."""
+        """The walker census against one dedicated scalar miner per motif."""
         mackey = {m.name: MackeyMiner(graph, m, delta).mine() for m in GRID_MOTIFS}
         family = grid_family_census(graph, delta)
-        assert family.engine == "batched"
         assert family.counts == {k: r.count for k, r in mackey.items()}
         assert {k: v.as_dict() for k, v in family.per_motif.items()} == {
             k: r.counters.as_dict() for k, r in mackey.items()
@@ -630,9 +628,6 @@ class TestCensusEngine:
             sum(r.counters.candidates_scanned for r in mackey.values())
             - family.counters.candidates_scanned
         ) > 0
-        memoized = grid_family_census(graph, delta, memoize=True)
-        assert memoized.engine == "mackey" and memoized.sharing is None
-        assert memoized.counts == family.counts
 
     def test_count_motif_family_validates_arguments(self, graph):
         with pytest.raises(ValueError):
@@ -640,10 +635,6 @@ class TestCensusEngine:
         for engine in ("quantum", "comine", "mackey"):
             with pytest.raises(ValueError, match="unknown engine"):
                 grid_family_census(graph, 10, engine=engine)
-        # memoize has no chunk kind: fail loud rather than silently
-        # report the un-memoized counters from worker chunks.
-        with pytest.raises(ValueError, match="memoize.*num_workers=2"):
-            count_motif_family(graph, [M1], 10, memoize=True, num_workers=2)
 
     def test_distribution_fails_loud_on_zero_total(self):
         g = TemporalGraph([], num_nodes=2)

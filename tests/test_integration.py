@@ -8,11 +8,11 @@ from repro import (
     MintConfig,
     MintSimulator,
     Motif,
-    TaskCentricMiner,
     TemporalGraph,
 )
 from repro.graph.generators import make_dataset
 from repro.graph.loaders import load_snap_text, save_snap_text
+from repro.mining.batched import BatchedMiner
 from repro.mining.presto import PrestoEstimator
 from repro.motifs.parse import parse_motif
 from repro.sim.config import CacheConfig
@@ -55,7 +55,7 @@ class TestFullPipeline:
         graph, _ = pipeline
         delta = graph.time_span // 25
         a = MackeyMiner(graph, M1, delta).mine().count
-        b = TaskCentricMiner(graph, M1, delta).mine().count
+        b = BatchedMiner(graph, M1, delta).mine().count
         c = MackeyMiner(graph, M1, delta, memoize=True).mine().count
         assert a == b == c
 

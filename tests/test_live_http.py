@@ -7,12 +7,14 @@ import json
 import socket
 import threading
 import time
+from contextlib import closing
 from http.client import HTTPConnection
 
 import pytest
 
 from repro.graph.generators import make_dataset
-from repro.service import MotifService, make_server
+from conftest import serving
+from repro.service import MotifService
 from repro.service.http import ServiceRequestHandler
 
 DELTA = 1_000_000
@@ -21,19 +23,11 @@ DELTA = 1_000_000
 @pytest.fixture
 def live_server():
     service = MotifService(max_queue=8)
-    server = make_server(service, port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.server_address[:2]
-    conn = HTTPConnection(host, port, timeout=30)
-    try:
-        yield conn, service, (host, port)
-    finally:
-        conn.close()
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5)
-        service.close()
+    with serving(service) as address, closing(
+        HTTPConnection(*address, timeout=30)
+    ) as conn:
+        yield conn, service, address
+    service.close()
 
 
 def request(conn, method, path, body=None, headers=None):
@@ -287,6 +281,24 @@ class TestSubscriptionRoutes:
         assert frames and frames[0]["id"] == "1"
         assert any("heartbeat" in c for c in comments)
 
+    @pytest.mark.parametrize("heartbeat", ["0", "-1", "inf", "nan"])
+    def test_sse_rejects_a_heartbeat_that_is_not_positive_and_finite(
+        self, live_server, heartbeat
+    ):
+        """0 or less would spin the handler thread on heartbeats; inf or
+        nan would kill it after the 200.  Either is a 400 before any
+        stream header, and the connection still serves."""
+        conn, _, _ = live_server
+        create_feed(conn)
+        sid = self.subscribe(conn)["subscription"]
+        conn.request("GET", f"/subscriptions/{sid}/events?heartbeat_s={heartbeat}")
+        resp = conn.getresponse()
+        # Checked before reading: an accepted stream's body never ends.
+        assert resp.status == 400
+        assert "heartbeat_s" in json.loads(resp.read())["error"]
+        resp, _ = request(conn, "GET", "/healthz")
+        assert resp.status == 200
+
 
 class TestSharingGauges:
     def test_counters_beside_subscriptions(self, live_server):
@@ -343,18 +355,10 @@ class TestFrontDoor:
                 self.wfile.write = write
 
         assert ServiceRequestHandler.wbufsize == 0
-        server = make_server(service, port=0)
-        server.RequestHandlerClass = Tapped
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        side = HTTPConnection(*server.server_address[:2], timeout=30)
-        try:
+        with serving(service, Tapped) as address, closing(
+            HTTPConnection(*address, timeout=30)
+        ) as side:
             yield side, service, writes, nodelay
-        finally:
-            side.close()
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5)
 
     def test_each_response_is_one_write_on_a_nodelay_socket(self, tapped):
         conn, service, writes, nodelay = tapped

@@ -228,12 +228,13 @@ class TestVersionedServing:
             svc.append_live("feed", edges[i * third:(i + 1) * third], seq=i)
             q = svc.query("feed", "M2", delta)
             fps.append(q.payload["graph"])
-        # keep_versions=2: version 1's binding is gone and its pin is
-        # dropped (idle, eviction-eligible); the two newest stay pinned.
-        assert cache.version_fingerprint("feed", 1) is None
+        # keep_versions=2: version 1's pin is dropped (idle,
+        # eviction-eligible) and its entries are gone; the two newest
+        # stay pinned.
+        assert svc.live_status("feed")["pinned_versions"] == [2, 3]
         assert svc.registry.refcount(fps[0]) == 0
-        for version, fp in ((2, fps[1]), (3, fps[2])):
-            assert cache.version_fingerprint("feed", version) == fp
+        assert cache.invalidate_fingerprint(fps[0]) == 0
+        for fp in fps[1:]:
             assert svc.registry.refcount(fp) > 0
         # Other graphs' cache entries survive (not a wholesale clear).
         assert svc.query("feed", "M2", delta).source == "cache"
@@ -241,22 +242,22 @@ class TestVersionedServing:
     def test_registry_version_of_tracks_head(self, feed):
         svc, edges, delta = feed
         svc.append_live("feed", edges[:50], seq=0)
-        svc.query("feed", "M1", delta)
-        v1 = svc.registry.version_of("feed")
-        assert v1 is not None and v1[0] == 1
-        assert svc.registry.resolve("feed") == v1[1]
+        v1 = svc.query("feed", "M1", delta).payload["graph"]
+        assert svc.live_status("feed")["pinned_versions"] == [1]
+        assert svc.registry.resolve("feed") == v1
         svc.append_live("feed", edges[50:100], seq=1)
-        svc.query("feed", "M1", delta)
-        v2 = svc.registry.version_of("feed")
-        assert v2 is not None and v2[0] == 2 and v2[1] != v1[1]
+        v2 = svc.query("feed", "M1", delta).payload["graph"]
+        assert svc.live_status("feed")["pinned_versions"] == [1, 2]
+        assert svc.registry.resolve("feed") == v2 != v1
 
     def test_drop_live_graph_releases_everything(self, feed):
         svc, edges, delta = feed
         svc.append_live("feed", edges[:50], seq=0)
-        svc.query("feed", "M1", delta)
+        fp = svc.query("feed", "M1", delta).payload["graph"]
         svc.drop_live_graph("feed")
         assert "feed" not in svc.live_graphs()
-        assert svc.cache.version_fingerprint("feed", 1) is None
+        assert svc.registry.refcount(fp) == 0
+        assert svc.cache.invalidate_fingerprint(fp) == 0
         with pytest.raises(UnknownGraph):
             svc.live_status("feed")
 

@@ -1,18 +1,12 @@
-"""Tests for the parallel miner and the pattern-specific cycle miner."""
-
-import random
+"""Tests for one-shot parallel mining through :func:`open_runner`."""
 
 import pytest
 
 from repro.graph.generators import make_dataset
 from repro.graph.temporal_graph import TemporalGraph
-from repro.mining.cycles import TemporalCycleMiner, count_temporal_cycles
 from repro.mining.mackey import count_motifs
-from repro.mining.parallel import count_motifs_parallel
-from repro.motifs.catalog import M1, M2, M3, PING_PONG
-from repro.motifs.motif import Motif
-
-from conftest import random_temporal_graph
+from repro.mining.parallel import open_runner
+from repro.motifs.catalog import M1, M2
 
 
 class TestParallelMiner:
@@ -22,95 +16,35 @@ class TestParallelMiner:
 
     def test_inline_mode_matches_serial(self, graph):
         delta = graph.time_span // 30
-        result = count_motifs_parallel(graph, M1, delta, num_workers=0)
+        with open_runner(graph, 0) as runner:
+            result = runner.count(graph, M1, delta)
         assert result.count == count_motifs(graph, M1, delta)
         assert result.num_workers == 0
 
     def test_two_workers_match_serial(self, graph):
         delta = graph.time_span // 30
         expected = count_motifs(graph, M1, delta)
-        result = count_motifs_parallel(graph, M1, delta, num_workers=2)
+        with open_runner(graph, 2) as runner:
+            result = runner.count(graph, M1, delta)
         assert result.count == expected
         assert result.num_chunks > 1
 
     def test_counters_merged(self, graph):
         delta = graph.time_span // 30
         serial = count_motifs(graph, M1, delta)
-        result = count_motifs_parallel(graph, M1, delta, num_workers=2)
+        with open_runner(graph, 2) as runner:
+            result = runner.count(graph, M1, delta)
         assert result.counters.matches == serial
         assert result.counters.root_tasks == graph.num_edges
 
     def test_empty_graph(self):
         g = TemporalGraph([], num_nodes=2)
-        assert count_motifs_parallel(g, M1, 10, num_workers=2).count == 0
+        with open_runner(g, 2) as runner:
+            assert runner.count(g, M1, 10).count == 0
 
     def test_chunking_covers_all_roots(self, graph):
         delta = graph.time_span // 50
         for workers in (2, 3):
-            result = count_motifs_parallel(
-                graph, M2, delta, num_workers=workers, chunks_per_worker=3
-            )
+            with open_runner(graph, workers) as runner:
+                result = runner.count(graph, M2, delta, chunks_per_worker=3)
             assert result.counters.root_tasks == graph.num_edges
-
-
-class TestCycleMiner:
-    def test_three_cycle_matches_m1(self):
-        g = make_dataset("email-eu", scale=0.1, seed=4)
-        delta = g.time_span // 40
-        assert count_temporal_cycles(g, 3, delta) == count_motifs(g, M1, delta)
-
-    def test_four_cycle_matches_m3(self):
-        g = make_dataset("email-eu", scale=0.1, seed=4)
-        delta = g.time_span // 40
-        assert count_temporal_cycles(g, 4, delta) == count_motifs(g, M3, delta)
-
-    def test_two_cycle_matches_ping_pong(self, burst_graph):
-        assert count_temporal_cycles(burst_graph, 2, 8) == count_motifs(
-            burst_graph, PING_PONG, 8
-        )
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_random_graphs(self, seed):
-        rng = random.Random(300 + seed)
-        g = random_temporal_graph(rng, num_nodes=7, num_edges=40, time_range=60)
-        delta = rng.randrange(10, 50)
-        assert count_temporal_cycles(g, 3, delta) == count_motifs(g, M1, delta)
-
-    def test_enumerated_cycles_are_valid(self):
-        g = make_dataset("email-eu", scale=0.08, seed=4)
-        delta = g.time_span // 30
-        miner = TemporalCycleMiner(g, 3, delta)
-        for path in miner.enumerate():
-            assert len(path) == 3
-            assert list(path) == sorted(path)  # chronological
-            edges = [g.edge(i) for i in path]
-            assert edges[-1].t - edges[0].t <= delta
-            assert edges[0].src == edges[-1].dst  # closes the loop
-            for e1, e2 in zip(edges, edges[1:]):
-                assert e1.dst == e2.src
-            nodes = [e.src for e in edges]
-            assert len(set(nodes)) == 3  # simple cycle
-
-    def test_specialized_examines_fewer_edges(self):
-        """The §II-C efficiency claim: pattern-specific beats generic."""
-        from repro.mining.mackey import MackeyMiner
-
-        g = make_dataset("wiki-talk", scale=0.1, seed=4)
-        delta = g.time_span // 30
-        specialized = TemporalCycleMiner(g, 3, delta)
-        specialized.count()
-        generic = MackeyMiner(g, M1, delta).mine()
-        assert (
-            specialized.counters.edges_examined
-            <= generic.counters.candidates_scanned
-        )
-
-    def test_validation(self, burst_graph):
-        with pytest.raises(ValueError):
-            TemporalCycleMiner(burst_graph, 1, 10)
-        with pytest.raises(ValueError):
-            TemporalCycleMiner(burst_graph, 3, -1)
-
-    def test_self_loops_ignored(self):
-        g = TemporalGraph([(0, 0, 1), (0, 1, 2), (1, 0, 3)])
-        assert count_temporal_cycles(g, 2, 10) == 1

@@ -1,6 +1,6 @@
 """Parity suite for the zero-copy parallel mining layer.
 
-The hard invariant: ``count_motifs_parallel`` must produce exactly the
+The hard invariant: a runner from ``open_runner`` must produce exactly the
 counts and merged counters of the serial :class:`MackeyMiner`, for every
 worker count and chunk shape — root tasks are independent, so any
 schedule must partition them without loss or overlap.
@@ -15,7 +15,7 @@ from repro.graph.generators import make_dataset
 from repro.graph.temporal_graph import TemporalGraph
 from repro.mining.mackey import MackeyMiner, count_motifs
 from repro.mining.multi import grid_census
-from repro.mining.parallel import MiningPool, _guided_bounds, count_motifs_parallel
+from repro.mining.parallel import MiningPool, _guided_bounds, open_runner
 from repro.motifs.catalog import M1, M2, PING_PONG
 
 from conftest import random_temporal_graph
@@ -36,7 +36,8 @@ class TestWorkerCountParity:
     @pytest.mark.parametrize("workers", [0, 1, 2, 4])
     def test_counts_and_counters_match_serial(self, graph, serial, workers):
         delta, expected = serial
-        result = count_motifs_parallel(graph, M1, delta, num_workers=workers)
+        with open_runner(graph, workers) as runner:
+            result = runner.count(graph, M1, delta)
         assert result.count == expected.count
         assert result.counters.matches == expected.counters.matches
         assert result.counters.root_tasks == expected.counters.root_tasks
@@ -49,9 +50,8 @@ class TestWorkerCountParity:
     @pytest.mark.parametrize("chunks_per_worker", [1, 3, 7])
     def test_uneven_chunk_shapes(self, graph, serial, chunks_per_worker):
         delta, expected = serial
-        result = count_motifs_parallel(
-            graph, M1, delta, num_workers=2, chunks_per_worker=chunks_per_worker
-        )
+        with open_runner(graph, 2) as runner:
+            result = runner.count(graph, M1, delta, chunks_per_worker)
         assert result.count == expected.count
         assert result.counters.root_tasks == graph.num_edges
 
@@ -102,7 +102,8 @@ class TestMiningPool:
         g = random_temporal_graph(rng, num_nodes=9, num_edges=60, time_range=80)
         delta = rng.randrange(10, 60)
         expected = count_motifs(g, M1, delta)
-        assert count_motifs_parallel(g, M1, delta, num_workers=2).count == expected
+        with open_runner(g, 2) as runner:
+            assert runner.count(g, M1, delta).count == expected
 
 
 class TestParallelCensus:

@@ -1,7 +1,7 @@
 """Property-based tests (hypothesis) for core invariants.
 
 The central property: every miner in the library — Mackey (with and
-without memoization), the task-centric engine, Paranjape, the Mint
+without memoization), the vectorised family walker, Paranjape, the Mint
 simulator's functional walker, and the streaming sliding-window engine —
 computes the same count as the brute-force oracle, on arbitrary temporal
 graphs and windows.  The δ-boundary adversarial cases
@@ -23,7 +23,6 @@ from repro.graph.temporal_graph import TemporalGraph
 from repro.mining.bruteforce import brute_force_count
 from repro.mining.mackey import MackeyMiner, count_motifs
 from repro.mining.paranjape import ParanjapeMiner
-from repro.mining.taskcentric import TaskCentricMiner
 from repro.motifs.catalog import M1, M2, PATH3, PING_PONG
 from repro.motifs.motif import Motif
 from repro.sim.layout import GraphMemoryLayout
@@ -61,14 +60,6 @@ class TestMinerAgreement:
     def test_memoized_mackey_equals_plain(self, g, motif, delta):
         assert (
             MackeyMiner(g, motif, delta, memoize=True).mine().count
-            == count_motifs(g, motif, delta)
-        )
-
-    @settings(max_examples=40, deadline=None)
-    @given(graph_strategy, motif_strategy, delta_strategy, st.integers(1, 5))
-    def test_taskcentric_equals_mackey(self, g, motif, delta, workers):
-        assert (
-            TaskCentricMiner(g, motif, delta, num_workers=workers).mine().count
             == count_motifs(g, motif, delta)
         )
 
@@ -176,8 +167,8 @@ class TestDeltaBoundary:
     """Shared δ-boundary adversarial cases (``delta_cases.py``): matches
     spanning exactly δ (inclusive ``t_l - t_1 <= δ``, §II-A), duplicate
     timestamps at the window edge, and self-loop-free invariants —
-    asserted identically against mackey, bruteforce, taskcentric,
-    streaming, the family walker, the Mint simulator, and the walker
+    asserted identically against mackey, bruteforce, streaming, the
+    family walker, the Mint simulator, and the walker
     dispatched over a worker pool and across cluster nodes."""
 
     @pytest.mark.parametrize("backend", sorted(EXTENDED_COUNT_BACKENDS))

@@ -1,26 +1,14 @@
-"""Extended property-based tests: cycles and the grid census."""
+"""Extended property-based tests: the grid census."""
 
 from hypothesis import given, settings, strategies as st
 
-from repro.mining.cycles import count_temporal_cycles
 from repro.mining.mackey import count_motifs
 from repro.mining.multi import count_motif_family
-from repro.motifs.catalog import M1, PING_PONG
 from repro.motifs.grid import grid_motifs
 
 from test_property import temporal_graphs
 
 graph_strategy = temporal_graphs()
-
-
-class TestCycleProperties:
-    @settings(max_examples=50, deadline=None)
-    @given(graph_strategy, st.integers(0, 50))
-    def test_cycle_specialist_equals_generic(self, g, delta):
-        assert count_temporal_cycles(g, 2, delta) == count_motifs(
-            g, PING_PONG, delta
-        )
-        assert count_temporal_cycles(g, 3, delta) == count_motifs(g, M1, delta)
 
 
 class TestCensusProperties:

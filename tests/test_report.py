@@ -2,16 +2,12 @@
 
 import pytest
 
-from repro.analysis import experiments as ex
 from repro.analysis.report import PAPER_REFERENCE, render_report
-from repro.motifs.catalog import M1
-
-TINY = ex.ScalePolicy(scale=0.04, num_pes=16, presto_samples=4)
 
 
 @pytest.fixture(scope="module")
-def metrics():
-    return ex.run_all(TINY, datasets=("email-eu",), motifs=(M1,))
+def metrics(tiny_run):
+    return tiny_run[0]
 
 
 class TestRenderReport:

@@ -4,55 +4,43 @@ import json
 
 import pytest
 
-from repro.analysis import experiments as ex
+from conftest import TINY
 from repro.analysis.persistence import compare_runs, load_run
 from repro.cli import main
-from repro.motifs.catalog import M1
-
-TINY = ex.ScalePolicy(
-    scale=0.04, window_edges_cap=5.0, num_pes=16, presto_samples=4
-)
-
-
-@pytest.fixture(scope="module")
-def metrics(tmp_path_factory):
-    out = tmp_path_factory.mktemp("runs") / "run.json"
-    m = ex.run_all(TINY, out_path=str(out), datasets=("email-eu",), motifs=(M1,))
-    return m, out
 
 
 class TestRunAll:
-    def test_sections_present(self, metrics):
-        m, _ = metrics
+    def test_sections_present(self, tiny_run):
+        m, _ = tiny_run
         assert set(m) == {"fig2", "fig10", "fig11", "fig12", "fig13", "fig14"}
 
-    def test_fig14_constants(self, metrics):
-        m, _ = metrics
+    def test_fig14_constants(self, tiny_run):
+        m, _ = tiny_run
         assert m["fig14"]["total_area_mm2"] == pytest.approx(28.3, abs=0.2)
 
-    def test_fig10_rows_keyed_by_workload(self, metrics):
-        m, _ = metrics
+    def test_fig10_rows_keyed_by_workload(self, tiny_run):
+        m, _ = tiny_run
         assert "em/M1" in m["fig10"]["rows"]
 
-    def test_archive_roundtrip(self, metrics):
-        m, out = metrics
+    def test_archive_roundtrip(self, tiny_run):
+        m, out = tiny_run
         loaded = load_run(out)
         assert loaded["fig14"]["total_area_mm2"] == pytest.approx(
             m["fig14"]["total_area_mm2"]
         )
 
-    def test_archive_is_json(self, metrics):
-        _, out = metrics
+    def test_archive_is_json(self, tiny_run):
+        _, out = tiny_run
         payload = json.loads(out.read_text())
         assert payload["schema"] == 1
         assert payload["metadata"]["scale"] == TINY.scale
 
-    def test_self_comparison_has_no_drift(self, metrics):
-        m, out = metrics
+    def test_self_comparison_has_no_drift(self, tiny_run):
+        m, out = tiny_run
         assert compare_runs(load_run(out), m) == []
 
-    def test_drift_detected_against_perturbed(self, metrics):
-        m, out = metrics
+    def test_drift_detected_against_perturbed(self, tiny_run):
+        m, out = tiny_run
         perturbed = json.loads(json.dumps(load_run(out)))
         perturbed["fig14"]["total_area_mm2"] *= 2
         drifts = compare_runs(m, perturbed)

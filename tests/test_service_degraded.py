@@ -20,6 +20,7 @@ import json
 import multiprocessing
 import random
 import time
+from contextlib import closing
 from http.client import HTTPConnection
 
 import pytest
@@ -34,9 +35,8 @@ from repro.service import (
     PoolExecutor,
     build_payload,
     payload_bytes,
-    make_server,
 )
-from tests.conftest import random_temporal_graph
+from tests.conftest import random_temporal_graph, serving
 
 DELTA = 50
 
@@ -243,20 +243,11 @@ class TestHealthEndpoint:
     def served(self, graph):
         svc = MotifService()
         svc.register_graph(graph, name="g")
-        server = make_server(svc, port=0)
-        import threading
-
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        conn = HTTPConnection(*server.server_address, timeout=10)
-        try:
+        with serving(svc) as address, closing(
+            HTTPConnection(*address, timeout=10)
+        ) as conn:
             yield conn, svc
-        finally:
-            conn.close()
-            server.shutdown()
-            server.server_close()
-            svc.close()
-            thread.join(timeout=5)
+        svc.close()
 
     @staticmethod
     def get_health(conn):

@@ -12,6 +12,7 @@ import json
 import re
 import threading
 import time
+from contextlib import closing
 from http.client import HTTPConnection
 
 import pytest
@@ -19,7 +20,8 @@ import pytest
 from repro.graph.temporal_graph import TemporalGraph
 from repro.mining.mackey import MackeyMiner
 from repro.motifs.catalog import M1, M2
-from repro.service import MotifService, build_payload, make_server, payload_bytes
+from conftest import serving
+from repro.service import MotifService, build_payload, payload_bytes
 
 DELTA = 30
 
@@ -67,19 +69,11 @@ def served_graph(burst_graph):
     """A live server with one registered graph; yields (conn, graph, fp)."""
     service = MotifService(max_queue=4)
     fp = service.register_graph(burst_graph, name="burst")
-    server = make_server(service, port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.server_address[:2]
-    conn = HTTPConnection(host, port, timeout=10)
-    try:
+    with serving(service) as address, closing(
+        HTTPConnection(*address, timeout=10)
+    ) as conn:
         yield conn, burst_graph, fp, service
-    finally:
-        conn.close()
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5)
-        service.close()
+    service.close()
 
 
 def request(conn, method, path, body=None):

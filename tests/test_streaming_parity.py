@@ -41,7 +41,6 @@ from repro.streaming import (
     StreamingGridCounter,
     iter_batches,
     replay_stream,
-    stream_count,
 )
 
 CATALOG = EVALUATION_MOTIFS + EXTRA_MOTIFS
@@ -90,7 +89,7 @@ class TestFullReplayParity:
     ):
         g, delta = family_graphs[family]
         expected = batch_counts[(family, motif.name)]
-        assert stream_count(g, motif, delta) == expected
+        assert COUNT_BACKENDS["streaming"](g, motif, delta) == expected
 
     @pytest.mark.parametrize("family", ["email-eu", "wiki-talk"])
     @pytest.mark.parametrize("batch_size", [1, 7, 10**9])
@@ -258,7 +257,7 @@ class TestRandomizedDifferential:
         while i < len(edges):
             batched.add_batch(edges[i : i + batch_size])
             i += batch_size
-        assert batched.count == stream_count(
+        assert batched.count == COUNT_BACKENDS["streaming"](
             TemporalGraph(edges, num_nodes=n), M1, delta
         )
 
