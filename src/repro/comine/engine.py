@@ -20,8 +20,11 @@ computed once per root).  Per frontier:
 
   - a **gather**, when the range is anchored on the edge just matched:
     the out-scan of its source, the in-scan of its destination and its
-    own pair's range start at that edge's position + 1, and the ranks
-    of its pair and of the reverse pair are per-edge arrays;
+    own pair's range start at that edge's position + 1; the out-scan of
+    its destination, the in-scan of its source and the reverse pair's
+    range start at that node's (or pair's) first edge after it, one
+    per-edge array each; and the ranks of its pair and of the reverse
+    pair are per-edge arrays too;
   - a **per-root lookup**, when the range is over labels 0 and 1, which
     the root edge binds: window end, crossed flag and pair rank are
     computed once per root of a block and read by the row's root;
@@ -29,8 +32,17 @@ computed once per root).  Per frontier:
     one more).
 
   This is Mint's search-index memoization (§VI-A) in software: a
-  search whose answer the walk holds is not repeated, which cuts a grid
-  census's searches by about 45 %.
+  search whose answer the walk holds is not repeated, which cuts the
+  elements a grid census searches by 56 % against searching every
+  bound (``census_sparse``: 6.89 M → 3.00 M).
+- **Roots in pair order.**  A block's roots are visited sorted by
+  (src, dst, index), and a child frontier keeps its parent's row order,
+  so the rows of one root pair — and of one root source — are
+  neighbours at every depth.  The searches keyed by them (the per-root
+  lookups, the root pair's range starts at depth 2, every scan of label
+  0) reach ``np.searchsorted`` with ascending keys, which its binary
+  search answers several times faster than keys in random order (it
+  narrows from the previous answer).  Counters do not see the order.
 - **Siblings share, and keep what a sibling consumes.**  Each
   (direction, bound label) window and each (label, label) pair range is
   computed once per frontier and used by every child that needs it — the
@@ -290,20 +302,19 @@ class FamilyResult:
 #: pays it once per lane thread, which is what chose the number: 8,192,
 #: the largest tile whose ``serve_miss`` (two lanes mining singleton
 #: misses) stayed inside its memory budget and that was no slower on
-#: either census than the next one up.  Re-measured since ranges the
-#: frontier implies are no longer searched (medians of three
-#: alternating 12 s runs, 2 cores; "before" is 8,192 rows on the walker
-#: that searched every range bound):
+#: either census than the next one up.  Re-measured on the walker that
+#: visits roots in pair order and reads both ends' scan starts off the
+#: matched edge (medians of three alternating 12 s runs, seeds
+#: 1000-1002, 2 cores):
 #:
 #:   TILE_ROWS  serve_miss p50 / peak RSS   census_dense   census_sparse
-#:   before       5.8 ms / 46.2 MB           99.5 ms       252.5 ms
-#:   1 << 14      5.6 ms / 47.2 MB           69.1 ms       158.6 ms
-#:   1 << 13      6.2 ms / 46.5 MB           69.7 ms       156.1 ms
-#:   1 << 12      5.8 ms / 46.0 MB           71.4 ms       148.6 ms
+#:   1 << 14      6.9 ms / 45.9 MB           65.3 ms       163.4 ms
+#:   1 << 13      7.1 ms / 45.1 MB           62.5 ms       140.1 ms
+#:   1 << 12      8.1 ms / 44.4 MB           65.2 ms       170.5 ms
 #:
-#: the three tiles are inside one another's run-to-run spread on every
-#: latency, and each 2x step moves ``serve_miss`` RSS by ~0.6 MB, all
-#: within its bound, so nothing in the table moves the constant.
+#: no other tile wins both censuses, and each 2x step moves
+#: ``serve_miss`` RSS by ~0.7 MB, all within its bound, so nothing in
+#: the table moves the constant.
 TILE_ROWS = 1 << 13
 
 
@@ -394,13 +405,18 @@ class CoMiner:
 
     def _mine_block(self, lo: int, hi: int) -> None:
         """Root step for edges ``[lo, hi)``: bind the first motif edge,
-        turn each root's window into a rank, descend."""
+        turn each root's window into a rank, descend — the roots in pair
+        order, each row's root an index into that order."""
         self._poll_cancel()
         g = self.graph
         first = self.trie.first_edge_node
-        src, dst = g.src[lo:hi], g.dst[lo:hi]
+        # Pair order, (src, dst, index): roots of one pair are neighbours,
+        # and so are their rows at every depth.
+        order = np.argsort(self._index.pair_pos[lo:hi])
+        block = lo + order
+        src, dst = g.src[block], g.dst[block]
         valid = src != dst  # motif edges are never self-loops
-        roots = np.arange(lo, hi)[valid]
+        roots = block[valid]
         nc = self._node_counters[first.index]
         nc.root_tasks += hi - lo
         # Every valid root is one book-keep and (when its tree unwinds)
@@ -414,7 +430,8 @@ class CoMiner:
         # Any δ at or past the span is the same whole-graph window;
         # saturating it keeps ``t_root + δ`` inside int64.
         delta = min(self.delta, g.time_span)
-        r_limit = g.ts.searchsorted(window_t_limit(g.ts[roots], delta), side="right")
+        # Searched in index order, where the keys ascend, then permuted.
+        r_limit = g.ts.searchsorted(window_t_limit(g.ts[lo:hi], delta), side="right")[order][valid]
         cols = (src[valid], dst[valid])
         # Root columns, root edges, windows, and the _per_root memo.
         self._block = cols, roots, r_limit, {}
@@ -462,10 +479,14 @@ class CoMiner:
         A range bound is searched only where the frontier does not
         already imply it:
 
-        - a range anchored on the matched edge (the out-scan of its
-          source, the in-scan of its destination, its own pair) starts
-          at that edge's position + 1 (``RangeIndex.out_pos`` …), and the
-          ranks of its pair and of the reverse pair are the edge's;
+        - a range anchored on the matched edge starts where the edge
+          says: the out-scan of its source, the in-scan of its
+          destination and its own pair at its position + 1
+          (``RangeIndex.out_pos`` …); the out-scan of its destination,
+          the in-scan of its source and the reverse pair at that node's
+          or pair's first edge after it (``RangeIndex.out_after_dst``,
+          ``in_after_src``, ``rev_after``); and the ranks of its pair
+          and of the reverse pair are the edge's;
         - labels 0 and 1 are bound by the root edge, so the window end,
           crossed flag and pair rank of a range over them are per root
           (:meth:`_per_root`), read by ``root`` — at depth 1, where the
@@ -518,13 +539,15 @@ class CoMiner:
             """(start, end, window total, bisection steps, touches); the
             ranges only for a scan in ``walked``."""
             if (out, label) not in scans:
-                key, offsets, bisect_steps, pos = (
-                    (index.out_key, g.out_offsets, index.out_steps, index.out_pos) if out
-                    else (index.in_key, g.in_offsets, index.in_steps, index.in_pos)
+                key, offsets, bisect_steps = (
+                    (index.out_key, g.out_offsets, index.out_steps) if out
+                    else (index.in_key, g.in_offsets, index.in_steps)
                 )
                 nodes = cols[label]
-                if label == node.edge[0 if out else 1]:  # the last edge's own end
-                    start = pos[last_e] + 1
+                if label == node.edge[0]:  # the last edge's source
+                    start = index.out_pos[last_e] + 1 if out else index.in_after_src[last_e]
+                elif label == node.edge[1]:  # its destination
+                    start = index.out_after_dst[last_e] if out else index.in_pos[last_e] + 1
                 else:
                     start = index.seek(key, nodes, lo)
                 if label < 2:
@@ -548,21 +571,22 @@ class CoMiner:
             if (a, b) not in pairs:
                 if a == b and not index.self_loops:
                     return None, None, 0  # asked only as an exclusion
-                own = (a, b) == node.edge
+                own, rev = (a, b) == node.edge, (b, a) == node.edge
                 if max(a, b) < 2:
                     rank, end = self._per_root(("pair", a, b))
-                    rank, end = None if own else per_row(rank), per_row(end)
+                    rank, end = None if own or rev else per_row(rank), per_row(end)
                 else:
                     rank = (
                         index.edge_rank[last_e] if own
-                        else index.rev_rank[last_e] if (b, a) == node.edge
+                        else index.rev_rank[last_e] if rev
                         else index.pair_rank(cols[a], cols[b])
                     )
                     end = index.seek(index.pair_key, rank, r_limit)
-                if own:
-                    start = index.pair_pos[last_e] + 1
-                else:
-                    start = index.seek(index.pair_key, rank, lo)
+                start = (
+                    index.pair_pos[last_e] + 1 if own
+                    else index.rev_after[last_e] if rev
+                    else index.seek(index.pair_key, rank, lo)
+                )
                 total = int(end.sum() - start.sum())
                 if (a, b) not in closed:
                     start = end = None

@@ -434,9 +434,19 @@ class RangeIndex:
       where edge ``e`` sits in each key array.  The range of ``e``'s
       source's out-edges — or its destination's in-edges, or its own
       pair's edges — from index ``e + 1`` on starts at that position + 1.
+    - ``out_after_dst`` / ``in_after_src`` are the same starts for the
+      other endpoint: where ``e``'s destination's out-edges — or its
+      source's in-edges — from index ``e + 1`` on begin in ``out_key`` /
+      ``in_key``.  ``rev_after`` is that start in ``pair_key`` for the
+      reverse pair's edges (``m`` when that pair never occurs).  Each is
+      one :meth:`seek` over all ``m`` edges when the index is built.
     - ``edge_rank[e]`` is the rank of ``e``'s pair and ``rev_rank[e]``
       that of its reverse (the sentinel's rank when that pair never
       occurs).
+
+    The per-edge arrays cost ``64·m`` bytes (eight ``int64`` columns);
+    the key arrays ``out_key``, ``in_key``, ``pair_key`` and
+    ``pair_edges`` another ``32·m``.
 
     ``out_steps`` / ``in_steps`` hold, per node, what one binary search
     over its neighbor list costs the scalar miner (its counter model).
@@ -471,6 +481,10 @@ class RangeIndex:
         self.out_pos, self.in_pos, self.pair_pos = (
             self._inverse(p) for p in (graph.out_edge_idx, graph.in_edge_idx, self.pair_edges)
         )
+        after = np.arange(1, m + 1)  # the first edge index past each edge
+        self.out_after_dst = self.seek(self.out_key, graph.dst, after)
+        self.in_after_src = self.seek(self.in_key, graph.src, after)
+        self.rev_after = self.seek(self.pair_key, self.rev_rank, after)
         self.out_steps = self._bisect_steps(np.diff(graph.out_offsets))
         self.in_steps = self._bisect_steps(np.diff(graph.in_offsets))
 

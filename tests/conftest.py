@@ -41,15 +41,18 @@ WALKER_FAMILY = [
     _motif("two-islands", ("A", "B"), ("C", "D")),
     _motif("islands-bridged", ("A", "B"), ("C", "D"), ("D", "A")),
     _motif("islands-then-out", ("A", "B"), ("C", "D"), ("B", "E")),
-    # Ranges the walk reads off the matched edge instead of searching.
-    # An out-scan of the last edge's source (C→E after C→D) starts right
-    # after that edge; one of its destination (D→B after C→D, and PATH3)
-    # is searched.
+    # Ranges the walk reads off the matched edge instead of searching:
+    # an out-scan of the last edge's source (C→E after C→D) starts right
+    # after that edge, one of its destination (D→B after C→D, and PATH3)
+    # where that node's first later out-edge sits.
     _motif("fan-from-last-src", ("A", "B"), ("B", "C"), ("C", "D"), ("C", "E")),
     _motif("out-of-last-dst", ("A", "B"), ("B", "C"), ("C", "D"), ("D", "B")),
     # The in-scan of the last edge's destination, with the last edge's
     # own pair among the pairs a leaf subtracts.
     _motif("into-last-dst", ("A", "B"), ("B", "C"), ("C", "D"), ("E", "D")),
+    # The in-scan of the last edge's source (D→B after B→C), enumerated
+    # for an internal child.
+    _motif("into-last-src", ("A", "B"), ("B", "C"), ("D", "B"), ("D", "A")),
     # Closing on the last edge's own pair (internal, so its range is
     # enumerated) and on its reverse, whose pair may never occur.
     _motif("close-own-pair", ("A", "B"), ("B", "C"), ("B", "C"), ("C", "D")),

@@ -18,6 +18,14 @@ APPROX_JSON_SHA256 = (
     "46ab9a35a6bf02aced24909c2b6b1016f73cfdf6ddbccefedad61c75f952573d"
 )
 
+#: SHA-256 of ``census --json`` stdout for wiki-talk ×0.3 (seed 5) at
+#: δ = 30 mean inter-edge gaps: counts, family and per-motif counters
+#: and sharing of the 36-motif grid, serial and pooled.  Pinned so a
+#: walker change that moves any of them shows up as a byte diff.
+CENSUS_JSON_SHA256 = (
+    "3d55090a6220eee18ca770b48ba66adca964a6da2e9861029138b041788e67fb"
+)
+
 
 @pytest.fixture
 def graph_file(tmp_path):
@@ -249,6 +257,17 @@ class TestJsonOutput:
                      "--approx", "--json", "--workers", workers]) == 0
         out = capsys.readouterr().out.encode()
         assert hashlib.sha256(out).hexdigest() == APPROX_JSON_SHA256
+
+    @pytest.mark.parametrize("workers", ["0", "2"])
+    def test_census_json_bytes_are_pinned(self, tmp_path, capsys, workers):
+        g = make_dataset("wiki-talk", scale=0.3, seed=5)
+        path = tmp_path / "wiki.txt"
+        save_snap_text(g, path)
+        delta = 30 * g.time_span // g.num_edges
+        assert main(["census", str(path), "--delta", str(delta), "--json",
+                     "--workers", workers]) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == CENSUS_JSON_SHA256
 
     def test_mine_json_rejects_show_matches(self, graph_file, capsys):
         path, g = graph_file

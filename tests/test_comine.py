@@ -27,6 +27,7 @@ Three layers:
 
 import random
 
+import numpy as np
 import pytest
 
 from conftest import WALKER_FAMILY, random_temporal_graph
@@ -439,17 +440,35 @@ def one_way_graph():
     return random_temporal_graph(random.Random(31), 14, 120, time_range=200)
 
 
+@pytest.fixture(scope="module")
+def hot_pair_graph():
+    """Half the edges are 0→1, a sixth 1→0, dense enough that the
+    windows of 0→1 roots interleave; the rest (self-loops included)
+    among six nodes."""
+    rng = random.Random(47)
+    edges = []
+    for _ in range(150):
+        x = rng.random()
+        s, d = (0, 1) if x < 0.5 else (1, 0) if x < 0.67 else (
+            rng.randrange(6), rng.randrange(6))
+        edges.append((s, d, rng.randrange(600)))
+    return TemporalGraph(edges, num_nodes=6)
+
+
 def _by_name(name):
     return next(m for m in WALKER_FAMILY if m.name == name)
 
 
 class TestSearchElision:
     """The walk searches only range bounds its frontier does not imply:
-    (a) a range anchored on the matched edge starts right after it, (b)
-    the ranks of that edge's pair and of its reverse are the edge's, (c)
-    ranges over root labels 0 and 1 end where the root says.  Each rule
-    has a ``WALKER_FAMILY`` cell where it applies and one where it does
-    not, and every cell equals ``MackeyMiner`` in counts and counters."""
+    (a) a scan of either end of the matched edge starts at a position
+    the edge holds — right after it for its source's out-edges and its
+    destination's in-edges, at the other end's first later edge for the
+    other two — (b) the ranks of that edge's pair and of its reverse are
+    the edge's, and so are both pairs' range starts, (c) ranges over
+    root labels 0 and 1 end where the root says.  Each rule has a
+    ``WALKER_FAMILY`` cell where it applies and one where it does not,
+    and every cell equals ``MackeyMiner`` in counts and counters."""
 
     def test_each_rule_has_cells_where_it_applies_and_where_not(self):
         cells = set()
@@ -471,8 +490,13 @@ class TestSearchElision:
                                else "reverse" if child.edge == node.edge[::-1]
                                else None))
         assert {
-            ("a", True, "src"), ("a", True, "dst"),  # out-scans: (a) / not
-            ("a", False, "dst"), ("a", False, None),  # in-scans: (a) / not
+            # out-scans: of the source (after the edge), of the
+            # destination (its first later out-edge), of neither
+            ("a", True, "src"), ("a", True, "dst"), ("a", True, None),
+            # in-scans: of the destination (after the edge), of the
+            # source (its first later in-edge), of neither
+            ("a", False, "dst"), ("a", False, "src"), ("a", False, None),
+            # own pair and reverse pair: rank and start gathered
             ("b", "own"), ("b", "reverse"), ("b", None),
             ("c", True), ("c", False),
         } <= cells
@@ -502,11 +526,14 @@ class TestSearchElision:
         ]
         assert_family_equals(miner.mine(), reference)
 
-    @pytest.mark.parametrize("graph_name", ["loopy", "one-way"])
-    def test_splits_that_cut_a_block(self, loopy_graph, one_way_graph, graph_name):
+    @pytest.mark.parametrize("graph_name", ["loopy", "one-way", "hot-pair"])
+    def test_splits_that_cut_a_block(
+        self, loopy_graph, one_way_graph, hot_pair_graph, graph_name
+    ):
         """Chunks of 10 roots over blocks of 7: the per-root values are
         indexed block-locally, whatever root a block starts at."""
-        g = loopy_graph if graph_name == "loopy" else one_way_graph
+        g = {"loopy": loopy_graph, "one-way": one_way_graph,
+             "hot-pair": hot_pair_graph}[graph_name]
         miner = CoMiner(g, WALKER_FAMILY, WALKER_DELTA)
         miner.root_block = 7
         acc = FamilyResult.empty(miner.trie)
@@ -517,24 +544,91 @@ class TestSearchElision:
         )
         assert acc.as_payload() == miner.mine().as_payload()
 
+    def test_hot_pair_fixture_interleaves_windows(self, hot_pair_graph):
+        """Most roots share one pair, and a root's window holds later
+        roots of that pair: once sorted into pair order, a block's rows
+        of one pair overlap in time."""
+        g = hot_pair_graph
+        hot = np.flatnonzero((g.src == 0) & (g.dst == 1))
+        assert len(hot) > g.num_edges // 3
+        assert (np.diff(g.ts[hot]) <= WALKER_DELTA).mean() > 0.9
+
+    @pytest.mark.parametrize("root_block", [1, 7, 4096])
+    def test_hot_pair_graph_equals_mackey(self, hot_pair_graph, root_block):
+        miner = CoMiner(hot_pair_graph, WALKER_FAMILY, WALKER_DELTA)
+        miner.root_block = root_block
+        reference = [
+            MackeyMiner(hot_pair_graph, m, WALKER_DELTA).mine() for m in WALKER_FAMILY
+        ]
+        assert_family_equals(miner.mine(), reference)
+
+    @pytest.mark.parametrize("root_block", [7, 4096])
+    def test_roots_are_visited_in_pair_order(
+        self, hot_pair_graph, monkeypatch, root_block
+    ):
+        """Each block's roots reach the walk sorted by (src, dst, index),
+        self-loops dropped, every non-loop edge of the block once."""
+        g, blocks = hot_pair_graph, []
+        walk = CoMiner._walk
+
+        def spy_walk(miner, node, cols, last_e, root):
+            if node.depth == 1:
+                blocks.append(last_e.tolist())
+            return walk(miner, node, cols, last_e, root)
+
+        monkeypatch.setattr(CoMiner, "_walk", spy_walk)
+        miner = CoMiner(g, [M1], WALKER_DELTA)
+        miner.root_block = root_block
+        miner.mine()
+        assert len(blocks) == len(range(0, g.num_edges, root_block))
+        for lo, roots in zip(range(0, g.num_edges, root_block), blocks):
+            edges = range(lo, min(g.num_edges, lo + root_block))
+            assert roots == sorted(
+                (e for e in edges if g.src[e] != g.dst[e]),
+                key=lambda e: (g.src[e], g.dst[e], e),
+            )
+
     #: Rows searched per frontier row at each depth, for a motif alone on
     #: a graph without self-loops.  A per-root search (rule c) costs one
     #: row per root, so it shows up in the depth-1 coefficient whatever
-    #: depth asks for it.
+    #: depth asks for it.  The start of a scan of either end of the
+    #: matched edge (a) and of its own or reverse pair (b) is a gather.
     PLANS = {
-        # Nothing is implied past the root: the depth-2 out-scan is of
-        # the last edge's destination, the closing pair unrelated to it.
-        "M1": (2, 5),
-        "ping-pong": (4,),
-        # (b): the reverse pair's rank is the edge's: 2 + 2, not 2 + 3.
-        "close-reverse": (2, 4),
-        # (a)+(c): the out-scan of B after B→C is free; (a)+(b): its own
-        # pair costs the end search only.
-        "close-own-pair": (2, 1, 7),
-        # (a): C→E after C→D starts after it; (b) for the pair (C, D).
-        "fan-from-last-src": (2, 2, 8),
-        # (c): the depth-3 scan of A ends per root, one row per root.
-        "root-scan-deep": (3, 2, 1, 5),
+        # Depth 1: B's out-scan starts at B's first out-edge after the
+        # root (a) and ends per root (c): 1.  Depth 2: C's out-scan
+        # starts likewise (a) and ends at a search: 1; the closing pair
+        # (C, A) is unrelated to B→C: rank, start and end, 3.
+        "M1": (1, 4),
+        # The out-scan of B ends per root (c) and starts after the root
+        # (a); the reverse pair (B, A) takes its rank and start from the
+        # root (b) and ends per root (c): 1 + 1.
+        "ping-pong": (2,),
+        # Depth 1 as M1.  Depth 2: C's out-scan ends at a search, 1; the
+        # reverse pair (C, B) of B→C ends at a search, its rank and start
+        # gathered (b): 1.
+        "close-reverse": (1, 2),
+        # Depth 1 as M1, and B's out-scan at depth 2 shares its per-root
+        # end.  Depth 2: that scan starts after B→C (a), and its own
+        # pair (B, C) costs the end search only (b): 1.  Depth 3: C's
+        # out-scan ends at a search, 1; the leaf subtracts (C, A), 3,
+        # and the reverse pair (C, B), whose end is searched, 1.
+        "close-own-pair": (1, 1, 5),
+        # Depth 1 as M1.  Depth 2: C's out-scan ends at a search, 1.
+        # Depth 3: C→E after C→D starts after it (a) and ends at a
+        # search, 1; the leaf subtracts (C, A) and (C, B), 3 each, and
+        # its own pair (C, D) costs the end search only (b), 1.
+        "fan-from-last-src": (1, 1, 8),
+        # Depth 1: M1's 1, plus the per-root end of A's scan (c) that
+        # depth 3 asks for.  Depth 2 as M1's scan, 1.  Depth 3: A's
+        # out-scan starts at a search, 1.  Depth 4: E's out-scan after
+        # A→E starts at E's first later out-edge (a) and ends at a
+        # search, 1; the closing pair (E, B): rank, start and end, 3.
+        "root-scan-deep": (2, 1, 1, 4),
+        # Depth 1: M1's 1, plus the per-root end of B's in-scan (c).
+        # Depth 2: that in-scan starts at B's first in-edge after B→C
+        # (a), 0.  Depth 3: D's out-scan after D→B starts after it (a)
+        # and ends at a search, 1; the closing pair (D, A), 3.
+        "into-last-src": (2, 0, 4),
     }
 
     @pytest.mark.parametrize("name", sorted(PLANS))

@@ -191,6 +191,26 @@ class TestRangeIndex:
                 assert index.rev_rank[e] == sentinel
         assert {bool(r == sentinel) for r in index.rev_rank} == {True, False}
 
+        # Where the other end's ranges, and the reverse pair's, resume
+        # after the edge: count, scanning each key array, the entries
+        # at or before (owner, e) in its (owner, edge index) order.
+        def resume(items, owner_of, owner, e):
+            return sum((owner_of(x), x) <= (owner, e) for x in items.tolist())
+
+        m = g.num_edges
+        pair_of = lambda x: (int(g.src[x]), int(g.dst[x]))  # noqa: E731
+        for e in edge.tolist():
+            src, dst = pair_of(e)
+            assert index.out_after_dst[e] == resume(
+                g.out_edge_idx, lambda x: int(g.src[x]), dst, e)
+            assert index.in_after_src[e] == resume(
+                g.in_edge_idx, lambda x: int(g.dst[x]), src, e)
+            assert index.rev_after[e] == (
+                resume(index.pair_edges, pair_of, (dst, src), e)
+                if (dst, src) in pairs else m
+            )
+        assert m in index.rev_after and (index.rev_after < m).any()
+
     def test_bisect_steps_are_exact_bit_lengths(self, burst_graph):
         degrees = np.array([0, 1, 2, 3, 4, 7, 8, 2**40 - 1, 2**40])
         steps = burst_graph.range_index()._bisect_steps(degrees)
