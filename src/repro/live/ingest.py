@@ -19,17 +19,21 @@ engines:
    before any mutation), released edges flow through the shared
    :class:`~repro.streaming.window.StreamBuffer` (whose timestamp
    uniquification keeps snapshots byte-identical to an offline replay)
-   and into every :class:`~repro.live.subscriptions.SharedCounter` —
-   one per *distinct* standing query, however many subscriptions read
-   it — then the graph **version** bumps, each counter's window expires
-   once and every subscription is evaluated against its counter.
+   and into one :class:`~repro.streaming.counter.FamilyStreamEngine`
+   per attach position, with one
+   :class:`~repro.live.subscriptions.SharedCounter` slot per (motif, δ)
+   however many subscriptions read it — then the graph **version**
+   bumps, each slot's window expires once and every subscription is
+   evaluated against its slot.
 
-   Counters are interned by ``(motif.canonical_key(), δ, edges released
-   when the subscription attached)``.  The attach position is what keeps
-   sharing exact: two subscriptions share a counter iff they have seen
-   the same suffix of the released stream, so a subscriber that opens
-   mid-feed gets its own counter and counts only matches lying wholly
-   after it opened.
+   Slots are interned by ``(motif.canonical_key(), δ, edges released
+   when the subscription attached)``, and the engine by the last of
+   those.  The attach position is what keeps sharing exact: two
+   subscriptions share a slot iff they have seen the same suffix of the
+   released stream, so a subscriber that opens mid-feed gets a slot in
+   a new engine and counts only matches lying wholly after it opened.
+   An engine gains slots only before its first edge, which holds by
+   construction: its attach position *is* the edge count.
 
 3. Ingestion is **idempotent per batch sequence number**: a retried
    batch (client timeout, killed worker) whose ``seq`` was already
@@ -54,6 +58,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.graph.temporal_graph import TemporalGraph
 from repro.live.subscriptions import SharedCounter, Subscription
 from repro.resilience.faults import fault_point
+from repro.streaming.counter import FamilyStreamEngine
 from repro.streaming.window import StreamBuffer
 
 Edge = Tuple[int, int, int]
@@ -173,8 +178,9 @@ class LiveGraph:
 
     Owns the ingestion lock, the reorder buffer, the shared
     :class:`StreamBuffer` (edge log + δ-window ring), the standing
-    subscriptions attached to it with the interned counters they read,
-    and the per-batch idempotency ledger.
+    subscriptions attached to it with the interned slots they read and
+    the engines those slots belong to, and the per-batch idempotency
+    ledger.
     The **version** counts applied snapshots: it bumps exactly when at
     least one edge reaches the edge log, so every version names distinct
     content and ``(name, version)`` is a stable cache key.
@@ -197,8 +203,10 @@ class LiveGraph:
         self.reorder = ReorderBuffer(lateness, reorder_capacity)
         self.version = 0
         self.subscriptions: "OrderedDict[str, Subscription]" = OrderedDict()
-        #: Interned incremental state, ref-counted by attach/detach.
+        #: Interned incremental state, ref-counted by attach/detach: the
+        #: slots, and one engine per attach position holding them.
         self._counters: Dict[Tuple, SharedCounter] = {}
+        self._families: Dict[int, FamilyStreamEngine] = {}
         #: seq -> ack for recently applied batches (bounded, FIFO evict).
         self._acks: "OrderedDict[int, Dict]" = OrderedDict()
         #: Applied seqs: every seq in [_run_lo, _run_hi), plus the sparse
@@ -292,13 +300,20 @@ class LiveGraph:
         released = self.reorder.flush() if flush else self.reorder.release_ready()
 
         counters = self._counters.values()  # stable: we hold the lock
+        families = self._families.values()
         for counter in counters:
             counter.batch_completed = 0
         for s, d, t in released:
             _, t_adj = self.buffer.append(s, d, t)
             self.edges_ingested += 1
-            for counter in counters:
-                counter.advance(s, d, t_adj)
+            for family in families:
+                if family.step(s, d, t_adj):
+                    tally: Dict[SharedCounter, int] = {}
+                    for counter in family.completed:
+                        tally[counter] = tally.get(counter, 0) + 1
+                    for counter, completed in tally.items():
+                        counter.window.record(t_adj, completed)
+                        counter.batch_completed += completed
 
         events: List[Dict] = []
         if released:
@@ -338,21 +353,28 @@ class LiveGraph:
     # -- subscriptions ---------------------------------------------------------
 
     def attach(self, sub: Subscription) -> None:
-        """Point ``sub`` at the counter for its query, opening it if new.
+        """Point ``sub`` at the slot for its query, opening it if new.
 
-        Subscriptions share a counter iff motif shape, δ and the number
-        of edges released so far all agree — i.e. they will see exactly
-        the same edges — so sharing never changes what any of them counts.
+        Subscriptions share a slot iff motif shape, δ and the number of
+        edges released so far all agree — i.e. they will see exactly the
+        same edges — so sharing never changes what any of them counts.
         """
         with self.lock:
             if sub.sub_id in self.subscriptions:
                 raise ValueError(
                     f"subscription {sub.sub_id!r} already attached"
                 )
-            key = (sub.motif.canonical_key(), sub.delta, self.buffer.num_edges)
+            position = self.buffer.num_edges
+            key = (sub.motif.canonical_key(), sub.delta, position)
             counter = self._counters.get(key)
             if counter is None:
+                family = self._families.get(position)
+                if family is None:
+                    family = self._families[position] = FamilyStreamEngine()
                 counter = SharedCounter(key, sub.motif, sub.delta)
+                # Raises if the engine had advanced; it cannot have, as
+                # no edge was released since it opened at ``position``.
+                family.add_slot(counter)
                 self._counters[key] = counter
             counter.refs += 1
             sub.counter = counter
@@ -362,9 +384,13 @@ class LiveGraph:
         with self.lock:
             sub = self.subscriptions.pop(sub_id, None)
             if sub is not None:
-                sub.counter.refs -= 1
-                if sub.counter.refs == 0:
-                    del self._counters[sub.counter.key]
+                counter = sub.counter
+                counter.refs -= 1
+                if counter.refs == 0:
+                    del self._counters[counter.key]
+                    counter.engine.remove_slot(counter)
+                    if not counter.engine.slots:
+                        del self._families[counter.key[2]]
         if sub is None:
             raise KeyError(sub_id)
         sub.close()
@@ -372,7 +398,8 @@ class LiveGraph:
 
     @property
     def shared_counters(self) -> int:
-        """Distinct counters the attached subscriptions are views over."""
+        """Distinct (motif, δ, attach position) slots the attached
+        subscriptions are views over."""
         return len(self._counters)
 
     # -- snapshots / introspection ---------------------------------------------
@@ -411,6 +438,7 @@ class LiveGraph:
                 sub.close()
             self.subscriptions.clear()
             self._counters.clear()
+            self._families.clear()
 
     def __repr__(self) -> str:
         return (

@@ -1,27 +1,32 @@
 """Offline oracle: replay a live feed through ``repro.streaming``.
 
-The live path and this oracle share *nothing* of the counting plumbing:
+The live path and this oracle run the same engine class,
+:class:`~repro.streaming.counter.FamilyStreamEngine`, wired
+differently:
 
-- **live** routes edges through a :class:`ReorderBuffer`, one shared
+- **live** routes edges through a :class:`ReorderBuffer` and one shared
   :class:`StreamBuffer` (which computes adjusted timestamps once per
-  graph), and hands ``(src, dst, t_adj)`` to one interned
-  :class:`~repro.live.subscriptions.SharedCounter` per distinct
-  ``(motif, δ, attach position)``, which any number of subscriptions
-  read;
-- **offline** feeds each subscription an independent, *private*
-  :class:`~repro.streaming.counter.StreamingCounter` — the canonical
-  PR-2 replay machinery, owning its *own* buffer and its own timestamp
-  adjustment — and its own completion window and alert latch, over the
-  time-sorted edge sequence.
+  graph), and hands ``(src, dst, t_adj)`` to one shared multi-slot
+  engine per attach position, whose
+  :class:`~repro.live.subscriptions.SharedCounter` slots — one per
+  distinct ``(motif, δ)`` — any number of subscriptions read;
+- **offline** feeds each subscription a *private*
+  :class:`~repro.streaming.counter.StreamingCounter` — a family of one
+  slot, owning its *own* buffer and its own timestamp adjustment — and
+  its own completion window and alert latch, over the time-sorted edge
+  sequence.
 
-What they do share are the event builders, the
+What they share beyond the engine class are the event builders, the
 :class:`~repro.live.subscriptions.WindowTracker` expiry rule and the
 :func:`~repro.live.subscriptions.crossed` arming rule, so a
 byte-for-byte match between live firings and oracle events proves the
-live data path (reordering, shared-buffer adjustment, counter sharing,
-per-batch evaluation, outbox seq stamping) is equivalent to an
-unshared offline replay — not merely that one formatting function
-agrees with itself.
+live data path (reordering, shared-buffer adjustment, slot and trie
+sharing across motifs and δ, per-batch evaluation, outbox seq
+stamping) is equivalent to an unshared offline replay.  It does not
+prove the engine itself right, since both sides run it: the engine's
+reference is the per-edge, per-slot parity with
+:class:`~repro.mining.mackey.MackeyMiner` prefix counts in
+``tests/test_streaming_parity.py``.
 
 The oracle consumes the ingest **schedule** — ``(version,
 released_count)`` per committed batch, read off the live acks — so it

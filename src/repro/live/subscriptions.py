@@ -12,16 +12,18 @@ pushes.  Two kinds:
   then re-arm once it falls back to or below it (edge-triggered, so a
   sustained burst produces one alert, not one per batch).
 
-Subscriptions are **views**: the incremental state — one
-:class:`~repro.streaming.counter.MotifStreamEngine` (the same
-continuation tables, under the same heap-eviction memory bounds, as the
-offline streaming counters) plus a :class:`WindowTracker` deque of
-recent completion times — lives in a :class:`SharedCounter` that the
-owning ``LiveGraph`` interns per distinct standing query, so a hundred
-subscriptions over fourteen (motif, δ) pairs advance fourteen engines
-per released edge, not a hundred.  A :class:`Subscription` keeps only
-what is the subscriber's own: id, the motif as the subscriber spelled
-it, kind, threshold, the alert latch, the fire count and the outbox.
+Subscriptions are **views**: the incremental state lives in a
+:class:`SharedCounter` — one slot of a
+:class:`~repro.streaming.counter.FamilyStreamEngine` (the same
+continuation tables, under the same eviction bound, as the offline
+streaming counters) plus a :class:`WindowTracker` deque of recent
+completion times.  The owning ``LiveGraph`` keeps one engine per attach
+position and one slot per (motif, δ) in it, so a hundred subscriptions
+over fourteen (motif, δ) pairs advance one engine per released edge,
+and partials the fourteen share are rooted and stored once.  A
+:class:`Subscription` keeps only what is the subscriber's own: id, the
+motif as the subscriber spelled it, kind, threshold, the alert latch,
+the fire count and the outbox.
 
 Event payloads are built by the module-level builders below and alerts
 armed by :func:`crossed`, all of which the offline oracle
@@ -33,12 +35,12 @@ two copies of a formatting function.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, Optional, Tuple
 
 from repro.graph.window import window_horizon
 from repro.live.outbox import Outbox
 from repro.motifs.motif import Motif
-from repro.streaming.counter import MotifStreamEngine
+from repro.streaming.counter import Slot
 
 #: Subscription kinds.
 UPDATE = "update"
@@ -143,32 +145,26 @@ def crossed(window_count: int, threshold: int, armed: bool) -> Tuple[bool, bool]
     return False, True
 
 
-class SharedCounter:
+class SharedCounter(Slot):
     """The incremental state of one distinct standing query.
 
-    One :class:`MotifStreamEngine` plus one :class:`WindowTracker`,
-    interned by the owning :class:`~repro.live.ingest.LiveGraph` under
-    ``(motif.canonical_key(), δ, edges released at attach)`` and
-    advanced once per released edge however many subscriptions point at
-    it (``refs``).
+    A slot of the engine the owning
+    :class:`~repro.live.ingest.LiveGraph` keeps for the subscription's
+    attach position, interned under ``(motif.canonical_key(), δ, edges
+    released at attach)``, plus one :class:`WindowTracker`; it counts
+    once per released edge however many subscriptions point at it
+    (``refs``).
     """
 
-    __slots__ = ("key", "engine", "window", "batch_completed", "refs")
+    __slots__ = ("key", "window", "batch_completed", "refs")
 
     def __init__(self, key: Tuple, motif: Motif, delta: int) -> None:
+        super().__init__(motif, delta)
         self.key = key
-        self.engine = MotifStreamEngine(motif, delta)
         self.window = WindowTracker(delta)
         #: Completions since the current ingest batch began.
         self.batch_completed = 0
         self.refs = 0
-
-    def advance(self, s: int, d: int, t_adj: int) -> None:
-        """Feed one released edge (under the owning graph's lock)."""
-        completed = self.engine.advance(s, d, t_adj)
-        if completed:
-            self.window.record(t_adj, completed)
-            self.batch_completed += completed
 
 
 class Subscription:
@@ -239,7 +235,7 @@ class Subscription:
                 self.delta,
                 version,
                 t_now,
-                counter.engine.count,
+                counter.count,
                 counter.batch_completed,
                 window_count,
                 window_edges,
@@ -256,7 +252,7 @@ class Subscription:
                     self.delta,
                     version,
                     t_now,
-                    counter.engine.count,
+                    counter.count,
                     window_count,
                     self.threshold,
                 )
@@ -270,7 +266,7 @@ class Subscription:
     @property
     def count(self) -> int:
         """Cumulative matches completed since the subscription opened."""
-        return self.counter.engine.count if self.counter else 0
+        return self.counter.count if self.counter else 0
 
     def status(self) -> Dict:
         counter = self.counter
@@ -282,6 +278,7 @@ class Subscription:
             "kind": self.kind,
             "count": self.count,
             "window_count": counter.window.window_count if counter else 0,
+            # The engine's: shared by every slot at this attach position.
             "live_partials": counter.engine.live_partials if counter else 0,
             "fires": self.fires,
             "outbox": self.outbox.stats(),

@@ -5,17 +5,20 @@ as edges arrive, with the batch miners as differential oracle (the
 parity suites replay a graph through :class:`StreamingCounter` and
 compare with :class:`~repro.mining.mackey.MackeyMiner`):
 
-- :mod:`repro.streaming.window` — append-only edge log, incremental
-  adjacency, sliding δ-window ring, batch-compatible snapshots;
-- :mod:`repro.streaming.counter` — demand-keyed continuation tables and
-  the :class:`StreamingCounter` family;
+- :mod:`repro.streaming.window` — append-only edge log, sliding
+  δ-window ring, batch-compatible snapshots;
+- :mod:`repro.streaming.counter` — demand-keyed continuation tables over
+  a motif trie, one engine per family of ``(motif, δ)`` slots, and the
+  :class:`StreamingCounter` family built on it;
 - :mod:`repro.streaming.replay` — dataset replay with per-batch
   throughput/latency/occupancy stats (``python -m repro stream``).
 """
 
 from repro.streaming.counter import (
+    FamilyStreamEngine,
     MotifStreamEngine,
     PartialMatch,
+    Slot,
     StreamingCatalogCounter,
     StreamingCounter,
     StreamingGridCounter,
@@ -32,9 +35,11 @@ from repro.streaming.window import StreamBuffer
 
 __all__ = [
     "BatchStats",
+    "FamilyStreamEngine",
     "MotifStreamEngine",
     "PartialMatch",
     "ReplayResult",
+    "Slot",
     "StreamBuffer",
     "StreamingCatalogCounter",
     "StreamingCounter",

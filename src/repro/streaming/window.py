@@ -2,16 +2,15 @@
 
 The streaming engine's substrate mirrors the batch layout of
 :class:`~repro.graph.temporal_graph.TemporalGraph` but grows one edge at
-a time:
+a time; :meth:`StreamBuffer.snapshot` hands the accumulated prefix to
+:meth:`TemporalGraph.from_arrays`, whose stable counting sort gives
+each node's edges in arrival (= chronological) order, so no per-node
+adjacency is kept on ingest:
 
 - an **append-only edge log** (``src``/``dst``/``ts`` Python lists, the
   chronological temporal edge list);
-- **per-node incremental adjacency**: for every node, the indices into
-  the edge log of its outgoing and incoming edges, appended in arrival
-  (= chronological) order — exactly the CSR content the batch miners
-  stream, so :meth:`StreamBuffer.snapshot` can hand the accumulated
-  prefix to :meth:`TemporalGraph.from_arrays` with prebuilt adjacency
-  and no re-sort;
+- the **node count**, the largest node id seen plus one — one integer,
+  so a single huge node id costs nothing on ingest;
 - a **window ring**: a deque of the edge indices whose timestamps are
   still inside the sliding window ``[t_now - δ, t_now]``.  Only these
   edges can participate in a match completed by a future arrival
@@ -28,7 +27,7 @@ pins.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Iterable, List, Tuple
+from typing import Deque, List, Tuple
 
 import numpy as np
 
@@ -46,8 +45,7 @@ class StreamBuffer:
         self._src: List[int] = []
         self._dst: List[int] = []
         self._ts: List[int] = []
-        self._out_adj: List[List[int]] = []
-        self._in_adj: List[List[int]] = []
+        self._num_nodes = 0
         self._ring: Deque[int] = deque()
         self._last_raw_t: int | None = None
         self._peak_window = 0
@@ -78,9 +76,8 @@ class StreamBuffer:
         self._src.append(src)
         self._dst.append(dst)
         self._ts.append(t_adj)
-        self._grow_nodes(max(src, dst) + 1)
-        self._out_adj[src].append(idx)
-        self._in_adj[dst].append(idx)
+        if src >= self._num_nodes or dst >= self._num_nodes:
+            self._num_nodes = max(src, dst) + 1
 
         # Slide the window: evict ring entries older than t_adj - δ.
         ring, ts, horizon = self._ring, self._ts, window_horizon(t_adj, self.delta)
@@ -91,11 +88,6 @@ class StreamBuffer:
             self._peak_window = len(ring)
         return idx, t_adj
 
-    def _grow_nodes(self, n: int) -> None:
-        while len(self._out_adj) < n:
-            self._out_adj.append([])
-            self._in_adj.append([])
-
     # -- accessors -------------------------------------------------------------
 
     @property
@@ -104,7 +96,7 @@ class StreamBuffer:
 
     @property
     def num_nodes(self) -> int:
-        return len(self._out_adj)
+        return self._num_nodes
 
     @property
     def window_size(self) -> int:
@@ -124,47 +116,23 @@ class StreamBuffer:
         """Edge-log indices currently inside the window, oldest first."""
         return tuple(self._ring)
 
-    def out_edges(self, u: int) -> List[int]:
-        """Edge indices of ``u``'s outgoing edges so far (chronological)."""
-        return self._out_adj[u] if u < len(self._out_adj) else []
-
-    def in_edges(self, v: int) -> List[int]:
-        return self._in_adj[v] if v < len(self._in_adj) else []
-
     # -- snapshots -------------------------------------------------------------
 
     def snapshot(self) -> TemporalGraph:
         """The accumulated prefix as an immutable :class:`TemporalGraph`.
 
-        The incremental adjacency is concatenated into CSR arrays and
-        adopted by :meth:`TemporalGraph.from_arrays` — no re-sort, no
-        CSR rebuild — so any batch miner can run on the snapshot.
+        The edge log is adopted by :meth:`TemporalGraph.from_arrays` —
+        already time-sorted and uniquified, so no re-sort — whose stable
+        ``argsort`` plus ``bincount`` builds the same CSR arrays the
+        batch constructor does, so any batch miner can run on the
+        snapshot.
         """
-        n, m = self.num_nodes, self.num_edges
-        src = np.array(self._src, dtype=np.int64)
-        dst = np.array(self._dst, dtype=np.int64)
-        ts = np.array(self._ts, dtype=np.int64)
-        out_offsets, out_idx = self._csr(self._out_adj, n, m)
-        in_offsets, in_idx = self._csr(self._in_adj, n, m)
         return TemporalGraph.from_arrays(
-            src,
-            dst,
-            ts,
-            num_nodes=n,
-            out_offsets=out_offsets,
-            out_edge_idx=out_idx,
-            in_offsets=in_offsets,
-            in_edge_idx=in_idx,
+            np.array(self._src, dtype=np.int64),
+            np.array(self._dst, dtype=np.int64),
+            np.array(self._ts, dtype=np.int64),
+            num_nodes=self._num_nodes,
         )
-
-    @staticmethod
-    def _csr(adj: List[List[int]], n: int, m: int) -> Tuple[np.ndarray, np.ndarray]:
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum([len(lst) for lst in adj], out=offsets[1:])
-        idx = np.fromiter(
-            (e for lst in adj for e in lst), dtype=np.int64, count=m
-        )
-        return offsets, idx
 
     def window_snapshot(self) -> TemporalGraph:
         """Only the edges inside the current window, as a graph.

@@ -2,12 +2,16 @@
 the (fingerprint, version) registry/cache consistency contract."""
 
 import threading
+import time
 
 import pytest
 
 from repro.graph.generators import make_dataset
+from repro.graph.temporal_graph import TemporalGraph
 from repro.live.ingest import LiveGraph, ReorderBuffer
+from repro.live.subscriptions import Subscription
 from repro.mining.mackey import MackeyMiner
+from repro.motifs.catalog import motif_by_name
 from repro.service.query import UnknownGraph
 from repro.service.service import MotifService
 
@@ -145,6 +149,20 @@ class TestLiveGraph:
         live = LiveGraph("g", delta=int(g.time_span // 10))
         live.append_batch(edges_of(g), seq=0)
         assert live.snapshot().fingerprint() == g.fingerprint()
+
+    def test_one_huge_node_id_appends_in_constant_time(self):
+        """Ingest keeps the node count as one integer, so a single edge
+        to node 10**7 costs what any edge does; only a snapshot pays
+        for the id range (two CSR offset arrays)."""
+        big = 10**7
+        live = LiveGraph("g", delta=5)
+        live.attach(Subscription("s", "g", motif_by_name("M1"), 5))
+        started = time.perf_counter()
+        live.append_batch([(0, big, 1)], seq=0)
+        assert time.perf_counter() - started < 0.05
+        assert live.buffer.num_nodes == big + 1
+        assert live.snapshot().fingerprint() == \
+            TemporalGraph([(0, big, 1)]).fingerprint()
 
 
 class TestVersionedServing:

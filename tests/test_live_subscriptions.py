@@ -20,6 +20,7 @@ from repro.live.subscriptions import (
 from repro.mining.mackey import MackeyMiner
 from repro.motifs.catalog import motif_by_name
 from repro.service.query import payload_bytes
+from repro.streaming.counter import Slot
 
 
 class TestWindowTracker:
@@ -198,6 +199,66 @@ class TestSharedCounters:
         live.close()
         assert live.shared_counters == 0 and not live.subscriptions
 
+
+    def test_attach_after_edges_opens_a_new_engine(self):
+        """Slots at one attach position share one engine; a later
+        position gets its own, and an engine that has advanced refuses
+        new slots."""
+        edges, delta = self.feed()
+        live = LiveGraph("g", delta)
+        early = self.sub("early", delta)
+        other = Subscription("other", "g", motif_by_name("M4"), delta // 2)
+        live.attach(early)
+        live.attach(other)
+        assert other.counter is not early.counter
+        assert other.counter.engine is early.counter.engine
+        self.push(live, edges, 0, 20)
+        late = self.sub("late", delta)
+        live.attach(late)
+        engine = early.counter.engine
+        assert late.counter.engine is not engine
+        assert late.counter.engine.num_edges == 0 and engine.num_edges == 20
+        assert live.status()["counters"] == 3
+        with pytest.raises(ValueError, match="before its first edge"):
+            engine.add_slot(Slot(motif_by_name("M1"), delta))
+        assert engine.slots == [early.counter, other.counter]
+
+    def test_detached_widest_and_unique_slots_stop_costing(self):
+        """Detaching the widest-δ and a unique-motif subscription mid-feed
+        drops the shared engine, by the next edge, to exactly the
+        partials an engine of the survivors alone holds, and leaves the
+        survivors' events byte-identical to a run without the two."""
+        edges, delta = self.feed()
+        cut = len(edges) // 2
+        half = max(1, delta // 2)
+        kept = [("m1", "M1", half), ("m2", "M2", half),
+                ("m2-quarter", "M2", max(1, delta // 4))]
+        extra = [("wide", "M1", delta), ("unique", "M4", half)]
+
+        def run(plan, detach):
+            live = LiveGraph("g", delta)
+            subs = {
+                sub_id: Subscription(sub_id, "g", motif_by_name(name), d,
+                                     outbox_capacity=len(edges))
+                for sub_id, name, d in plan
+            }
+            for sub in subs.values():
+                live.attach(sub)
+            self.push(live, edges, 0, cut)
+            before = subs["m1"].status()["live_partials"]
+            for sub_id in detach:
+                live.detach(sub_id)
+            live.append_batch(edges[cut:cut + 1], seq=cut)
+            after = subs["m1"].status()["live_partials"]
+            self.push(live, edges, cut + 1, len(edges))
+            return subs, before, after
+
+        shared, before, after = run(kept + extra, ["wide", "unique"])
+        alone, _, alone_after = run(kept, [])
+        assert after == alone_after < before
+        for sub_id, _, _ in kept:
+            assert [payload_bytes(e) for e in shared[sub_id].outbox.read_after(0)] \
+                == [payload_bytes(e) for e in alone[sub_id].outbox.read_after(0)]
 
     def test_attach_detach_racing_ingest_keeps_refs_exact(self):
         """More threads than cores churn subscriptions while a feeder

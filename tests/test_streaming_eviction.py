@@ -12,9 +12,9 @@ from __future__ import annotations
 import pytest
 
 from repro.graph.generators import make_dataset
-from repro.motifs.catalog import M1, PING_PONG, TWO_CYCLE_RETURN
-from repro.streaming import StreamingCounter, iter_batches
-from repro.streaming.counter import MotifStreamEngine
+from repro.motifs.catalog import M1, M2, PING_PONG, TWO_CYCLE_RETURN
+from repro.streaming import StreamBuffer, StreamingCounter, iter_batches
+from repro.streaming.counter import FamilyStreamEngine, MotifStreamEngine, Slot
 
 
 class TestEvictionSemantics:
@@ -93,6 +93,73 @@ class TestMemoryBounds:
             assert engine.live_partials <= w + w * w
         assert counter.evicted_partials > 0, "stream never evicted"
         assert counter.count > 0, "stream never matched (weak test)"
+
+    def test_narrow_branch_bounded_by_its_own_delta_beside_saturating_slot(self):
+        """One engine counts M1 at δ and ping-pong at a saturating δ.
+        They share only the first edge, so every M1 partial sits on a
+        branch only the narrow slot uses: those partials must be rooted
+        inside the narrow window and be exactly the ones an M1 engine
+        alone holds, however long the saturating slot keeps its own."""
+        g = make_dataset("wiki-talk", scale=0.05, seed=23)
+        delta = max(1, g.time_span // 25)
+        shared = FamilyStreamEngine()
+        narrow = shared.add_slot(Slot(M1, delta))
+        shared.add_slot(Slot(PING_PONG, 2**63 - 1))
+        alone = MotifStreamEngine(M1, delta)
+        buffer = StreamBuffer(delta)
+        for s, d, t in zip(g.src.tolist(), g.dst.tolist(), g.ts.tolist()):
+            _, t_adj = buffer.append(s, d, t)
+            shared.step(s, d, t_adj)
+            alone.advance(s, d, t_adj)
+            branch = [
+                p for p in shared.iter_partials()
+                if p.t_limit - p.root_time == delta
+            ]
+            assert all(p.root_time >= t_adj - delta for p in branch)
+            assert sorted((p.root_time, p.m2g) for p in branch) == sorted(
+                (p.root_time, p.m2g) for p in alone.iter_partials()
+            )
+        assert narrow.count == alone.count > 0
+        assert any(
+            p.root_time < t_adj - delta for p in shared.iter_partials()
+        ), "the saturating slot kept nothing past the narrow window (weak test)"
+
+    def test_removing_a_slot_requeues_partials_under_the_new_bounds(self):
+        """M1 and M2 at δ share one band; removing M2 at δ leaves M2's
+        branch to M2 at δ/2, a narrower band.  From the next edge on the
+        engine must hold exactly the partials, with the same limits, and
+        complete exactly the matches of an engine that never had the
+        removed slot."""
+        g = make_dataset("wiki-talk", scale=0.05, seed=23)
+        delta = max(2, g.time_span // 25)
+        plan = [(M1, delta), (M2, delta), (M2, delta // 2)]
+        buffer = StreamBuffer(delta)
+        edges = [
+            (s, d, buffer.append(s, d, t)[1])
+            for s, d, t in zip(g.src.tolist(), g.dst.tolist(), g.ts.tolist())
+        ]
+        shared, survivors = FamilyStreamEngine(), FamilyStreamEngine()
+        slots = [shared.add_slot(Slot(m, dl)) for m, dl in plan]
+        kept = [survivors.add_slot(Slot(m, dl)) for m, dl in plan if
+                (m, dl) != (M2, delta)]
+        cut = len(edges) // 2
+        for i, edge in enumerate(edges):
+            if i == cut:
+                shared.remove_slot(slots[1])
+                assert shared.slots == [slots[0], slots[2]]
+            shared.step(*edge)
+            survivors.step(*edge)
+            if i < cut:
+                continue
+            assert [shared.completed.count(s) for s in (slots[0], slots[2])] \
+                == [survivors.completed.count(s) for s in kept]
+            assert sorted(
+                (p.root_time, p.t_limit, p.m2g) for p in shared.iter_partials()
+            ) == sorted(
+                (p.root_time, p.t_limit, p.m2g) for p in survivors.iter_partials()
+            )
+            assert shared.live_partials == survivors.live_partials
+        assert kept[1].count > 0, "M2 at δ/2 never matched (weak test)"
 
     def test_peak_live_partials_far_below_total_partials_created(self):
         g = make_dataset("wiki-talk", scale=0.05, seed=23)

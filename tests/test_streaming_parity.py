@@ -8,6 +8,10 @@ claim is *exact parity with the batch miners*.  This suite pins it:
 - parity is invariant to batching (1, 7, all-at-once, shuffled sizes);
 - prefix replays equal batch counts on the prefix graph, and snapshots
   are byte-identical to batch-built ``TemporalGraph``s (arrays + CSR);
+- per edge and per slot, a shared multi-slot engine completes exactly
+  the Mackey prefix differences, for slot sets mixing motifs, shared
+  prefixes, duplicates and δ (the engine's independent reference: the
+  live path and its oracle both run this engine);
 - the catalog/grid counters match per-motif batch breakdowns exactly;
 - hypothesis-randomized graphs (duplicate timestamps, self-loops)
   agree with the Mackey reference;
@@ -26,16 +30,24 @@ from hypothesis import given, settings, strategies as st
 from delta_cases import COUNT_BACKENDS, DELTA_BOUNDARY_CASES
 from repro.graph.generators import DATASET_NAMES, make_dataset
 from repro.graph.temporal_graph import TemporalGraph
-from repro.mining.mackey import count_motifs
+from repro.live.driver import plan_subscriptions
+from repro.mining.mackey import MackeyMiner, count_motifs
 from repro.mining.multi import grid_census
 from repro.motifs.catalog import (
     EVALUATION_MOTIFS,
     EXTRA_MOTIFS,
     M1,
     M2,
+    PATH3,
     PING_PONG,
+    motif_by_name,
 )
+from repro.motifs.grid import paranjape_grid
+from repro.motifs.motif import Motif
 from repro.streaming import (
+    FamilyStreamEngine,
+    Slot,
+    StreamBuffer,
     StreamingCatalogCounter,
     StreamingCounter,
     StreamingGridCounter,
@@ -59,6 +71,69 @@ FAMILY_SCALES = {
 
 def _edges_of(graph: TemporalGraph):
     return list(zip(graph.src.tolist(), graph.dst.tolist(), graph.ts.tolist()))
+
+
+#: A motif whose second edge binds two fresh nodes (demand key
+#: ``(-1, -1)``), and M1 under other labels (same canonical key).
+TWO_PAIRS = Motif([(0, 1), (2, 3), (1, 2)], name="two-pairs")
+M1_RELABELLED = Motif([(1, 0), (0, 2), (2, 1)], name="M1-relabelled")
+SATURATING = 2**63 - 1
+
+
+def mixed_delta_slots(delta):
+    """δ of 0, 1 and saturating beside ordinary δ, over shared prefixes,
+    a one-edge motif and the four demand-key shapes.  After M1's first
+    two edges the trie branches to M1 (saturating), M2 (δ) and path3
+    (δ/4): a node whose narrower children have different bounds."""
+    return [
+        (M1, 0), (M1, 1), (M1, delta), (M1, SATURATING),
+        (M2, delta), (M2, max(1, delta // 3)), (PING_PONG, 1),
+        (PING_PONG, SATURATING), (PATH3, max(1, delta // 4)),
+        (motif_by_name("edge"), 0), (motif_by_name("bifan"), delta),
+        (motif_by_name("fan-in"), delta), (TWO_PAIRS, SATURATING),
+    ]
+
+
+#: Slot sets for the per-edge parity: each maps δ to ``(motif, δ)`` pairs.
+SLOT_SETS = {
+    "live14": lambda delta: [
+        (motif_by_name(name), d) for name, d in sorted(
+            {(b["motif"], b["delta"]) for b in plan_subscriptions(100, delta)})
+    ],
+    "grid": lambda delta: [
+        (m, delta) for _, m in sorted(paranjape_grid().items())
+    ],
+    "duplicates": lambda delta: [
+        (M1, delta), (M1, delta), (M1_RELABELLED, delta), (M2, delta),
+        (M2, delta),
+    ],
+    "mixed-delta": mixed_delta_slots,
+}
+
+
+def per_edge_completions(edges, slots):
+    """Replay ``edges`` through one engine holding every slot; one row of
+    per-slot completions per edge."""
+    engine = FamilyStreamEngine()
+    handles = [engine.add_slot(Slot(m, d)) for m, d in slots]
+    buffer = StreamBuffer(0)
+    rows = []
+    for s, d, t in edges:
+        _, t_adj = buffer.append(s, d, t)
+        engine.step(s, d, t_adj)
+        rows.append([engine.completed.count(h) for h in handles])
+    return rows
+
+
+def mackey_last_edge_histogram(graph, motif, delta):
+    """Matches per last edge: entry ``i`` is ``count(prefix of i + 1
+    edges) - count(prefix of i edges)``, since the time-sorted,
+    uniquified edge arrays of a prefix are a prefix of the whole."""
+    hist = [0] * graph.num_edges
+    result = MackeyMiner(graph, motif, delta, record_matches=True).mine()
+    for match in result.matches:
+        hist[match.edge_indices[-1]] += 1
+    return hist
 
 
 @pytest.fixture(scope="module")
@@ -133,6 +208,47 @@ class TestPrefixReplay:
         counter.add_batch(edges)
         prefix_graph = TemporalGraph(edges, num_nodes=g.num_nodes)
         assert counter.count == count_motifs(prefix_graph, M1, delta)
+
+    @pytest.mark.parametrize("slot_set", SLOT_SETS)
+    @pytest.mark.parametrize("family", DATASET_NAMES)
+    def test_per_edge_slot_completions_equal_prefix_differences(
+        self, family, slot_set, family_graphs
+    ):
+        g, delta = family_graphs[family]
+        slots = SLOT_SETS[slot_set](delta)
+        got = per_edge_completions(_edges_of(g), slots)
+        for i, (motif, slot_delta) in enumerate(slots):
+            want = mackey_last_edge_histogram(g, motif, slot_delta)
+            assert [row[i] for row in got] == want, (
+                f"{motif.name} at delta={slot_delta} diverged"
+            )
+        # The histogram is the prefix differences: check it against
+        # whole prefix graphs at a few cut points.
+        edges = _edges_of(g)
+        for k in (1, len(edges) // 3, len(edges) - 1):
+            prefix = TemporalGraph(edges[:k], num_nodes=g.num_nodes)
+            for i, (motif, slot_delta) in enumerate(slots[:4]):
+                assert sum(row[i] for row in got[:k]) == count_motifs(
+                    prefix, motif, slot_delta)
+
+    @pytest.mark.parametrize(
+        "case", DELTA_BOUNDARY_CASES, ids=lambda c: c.name
+    )
+    def test_per_edge_slot_completions_on_delta_cases(self, case):
+        """Literal prefix differences: Mackey on every prefix graph."""
+        slots = [(case.motif, case.delta)] + mixed_delta_slots(case.delta)
+        edges = _edges_of(case.graph())
+        got = per_edge_completions(edges, slots)
+        for i, (motif, slot_delta) in enumerate(slots):
+            prefix_counts = [0] + [
+                count_motifs(TemporalGraph(edges[:k]), motif, slot_delta)
+                for k in range(1, len(edges) + 1)
+            ]
+            want = [b - a for a, b in zip(prefix_counts, prefix_counts[1:])]
+            assert [row[i] for row in got] == want, (
+                f"{motif.name} at delta={slot_delta} diverged"
+            )
+        assert sum(row[0] for row in got) == case.expected
 
     @pytest.mark.parametrize("family", ["email-eu", "superuser"])
     def test_snapshot_byte_identical_to_batch_graph(
