@@ -23,6 +23,17 @@ from typing import Iterable, Iterator, List, Sequence, Set, Tuple
 import numpy as np
 
 
+def fingerprint_arrays(num_nodes: int, src, dst, ts) -> str:
+    """The :meth:`TemporalGraph.fingerprint` digest of canonical arrays
+    (time-sorted, strictly increasing ``ts``) without building a graph."""
+    h = hashlib.blake2b(digest_size=16)
+    h.update(b"TemporalGraph-v1")
+    h.update(int(num_nodes).to_bytes(8, "little"))
+    for a in (src, dst, ts):
+        h.update(np.ascontiguousarray(a, dtype=np.int64).tobytes())
+    return h.hexdigest()
+
+
 @dataclass(frozen=True)
 class TemporalEdge:
     """A directed timestamped edge ``src -> dst`` at time ``t``."""
@@ -256,12 +267,9 @@ class TemporalGraph:
         """
         fp = getattr(self, "_fingerprint", None)
         if fp is None:
-            h = hashlib.blake2b(digest_size=16)
-            h.update(b"TemporalGraph-v1")
-            h.update(self._num_nodes.to_bytes(8, "little"))
-            for a in (self.src, self.dst, self.ts):
-                h.update(np.ascontiguousarray(a, dtype=np.int64).tobytes())
-            fp = h.hexdigest()
+            fp = fingerprint_arrays(
+                self._num_nodes, self.src, self.dst, self.ts
+            )
             self._fingerprint = fp
         return fp
 

@@ -5,9 +5,11 @@ clients append edge batches to named mutable graphs
 (:class:`~repro.live.ingest.LiveGraph`), register standing motif
 queries (:class:`~repro.live.subscriptions.Subscription`, views over
 one :class:`~repro.live.subscriptions.SharedCounter` slot per distinct
-query, in one shared stream engine per attach position) and receive
-pushed events — per-window updates and threshold alerts — through
-bounded at-least-once outboxes (:class:`~repro.live.outbox.Outbox`).
+(motif, δ), in one shared stream engine per attach position, and one
+:class:`~repro.live.subscriptions.EventGroup` per distinct query) and
+receive pushed events — per-window updates and threshold alerts —
+through bounded at-least-once outboxes
+(:class:`~repro.live.outbox.Outbox`, views of their group's event log).
 Every live firing is checkable byte-for-byte against an offline
 ``repro.streaming`` replay (:mod:`repro.live.oracle`).
 """
@@ -24,12 +26,14 @@ from repro.live.outbox import Outbox
 from repro.live.subscriptions import (
     THRESHOLD,
     UPDATE,
+    EventGroup,
     SharedCounter,
     Subscription,
     WindowTracker,
 )
 
 __all__ = [
+    "EventGroup",
     "LiveGraph",
     "LiveManager",
     "Outbox",

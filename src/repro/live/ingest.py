@@ -23,8 +23,11 @@ engines:
    per attach position, with one
    :class:`~repro.live.subscriptions.SharedCounter` slot per (motif, δ)
    however many subscriptions read it — then the graph **version**
-   bumps, each slot's window expires once and every subscription is
-   evaluated against its slot.
+   bumps, each slot's window expires once and each
+   :class:`~repro.live.subscriptions.EventGroup` (one per distinct
+   query: slot, motif name, kind, threshold) is evaluated once,
+   appending at most one event body to the log its members' outboxes
+   view.  Nothing on the ack path runs once per subscriber.
 
    Slots are interned by ``(motif.canonical_key(), δ, edges released
    when the subscription attached)``, and the engine by the last of
@@ -33,7 +36,9 @@ engines:
    released stream, so a subscriber that opens mid-feed gets a slot in
    a new engine and counts only matches lying wholly after it opened.
    An engine gains slots only before its first edge, which holds by
-   construction: its attach position *is* the edge count.
+   construction: its attach position *is* the edge count.  For the
+   same reason a group gains members only before its first event, so
+   an event's position in the group's log is its seq for every member.
 
 3. Ingestion is **idempotent per batch sequence number**: a retried
    batch (client timeout, killed worker) whose ``seq`` was already
@@ -56,7 +61,7 @@ from collections import OrderedDict
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.graph.temporal_graph import TemporalGraph
-from repro.live.subscriptions import SharedCounter, Subscription
+from repro.live.subscriptions import EventGroup, SharedCounter, Subscription
 from repro.resilience.faults import fault_point
 from repro.streaming.counter import FamilyStreamEngine
 from repro.streaming.window import StreamBuffer
@@ -178,9 +183,9 @@ class LiveGraph:
 
     Owns the ingestion lock, the reorder buffer, the shared
     :class:`StreamBuffer` (edge log + δ-window ring), the standing
-    subscriptions attached to it with the interned slots they read and
-    the engines those slots belong to, and the per-batch idempotency
-    ledger.
+    subscriptions attached to it with the interned slots and event
+    groups they read and the engines those slots belong to, and the
+    per-batch idempotency ledger.
     The **version** counts applied snapshots: it bumps exactly when at
     least one edge reaches the edge log, so every version names distinct
     content and ``(name, version)`` is a stable cache key.
@@ -204,9 +209,11 @@ class LiveGraph:
         self.version = 0
         self.subscriptions: "OrderedDict[str, Subscription]" = OrderedDict()
         #: Interned incremental state, ref-counted by attach/detach: the
-        #: slots, and one engine per attach position holding them.
+        #: slots, one engine per attach position holding them, and the
+        #: event groups reading the slots.
         self._counters: Dict[Tuple, SharedCounter] = {}
         self._families: Dict[int, FamilyStreamEngine] = {}
+        self._groups: Dict[Tuple, EventGroup] = {}
         #: seq -> ack for recently applied batches (bounded, FIFO evict).
         self._acks: "OrderedDict[int, Dict]" = OrderedDict()
         #: Applied seqs: every seq in [_run_lo, _run_hi), plus the sparse
@@ -315,17 +322,16 @@ class LiveGraph:
                         counter.window.record(t_adj, completed)
                         counter.batch_completed += completed
 
-        events: List[Dict] = []
+        events = 0
         if released:
             self.version += 1
             t_now = self.buffer.t_now
             window_edges = self.buffer.window_size
             for counter in counters:
                 counter.window.expire(t_now)
-            for sub in self.subscriptions.values():
-                event = sub.evaluate(self.version, t_now, window_edges)
-                if event is not None:
-                    events.append(event)
+            for group in self._groups.values():
+                if group.evaluate(self.version, t_now, window_edges):
+                    events += group.refs
             if self._on_commit is not None:
                 self._on_commit(self, self.version)
 
@@ -342,7 +348,7 @@ class LiveGraph:
             "num_edges": self.buffer.num_edges,
             "window_edges": self.buffer.window_size,
             "t_now": self.buffer.t_now,
-            "events": len(events),
+            "events": events,
         }
         self._mark_applied(seq)
         self._acks[seq] = ack
@@ -353,11 +359,16 @@ class LiveGraph:
     # -- subscriptions ---------------------------------------------------------
 
     def attach(self, sub: Subscription) -> None:
-        """Point ``sub`` at the slot for its query, opening it if new.
+        """Point ``sub`` at the event group for its query, opening the
+        group (and its slot) if new.
 
         Subscriptions share a slot iff motif shape, δ and the number of
         edges released so far all agree — i.e. they will see exactly the
         same edges — so sharing never changes what any of them counts.
+        They share a group iff they also agree on graph name, motif name,
+        kind and threshold, i.e. on every event body.  A group's first
+        event needs a released edge, which moves the attach position, so
+        every member joins its group's log before that event.
         """
         with self.lock:
             if sub.sub_id in self.subscriptions:
@@ -377,23 +388,39 @@ class LiveGraph:
                 family.add_slot(counter)
                 self._counters[key] = counter
             counter.refs += 1
-            sub.counter = counter
+            group_key = (
+                key, sub.graph_name, sub.motif.name, sub.kind, sub.threshold
+            )
+            group = self._groups.get(group_key)
+            if group is None:
+                group = EventGroup(group_key, counter, sub)
+                self._groups[group_key] = group
+            else:
+                sub.outbox.join(group.log)
+            group.refs += 1
+            sub.group = group
             self.subscriptions[sub.sub_id] = sub
 
     def detach(self, sub_id: str) -> Subscription:
         with self.lock:
             sub = self.subscriptions.pop(sub_id, None)
             if sub is not None:
-                counter = sub.counter
+                group = sub.group
+                group.refs -= 1
+                if group.refs == 0:
+                    del self._groups[group.key]
+                counter = group.counter
                 counter.refs -= 1
                 if counter.refs == 0:
                     del self._counters[counter.key]
                     counter.engine.remove_slot(counter)
                     if not counter.engine.slots:
                         del self._families[counter.key[2]]
+                # Under the lock, so no commit appends to the group's log
+                # between leaving the group and closing the view.
+                sub.close()
         if sub is None:
             raise KeyError(sub_id)
-        sub.close()
         return sub
 
     @property
@@ -401,6 +428,11 @@ class LiveGraph:
         """Distinct (motif, δ, attach position) slots the attached
         subscriptions are views over."""
         return len(self._counters)
+
+    @property
+    def event_groups(self) -> int:
+        """Distinct standing queries: event bodies built per version."""
+        return len(self._groups)
 
     # -- snapshots / introspection ---------------------------------------------
 
@@ -416,7 +448,6 @@ class LiveGraph:
 
     def status(self) -> Dict:
         with self.lock:
-            window = self.buffer.window_snapshot()
             return {
                 "graph": self.name,
                 "delta": self.delta,
@@ -428,7 +459,8 @@ class LiveGraph:
                 "batches_applied": self.batches_applied,
                 "subscriptions": len(self.subscriptions),
                 "counters": self.shared_counters,
-                "window_fingerprint": window.fingerprint(),
+                "groups": self.event_groups,
+                "window_fingerprint": self.buffer.window_fingerprint(),
                 "reorder": self.reorder.stats(),
             }
 
@@ -439,6 +471,7 @@ class LiveGraph:
             self.subscriptions.clear()
             self._counters.clear()
             self._families.clear()
+            self._groups.clear()
 
     def __repr__(self) -> str:
         return (

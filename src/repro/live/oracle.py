@@ -21,10 +21,11 @@ What they share beyond the engine class are the event builders, the
 :func:`~repro.live.subscriptions.crossed` arming rule, so a
 byte-for-byte match between live firings and oracle events proves the
 live data path (reordering, shared-buffer adjustment, slot and trie
-sharing across motifs and δ, per-batch evaluation, outbox seq
-stamping) is equivalent to an unshared offline replay.  It does not
-prove the engine itself right, since both sides run it: the engine's
-reference is the per-edge, per-slot parity with
+sharing across motifs and δ, one event log per group of identical
+queries, per-batch evaluation, seq stamping at read) is equivalent to
+an unshared offline replay.  It does not prove the engine itself
+right, since both sides run it: the engine's reference is the
+per-edge, per-slot parity with
 :class:`~repro.mining.mackey.MackeyMiner` prefix counts in
 ``tests/test_streaming_parity.py``.
 
@@ -192,5 +193,5 @@ def offline_replay(
         "num_edges": graph_buffer.num_edges,
         "t_now": graph_buffer.t_now,
         "window_edges": graph_buffer.window_size,
-        "window_fingerprint": graph_buffer.window_snapshot().fingerprint(),
+        "window_fingerprint": graph_buffer.window_fingerprint(),
     }

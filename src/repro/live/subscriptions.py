@@ -12,18 +12,23 @@ pushes.  Two kinds:
   then re-arm once it falls back to or below it (edge-triggered, so a
   sustained burst produces one alert, not one per batch).
 
-Subscriptions are **views**: the incremental state lives in a
+Subscriptions are **views**.  The incremental state lives in a
 :class:`SharedCounter` — one slot of a
 :class:`~repro.streaming.counter.FamilyStreamEngine` (the same
 continuation tables, under the same eviction bound, as the offline
 streaming counters) plus a :class:`WindowTracker` deque of recent
-completion times.  The owning ``LiveGraph`` keeps one engine per attach
-position and one slot per (motif, δ) in it, so a hundred subscriptions
-over fourteen (motif, δ) pairs advance one engine per released edge,
-and partials the fourteen share are rooted and stored once.  A
+completion times.  What the subscribers of one distinct query share
+beyond the count — the alert latch and the events — lives in an
+:class:`EventGroup`.  The owning ``LiveGraph`` keeps one engine per
+attach position, one slot per (motif, δ) in it and one group per
+(slot, motif name, kind, threshold), so a hundred subscriptions over
+fourteen (motif, δ) pairs advance one engine per released edge, and a
+thousand over thirty-five distinct queries build thirty-five event
+bodies per version, each stored once in its group's log.  A
 :class:`Subscription` keeps only what is the subscriber's own: id, the
-motif as the subscriber spelled it, kind, threshold, the alert latch,
-the fire count and the outbox.
+query as the subscriber spelled it, and its
+:class:`~repro.live.outbox.Outbox` — a view of the group's log with its
+own capacity and read accounting.
 
 Event payloads are built by the module-level builders below and alerts
 armed by :func:`crossed`, all of which the offline oracle
@@ -167,10 +172,86 @@ class SharedCounter(Slot):
         self.refs = 0
 
 
+class EventGroup:
+    """What the subscribers of one distinct standing query share.
+
+    Interned by the owning :class:`~repro.live.ingest.LiveGraph` under
+    ``(slot key, graph name, motif name, kind, threshold)`` and
+    ref-counted by attach/detach like the slots.  It is evaluated once
+    per committed version: one alert latch, and one event body (without
+    ``subscription`` or ``seq``, which a read stamps) appended to one
+    bounded :class:`~repro.live.outbox.EventLog` that every member's
+    outbox views.  The log is the opener's, so drops are charged through
+    the opener's ``on_drop``; a :class:`~repro.live.manager.LiveManager`
+    gives every subscription the same one.
+    """
+
+    __slots__ = (
+        "key", "counter", "graph_name", "motif_name", "delta", "kind",
+        "threshold", "armed", "log", "refs",
+    )
+
+    def __init__(
+        self, key: Tuple, counter: SharedCounter, opener: "Subscription"
+    ) -> None:
+        self.key = key
+        self.counter = counter
+        self.graph_name = opener.graph_name
+        self.motif_name = opener.motif.name
+        self.delta = opener.delta
+        self.kind = opener.kind
+        self.threshold = opener.threshold
+        self.armed = True
+        self.log = opener.outbox.log
+        self.refs = 0
+
+    def evaluate(self, version: int, t_now: int, window_edges: int) -> bool:
+        """End-of-batch evaluation; True when an event was appended.
+
+        The counter has already been advanced and its window expired for
+        this batch.
+        """
+        counter = self.counter
+        window_count = counter.window.window_count
+        if self.kind == UPDATE:
+            body = build_update_event(
+                None,
+                self.graph_name,
+                self.motif_name,
+                self.delta,
+                version,
+                t_now,
+                counter.count,
+                counter.batch_completed,
+                window_count,
+                window_edges,
+            )
+        else:
+            fired, self.armed = crossed(
+                window_count, self.threshold, self.armed
+            )
+            if not fired:
+                return False
+            body = build_alert_event(
+                None,
+                self.graph_name,
+                self.motif_name,
+                self.delta,
+                version,
+                t_now,
+                counter.count,
+                window_count,
+                self.threshold,
+            )
+        del body["subscription"]
+        self.log.append(body)
+        return True
+
+
 class Subscription:
-    """One standing motif query: a view over a :class:`SharedCounter`
-    plus what is the subscriber's own — kind, threshold, the alert
-    latch, the fire count and the delivery outbox."""
+    """One standing motif query: what the subscriber asked for, and its
+    outbox — a view, with its own capacity and read accounting, over
+    the log of the :class:`EventGroup` it is attached to."""
 
     def __init__(
         self,
@@ -203,8 +284,7 @@ class Subscription:
         self.threshold = threshold
         #: Set by :meth:`LiveGraph.attach` and kept after detach, when it
         #: moves only for as long as another subscription still reads it.
-        self.counter: Optional[SharedCounter] = None
-        self.armed = True
+        self.group: Optional[EventGroup] = None
         self.outbox = Outbox(
             sub_id,
             capacity=outbox_capacity,
@@ -212,61 +292,26 @@ class Subscription:
             on_deliver=on_deliver,
             on_gap=on_gap,
         )
-        self.fires = 0
-
-    # -- evaluation (called under the owning LiveGraph's lock) -----------------
-
-    def evaluate(
-        self, version: int, t_now: int, window_edges: int
-    ) -> Optional[Dict]:
-        """End-of-batch evaluation; returns the emitted event (if any).
-
-        The counter has already been advanced and its window expired for
-        this batch.  The emitted event is already appended to the outbox.
-        """
-        counter = self.counter
-        window_count = counter.window.window_count
-        event: Optional[Dict] = None
-        if self.kind == UPDATE:
-            event = build_update_event(
-                self.sub_id,
-                self.graph_name,
-                self.motif.name,
-                self.delta,
-                version,
-                t_now,
-                counter.count,
-                counter.batch_completed,
-                window_count,
-                window_edges,
-            )
-        else:
-            fired, self.armed = crossed(
-                window_count, self.threshold, self.armed
-            )
-            if fired:
-                event = build_alert_event(
-                    self.sub_id,
-                    self.graph_name,
-                    self.motif.name,
-                    self.delta,
-                    version,
-                    t_now,
-                    counter.count,
-                    window_count,
-                    self.threshold,
-                )
-        if event is not None:
-            self.fires += 1
-            self.outbox.append(event)
-        return event
 
     # -- introspection ---------------------------------------------------------
 
     @property
+    def counter(self) -> Optional[SharedCounter]:
+        return self.group.counter if self.group else None
+
+    @property
+    def armed(self) -> bool:
+        return self.group.armed if self.group else True
+
+    @property
+    def fires(self) -> int:
+        """Events emitted to this subscription: its outbox's last seq."""
+        return self.outbox.last_seq
+
+    @property
     def count(self) -> int:
         """Cumulative matches completed since the subscription opened."""
-        return self.counter.count if self.counter else 0
+        return self.group.counter.count if self.group else 0
 
     def status(self) -> Dict:
         counter = self.counter

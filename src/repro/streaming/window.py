@@ -11,8 +11,9 @@ adjacency is kept on ingest:
   chronological temporal edge list);
 - the **node count**, the largest node id seen plus one — one integer,
   so a single huge node id costs nothing on ingest;
-- a **window ring**: a deque of the edge indices whose timestamps are
-  still inside the sliding window ``[t_now - δ, t_now]``.  Only these
+- a **window ring**: the edges whose timestamps are still inside the
+  sliding window ``[t_now - δ, t_now]``.  The log is time-sorted, so
+  they are a suffix of it and the ring is one start index.  Only these
   edges can participate in a match completed by a future arrival
   (a δ-temporal match spans at most δ), so the ring's length is the
   natural occupancy metric for the continuation tables.
@@ -26,12 +27,11 @@ pins.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from repro.graph.temporal_graph import TemporalGraph
+from repro.graph.temporal_graph import TemporalGraph, fingerprint_arrays
 from repro.graph.window import window_horizon
 
 
@@ -46,7 +46,8 @@ class StreamBuffer:
         self._dst: List[int] = []
         self._ts: List[int] = []
         self._num_nodes = 0
-        self._ring: Deque[int] = deque()
+        #: Log index of the oldest edge inside the window.
+        self._lo = 0
         self._last_raw_t: int | None = None
         self._peak_window = 0
 
@@ -79,13 +80,13 @@ class StreamBuffer:
         if src >= self._num_nodes or dst >= self._num_nodes:
             self._num_nodes = max(src, dst) + 1
 
-        # Slide the window: evict ring entries older than t_adj - δ.
-        ring, ts, horizon = self._ring, self._ts, window_horizon(t_adj, self.delta)
-        while ring and ts[ring[0]] < horizon:
-            ring.popleft()
-        ring.append(idx)
-        if len(ring) > self._peak_window:
-            self._peak_window = len(ring)
+        # Slide the window: evict edges older than t_adj - δ.
+        ts, lo, horizon = self._ts, self._lo, window_horizon(t_adj, self.delta)
+        while lo < idx and ts[lo] < horizon:
+            lo += 1
+        self._lo = lo
+        if idx + 1 - lo > self._peak_window:
+            self._peak_window = idx + 1 - lo
         return idx, t_adj
 
     # -- accessors -------------------------------------------------------------
@@ -101,7 +102,7 @@ class StreamBuffer:
     @property
     def window_size(self) -> int:
         """Edges currently inside the sliding window ``[t_now - δ, t_now]``."""
-        return len(self._ring)
+        return len(self._ts) - self._lo
 
     @property
     def peak_window_size(self) -> int:
@@ -114,7 +115,7 @@ class StreamBuffer:
 
     def window_indices(self) -> Tuple[int, ...]:
         """Edge-log indices currently inside the window, oldest first."""
-        return tuple(self._ring)
+        return tuple(range(self._lo, len(self._ts)))
 
     # -- snapshots -------------------------------------------------------------
 
@@ -140,10 +141,22 @@ class StreamBuffer:
         Node IDs are preserved (as in ``subgraph_by_time``) so counts on
         the window remain comparable with the full prefix.
         """
-        rows = [
-            (self._src[i], self._dst[i], self._ts[i]) for i in self._ring
-        ]
+        lo = self._lo
+        rows = list(zip(self._src[lo:], self._dst[lo:], self._ts[lo:]))
         return TemporalGraph(rows, num_nodes=self.num_nodes or None)
+
+    def window_fingerprint(self) -> str:
+        """``window_snapshot().fingerprint()`` in O(window) time and memory.
+
+        The window's edges are already time-sorted with strictly
+        increasing timestamps, so the canonical arrays the snapshot
+        would hash are the log's suffix as it stands; no graph, and no
+        CSR offsets sized by the largest node id, is built.
+        """
+        lo = self._lo
+        return fingerprint_arrays(
+            self._num_nodes, self._src[lo:], self._dst[lo:], self._ts[lo:]
+        )
 
     def __len__(self) -> int:
         return self.num_edges

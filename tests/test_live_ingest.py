@@ -7,7 +7,7 @@ import time
 import pytest
 
 from repro.graph.generators import make_dataset
-from repro.graph.temporal_graph import TemporalGraph
+from repro.graph.temporal_graph import TemporalGraph, fingerprint_arrays
 from repro.live.ingest import LiveGraph, ReorderBuffer
 from repro.live.subscriptions import Subscription
 from repro.mining.mackey import MackeyMiner
@@ -163,6 +163,25 @@ class TestLiveGraph:
         assert live.buffer.num_nodes == big + 1
         assert live.snapshot().fingerprint() == \
             TemporalGraph([(0, big, 1)]).fingerprint()
+
+    def test_status_hashes_the_window_without_building_a_graph(
+        self, monkeypatch
+    ):
+        """``status()`` hashes the window in O(window): a node id of 10**9
+        would need CSR offsets of 16 GB in a window graph."""
+        big = 10**9
+        live = LiveGraph("g", delta=6)
+        live.append_batch([(0, big, 1), (big, 1, 3), (2, 0, 9)], seq=0)
+
+        def no_graph(*args, **kwargs):
+            raise AssertionError("status() built a graph")
+
+        monkeypatch.setattr(TemporalGraph, "__init__", no_graph)
+        monkeypatch.setattr(TemporalGraph, "from_arrays", no_graph)
+        status = live.status()
+        assert status["window_edges"] == 2
+        assert status["window_fingerprint"] == \
+            fingerprint_arrays(big + 1, [big, 2], [1, 0], [3, 9])
 
 
 class TestVersionedServing:

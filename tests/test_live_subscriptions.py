@@ -8,11 +8,14 @@ import pytest
 
 from repro.graph.generators import make_dataset
 from repro.graph.temporal_graph import TemporalGraph
+from repro.live import subscriptions
+from repro.live.driver import plan_subscriptions
 from repro.live.ingest import LiveGraph
 from repro.live.outbox import Outbox
 from repro.live.subscriptions import (
     THRESHOLD,
     UPDATE,
+    EventGroup,
     Subscription,
     WindowTracker,
     crossed,
@@ -276,18 +279,25 @@ class TestSharedCounters:
             return [payload_bytes(e) for e in sub.outbox.read_after(0)]
 
         live = LiveGraph("g", delta)
-        steady = self.sub("steady", delta, outbox_capacity=len(edges))
+        drops = []
+        steady = self.sub("steady", delta, outbox_capacity=len(edges),
+                          on_drop=drops.append)
         live.attach(steady)
         stop = threading.Event()
         errors = []
+        churned = []
 
         def churn(worker):
             try:
                 i = 0
                 while not stop.is_set():
                     sub_id = f"churn-{worker}-{i}"
-                    live.attach(self.sub(sub_id, delta if i % 2 else delta // 2))
+                    # Capacity 1: a churner that sees two events drops one.
+                    sub = self.sub(sub_id, delta if i % 2 else delta // 2,
+                                   outbox_capacity=1, on_drop=drops.append)
+                    live.attach(sub)
                     live.detach(sub_id)
+                    churned.append(sub)
                     i += 1
             except Exception as exc:  # surfaced below
                 errors.append(exc)
@@ -298,7 +308,8 @@ class TestSharedCounters:
         try:
             for w in workers:
                 w.start()
-            self.push(live, edges, 0, len(edges), size=5)
+            acks = [live.append_batch(edges[i:i + 5], seq=i)
+                    for i in range(0, len(edges), 5)]
         finally:
             stop.set()
             for w in workers:
@@ -309,9 +320,201 @@ class TestSharedCounters:
         assert live.shared_counters == 1 and steady.counter.refs == 1
         assert [payload_bytes(e) for e in steady.outbox.read_after(0)] == \
             quiet_run()
+        # A detached view gets no event committed after it left, and its
+        # drops are charged exactly while it is attached: the acks count
+        # every event any view holds, and the drop callbacks every drop
+        # the views report.
+        views = [steady] + churned
+        assert sum(ack["events"] for ack in acks) == \
+            sum(sub.fires for sub in views)
+        assert sum(drops) == \
+            sum(sub.outbox.stats()["dropped"] for sub in views)
+
+
+class TestEventGroups:
+    def test_one_evaluation_and_at_most_one_body_per_group_per_commit(
+        self, monkeypatch
+    ):
+        """On live_subs' feed (wiki-talk x0.04, δ = span/40, ten edges a
+        batch), 100 and 1,000 subscriptions are the same 35 distinct
+        queries: each commit evaluates each once and builds one body per
+        group that fires, never one per subscriber."""
+        g = make_dataset("wiki-talk", scale=0.04, seed=1127)
+        edges = list(zip(g.src.tolist(), g.dst.tolist(), g.ts.tolist()))
+        delta = max(1, g.time_span // 40)
+        built, evaluated = [], []
+        for name in ("build_update_event", "build_alert_event"):
+            real = getattr(subscriptions, name)
+            monkeypatch.setattr(
+                subscriptions, name,
+                lambda *args, _real=real: built.append(args[0]) or _real(*args))
+        evaluate = EventGroup.evaluate
+        monkeypatch.setattr(
+            EventGroup, "evaluate",
+            lambda group, *args: evaluated.append(group) or evaluate(group, *args))
+
+        def run(num_subs):
+            live = LiveGraph("feed", delta)
+            for i, body in enumerate(plan_subscriptions(num_subs, delta)):
+                live.attach(Subscription(
+                    f"sub-{i}", "feed", motif_by_name(body["motif"]),
+                    body["delta"], kind=body["kind"],
+                    threshold=body.get("threshold"),
+                    outbox_capacity=len(edges)))
+            assert live.event_groups == 35 and live.shared_counters == 14
+            groups = {sub.group for sub in live.subscriptions.values()}
+            per_commit = []
+            for i in range(0, len(edges), 10):
+                built.clear()
+                evaluated.clear()
+                before = {group: group.log.last_seq for group in groups}
+                ack = live.append_batch(edges[i:i + 10], seq=i)
+                fired = [group for group in groups
+                         if group.log.last_seq > before[group]]
+                assert ack["released"] and len(evaluated) == 35
+                assert set(evaluated) == groups
+                assert len(built) == len(fired) and set(built) == {None}
+                assert ack["events"] == sum(group.refs for group in fired)
+                per_commit.append(len(built))
+            return per_commit
+
+        hundred, thousand = run(100), run(1000)
+        assert hundred == thousand
+        assert min(hundred) >= 14 and max(hundred) <= 35
+
+    def test_a_group_is_ref_counted_like_its_slot(self):
+        live = LiveGraph("g", 50)
+        a, b = (Subscription(s, "g", motif_by_name("M1"), 50) for s in "ab")
+        c = Subscription("c", "g", motif_by_name("M1"), 50, kind=THRESHOLD,
+                         threshold=1)
+        for sub in (a, b, c):
+            live.attach(sub)
+        assert (live.shared_counters, live.event_groups) == (1, 2)
+        assert a.group is b.group is not c.group and a.group.refs == 2
+        assert a.outbox.log is b.outbox.log
+        live.detach("a")
+        assert live.event_groups == 2 and b.group.refs == 1
+        live.detach("b")
+        assert (live.shared_counters, live.event_groups) == (1, 1)
+        live.detach("c")
+        assert (live.shared_counters, live.event_groups) == (0, 0)
+        assert live.status()["groups"] == 0
+
+    def test_a_commit_racing_detach_is_not_the_detached_views(self):
+        """A commit that lands while ``detach`` closes a member's view
+        goes to the members that stay, not to the one leaving, so the
+        acks' ``events`` still equal the members' ``fires``."""
+        edges, delta = TestSharedCounters.feed()
+        live = LiveGraph("g", delta)
+        drops = []
+        leaving, staying = (
+            Subscription(s, "g", motif_by_name("M2"), delta,
+                         outbox_capacity=1, on_drop=drops.append)
+            for s in ("leaving", "staying"))
+        live.attach(leaving)
+        live.attach(staying)
+        acks = [live.append_batch(edges[:5], seq=0)]
+        feeder = threading.Thread(
+            target=lambda: acks.append(live.append_batch(edges[5:10], seq=5)))
+        close = leaving.close
+
+        def close_while_a_commit_lands():
+            feeder.start()
+            feeder.join(timeout=0.2)
+            close()
+
+        leaving.close = close_while_a_commit_lands
+        live.detach("leaving")
+        feeder.join(timeout=10)
+        assert not feeder.is_alive()
+        assert (leaving.fires, staying.fires) == (1, 2)
+        assert [ack["events"] for ack in acks] == [2, 1]
+        assert leaving.outbox.stats()["dropped"] == 0 and drops == [1]
+
+    def test_a_view_joins_only_an_empty_log(self):
+        box = Outbox("a", capacity=4)
+        box.append({"type": "update"})
+        with pytest.raises(ValueError, match="empty log"):
+            Outbox("b", capacity=4).join(box.log)
 
 
 class TestOutbox:
+    def test_reads_start_at_the_cursor(self):
+        """Four cursors — below the ring, inside it, at the last seq and
+        past it — on a view alone in its log and on a wider view beside
+        it: the same events, gap event and delivered and lag accounting
+        as a scan of every retained event gave."""
+        now = [0.0]
+        drops = []
+        seen = {"a": [], "b": []}
+        gaps = {"a": [], "b": []}
+
+        def view(owner, capacity):
+            return Outbox(owner, capacity=capacity, clock=lambda: now[0],
+                          on_drop=drops.append,
+                          on_deliver=lambda n, lag: seen[owner].append(lag),
+                          on_gap=gaps[owner].append)
+
+        narrow, wide = view("a", 4), view("b", 6)
+        wide.join(narrow.log)
+        for i in range(10):  # seq i + 1 enqueued at t = i + 1
+            now[0] = float(i + 1)
+            narrow.append({"type": "update", "i": i})
+        now[0] = 20.0
+        # Drops per append: the views already full (a from seq 5, b from 7).
+        assert drops == [1, 1, 2, 2, 2, 2]
+
+        def expect(owner, after, first):
+            out = []
+            if after + 1 < first:
+                out.append({"type": "gap", "subscription": owner,
+                            "from_seq": after + 1, "to_seq": first - 1,
+                            "dropped": first - 1 - after, "seq": first - 1})
+            out += [{"type": "update", "i": seq - 1, "subscription": owner,
+                     "seq": seq}
+                    for seq in range(max(after + 1, first), 11)]
+            return out
+
+        for box, first in ((narrow, 7), (wide, 5)):
+            owner = box.owner
+            delivered = 0
+            for after in (2, 8, 10, 13):
+                lags = len(seen[owner])
+                got = box.read_after(after)
+                assert got == expect(owner, after, first)
+                sent = [e["seq"] for e in got if e["type"] == "update"]
+                assert seen[owner][lags:] == [20.0 - seq for seq in sent]
+                delivered += len(sent)
+            assert gaps[owner] == [1]
+            stats = box.stats()
+            assert (stats["delivered"], stats["gap_events"]) == (delivered, 1)
+            assert stats["dropped"] == 10 - box.capacity
+            assert box.read_after(2, max_events=2) == \
+                expect(owner, 2, first)[:2]
+
+    def test_a_closed_view_keeps_what_it_retained(self):
+        """A wide view that closes beside a narrow one, while events keep
+        flowing, reads and reports exactly what an outbox of its own
+        capacity fed the same events up to its close would."""
+        narrow, wide = Outbox("a", capacity=2), Outbox("b", capacity=5)
+        wide.join(narrow.log)
+        alone = Outbox("b", capacity=5)
+        for i in range(7):
+            narrow.append({"type": "update", "i": i})
+            alone.append({"type": "update", "i": i})
+        wide.close()
+        alone.close()
+        for i in range(7, 20):
+            narrow.append({"type": "update", "i": i})
+        assert narrow.log.caps == [2] and len(narrow.log.events) == 2
+        for after in (0, 2, 3, 6, 7, 9):
+            assert wide.read_after(after) == alone.read_after(after)
+        assert wide.stats() == alone.stats()
+        assert (wide.last_seq, wide.retained) == (7, 5)
+        assert wide.wait_events(7, timeout_s=5) == []
+        assert [(e["type"], e["seq"]) for e in narrow.read_after(0)] == \
+            [("gap", 18), ("update", 19), ("update", 20)]
+
     def test_append_stamps_monotonic_seq_without_mutating_input(self):
         box = Outbox("sub-1", capacity=4)
         ev = {"type": "update"}
