@@ -21,8 +21,9 @@ Every generator is fully deterministic given ``(name, scale, seed)``.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 
@@ -201,6 +202,22 @@ def _power_law_weights(n: int, exponent: float, rng: np.random.Generator) -> np.
     return weights / weights.sum()
 
 
+def _picker(p: np.ndarray, rng: np.random.Generator) -> Callable[[], int]:
+    """A draw-for-draw replacement for ``int(rng.choice(len(p), p=p))``.
+
+    ``Generator.choice`` rebuilds the CDF of ``p`` (O(n)) on every call
+    and then draws one ``rng.random()``.  This builds the CDF once, the
+    way ``choice`` builds it (``cumsum``, then divide by the last
+    element), and spends the same single ``rng.random()`` per pick on a
+    binary search.  Each pick is O(log n), returns the index ``choice``
+    would and leaves the generator in the state ``choice`` would.
+    """
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    search, uniform = cdf.searchsorted, rng.random
+    return lambda: int(search(uniform(), side="right"))
+
+
 def synthesize(spec: DatasetSpec, scale: float = 1.0, seed: int = 0) -> TemporalGraph:
     """Generate a synthetic temporal graph for ``spec`` at ``scale``.
 
@@ -209,6 +226,14 @@ def synthesize(spec: DatasetSpec, scale: float = 1.0, seed: int = 0) -> Temporal
     edges with exponentially distributed inter-arrival gaps.  With
     probability ``reply_prob`` an edge is immediately answered by its
     reverse, which seeds the cyclic structure motifs M1/M3 match.
+
+    Cost: O(n log n) for the two popularity CDFs, then O(log n) per node
+    pick, so O(m log n) in all; edges go into one int64 buffer (24 bytes
+    per edge) that becomes the graph's ``(m, 3)`` input array.  RNG
+    contract: every pick consumes exactly the one ``rng.random()`` that
+    ``rng.choice(n, p=w)`` consumes (see :func:`_picker`), so the draw
+    sequence, and the graph, are those of the original per-edge
+    ``rng.choice`` loop for every ``(spec, scale, seed)``.
     """
     if scale <= 0:
         raise ValueError("scale must be positive")
@@ -217,38 +242,50 @@ def synthesize(spec: DatasetSpec, scale: float = 1.0, seed: int = 0) -> Temporal
     m_target = max(16, int(round(spec.base_edges * scale)))
     span = spec.span_days * SECONDS_PER_DAY
 
-    out_w = _power_law_weights(n, spec.degree_exponent, rng)
-    in_w = _power_law_weights(n, spec.degree_exponent, rng)
+    pick_out = _picker(_power_law_weights(n, spec.degree_exponent, rng), rng)
+    pick_in = _picker(_power_law_weights(n, spec.degree_exponent, rng), rng)
 
-    edges: List[Tuple[int, int, int]] = []
-    while len(edges) < m_target:
-        center = rng.uniform(0.0, span)
-        size = 1 + rng.geometric(1.0 / spec.session_size)
-        origin = int(rng.choice(n, p=out_w))
+    # Locals for the per-edge loop.  The thresholds are summed left to
+    # right, as ``reply_prob + cascade_prob + close_prob`` always was,
+    # so every comparison sees the same float and the graph is unchanged.
+    uniform, random, exponential = rng.uniform, rng.random, rng.exponential
+    geometric, p_session = rng.geometric, 1.0 / spec.session_size
+    reply = spec.reply_prob
+    cascade = reply + spec.cascade_prob
+    close = cascade + spec.close_prob
+    gap_scale = spec.session_scale_s
+    edges = array("q")  # flat (src, dst, t) triples
+    push = edges.extend
+    m = 0
+    while m < m_target:
+        center = uniform(0.0, span)
+        size = 1 + geometric(p_session)
+        origin = pick_out()
         prev_src, prev_dst = -1, -1
         t = center
         for _ in range(size):
-            if len(edges) >= m_target:
+            if m >= m_target:
                 break
-            r = rng.random()
-            if prev_dst >= 0 and r < spec.reply_prob:
+            r = random()
+            if prev_dst >= 0 and r < reply:
                 src, dst = prev_dst, prev_src  # reply
-            elif prev_dst >= 0 and r < spec.reply_prob + spec.cascade_prob:
+            elif prev_dst >= 0 and r < cascade:
                 src = prev_dst  # cascade: the recipient forwards onward
-                dst = int(rng.choice(n, p=in_w))
-            elif prev_dst >= 0 and prev_dst != origin and (
-                r < spec.reply_prob + spec.cascade_prob + spec.close_prob
-            ):
+                dst = pick_in()
+            elif prev_dst >= 0 and prev_dst != origin and r < close:
                 src, dst = prev_dst, origin  # close the chain into a cycle
             else:
-                src = origin if rng.random() < 0.6 else int(rng.choice(n, p=out_w))
-                dst = int(rng.choice(n, p=in_w))
+                src = origin if random() < 0.6 else pick_out()
+                dst = pick_in()
             if dst == src:
                 dst = (dst + 1) % n
-            t += rng.exponential(spec.session_scale_s)
-            edges.append((src, dst, int(min(t, span))))
+            t += exponential(gap_scale)
+            push((src, dst, int(t) if t < span else span))
+            m += 1
             prev_src, prev_dst = src, dst
-    return TemporalGraph(edges, num_nodes=n)
+    return TemporalGraph(
+        np.frombuffer(edges, dtype=np.int64).reshape(m, 3), num_nodes=n
+    )
 
 
 def make_dataset(name: str, scale: float = 1.0, seed: int = 0) -> TemporalGraph:

@@ -135,8 +135,15 @@ def open_runner(graph: TemporalGraph, num_workers: Optional[int]) -> ChunkRunner
     """The runner a one-shot caller mines ``graph`` on, as a context
     manager: in-process for ``num_workers <= 0`` (and for an empty
     graph, where process startup is all there would be), else a fresh
-    :class:`WorkerPool` (``None``: one worker per CPU)."""
+    :class:`WorkerPool` (``None``: one worker per CPU).
+
+    The pool has no wedge timeout: a one-shot run is as long as its
+    graph makes it, like the serial run, and the guided schedule's first
+    chunk holds 1 / (2 * workers) of the roots.  On wiki-talk at paper
+    size (7.8M edges) such a chunk takes longer than the serving pools'
+    30 s, so a timeout would kill every honest chunk until the respawn
+    budget ran out.  A worker that dies is still detected and replaced."""
     if (num_workers is not None and num_workers <= 0) or graph.num_edges == 0:
         return INLINE
-    return WorkerPool(num_workers)
+    return WorkerPool(num_workers, chunk_timeout_s=None)
 

@@ -26,6 +26,14 @@ CENSUS_JSON_SHA256 = (
     "3d55090a6220eee18ca770b48ba66adca964a6da2e9861029138b041788e67fb"
 )
 
+#: SHA-256 of the file ``generate wiki-talk --scale 0.3 --seed 5``
+#: writes, taken from the generator that called ``rng.choice`` per pick
+#: and the writer that formatted one ``TemporalEdge`` per line, before
+#: both became array-native.  The chunked writer must not move a byte.
+GENERATE_WIKI_SHA256 = (
+    "5bbc93ff4533a701ef8f77fa28ff40e373c2497dcdc8309d972f42039feaf9da"
+)
+
 
 @pytest.fixture
 def graph_file(tmp_path):
@@ -47,6 +55,14 @@ class TestGenerate:
         main(["generate", "email-eu", str(a), "--scale", "0.05", "--seed", "9"])
         main(["generate", "email-eu", str(b), "--scale", "0.05", "--seed", "9"])
         assert a.read_text() == b.read_text()
+
+    def test_generate_bytes_are_pinned(self, tmp_path):
+        out = tmp_path / "wiki.txt"
+        assert main(["generate", "wiki-talk", str(out), "--scale", "0.3",
+                     "--seed", "5"]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            GENERATE_WIKI_SHA256
+        )
 
 
 class TestMine:

@@ -1,14 +1,37 @@
 """Tests for the synthetic dataset generators."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.graph.generators import (
     DATASET_NAMES,
+    _picker,
     dataset_spec,
     make_dataset,
     synthesize,
 )
+
+#: ``(num_nodes, SHA-256 of src, dst and ts bytes)`` of every dataset at
+#: seed 0, taken from the generator that still called
+#: ``rng.choice(n, p=w)`` once per pick, before the CDF was built once
+#: per popularity vector.  A generator change that moves one draw of
+#: the RNG stream changes a digest here.
+PINNED_GRAPHS = {
+    ("email-eu", 0.3): (60, "b76c9d290ebe621b1ef3725f3c910526f0252f3cbf3fb74eb8d2eb51ee2c20e5"),
+    ("mathoverflow", 0.3): (180, "4279df1210cd3d41e9d7c72160ff061165e54fb07092e32e11cf5ec411466035"),
+    ("ask-ubuntu", 0.3): (450, "13c7e7725a8e234f9dd8b8cc641284fd6a6b2534c87b755cad7ae1f3fbfafdcc"),
+    ("superuser", 0.3): (540, "55bdfa51398ea276a8c0e9d57fa67871d99a41dda9b6a1d0a230c3bfe8ca08bf"),
+    ("wiki-talk", 0.3): (780, "6d02a70d94862ad74f7ea135d3f6caeb421d5ea6f5c9f0920489b51e528a23d8"),
+    ("stackoverflow", 0.3): (1260, "29de56f01da23ebda3601860b747f9ba56ba0973398cd75d72b0c8a16bce9f08"),
+    ("email-eu", 1.0): (200, "c8aa9566e3f36e7988dffbee59bd09da694eb59fe80c3d0069ef8103221a4677"),
+    ("mathoverflow", 1.0): (600, "5b594af66fadeb534234ad84916d1b3b2db9663348dd2f4ddf2f10c8bbaf5a93"),
+    ("ask-ubuntu", 1.0): (1500, "206ee93afea049405506e1efec8290c855bd43d379692917c867dedd5d03a932"),
+    ("superuser", 1.0): (1800, "967f2533a7c719a73bed08f2f7506c6076918fbd79b98365a14f5e0182381b24"),
+    ("wiki-talk", 1.0): (2600, "e10301b3374ab6d1dd3af286268b7ee25f84868e7c706b03de046a3cd3b0ce4f"),
+    ("stackoverflow", 1.0): (4200, "cd075d27d5c8e725ba15e3b0113404710f89cf0688815cd1b216a0648d0d1942"),
+}
 
 
 class TestDeterminism:
@@ -25,6 +48,43 @@ class TestDeterminism:
         assert not (
             np.array_equal(a.src, b.src) and np.array_equal(a.ts, b.ts)
         )
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize("name,scale", sorted(PINNED_GRAPHS))
+    def test_graph_bytes_are_pinned(self, name, scale):
+        g = make_dataset(name, scale=scale, seed=0)
+        h = hashlib.sha256()
+        for a in (g.src, g.dst, g.ts):
+            h.update(a.tobytes())
+        assert (g.num_nodes, h.hexdigest()) == PINNED_GRAPHS[name, scale]
+
+
+class TestPicker:
+    """``_picker(w, rng)()`` is ``int(rng.choice(len(w), p=w))``, draw for
+    draw, with the generator left in the same state."""
+
+    @staticmethod
+    def _normalised(w):
+        w = np.asarray(w, dtype=np.float64)
+        return w / w.sum()
+
+    @pytest.mark.parametrize("weights", [
+        pytest.param(np.ones(1000), id="equal"),
+        pytest.param(np.r_[np.full(500, 1e-12), np.ones(3), np.full(500, 1e-300)],
+                     id="tiny"),
+        pytest.param(np.arange(1, 9, dtype=np.float64) ** -2.15, id="n8"),
+        pytest.param(np.arange(1, 5001, dtype=np.float64) ** -1.9, id="zipf"),
+    ])
+    def test_same_indices_and_state_as_choice(self, weights):
+        w = self._normalised(weights)
+        ours, theirs = np.random.default_rng(17), np.random.default_rng(17)
+        pick = _picker(w, ours)
+        got = [pick() for _ in range(10_000)]
+        want = [int(theirs.choice(len(w), p=w)) for _ in range(10_000)]
+        assert got == want
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        assert ours.random() == theirs.random()
 
 
 class TestShape:

@@ -37,6 +37,16 @@ class TestParallelMiner:
         assert result.counters.matches == serial
         assert result.counters.root_tasks == graph.num_edges
 
+    def test_one_shot_pool_has_no_wedge_timeout(self, graph):
+        # A chunk's length grows with the graph (the first guided chunk
+        # holds a quarter of the roots at two workers); a fixed timeout
+        # killed every chunk of the wiki-talk x650 census.
+        with open_runner(graph, 2) as runner:
+            assert runner.chunk_timeout_s is None
+            result = runner.count(graph, M1, graph.time_span // 30)
+        assert runner.stats.wedged_kills == 0
+        assert result.count == count_motifs(graph, M1, graph.time_span // 30)
+
     def test_empty_graph(self):
         g = TemporalGraph([], num_nodes=2)
         with open_runner(g, 2) as runner:
