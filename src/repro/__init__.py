@@ -35,7 +35,6 @@ from repro.sim.accelerator import MintSimulator
 from repro.streaming.counter import (
     StreamingCatalogCounter,
     StreamingCounter,
-    StreamingGridCounter,
 )
 
 __version__ = "1.0.0"
@@ -57,6 +56,5 @@ __all__ = [
     "MintSimulator",
     "StreamingCatalogCounter",
     "StreamingCounter",
-    "StreamingGridCounter",
     "__version__",
 ]

@@ -9,16 +9,15 @@ Commands
 - ``simulate`` — run the Mint accelerator simulator on a workload.
 - ``experiment`` — regenerate one of the paper's tables/figures.
 - ``info`` — dataset statistics (Table I style) for a graph file.
-- ``stream`` — replay a dataset as an event stream through the
-  incremental sliding-window counter (online workload).
 - ``serve`` — serve motif queries over HTTP/JSON with coalescing,
   caching and backpressure (``repro.service``).
 - ``chaos`` — mine under seeded fault injection (worker kills, delays)
   with the supervised pool and verify byte-parity against the serial
   miner (``repro.resilience``); ``--cluster`` drills whole-node deaths
   across a sharded mining cluster instead (``repro.cluster``);
-  ``--live`` crashes the live ingest path around its commit point and
-  proves idempotent resume (``repro.live``).
+  ``--live`` runs the ``live`` feed while seeded faults crash the ingest
+  path around its commit point, and proves idempotent resume
+  (``repro.live``).
 - ``live`` — replay a dataset as a live ingest feed against a served
   ``repro.live`` graph with standing subscriptions, then verify every
   fired event and the final window snapshot byte-for-byte against the
@@ -172,45 +171,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     info = sub.add_parser("info", help="dataset statistics for a graph file")
     info.add_argument("graph")
-
-    stream = sub.add_parser(
-        "stream",
-        help="replay a dataset as an event stream (incremental counting)",
-    )
-    stream.add_argument(
-        "graph",
-        help="SNAP text file, or a generator dataset name "
-        f"({', '.join(DATASET_NAMES)})",
-    )
-    stream.add_argument("--delta", type=int, required=True, help="window (s)")
-    stream.add_argument("--motif", default="M1", help="catalog motif name")
-    stream.add_argument(
-        "--catalog",
-        action="store_true",
-        help="count the full evaluation+extra motif catalog",
-    )
-    stream.add_argument(
-        "--grid",
-        action="store_true",
-        help="count the Paranjape 36-motif grid incrementally",
-    )
-    stream.add_argument(
-        "--batch-size", type=int, default=64, metavar="N",
-        help="edges ingested per batch (default 64)",
-    )
-    stream.add_argument(
-        "--max-edges", type=int, default=None, metavar="N",
-        help="replay only the first N edges (prefix stream)",
-    )
-    stream.add_argument(
-        "--per-batch",
-        action="store_true",
-        help="print the per-batch throughput/latency/occupancy table",
-    )
-    stream.add_argument("--scale", type=float, default=1.0,
-                        help="generator scale (dataset-name inputs)")
-    stream.add_argument("--seed", type=int, default=0,
-                        help="generator seed (dataset-name inputs)")
 
     serve = sub.add_parser(
         "serve",
@@ -620,54 +580,6 @@ def cmd_info(args) -> int:
     return 0
 
 
-def cmd_stream(args) -> int:
-    from repro.motifs.catalog import motif_by_name as _by_name
-    from repro.streaming import (
-        StreamingCatalogCounter,
-        StreamingCounter,
-        StreamingGridCounter,
-        format_batch_table,
-        format_replay_summary,
-        replay_stream,
-    )
-
-    if args.catalog and args.grid:
-        print("error: --catalog and --grid are mutually exclusive")
-        return 2
-    try:
-        graph, source = _resolve_graph_arg(args)
-    except ValueError as exc:
-        print(f"error: {exc}")
-        return 2
-
-    if args.grid:
-        counter = StreamingGridCounter(args.delta)
-        what = "36-motif grid"
-    elif args.catalog:
-        counter = StreamingCatalogCounter(delta=args.delta)
-        what = "motif catalog"
-    else:
-        counter = StreamingCounter(_by_name(args.motif), args.delta)
-        what = args.motif
-
-    result = replay_stream(
-        graph, counter, batch_size=args.batch_size, max_edges=args.max_edges
-    )
-    print(f"streamed {source} through {what} (delta={args.delta}s)")
-    print(format_replay_summary(result))
-    if args.per_batch:
-        print(format_batch_table(result, max_rows=200))
-    if args.grid:
-        print(render_grid(counter.grid_counts))
-        print(f"total: {counter.count:,}")
-    elif args.catalog:
-        rows = sorted(counter.counts.items())
-        print(format_table(["motif", "count"], rows))
-    else:
-        print(f"{args.motif} count: {counter.count:,}")
-    return 0
-
-
 def build_serve_server(args):
     """Construct the (service, http server) pair for ``repro serve``.
 
@@ -782,28 +694,41 @@ def _cmd_chaos_cluster(args) -> int:
 def _cmd_chaos_live(args) -> int:
     """The live-ingest chaos drill (``repro chaos --live``).
 
-    Replays a dataset as sequence-numbered ingest batches while a
-    seeded plan crashes the append path before and after its commit
-    point; the retrying producer must leave the graph with no edge lost
-    or duplicated, post-commit retries must be answered from the
-    idempotency ledger (``duplicate: true``), and every standing
-    subscription must have fired exactly the offline-replay event
-    stream.  Exit 0 = all invariants held.
+    Runs the ``repro live`` feed (:func:`repro.live.driver
+    .run_live_feed`, through the self-hosted HTTP front door) with a
+    seeded plan installed that crashes the append path before and after
+    its commit point.  Each crash answers HTTP 500 and the producer
+    re-sends the same ``seq``: no edge may be lost or duplicated,
+    post-commit retries must be answered from the idempotency ledger
+    (``duplicate: true``), and every standing subscription must have
+    fired exactly the offline-replay event stream.  Exit 0 = all
+    invariants held.
     """
-    from repro.live.driver import run_live_chaos
+    from repro.live.driver import (
+        build_live_chaos_plan,
+        check_feed,
+        run_live_feed,
+    )
 
+    num_subs = 6
     try:
         graph, source = _resolve_graph_arg(args)
+        num_batches = check_feed(
+            graph.num_edges, delta=args.delta, num_subs=num_subs,
+            batch_size=args.batch_size,
+        )
+        plan, _ = build_live_chaos_plan(num_batches, args.kills, args.seed)
     except ValueError as exc:
         print(f"error: {exc}")
         return 2
-    report = run_live_chaos(
-        graph,
-        delta=args.delta,
-        batch_size=args.batch_size,
-        kills=args.kills,
-        seed=args.seed,
-    )
+    with plan.installed():
+        report = run_live_feed(
+            graph,
+            delta=args.delta,
+            graph_name="chaos-feed",
+            num_subs=num_subs,
+            batch_size=args.batch_size,
+        )
     checks = report["checks"]
     rows = [
         ["graph", source],
@@ -903,18 +828,21 @@ def cmd_live(args) -> int:
     through the reorder buffer — then reads every fired event back over
     HTTP and byte-compares the lot (plus the final window snapshot's
     fingerprint) against the offline ``repro.streaming`` replay.
-    Exit 0 = parity held; 1 = it did not.
+    Exit 0 = every check of the report held; 1 = one did not; 2 = bad
+    arguments.
     """
-    from repro.live.driver import run_live_feed
+    from repro.live.driver import check_feed, run_live_feed
 
     try:
         graph, source = _resolve_graph_arg(args)
+        delta = args.delta if args.delta is not None else max(
+            1, graph.time_span // 40
+        )
+        check_feed(graph.num_edges, delta=delta, num_subs=args.subs,
+                   batch_size=args.batch_size)
     except ValueError as exc:
         print(f"error: {exc}")
         return 2
-    delta = args.delta if args.delta is not None else max(
-        1, graph.time_span // 40
-    )
     report = run_live_feed(
         graph,
         delta=delta,
@@ -937,23 +865,20 @@ def cmd_live(args) -> int:
         ["events fired", f"{report['events_total']:,}"],
         ["alerts fired", report["alerts_total"]],
         ["ingest rate (edges/s)", f"{report['edges_per_s']:,.0f}"],
+        ["delivery lag p99 (ms)",
+         f"{report['metrics']['delivery_lag_p99_s'] * 1e3:.2f}"],
     ]
-    if "metrics" in report:
-        m = report["metrics"]
-        rows.append(
-            ["delivery lag p99 (ms)",
-             f"{m['delivery_lag_p99_s'] * 1e3:.2f}"]
-        )
     parity_label = (
         "skipped" if args.no_verify
-        else ("OK" if report["parity"] else "FAILED")
+        else ("OK" if report["ok"] else "FAILED")
     )
     rows.append(["parity vs offline replay", parity_label])
     print(format_table(["live feed", "value"], rows))
-    if not report["parity"]:
+    if not report["ok"]:
+        failed = [n for n, ok in report["checks"].items() if not ok]
         print(
-            "PARITY FAILED: live subscription firings diverged from the "
-            f"offline streaming replay for {report['mismatched_subs']}"
+            f"LIVE FEED FAILED: {', '.join(failed)} (diverged "
+            f"subscriptions: {report['mismatched_subs'] or 'none'})"
         )
         return 1
     return 0
@@ -989,7 +914,6 @@ _COMMANDS = {
     "simulate": cmd_simulate,
     "experiment": cmd_experiment,
     "info": cmd_info,
-    "stream": cmd_stream,
     "serve": cmd_serve,
     "chaos": cmd_chaos,
     "live": cmd_live,

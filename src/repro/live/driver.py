@@ -1,15 +1,24 @@
-"""`repro live` driver: replay a dataset as a live feed and verify.
+"""The one feed driver: replay a dataset as a live feed and verify it.
 
-Drives a real server (self-hosted on a free port, or a remote ``--url``)
+:func:`run_live_feed` self-hosts a :class:`~repro.service.service
+.MotifService` and its HTTP server on a free port and drives them
 through the public HTTP surface: create a live graph, register standing
-subscriptions, POST the dataset as timed edge batches, then read every
-fired event back and check the whole run byte-for-byte against the
-offline :mod:`repro.streaming` replay (:func:`repro.live.oracle
-.offline_replay`).  Also home to the ``repro chaos --live`` drill: a
-seeded :class:`~repro.resilience.faults.FaultPlan` crashes the ingest
-path before/after commit on chosen batches, the driver retries, and the
-invariants (no edge lost, none duplicated, subscriptions fire exactly
-the offline event stream) are asserted.
+subscriptions, POST the dataset as sequence-numbered edge batches, then
+read every fired event back and check the whole run byte-for-byte
+against the offline :mod:`repro.streaming` replay
+(:func:`repro.live.oracle.offline_replay`).
+
+The producer retries: a 5xx answer re-sends the same ``seq`` (up to
+:data:`MAX_ATTEMPTS` times), and the ingest idempotency ledger applies
+each batch once.  ``repro live`` runs the feed as it is; ``repro chaos
+--live`` runs it with a :func:`build_live_chaos_plan` fault plan
+installed, which crashes the ingest path before or after commit on
+seeded batches.  The server runs in the same process, so the plan
+fires inside its handlers, and every crash reaches the producer as an
+HTTP 500.  The report's checks hold in both cases: no edge lost or
+duplicated, every planned fault fired once and was retried once, every
+post-commit retry was deduplicated, and the subscriptions fired exactly
+the offline event stream.
 """
 
 from __future__ import annotations
@@ -22,14 +31,9 @@ from http.client import HTTPConnection
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.graph.temporal_graph import TemporalGraph
-from repro.live.oracle import (
-    SubSpec,
-    offline_replay,
-    schedule_from_acks,
-    sorted_arrivals,
-)
-from repro.motifs.catalog import EVALUATION_MOTIFS, motif_by_name
-from repro.resilience.faults import FaultPlan, FaultSpec, InjectedFault
+from repro.live.oracle import SubSpec, offline_replay, sorted_arrivals
+from repro.motifs.catalog import motif_by_name
+from repro.resilience.faults import FaultPlan, FaultSpec, active_plan
 from repro.service.query import payload_bytes
 
 Edge = Tuple[int, int, int]
@@ -39,6 +43,14 @@ SUBSCRIPTION_MOTIFS = ("M1", "M2", "M3", "M4", "ping-pong", "fan-in", "path3")
 
 #: Every Nth subscription is a threshold alert instead of plain updates.
 ALERT_EVERY = 4
+
+#: Sends per batch: a 5xx answer re-sends the same ``seq`` until this
+#: many attempts have failed.
+MAX_ATTEMPTS = 3
+
+
+class ServerError(RuntimeError):
+    """A 5xx answer: the request may be sent again."""
 
 
 class LiveClient:
@@ -66,7 +78,8 @@ class LiveClient:
     def _ok(self, method: str, path: str, body: Optional[Dict] = None) -> Dict:
         status, payload = self.request(method, path, body)
         if status != 200:
-            raise RuntimeError(
+            error = ServerError if status >= 500 else RuntimeError
+            raise error(
                 f"{method} {path} -> HTTP {status}: {payload.get('error', payload)}"
             )
         return payload
@@ -159,6 +172,19 @@ def _shuffled(edges: List[Edge], mode: str, seed: int, block: int) -> List[Edge]
     raise ValueError(f"unknown shuffle mode {mode!r}")
 
 
+def check_feed(
+    num_edges: int, *, delta: int, num_subs: int, batch_size: int
+) -> int:
+    """Reject arguments no feed can run; returns the number of batches."""
+    if batch_size < 1:
+        raise ValueError(f"batch size must be at least 1, got {batch_size}")
+    if num_subs < 0:
+        raise ValueError(f"subscriptions must be 0 or more, got {num_subs}")
+    if delta < 0:
+        raise ValueError(f"delta must be 0 or more, got {delta}")
+    return -(-num_edges // batch_size)
+
+
 def run_live_feed(
     graph: TemporalGraph,
     *,
@@ -168,37 +194,38 @@ def run_live_feed(
     batch_size: int = 50,
     seed: int = 0,
     shuffle: str = "none",
-    client: Optional[LiveClient] = None,
     verify: bool = True,
 ) -> Dict:
     """Replay ``graph`` as a live feed; verify firings against offline.
 
-    With no ``client`` a :class:`MotifService` + HTTP server is hosted
-    in-process on a free port for the duration of the run.  Returns a
-    report dict; ``report["parity"]`` is the byte-for-byte verdict (True
-    when ``verify=False`` skipped the check).
+    A :class:`MotifService` + HTTP server is hosted in-process on a free
+    port for the duration of the run.  Returns a report dict whose
+    ``checks`` name each invariant and whose ``ok`` is their
+    conjunction; ``verify=False`` skips the two that need the offline
+    replay (``event_parity`` and ``window_fingerprint_ok``).  The fault
+    checks read the installed :class:`FaultPlan` (none: a clean run
+    must see no retry and no duplicate ack).
     """
+    from repro.service.http import make_server
+    from repro.service.service import MotifService
+
     edges = list(
         zip(graph.src.tolist(), graph.dst.tolist(), graph.ts.tolist())
     )
+    num_batches = check_feed(
+        len(edges), delta=delta, num_subs=num_subs, batch_size=batch_size
+    )
     block = 4 * batch_size
     arrivals = _shuffled(edges, shuffle, seed, block)
-    num_batches = (len(arrivals) + batch_size - 1) // batch_size
 
-    own_server = client is None
-    service = server = None
-    if own_server:
-        from repro.service.http import make_server
-        from repro.service.service import MotifService
-
-        service = MotifService(max_queue=64)
-        server = make_server(service, port=0)
-        # A short poll lets shutdown() return promptly instead of waiting
-        # out serve_forever's default 0.5 s.
-        threading.Thread(
-            target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
-        ).start()
-        client = LiveClient(*server.server_address[:2])
+    service = MotifService(max_queue=64)
+    server = make_server(service, port=0)
+    # A short poll lets shutdown() return promptly instead of waiting
+    # out serve_forever's default 0.5 s.
+    threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+    ).start()
+    client = LiveClient(*server.server_address[:2])
 
     try:
         live_opts: Dict = {}
@@ -247,14 +274,22 @@ def run_live_feed(
         if specs:
             poller.start()
 
+        # One ack per seq; the last seq is the empty end-of-feed flush.
         acks: List[Dict] = []
+        retried: List[int] = []
         t0 = time.monotonic()
-        for i in range(num_batches):
+        for i in range(num_batches + 1):
             batch = arrivals[i * batch_size:(i + 1) * batch_size]
-            acks.append(client.append(graph_name, batch, seq=i))
-        acks.append(
-            client.append(graph_name, [], seq=num_batches, flush=True)
-        )
+            for attempt in range(1, MAX_ATTEMPTS + 1):
+                try:
+                    acks.append(client.append(
+                        graph_name, batch, seq=i, flush=i == num_batches
+                    ))
+                    break
+                except ServerError:
+                    if attempt == MAX_ATTEMPTS:
+                        raise
+                    retried.append(i)
         elapsed_s = time.monotonic() - t0
         stop.set()
         if specs:
@@ -268,7 +303,54 @@ def run_live_feed(
         # every outbox from seq 0, and those drains would otherwise
         # swamp the delivery-lag reservoir with verify-time samples.
         metrics = client.metrics()
-        report: Dict = {
+        # The batch schedule, straight off the final acks.  A duplicate
+        # ack replays the original's fields, so it still carries the
+        # (version, released) the crashed-then-committed attempt earned.
+        schedule = [
+            (a["version"], a["released"]) for a in acks if a.get("released")
+        ]
+        plan = active_plan()
+        fired = plan.fired if plan is not None else []
+        planned = len(plan.specs) if plan is not None else 0
+        ack_faults = sum(s.site == "live.ingest.ack" for s in fired)
+        duplicate_acks = sum(bool(a.get("duplicate")) for a in acks)
+        checks = {
+            "all_batches_acked": len(acks) == num_batches + 1,
+            "no_edge_lost_or_duplicated": (
+                status["num_edges"] + late_dropped == len(arrivals)
+                and status["version"] == len(schedule)
+            ),
+            # Every planned crash fired once and cost exactly one resend.
+            "faults_fired": len(fired) == planned == len(retried),
+            "post_commit_retries_deduped": duplicate_acks == ack_faults,
+        }
+        mismatched: List[str] = []
+        events_total = alerts_total = subs_fired = 0
+        if verify:
+            if late_dropped:
+                raise RuntimeError(
+                    f"{late_dropped} late edges dropped — the reorder "
+                    "buffer was too small for this arrival order; parity "
+                    "is undefined"
+                )
+            expected = offline_replay(
+                sorted_arrivals(arrivals), specs, schedule, graph_name, delta
+            )
+            for spec in specs:
+                got = client.read_all_events(spec.sub_id)
+                want = expected["events"][spec.sub_id]
+                if [payload_bytes(e) for e in got] != [
+                    payload_bytes(e) for e in want
+                ]:
+                    mismatched.append(spec.sub_id)
+                events_total += len(got)
+                alerts_total += sum(1 for e in got if e["type"] == "alert")
+                subs_fired += bool(got)
+            checks["event_parity"] = not mismatched
+            checks["window_fingerprint_ok"] = (
+                status["window_fingerprint"] == expected["window_fingerprint"]
+            )
+        return {
             "graph": graph_name,
             "edges": len(arrivals),
             "batches": num_batches,
@@ -279,58 +361,28 @@ def run_live_feed(
             "late_dropped": late_dropped,
             "elapsed_s": elapsed_s,
             "edges_per_s": len(arrivals) / elapsed_s if elapsed_s else 0.0,
-            "parity": True,
-            "mismatched_subs": [],
-            "events_total": 0,
-            "alerts_total": 0,
-            "subs_fired": 0,
+            "injected_faults": len(fired),
+            "retries": len(retried),
+            "failures": {
+                b: "ack" if acks[b].get("duplicate") else "begin"
+                for b in retried
+            },
+            "duplicate_acks": duplicate_acks,
+            "mismatched_subs": mismatched,
+            "events_total": events_total,
+            "alerts_total": alerts_total,
+            "subs_fired": subs_fired,
+            "metrics": metrics,
+            "checks": checks,
+            "ok": all(checks.values()),
         }
-
-        if not verify:
-            return report
-        if late_dropped:
-            raise RuntimeError(
-                f"{late_dropped} late edges dropped — the reorder buffer "
-                "was too small for this arrival order; parity is undefined"
-            )
-        expected = offline_replay(
-            sorted_arrivals(arrivals),
-            specs,
-            schedule_from_acks(acks),
-            graph_name,
-            delta,
-        )
-        mismatched: List[str] = []
-        events_total = alerts_total = subs_fired = 0
-        for spec in specs:
-            got = client.read_all_events(spec.sub_id)
-            want = expected["events"][spec.sub_id]
-            if [payload_bytes(e) for e in got] != [
-                payload_bytes(e) for e in want
-            ]:
-                mismatched.append(spec.sub_id)
-            events_total += len(got)
-            alerts_total += sum(1 for e in got if e["type"] == "alert")
-            subs_fired += bool(got)
-        fp_ok = status["window_fingerprint"] == expected["window_fingerprint"]
-        report.update(
-            parity=not mismatched and fp_ok,
-            mismatched_subs=mismatched,
-            window_fingerprint_ok=fp_ok,
-            events_total=events_total,
-            alerts_total=alerts_total,
-            subs_fired=subs_fired,
-            metrics=metrics,
-        )
-        return report
     finally:
-        if own_server:
-            server.shutdown()
-            server.server_close()
-            service.close()
+        server.shutdown()
+        server.server_close()
+        service.close()
 
 
-# -- chaos drill (`repro chaos --live`) ---------------------------------------
+# -- fault plan for `repro chaos --live` -------------------------------------
 
 def build_live_chaos_plan(
     num_batches: int, kills: int, seed: int
@@ -374,118 +426,3 @@ def build_live_chaos_plan(
             ingest_calls += 1
             ack_calls += 1
     return FaultPlan(specs), failures
-
-
-def run_live_chaos(
-    graph: TemporalGraph,
-    *,
-    delta: int,
-    batch_size: int = 25,
-    kills: int = 3,
-    seed: int = 0,
-    num_subs: int = 6,
-    graph_name: str = "chaos-feed",
-    max_attempts: int = 3,
-) -> Dict:
-    """Seeded ingest-crash drill; returns the invariant report.
-
-    Drives :class:`MotifService` directly (the faults fire in-process)
-    with a retrying producer.  Asserted invariants: every batch applied
-    exactly once (final edge count and version match a fault-free run),
-    post-commit crashes answer ``duplicate: true`` on retry, and the
-    full per-subscription event streams byte-match the offline oracle —
-    i.e. subscriptions re-fired correctly, exactly once per batch.
-    """
-    from repro.service.service import MotifService
-
-    edges = list(
-        zip(graph.src.tolist(), graph.dst.tolist(), graph.ts.tolist())
-    )
-    num_batches = (len(edges) + batch_size - 1) // batch_size
-    plan, failures = build_live_chaos_plan(num_batches, kills, seed)
-
-    with MotifService(max_queue=16) as service:
-        service.create_live_graph(graph_name, delta)
-        specs: List[SubSpec] = []
-        for i, body in enumerate(plan_subscriptions(num_subs, delta)):
-            sub = service.subscribe(
-                graph_name,
-                body["motif"],
-                delta=body["delta"],
-                kind=body["kind"],
-                threshold=body.get("threshold"),
-                outbox_capacity=num_batches + 16,
-            )
-            specs.append(
-                SubSpec(sub.sub_id, sub.motif, sub.delta, sub.kind,
-                        sub.threshold)
-            )
-
-        acks: List[Dict] = []
-        injected = retried = duplicate_acks = 0
-        with plan.installed():
-            for b in range(num_batches):
-                batch = edges[b * batch_size:(b + 1) * batch_size]
-                ack = None
-                for _attempt in range(max_attempts):
-                    try:
-                        ack = service.append_live(graph_name, batch, seq=b)
-                        break
-                    except InjectedFault:
-                        injected += 1
-                        retried += 1
-                if ack is None:
-                    raise RuntimeError(f"batch {b} never applied")
-                duplicate_acks += bool(ack.get("duplicate"))
-                acks.append(ack)
-
-        status = service.live_status(graph_name)
-        # The batch schedule, straight off the final acks.  A duplicate
-        # ack replays the original's fields, so it still carries the
-        # (version, released) the crashed-then-committed attempt earned.
-        schedule = [
-            (a["version"], a["released"]) for a in acks if a["released"] > 0
-        ]
-        expected = offline_replay(
-            sorted_arrivals(edges), specs, schedule, graph_name, delta
-        )
-        mismatched = []
-        events_total = 0
-        for spec in specs:
-            got = service.subscription(spec.sub_id).outbox.read_after(0)
-            want = expected["events"][spec.sub_id]
-            if [payload_bytes(e) for e in got] != [
-                payload_bytes(e) for e in want
-            ]:
-                mismatched.append(spec.sub_id)
-            events_total += len(got)
-        fp_ok = (
-            status["window_fingerprint"] == expected["window_fingerprint"]
-        )
-
-    ack_faults = sum(1 for m in failures.values() if m == "ack")
-    checks = {
-        "all_batches_acked": len(acks) == num_batches,
-        "no_edge_lost_or_duplicated":
-            status["num_edges"] == len(edges)
-            and status["version"] == num_batches,
-        "faults_fired": injected == len(plan.specs) == kills,
-        "post_commit_retries_deduped": duplicate_acks == ack_faults,
-        "event_parity": not mismatched,
-        "window_fingerprint_ok": fp_ok,
-    }
-    return {
-        "graph": graph_name,
-        "edges": len(edges),
-        "batches": num_batches,
-        "kills": kills,
-        "seed": seed,
-        "failures": {b: failures[b] for b in sorted(failures)},
-        "injected_faults": injected,
-        "retries": retried,
-        "duplicate_acks": duplicate_acks,
-        "events_total": events_total,
-        "mismatched_subs": mismatched,
-        "checks": checks,
-        "ok": all(checks.values()),
-    }

@@ -10,7 +10,9 @@ writes on a keep-alive socket cost every response ~40 ms: Nagle holds
 the second until the client's delayed ACK of the first.)  A request
 body no route consumed is drained before the response, or the
 connection is closed, so the next request on a keep-alive connection is
-never parsed out of leftover bytes.  Routes:
+never parsed out of leftover bytes.  An exception no route maps to a
+4xx answers ``500 {"error": ...}`` instead of dropping the connection,
+so a producer can retry.  Routes:
 
 - ``GET  /healthz`` — health probe: queue depth, per-graph breaker
   states, worker liveness and the degraded flag.  200 while the
@@ -65,7 +67,7 @@ from __future__ import annotations
 import json
 import math
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs
 
 from repro.motifs.motif import Motif
@@ -203,78 +205,23 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
     # -- routes ----------------------------------------------------------------
 
     def do_GET(self) -> None:  # noqa: N802
-        try:
-            path, _, query_string = self.path.partition("?")
-            if path == "/healthz":
-                health = self.service.health()
-                self._send_json(200 if health["ok"] else 503, health)
-            elif path == "/metrics":
-                if "format=text" in query_string:
-                    self._send_text(200, self.service.render_metrics())
-                else:
-                    self._send_json(200, {"metrics": self.service.metrics().as_dict()})
-            elif path == "/graphs":
-                names = self.service.graphs()
-                out = {}
-                for name, fp in names.items():
-                    g = self.service.registry.get(fp)
-                    out[name] = {
-                        "fingerprint": fp,
-                        "num_nodes": g.num_nodes,
-                        "num_edges": g.num_edges,
-                    }
-                self._send_json(200, {"graphs": out})
-            elif path == "/live":
-                self._send_json(200, {"live": self.service.live_graphs()})
-            elif path.startswith("/live/"):
-                name = path[len("/live/"):]
-                self._send_json(200, self.service.live_status(name))
-            elif path == "/subscriptions":
-                self._send_json(
-                    200, {"subscriptions": self.service.live.subscriptions()}
-                )
-            elif path.startswith("/subscriptions/") and path.endswith("/events"):
-                sub_id = path[len("/subscriptions/"):-len("/events")]
-                self._handle_sse(sub_id, query_string)
-            elif path.startswith("/subscriptions/") and path.endswith("/poll"):
-                sub_id = path[len("/subscriptions/"):-len("/poll")]
-                self._handle_poll(sub_id, query_string)
-            elif path.startswith("/subscriptions/"):
-                sub_id = path[len("/subscriptions/"):]
-                self._send_json(200, self.service.subscription(sub_id).status())
-            else:
-                raise _HTTPError(404, f"no such route {path!r}")
-        except _HTTPError as exc:
-            self._send_json(exc.status, {"error": exc.message})
-        except UnknownGraph as exc:
-            self._send_json(404, {"error": str(exc.args[0])})
-        except (ValueError, TypeError) as exc:
-            self._send_json(400, {"error": str(exc)})
+        self._answer(self._route_get)
 
     def do_POST(self) -> None:  # noqa: N802
+        self._answer(self._route_post)
+
+    def do_DELETE(self) -> None:  # noqa: N802
+        self._answer(self._route_delete)
+
+    def _answer(self, route: Callable[[], None]) -> None:
+        """Run one route and map every exception it raises to an answer.
+
+        An exception no clause below names is a 500 carrying the error,
+        so the client gets a status it can retry on, not a dropped
+        connection.
+        """
         try:
-            if self.path == "/query":
-                self._handle_query()
-            elif self.path == "/graphs":
-                self._handle_register_graph()
-            elif self.path == "/live":
-                self._handle_create_live()
-            elif self.path == "/subscriptions":
-                self._handle_subscribe()
-            elif self.path.startswith("/graphs/") and self.path.endswith("/edges"):
-                name = self.path[len("/graphs/"):-len("/edges")]
-                self._handle_append_live(name)
-            elif self.path.startswith("/live/") and self.path.endswith("/window-query"):
-                body = self._read_body()
-                result = self.service.live_window_query(
-                    self.path[len("/live/"):-len("/window-query")],
-                    self._resolve_motif(body),
-                    delta=body.get("delta"),
-                    timeout_s=body.get("timeout_s"),
-                )
-                self._send_json(*_result_to_response(result))
-            else:
-                raise _HTTPError(404, f"no such route {self.path!r}")
+            route()
         except _HTTPError as exc:
             self._send_json(exc.status, {"error": exc.message})
         except QueryRejected as exc:
@@ -287,6 +234,74 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             self._send_json(404, {"error": str(exc.args[0])})
         except (ValueError, TypeError) as exc:
             self._send_json(400, {"error": str(exc)})
+        except Exception as exc:
+            self._send_json(500, {"error": f"{type(exc).__name__}: {exc}"})
+
+    def _route_get(self) -> None:
+        path, _, query_string = self.path.partition("?")
+        if path == "/healthz":
+            health = self.service.health()
+            self._send_json(200 if health["ok"] else 503, health)
+        elif path == "/metrics":
+            if "format=text" in query_string:
+                self._send_text(200, self.service.render_metrics())
+            else:
+                self._send_json(200, {"metrics": self.service.metrics().as_dict()})
+        elif path == "/graphs":
+            names = self.service.graphs()
+            out = {}
+            for name, fp in names.items():
+                g = self.service.registry.get(fp)
+                out[name] = {
+                    "fingerprint": fp,
+                    "num_nodes": g.num_nodes,
+                    "num_edges": g.num_edges,
+                }
+            self._send_json(200, {"graphs": out})
+        elif path == "/live":
+            self._send_json(200, {"live": self.service.live_graphs()})
+        elif path.startswith("/live/"):
+            name = path[len("/live/"):]
+            self._send_json(200, self.service.live_status(name))
+        elif path == "/subscriptions":
+            self._send_json(
+                200, {"subscriptions": self.service.live.subscriptions()}
+            )
+        elif path.startswith("/subscriptions/") and path.endswith("/events"):
+            sub_id = path[len("/subscriptions/"):-len("/events")]
+            self._handle_sse(sub_id, query_string)
+        elif path.startswith("/subscriptions/") and path.endswith("/poll"):
+            sub_id = path[len("/subscriptions/"):-len("/poll")]
+            self._handle_poll(sub_id, query_string)
+        elif path.startswith("/subscriptions/"):
+            sub_id = path[len("/subscriptions/"):]
+            self._send_json(200, self.service.subscription(sub_id).status())
+        else:
+            raise _HTTPError(404, f"no such route {path!r}")
+
+    def _route_post(self) -> None:
+        if self.path == "/query":
+            self._handle_query()
+        elif self.path == "/graphs":
+            self._handle_register_graph()
+        elif self.path == "/live":
+            self._handle_create_live()
+        elif self.path == "/subscriptions":
+            self._handle_subscribe()
+        elif self.path.startswith("/graphs/") and self.path.endswith("/edges"):
+            name = self.path[len("/graphs/"):-len("/edges")]
+            self._handle_append_live(name)
+        elif self.path.startswith("/live/") and self.path.endswith("/window-query"):
+            body = self._read_body()
+            result = self.service.live_window_query(
+                self.path[len("/live/"):-len("/window-query")],
+                self._resolve_motif(body),
+                delta=body.get("delta"),
+                timeout_s=body.get("timeout_s"),
+            )
+            self._send_json(*_result_to_response(result))
+        else:
+            raise _HTTPError(404, f"no such route {self.path!r}")
 
     def _handle_query(self) -> None:
         body = self._read_body()
@@ -321,22 +336,17 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
 
     # -- live graphs + subscriptions (repro.live) ------------------------------
 
-    def do_DELETE(self) -> None:  # noqa: N802
-        try:
-            if self.path.startswith("/subscriptions/"):
-                sub_id = self.path[len("/subscriptions/"):]
-                self.service.unsubscribe(sub_id)
-                self._send_json(200, {"cancelled": sub_id})
-            elif self.path.startswith("/live/"):
-                name = self.path[len("/live/"):]
-                self.service.drop_live_graph(name)
-                self._send_json(200, {"dropped": name})
-            else:
-                raise _HTTPError(404, f"no such route {self.path!r}")
-        except _HTTPError as exc:
-            self._send_json(exc.status, {"error": exc.message})
-        except UnknownGraph as exc:
-            self._send_json(404, {"error": str(exc.args[0])})
+    def _route_delete(self) -> None:
+        if self.path.startswith("/subscriptions/"):
+            sub_id = self.path[len("/subscriptions/"):]
+            self.service.unsubscribe(sub_id)
+            self._send_json(200, {"cancelled": sub_id})
+        elif self.path.startswith("/live/"):
+            name = self.path[len("/live/"):]
+            self.service.drop_live_graph(name)
+            self._send_json(200, {"dropped": name})
+        else:
+            raise _HTTPError(404, f"no such route {self.path!r}")
 
     def _handle_create_live(self) -> None:
         body = self._read_body()

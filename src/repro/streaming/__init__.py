@@ -9,9 +9,11 @@ compare with :class:`~repro.mining.mackey.MackeyMiner`):
   δ-window ring, batch-compatible snapshots;
 - :mod:`repro.streaming.counter` — demand-keyed continuation tables over
   a motif trie, one engine per family of ``(motif, δ)`` slots, and the
-  :class:`StreamingCounter` family built on it;
-- :mod:`repro.streaming.replay` — dataset replay with per-batch
-  throughput/latency/occupancy stats (``python -m repro stream``).
+  :class:`StreamingCounter` family built on it.
+
+``repro live`` (:func:`repro.live.driver.run_live_feed`) is the one
+driver that replays a dataset as a feed; the live path runs this
+engine, and its offline oracle runs :class:`StreamingCounter`.
 """
 
 from repro.streaming.counter import (
@@ -21,31 +23,15 @@ from repro.streaming.counter import (
     Slot,
     StreamingCatalogCounter,
     StreamingCounter,
-    StreamingGridCounter,
-)
-from repro.streaming.replay import (
-    BatchStats,
-    ReplayResult,
-    format_batch_table,
-    format_replay_summary,
-    iter_batches,
-    replay_stream,
 )
 from repro.streaming.window import StreamBuffer
 
 __all__ = [
-    "BatchStats",
     "FamilyStreamEngine",
     "MotifStreamEngine",
     "PartialMatch",
-    "ReplayResult",
     "Slot",
     "StreamBuffer",
     "StreamingCatalogCounter",
     "StreamingCounter",
-    "StreamingGridCounter",
-    "format_batch_table",
-    "format_replay_summary",
-    "iter_batches",
-    "replay_stream",
 ]

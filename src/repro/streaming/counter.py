@@ -61,7 +61,6 @@ from repro.comine.trie import MotifTrie, TrieNode
 from repro.graph.temporal_graph import TemporalGraph
 from repro.graph.window import window_t_limit
 from repro.motifs.catalog import EVALUATION_MOTIFS, EXTRA_MOTIFS
-from repro.motifs.grid import paranjape_grid
 from repro.motifs.motif import Motif
 from repro.streaming.window import StreamBuffer
 
@@ -572,29 +571,3 @@ class StreamingCounter(StreamingCatalogCounter):
             f"StreamingCounter({self.motif.name!r}, delta={self.delta}, "
             f"count={self.count}, edges={self.num_edges})"
         )
-
-
-class StreamingGridCounter(StreamingCatalogCounter):
-    """The Paranjape 6×6 grid census, maintained incrementally.
-
-    :attr:`grid_counts` matches
-    :func:`repro.mining.multi.grid_census` on the replayed prefix.
-    """
-
-    def __init__(self, delta: int) -> None:
-        self._grid = paranjape_grid()
-        super().__init__(
-            motifs=[m for _, m in sorted(self._grid.items())], delta=delta
-        )
-        self._name_to_cell = {
-            m.name: cell for cell, m in self._grid.items()
-        }
-
-    @property
-    def grid_counts(self) -> Dict[Tuple[int, int], int]:
-        """Counts keyed ``(row, col)`` as in ``grid_census``."""
-        counts = self.counts
-        return {
-            cell: counts[name] for name, cell in self._name_to_cell.items()
-        }
-

@@ -161,64 +161,6 @@ class TestOtherCommands:
         assert "28.3" in capsys.readouterr().out
 
 
-class TestStream:
-    def test_stream_file_counts_match_batch(self, graph_file, capsys):
-        path, g = graph_file
-        delta = g.time_span // 30
-        assert main(["stream", path, "--motif", "M1", "--delta", str(delta),
-                     "--batch-size", "8"]) == 0
-        out = capsys.readouterr().out
-        from repro.mining.mackey import count_motifs
-        from repro.motifs.catalog import M1
-
-        expected = count_motifs(g, M1, delta)
-        assert f"M1 count: {expected:,}" in out
-        assert "throughput" in out and "live partials" in out
-
-    def test_stream_generated_dataset_name(self, capsys):
-        assert main(["stream", "email-eu", "--scale", "0.04", "--seed", "3",
-                     "--delta", "100000", "--batch-size", "16"]) == 0
-        out = capsys.readouterr().out
-        assert "generated" in out and "edges replayed" in out
-
-    def test_stream_per_batch_table(self, graph_file, capsys):
-        path, g = graph_file
-        delta = g.time_span // 30
-        assert main(["stream", path, "--delta", str(delta),
-                     "--batch-size", "32", "--per-batch"]) == 0
-        out = capsys.readouterr().out
-        assert "us/edge" in out and "window edges" in out
-
-    def test_stream_grid_matches_census(self, graph_file, capsys):
-        path, g = graph_file
-        delta = g.time_span // 60
-        assert main(["census", path, "--delta", str(delta)]) == 0
-        census_out = capsys.readouterr().out
-        assert main(["stream", path, "--delta", str(delta), "--grid"]) == 0
-        stream_out = capsys.readouterr().out
-        # The incremental grid census renders identically to the batch one.
-        grid_lines = [l for l in census_out.splitlines() if l.startswith("r")]
-        for line in grid_lines:
-            assert line in stream_out
-
-    def test_stream_max_edges_prefix(self, graph_file, capsys):
-        path, g = graph_file
-        delta = g.time_span // 30
-        assert main(["stream", path, "--delta", str(delta),
-                     "--max-edges", "50", "--batch-size", "7"]) == 0
-        assert "50" in capsys.readouterr().out
-
-    def test_stream_rejects_catalog_and_grid(self, graph_file, capsys):
-        path, _ = graph_file
-        assert main(["stream", path, "--delta", "10", "--catalog",
-                     "--grid"]) == 2
-        assert "error" in capsys.readouterr().out
-
-    def test_stream_unknown_source(self, capsys):
-        assert main(["stream", "no-such-dataset", "--delta", "10"]) == 2
-        assert "error" in capsys.readouterr().out
-
-
 class TestJsonOutput:
     def test_mine_json_payload_shape(self, graph_file, capsys):
         import json

@@ -1,15 +1,16 @@
 """Chaos drill for live ingestion: seeded mid-batch kills, idempotent
-resume, and subscription re-fire parity — plus the CLI entry points."""
+resume, and subscription re-fire parity — plus the CLI entry points.
+
+The drill is the one feed driver, :func:`run_live_feed`, run over its
+self-hosted HTTP front door with a :func:`build_live_chaos_plan` plan
+installed: every injected crash answers HTTP 500 and the producer
+re-sends the same ``seq``."""
 
 import pytest
 
 from repro.cli import main
 from repro.graph.generators import make_dataset
-from repro.live.driver import (
-    build_live_chaos_plan,
-    run_live_chaos,
-    run_live_feed,
-)
+from repro.live.driver import build_live_chaos_plan, check_feed, run_live_feed
 from repro.live.ingest import LiveGraph
 from repro.resilience.faults import FaultPlan, InjectedFault
 
@@ -21,6 +22,20 @@ def feed_graph():
 
 def feed_delta(g):
     return max(1, g.time_span // 40)
+
+
+def chaos_feed(graph, *, kills, seed, num_subs, batch_size=25):
+    """``repro chaos --live``: the feed with the seeded plan installed."""
+    delta = feed_delta(graph)
+    num_batches = check_feed(graph.num_edges, delta=delta,
+                             num_subs=num_subs, batch_size=batch_size)
+    plan, failures = build_live_chaos_plan(num_batches, kills, seed)
+    with plan.installed():
+        report = run_live_feed(graph, delta=delta, num_subs=num_subs,
+                               batch_size=batch_size)
+    # The crash sites the producer saw are the ones the plan scheduled.
+    assert report["failures"] == failures
+    return report
 
 
 class TestIngestFaultSites:
@@ -89,12 +104,9 @@ class TestChaosPlan:
 
 class TestChaosDrill:
     def test_drill_passes_all_invariants(self, feed_graph):
-        report = run_live_chaos(
-            feed_graph, delta=feed_delta(feed_graph), batch_size=25,
-            kills=3, seed=7, num_subs=6,
-        )
+        report = chaos_feed(feed_graph, kills=3, seed=7, num_subs=6)
         assert report["ok"], report
-        assert report["injected_faults"] == 3
+        assert report["injected_faults"] == report["retries"] == 3
         checks = report["checks"]
         assert checks["faults_fired"]
         assert checks["no_edge_lost_or_duplicated"]
@@ -103,20 +115,15 @@ class TestChaosDrill:
         assert checks["window_fingerprint_ok"]
 
     def test_drill_seeds_change_crash_schedule(self, feed_graph):
-        delta = feed_delta(feed_graph)
-        r1 = run_live_chaos(feed_graph, delta=delta, kills=2, seed=1,
-                            num_subs=3)
-        r2 = run_live_chaos(feed_graph, delta=delta, kills=2, seed=2,
-                            num_subs=3)
+        r1 = chaos_feed(feed_graph, kills=2, seed=1, num_subs=3)
+        r2 = chaos_feed(feed_graph, kills=2, seed=2, num_subs=3)
         assert r1["ok"] and r2["ok"]
         assert r1["failures"] != r2["failures"]
 
     def test_drill_without_kills_sees_no_duplicates(self, feed_graph):
-        report = run_live_chaos(
-            feed_graph, delta=feed_delta(feed_graph), kills=0, seed=0,
-            num_subs=3,
-        )
+        report = chaos_feed(feed_graph, kills=0, seed=0, num_subs=3)
         assert report["ok"] and report["duplicate_acks"] == 0
+        assert report["retries"] == report["injected_faults"] == 0
 
 
 class TestLiveFeedDriver:
@@ -125,11 +132,20 @@ class TestLiveFeedDriver:
             feed_graph, delta=feed_delta(feed_graph), num_subs=8,
             batch_size=20, shuffle="block", seed=3,
         )
-        assert report["parity"], report["mismatched_subs"]
+        assert report["ok"], report["checks"]
+        assert not report["mismatched_subs"]
         assert report["events_total"] > 0
         assert report["edges_per_s"] > 0
         metrics = report["metrics"]
         assert metrics["edges_ingested"] == feed_graph.num_edges
+
+    @pytest.mark.parametrize("bad", [
+        {"batch_size": 0}, {"num_subs": -1}, {"delta": -1},
+    ])
+    def test_feed_rejects_bad_arguments(self, feed_graph, bad):
+        kwargs = {"delta": feed_delta(feed_graph), **bad}
+        with pytest.raises(ValueError):
+            run_live_feed(feed_graph, **kwargs)
 
 
 class TestCLI:
@@ -149,6 +165,10 @@ class TestCLI:
         assert rc == 0
         assert "skipped" in out
 
+    def test_repro_live_unknown_source(self, capsys):
+        assert main(["live", "no-such-dataset"]) == 2
+        assert "error" in capsys.readouterr().out
+
     def test_repro_chaos_live_smoke(self, capsys, feed_graph):
         delta = str(feed_delta(feed_graph))
         rc = main(["chaos", "wiki-talk", "--live", *self.ARGS,
@@ -161,3 +181,19 @@ class TestCLI:
         rc = main(["chaos", "wiki-talk", "--live", "--cluster",
                    "--delta", "100", *self.ARGS])
         assert rc != 0
+
+    @pytest.mark.parametrize("argv", [
+        ["live", "--batch-size", "0"],
+        ["live", "--batch-size", "-5"],
+        ["live", "--delta", "-5"],
+        ["live", "--subs", "-2"],
+        ["chaos", "--live", "--delta", "100", "--batch-size", "0"],
+        ["chaos", "--live", "--delta", "100", "--batch-size", "-5"],
+        ["chaos", "--live", "--delta", "-5"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_feed_arguments_are_rejected(self, argv, capsys):
+        command, *opts = argv
+        rc = main([command, "wiki-talk", *self.ARGS, *opts])
+        out = capsys.readouterr().out
+        assert rc == 2, out
+        assert out.startswith("error: ")

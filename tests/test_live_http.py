@@ -13,6 +13,7 @@ from http.client import HTTPConnection
 import pytest
 
 from repro.graph.generators import make_dataset
+from repro.resilience.faults import FaultPlan
 from conftest import serving
 from repro.service import MotifService
 from repro.service.http import ServiceRequestHandler
@@ -123,6 +124,24 @@ class TestLiveRoutes:
         resp, _ = request(conn, "POST", "/graphs/feed/edges",
                           {"edges": "nope"})
         assert resp.status == 400
+
+    def test_unmapped_exception_answers_500_and_retry_applies_once(
+        self, live_server
+    ):
+        conn, _, _ = live_server
+        create_feed(conn)
+        batch = {"edges": [[0, 1, 10], [1, 2, 20]], "seq": 0}
+        with FaultPlan.raise_at("live.ingest", [1]).installed():
+            resp, out = request(conn, "POST", "/graphs/feed/edges", batch)
+            assert resp.status == 500
+            assert "InjectedFault" in out["error"]
+            # The same keep-alive connection carries the retry.
+            resp, ack = request(conn, "POST", "/graphs/feed/edges", batch)
+        assert resp.status == 200 and not ack["duplicate"]
+        resp, dup = request(conn, "POST", "/graphs/feed/edges", batch)
+        assert resp.status == 200 and dup["duplicate"]
+        resp, status = request(conn, "GET", "/live/feed")
+        assert status["num_edges"] == 2 and status["version"] == 1
 
     def test_live_graph_answers_queries(self, live_server):
         conn, _, _ = live_server

@@ -13,7 +13,7 @@ import pytest
 
 from repro.graph.generators import make_dataset
 from repro.motifs.catalog import M1, M2, PING_PONG, TWO_CYCLE_RETURN
-from repro.streaming import StreamBuffer, StreamingCounter, iter_batches
+from repro.streaming import StreamBuffer, StreamingCounter
 from repro.streaming.counter import FamilyStreamEngine, MotifStreamEngine, Slot
 
 
@@ -75,8 +75,9 @@ class TestMemoryBounds:
         g = make_dataset("wiki-talk", scale=0.05, seed=23)
         delta = max(1, g.time_span // 25)
         counter = StreamingCounter(M1, delta)
-        for batch in iter_batches(g, 32):
-            counter.add_batch(batch)
+        edges = list(zip(g.src.tolist(), g.dst.tolist(), g.ts.tolist()))
+        for lo in range(0, len(edges), 32):
+            counter.add_batch(edges[lo:lo + 32])
             t_now = counter.buffer.t_now
             w = counter.window_size
             engine = counter.engines()[0]

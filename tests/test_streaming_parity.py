@@ -50,9 +50,6 @@ from repro.streaming import (
     StreamBuffer,
     StreamingCatalogCounter,
     StreamingCounter,
-    StreamingGridCounter,
-    iter_batches,
-    replay_stream,
 )
 
 CATALOG = EVALUATION_MOTIFS + EXTRA_MOTIFS
@@ -174,8 +171,9 @@ class TestFullReplayParity:
         g, delta = family_graphs[family]
         for motif in (M1, M2, PING_PONG):
             counter = StreamingCounter(motif, delta)
-            for batch in iter_batches(g, min(batch_size, max(1, g.num_edges))):
-                counter.add_batch(batch)
+            edges = _edges_of(g)
+            for lo in range(0, len(edges), batch_size):
+                counter.add_batch(edges[lo:lo + batch_size])
             assert counter.count == batch_counts[(family, motif.name)], (
                 f"{motif.name} diverged at batch_size={batch_size}"
             )
@@ -289,7 +287,9 @@ class TestCatalogAndGrid:
     ):
         g, delta = family_graphs[family]
         counter = StreamingCatalogCounter(CATALOG, delta)
-        replay_stream(g, counter, batch_size=17)
+        edges = _edges_of(g)
+        for lo in range(0, len(edges), 17):
+            counter.add_batch(edges[lo:lo + 17])
         assert counter.counts == {
             motif.name: batch_counts[(family, motif.name)]
             for motif in CATALOG
@@ -297,9 +297,13 @@ class TestCatalogAndGrid:
 
     def test_grid_counter_equals_grid_census(self, family_graphs):
         g, delta = family_graphs["email-eu"]
-        counter = StreamingGridCounter(delta)
+        grid = paranjape_grid()
+        counter = StreamingCatalogCounter(list(grid.values()), delta)
         counter.add_batch(_edges_of(g))
-        assert counter.grid_counts == grid_census(g, delta)
+        counts = counter.counts
+        assert {
+            cell: counts[motif.name] for cell, motif in grid.items()
+        } == grid_census(g, delta)
 
 
 class TestDeltaBoundarySharedCases:
