@@ -22,20 +22,12 @@ The package is organized by subsystem:
 - :mod:`repro.streaming` — incremental sliding-window motif counting
   over live edge streams, with the batch miners as differential oracle
   (an online-workload extension beyond the paper).
-"""
 
-from repro.graph.temporal_graph import TemporalEdge, TemporalGraph
-from repro.motifs.motif import Motif
-from repro.motifs.catalog import M1, M2, M3, M4, motif_by_name
-from repro.mining.mackey import MackeyMiner, count_motifs
-from repro.mining.presto import PrestoEstimator
-from repro.mining.paranjape import ParanjapeMiner
-from repro.sim.config import MintConfig
-from repro.sim.accelerator import MintSimulator
-from repro.streaming.counter import (
-    StreamingCatalogCounter,
-    StreamingCounter,
-)
+The names in ``__all__`` load on first use (PEP 562): ``import repro``
+imports no subsystem, so each entry point pays only for the modules it
+runs, and ``from repro import MintSimulator`` loads the simulator and
+nothing else.
+"""
 
 __version__ = "1.0.0"
 
@@ -58,3 +50,38 @@ __all__ = [
     "StreamingCounter",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    if name in ("TemporalEdge", "TemporalGraph"):
+        from repro.graph.temporal_graph import TemporalEdge, TemporalGraph
+    elif name == "Motif":
+        from repro.motifs.motif import Motif
+    elif name in ("M1", "M2", "M3", "M4", "motif_by_name"):
+        from repro.motifs.catalog import M1, M2, M3, M4, motif_by_name
+    elif name in ("MackeyMiner", "count_motifs"):
+        from repro.mining.mackey import MackeyMiner, count_motifs
+    elif name == "PrestoEstimator":
+        from repro.mining.presto import PrestoEstimator
+    elif name == "ParanjapeMiner":
+        from repro.mining.paranjape import ParanjapeMiner
+    elif name == "MintConfig":
+        from repro.sim.config import MintConfig
+    elif name == "MintSimulator":
+        from repro.sim.accelerator import MintSimulator
+    elif name in ("StreamingCatalogCounter", "StreamingCounter"):
+        from repro.streaming.counter import (
+            StreamingCatalogCounter,
+            StreamingCounter,
+        )
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # Bind everything this branch imported, so later lookups of these
+    # names never come back here.
+    loaded = {k: v for k, v in locals().items() if k in __all__}
+    globals().update(loaded)
+    return loaded[name]
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

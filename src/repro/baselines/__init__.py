@@ -9,16 +9,3 @@ implementations.  Relative shapes across datasets/motifs therefore come
 from real algorithm behaviour; absolute scale is set by documented,
 physically-motivated cost constants.
 """
-
-from repro.baselines.cpu_model import CpuModel, CpuSpec, CpuTime
-from repro.baselines.gpu_model import GpuModel, GpuSpec
-from repro.baselines.flexminer import FlexMinerModel
-
-__all__ = [
-    "CpuModel",
-    "CpuSpec",
-    "CpuTime",
-    "GpuModel",
-    "GpuSpec",
-    "FlexMinerModel",
-]

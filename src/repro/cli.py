@@ -30,17 +30,10 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.analysis.reporting import format_sharing_stats, format_table
-from repro.graph.generators import DATASET_NAMES, make_dataset
-from repro.graph.loaders import load_snap_text, save_snap_text
-from repro.graph.stats import compute_stats
-from repro.mining.dispatch import ENGINE
-from repro.mining.mackey import MackeyMiner
-from repro.mining.multi import grid_family_census, render_grid
-from repro.mining.parallel import open_runner
-from repro.motifs.catalog import motif_by_name
-from repro.sim.accelerator import MintSimulator
-from repro.sim.config import MintConfig
+# The parser's ``choices`` are the one import every command shares; each
+# command imports what it runs, so `serve` loads no simulator, experiment
+# harness or offline miner.
+from repro.graph.generators import DATASET_NAMES
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -316,6 +309,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(path: str):
+    from repro.graph.loaders import load_snap_text
+
     return load_snap_text(path)
 
 
@@ -335,6 +330,8 @@ def _resolve_graph_arg(args):
     if args.graph in DATASET_NAMES or args.graph in {
         "em", "mo", "ub", "su", "wt", "so"
     }:
+        from repro.graph.generators import make_dataset
+
         graph = make_dataset(args.graph, scale=scale, seed=seed)
         return graph, f"{args.graph} (generated, scale={scale}, seed={seed})"
     raise ValueError(
@@ -343,6 +340,9 @@ def _resolve_graph_arg(args):
 
 
 def cmd_generate(args) -> int:
+    from repro.graph.generators import make_dataset
+    from repro.graph.loaders import save_snap_text
+
     graph = make_dataset(args.dataset, scale=args.scale, seed=args.seed)
     save_snap_text(graph, args.output)
     print(f"wrote {graph} to {args.output}")
@@ -350,12 +350,18 @@ def cmd_generate(args) -> int:
 
 
 def cmd_mine(args) -> int:
+    from repro.mining.dispatch import ENGINE
+    from repro.mining.mackey import MackeyMiner
+    from repro.mining.parallel import open_runner
+
     graph = _load(args.graph)
     if getattr(args, "motif_spec", None):
         from repro.motifs.parse import parse_motif
 
         motif = parse_motif(args.motif_spec, name="custom")
     else:
+        from repro.motifs.catalog import motif_by_name
+
         motif = motif_by_name(args.motif)
     workers = getattr(args, "workers", 0)
     as_json = getattr(args, "json", False)
@@ -423,6 +429,7 @@ def _mine_approx(graph, motif, args) -> int:
     """
     from repro.approx.engine import estimate
     from repro.approx.estimate import ApproxSpec, build_approx_payload
+    from repro.mining.parallel import open_runner
 
     try:
         spec = ApproxSpec(
@@ -473,6 +480,9 @@ def _print_mine_payload(graph, motif, delta, count, counters) -> None:
 def cmd_census(args) -> int:
     import json
 
+    from repro.analysis.reporting import format_sharing_stats
+    from repro.mining.dispatch import ENGINE
+    from repro.mining.multi import grid_family_census, render_grid
     from repro.motifs.grid import paranjape_grid
 
     graph = _load(args.graph)
@@ -508,6 +518,11 @@ def cmd_census(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from repro.analysis.reporting import format_table
+    from repro.motifs.catalog import motif_by_name
+    from repro.sim.accelerator import MintSimulator
+    from repro.sim.config import MintConfig
+
     graph = _load(args.graph)
     motif = motif_by_name(args.motif)
     config = MintConfig(num_pes=args.pes, memoize=not args.no_memoize)
@@ -519,8 +534,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    # Imported here so that no other command — `serve` above all, which
-    # is resident — loads the experiment harness and the baseline models.
     from repro.analysis import experiments as experiments_mod
 
     policy = experiments_mod.DEFAULT_POLICY
@@ -565,6 +578,9 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_info(args) -> int:
+    from repro.analysis.reporting import format_table
+    from repro.graph.stats import compute_stats
+
     graph = _load(args.graph)
     st = compute_stats(graph, name=args.graph)
     rows = [
@@ -627,7 +643,9 @@ def _cmd_chaos_cluster(args) -> int:
     motif's count *and* search counters byte-for-byte against the
     serial miner.  Exit 0 = parity held; 1 = it did not (a real bug).
     """
+    from repro.analysis.reporting import format_table
     from repro.cluster import MiningCluster
+    from repro.mining.mackey import MackeyMiner
     from repro.motifs.catalog import EVALUATION_MOTIFS
     from repro.resilience import FaultPlan
     from repro.service.query import build_payload, payload_bytes
@@ -704,6 +722,7 @@ def _cmd_chaos_live(args) -> int:
     fired exactly the offline-replay event stream.  Exit 0 = all
     invariants held.
     """
+    from repro.analysis.reporting import format_table
     from repro.live.driver import (
         build_live_chaos_plan,
         check_feed,
@@ -764,7 +783,11 @@ def cmd_chaos(args) -> int:
     drills ingest-path crashes on a live graph
     (see :func:`_cmd_chaos_live`).
     """
-    from repro.resilience import FaultPlan, SupervisedMiningPool
+    from repro.analysis.reporting import format_table
+    from repro.mining.mackey import MackeyMiner
+    from repro.motifs.catalog import motif_by_name
+    from repro.resilience import FaultPlan
+    from repro.resilience.supervisor import SupervisedMiningPool
 
     if getattr(args, "cluster", False) and getattr(args, "live", False):
         print("error: --cluster and --live are mutually exclusive")
@@ -831,6 +854,7 @@ def cmd_live(args) -> int:
     Exit 0 = every check of the report held; 1 = one did not; 2 = bad
     arguments.
     """
+    from repro.analysis.reporting import format_table
     from repro.live.driver import check_feed, run_live_feed
 
     try:
@@ -884,7 +908,27 @@ def cmd_live(args) -> int:
     return 0
 
 
+def _check_serve_args(args) -> None:
+    """Reject out-of-range ``repro serve`` flags before any work starts."""
+    if not 0 <= args.port <= 65535:
+        raise ValueError("--port must be in [0, 65535]")
+    for flag, value, low in (
+        ("--workers", args.workers, 0),
+        ("--cluster", args.cluster, 0),
+        ("--lanes", args.lanes, 1),
+        ("--queue-size", args.queue_size, 1),
+        ("--cache-mb", args.cache_mb, 0),
+    ):
+        if not value >= low:  # NaN fails too
+            raise ValueError(f"{flag} must be >= {low}, got {value}")
+
+
 def cmd_serve(args) -> int:
+    try:
+        _check_serve_args(args)
+    except ValueError as exc:
+        print(f"error: {exc}")
+        return 2
     service, server = build_serve_server(args)
     host, port = server.server_address[:2]
     print(f"serving motif queries on http://{host}:{port}")

@@ -17,21 +17,13 @@ chunk protocol of :mod:`repro.mining.dispatch` over local sockets.
   service backend; several service replicas can share one cluster.
 """
 
-from repro.cluster.coordinator import (
-    ClusterDegraded,
-    ClusterFailed,
-    ClusterStats,
-    MiningCluster,
-    slot_name,
-)
+from repro.cluster.coordinator import ClusterFailed, MiningCluster, slot_name
 from repro.cluster.executor import ClusterExecutor
 from repro.cluster.ring import DEFAULT_VNODES, HashRing
 
 __all__ = [
-    "ClusterDegraded",
     "ClusterExecutor",
     "ClusterFailed",
-    "ClusterStats",
     "DEFAULT_VNODES",
     "HashRing",
     "MiningCluster",

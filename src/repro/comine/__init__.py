@@ -24,12 +24,11 @@ existing retry/chaos machinery), the service, ``repro mine`` and
 ``repro census``.
 """
 
-from repro.comine.trie import MotifTrie, TrieNode
+from repro.comine.trie import MotifTrie
 from repro.comine.engine import CoMiner, FamilyResult, SharingStats, co_count
 
 __all__ = [
     "MotifTrie",
-    "TrieNode",
     "CoMiner",
     "FamilyResult",
     "SharingStats",

@@ -13,38 +13,3 @@ through bounded at-least-once outboxes
 Every live firing is checkable byte-for-byte against an offline
 ``repro.streaming`` replay (:mod:`repro.live.oracle`).
 """
-
-from repro.live.ingest import LiveGraph, ReorderBuffer
-from repro.live.manager import LiveManager
-from repro.live.oracle import (
-    SubSpec,
-    offline_replay,
-    schedule_from_acks,
-    sorted_arrivals,
-)
-from repro.live.outbox import Outbox
-from repro.live.subscriptions import (
-    THRESHOLD,
-    UPDATE,
-    EventGroup,
-    SharedCounter,
-    Subscription,
-    WindowTracker,
-)
-
-__all__ = [
-    "EventGroup",
-    "LiveGraph",
-    "LiveManager",
-    "Outbox",
-    "ReorderBuffer",
-    "SharedCounter",
-    "SubSpec",
-    "Subscription",
-    "THRESHOLD",
-    "UPDATE",
-    "WindowTracker",
-    "offline_replay",
-    "schedule_from_acks",
-    "sorted_arrivals",
-]

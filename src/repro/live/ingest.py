@@ -197,7 +197,7 @@ class LiveGraph:
         delta: int,
         lateness: Optional[int] = 0,
         reorder_capacity: int = 1024,
-        on_commit: Optional[Callable[["LiveGraph", int], None]] = None,
+        on_commit: Optional[Callable[[Dict], None]] = None,
     ) -> None:
         if int(delta) < 0:
             raise ValueError("delta must be non-negative")
@@ -221,8 +221,10 @@ class LiveGraph:
         self._run_lo = self._run_hi = 0
         self._applied_seqs: set = set()
         self._auto_seq = itertools.count(1)
-        #: Called under the lock after every version bump (cache/registry
-        #: bookkeeping lives in the LiveManager, not here).
+        #: Called with the ack of every committed batch, under the lock
+        #: and before the crash-after-commit site, so what it charges
+        #: counts each committed batch once even when its ack is lost
+        #: (the counters live in the LiveManager, not here).
         self._on_commit = on_commit
         self.batches_applied = 0
         self.edges_ingested = 0
@@ -282,6 +284,8 @@ class LiveGraph:
                 while self._is_applied(seq):
                     seq = next(self._auto_seq)
             ack = self._apply(batch, seq, flush)
+            if self._on_commit is not None:
+                self._on_commit(ack)
         # Crash-after-commit site: the batch is applied and remembered;
         # a retry hits the duplicate path above — no double-apply.
         fault_point("live.ingest.ack", graph=self.name, batch=seq)
@@ -332,8 +336,6 @@ class LiveGraph:
             for group in self._groups.values():
                 if group.evaluate(self.version, t_now, window_edges):
                     events += group.refs
-            if self._on_commit is not None:
-                self._on_commit(self, self.version)
 
         self.batches_applied += 1
         ack = {

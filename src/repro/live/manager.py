@@ -78,6 +78,7 @@ class LiveManager:
             delta,
             lateness=lateness,
             reorder_capacity=reorder_capacity,
+            on_commit=self._charge_commit,
         )
         with self._lock:
             if name in self._graphs:
@@ -123,17 +124,23 @@ class LiveManager:
         seq: Optional[int] = None,
         flush: bool = False,
     ) -> Dict:
-        """Apply one batch to a live graph and charge the counters."""
+        """Apply one batch to a live graph and count the answered call.
+
+        What the batch ingested and fired is charged at commit
+        (:meth:`_charge_commit`), so a batch whose ack is lost to a
+        crash still counts, once.
+        """
         ack = self.get(name).append_batch(edges, seq=seq, flush=flush)
-        inc = self.counters.inc
-        inc("ingest_batches")
+        self.counters.inc("ingest_batches")
         if ack.get("duplicate"):
-            inc("duplicate_batches")
-        else:
-            inc("edges_ingested", ack["released"])
-            inc("late_edges_dropped", ack["late_dropped"])
-            inc("subscription_fires", ack["events"])
+            self.counters.inc("duplicate_batches")
         return ack
+
+    def _charge_commit(self, ack: Dict) -> None:
+        inc = self.counters.inc
+        inc("edges_ingested", ack["released"])
+        inc("late_edges_dropped", ack["late_dropped"])
+        inc("subscription_fires", ack["events"])
 
     # -- subscriptions ---------------------------------------------------------
 

@@ -19,47 +19,3 @@
 - :mod:`repro.mining.presto` — PRESTO-style uniform window sampling
   approximate counting.
 """
-
-from repro.mining.results import Match, MiningResult, SearchCounters
-from repro.mining.context import MiningContext
-from repro.mining.bruteforce import brute_force_count, brute_force_matches
-from repro.mining.mackey import MackeyMiner, count_motifs
-from repro.mining.batched import BatchedMiner
-from repro.mining.static_mining import StaticPatternMiner
-from repro.mining.paranjape import ParanjapeMiner
-from repro.mining.presto import PrestoEstimator
-from repro.mining.parallel import (
-    FamilyParallelResult,
-    MiningCancelled,
-    MiningPool,
-    ParallelResult,
-)
-from repro.mining.multi import (
-    MotifCensus,
-    count_motif_family,
-    grid_census,
-    grid_family_census,
-)
-
-__all__ = [
-    "Match",
-    "MiningResult",
-    "SearchCounters",
-    "MiningContext",
-    "brute_force_count",
-    "brute_force_matches",
-    "MackeyMiner",
-    "count_motifs",
-    "BatchedMiner",
-    "StaticPatternMiner",
-    "ParanjapeMiner",
-    "PrestoEstimator",
-    "FamilyParallelResult",
-    "MiningCancelled",
-    "MiningPool",
-    "ParallelResult",
-    "MotifCensus",
-    "count_motif_family",
-    "grid_census",
-    "grid_family_census",
-]

@@ -115,7 +115,7 @@ class MiningPool(WorkerPool):
     """A :class:`WorkerPool` bound to one ``graph``: shipped at
     construction, and ``count`` / ``count_many`` / ``count_family`` /
     ``sample_intervals`` take ``(motif(s), delta, …)`` without it.  Also
-    importable as :class:`repro.resilience.SupervisedMiningPool`."""
+    importable as :class:`repro.resilience.supervisor.SupervisedMiningPool`."""
 
     def __init__(
         self, graph: TemporalGraph, num_workers: Optional[int] = None, **policy

@@ -1,30 +1,1 @@
 """Temporal motif representation and the paper's evaluation catalog."""
-
-from repro.motifs.motif import Motif
-from repro.motifs.grid import grid_motifs, paranjape_grid
-from repro.motifs.parse import MotifParseError, format_motif, parse_motif
-from repro.motifs.catalog import (
-    M1,
-    M2,
-    M3,
-    M4,
-    EVALUATION_MOTIFS,
-    EXTRA_MOTIFS,
-    motif_by_name,
-)
-
-__all__ = [
-    "Motif",
-    "grid_motifs",
-    "paranjape_grid",
-    "MotifParseError",
-    "format_motif",
-    "parse_motif",
-    "M1",
-    "M2",
-    "M3",
-    "M4",
-    "EVALUATION_MOTIFS",
-    "EXTRA_MOTIFS",
-    "motif_by_name",
-]

@@ -21,36 +21,15 @@ that property into operational resilience:
 """
 
 from repro.resilience.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
-from repro.resilience.faults import (
-    KILL_EXIT_CODE,
-    FaultPlan,
-    FaultSpec,
-    InjectedFault,
-    active_plan,
-    fault_point,
-)
-from repro.resilience.supervisor import (
-    ChunkFailed,
-    PoolDegraded,
-    PoolFailed,
-    PoolStats,
-    SupervisedMiningPool,
-)
+from repro.resilience.faults import FaultPlan, FaultSpec, InjectedFault, active_plan
 
 __all__ = [
     "CLOSED",
-    "ChunkFailed",
     "CircuitBreaker",
     "FaultPlan",
     "FaultSpec",
     "HALF_OPEN",
     "InjectedFault",
-    "KILL_EXIT_CODE",
     "OPEN",
-    "PoolDegraded",
-    "PoolFailed",
-    "PoolStats",
-    "SupervisedMiningPool",
     "active_plan",
-    "fault_point",
 ]

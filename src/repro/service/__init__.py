@@ -34,44 +34,33 @@ Module map (request lifecycle: admit → coalesce → batch → mine → cache
   (``repro serve``).
 """
 
-from repro.service.cache import CachedResult, ResultCache
+from repro.service.cache import ResultCache
 from repro.service.executor import InlineExecutor, PoolExecutor
-from repro.service.http import ServiceHTTPServer, make_server
-from repro.service.metrics import (
-    LatencyReservoir,
-    ResilienceCounters,
-    ServiceMetrics,
-    percentile,
-)
+from repro.service.http import make_server
+from repro.service.metrics import LatencyReservoir, ServiceMetrics, percentile
 from repro.service.query import (
     MotifQuery,
     QueryRejected,
-    QueryResult,
     ServiceClosed,
     UnknownGraph,
     build_payload,
     payload_bytes,
 )
 from repro.service.registry import GraphRegistry
-from repro.service.scheduler import PendingQuery, QueryScheduler
+from repro.service.scheduler import QueryScheduler
 from repro.service.service import MotifService
 
 __all__ = [
-    "CachedResult",
     "GraphRegistry",
     "InlineExecutor",
     "LatencyReservoir",
     "MotifQuery",
     "MotifService",
-    "PendingQuery",
     "PoolExecutor",
     "QueryRejected",
-    "QueryResult",
     "QueryScheduler",
-    "ResilienceCounters",
     "ResultCache",
     "ServiceClosed",
-    "ServiceHTTPServer",
     "ServiceMetrics",
     "UnknownGraph",
     "build_payload",

@@ -16,9 +16,10 @@ The rows carry what an operator needs to steer the serving layer:
 admission-queue depth (backpressure), coalesce ratio (how much
 single-flight is saving), cache hit-rate (how much memoization is
 saving), shed count (overload policy engaged), p50/p99 latency (tail
-health), then the resilience and live-ingestion counters.  Rendering goes through
-:func:`repro.analysis.reporting.format_table` like every other report in
-the repo.
+health), then the resilience and live-ingestion counters.  The text
+body has the layout of :func:`repro.analysis.reporting.format_table`,
+every other report's formatter, laid out here so that serving loads
+nothing of the offline experiment harness.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from typing import (
     Any, Callable, Deque, Dict, List, Mapping, NamedTuple, Optional, Sequence,
 )
 
-from repro.analysis.reporting import format_table
 from repro.mining.dispatch import ENGINE
 
 
@@ -260,7 +260,11 @@ class ServiceMetrics:
 
     def render(self) -> str:
         """Operator-facing table (the ``GET /metrics?format=text`` body)."""
-        return format_table(
-            ["metric", "value"],
-            [[m.label, m.show(self._values[m.name])] for m in METRICS],
-        )
+        rows = [("metric", "value")] + [
+            (m.label, m.show(self._values[m.name])) for m in METRICS
+        ]
+        w = max(len(label) for label, _ in rows)
+        v = max(len(value) for _, value in rows)
+        lines = [f"{label.ljust(w)} | {value.ljust(v)}" for label, value in rows]
+        lines.insert(1, f"{'-' * w}-+-{'-' * v}")
+        return "\n".join(lines)

@@ -14,20 +14,3 @@ context operations and memory accesses, so the simulator's motif counts
 are bit-identical to the software reference by construction (enforced by
 tests), while the timing engine charges cycles for every event.
 """
-
-from repro.sim.config import MintConfig, CacheConfig, DramConfig
-from repro.sim.layout import GraphMemoryLayout
-from repro.sim.dram import DramModel
-from repro.sim.cache import CacheModel
-from repro.sim.accelerator import MintSimulator, SimReport
-
-__all__ = [
-    "MintConfig",
-    "CacheConfig",
-    "DramConfig",
-    "GraphMemoryLayout",
-    "DramModel",
-    "CacheModel",
-    "MintSimulator",
-    "SimReport",
-]

@@ -18,8 +18,6 @@ engine, and its offline oracle runs :class:`StreamingCounter`.
 
 from repro.streaming.counter import (
     FamilyStreamEngine,
-    MotifStreamEngine,
-    PartialMatch,
     Slot,
     StreamingCatalogCounter,
     StreamingCounter,
@@ -28,8 +26,6 @@ from repro.streaming.window import StreamBuffer
 
 __all__ = [
     "FamilyStreamEngine",
-    "MotifStreamEngine",
-    "PartialMatch",
     "Slot",
     "StreamBuffer",
     "StreamingCatalogCounter",

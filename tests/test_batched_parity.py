@@ -32,7 +32,8 @@ from repro.mining.mackey import MackeyMiner
 from repro.mining.parallel import MiningCancelled, MiningPool
 from repro.mining.results import SearchCounters
 from repro.motifs.catalog import EVALUATION_MOTIFS, EXTRA_MOTIFS
-from repro.resilience import FaultPlan, SupervisedMiningPool
+from repro.resilience import FaultPlan
+from repro.resilience.supervisor import SupervisedMiningPool
 from repro.service import build_payload, payload_bytes
 from tests.conftest import random_temporal_graph
 

@@ -20,7 +20,8 @@ from repro.cli import main
 from repro.graph.loaders import save_snap_text
 from repro.mining.mackey import MackeyMiner
 from repro.motifs.catalog import EVALUATION_MOTIFS, EXTRA_MOTIFS
-from repro.resilience import FaultPlan, SupervisedMiningPool
+from repro.resilience import FaultPlan
+from repro.resilience.supervisor import SupervisedMiningPool
 from repro.service import build_payload, payload_bytes
 from tests.conftest import random_temporal_graph
 

@@ -160,6 +160,18 @@ class TestOtherCommands:
         assert main(["experiment", "fig14"]) == 0
         assert "28.3" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag", [
+        ["--lanes", "0"], ["--queue-size", "0"], ["--cache-mb", "-1"],
+        ["--cache-mb", "nan"], ["--port", "70000"], ["--port", "-1"],
+        ["--workers", "-1"], ["--cluster", "-1"],
+    ])
+    def test_serve_rejects_bad_flags_before_loading(self, capsys, flag):
+        # The graph file does not exist: reading it would raise, so a
+        # clean exit 2 shows the flags were checked first.
+        assert main(["serve", "g=/no/such/graph.txt", *flag]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("error: ") and flag[0] in out
+
 
 class TestJsonOutput:
     def test_mine_json_payload_shape(self, graph_file, capsys):

@@ -114,6 +114,15 @@ class TestChaosDrill:
         assert checks["event_parity"]
         assert checks["window_fingerprint_ok"]
 
+    def test_metrics_count_batches_whose_ack_was_lost(self, feed_graph):
+        """/metrics charges a batch at commit, so one whose ack a crash
+        lost counts once: every committed edge, every fired event."""
+        report = chaos_feed(feed_graph, kills=3, seed=5, num_subs=6)
+        assert report["ok"] and "ack" in report["failures"].values()
+        metrics = report["metrics"]
+        assert metrics["edges_ingested"] == report["edges"]
+        assert metrics["subscription_fires"] == report["events_total"]
+
     def test_drill_seeds_change_crash_schedule(self, feed_graph):
         r1 = chaos_feed(feed_graph, kills=2, seed=1, num_subs=3)
         r2 = chaos_feed(feed_graph, kills=2, seed=2, num_subs=3)

@@ -384,6 +384,16 @@ class TestServiceMetrics:
         assert d["worker_respawns"] == 3 and "respawns" not in d
         assert ServiceMetrics(breakers_open=1).degraded is True
 
+    def test_render_has_the_report_table_layout(self):
+        """``render`` lays out its own table so serving loads nothing of
+        ``repro.analysis``; its bytes are ``format_table``'s."""
+        from repro.analysis.reporting import format_table
+
+        metrics = ServiceMetrics(shed=3, admitted=12_345, latency_p99_s=0.25)
+        values = metrics.as_dict()
+        rows = [[m.label, m.show(values[m.name])] for m in METRICS]
+        assert metrics.render() == format_table(["metric", "value"], rows)
+
     def test_render_mentions_key_metrics(self):
         text = ServiceMetrics(shed=3).render()
         assert "coalesce ratio" in text

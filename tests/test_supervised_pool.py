@@ -18,10 +18,9 @@ import pytest
 from repro.mining.mackey import MackeyMiner
 from repro.mining.parallel import MiningCancelled
 from repro.motifs.catalog import M1, M2
-from repro.resilience import (
+from repro.resilience import FaultPlan, FaultSpec
+from repro.resilience.supervisor import (
     ChunkFailed,
-    FaultPlan,
-    FaultSpec,
     PoolDegraded,
     PoolFailed,
     SupervisedMiningPool,
