@@ -23,7 +23,7 @@ from repro.analysis.reporting import format_table
 from repro.approx.engine import estimate_inline
 from repro.approx.estimate import ApproxSpec
 from repro.graph.generators import make_dataset
-from repro.mining.dispatch import INLINE
+from repro.mining.chunks import INLINE
 from repro.motifs.catalog import M1
 
 #: (dataset, scale, δ as a label and as a function of the graph).

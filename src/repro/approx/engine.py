@@ -3,8 +3,8 @@
 The driver is deliberately backend-agnostic: it only needs a
 ``run_range(lo, hi) -> SampleBatch`` callable, and :func:`estimate`
 supplies the one every caller uses — ``sample_intervals`` of a
-:class:`~repro.mining.dispatch.ChunkRunner`, which is the in-process
-:data:`~repro.mining.dispatch.INLINE`, a worker pool or a cluster.
+:class:`~repro.mining.chunks.ChunkRunner`, which is the in-process
+:data:`~repro.mining.chunks.INLINE`, a worker pool or a cluster.
 Because the round boundaries are a pure function of the spec
 (``base_samples``, then doubling up to ``max_samples``) and every
 sample's value is a pure function of its index, all runners walk the
@@ -19,7 +19,7 @@ from typing import Callable, Optional
 from repro.approx.estimate import ApproxEstimate, ApproxSpec, SampleBatch
 from repro.approx.sampler import window_length_for
 from repro.graph.temporal_graph import TemporalGraph
-from repro.mining.dispatch import INLINE, ChunkRunner
+from repro.mining.chunks import INLINE, ChunkRunner
 from repro.motifs.motif import Motif
 
 

@@ -189,6 +189,6 @@ def spec_from_params(params: Tuple[int, float, int, str]) -> ApproxSpec:
     """Inverse of :meth:`ApproxSpec.sampler_params` — exactly the fields
     per-sample values depend on, so two specs differing only in stop
     criteria share one worker-resident sampler (the ``"sample"`` chunk
-    kind of :mod:`repro.mining.dispatch`)."""
+    kind of :mod:`repro.mining.chunks`)."""
     seed, c, bins, importance = params
     return ApproxSpec(seed=int(seed), c=float(c), bins=int(bins), importance=importance)

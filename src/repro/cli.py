@@ -350,7 +350,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_mine(args) -> int:
-    from repro.mining.dispatch import ENGINE
+    from repro.comine.engine import ENGINE
     from repro.mining.mackey import MackeyMiner
     from repro.mining.parallel import open_runner
 
@@ -481,7 +481,7 @@ def cmd_census(args) -> int:
     import json
 
     from repro.analysis.reporting import format_sharing_stats
-    from repro.mining.dispatch import ENGINE
+    from repro.comine.engine import ENGINE
     from repro.mining.multi import grid_family_census, render_grid
     from repro.motifs.grid import paranjape_grid
 
@@ -774,7 +774,7 @@ def _cmd_chaos_live(args) -> int:
 def cmd_chaos(args) -> int:
     """Exercise the failure path on purpose, then prove it was harmless.
 
-    Runs one motif count on a :class:`SupervisedMiningPool` with a
+    Runs one motif count on a :class:`MiningPool` with a
     seeded :class:`FaultPlan` killing ``--kills`` workers mid-run, and
     compares counts and search counters byte-for-byte against the
     serial miner.  Exit 0 = parity held; 1 = it did not (a real bug).
@@ -785,9 +785,9 @@ def cmd_chaos(args) -> int:
     """
     from repro.analysis.reporting import format_table
     from repro.mining.mackey import MackeyMiner
+    from repro.mining.parallel import MiningPool
     from repro.motifs.catalog import motif_by_name
     from repro.resilience import FaultPlan
-    from repro.resilience.supervisor import SupervisedMiningPool
 
     if getattr(args, "cluster", False) and getattr(args, "live", False):
         print("error: --cluster and --live are mutually exclusive")
@@ -803,7 +803,7 @@ def cmd_chaos(args) -> int:
         return 2
     plan = FaultPlan.random_kills(args.seed, args.workers, args.kills)
     serial = MackeyMiner(graph, motif, args.delta).mine()
-    with SupervisedMiningPool(
+    with MiningPool(
         graph,
         args.workers,
         chunk_timeout_s=args.chunk_timeout,

@@ -4,7 +4,9 @@ The path from "fast laptop" to horizontally-scaled serving (ROADMAP
 item 2): root-range chunks and commutative count merging — the same
 decomposition Gao et al. (arxiv 2204.09236) use to scale temporal motif
 counting — dispatched across N worker *node* processes speaking the
-chunk protocol of :mod:`repro.mining.dispatch` over local sockets.
+chunk protocol over local sockets: the supervision loop of
+:mod:`repro.mining.pool` on the coordinator, and on each node
+:func:`repro.mining.parallel.worker_main`, the pool's worker body.
 
 - :mod:`~repro.cluster.ring` — :class:`HashRing`, deterministic
   consistent-hash placement of graphs (keyed on

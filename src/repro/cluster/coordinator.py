@@ -4,7 +4,7 @@ Gao et al. (arxiv 2204.09236) scale temporal motif counting by
 partitioning the search into independent tasks and merging commutative
 per-partition counts; root-range chunks and ``FamilyResult.merge`` are
 exactly that decomposition, and
-:class:`~repro.mining.dispatch.ChunkDispatcher` is the loop that runs
+:class:`~repro.mining.pool.ChunkDispatcher` is the loop that runs
 it (chunk queue, retry, wedge kill, budgeted respawn, degraded
 completion, failover — and the graph-first ``count`` / ``count_many`` /
 ``count_family`` / ``sample_intervals`` it inherits — shared with the
@@ -36,12 +36,9 @@ from typing import Iterable, List, Optional
 
 from repro.cluster.ring import DEFAULT_VNODES, HashRing
 from repro.graph.temporal_graph import TemporalGraph
-from repro.mining.dispatch import (
-    ChunkDispatcher,
-    DispatchStats as ClusterStats,  # noqa: F401 - re-exported
-    PickledGraph,
-    worker_main,
-)
+from repro.mining.parallel import worker_main
+from repro.mining.pool import ChunkDispatcher
+from repro.mining.shipping import PickledGraph
 
 
 class ClusterDegraded(RuntimeError):
@@ -79,7 +76,7 @@ class MiningCluster(ChunkDispatcher):
     them on, stay resident for later calls, and are dropped with
     :meth:`drop_graph` — the shape a shared node pool serving many
     graphs and several service replicas needs.  ``policy`` is
-    :class:`~repro.mining.dispatch.ChunkDispatcher`'s keyword-only
+    :class:`~repro.mining.pool.ChunkDispatcher`'s keyword-only
     failure policy; mining calls raise :class:`ClusterFailed` /
     :class:`ClusterDegraded` / ``ChunkFailed`` / ``MiningCancelled``
     exactly as a pool raises its own.

@@ -17,7 +17,7 @@ a whole family in ONE traversal:
   the trie saved.  A single motif is the family of one
   (:class:`repro.mining.batched.BatchedMiner`).
 
-It is the repo's one exact engine (:data:`repro.mining.dispatch.ENGINE`):
+It is the repo's one exact engine (:data:`repro.comine.engine.ENGINE`):
 ``repro.mining.multi``'s censuses, ``count`` / ``count_many`` /
 ``count_family`` on every runner (root-range family chunks with the
 existing retry/chaos machinery), the service, ``repro mine`` and

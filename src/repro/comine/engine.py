@@ -1,7 +1,7 @@
 """The family engine: one vectorised trie walk for a whole motif family.
 
 :class:`CoMiner` is the repo's one exact engine — the only one a runner
-dispatches, :data:`repro.mining.dispatch.ENGINE` — and the software analogue
+dispatches, named by :data:`ENGINE` — and the software analogue
 of Mint's two-phase search engine (a search to the first edge after the
 last match, then a stream up to the window bound).  It descends the
 family's :class:`~repro.comine.trie.MotifTrie` level by level with a
@@ -96,9 +96,12 @@ import numpy as np
 
 from repro.graph.temporal_graph import TemporalGraph
 from repro.graph.window import window_t_limit
-from repro.mining.mackey import EDGE_RECORD_BYTES, INDEX_BYTES
-from repro.mining.parallel import MiningCancelled
-from repro.mining.results import SearchCounters
+from repro.mining.results import (
+    EDGE_RECORD_BYTES,
+    INDEX_BYTES,
+    MiningCancelled,
+    SearchCounters,
+)
 from repro.motifs.motif import Motif
 
 from repro.comine.trie import MotifTrie, TrieNode
@@ -342,6 +345,14 @@ def _slabs(sizes: np.ndarray) -> Iterator[Tuple[int, int]]:
         a = b
 
 
+#: The one exact engine's name, as ``/healthz``, ``/metrics`` and
+#: ``census --json`` spell it: :class:`CoMiner`, the family walker, run
+#: once per root range for a whole motif list.  The scalar
+#: :class:`~repro.mining.mackey.MackeyMiner` is the oracle it is checked
+#: against, run serially, never dispatched.
+ENGINE = "batched"
+
+
 class CoMiner:
     """Exact δ-temporal miner for a motif family: the vectorised trie walk.
 
@@ -353,7 +364,7 @@ class CoMiner:
     cancel_check:
         Optional hook polled per root block and per frontier tile;
         when it returns True the run raises
-        :class:`~repro.mining.parallel.MiningCancelled` (the serving
+        :class:`~repro.mining.results.MiningCancelled` (the serving
         layer's deadline contract).
     """
 

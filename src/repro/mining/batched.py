@@ -36,7 +36,7 @@ class BatchedMiner:
     cancel_check:
         Optional hook polled between root blocks, motif edges and
         tiles; when it returns True the run raises
-        :class:`~repro.mining.parallel.MiningCancelled` (the serving
+        :class:`~repro.mining.results.MiningCancelled` (the serving
         layer's deadline contract).
     """
 

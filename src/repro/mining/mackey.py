@@ -32,13 +32,14 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.graph.temporal_graph import TemporalGraph
 from repro.graph.window import window_t_limit
-from repro.mining.results import Match, MiningResult, SearchCounters
+from repro.mining.results import (
+    EDGE_RECORD_BYTES,
+    INDEX_BYTES,
+    Match,
+    MiningResult,
+    SearchCounters,
+)
 from repro.motifs.motif import Motif
-
-#: Bytes per temporal edge record in the paper's layout (u, v, t — 4 B each).
-EDGE_RECORD_BYTES = 12
-#: Bytes per neighbor-list index entry.
-INDEX_BYTES = 4
 
 #: Signature of the phase-1 neighborhood utilization probe (Fig. 7):
 #: ``probe(node, direction, useful_items, total_items)`` where direction

@@ -18,17 +18,15 @@ reports the shared work actually done and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple, TYPE_CHECKING
+from typing import Dict, List, Sequence, Tuple
 
+from repro.comine.engine import ENGINE, SharingStats
 from repro.graph.temporal_graph import TemporalGraph
-from repro.mining.dispatch import ENGINE, require_walker
+from repro.mining.chunks import require_walker
 from repro.mining.parallel import open_runner
 from repro.mining.results import SearchCounters
 from repro.motifs.grid import paranjape_grid
 from repro.motifs.motif import Motif
-
-if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
-    from repro.comine.engine import SharingStats
 
 
 @dataclass
@@ -45,7 +43,7 @@ class MotifCensus:
     counts: Dict[str, int]
     counters: SearchCounters
     per_motif: Dict[str, SearchCounters]
-    sharing: "SharingStats"
+    sharing: SharingStats
 
     def total(self) -> int:
         return sum(self.counts.values())

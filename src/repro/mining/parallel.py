@@ -1,9 +1,9 @@
 """`WorkerPool` / `MiningPool` — parallel task-centric mining on local workers.
 
 The pool is the place-everywhere case of
-:class:`~repro.mining.dispatch.ChunkDispatcher` (which holds the
-supervision loop, the worker main, the failure policy and — inherited
-from :class:`~repro.mining.dispatch.ChunkRunner` — the graph-first
+:class:`~repro.mining.pool.ChunkDispatcher` (which holds the
+supervision loop and the failure policy, and inherits from
+:class:`~repro.mining.chunks.ChunkRunner` the graph-first
 ``count`` / ``count_many`` / ``count_family`` / ``sample_intervals``):
 every worker holds every graph the pool was handed, and any idle worker
 takes the next chunk — the work-stealing effect of the paper's OpenMP
@@ -18,9 +18,12 @@ transport:
 - **Zero-copy graph shipping.**  A graph's seven backing numpy arrays
   (edge list + both CSR adjacency structures) are placed once in a
   ``multiprocessing.shared_memory`` segment
-  (:class:`~repro.mining.dispatch.GraphShipment`); workers adopt views
+  (:class:`~repro.mining.shipping.GraphShipment`); workers adopt views
   of it via :meth:`TemporalGraph.from_arrays`, so no per-run pickling
   of Python tuples and no CSR rebuild happens in workers.
+
+:func:`worker_main` is the process every dispatcher spawns — a pool
+worker, and a cluster node once it has dialled its coordinator.
 
 :class:`WorkerPool` is graph-agnostic (graphs ship on first use and
 leave with ``drop_graph`` — what the service's ``PoolExecutor`` holds);
@@ -38,20 +41,59 @@ from __future__ import annotations
 import itertools
 from functools import partial
 from multiprocessing import get_context
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.graph.temporal_graph import TemporalGraph
-from repro.mining.dispatch import (  # noqa: F401 - re-exported
-    INLINE,
-    ChunkDispatcher,
-    ChunkRunner,
-    FamilyParallelResult,
-    GraphShipment,
-    MiningCancelled,
-    ParallelResult,
-    _guided_bounds,
-    worker_main,
-)
+from repro.mining.chunks import INLINE, ChunkRunner, ResidentGraph
+from repro.mining.pool import ChunkDispatcher
+from repro.mining.shipping import GraphShipment, adopt_graph
+from repro.resilience.faults import fault_point
+
+
+def worker_main(  # pragma: no cover - runs in spawned worker processes only
+    wid: int, site: str, conn, fault_plan
+) -> None:
+    """Worker process main: serve chunks over ``conn`` until told to stop.
+
+    Supervisor -> worker: ``("graph", fp, payload, num_nodes)`` adopts a
+    graph, ``("drop", fp)`` releases one, ``("task", epoch, task_id, fp,
+    kind, spec, delta, lo, hi)`` mines one chunk, ``None`` shuts down.
+    Worker -> supervisor: ``"ready"`` once, then per task ``("done",
+    epoch, task_id, result)`` or ``("error", epoch, task_id, repr)``.
+
+    Every send is synchronous, so anything sent before a crash survives
+    the crash.  A chunk-level exception is reported (the worker survives
+    and keeps serving); only an injected ``kill`` / external SIGKILL
+    takes the process down.  ``fault_point(site, worker=wid)`` before
+    each chunk is the hook the chaos suite kills/delays workers through.
+    """
+    if fault_plan is not None:
+        fault_plan.install()
+    resident: Dict[str, ResidentGraph] = {}
+    conn.send("ready")
+    while True:
+        try:
+            msg = conn.recv()
+        except (EOFError, OSError):
+            return  # supervisor went away
+        if msg is None:
+            return
+        if msg[0] == "graph":
+            _, fp, payload, num_nodes = msg
+            resident[fp] = adopt_graph(payload, num_nodes)
+        elif msg[0] == "drop":
+            resident.pop(msg[1], None)
+        else:
+            _, epoch, task_id, fp, kind, spec, delta, lo, hi = msg
+            try:
+                fault_point(site, worker=wid, chunk=task_id)
+                if fp not in resident:
+                    raise KeyError(f"graph {fp} not resident on worker {wid}")
+                result = resident[fp].run(epoch, kind, spec, delta, lo, hi)
+            except BaseException as exc:  # noqa: BLE001 - reported, worker survives
+                conn.send(("error", epoch, task_id, repr(exc)))
+                continue
+            conn.send(("done", epoch, task_id, result))
 
 
 class PoolDegraded(RuntimeError):
@@ -70,13 +112,13 @@ class WorkerPool(ChunkDispatcher):
     """A supervised pool of local worker processes; every graph it is
     handed becomes resident (zero-copy) in every worker.
 
-    ``policy`` is :class:`~repro.mining.dispatch.ChunkDispatcher`'s
+    ``policy`` is :class:`~repro.mining.pool.ChunkDispatcher`'s
     keyword-only failure policy.  Every mining call is byte-identical to
     the serial miner through any pattern of worker deaths; it raises
     :class:`PoolFailed` when no worker survives and the respawn budget
     is spent, :class:`PoolDegraded` additionally (before completing on
     survivors) when ``allow_degraded=False``, ``ChunkFailed`` when
-    one chunk keeps raising, and :class:`MiningCancelled` when
+    one chunk keeps raising, and ``MiningCancelled`` when
     ``cancel_check`` — polled at every chunk boundary, the serving
     layer's deadline hook — returns True (the pool stays reusable).
     Use as a context manager so shared segments are always unlinked.

@@ -15,6 +15,25 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+#: Bytes per temporal edge record in the paper's layout (u, v, t — 4 B
+#: each): what :attr:`SearchCounters.bytes_touched` charges per candidate
+#: edge, and the simulator's edge-array stride.
+EDGE_RECORD_BYTES = 12
+#: Bytes per neighbor-list index entry (charged on top of the record when
+#: a scan goes through a node's index).
+INDEX_BYTES = 4
+
+
+class MiningCancelled(RuntimeError):
+    """Raised by a mining call when its ``cancel_check`` fires.
+
+    The walker polls ``cancel_check`` per root block and per frontier
+    tile, a chunk runner between chunks.  Cancellation is best-effort:
+    chunks already executing in workers run to completion (their
+    results carry a stale epoch and are discarded), no further chunks
+    are dispatched, and partial counts are dropped.  The runner stays
+    usable."""
+
 
 @dataclass(frozen=True)
 class Match:

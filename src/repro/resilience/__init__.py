@@ -13,7 +13,8 @@ that property into operational resilience:
 - :mod:`~repro.resilience.supervisor` —
   :class:`SupervisedMiningPool`, the resilience-layer name of
   :class:`repro.mining.parallel.MiningPool` (chunk-level retry and
-  budgeted respawn live in :mod:`repro.mining.dispatch`);
+  budgeted respawn live in :mod:`repro.mining.pool`, the pool's error
+  classes in :mod:`repro.mining.parallel`);
 - :mod:`~repro.resilience.breaker` — :class:`CircuitBreaker`, the
   per-graph closed/open/half-open guard the serving layer uses to shed
   throughput (degraded serial mining) instead of correctness when a

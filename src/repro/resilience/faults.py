@@ -12,7 +12,7 @@ Production code marks its interesting failure points with
 :func:`fault_point`; with no plan installed the call is a dict lookup
 and an ``is None`` check — effectively free.  Tests install a plan
 (globally via :meth:`FaultPlan.installed`, or shipped into worker
-processes by the dispatchers of :mod:`repro.mining.dispatch`)
+processes by the dispatchers of :mod:`repro.mining.pool`)
 and the exact same failure fires on every run: chaos tests are ordinary
 deterministic tests.
 

@@ -1,24 +1,13 @@
-"""`SupervisedMiningPool` — the fault-tolerant worker pool.
+"""`SupervisedMiningPool` — the resilience layer's name for the pool.
 
 The pool that survives worker deaths at chunk granularity is the only
-pool there is: :class:`repro.mining.parallel.MiningPool`, built on the
-supervision loop in :mod:`repro.mining.dispatch` (chunk-level retry,
-wedge SIGKILL, budgeted seeded-jitter respawn, degraded completion —
-see that module and ``docs/ARCHITECTURE.md`` "Chunk dispatch").  This
-module keeps the names the resilience layer introduced importable.
+pool there is: :class:`repro.mining.parallel.MiningPool`, supervised by
+the loop in :mod:`repro.mining.pool` (chunk-level retry, wedge SIGKILL,
+budgeted seeded-jitter respawn, degraded completion — see
+``docs/ARCHITECTURE.md`` "Chunk dispatch").  The alias stays while the
+benchmark's probes import it.
 """
 
-from repro.mining.dispatch import ChunkFailed, DispatchStats as PoolStats
-from repro.mining.parallel import (
-    MiningPool as SupervisedMiningPool,
-    PoolDegraded,
-    PoolFailed,
-)
+from repro.mining.parallel import MiningPool as SupervisedMiningPool
 
-__all__ = [
-    "ChunkFailed",
-    "PoolDegraded",
-    "PoolFailed",
-    "PoolStats",
-    "SupervisedMiningPool",
-]
+__all__ = ["SupervisedMiningPool"]

@@ -5,25 +5,27 @@ batch; the executor turns a batch into per-motif ``(count, counters)``
 pairs (``count_batch``).  There is one executor class, one engine and
 one way a batch is mined: ONE pass of the vectorised family walker
 (:class:`~repro.comine.engine.CoMiner`,
-:data:`~repro.mining.dispatch.ENGINE`) down the batch's
+:data:`~repro.comine.engine.ENGINE`) down the batch's
 motif prefix trie, whether the batch holds one motif or sixteen — a
 singleton is a family of one.  Per-motif counts and counters are
 byte-identical to the scalar :class:`~repro.mining.mackey.MackeyMiner`
 (the oracle the parity grids compare against, not a route the serving
 stack can reach), so cached payloads do not depend on how queries
 happened to batch.  *Where* it is mined is the executor's dispatcher
-(:class:`~repro.mining.dispatch.ChunkRunner`):
+(a :class:`~repro.mining.chunks.ChunkRunner`):
 
 - :class:`InlineExecutor` has none: every batch runs in the calling
-  lane thread.  No processes, no setup cost; the right backend for
-  small graphs, tests and single-machine deployments where query
-  concurrency (lanes) already saturates the cores.
+  lane thread on :data:`~repro.mining.chunks.INLINE`.  No processes,
+  no setup cost, not even a ``multiprocessing`` import; the right
+  backend for small graphs, tests and single-machine deployments where
+  query concurrency (lanes) already saturates the cores.
 - :class:`PoolExecutor` owns ONE graph-agnostic
-  :class:`~repro.mining.parallel.WorkerPool`: a graph is shipped (zero-
-  copy shared memory) the first time a batch needs it and dropped when
-  the registry evicts it.  Lanes mining different graphs take turns on
-  the pool's deadline-aware lock, exactly as lanes mining one graph do,
-  instead of oversubscribing the cores with a pool per graph.
+  :class:`~repro.mining.parallel.WorkerPool`, imported when the
+  executor is built: a graph is shipped (zero-copy shared memory) the
+  first time a batch needs it and dropped when the registry evicts it.
+  Lanes mining different graphs take turns on the pool's deadline-aware
+  lock, exactly as lanes mining one graph do, instead of
+  oversubscribing the cores with a pool per graph.
 - :class:`~repro.cluster.executor.ClusterExecutor` owns, or shares with
   other replicas, a :class:`~repro.cluster.coordinator.MiningCluster`.
 
@@ -55,20 +57,19 @@ chunks on every dispatcher and, in-process, inside the walker itself
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.graph.temporal_graph import TemporalGraph
-from repro.mining.dispatch import (
-    INLINE,
-    ChunkDispatcher,
-    ChunkRunner,
-    MiningCancelled,
-)
-from repro.mining.parallel import WorkerPool
+from repro.mining.chunks import INLINE, ChunkRunner
+from repro.mining.results import MiningCancelled
 from repro.motifs.motif import Motif
 from repro.resilience.breaker import CLOSED, CircuitBreaker
 from repro.resilience.faults import FaultPlan, fault_point
 from repro.service.metrics import ResilienceCounters
+
+if TYPE_CHECKING:  # the inline executor never loads the process pool
+    from repro.mining.parallel import WorkerPool
+    from repro.mining.pool import ChunkDispatcher
 
 #: One batch item's result: (count, counters-as-dict).
 BatchItem = Tuple[int, Dict[str, int]]
@@ -244,6 +245,8 @@ class PoolExecutor(InlineExecutor):
         super().__init__(counters)
 
     def _open_dispatcher(self) -> WorkerPool:
+        from repro.mining.parallel import WorkerPool
+
         return WorkerPool(
             self.num_workers, on_event=self.counters.inc, **self._policy
         )

@@ -51,15 +51,15 @@ Live graphs and standing subscriptions (:mod:`repro.live`):
 - ``GET /subscriptions/<id>/events`` — SSE push: one ``id:``/
   ``event:``/``data:`` frame per event, heartbeat comments while idle.
   Resume with ``?after=N`` or the standard ``Last-Event-ID`` header;
-  ``?max_events=K`` closes the stream after K events (testing/scripts);
-  ``?heartbeat_s=S`` sets the idle heartbeat (default 5, capped at 60;
-  not a positive finite number is a 400).
+  ``?max_events=K`` closes the stream after K events (testing/scripts;
+  K below 1 is a 400); ``?heartbeat_s=S`` sets the idle heartbeat
+  (default 5, capped at 60; not a positive finite number is a 400).
 - ``GET /subscriptions/<id>/poll?after=N&timeout_s=S&max_events=K`` —
   long-poll fallback: blocks until events past ``N`` exist (or timeout),
-  returns ``{"events": [...], "next_after": M}``.  Delivery everywhere
-  is at-least-once: reads never consume, clients advance their own
-  cursor, and a cursor that fell off the bounded outbox gets an explicit
-  ``gap`` event first.
+  returns ``{"events": [...], "next_after": M}`` (``K`` below 1 is a
+  400).  Delivery everywhere is at-least-once: reads never consume,
+  clients advance their own cursor, and a cursor that fell off the
+  bounded outbox gets an explicit ``gap`` event first.
 """
 
 from __future__ import annotations
@@ -398,12 +398,20 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             return default
         return int(params[name][0])
 
+    def _max_events(self, params: Dict[str, List[str]]) -> Optional[int]:
+        """``?max_events=K``: a read of fewer than one event would wait
+        out its whole timeout for nothing, so K < 1 is a 400."""
+        max_events = self._qs_int(params, "max_events")
+        if max_events is not None and max_events < 1:
+            raise _HTTPError(400, f"max_events must be at least 1, got {max_events}")
+        return max_events
+
     def _handle_poll(self, sub_id: str, query_string: str) -> None:
         """Long-poll fallback: block until events past ``after`` exist."""
         params = parse_qs(query_string)
         sub = self.service.subscription(sub_id)
         after = self._qs_int(params, "after", 0)
-        max_events = self._qs_int(params, "max_events")
+        max_events = self._max_events(params)
         timeout_s = float(params.get("timeout_s", ["10"])[0])
         events = sub.outbox.wait_events(
             after, timeout_s=max(0.0, min(timeout_s, 60.0)),
@@ -435,7 +443,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         last_id = self.headers.get("Last-Event-ID")
         if last_id is not None:
             after = int(last_id)
-        max_events = self._qs_int(params, "max_events")
+        max_events = self._max_events(params)
         heartbeat_s = float(params.get("heartbeat_s", ["5"])[0])
         if not (math.isfinite(heartbeat_s) and heartbeat_s > 0):
             # 0 or less spins this thread on heartbeats; inf/nan kill it

@@ -30,7 +30,7 @@ from typing import (
     Any, Callable, Deque, Dict, List, Mapping, NamedTuple, Optional, Sequence,
 )
 
-from repro.mining.dispatch import ENGINE
+from repro.comine.engine import ENGINE
 
 
 def percentile(values: Sequence[float], p: float) -> float:
@@ -56,7 +56,7 @@ class ResilienceCounters:
     One instance is threaded through the executor (worker deaths, chunk
     retries, respawns, breaker transitions, degraded-mode queries), the
     dispatchers' ``on_event`` hook (under :class:`DispatchStats
-    <repro.mining.dispatch.DispatchStats>` field names), the scheduler
+    <repro.mining.pool.DispatchStats>` field names), the scheduler
     (batch retries, dispatcher crashes) and live ingestion, so one snapshot shows one coherent
     picture.  Names are free: ``/metrics`` reports those :data:`METRICS`
     lists, and a name never counted reads as zero.

@@ -25,7 +25,7 @@ Request lifecycle
    entries whose waiters have all expired are cancelled *before*
    mining, and a running batch polls a cancel hook so an expired batch
    stops at the next chunk boundary
-   (:class:`~repro.mining.parallel.MiningCancelled`).
+   (:class:`~repro.mining.results.MiningCancelled`).
 5. **Cache.**  Fresh results are inserted into the result cache keyed
    by the same triple, then delivered to every waiter.
 6. **Answer.**  :meth:`QueryScheduler._answer` is the only code that
@@ -51,7 +51,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from typing import Deque, Dict, List, Optional, Tuple
 
-from repro.mining.parallel import MiningCancelled
+from repro.mining.results import MiningCancelled
 from repro.motifs.motif import Motif
 from repro.resilience.breaker import CLOSED
 from repro.service.cache import ResultCache

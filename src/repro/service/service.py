@@ -24,7 +24,7 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 from typing import TYPE_CHECKING
 
 from repro.graph.temporal_graph import TemporalGraph
-from repro.mining.dispatch import ENGINE
+from repro.comine.engine import ENGINE
 from repro.motifs.catalog import motif_by_name
 from repro.motifs.motif import Motif
 

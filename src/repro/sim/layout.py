@@ -18,9 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.graph.temporal_graph import TemporalGraph
+from repro.mining.results import EDGE_RECORD_BYTES, INDEX_BYTES
 
-EDGE_RECORD_BYTES = 12
-INDEX_BYTES = 4
 OFFSET_BYTES = 4
 MEMO_ENTRY_BYTES = 4
 

@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster import ClusterExecutor, MiningCluster
 from repro.graph.temporal_graph import TemporalGraph
-from repro.mining.dispatch import INLINE
+from repro.mining.chunks import INLINE
 from repro.mining.mackey import MackeyMiner
 from repro.mining.parallel import WorkerPool
 from repro.motifs.motif import Motif

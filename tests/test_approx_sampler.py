@@ -261,7 +261,7 @@ class TestDeterminismAcrossBackends:
 
     @pytest.mark.timeout(180)
     def test_supervised_matches_inline_bytes(self, graph, spec, inline_est):
-        from repro.resilience.supervisor import SupervisedMiningPool
+        from repro.mining.parallel import MiningPool as SupervisedMiningPool
         from repro.service.query import payload_bytes
 
         window = window_length_for(DELTA, spec)

@@ -29,11 +29,11 @@ import pytest
 from repro.graph.generators import make_dataset
 from repro.mining.batched import BatchedMiner
 from repro.mining.mackey import MackeyMiner
-from repro.mining.parallel import MiningCancelled, MiningPool
-from repro.mining.results import SearchCounters
+from repro.mining.parallel import MiningPool
+from repro.mining.parallel import MiningPool as SupervisedMiningPool
+from repro.mining.results import MiningCancelled, SearchCounters
 from repro.motifs.catalog import EVALUATION_MOTIFS, EXTRA_MOTIFS
 from repro.resilience import FaultPlan
-from repro.resilience.supervisor import SupervisedMiningPool
 from repro.service import build_payload, payload_bytes
 from tests.conftest import random_temporal_graph
 

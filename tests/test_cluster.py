@@ -34,7 +34,7 @@ from repro.cluster import (
     MiningCluster,
     slot_name,
 )
-from repro.mining.dispatch import ResidentGraph
+from repro.mining.chunks import ResidentGraph
 from repro.mining.mackey import MackeyMiner
 from repro.motifs.catalog import M1, PING_PONG
 from repro.resilience import FaultPlan

@@ -4,8 +4,10 @@ A fresh interpreter builds the server the way ``repro serve`` does,
 answers one query, feeds one live graph with a standing subscription,
 and then reports ``sys.modules``: no simulator, experiment harness,
 offline estimator, cluster, baseline model or offline miner may be
-among them.  An import that creeps back onto the serve path (a package
-``__init__`` re-export, a module-level import in ``cli.py``) fails here.
+among them, and — serving inline — no ``multiprocessing`` module nor
+the process pool.  An import that creeps back onto the serve path (a
+package ``__init__`` re-export, a module-level import in ``cli.py``)
+fails here.
 """
 
 import json
@@ -33,9 +35,20 @@ FORBIDDEN_MODULES = tuple(
     f"repro.mining.{name}"
     for name in (
         "presto", "paranjape", "static_mining", "batched", "bruteforce",
-        "context", "multi",
+        "context", "multi", "mackey",
     )
 )
+
+#: The process pool: inline serving (no ``--workers``) never spawns one.
+POOL_MODULES = tuple(
+    f"repro.mining.{name}" for name in ("pool", "parallel", "shipping")
+)
+
+
+def _is_multiprocessing(module: str) -> bool:
+    return module in ("multiprocessing", "_multiprocessing") or module.startswith(
+        "multiprocessing."
+    )
 
 SERVE_SCRIPT = r"""
 import json, sys, threading
@@ -97,6 +110,31 @@ def test_serve_path_loads_no_offline_module(tmp_path):
         or any(m == p or m.startswith(p + ".") for p in FORBIDDEN_PACKAGES)
     ]
     assert not loaded, f"repro serve loaded offline modules: {loaded}"
+    pool = [
+        m for m in report["modules"] if _is_multiprocessing(m) or m in POOL_MODULES
+    ]
+    assert not pool, f"inline repro serve loaded the process pool: {pool}"
     # What serving does run, so an empty module list cannot pass.
     assert {"repro.service.http", "repro.live.ingest",
             "repro.comine.engine"} <= set(modules)
+
+
+def test_the_walker_loads_no_process_pool():
+    """The family walker sits below every runner: importing it loads
+    neither the pool nor the scalar oracle it is checked against."""
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys; import repro.comine.engine; "
+         "print(json.dumps(sorted(sys.modules)))"],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    assert out.returncode == 0, out.stderr
+    modules = json.loads(out.stdout)
+    assert "repro.comine.engine" in modules
+    loaded = [
+        m for m in modules
+        if _is_multiprocessing(m)
+        or m in POOL_MODULES + ("repro.mining.mackey",)
+    ]
+    assert not loaded, f"import repro.comine.engine loaded: {loaded}"

@@ -38,7 +38,7 @@ from repro.graph.temporal_graph import TemporalGraph
 from repro.mining.bruteforce import brute_force_count
 from repro.mining.mackey import MackeyMiner
 from repro.mining.multi import count_motif_family, grid_family_census
-from repro.mining.parallel import MiningCancelled
+from repro.mining.results import MiningCancelled
 from repro.motifs.catalog import (
     EVALUATION_MOTIFS,
     EXTRA_MOTIFS,

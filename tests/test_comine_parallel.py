@@ -11,11 +11,12 @@ import pytest
 
 from repro.comine import CoMiner
 from repro.graph.generators import make_dataset
-from repro.mining.parallel import MiningCancelled, MiningPool
+from repro.mining.parallel import MiningPool
+from repro.mining.parallel import MiningPool as SupervisedMiningPool
+from repro.mining.results import MiningCancelled
 from repro.motifs.catalog import M1, M2, PATH3, PING_PONG
 from repro.motifs.grid import paranjape_grid
 from repro.resilience.faults import FaultPlan
-from repro.resilience.supervisor import SupervisedMiningPool
 
 FAMILY = [M1, M2, PATH3, PING_PONG]
 GRID_MOTIFS = [m for _, m in sorted(paranjape_grid().items())]

@@ -1,6 +1,6 @@
 """The chunk-supervision loop, driven without processes.
 
-:class:`~repro.mining.dispatch.ChunkDispatcher` is the only supervision
+:class:`~repro.mining.pool.ChunkDispatcher` is the only supervision
 loop in the repo (the pool and the cluster add a transport and a
 placement to it), so each of its policies is checked here once, against
 an in-memory fake worker set on a fake clock: scripted workers finish,
@@ -25,17 +25,12 @@ import pytest
 
 from conftest import random_temporal_graph
 from repro.cluster import MiningCluster, coordinator
-from repro.mining.dispatch import (
-    CHUNK_KINDS,
-    ENGINE,
-    INLINE,
-    ChunkDispatcher,
-    ChunkFailed,
-    MiningCancelled,
-    ResidentGraph,
-)
+from repro.comine.engine import ENGINE
+from repro.mining.chunks import CHUNK_KINDS, INLINE, ChunkFailed, ResidentGraph
 from repro.mining.mackey import MackeyMiner
 from repro.mining.parallel import MiningPool
+from repro.mining.pool import ChunkDispatcher
+from repro.mining.results import MiningCancelled
 from repro.motifs.catalog import M1
 
 # -- fakes ---------------------------------------------------------------------

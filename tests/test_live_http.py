@@ -319,6 +319,32 @@ class TestSubscriptionRoutes:
         assert resp.status == 200
 
 
+    @pytest.mark.parametrize(
+        "route", ["poll?timeout_s=5&", "events?"], ids=["poll", "events"]
+    )
+    @pytest.mark.parametrize("max_events", ["0", "-1"])
+    def test_a_read_of_fewer_than_one_event_is_rejected(
+        self, live_server, route, max_events
+    ):
+        """``max_events`` below 1 would hold the connection thread for
+        the whole timeout (poll) or open a stream that can carry
+        nothing (SSE), even with events queued: a 400 before any
+        stream header, and the connection still serves."""
+        conn, _, _ = live_server
+        create_feed(conn)
+        sid = self.subscribe(conn)["subscription"]
+        request(conn, "POST", "/graphs/feed/edges",
+                {"edges": [[0, 1, 10]], "seq": 0})
+        t0 = time.monotonic()
+        conn.request("GET", f"/subscriptions/{sid}/{route}max_events={max_events}")
+        resp = conn.getresponse()
+        assert resp.status == 400
+        assert "max_events" in json.loads(resp.read())["error"]
+        assert time.monotonic() - t0 < 4  # answered, not timed out
+        resp, _ = request(conn, "GET", "/healthz")
+        assert resp.status == 200
+
+
 class TestSharingGauges:
     def test_counters_beside_subscriptions(self, live_server):
         conn, service, _ = live_server

@@ -15,7 +15,8 @@ from repro.graph.generators import make_dataset
 from repro.graph.temporal_graph import TemporalGraph
 from repro.mining.mackey import MackeyMiner, count_motifs
 from repro.mining.multi import grid_census
-from repro.mining.parallel import MiningPool, _guided_bounds, open_runner
+from repro.mining.chunks import _guided_bounds
+from repro.mining.parallel import MiningPool, open_runner
 from repro.motifs.catalog import M1, M2, PING_PONG
 
 from conftest import random_temporal_graph
@@ -157,7 +158,7 @@ class TestCancellation:
     the pool reusable."""
 
     def test_immediate_cancel_raises(self, graph, serial):
-        from repro.mining.parallel import MiningCancelled
+        from repro.mining.results import MiningCancelled
 
         delta, expected = serial
         with MiningPool(graph, 2) as pool:
@@ -168,7 +169,7 @@ class TestCancellation:
             assert result.count == expected.count
 
     def test_cancel_midway(self, graph, serial):
-        from repro.mining.parallel import MiningCancelled
+        from repro.mining.results import MiningCancelled
 
         delta, _ = serial
         calls = []

@@ -526,15 +526,15 @@ class TestPoolExecutor:
         """A per-motif run in the calling thread polls between motifs
         (the executor co-mines multi-motif batches, so this is the
         inline runner it runs on)."""
-        from repro.mining.dispatch import INLINE
-        from repro.mining.parallel import MiningCancelled
+        from repro.mining.chunks import INLINE
+        from repro.mining.results import MiningCancelled
 
         calls = iter([False, True])
         with pytest.raises(MiningCancelled):
             INLINE.count_many(tiny_graph, [M1, M2], 100, cancel_check=lambda: next(calls))
 
     def test_inline_executor_comine_cancel(self, tiny_graph):
-        from repro.mining.parallel import MiningCancelled
+        from repro.mining.results import MiningCancelled
         from repro.service import InlineExecutor
 
         with pytest.raises(MiningCancelled):

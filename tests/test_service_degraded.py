@@ -27,7 +27,7 @@ import pytest
 
 from cluster_harness import kill, own_children
 from repro.mining.mackey import MackeyMiner
-from repro.mining.parallel import MiningCancelled
+from repro.mining.results import MiningCancelled
 from repro.motifs.catalog import M1, M2
 from repro.resilience import CLOSED, HALF_OPEN, OPEN, FaultPlan
 from repro.service import (

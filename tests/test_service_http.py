@@ -295,7 +295,7 @@ class TestErrorMapping:
         cancellation poll — a frontier tile, since a graph smaller than
         one root block has a single per-block poll, the first."""
         from repro.comine.engine import CoMiner
-        from repro.mining.parallel import MiningCancelled
+        from repro.mining.results import MiningCancelled
 
         conn, _, _, service = served_graph
         polls, cancelled_at, release = [], [], threading.Event()

@@ -28,7 +28,7 @@ import pytest
 
 from repro.graph.temporal_graph import TemporalGraph
 from repro.mining.mackey import MackeyMiner
-from repro.mining.parallel import MiningCancelled
+from repro.mining.results import MiningCancelled
 from repro.motifs.catalog import EVALUATION_MOTIFS, EXTRA_MOTIFS, M1, M2
 from repro.service import (
     GraphRegistry,

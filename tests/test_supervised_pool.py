@@ -15,16 +15,13 @@ import time
 
 import pytest
 
+from repro.mining.chunks import ChunkFailed
 from repro.mining.mackey import MackeyMiner
-from repro.mining.parallel import MiningCancelled
+from repro.mining.parallel import MiningPool as SupervisedMiningPool
+from repro.mining.parallel import PoolDegraded, PoolFailed
+from repro.mining.results import MiningCancelled
 from repro.motifs.catalog import M1, M2
 from repro.resilience import FaultPlan, FaultSpec
-from repro.resilience.supervisor import (
-    ChunkFailed,
-    PoolDegraded,
-    PoolFailed,
-    SupervisedMiningPool,
-)
 from tests.conftest import random_temporal_graph
 
 DELTA = 60
