@@ -8,9 +8,9 @@ strictly later; construction uniquifies timestamps so "later" and
 brute force), the streaming window ring, and the batched frontier
 engine each restated this rule inline, which is exactly where
 off-by-one regressions breed.  Every boundary decision now routes
-through the helpers below; ``tests/delta_cases.py`` pins the exact
-boundary behaviour (``t == t_root + δ`` in, one tick later out) across
-every engine.
+through the helpers below; the δ-boundary rows of the correctness
+matrix (``tests/parity_matrix.py``) pin the exact boundary behaviour
+(``t == t_root + δ`` in, one tick later out) across every engine.
 
 All helpers are scalar/array polymorphic: they accept Python ints or
 numpy arrays and vectorize elementwise, so the batched engine can apply

@@ -95,6 +95,13 @@ class EventLog:
             return self.last_seq
 
 
+def _check_max_events(max_events: Optional[int]) -> None:
+    """A page of fewer than one event can hold nothing: refuse it rather
+    than wait out the timeout for an empty answer."""
+    if max_events is not None and max_events < 1:
+        raise ValueError(f"max_events must be at least 1, got {max_events}")
+
+
 class Outbox:
     """One subscriber's bounded, drop-oldest view of an :class:`EventLog`."""
 
@@ -167,7 +174,7 @@ class Outbox:
             base = last - len(events) + 1
             first_retained = max(base, last - self.capacity + 1)
         # A cursor at or past the last seq has nothing to read or lose.
-        if after >= last or (max_events is not None and max_events <= 0):
+        if after >= last:
             return []
         out: List[Dict] = []
         if after + 1 < first_retained:
@@ -212,6 +219,7 @@ class Outbox:
     ) -> List[Dict]:
         """Non-blocking: events with seq > ``after`` (gap event first if
         the cursor fell off the ring).  Reads never consume."""
+        _check_max_events(max_events)
         with self.log.cond:
             return self._read_locked(int(after), max_events)
 
@@ -223,6 +231,7 @@ class Outbox:
     ) -> List[Dict]:
         """Blocking read: wait until something past ``after`` exists (or
         the outbox closes, or ``timeout_s`` elapses — then [])."""
+        _check_max_events(max_events)
         log = self.log
         deadline = log.clock() + timeout_s if timeout_s is not None else None
         with log.cond:

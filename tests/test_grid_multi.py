@@ -1,10 +1,14 @@
-"""Tests for the 36-motif grid and multi-motif census."""
+"""Tests for the 36-motif grid and multi-motif census.
+
+The census's counts against dedicated miners and the brute-force oracle
+are cells of the correctness matrix (``tests/parity_matrix.py``), run
+here under the ids they always had.
+"""
 
 import pytest
 
+from parity_matrix import former_tests
 from repro.graph.generators import make_dataset
-from repro.mining.bruteforce import brute_force_count
-from repro.mining.mackey import count_motifs
 from repro.mining.multi import count_motif_family, grid_census, render_grid
 from repro.motifs.grid import grid_motifs, paranjape_grid
 from repro.motifs.motif import Motif
@@ -57,22 +61,6 @@ class TestCensus:
     def small_graph(self):
         return make_dataset("email-eu", scale=0.04, seed=9)
 
-    def test_family_counts_match_individual(self, small_graph):
-        delta = small_graph.time_span // 30
-        motifs = grid_motifs()[:6]
-        census = count_motif_family(small_graph, motifs, delta)
-        for m in motifs:
-            assert census.counts[m.name] == count_motifs(small_graph, m, delta)
-
-    def test_family_counts_match_oracle(self, small_graph):
-        delta = small_graph.time_span // 50
-        motifs = grid_motifs()[::7]  # a spread of 6 motifs
-        census = count_motif_family(small_graph, motifs, delta)
-        for m in motifs:
-            assert census.counts[m.name] == brute_force_count(
-                small_graph, m, delta
-            )
-
     def test_distribution_sums_to_one(self, small_graph):
         delta = small_graph.time_span // 20
         census = count_motif_family(small_graph, grid_motifs()[:8], delta)
@@ -93,3 +81,6 @@ class TestCensus:
         out = render_grid(census)
         assert "r1" in out and "c6" in out
         assert len(out.splitlines()) == 7
+
+
+former_tests(globals())

@@ -219,12 +219,16 @@ class TestSubscriptionRoutes:
         assert out["events"] == [] and out["next_after"] == 1
 
     def test_long_poll_wakes_on_ingest(self, live_server):
-        conn, _, addr = live_server
+        conn, service, addr = live_server
         create_feed(conn)
         sid = self.subscribe(conn)["subscription"]
+        log = service.subscription(sid).outbox.log
 
         def feed_later():
-            time.sleep(0.2)
+            for _ in range(1000):  # feed once the poller is seen waiting
+                if log.waiting > 0:
+                    break
+                time.sleep(0.005)
             side = HTTPConnection(*addr, timeout=10)
             try:
                 request(side, "POST", "/graphs/feed/edges",

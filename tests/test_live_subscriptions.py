@@ -555,6 +555,16 @@ class TestOutbox:
         rest = box.read_after(page[-1]["seq"])
         assert [e["seq"] for e in rest] == [3, 4, 5, 6]
 
+    @pytest.mark.parametrize("max_events", [0, -1])
+    def test_a_page_of_fewer_than_one_event_is_refused(self, max_events):
+        box = Outbox("sub-1", capacity=8)
+        for i in range(2):
+            box.append({"i": i})
+        with pytest.raises(ValueError, match="max_events"):
+            box.wait_events(0, timeout_s=0, max_events=max_events)
+        with pytest.raises(ValueError, match="max_events"):
+            box.read_after(0, max_events=max_events)
+
     def test_wait_events_wakes_on_append(self):
         box = Outbox("sub-1", capacity=4)
         got = []

@@ -3,23 +3,22 @@
 The hard invariant: a runner from ``open_runner`` must produce exactly the
 counts and merged counters of the serial :class:`MackeyMiner`, for every
 worker count and chunk shape — root tasks are independent, so any
-schedule must partition them without loss or overlap.
+schedule must partition them without loss or overlap.  Those runs are
+cells of the correctness matrix (``tests/parity_matrix.py``), run here
+under the ids they always had.  Beside them: the guided chunk bounds,
+graphs adopted from arrays, and cancellation.
 """
-
-import random
 
 import numpy as np
 import pytest
 
+from parity_matrix import former_tests
 from repro.graph.generators import make_dataset
 from repro.graph.temporal_graph import TemporalGraph
 from repro.mining.mackey import MackeyMiner, count_motifs
-from repro.mining.multi import grid_census
 from repro.mining.chunks import _guided_bounds
-from repro.mining.parallel import MiningPool, open_runner
-from repro.motifs.catalog import M1, M2, PING_PONG
-
-from conftest import random_temporal_graph
+from repro.mining.parallel import MiningPool
+from repro.motifs.catalog import M1
 
 
 @pytest.fixture(scope="module")
@@ -31,30 +30,6 @@ def graph():
 def serial(graph):
     delta = graph.time_span // 30
     return delta, MackeyMiner(graph, M1, delta).mine()
-
-
-class TestWorkerCountParity:
-    @pytest.mark.parametrize("workers", [0, 1, 2, 4])
-    def test_counts_and_counters_match_serial(self, graph, serial, workers):
-        delta, expected = serial
-        with open_runner(graph, workers) as runner:
-            result = runner.count(graph, M1, delta)
-        assert result.count == expected.count
-        assert result.counters.matches == expected.counters.matches
-        assert result.counters.root_tasks == expected.counters.root_tasks
-        assert result.counters.bookkeeps == expected.counters.bookkeeps
-        assert result.counters.backtracks == expected.counters.backtracks
-        assert result.counters.candidates_scanned == (
-            expected.counters.candidates_scanned
-        )
-
-    @pytest.mark.parametrize("chunks_per_worker", [1, 3, 7])
-    def test_uneven_chunk_shapes(self, graph, serial, chunks_per_worker):
-        delta, expected = serial
-        with open_runner(graph, 2) as runner:
-            result = runner.count(graph, M1, delta, chunks_per_worker)
-        assert result.count == expected.count
-        assert result.counters.root_tasks == graph.num_edges
 
 
 class TestGuidedBounds:
@@ -77,44 +52,9 @@ class TestGuidedBounds:
 
 
 class TestMiningPool:
-    def test_pool_reuse_across_motifs(self, graph, serial):
-        delta, expected = serial
-        with MiningPool(graph, num_workers=2) as pool:
-            r1 = pool.count(M1, delta)
-            r2 = pool.count(M2, delta)
-        assert r1.count == expected.count
-        assert r2.count == count_motifs(graph, M2, delta)
-
-    def test_count_many_matches_individual(self, graph):
-        delta = graph.time_span // 40
-        with MiningPool(graph, num_workers=2) as pool:
-            results = pool.count_many([M1, M2, PING_PONG], delta)
-        assert [r.count for r in results] == [
-            count_motifs(graph, m, delta) for m in (M1, M2, PING_PONG)
-        ]
-
     def test_validates_worker_count(self, graph):
         with pytest.raises(ValueError):
             MiningPool(graph, num_workers=0)
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_random_graph_parity(self, seed):
-        rng = random.Random(900 + seed)
-        g = random_temporal_graph(rng, num_nodes=9, num_edges=60, time_range=80)
-        delta = rng.randrange(10, 60)
-        expected = count_motifs(g, M1, delta)
-        with open_runner(g, 2) as runner:
-            assert runner.count(g, M1, delta).count == expected
-
-
-class TestParallelCensus:
-    def test_grid_census_parallel_matches_serial(self):
-        g = make_dataset("email-eu", scale=0.08, seed=3)
-        delta = g.time_span // 30
-        serial = grid_census(g, delta)
-        parallel = grid_census(g, delta, num_workers=2)
-        assert parallel == serial
-
 
 class TestFromArrays:
     def test_round_trip_preserves_structure(self, graph):
@@ -197,3 +137,6 @@ class TestCancellation:
         assert pool.closed
         with pytest.raises(RuntimeError, match="closed"):
             pool.count(M1, 10)
+
+
+former_tests(globals())

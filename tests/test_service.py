@@ -16,7 +16,7 @@ import tracemalloc
 
 import pytest
 
-from cluster_harness import own_children
+from parity_matrix import own_children
 from repro.graph.temporal_graph import TemporalGraph
 from repro.mining.results import SearchCounters
 from repro.motifs.catalog import M1, M2, motif_by_name

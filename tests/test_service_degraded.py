@@ -25,7 +25,7 @@ from http.client import HTTPConnection
 
 import pytest
 
-from cluster_harness import kill, own_children
+from parity_matrix import kill, own_children
 from repro.mining.mackey import MackeyMiner
 from repro.mining.results import MiningCancelled
 from repro.motifs.catalog import M1, M2

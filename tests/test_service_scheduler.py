@@ -245,7 +245,11 @@ class TestDeadlines:
         result = pending.result()  # blocks past the deadline, expires
         assert result.status == "deadline_exceeded"
         scheduler.resume()
-        time.sleep(0.1)  # let the dispatcher drain the dead entry
+        for _ in range(1000):  # let the dispatcher drain the dead entry
+            metrics = scheduler.metrics()
+            if metrics.queue_depth == 0 and metrics.inflight == 0:
+                break
+            time.sleep(0.01)
         scheduler.close()
         assert executor.calls == []  # cancelled *before* mining
         assert scheduler.cancelled >= 1

@@ -65,7 +65,10 @@ class TestSupervisedPool:
         events = []
         with SupervisedMiningPool(
             graph, WORKERS,
-            fault_plan=FaultPlan.kill_worker(0, at_chunk=2),
+            # At worker 0's first chunk: each idle worker is handed one
+            # per dispatch sweep, so the kill fires however the OS
+            # schedules the workers; a later chunk may all go to others.
+            fault_plan=FaultPlan.kill_worker(0, at_chunk=1),
             on_event=lambda name, n: events.append(name),
         ) as pool:
             results = pool.count_many([M1], DELTA)
