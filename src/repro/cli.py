@@ -11,13 +11,12 @@ Commands
 - ``info`` — dataset statistics (Table I style) for a graph file.
 - ``serve`` — serve motif queries over HTTP/JSON with coalescing,
   caching and backpressure (``repro.service``).
-- ``chaos`` — mine under seeded fault injection (worker kills, delays)
-  with the supervised pool and verify byte-parity against the serial
-  miner (``repro.resilience``); ``--cluster`` drills whole-node deaths
-  across a sharded mining cluster instead (``repro.cluster``);
-  ``--live`` runs the ``live`` feed while seeded faults crash the ingest
-  path around its commit point, and proves idempotent resume
-  (``repro.live``).
+- ``chaos`` — census the evaluation catalog while seeded faults kill
+  workers of the supervised pool (``--cluster``: whole nodes of a
+  sharded mining cluster) and verify byte-parity against the serial
+  miner (``repro.resilience``); ``--live`` runs the ``live`` feed while
+  seeded faults crash the ingest path around its commit point, and
+  proves idempotent resume (``repro.live``).
 - ``live`` — replay a dataset as a live ingest feed against a served
   ``repro.live`` graph with standing subscriptions, then verify every
   fired event and the final window snapshot byte-for-byte against the
@@ -194,7 +193,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=0,
         metavar="N",
         help="dispatch mining to a sharded cluster of N worker nodes "
-        "(repro.cluster; 0 = off, overrides --workers)",
+        "(repro.cluster; 0 = off; not with --workers)",
     )
     serve.add_argument(
         "--lanes", type=int, default=2,
@@ -219,15 +218,15 @@ def _build_parser() -> argparse.ArgumentParser:
         "(repro.resilience)",
     )
     chaos.add_argument("graph", help="SNAP text file (src dst t per line)")
-    chaos.add_argument("--motif", default="M1", help="catalog motif name")
     chaos.add_argument("--delta", type=int, required=True, help="window (s)")
     chaos.add_argument(
         "--workers", type=int, default=4, metavar="N",
-        help="supervised worker processes (default 4)",
+        help="supervised worker processes, or cluster nodes with "
+        "--cluster (default 4)",
     )
     chaos.add_argument(
         "--kills", type=int, default=1, metavar="K",
-        help="workers killed mid-run at seeded chunk positions "
+        help="workers (nodes) killed mid-run at seeded chunk positions "
         "(default 1; must be < --workers to stay completable "
         "without respawns)",
     )
@@ -246,13 +245,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument(
         "--cluster", action="store_true",
-        help="drill the sharded cluster instead of one pool: census the "
-        "evaluation catalog across --nodes worker nodes while --kills "
-        "of them die mid-run, then verify byte-parity per motif",
-    )
-    chaos.add_argument(
-        "--nodes", type=int, default=3, metavar="N",
-        help="cluster worker nodes for --cluster (default 3)",
+        help="drill a sharded cluster of --workers nodes instead of a "
+        "pool: --kills whole nodes die mid-run",
     )
     chaos.add_argument(
         "--live", action="store_true",
@@ -602,21 +596,25 @@ def build_serve_server(args):
     Factored out of :func:`cmd_serve` so tests can bind to port 0 and
     drive the server in a thread without blocking in ``serve_forever``.
     """
+    from functools import partial
     from pathlib import Path
 
-    from repro.service import MotifService, make_server
+    from repro.service import InlineExecutor, MotifService, make_server
 
-    executor = None
-    if getattr(args, "cluster", 0):
-        from repro.cluster import ClusterExecutor
+    dispatcher = None  # inline: no process is spawned or imported
+    if args.cluster:
+        from repro.cluster import MiningCluster
 
-        executor = ClusterExecutor(num_nodes=args.cluster)
+        dispatcher = partial(MiningCluster, args.cluster)
+    elif args.workers:
+        from repro.mining.parallel import WorkerPool
+
+        dispatcher = partial(WorkerPool, args.workers)
     service = MotifService(
-        num_workers=args.workers,
         max_queue=args.queue_size,
         lanes=args.lanes,
         cache_bytes=int(args.cache_mb * 1024 * 1024),
-        executor=executor,
+        executor=InlineExecutor(dispatcher),
     )
     try:
         for spec in args.graphs:
@@ -632,81 +630,6 @@ def build_serve_server(args):
         service.close()
         raise
     return service, server
-
-
-def _cmd_chaos_cluster(args) -> int:
-    """The cluster-level chaos drill (``repro chaos --cluster``).
-
-    Censuses the evaluation motif catalog through a sharded
-    :class:`MiningCluster` of ``--nodes`` worker nodes while a seeded
-    plan kills ``--kills`` whole nodes mid-run, then compares every
-    motif's count *and* search counters byte-for-byte against the
-    serial miner.  Exit 0 = parity held; 1 = it did not (a real bug).
-    """
-    from repro.analysis.reporting import format_table
-    from repro.cluster import MiningCluster
-    from repro.mining.mackey import MackeyMiner
-    from repro.motifs.catalog import EVALUATION_MOTIFS
-    from repro.resilience import FaultPlan
-    from repro.service.query import build_payload, payload_bytes
-
-    graph = _load(args.graph)
-    motifs = list(EVALUATION_MOTIFS)
-    if not 0 <= args.kills <= args.nodes:
-        print("error: --kills must be in [0, --nodes]")
-        return 2
-    plan = FaultPlan.random_kills(
-        args.seed, args.nodes, args.kills, site="node.chunk"
-    )
-    fp = graph.fingerprint()
-
-    def payload(motif, count, counters):
-        return payload_bytes(
-            build_payload(fp, motif, args.delta, count, counters)
-        )
-
-    serial = {
-        m.name: MackeyMiner(graph, m, args.delta).mine() for m in motifs
-    }
-    with MiningCluster(
-        args.nodes,
-        chunk_timeout_s=args.chunk_timeout,
-        respawn_budget=args.respawn_budget,
-        fault_plan=plan,
-        seed=args.seed,
-    ) as cluster:
-        family = cluster.count_family(graph, motifs, args.delta)
-        stats = cluster.stats.as_dict()
-        degraded = cluster.degraded
-    mismatches = [
-        m.name
-        for m, r in zip(motifs, family.results)
-        if payload(m, r.count, r.counters.as_dict())
-        != payload(m, serial[m.name].count, serial[m.name].counters.as_dict())
-    ]
-    parity = not mismatches
-    rows = [
-        ["motifs", " ".join(m.name for m in motifs)],
-        ["delta (s)", args.delta],
-        ["total count", f"{sum(r.count for r in family.results):,}"],
-        ["nodes (target)", args.nodes],
-        ["injected kills", len(plan.specs)],
-        ["node deaths", stats["node_deaths"]],
-        ["wedged kills", stats["wedged_kills"]],
-        ["chunk retries", stats["chunk_retries"]],
-        ["respawns", stats["respawns"]],
-        ["failovers", stats["failovers"]],
-        ["graph ships", stats["graph_ships"]],
-        ["chunks completed", stats["chunks_completed"]],
-        ["degraded", str(degraded).lower()],
-        ["parity", "OK" if parity else "FAILED"],
-    ]
-    print(format_table(["cluster chaos", "value"], rows))
-    if not parity:
-        print("PARITY FAILED: cluster mining diverged from the serial "
-              f"miner for {', '.join(mismatches)} under injected faults")
-        return 1
-    return 0
 
 
 def _cmd_chaos_live(args) -> int:
@@ -774,69 +697,75 @@ def _cmd_chaos_live(args) -> int:
 def cmd_chaos(args) -> int:
     """Exercise the failure path on purpose, then prove it was harmless.
 
-    Runs one motif count on a :class:`MiningPool` with a
-    seeded :class:`FaultPlan` killing ``--kills`` workers mid-run, and
-    compares counts and search counters byte-for-byte against the
-    serial miner.  Exit 0 = parity held; 1 = it did not (a real bug).
-    With ``--cluster``, drills whole-node deaths across a sharded
-    cluster instead (see :func:`_cmd_chaos_cluster`); with ``--live``,
-    drills ingest-path crashes on a live graph
+    Censuses the evaluation motif catalog in one ``count_family`` on a
+    :class:`WorkerPool` of ``--workers`` processes (``--cluster``: a
+    :class:`MiningCluster` of ``--workers`` nodes) while a seeded
+    :class:`FaultPlan` kills ``--kills`` of them mid-run at that
+    dispatcher's fault site, and compares every motif's payload bytes
+    (count and search counters) with the serial miner.  Exit 0 = parity
+    held; 1 = it did not (a real bug); 2 = bad arguments.  With
+    ``--live``, drills ingest-path crashes on a live graph instead
     (see :func:`_cmd_chaos_live`).
     """
-    from repro.analysis.reporting import format_table
-    from repro.mining.mackey import MackeyMiner
-    from repro.mining.parallel import MiningPool
-    from repro.motifs.catalog import motif_by_name
-    from repro.resilience import FaultPlan
-
-    if getattr(args, "cluster", False) and getattr(args, "live", False):
+    if args.cluster and args.live:
         print("error: --cluster and --live are mutually exclusive")
         return 2
-    if getattr(args, "live", False):
+    if args.live:
         return _cmd_chaos_live(args)
-    if getattr(args, "cluster", False):
-        return _cmd_chaos_cluster(args)
-    graph = _load(args.graph)
-    motif = motif_by_name(args.motif)
+    from repro.analysis.reporting import format_table
+    from repro.mining.mackey import MackeyMiner
+    from repro.motifs.catalog import EVALUATION_MOTIFS
+    from repro.resilience import FaultPlan
+    from repro.service.query import build_payload, payload_bytes
+
+    if args.cluster:
+        from repro.cluster import MiningCluster as Dispatcher
+    else:
+        from repro.mining.parallel import WorkerPool as Dispatcher
     if not 0 <= args.kills <= args.workers:
         print("error: --kills must be in [0, --workers]")
         return 2
-    plan = FaultPlan.random_kills(args.seed, args.workers, args.kills)
-    serial = MackeyMiner(graph, motif, args.delta).mine()
-    with MiningPool(
-        graph,
+    graph = _load(args.graph)
+    motifs = list(EVALUATION_MOTIFS)
+    plan = FaultPlan.random_kills(
+        args.seed, args.workers, args.kills, site=Dispatcher.site
+    )
+    fp = graph.fingerprint()
+
+    def payload(motif, result) -> bytes:
+        return payload_bytes(build_payload(
+            fp, motif, args.delta, result.count, result.counters.as_dict()
+        ))
+
+    serial = [payload(m, MackeyMiner(graph, m, args.delta).mine()) for m in motifs]
+    with Dispatcher(
         args.workers,
         chunk_timeout_s=args.chunk_timeout,
         respawn_budget=args.respawn_budget,
         fault_plan=plan,
         seed=args.seed,
-    ) as pool:
-        result = pool.count(motif, args.delta)
-        stats = pool.stats.as_dict()
-        degraded = pool.degraded
-    parity = (
-        result.count == serial.count
-        and result.counters.as_dict() == serial.counters.as_dict()
-    )
-    rows = [
-        ["motif", motif.name],
-        ["delta (s)", args.delta],
-        ["serial count", f"{serial.count:,}"],
-        ["supervised count", f"{result.count:,}"],
-        ["workers (target)", args.workers],
-        ["injected kills", len(plan.specs)],
-        ["worker deaths", stats["worker_deaths"]],
-        ["wedged kills", stats["wedged_kills"]],
-        ["chunk retries", stats["chunk_retries"]],
-        ["respawns", stats["respawns"]],
-        ["chunks completed", stats["chunks_completed"]],
-        ["degraded", str(degraded).lower()],
-        ["parity", "OK" if parity else "FAILED"],
+    ) as dispatcher:
+        family = dispatcher.count_family(graph, motifs, args.delta)
+        stats = dispatcher.stats.as_dict()
+        degraded = dispatcher.degraded
+    mismatches = [
+        m.name for m, r, want in zip(motifs, family.results, serial)
+        if payload(m, r) != want
     ]
-    print(format_table(["chaos", "value"], rows))
-    if not parity:
-        print("PARITY FAILED: supervised mining diverged from the "
-              "serial miner under injected faults")
+    rows = [
+        ["motifs", " ".join(m.name for m in motifs)],
+        ["delta (s)", args.delta],
+        ["total count", f"{sum(r.count for r in family.results):,}"],
+        [f"{dispatcher.noun}s (target)", args.workers],
+        ["injected kills", len(plan.specs)],
+        *([name.replace("_", " "), n] for name, n in stats.items()),
+        ["degraded", str(degraded).lower()],
+        ["parity", "FAILED" if mismatches else "OK"],
+    ]
+    print(format_table([f"{Dispatcher.label} chaos", "value"], rows))
+    if mismatches:
+        print(f"PARITY FAILED: {Dispatcher.label} mining diverged from the "
+              f"serial miner for {', '.join(mismatches)} under injected faults")
         return 1
     return 0
 
@@ -912,6 +841,8 @@ def _check_serve_args(args) -> None:
     """Reject out-of-range ``repro serve`` flags before any work starts."""
     if not 0 <= args.port <= 65535:
         raise ValueError("--port must be in [0, 65535]")
+    if args.workers > 0 and args.cluster > 0:
+        raise ValueError("--workers and --cluster are mutually exclusive")
     for flag, value, low in (
         ("--workers", args.workers, 0),
         ("--cluster", args.cluster, 0),

@@ -14,17 +14,18 @@ chunk protocol over local sockets: the supervision loop of
 - :mod:`~repro.cluster.coordinator` — :class:`MiningCluster`, the
   chunk dispatcher over authenticated ``multiprocessing.connection``
   sockets with ring placement and ring failover (counts stay
-  byte-identical to the serial miner through whole-node deaths);
-- :mod:`~repro.cluster.executor` — :class:`ClusterExecutor`, the
-  service backend; several service replicas can share one cluster.
+  byte-identical to the serial miner through whole-node deaths).
+
+The service mines on a cluster by handing the one executor
+(:class:`~repro.service.executor.InlineExecutor`) either a factory,
+``partial(MiningCluster, n)``, which it owns and rebuilds, or a
+running cluster, which several service replicas can share.
 """
 
 from repro.cluster.coordinator import ClusterFailed, MiningCluster, slot_name
-from repro.cluster.executor import ClusterExecutor
 from repro.cluster.ring import DEFAULT_VNODES, HashRing
 
 __all__ = [
-    "ClusterExecutor",
     "ClusterFailed",
     "DEFAULT_VNODES",
     "HashRing",

@@ -17,6 +17,7 @@ The paper's algorithm operates on two structures:
 from __future__ import annotations
 
 import hashlib
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, List, Sequence, Set, Tuple
 
@@ -32,6 +33,46 @@ def fingerprint_arrays(num_nodes: int, src, dst, ts) -> str:
     for a in (src, dst, ts):
         h.update(np.ascontiguousarray(a, dtype=np.int64).tobytes())
     return h.hexdigest()
+
+
+#: Node ids and timestamps are stored as int64.
+_INT64 = 1 << 63
+
+
+def checked_edges(edges: Iterable) -> List[Tuple[int, int, int]]:
+    """``edges`` as ``(src, dst, t)`` triples of Python ints, checked in
+    one pass before anything is stored.
+
+    Integers only: a ``bool`` or a non-integral float is refused, never
+    truncated (an integral float such as ``5.0`` reads as ``5``).  Node
+    ids must lie in ``[0, 2**63)`` and ``t`` within int64, the dtype the
+    graph stores them in.  Raises ``ValueError`` naming the first bad
+    edge.
+    """
+    clean = []
+    for i, edge in enumerate(edges):
+        try:
+            s, d, t = edge
+            s, d, t = _integer(s), _integer(d), _integer(t)
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"edge {i} is not an (src, dst, t) int triple: {edge!r}"
+            ) from None
+        if not (0 <= s < _INT64 and 0 <= d < _INT64 and -_INT64 <= t < _INT64):
+            raise ValueError(
+                f"edge {i}: node ids must be in [0, 2**63) and t within "
+                f"int64: {edge!r}"
+            )
+        clean.append((s, d, t))
+    return clean
+
+
+def _integer(value) -> int:
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool):
+        raise TypeError("a bool is not an integer")
+    return operator.index(value)
 
 
 @dataclass(frozen=True)

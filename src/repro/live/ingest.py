@@ -58,9 +58,9 @@ import heapq
 import itertools
 import threading
 from collections import OrderedDict
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.graph.temporal_graph import TemporalGraph
+from repro.graph.temporal_graph import TemporalGraph, checked_edges
 from repro.live.subscriptions import EventGroup, SharedCounter, Subscription
 from repro.resilience.faults import fault_point
 from repro.streaming.counter import FamilyStreamEngine
@@ -231,22 +231,6 @@ class LiveGraph:
 
     # -- ingestion -------------------------------------------------------------
 
-    @staticmethod
-    def _validate(edges: Sequence) -> List[Edge]:
-        clean: List[Edge] = []
-        for i, edge in enumerate(edges):
-            try:
-                s, d, t = edge
-                s, d, t = int(s), int(d), int(t)
-            except (TypeError, ValueError) as exc:
-                raise ValueError(
-                    f"edge {i} is not an (src, dst, t) int triple: {edge!r}"
-                ) from exc
-            if s < 0 or d < 0:
-                raise ValueError(f"edge {i}: node ids must be non-negative")
-            clean.append((s, d, t))
-        return clean
-
     def append_batch(
         self,
         edges: Iterable[Edge],
@@ -261,7 +245,7 @@ class LiveGraph:
         with ``duplicate: true``.  ``flush=True`` drains the reorder
         buffer after offering (end-of-feed).
         """
-        batch = self._validate(list(edges))
+        batch = checked_edges(edges)
         # Crash-before-commit site: nothing has mutated yet, so a retry
         # after an injected fault here applies the batch exactly once.
         fault_point("live.ingest", graph=self.name, batch=seq)

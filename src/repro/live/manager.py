@@ -102,7 +102,8 @@ class LiveManager:
             return sorted(self._graphs)
 
     def drop_graph(self, name: str) -> None:
-        """Close a live graph: detach subscriptions, unpin snapshots."""
+        """Close a live graph: detach subscriptions, unpin snapshots and
+        free its name (query snapshots were registered under it)."""
         with self._lock:
             live = self._graphs.pop(name, None)
             if live is None:
@@ -111,6 +112,7 @@ class LiveManager:
                 self._subs.pop(sub_id, None)
             pinned = self._pinned.pop(name, OrderedDict())
         live.close()
+        self.registry.unbind(name)
         for fp in pinned.values():
             self.cache.invalidate_fingerprint(fp)
             self.registry.release(fp)

@@ -26,7 +26,7 @@ transport:
 worker, and a cluster node once it has dialled its coordinator.
 
 :class:`WorkerPool` is graph-agnostic (graphs ship on first use and
-leave with ``drop_graph`` — what the service's ``PoolExecutor`` holds);
+leave with ``drop_graph`` — what a serving executor dispatches to);
 :class:`MiningPool` binds one graph at construction, so multi-motif
 workloads such as the 36-motif Paranjape census ship it exactly once
 and call ``pool.count_many(motifs, delta)``.  :func:`open_runner` is

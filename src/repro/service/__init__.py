@@ -24,8 +24,8 @@ Module map (request lifecycle: admit → coalesce → batch → mine → cache
   single-flight coalescing, per-graph batching, deadlines/cancellation,
   and the one place a waiter is answered and counted;
 - :mod:`~repro.service.executor` — the mining backend: one executor
-  and one exact engine (the family walker), inline or over one resident
-  worker pool (or a cluster);
+  and one exact engine (the family walker), inline or over the one
+  dispatcher (a resident worker pool or a cluster) it is handed;
 - :mod:`~repro.service.metrics` — the ``/metrics`` table (one row per
   reported number), counters, latency reservoirs and snapshots;
 - :mod:`~repro.service.service` — the :class:`MotifService` front end
@@ -35,7 +35,7 @@ Module map (request lifecycle: admit → coalesce → batch → mine → cache
 """
 
 from repro.service.cache import ResultCache
-from repro.service.executor import InlineExecutor, PoolExecutor
+from repro.service.executor import InlineExecutor
 from repro.service.http import make_server
 from repro.service.metrics import LatencyReservoir, ServiceMetrics, percentile
 from repro.service.query import (
@@ -56,7 +56,6 @@ __all__ = [
     "LatencyReservoir",
     "MotifQuery",
     "MotifService",
-    "PoolExecutor",
     "QueryRejected",
     "QueryScheduler",
     "ResultCache",

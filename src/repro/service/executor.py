@@ -11,27 +11,28 @@ singleton is a family of one.  Per-motif counts and counters are
 byte-identical to the scalar :class:`~repro.mining.mackey.MackeyMiner`
 (the oracle the parity grids compare against, not a route the serving
 stack can reach), so cached payloads do not depend on how queries
-happened to batch.  *Where* it is mined is the executor's dispatcher
-(a :class:`~repro.mining.chunks.ChunkRunner`):
+happened to batch.  *Where* it is mined is the one constructor
+argument, ``dispatcher``:
 
-- :class:`InlineExecutor` has none: every batch runs in the calling
-  lane thread on :data:`~repro.mining.chunks.INLINE`.  No processes,
-  no setup cost, not even a ``multiprocessing`` import; the right
-  backend for small graphs, tests and single-machine deployments where
-  query concurrency (lanes) already saturates the cores.
-- :class:`PoolExecutor` owns ONE graph-agnostic
-  :class:`~repro.mining.parallel.WorkerPool`, imported when the
-  executor is built: a graph is shipped (zero-copy shared memory) the
-  first time a batch needs it and dropped when the registry evicts it.
-  Lanes mining different graphs take turns on the pool's deadline-aware
-  lock, exactly as lanes mining one graph do, instead of
-  oversubscribing the cores with a pool per graph.
-- :class:`~repro.cluster.executor.ClusterExecutor` owns, or shares with
-  other replicas, a :class:`~repro.cluster.coordinator.MiningCluster`.
+- nothing: every batch runs in the calling lane thread on
+  :data:`~repro.mining.chunks.INLINE`.  No processes, no setup cost,
+  not even a ``multiprocessing`` import; the right backend for small
+  graphs, tests and single-machine deployments where query concurrency
+  (lanes) already saturates the cores.
+- a factory, e.g. ``partial(WorkerPool, 4)`` or
+  ``partial(MiningCluster, 3, seed=1)``: the executor calls it with
+  ``on_event=counters.inc``, owns the
+  :class:`~repro.mining.pool.ChunkDispatcher` it returns, closes it,
+  and calls the factory again to replace one that has broken.  One
+  graph-agnostic dispatcher serves every graph: a graph is shipped the
+  first time a batch needs it and dropped when the registry evicts it,
+  and lanes mining different graphs take turns on its deadline-aware
+  lock instead of oversubscribing the cores.
+- a dispatcher someone else built: shared (several service replicas
+  over one node pool), so the executor never closes or rebuilds it.
 
-A subclass supplies only how its dispatcher is built and whether the
-executor owns it.  Everything else is the one wrapper around a
-dispatched batch (degrade, never corrupt):
+The rest is the one wrapper around a dispatched batch (degrade, never
+corrupt):
 
 - **Per-graph circuit breaker.**  ``breaker_failures`` consecutive
   backend failures open the graph's breaker; while open, batches for
@@ -57,50 +58,52 @@ chunks on every dispatcher and, in-process, inside the walker itself
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.graph.temporal_graph import TemporalGraph
 from repro.mining.chunks import INLINE, ChunkRunner
 from repro.mining.results import MiningCancelled
 from repro.motifs.motif import Motif
 from repro.resilience.breaker import CLOSED, CircuitBreaker
-from repro.resilience.faults import FaultPlan, fault_point
+from repro.resilience.faults import fault_point
 from repro.service.metrics import ResilienceCounters
 
 if TYPE_CHECKING:  # the inline executor never loads the process pool
-    from repro.mining.parallel import WorkerPool
     from repro.mining.pool import ChunkDispatcher
 
 #: One batch item's result: (count, counters-as-dict).
 BatchItem = Tuple[int, Dict[str, int]]
 
 class InlineExecutor:
-    """The executor; on its own, serial in-process mining.
+    """The executor: mines inline unless handed a ``dispatcher`` (a
+    factory it owns, or a shared :class:`ChunkDispatcher`), and always
+    falls back to inline mining.
 
     ``counters`` shares a :class:`ResilienceCounters` with the scheduler
-    so service metrics see executor-side events.
+    so service metrics see executor-side events; ``breaker_failures`` /
+    ``breaker_cooldown_s`` set the per-graph breaker.
     """
 
-    #: Breaker policy for dispatched batches: consecutive failures that
-    #: open a graph's breaker, and seconds before a probe is let through.
-    breaker_failures = 3
-    breaker_cooldown_s = 5.0
-
-    def __init__(self, counters: Optional[ResilienceCounters] = None) -> None:
+    def __init__(
+        self,
+        dispatcher: Union[None, ChunkDispatcher, Callable[..., ChunkDispatcher]] = None,
+        *,
+        counters: Optional[ResilienceCounters] = None,
+        breaker_failures: int = 3,
+        breaker_cooldown_s: float = 5.0,
+    ) -> None:
         self.counters = counters if counters is not None else ResilienceCounters()
+        self.breaker_failures = int(breaker_failures)
+        self.breaker_cooldown_s = float(breaker_cooldown_s)
         self._lock = threading.Lock()
         self._breakers: Dict[str, CircuitBreaker] = {}
-        self._dispatcher: Optional[ChunkDispatcher] = self._open_dispatcher()
-
-    # -- what a dispatching subclass supplies ----------------------------------
-
-    #: Whether :meth:`close` closes the dispatcher and a broken one is
-    #: rebuilt (a shared dispatcher belongs to its owner).
-    owns_dispatcher = True
-
-    def _open_dispatcher(self) -> Optional[ChunkDispatcher]:
-        """The dispatcher batches run through (``None``: in-process)."""
-        return None
+        #: What builds a replacement dispatcher; ``None`` when there is
+        #: none to own (inline, or shared: it belongs to its builder).
+        self._factory = None
+        if dispatcher is not None and not isinstance(dispatcher, ChunkRunner):
+            self._factory = dispatcher
+            dispatcher = self._factory(on_event=self.counters.inc)
+        self._dispatcher: Optional[ChunkDispatcher] = dispatcher
 
     # -- the wrapper -----------------------------------------------------------
 
@@ -109,8 +112,9 @@ class InlineExecutor:
         and it can no longer mine."""
         doomed = None
         with self._lock:
-            if self.owns_dispatcher and self._dispatcher.broken:
-                doomed, self._dispatcher = self._dispatcher, self._open_dispatcher()
+            if self._factory is not None and self._dispatcher.broken:
+                doomed = self._dispatcher
+                self._dispatcher = self._factory(on_event=self.counters.inc)
                 self.counters.inc("pools_rebuilt")
             dispatcher = self._dispatcher
         if doomed is not None:
@@ -207,46 +211,6 @@ class InlineExecutor:
             dispatcher.drop_graph(fingerprint)
 
     def close(self) -> None:
-        if self._dispatcher is not None and self.owns_dispatcher:
+        if self._factory is not None:
             self._dispatcher.close()
 
-
-class PoolExecutor(InlineExecutor):
-    """Dispatch batches to one resident pool of ``num_workers`` local
-    worker processes, shared by every graph.
-
-    ``breaker_failures`` / ``breaker_cooldown_s`` set the per-graph
-    breaker; ``chunk_timeout_s`` / ``respawn_budget`` are the pool's
-    supervision policy; ``fault_plan`` is shipped into its workers
-    (chaos testing).
-    """
-
-    def __init__(
-        self,
-        num_workers: int,
-        *,
-        breaker_failures: int = 3,
-        breaker_cooldown_s: float = 5.0,
-        chunk_timeout_s: Optional[float] = 30.0,
-        respawn_budget: Optional[int] = None,
-        fault_plan: Optional[FaultPlan] = None,
-        counters: Optional[ResilienceCounters] = None,
-    ) -> None:
-        if num_workers < 1:
-            raise ValueError("PoolExecutor needs at least one worker")
-        self.num_workers = int(num_workers)
-        self.breaker_failures = int(breaker_failures)
-        self.breaker_cooldown_s = float(breaker_cooldown_s)
-        self._policy = dict(
-            chunk_timeout_s=chunk_timeout_s,
-            respawn_budget=respawn_budget,
-            fault_plan=fault_plan,
-        )
-        super().__init__(counters)
-
-    def _open_dispatcher(self) -> WorkerPool:
-        from repro.mining.parallel import WorkerPool
-
-        return WorkerPool(
-            self.num_workers, on_event=self.counters.inc, **self._policy
-        )

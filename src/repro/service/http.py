@@ -317,12 +317,11 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         self._send_json(*_result_to_response(result))
 
     def _handle_register_graph(self) -> None:
-        from repro.graph.temporal_graph import TemporalGraph
+        from repro.graph.temporal_graph import TemporalGraph, checked_edges
 
         body = self._read_body()
         name = self._require(body, "name")
-        edges = self._require(body, "edges")
-        graph = TemporalGraph([(int(s), int(d), int(t)) for s, d, t in edges])
+        graph = TemporalGraph(checked_edges(self._require(body, "edges")))
         fp = self.service.register_graph(graph, name=str(name))
         self._send_json(
             200,
@@ -369,7 +368,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         seq = body.get("seq")
         ack = self.service.append_live(
             name,
-            [tuple(e) for e in edges],
+            edges,
             seq=None if seq is None else int(seq),
             flush=bool(body.get("flush", False)),
         )

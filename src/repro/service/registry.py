@@ -75,6 +75,12 @@ class GraphRegistry:
             self.registered_total += 1
             return fp
 
+    def unbind(self, name: str) -> None:
+        """Forget the alias ``name`` (a no-op if it is not bound); the
+        graph it named stays resident under its fingerprint."""
+        with self._lock:
+            self._names.pop(name, None)
+
     def release(self, fingerprint: str) -> None:
         """Drop one reference; zero-ref graphs become idle-evictable."""
         evicted: List[str] = []

@@ -1,9 +1,9 @@
 """`MotifService` — the thread-based serving front end.
 
 Ties the pieces together: a :class:`GraphRegistry` (graph identity +
-residency), a :class:`ResultCache` (fingerprint-keyed memoization), a
-mining backend (:class:`InlineExecutor`, or a dispatching subclass such
-as :class:`PoolExecutor`) and the :class:`QueryScheduler` (admission,
+residency), a :class:`ResultCache` (fingerprint-keyed memoization), the mining
+backend (:class:`InlineExecutor`, inline or over the dispatcher it was
+handed) and the :class:`QueryScheduler` (admission,
 coalescing, batching, deadlines).  Every answer is the exact count,
 or none at all.  Registry evictions cascade: the evicted graph's cache
 entries are invalidated and the executor drops it from its workers.
@@ -31,8 +31,8 @@ from repro.motifs.motif import Motif
 if TYPE_CHECKING:  # imported lazily at runtime (repro.live uses the
     from repro.live.subscriptions import Subscription  # service internals)
 from repro.service.cache import ResultCache
-from repro.service.executor import InlineExecutor, PoolExecutor
-from repro.service.metrics import ResilienceCounters, ServiceMetrics
+from repro.service.executor import InlineExecutor
+from repro.service.metrics import ServiceMetrics
 from repro.service.query import MotifQuery, QueryResult
 from repro.service.registry import GraphRegistry
 from repro.service.scheduler import PendingQuery, QueryScheduler
@@ -47,7 +47,6 @@ class MotifService:
     def __init__(
         self,
         *,
-        num_workers: int = 0,
         max_queue: int = 128,
         lanes: int = 2,
         max_batch: int = 16,
@@ -57,16 +56,10 @@ class MotifService:
     ) -> None:
         self.registry = GraphRegistry(max_idle=max_idle_graphs)
         self.cache = ResultCache(max_bytes=cache_bytes)
-        self.resilience = ResilienceCounters()
-        if executor is not None:
-            # Caller-supplied backend (custom breaker/fault settings);
-            # adopt its counters so metrics stay coherent.
-            self.executor = executor
-            self.resilience = executor.counters
-        elif num_workers > 0:
-            self.executor = PoolExecutor(num_workers, counters=self.resilience)
-        else:
-            self.executor = InlineExecutor(counters=self.resilience)
+        # Where batches are mined is the executor's business (default:
+        # inline); its counters are the service's, so metrics see it.
+        self.executor = executor if executor is not None else InlineExecutor()
+        self.resilience = self.executor.counters
         self.scheduler = QueryScheduler(
             self.registry,
             self.cache,

@@ -44,7 +44,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import WALKER_FAMILY, random_temporal_graph
-from repro.cluster import ClusterExecutor, HashRing, MiningCluster, slot_name
+from repro.cluster import HashRing, MiningCluster, slot_name
 from repro.comine import CoMiner
 from repro.graph.generators import make_dataset
 from repro.graph.temporal_graph import TemporalGraph
@@ -66,7 +66,7 @@ from repro.motifs.grid import grid_motifs, paranjape_grid
 from repro.motifs.motif import Motif
 from repro.motifs.parse import parse_motif
 from repro.resilience.faults import FaultPlan
-from repro.service.executor import InlineExecutor, PoolExecutor
+from repro.service.executor import InlineExecutor
 from repro.service.query import build_payload, payload_bytes
 from repro.sim.accelerator import MintSimulator
 from repro.sim.config import CacheConfig, MintConfig
@@ -724,10 +724,10 @@ def make_executor(mode: str, *, workers: int = 2, cluster=None, **options):
     if mode == "InlineExecutor":
         return InlineExecutor(**options)
     if mode == "PoolExecutor":
-        return PoolExecutor(workers, **options)
+        return InlineExecutor(partial(WorkerPool, workers, **options))
     if mode == "ClusterExecutor":
-        return ClusterExecutor(num_nodes=workers, **options)
-    return ClusterExecutor(cluster, **options)
+        return InlineExecutor(partial(MiningCluster, workers, **options))
+    return InlineExecutor(cluster, **options)
 
 
 def _serve(case, shared, runner, mode, fault, order):

@@ -164,6 +164,7 @@ class TestOtherCommands:
         ["--lanes", "0"], ["--queue-size", "0"], ["--cache-mb", "-1"],
         ["--cache-mb", "nan"], ["--port", "70000"], ["--port", "-1"],
         ["--workers", "-1"], ["--cluster", "-1"],
+        ["--workers", "2", "--cluster", "2"],
     ])
     def test_serve_rejects_bad_flags_before_loading(self, capsys, flag):
         # The graph file does not exist: reading it would raise, so a

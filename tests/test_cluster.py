@@ -10,7 +10,7 @@ Three layers, bottom up:
 - Shard split/merge — mining a root range in arbitrary partitions and
   merging in arbitrary order is byte-identical to mining it whole (the
   commutativity the cluster's retry/failover machinery relies on).
-- :class:`MiningCluster` / :class:`ClusterExecutor` — constructor
+- :class:`MiningCluster` and the service executor over it — constructor
   validation, lifecycle, and respawn-backoff timing driven by a fake
   clock so no test sleeps real seconds.
 """
@@ -18,6 +18,7 @@ Three layers, bottom up:
 from __future__ import annotations
 
 import random
+from functools import partial
 import subprocess
 import sys
 
@@ -27,7 +28,6 @@ from hypothesis import strategies as st
 
 from conftest import random_temporal_graph
 from repro.cluster import (
-    ClusterExecutor,
     ClusterFailed,
     DEFAULT_VNODES,
     HashRing,
@@ -38,6 +38,7 @@ from repro.mining.chunks import ResidentGraph
 from repro.mining.mackey import MackeyMiner
 from repro.motifs.catalog import M1, PING_PONG
 from repro.resilience import FaultPlan
+from repro.service import InlineExecutor
 
 # -- hash ring ----------------------------------------------------------------
 
@@ -244,12 +245,12 @@ class TestMiningClusterUnits:
             MiningCluster(2, max_chunk_errors=0)
 
     def test_executor_validation(self):
+        # The executor builds an owned cluster at construction, so the
+        # cluster's own argument checks surface there.
         with pytest.raises(ValueError):
-            ClusterExecutor()  # neither cluster nor num_nodes
+            InlineExecutor(partial(MiningCluster, 0))
         with pytest.raises(ValueError):
-            ClusterExecutor(object(), num_nodes=2)  # both
-        with pytest.raises(ValueError):
-            ClusterExecutor(object(), seed=3)  # kwargs with shared cluster
+            InlineExecutor(partial(MiningCluster, 2, replication=3))
 
     def test_fresh_cluster_service_reports_zeroed_cluster_counters(self):
         """/metrics must carry the cluster's supervision counters from
@@ -260,7 +261,7 @@ class TestMiningClusterUnits:
         cluster_keys = ("node_deaths", "graph_ships", "failovers")
         fresh = ServiceMetrics().as_dict()
         assert [fresh[k] for k in cluster_keys] == [0, 0, 0]
-        with MotifService(executor=ClusterExecutor(num_nodes=1)) as svc:
+        with MotifService(executor=InlineExecutor(partial(MiningCluster, 1))) as svc:
             metrics = svc.metrics().as_dict()
             assert [metrics[k] for k in cluster_keys] == [0, 0, 0]
             rng = random.Random(35)

@@ -21,10 +21,10 @@ import pytest
 
 from parity_matrix import case, former_tests, reference_bytes
 from repro.cli import main
-from repro.cluster import ClusterExecutor, MiningCluster
+from repro.cluster import MiningCluster
 from repro.graph.loaders import save_snap_text
 from repro.motifs.catalog import EVALUATION_MOTIFS
-from repro.service import MotifService
+from repro.service import InlineExecutor, MotifService
 from repro.service.query import payload_bytes
 
 DELTA = 60
@@ -54,8 +54,8 @@ class TestSharedClusterServing:
         the pool serving the other."""
         cluster = MiningCluster(2)
         try:
-            a = MotifService(executor=ClusterExecutor(cluster=cluster))
-            b = MotifService(executor=ClusterExecutor(cluster=cluster))
+            a = MotifService(executor=InlineExecutor(cluster))
+            b = MotifService(executor=InlineExecutor(cluster))
             try:
                 fp_a = a.register_graph(graph, name="g")
                 fp_b = b.register_graph(graph, name="g")
@@ -82,7 +82,7 @@ class TestChaosClusterCLI:
         save_snap_text(graph, str(path))
         rc = main([
             "chaos", str(path), "--delta", str(DELTA), "--cluster",
-            "--nodes", "3", "--kills", "1", "--seed", str(SEED),
+            "--workers", "3", "--kills", "1", "--seed", str(SEED),
         ])
         out = capsys.readouterr().out
         assert rc == 0
@@ -94,7 +94,7 @@ class TestChaosClusterCLI:
         save_snap_text(graph, str(path))
         rc = main([
             "chaos", str(path), "--delta", str(DELTA), "--cluster",
-            "--nodes", "2", "--kills", "3",
+            "--workers", "2", "--kills", "3",
         ])
         assert rc == 2
 

@@ -125,6 +125,46 @@ class TestLiveRoutes:
                           {"edges": "nope"})
         assert resp.status == 400
 
+    @pytest.mark.parametrize("edge", [
+        [0, 1, 2**70], [0, 1, 2.9], [0, 1, True], [2**63, 1, 5],
+    ], ids=["t-2^70", "t-2.9", "t-bool", "src-2^63"])
+    def test_a_bad_edge_value_is_a_400_on_both_routes(self, live_server, edge):
+        conn, _, _ = live_server
+        resp, out = request(conn, "POST", "/graphs",
+                            {"name": "static", "edges": [[0, 1, 5], edge]})
+        assert resp.status == 400, out
+        create_feed(conn)
+        resp, out = request(conn, "POST", "/graphs/feed/edges",
+                            {"edges": [edge], "seq": 0})
+        assert resp.status == 400, out
+        # Nothing was stored: the feed still reads, and an in-range edge
+        # is released rather than late-dropped behind the bad one.
+        resp, status = request(conn, "GET", "/live/feed")
+        assert resp.status == 200 and status["num_edges"] == 0
+        resp, ack = request(conn, "POST", "/graphs/feed/edges",
+                            {"edges": [[0, 1, 10]], "seq": 0, "flush": True})
+        assert resp.status == 200 and ack["released"] == 1, ack
+
+    def test_integral_float_edge_values_are_taken(self, live_server):
+        conn, _, _ = live_server
+        resp, out = request(conn, "POST", "/graphs",
+                            {"name": "static", "edges": [[0, 1, 5.0]]})
+        assert resp.status == 200 and out["num_edges"] == 1, out
+
+    def test_a_dropped_live_graph_frees_its_name(self, live_server):
+        conn, _, _ = live_server
+        create_feed(conn)
+        request(conn, "POST", "/graphs/feed/edges",
+                {"edges": [[0, 1, 10]], "seq": 0})
+        resp, _ = request(conn, "POST", "/query",
+                          {"graph": "feed", "motif": "M1", "delta": DELTA})
+        assert resp.status == 200
+        resp, _ = request(conn, "DELETE", "/live/feed")
+        assert resp.status == 200
+        resp, listing = request(conn, "GET", "/graphs")
+        assert resp.status == 200 and "feed" not in json.dumps(listing)
+        assert create_feed(conn)["version"] == 0
+
     def test_unmapped_exception_answers_500_and_retry_applies_once(
         self, live_server
     ):

@@ -13,17 +13,20 @@ import os
 import re
 import threading
 import tracemalloc
+from functools import partial
 
 import pytest
 
 from parity_matrix import own_children
 from repro.graph.temporal_graph import TemporalGraph
+from repro.mining.parallel import WorkerPool
 from repro.mining.results import SearchCounters
 from repro.motifs.catalog import M1, M2, motif_by_name
 from repro.motifs.motif import Motif
 from repro.motifs.parse import parse_motif
 from repro.service import (
     GraphRegistry,
+    InlineExecutor,
     LatencyReservoir,
     MotifQuery,
     ResultCache,
@@ -467,21 +470,18 @@ def _shm() -> set:
 
 class TestPoolExecutor:
     def test_validation(self):
-        from repro.service import PoolExecutor
-
         with pytest.raises(ValueError, match="at least one worker"):
-            PoolExecutor(0)
+            InlineExecutor(partial(WorkerPool, 0))
 
     def test_second_graph_ships_into_the_same_processes(self):
         """One graph-agnostic pool: a graph is shipped on first use,
         reused afterwards, and a second graph joins it in the same
         worker processes instead of spawning a pool of its own."""
         from repro.mining.mackey import count_motifs
-        from repro.service import PoolExecutor
 
         g1, g2 = make_graph(0), make_graph(1)
         before = multiprocessing.active_children()
-        executor = PoolExecutor(2)
+        executor = InlineExecutor(partial(WorkerPool, 2))
         try:
             workers = own_children(before)
             assert len(workers) == 2
@@ -501,11 +501,9 @@ class TestPoolExecutor:
         assert own_children(before) == []
 
     def test_release_graph_unlinks_its_segment(self):
-        from repro.service import PoolExecutor
-
         g1, g2 = make_graph(0), make_graph(1)
         before = _shm()
-        executor = PoolExecutor(1)
+        executor = InlineExecutor(partial(WorkerPool, 1))
         try:
             executor.count_batch(g1, [M1], 100, None)
             only_g1 = _shm() - before

@@ -21,18 +21,20 @@ import multiprocessing
 import random
 import time
 from contextlib import closing
+from functools import partial
 from http.client import HTTPConnection
 
 import pytest
 
 from parity_matrix import kill, own_children
 from repro.mining.mackey import MackeyMiner
+from repro.mining.parallel import WorkerPool
 from repro.mining.results import MiningCancelled
 from repro.motifs.catalog import M1, M2
 from repro.resilience import CLOSED, HALF_OPEN, OPEN, FaultPlan
 from repro.service import (
+    InlineExecutor,
     MotifService,
-    PoolExecutor,
     build_payload,
     payload_bytes,
 )
@@ -70,7 +72,7 @@ def assert_ok_and_correct(result, expected, motif):
 class TestBrokenPoolCheckout:
     def test_closed_pool_is_evicted_and_rebuilt(self, graph, expected):
         before = multiprocessing.active_children()
-        executor = PoolExecutor(2, respawn_budget=0)
+        executor = InlineExecutor(partial(WorkerPool, 2, respawn_budget=0))
         try:
             fp = graph.fingerprint()
             first = executor.count_batch(graph, [M1], DELTA)
@@ -97,7 +99,7 @@ class TestBreakerDegradation:
     def test_backend_failure_falls_back_inline_same_call(self, graph, expected):
         # breaker_failures=2: the first failure must NOT open the
         # breaker, yet the answer still arrives (inline fallback).
-        executor = PoolExecutor(2, breaker_failures=2)
+        executor = InlineExecutor(partial(WorkerPool, 2), breaker_failures=2)
         plan = FaultPlan.raise_at("executor.batch", [1])
         try:
             with plan.installed():
@@ -115,7 +117,7 @@ class TestBreakerDegradation:
             executor.close()
 
     def test_breaker_opens_then_probes_closed(self, graph, expected):
-        executor = PoolExecutor(2, breaker_failures=1, breaker_cooldown_s=0.2)
+        executor = InlineExecutor(partial(WorkerPool, 2), breaker_failures=1, breaker_cooldown_s=0.2)
         fp = graph.fingerprint()
         plan = FaultPlan.raise_at("executor.batch", [1])
         try:
@@ -144,7 +146,7 @@ class TestBreakerDegradation:
             executor.close()
 
     def test_cancelled_probe_does_not_wedge_the_breaker(self, graph, expected):
-        executor = PoolExecutor(2, breaker_failures=1, breaker_cooldown_s=0.2)
+        executor = InlineExecutor(partial(WorkerPool, 2), breaker_failures=1, breaker_cooldown_s=0.2)
         fp = graph.fingerprint()
         plan = FaultPlan.raise_at("executor.batch", [1])
         try:
@@ -205,7 +207,7 @@ class TestDegradedService:
     def test_injected_backend_failure_degrades_then_recovers(
         self, graph, expected
     ):
-        executor = PoolExecutor(2, breaker_failures=1, breaker_cooldown_s=0.3)
+        executor = InlineExecutor(partial(WorkerPool, 2), breaker_failures=1, breaker_cooldown_s=0.3)
         plan = FaultPlan.raise_at("executor.batch", [1])
         with plan.installed():
             with MotifService(executor=executor, cache_bytes=0) as svc:

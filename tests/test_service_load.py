@@ -25,15 +25,17 @@ from __future__ import annotations
 
 import random
 import threading
+from functools import partial
 
 import pytest
 
 from repro.mining.mackey import MackeyMiner
+from repro.mining.parallel import WorkerPool
 from repro.motifs.catalog import EVALUATION_MOTIFS
 from repro.resilience import FaultPlan
 from repro.service import (
+    InlineExecutor,
     MotifService,
-    PoolExecutor,
     QueryRejected,
     build_payload,
     payload_bytes,
@@ -188,8 +190,8 @@ class TestDegradedLoad:
         plan_keys = client_plan()
         # Pool backend, hair-trigger breaker, short cooldown; no result
         # cache so the backend actually sees the traffic.
-        executor = PoolExecutor(
-            2, breaker_failures=1, breaker_cooldown_s=0.4,
+        executor = InlineExecutor(
+            partial(WorkerPool, 2), breaker_failures=1, breaker_cooldown_s=0.4,
         )
         fault = FaultPlan.raise_at("executor.batch", [1])
         with fault.installed():

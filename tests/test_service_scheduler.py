@@ -23,11 +23,13 @@ from __future__ import annotations
 
 import threading
 import time
+from functools import partial
 
 import pytest
 
 from repro.graph.temporal_graph import TemporalGraph
 from repro.mining.mackey import MackeyMiner
+from repro.mining.parallel import WorkerPool
 from repro.mining.results import MiningCancelled
 from repro.motifs.catalog import EVALUATION_MOTIFS, EXTRA_MOTIFS, M1, M2
 from repro.service import (
@@ -161,7 +163,7 @@ class TestDifferentialParity:
                 assert payload_bytes(r.payload) == expected
 
     def test_pool_backed_parity(self, graph):
-        with MotifService(num_workers=2) as svc:
+        with MotifService(executor=InlineExecutor(partial(WorkerPool, 2))) as svc:
             for motif in (M1, M2):
                 r = svc.query(graph, motif, DELTA)
                 assert r.ok
