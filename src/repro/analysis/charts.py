@@ -9,7 +9,7 @@ of Figs. 10-12) directly in `benchmarks/results/`.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Sequence
 
 _SPARK_LEVELS = "▁▂▃▄▅▆▇█"
 
@@ -63,41 +63,3 @@ def bar_chart(
         bar = "#" * max(1, int(round(s / peak * width)))
         lines.append(f"{label.ljust(label_w)} | {bar} {value:g}{unit}")
     return "\n".join(lines)
-
-
-def line_chart(
-    series: Mapping[str, Sequence[Tuple[float, float]]],
-    height: int = 10,
-    width: int = 60,
-) -> str:
-    """A multi-series scatter/line chart on a character grid.
-
-    Each series is a list of (x, y) points; series are drawn with
-    distinct glyphs and listed in the legend.
-    """
-    if not series:
-        return "(empty)"
-    glyphs = "*o+x@%&$"
-    all_pts = [p for pts in series.values() for p in pts]
-    if not all_pts:
-        return "(empty)"
-    xs = [x for x, _ in all_pts]
-    ys = [y for _, y in all_pts]
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
-    x_span = (x_hi - x_lo) or 1.0
-    y_span = (y_hi - y_lo) or 1.0
-
-    grid = [[" "] * width for _ in range(height)]
-    for idx, (name, pts) in enumerate(series.items()):
-        glyph = glyphs[idx % len(glyphs)]
-        for x, y in pts:
-            col = int((x - x_lo) / x_span * (width - 1))
-            row = height - 1 - int((y - y_lo) / y_span * (height - 1))
-            grid[row][col] = glyph
-    lines = ["".join(row) for row in grid]
-    legend = "  ".join(
-        f"{glyphs[i % len(glyphs)]}={name}" for i, name in enumerate(series)
-    )
-    footer = f"x: [{x_lo:g}, {x_hi:g}]  y: [{y_lo:g}, {y_hi:g}]  {legend}"
-    return "\n".join(lines + [footer])

@@ -831,8 +831,7 @@ def run_all(
 
     Returns a nested metrics dict (JSON-serializable); when ``out_path``
     is given the archive is written via
-    :mod:`repro.analysis.persistence`, so later runs can be diffed with
-    :func:`repro.analysis.persistence.compare_runs` as a regression gate.
+    :mod:`repro.analysis.persistence`.
     """
     fig2 = run_fig2(policy, datasets=datasets)
     fig10 = run_fig10(policy, datasets=datasets, motifs=motifs)

@@ -1,19 +1,16 @@
-"""Persist and compare experiment results as JSON.
+"""Persist experiment results as JSON.
 
 The benchmark harness renders tables for humans; this module stores the
-underlying numbers so runs can be archived, re-rendered, and — most
-importantly — *diffed*: a regression gate for the reproduction itself
-(``compare_runs`` flags metrics that moved beyond a tolerance between
-two archived runs).
+underlying numbers (``repro experiment all --out``) so runs can be
+archived and read back with ``json``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Mapping, Optional, Union
 
 PathLike = Union[str, Path]
 
@@ -21,7 +18,7 @@ SCHEMA_VERSION = 1
 
 
 class PersistenceError(ValueError):
-    """Raised for malformed archives."""
+    """Raised for a value that cannot be archived."""
 
 
 def _jsonable(value: Any) -> Any:
@@ -50,72 +47,3 @@ def save_run(
         "metrics": _jsonable(metrics),
     }
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def load_run(path: PathLike) -> Dict[str, Any]:
-    """Load an archive written by :func:`save_run`; returns the metrics."""
-    try:
-        payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise PersistenceError(f"{path}: not valid JSON") from exc
-    if not isinstance(payload, dict) or "metrics" not in payload:
-        raise PersistenceError(f"{path}: missing 'metrics' section")
-    if payload.get("schema") != SCHEMA_VERSION:
-        raise PersistenceError(
-            f"{path}: schema {payload.get('schema')} unsupported"
-        )
-    return payload["metrics"]
-
-
-def _flatten(prefix: str, value: Any, out: Dict[str, float]) -> None:
-    if isinstance(value, dict):
-        for k, v in value.items():
-            _flatten(f"{prefix}.{k}" if prefix else str(k), v, out)
-    elif isinstance(value, list):
-        for i, v in enumerate(value):
-            _flatten(f"{prefix}[{i}]", v, out)
-    elif isinstance(value, bool):
-        out[prefix] = float(value)
-    elif isinstance(value, (int, float)):
-        out[prefix] = float(value)
-    # non-numeric leaves are not comparable; skip them
-
-
-@dataclass(frozen=True)
-class MetricDrift:
-    """One metric that moved between two runs."""
-
-    key: str
-    before: Optional[float]
-    after: Optional[float]
-
-    @property
-    def ratio(self) -> float:
-        if self.before in (None, 0) or self.after is None:
-            return float("inf")
-        return self.after / self.before
-
-
-def compare_runs(
-    before: Mapping[str, Any],
-    after: Mapping[str, Any],
-    rel_tolerance: float = 0.10,
-) -> List[MetricDrift]:
-    """Numeric metrics that differ by more than ``rel_tolerance``.
-
-    Missing/new keys are always reported.  Returns drifts sorted by key.
-    """
-    a: Dict[str, float] = {}
-    b: Dict[str, float] = {}
-    _flatten("", dict(before), a)
-    _flatten("", dict(after), b)
-    drifts: List[MetricDrift] = []
-    for key in sorted(set(a) | set(b)):
-        va, vb = a.get(key), b.get(key)
-        if va is None or vb is None:
-            drifts.append(MetricDrift(key, va, vb))
-            continue
-        base = max(abs(va), 1e-12)
-        if abs(vb - va) / base > rel_tolerance:
-            drifts.append(MetricDrift(key, va, vb))
-    return drifts

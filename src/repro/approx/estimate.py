@@ -85,10 +85,6 @@ class ApproxSpec:
         if self.max_samples < self.base_samples:
             raise ValueError("max_samples must be >= base_samples")
 
-    @property
-    def alpha(self) -> float:
-        return 1.0 - self.confidence
-
     def sampler_params(self) -> Tuple[int, float, int, str]:
         """The tuple that (with motif edges and δ) keys a worker-resident
         sampler: everything the per-sample values depend on."""

@@ -35,6 +35,16 @@ from typing import List, Optional
 from repro.graph.generators import DATASET_NAMES
 
 
+def _delta(text: str) -> int:
+    """``--delta``: the window width, checked like every other δ."""
+    from repro.graph.window import checked_delta
+
+    try:
+        return checked_delta(int(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -56,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="inline motif DSL, e.g. 'A->B, B->C, C->A' (overrides --motif)",
     )
-    mine.add_argument("--delta", type=int, required=True, help="window (s)")
+    mine.add_argument("--delta", type=_delta, required=True, help="window (s)")
     mine.add_argument("--memoize", action="store_true")
     mine.add_argument("--show-matches", type=int, default=0, metavar="N")
     mine.add_argument(
@@ -110,7 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     census = sub.add_parser("census", help="count the 36-motif grid")
     census.add_argument("graph")
-    census.add_argument("--delta", type=int, required=True)
+    census.add_argument("--delta", type=_delta, required=True)
     census.add_argument(
         "--workers",
         type=int,
@@ -129,7 +139,7 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate = sub.add_parser("simulate", help="run the Mint simulator")
     simulate.add_argument("graph")
     simulate.add_argument("--motif", default="M1")
-    simulate.add_argument("--delta", type=int, required=True)
+    simulate.add_argument("--delta", type=_delta, required=True)
     simulate.add_argument("--pes", type=int, default=512)
     simulate.add_argument("--cache-kb", type=int, default=4096)
     simulate.add_argument("--no-memoize", action="store_true")
@@ -218,7 +228,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "(repro.resilience)",
     )
     chaos.add_argument("graph", help="SNAP text file (src dst t per line)")
-    chaos.add_argument("--delta", type=int, required=True, help="window (s)")
+    chaos.add_argument("--delta", type=_delta, required=True, help="window (s)")
     chaos.add_argument(
         "--workers", type=int, default=4, metavar="N",
         help="supervised worker processes, or cluster nodes with "
@@ -274,7 +284,7 @@ def _build_parser() -> argparse.ArgumentParser:
         f"({', '.join(DATASET_NAMES)})",
     )
     live.add_argument(
-        "--delta", type=int, default=None,
+        "--delta", type=_delta, default=None,
         help="window (s); default time_span // 40",
     )
     live.add_argument(

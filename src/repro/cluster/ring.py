@@ -111,10 +111,6 @@ class HashRing:
                     break
         return owners
 
-    def node_for(self, key: str) -> str:
-        """The primary owner of ``key``."""
-        return self.nodes_for(key, 1)[0]
-
     def successors(self, key: str, exclude: Iterable[str] = ()) -> List[str]:
         """Every slot in clockwise preference order, minus ``exclude`` —
         the failover order when a key's placed slots are all dead."""

@@ -60,10 +60,6 @@ class TrieNode:
         #: Children in deterministic (sorted-edge) order.
         self.child_order: Tuple["TrieNode", ...] = ()
 
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"TrieNode(edge={self.edge}, depth={self.depth}, "

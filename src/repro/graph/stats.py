@@ -9,11 +9,10 @@ matching the accelerator's memory layout model in :mod:`repro.sim.layout`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List
 
 import numpy as np
 
-from repro.graph.generators import DATASET_NAMES, dataset_spec, make_dataset
 from repro.graph.temporal_graph import TemporalGraph
 
 _BYTES_PER_EDGE_RECORD = 12
@@ -80,15 +79,3 @@ def compute_stats(graph: TemporalGraph, name: str = "graph") -> GraphStats:
         p90_out_degree=p90,
         mean_out_degree=mean,
     )
-
-
-def dataset_table(
-    names: Optional[Sequence[str]] = None, scale: float = 1.0, seed: int = 0
-) -> List[GraphStats]:
-    """Generate every named dataset and compute its statistics (Table I)."""
-    rows = []
-    for name in names or DATASET_NAMES:
-        spec = dataset_spec(name)
-        graph = make_dataset(name, scale=scale, seed=seed)
-        rows.append(compute_stats(graph, name=spec.name))
-    return rows

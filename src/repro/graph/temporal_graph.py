@@ -377,12 +377,6 @@ class TemporalGraph:
             self._pylist_cache = cache
         return cache
 
-    def out_degree(self, u: int) -> int:
-        return int(self.out_offsets[u + 1] - self.out_offsets[u])
-
-    def in_degree(self, v: int) -> int:
-        return int(self.in_offsets[v + 1] - self.in_offsets[v])
-
     def _check_node(self, node: int) -> None:
         if not 0 <= node < self._num_nodes:
             raise ValueError(

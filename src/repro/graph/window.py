@@ -19,11 +19,29 @@ them to whole frontiers at once.
 
 from __future__ import annotations
 
+from repro.graph.temporal_graph import _INT64, _integer
+
 __all__ = [
+    "checked_delta",
     "window_t_limit",
-    "in_delta_window",
     "window_horizon",
 ]
+
+
+def checked_delta(value) -> int:
+    """``value`` as a window width δ, or :class:`ValueError`.
+
+    The one δ check at every door (the HTTP bodies and the ``--delta``
+    flags): an int (or an integral float) in ``[0, 2**63)``, so δ fits
+    the int64 timestamps it is added to.  A bool or a string is not a δ.
+    """
+    try:
+        delta = _integer(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"delta must be an integer, got {value!r}") from None
+    if not 0 <= delta < _INT64:
+        raise ValueError(f"delta must be in [0, 2**63), got {delta}")
+    return delta
 
 
 def window_t_limit(t_root, delta):
@@ -34,15 +52,6 @@ def window_t_limit(t_root, delta):
     the limit terminates every scan (Algorithm 1's phase-2 filter).
     """
     return t_root + delta
-
-
-def in_delta_window(t, t_root, delta):
-    """True iff an edge at ``t`` can extend a match rooted at ``t_root``.
-
-    Elementwise on arrays: strictly later than the root, and no more
-    than δ after it (inclusive).
-    """
-    return (t_root < t) & (t <= window_t_limit(t_root, delta))
 
 
 def window_horizon(t_now, delta):

@@ -15,7 +15,7 @@ The coordination layer between :mod:`repro.live` and the service stack:
   under the graph's name, recording ``version -> fingerprint`` in
   :attr:`LiveManager._pinned`.  Registration is *lazy* — versions
   nobody queries cost nothing — and bounded: only the newest
-  ``keep_versions`` snapshots stay pinned; older ones are released and
+  ``KEEP_VERSIONS`` (2) snapshots stay pinned; older ones are released and
   their cache entries invalidated **incrementally**, by the retired
   version's fingerprint, rather than wholesale.  Because the snapshot is
   taken under the same lock ingestion holds, a query admitted mid-ingest
@@ -37,6 +37,9 @@ from repro.service.metrics import LatencyReservoir, ResilienceCounters
 from repro.service.query import UnknownGraph
 from repro.service.registry import GraphRegistry
 
+#: Newest versions of each live graph whose snapshots stay pinned.
+KEEP_VERSIONS = 2
+
 
 class LiveManager:
     """All live-graph state behind one façade the service delegates to."""
@@ -46,14 +49,10 @@ class LiveManager:
         registry: GraphRegistry,
         cache: ResultCache,
         counters: Optional[ResilienceCounters] = None,
-        keep_versions: int = 2,
     ) -> None:
-        if keep_versions < 1:
-            raise ValueError("keep_versions must be positive")
         self.registry = registry
         self.cache = cache
         self.counters = counters if counters is not None else ResilienceCounters()
-        self.keep_versions = int(keep_versions)
         self.delivery_lag = LatencyReservoir()
         self._lock = threading.Lock()
         self._graphs: Dict[str, LiveGraph] = {}
@@ -61,7 +60,7 @@ class LiveManager:
         self._subs: Dict[str, Subscription] = {}
         self._sub_ids = itertools.count(1)
         #: Pinned snapshots per graph: name -> OrderedDict(version -> fp),
-        #: oldest version first, at most ``keep_versions`` entries.
+        #: oldest version first, at most ``KEEP_VERSIONS`` entries.
         self._pinned: Dict[str, "OrderedDict[int, str]"] = {}
 
     # -- graph lifecycle -------------------------------------------------------
@@ -229,9 +228,9 @@ class LiveManager:
                     self.registry.release(fp)
                     return extra_fp
             pinned[version] = fp
-            # Keep newest `keep_versions` by version number.
+            # Keep newest `KEEP_VERSIONS` by version number.
             for v in sorted(pinned):
-                if len(pinned) <= self.keep_versions:
+                if len(pinned) <= KEEP_VERSIONS:
                     break
                 retire.append(pinned.pop(v))
         for old_fp in retire:

@@ -71,11 +71,6 @@ class EventLog:
         #: Readers blocked in :meth:`Outbox.wait_events`.
         self.waiting = 0
 
-    @property
-    def first_seq(self) -> int:
-        """Seq of the oldest retained event (``last_seq + 1`` if none)."""
-        return self.last_seq - len(self.events) + 1
-
     def append(self, body: Dict) -> int:
         """Store one event body (never blocks); returns its seq."""
         with self.cond:
@@ -257,11 +252,6 @@ class Outbox:
         """Highest seq this view holds (0 before the first event)."""
         with self.log.cond:
             return self._last()
-
-    @property
-    def retained(self) -> int:
-        with self.log.cond:
-            return min(self._last(), self.capacity)
 
     @property
     def closed(self) -> bool:

@@ -136,31 +136,6 @@ class MiningContext:
         """The motif→graph node mapping as a tuple (for Match records)."""
         return tuple(self.m2g)
 
-    def reset(self) -> None:
-        """Clear the context for reuse by the next root task."""
-        for i in range(len(self.m2g)):
-            self.m2g[i] = -1
-        self.g2m.clear()
-        self.e_count.clear()
-        self.e_stack.clear()
-        self.t_limit = None
-
-    def context_bytes(self) -> int:
-        """On-chip storage this context needs, per the paper's estimate.
-
-        §IV-B: task type + edge IDs + timestamps are O(1) integers; node
-        maps and the edge stack grow with |E_M|.  For an 8-edge motif the
-        paper quotes 178 B.
-        """
-        k = self.motif.num_edges
-        nodes = self.motif.num_nodes
-        fixed = 4 * 4 + 2  # type, e_g, e_m, firstEdgeTime registers + flags
-        m2g = nodes * 4  # motif node -> graph node registers
-        cam = nodes * (4 + 2)  # g2m CAM entries: node id key + tag/count
-        stack = k * 4
-        counts = nodes * 2
-        return fixed + m2g + cam + stack + counts
-
     def __repr__(self) -> str:
         return (
             f"MiningContext(depth={self.depth}, e_stack={self.e_stack}, "

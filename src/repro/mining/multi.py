@@ -48,23 +48,6 @@ class MotifCensus:
     def total(self) -> int:
         return sum(self.counts.values())
 
-    def distribution(self) -> Dict[str, float]:
-        """Counts normalized to fractions (a motif 'fingerprint').
-
-        Raises :class:`ValueError` when the total count is zero — a
-        zero-total distribution is undefined, and silently returning
-        all-zeros historically let empty censuses masquerade as valid
-        fingerprints downstream.
-        """
-        total = self.total()
-        if total == 0:
-            raise ValueError(
-                "cannot normalize a census with zero total matches "
-                f"({len(self.counts)} motifs, delta={self.delta}); "
-                "an all-zero 'distribution' is not a fingerprint"
-            )
-        return {name: c / total for name, c in self.counts.items()}
-
     def top(self, k: int = 5) -> List[Tuple[str, int]]:
         return sorted(self.counts.items(), key=lambda kv: -kv[1])[:k]
 

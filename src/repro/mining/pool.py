@@ -264,10 +264,6 @@ class ChunkDispatcher(ChunkRunner):
         while below the target worker count)."""
         return self._degraded
 
-    def placement(self, fingerprint: str) -> Tuple[int, ...]:
-        """The slot indices ``fingerprint`` is currently placed on."""
-        return tuple(self._placements.get(fingerprint, ()))
-
     # -- worker lifecycle ------------------------------------------------------
 
     def _spawn_all(self) -> None:

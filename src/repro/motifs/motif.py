@@ -14,7 +14,7 @@ must be matched by the i-th (chronologically) graph edge of the match.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Sequence, Set, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 #: Hardware limit from the paper (§V-B): Mint's target-motif register file
 #: and context memory support temporal motifs of up to eight edges.
@@ -113,31 +113,6 @@ class Motif:
                     ids[lab] = len(ids)
             out.append((ids[u], ids[v]))
         return tuple(out)
-
-    def static_pattern(self) -> Set[Tuple[int, int]]:
-        """Distinct directed node pairs, i.e. the motif with time removed.
-
-        This is what a static-first baseline (Paranjape et al., FlexMiner)
-        mines in its first phase.
-        """
-        return set(self.edges)
-
-    def is_cyclic(self) -> bool:
-        """True if the motif's static pattern contains a directed cycle."""
-        adj = {}
-        for u, v in self.static_pattern():
-            adj.setdefault(u, set()).add(v)
-        state = {n: 0 for n in range(self.num_nodes)}  # 0=unseen 1=open 2=done
-
-        def visit(n: int) -> bool:
-            state[n] = 1
-            for nxt in adj.get(n, ()):
-                if state[nxt] == 1 or (state[nxt] == 0 and visit(nxt)):
-                    return True
-            state[n] = 2
-            return False
-
-        return any(state[n] == 0 and visit(n) for n in range(self.num_nodes))
 
     def __len__(self) -> int:
         return self.num_edges

@@ -59,18 +59,3 @@ def parse_motif(spec: str, name: str = "motif") -> Motif:
         return Motif.from_labels(edges, name=name)
     except ValueError as exc:
         raise MotifParseError(str(exc)) from exc
-
-
-def format_motif(motif: Motif) -> str:
-    """Render a motif back into the DSL (inverse of :func:`parse_motif`).
-
-    Node IDs are rendered as letters A, B, C... matching the paper's
-    figures for motifs of up to 26 nodes.
-    """
-
-    def label(n: int) -> str:
-        if n < 26:
-            return chr(ord("A") + n)
-        return f"n{n}"
-
-    return ", ".join(f"{label(u)}->{label(v)}" for u, v in motif.edges)

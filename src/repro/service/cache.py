@@ -202,11 +202,6 @@ class ResultCache:
     # -- accounting ------------------------------------------------------------
 
     @property
-    def entry_count(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    @property
     def hit_rate(self) -> float:
         """Hits over lookups since construction (0.0 before any lookup)."""
         total = self.hits + self.misses

@@ -26,9 +26,10 @@ so a producer can retry.  Routes:
 - ``POST /query`` — ``{"graph": name-or-fingerprint, "motif": name,
   "motif_spec": optional DSL, "delta": int, "timeout_s": optional,
   "mode": optional, ``"exact"`` only}``; answers the canonical payload,
-  an exact count.  Any other ``mode`` is a 400; fields the route does
-  not read are ignored.  Overload maps to HTTP 429 with a
-  ``Retry-After`` header; a missed deadline maps to 504.
+  an exact count.  Any other ``mode`` is a 400, and so is a ``delta``
+  (on this route or any below) that is not an integer in ``[0, 2**63)``;
+  fields the route does not read are ignored.  Overload maps to HTTP
+  429 with a ``Retry-After`` header; a missed deadline maps to 504.
 
 Live graphs and standing subscriptions (:mod:`repro.live`):
 
@@ -70,6 +71,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs
 
+from repro.graph.window import checked_delta
 from repro.motifs.motif import Motif
 from repro.service.query import QueryRejected, QueryResult, UnknownGraph
 from repro.service.service import MotifService
@@ -213,15 +215,17 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
     def do_DELETE(self) -> None:  # noqa: N802
         self._answer(self._route_delete)
 
-    def _answer(self, route: Callable[[], None]) -> None:
+    def _answer(self, route: Callable[[str, str], None]) -> None:
         """Run one route and map every exception it raises to an answer.
 
-        An exception no clause below names is a 500 carrying the error,
-        so the client gets a status it can retry on, not a dropped
-        connection.
+        The route gets the path and the query string apart, for every
+        method.  An exception no clause below names is a 500 carrying
+        the error, so the client gets a status it can retry on, not a
+        dropped connection.
         """
+        path, _, query_string = self.path.partition("?")
         try:
-            route()
+            route(path, query_string)
         except _HTTPError as exc:
             self._send_json(exc.status, {"error": exc.message})
         except QueryRejected as exc:
@@ -237,8 +241,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         except Exception as exc:
             self._send_json(500, {"error": f"{type(exc).__name__}: {exc}"})
 
-    def _route_get(self) -> None:
-        path, _, query_string = self.path.partition("?")
+    def _route_get(self, path: str, query_string: str) -> None:
         if path == "/healthz":
             health = self.service.health()
             self._send_json(200 if health["ok"] else 503, health)
@@ -279,34 +282,34 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         else:
             raise _HTTPError(404, f"no such route {path!r}")
 
-    def _route_post(self) -> None:
-        if self.path == "/query":
+    def _route_post(self, path: str, query_string: str) -> None:
+        if path == "/query":
             self._handle_query()
-        elif self.path == "/graphs":
+        elif path == "/graphs":
             self._handle_register_graph()
-        elif self.path == "/live":
+        elif path == "/live":
             self._handle_create_live()
-        elif self.path == "/subscriptions":
+        elif path == "/subscriptions":
             self._handle_subscribe()
-        elif self.path.startswith("/graphs/") and self.path.endswith("/edges"):
-            name = self.path[len("/graphs/"):-len("/edges")]
-            self._handle_append_live(name)
-        elif self.path.startswith("/live/") and self.path.endswith("/window-query"):
+        elif path.startswith("/graphs/") and path.endswith("/edges"):
+            self._handle_append_live(path[len("/graphs/"):-len("/edges")])
+        elif path.startswith("/live/") and path.endswith("/window-query"):
             body = self._read_body()
+            delta = body.get("delta")
             result = self.service.live_window_query(
-                self.path[len("/live/"):-len("/window-query")],
+                path[len("/live/"):-len("/window-query")],
                 self._resolve_motif(body),
-                delta=body.get("delta"),
+                delta=None if delta is None else checked_delta(delta),
                 timeout_s=body.get("timeout_s"),
             )
             self._send_json(*_result_to_response(result))
         else:
-            raise _HTTPError(404, f"no such route {self.path!r}")
+            raise _HTTPError(404, f"no such route {path!r}")
 
     def _handle_query(self) -> None:
         body = self._read_body()
         graph = self._require(body, "graph")
-        delta = int(self._require(body, "delta"))
+        delta = checked_delta(self._require(body, "delta"))
         motif = self._resolve_motif(body)
         mode = body.get("mode", "exact")
         if mode != "exact":
@@ -335,22 +338,22 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
 
     # -- live graphs + subscriptions (repro.live) ------------------------------
 
-    def _route_delete(self) -> None:
-        if self.path.startswith("/subscriptions/"):
-            sub_id = self.path[len("/subscriptions/"):]
+    def _route_delete(self, path: str, query_string: str) -> None:
+        if path.startswith("/subscriptions/"):
+            sub_id = path[len("/subscriptions/"):]
             self.service.unsubscribe(sub_id)
             self._send_json(200, {"cancelled": sub_id})
-        elif self.path.startswith("/live/"):
-            name = self.path[len("/live/"):]
+        elif path.startswith("/live/"):
+            name = path[len("/live/"):]
             self.service.drop_live_graph(name)
             self._send_json(200, {"dropped": name})
         else:
-            raise _HTTPError(404, f"no such route {self.path!r}")
+            raise _HTTPError(404, f"no such route {path!r}")
 
     def _handle_create_live(self) -> None:
         body = self._read_body()
         name = str(self._require(body, "name"))
-        delta = int(self._require(body, "delta"))
+        delta = checked_delta(self._require(body, "delta"))
         lateness = body.get("lateness", 0)
         out = self.service.create_live_graph(
             name,
@@ -384,7 +387,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         sub = self.service.subscribe(
             graph,
             motif,
-            delta=None if delta is None else int(delta),
+            delta=None if delta is None else checked_delta(delta),
             kind=kind,
             threshold=None if threshold is None else int(threshold),
             outbox_capacity=int(body.get("outbox_capacity", 256)),

@@ -28,6 +28,9 @@ from typing import Callable, Dict, List, Optional
 from repro.graph.temporal_graph import TemporalGraph
 from repro.service.query import UnknownGraph
 
+#: Zero-reference graphs kept resident, least recently used evicted first.
+MAX_IDLE_GRAPHS = 4
+
 
 class _Resident:
     __slots__ = ("graph", "refcount")
@@ -40,7 +43,7 @@ class _Resident:
 class GraphRegistry:
     """Fingerprint-keyed resident-graph table with ref-counted eviction."""
 
-    def __init__(self, max_idle: int = 4) -> None:
+    def __init__(self, max_idle: int = MAX_IDLE_GRAPHS) -> None:
         if max_idle < 0:
             raise ValueError("max_idle must be non-negative")
         self.max_idle = int(max_idle)
@@ -150,11 +153,6 @@ class GraphRegistry:
     def resident_count(self) -> int:
         with self._lock:
             return len(self._resident)
-
-    @property
-    def idle_count(self) -> int:
-        with self._lock:
-            return len(self._idle)
 
     def refcount(self, fingerprint: str) -> int:
         with self._lock:

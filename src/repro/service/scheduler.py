@@ -71,6 +71,9 @@ from repro.service.query import (
 )
 from repro.service.registry import GraphRegistry
 
+#: Most queries one batch carries to the executor.
+MAX_BATCH = 16
+
 
 class _Waiter:
     """One submitted request waiting on (possibly shared) execution.
@@ -151,21 +154,16 @@ class QueryScheduler:
         *,
         max_queue: int = 128,
         lanes: int = 2,
-        max_batch: int = 16,
-        latency_capacity: int = 4096,
         counters: Optional[ResilienceCounters] = None,
     ) -> None:
         if max_queue < 1:
             raise ValueError("max_queue must be positive")
         if lanes < 1:
             raise ValueError("lanes must be positive")
-        if max_batch < 1:
-            raise ValueError("max_batch must be positive")
         self.registry = registry
         self.cache = cache
         self.executor = executor
         self.max_queue = int(max_queue)
-        self.max_batch = int(max_batch)
         self._lanes_count = int(lanes)
 
         #: Over an RLock, so ``submit`` can answer while it holds it.
@@ -183,7 +181,7 @@ class QueryScheduler:
         self.completed = 0
         self.errors = 0
         self.cancelled = 0
-        self.latency = LatencyReservoir(latency_capacity)
+        self.latency = LatencyReservoir()
         #: Shared with the executor so one snapshot shows both sides.
         self.counters = counters if counters is not None else executor.counters
 
@@ -310,7 +308,7 @@ class QueryScheduler:
                     head = group[0]
                     fp, delta = head.fingerprint, head.delta
                     rest: Deque[_Entry] = deque()
-                    while self._queue and len(group) < self.max_batch:
+                    while self._queue and len(group) < MAX_BATCH:
                         e = self._queue.popleft()
                         if e.fingerprint == fp and e.delta == delta:
                             group.append(e)

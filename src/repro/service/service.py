@@ -49,12 +49,10 @@ class MotifService:
         *,
         max_queue: int = 128,
         lanes: int = 2,
-        max_batch: int = 16,
         cache_bytes: int = 64 * 1024 * 1024,
-        max_idle_graphs: int = 4,
         executor=None,
     ) -> None:
-        self.registry = GraphRegistry(max_idle=max_idle_graphs)
+        self.registry = GraphRegistry()
         self.cache = ResultCache(max_bytes=cache_bytes)
         # Where batches are mined is the executor's business (default:
         # inline); its counters are the service's, so metrics see it.
@@ -66,7 +64,6 @@ class MotifService:
             self.executor,
             max_queue=max_queue,
             lanes=lanes,
-            max_batch=max_batch,
             counters=self.resilience,
         )
         self.registry.add_evict_listener(self._on_graph_evicted)

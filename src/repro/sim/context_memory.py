@@ -23,10 +23,13 @@ allows (CAM source/destination ports)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict
+from dataclasses import dataclass
 
 from repro.motifs.motif import Motif
+
+#: Concurrent CAM operations per access slot.  The paper's design
+#: updates the source and destination mapping of an edge in one slot.
+CAM_PORTS = 2
 
 
 @dataclass(frozen=True)
@@ -38,14 +41,6 @@ class ContextTiming:
     dispatch_cycles: int
 
 
-@dataclass
-class ContextMemoryStats:
-    cam_searches: int = 0
-    cam_updates: int = 0
-    stack_ops: int = 0
-    register_ops: int = 0
-
-
 class ContextMemoryModel:
     """Cycle model of one context memory instance.
 
@@ -53,23 +48,16 @@ class ContextMemoryModel:
     ----------
     access_cycles:
         Latency of one structure access (Table II: 2 cycles).
-    cam_ports:
-        Concurrent CAM operations per access slot.  The paper's design
-        updates the source and destination mapping of an edge; with two
-        ports both land in one access slot, with one they serialize.
     """
 
-    def __init__(self, access_cycles: int = 2, cam_ports: int = 2) -> None:
+    def __init__(self, access_cycles: int = 2) -> None:
         if access_cycles < 1:
             raise ValueError("access_cycles must be >= 1")
-        if cam_ports < 1:
-            raise ValueError("cam_ports must be >= 1")
         self.access_cycles = access_cycles
-        self.cam_ports = cam_ports
-        self.stats = ContextMemoryStats()
 
-    def _cam_slots(self, operations: int) -> int:
-        return (operations + self.cam_ports - 1) // self.cam_ports
+    @staticmethod
+    def _cam_slots(operations: int) -> int:
+        return (operations + CAM_PORTS - 1) // CAM_PORTS
 
     def timing(self, motif: Motif) -> ContextTiming:
         """Per-task-type cycles for mining ``motif``.
@@ -93,32 +81,3 @@ class ContextMemoryModel:
             backtrack_cycles=backtrack,
             dispatch_cycles=dispatch,
         )
-
-    # -- bookkeeping of simulated accesses (for occupancy reporting) --------
-
-    def record_bookkeep(self) -> None:
-        self.stats.cam_searches += 2
-        self.stats.cam_updates += 2
-        self.stats.stack_ops += 1
-        self.stats.register_ops += 3
-
-    def record_backtrack(self) -> None:
-        self.stats.cam_updates += 2
-        self.stats.stack_ops += 1
-        self.stats.register_ops += 2
-
-    def record_dispatch(self) -> None:
-        self.stats.cam_searches += 2
-        self.stats.register_ops += 2
-
-    def required_cam_entries(self, motif: Motif) -> int:
-        """CAM entries one context needs: one per motif node (§V-B
-        supports motifs of up to eight edges, i.e. up to nine nodes)."""
-        return motif.num_nodes
-
-    def storage_bits(self, motif: Motif, node_id_bits: int = 32) -> int:
-        """Bits of state one context instance holds for ``motif``."""
-        registers = 4 * 32 + 2  # e_M, e_G, time, t_limit + status flags
-        stack = motif.num_edges * 32
-        cam = motif.num_nodes * (node_id_bits + 4 + 8)  # id + motif tag + count
-        return registers + stack + cam

@@ -99,9 +99,3 @@ class GraphMemoryLayout:
 
     def line(self, addr: int) -> int:
         return addr // self.line_bytes
-
-    def lines_touched(self, addr: int, nbytes: int) -> range:
-        """Line numbers covering ``[addr, addr + nbytes)``."""
-        first = addr // self.line_bytes
-        last = (addr + max(nbytes, 1) - 1) // self.line_bytes
-        return range(first, last + 1)

@@ -197,10 +197,6 @@ class PartialMatch:
         self.key = key
 
     @property
-    def root_time(self) -> int:
-        return self.root.time
-
-    @property
     def t_limit(self) -> int:
         return self.root.limit
 
@@ -306,12 +302,6 @@ class FamilyStreamEngine:
             roots.append(root)
             kin.append(root)
         return kin
-
-    # -- queries ---------------------------------------------------------------
-
-    def iter_partials(self) -> Iterable[PartialMatch]:
-        for bucket in self._buckets.values():
-            yield from bucket
 
     # -- the one hot path ------------------------------------------------------
 

@@ -113,10 +113,6 @@ class StreamBuffer:
         """Adjusted timestamp of the most recent edge (None if empty)."""
         return self._ts[-1] if self._ts else None
 
-    def window_indices(self) -> Tuple[int, ...]:
-        """Edge-log indices currently inside the window, oldest first."""
-        return tuple(range(self._lo, len(self._ts)))
-
     # -- snapshots -------------------------------------------------------------
 
     def snapshot(self) -> TemporalGraph:

@@ -485,11 +485,11 @@ def _primary(graph) -> int:
     """The one slot ``replication=1`` places ``graph`` on, off-cluster
     from the same ring."""
     ring = HashRing(slot_name(i) for i in range(2))
-    return int(ring.node_for(graph.fingerprint()).split("-")[1])
+    return int(ring.nodes_for(graph.fingerprint(), 1)[0].split("-")[1])
 
 
 def _failover_check(cluster, graph):
-    placement = cluster.placement(graph.fingerprint())
+    placement = cluster._placements[graph.fingerprint()]
     assert placement[0] == _primary(graph)
     assert len(placement) > 1  # extended by failover
     assert cluster.degraded

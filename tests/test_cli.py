@@ -173,6 +173,24 @@ class TestOtherCommands:
         out = capsys.readouterr().out
         assert out.startswith("error: ") and flag[0] in out
 
+    @pytest.mark.parametrize("delta", ["-5", str(2**63)], ids=["-5", "2^63"])
+    @pytest.mark.parametrize("argv", [
+        ["mine", "/no/such/graph.txt", "--motif", "M1"],
+        ["census", "/no/such/graph.txt"],
+        ["simulate", "/no/such/graph.txt"],
+        ["chaos", "/no/such/graph.txt"],
+        ["chaos", "wiki-talk", "--live", "--scale", "0.012"],
+        ["live", "wiki-talk", "--scale", "0.012"],
+    ], ids=["mine", "census", "simulate", "chaos", "chaos --live", "live"])
+    def test_a_bad_delta_flag_is_a_parser_error(self, capsys, argv, delta):
+        # Every --delta is checked by the parser, before any graph loads.
+        with pytest.raises(SystemExit) as exit_:
+            main([*argv, "--delta", delta])
+        assert exit_.value.code == 2
+        assert "argument --delta: delta must be in [0, 2**63)" in (
+            capsys.readouterr().err
+        )
+
 
 class TestJsonOutput:
     def test_mine_json_payload_shape(self, graph_file, capsys):

@@ -79,10 +79,10 @@ class TestHashRing:
         the new slot — never between two old slots.  (The exact 1/N
         stability invariant, stated as set membership.)"""
         ring = HashRing(slots, vnodes=16)
-        before = {k: ring.node_for(k) for k in ks}
+        before = {k: ring.nodes_for(k)[0] for k in ks}
         ring.add("joined-slot")
         for k in ks:
-            after = ring.node_for(k)
+            after = ring.nodes_for(k)[0]
             if after != before[k]:
                 assert after == "joined-slot"
 
@@ -94,10 +94,10 @@ class TestHashRing:
             return
         ring = HashRing(slots, vnodes=16)
         victim = data.draw(st.sampled_from(slots))
-        before = {k: ring.node_for(k) for k in ks}
+        before = {k: ring.nodes_for(k)[0] for k in ks}
         ring.remove(victim)
         for k in ks:
-            after = ring.node_for(k)
+            after = ring.nodes_for(k)[0]
             if after != before[k]:
                 assert before[k] == victim
             else:
@@ -109,9 +109,9 @@ class TestHashRing:
         rng = random.Random(11)
         ring = HashRing((slot_name(i) for i in range(8)))
         ks = ["%032x" % rng.getrandbits(128) for _ in range(4000)]
-        before = {k: ring.node_for(k) for k in ks}
+        before = {k: ring.nodes_for(k)[0] for k in ks}
         ring.add(slot_name(8))
-        moved = sum(1 for k in ks if ring.node_for(k) != before[k])
+        moved = sum(1 for k in ks if ring.nodes_for(k)[0] != before[k])
         assert 0 < moved < len(ks) * 0.25  # expectation is 1/9 ≈ 0.111
 
     def test_deterministic_across_processes(self):
@@ -134,7 +134,7 @@ class TestHashRing:
         ring = HashRing(slot_name(i) for i in range(4))
         owners = ring.nodes_for("somekey", 3)
         assert len(owners) == 3 and len(set(owners)) == 3
-        assert ring.node_for("somekey") == owners[0]
+        assert ring.nodes_for("somekey")[0] == owners[0]
         # k beyond the ring degenerates to "every slot, ring order".
         assert sorted(ring.nodes_for("somekey", 99)) == ring.slots
 
@@ -158,7 +158,7 @@ class TestHashRing:
         with pytest.raises(ValueError):
             ring.nodes_for("k", 0)
         with pytest.raises(KeyError):
-            HashRing([]).node_for("k")
+            HashRing([]).nodes_for("k")
 
     def test_default_vnodes_balance(self):
         """With the default vnode count, no slot of 6 owns a wildly
@@ -167,7 +167,7 @@ class TestHashRing:
         ring = HashRing((slot_name(i) for i in range(6)), vnodes=DEFAULT_VNODES)
         loads = {s: 0 for s in ring.slots}
         for _ in range(6000):
-            loads[ring.node_for("%032x" % rng.getrandbits(128))] += 1
+            loads[ring.nodes_for("%032x" % rng.getrandbits(128))[0]] += 1
         assert max(loads.values()) < 3 * (6000 // 6)
 
 
@@ -343,9 +343,9 @@ class TestMiningClusterUnits:
         graph = random_temporal_graph(rng, 10, 60)
         fp = graph.fingerprint()
         with MiningCluster(3, replication=2) as cluster:
-            assert cluster.placement(fp) == ()
+            assert tuple(cluster._placements.get(fp, ())) == ()
             cluster.ensure_graph(graph)
-            placed = cluster.placement(fp)
+            placed = tuple(cluster._placements.get(fp, ()))
             assert len(placed) == 2
             expected = [
                 int(name.split("-", 1)[1])
@@ -353,6 +353,6 @@ class TestMiningClusterUnits:
             ]
             assert list(placed) == expected
             cluster.drop_graph(fp)
-            assert cluster.placement(fp) == ()
+            assert tuple(cluster._placements.get(fp, ())) == ()
             cluster.ensure_graph(graph)
-            assert cluster.placement(fp) == placed
+            assert tuple(cluster._placements.get(fp, ())) == placed

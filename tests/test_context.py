@@ -59,13 +59,6 @@ class TestBookkeeping:
         assert ctx.graph_node(0) == 5
         assert ctx.graph_node(1) == 6
 
-    def test_reset(self, ctx):
-        ctx.bookkeep(0, 1, 2, t=5)
-        ctx.reset()
-        assert ctx.depth == 0
-        assert ctx.node_map() == (-1, -1, -1)
-        assert not ctx.e_count
-
 
 class TestAccepts:
     def test_structural_match_required(self, ctx):
@@ -87,16 +80,3 @@ class TestAccepts:
         assert ctx.accepts(3, 4, 10)
         assert not ctx.accepts(3, 3, 10)  # same graph node for two motif nodes
         assert not ctx.accepts(1, 4, 10)  # node 1 already mapped
-
-
-class TestContextBytes:
-    def test_context_fits_paper_budget(self):
-        """§IV-B: an 8-edge motif context needs about 178 B."""
-        path8 = Motif([(i, i + 1) for i in range(8)])  # 9 nodes, 8 edges
-        size = MiningContext(path8, delta=1).context_bytes()
-        assert 100 <= size <= 200
-
-    def test_smaller_motifs_use_less(self):
-        small = MiningContext(M1, delta=1).context_bytes()
-        big = MiningContext(Motif([(i, i + 1) for i in range(8)]), delta=1)
-        assert small < big.context_bytes()

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.motifs.catalog import M1, M4
-from repro.motifs.motif import Motif
+from repro.motifs.catalog import M1
 from repro.sim.config import DramConfig
 from repro.sim.context_memory import ContextMemoryModel
 from repro.sim.dram import DramModel
@@ -13,15 +12,10 @@ class TestContextMemoryModel:
     def test_default_timing_matches_table2(self):
         """With 2-cycle accesses and 2 CAM ports the derived latencies
         equal the constants the evaluation has always used."""
-        timing = ContextMemoryModel(access_cycles=2, cam_ports=2).timing(M1)
+        timing = ContextMemoryModel(access_cycles=2).timing(M1)
         assert timing.bookkeep_cycles == 2
         assert timing.backtrack_cycles == 2
         assert timing.dispatch_cycles == 1
-
-    def test_single_port_serializes(self):
-        two = ContextMemoryModel(access_cycles=2, cam_ports=2).timing(M1)
-        one = ContextMemoryModel(access_cycles=2, cam_ports=1).timing(M1)
-        assert one.bookkeep_cycles > two.bookkeep_cycles
 
     def test_slower_access_scales(self):
         fast = ContextMemoryModel(access_cycles=2).timing(M1)
@@ -31,29 +25,6 @@ class TestContextMemoryModel:
     def test_validation(self):
         with pytest.raises(ValueError):
             ContextMemoryModel(access_cycles=0)
-        with pytest.raises(ValueError):
-            ContextMemoryModel(cam_ports=0)
-
-    def test_cam_entries_per_motif(self):
-        model = ContextMemoryModel()
-        assert model.required_cam_entries(M1) == 3
-        assert model.required_cam_entries(M4) == 5
-
-    def test_storage_bits_grow_with_motif(self):
-        model = ContextMemoryModel()
-        path8 = Motif([(i, i + 1) for i in range(8)])
-        assert model.storage_bits(path8) > model.storage_bits(M1)
-        # The paper's ~178 B bound for 8-edge motifs (§IV-B).
-        assert model.storage_bits(path8) <= 178 * 8
-
-    def test_access_recording(self):
-        model = ContextMemoryModel()
-        model.record_bookkeep()
-        model.record_backtrack()
-        model.record_dispatch()
-        assert model.stats.cam_searches == 4
-        assert model.stats.cam_updates == 4
-        assert model.stats.stack_ops == 2
 
 
 class TestDramRefreshAndTurnaround:

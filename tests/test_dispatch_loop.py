@@ -305,7 +305,7 @@ class TestSupervisionLoop:
             # to slot 1 ... which dies too, and nothing is left.
             with pytest.raises(d.Failed):
                 d.run()
-            assert d.placement("g") == (0, 1)
+            assert d._placements["g"] == [0, 1]
             assert d.stats.failovers == 1
             assert d.stats.graph_ships == 2
             assert d.stats.worker_deaths == 2

@@ -194,11 +194,9 @@ class TestCLI:
     @pytest.mark.parametrize("argv", [
         ["live", "--batch-size", "0"],
         ["live", "--batch-size", "-5"],
-        ["live", "--delta", "-5"],
         ["live", "--subs", "-2"],
         ["chaos", "--live", "--delta", "100", "--batch-size", "0"],
         ["chaos", "--live", "--delta", "100", "--batch-size", "-5"],
-        ["chaos", "--live", "--delta", "-5"],
     ], ids=lambda argv: " ".join(argv))
     def test_feed_arguments_are_rejected(self, argv, capsys):
         command, *opts = argv

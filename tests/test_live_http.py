@@ -98,6 +98,31 @@ class TestLiveRoutes:
         resp, _ = request(conn, "POST", "/live", {"name": "x"})
         assert resp.status == 400  # missing delta
 
+    @pytest.mark.parametrize("delta", [True, "10", 10.7, 2**70],
+                             ids=["bool", "string", "10.7", "2^70"])
+    @pytest.mark.parametrize("route,body", [
+        ("/live", {"name": "other"}),
+        ("/subscriptions", {"graph": "feed", "motif": "M1"}),
+        ("/live/feed/window-query", {"motif": "M1"}),
+    ], ids=["live", "subscriptions", "window-query"])
+    def test_a_bad_delta_is_a_400_on_every_route(
+        self, live_server, route, body, delta
+    ):
+        conn, _, _ = live_server
+        create_feed(conn)
+        resp, out = request(conn, "POST", route, {**body, "delta": delta})
+        assert resp.status == 400 and "delta" in out["error"]
+        resp, listing = request(conn, "GET", "/live")
+        assert listing["live"] == ["feed"]
+
+    def test_a_query_string_does_not_change_a_delete_route(self, live_server):
+        conn, _, _ = live_server
+        create_feed(conn)
+        resp, out = request(conn, "DELETE", "/live/feed?x=1")
+        assert resp.status == 200 and out == {"dropped": "feed"}
+        resp, _ = request(conn, "GET", "/live/feed")
+        assert resp.status == 404
+
     def test_append_acks_and_idempotency(self, live_server):
         conn, _, _ = live_server
         create_feed(conn)

@@ -265,7 +265,7 @@ class TestVersionedServing:
             svc.append_live("feed", edges[i * third:(i + 1) * third], seq=i)
             q = svc.query("feed", "M2", delta)
             fps.append(q.payload["graph"])
-        # keep_versions=2: version 1's pin is dropped (idle,
+        # KEEP_VERSIONS = 2: version 1's pin is dropped (idle,
         # eviction-eligible) and its entries are gone; the two newest
         # stay pinned.
         assert svc.live_status("feed")["pinned_versions"] == [2, 3]

@@ -55,16 +55,6 @@ class TestMotifValidation:
 
 
 class TestMotifProperties:
-    def test_static_pattern_dedup(self):
-        m = Motif.from_labels([("A", "B"), ("B", "A"), ("A", "B")])
-        assert m.static_pattern() == {(0, 1), (1, 0)}
-
-    def test_cyclic_detection(self):
-        assert M1.is_cyclic()
-        assert M3.is_cyclic()
-        assert not M2.is_cyclic()
-        assert not M4.is_cyclic()
-
     def test_edge_accessor(self):
         assert M1.edge(0) == (0, 1)
         assert M1.edge(2) == (2, 0)
@@ -79,8 +69,7 @@ class TestCatalog:
 
     def test_m1_is_three_node_cycle(self):
         assert M1.num_nodes == 3
-        assert M1.num_edges == 3
-        assert M1.is_cyclic()
+        assert M1.edges == ((0, 1), (1, 2), (2, 0))
 
     def test_m2_is_three_node_feedforward(self):
         assert M2.num_nodes == 3
@@ -88,8 +77,7 @@ class TestCatalog:
 
     def test_m3_is_four_node_cycle(self):
         assert M3.num_nodes == 4
-        assert M3.num_edges == 4
-        assert M3.is_cyclic()
+        assert M3.edges == ((0, 1), (1, 2), (2, 3), (3, 0))
 
     def test_m4_is_five_node_star(self):
         assert M4.num_nodes == 5

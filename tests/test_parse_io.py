@@ -3,7 +3,7 @@
 import pytest
 
 from repro.motifs.catalog import M1, M4
-from repro.motifs.parse import MotifParseError, format_motif, parse_motif
+from repro.motifs.parse import MotifParseError, parse_motif
 
 
 class TestParseMotif:
@@ -43,8 +43,3 @@ class TestParseMotif:
         spec = ", ".join("A->B" if i % 2 == 0 else "B->A" for i in range(9))
         with pytest.raises(MotifParseError, match="at most"):
             parse_motif(spec)
-
-    def test_roundtrip_through_format(self):
-        for motif in (M1, M4, parse_motif("A->B, C->B, D->B")):
-            again = parse_motif(format_motif(motif))
-            assert again.edges == motif.edges

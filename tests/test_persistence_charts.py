@@ -1,17 +1,15 @@
-"""Tests for result persistence/diffing and ASCII charts."""
+"""Tests for result persistence and ASCII charts."""
 
-import math
+import json
 
 import pytest
 
-from repro.analysis.charts import bar_chart, line_chart, sparkline
-from repro.analysis.persistence import (
-    MetricDrift,
-    PersistenceError,
-    compare_runs,
-    load_run,
-    save_run,
-)
+from repro.analysis.charts import bar_chart, sparkline
+from repro.analysis.persistence import PersistenceError, save_run
+
+
+def _metrics(path):
+    return json.loads(path.read_text())["metrics"]
 
 
 class TestPersistence:
@@ -19,7 +17,7 @@ class TestPersistence:
         path = tmp_path / "run.json"
         metrics = {"fig10": {"geomean": 60.7, "rows": [1, 2, 3]}, "ok": True}
         save_run(path, metrics, metadata={"scale": 1.0})
-        assert load_run(path) == {
+        assert _metrics(path) == {
             "fig10": {"geomean": 60.7, "rows": [1, 2, 3]},
             "ok": True,
         }
@@ -34,47 +32,11 @@ class TestPersistence:
 
         path = tmp_path / "run.json"
         save_run(path, {"p": Point(1, 2.5)})
-        assert load_run(path) == {"p": {"x": 1, "y": 2.5}}
+        assert _metrics(path) == {"p": {"x": 1, "y": 2.5}}
 
     def test_unserializable_rejected(self, tmp_path):
         with pytest.raises(PersistenceError):
             save_run(tmp_path / "x.json", {"bad": object()})
-
-    def test_invalid_json_rejected(self, tmp_path):
-        path = tmp_path / "x.json"
-        path.write_text("{nope")
-        with pytest.raises(PersistenceError):
-            load_run(path)
-
-    def test_missing_metrics_rejected(self, tmp_path):
-        path = tmp_path / "x.json"
-        path.write_text('{"schema": 1}')
-        with pytest.raises(PersistenceError):
-            load_run(path)
-
-
-class TestCompareRuns:
-    def test_no_drift_within_tolerance(self):
-        a = {"speedup": 60.0, "nested": {"hit": 0.99}}
-        b = {"speedup": 63.0, "nested": {"hit": 0.97}}
-        assert compare_runs(a, b, rel_tolerance=0.10) == []
-
-    def test_drift_detected(self):
-        drifts = compare_runs({"speedup": 60.0}, {"speedup": 30.0})
-        assert len(drifts) == 1
-        assert drifts[0].key == "speedup"
-        assert drifts[0].ratio == pytest.approx(0.5)
-
-    def test_missing_key_reported(self):
-        drifts = compare_runs({"a": 1.0}, {"b": 1.0})
-        assert {d.key for d in drifts} == {"a", "b"}
-
-    def test_lists_flattened(self):
-        drifts = compare_runs({"xs": [1.0, 2.0]}, {"xs": [1.0, 4.0]})
-        assert [d.key for d in drifts] == ["xs[1]"]
-
-    def test_non_numeric_leaves_ignored(self):
-        assert compare_runs({"name": "a"}, {"name": "b"}) == []
 
 
 class TestCharts:
@@ -108,20 +70,3 @@ class TestCharts:
 
     def test_bar_chart_empty(self):
         assert bar_chart({}) == "(empty)"
-
-    def test_line_chart_renders_series(self):
-        pts = [(x, math.sin(x)) for x in range(20)]
-        out = line_chart({"sin": pts}, height=6, width=30)
-        lines = out.splitlines()
-        assert len(lines) == 7  # grid + footer
-        assert "sin" in lines[-1]
-        assert any("*" in l for l in lines[:-1])
-
-    def test_line_chart_multi_series_glyphs(self):
-        out = line_chart(
-            {"a": [(0, 0), (1, 1)], "b": [(0, 1), (1, 0)]}, height=4, width=10
-        )
-        assert "*=a" in out and "o=b" in out
-
-    def test_line_chart_empty(self):
-        assert line_chart({}) == "(empty)"

@@ -68,10 +68,10 @@ class TestGraphRegistry:
         reg.register(make_graph())
         reg.release(fp)
         assert reg.refcount(fp) == 1
-        assert reg.idle_count == 0
+        assert len(reg._idle) == 0
         reg.release(fp)
         assert reg.refcount(fp) == 0
-        assert reg.idle_count == 1
+        assert len(reg._idle) == 1
         # Idle graphs are still resident and fetchable.
         assert reg.get(fp).num_edges == 3
 
@@ -110,9 +110,9 @@ class TestGraphRegistry:
         reg = GraphRegistry(max_idle=1)
         fp = reg.register(make_graph())
         reg.release(fp)
-        assert reg.idle_count == 1
+        assert len(reg._idle) == 1
         assert reg.register(make_graph()) == fp
-        assert reg.idle_count == 0
+        assert len(reg._idle) == 0
         assert reg.refcount(fp) == 1
 
     def test_names_resolve_and_evict_with_graph(self):
@@ -171,7 +171,7 @@ class TestResultCache:
         cache = ResultCache(max_bytes=booked(k1, 1, {}) * 3 // 2)
         assert cache.put(k1, 1, {})
         assert cache.put(k2, 2, {})
-        assert cache.entry_count == 1
+        assert cache.stats()["cache_entries"] == 1
         assert cache.get(k1) is None
         assert cache.get(k2).count == 2
         assert cache.evictions == 1
@@ -182,7 +182,7 @@ class TestResultCache:
         cache = ResultCache(max_bytes=booked(k1, 1, {}) * 5 // 2)
         assert cache.put(k1, 1, {})
         assert cache.put(k2, 2, {})
-        assert cache.entry_count == 2
+        assert cache.stats()["cache_entries"] == 2
         cache.get(k1)  # k2 becomes the LRU victim
         cache.put(key_for("fp-c"), 3, {})
         assert cache.get(k1) is not None
@@ -191,7 +191,7 @@ class TestResultCache:
     def test_oversized_entry_refused(self):
         cache = ResultCache(max_bytes=10)
         assert not cache.put(key_for("fp-a"), 1, {"edges": 3})
-        assert cache.entry_count == 0
+        assert cache.stats()["cache_entries"] == 0
         assert cache.bytes_used == 0
 
     def test_refresh_same_key_does_not_leak_bytes(self):
@@ -201,7 +201,7 @@ class TestResultCache:
         before = cache.bytes_used
         cache.put(k, 2, {"edges": 3})
         assert cache.bytes_used == before
-        assert cache.entry_count == 1
+        assert cache.stats()["cache_entries"] == 1
         assert cache.get(k).count == 2
 
     def test_invalidate_fingerprint(self):
@@ -210,7 +210,7 @@ class TestResultCache:
         cache.put(key_for("fp-a", M2), 2, {})
         cache.put(key_for("fp-b", M1), 3, {})
         assert cache.invalidate_fingerprint("fp-a") == 2
-        assert cache.entry_count == 1
+        assert cache.stats()["cache_entries"] == 1
         assert cache.get(key_for("fp-b", M1)).count == 3
         assert cache.bytes_used == cache.get(key_for("fp-b", M1)).nbytes
 
@@ -246,7 +246,7 @@ class TestResultCache:
         cache = ResultCache()
         cache.put(key_for("fp-a"), 1, {})
         cache.clear()
-        assert cache.entry_count == 0 and cache.bytes_used == 0
+        assert cache.stats()["cache_entries"] == 0 and cache.bytes_used == 0
 
     def test_exact_entry_round_trips_through_the_packed_form(self):
         """A miner's result is stored packed; the view a hit gets is
@@ -306,7 +306,7 @@ class TestResultCache:
             resident = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert cache.entry_count == entries
+        assert cache.stats()["cache_entries"] == entries
         assert 0.7 <= resident / cache.bytes_used <= 1.5
         assert resident / entries <= 600
         per_entry = ServiceMetrics(**cache.stats()).cache_bytes_per_entry

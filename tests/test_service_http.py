@@ -265,6 +265,23 @@ class TestErrorMapping:
         resp, body = request(conn, "POST", "/query", {"graph": "burst"})
         assert resp.status == 400 and "delta" in body["error"]
 
+    @pytest.mark.parametrize("delta", [True, "10", 10.7, 2**70],
+                             ids=["bool", "string", "10.7", "2^70"])
+    def test_a_bad_delta_is_a_400(self, served_graph, delta):
+        conn, *_ = served_graph
+        resp, body = request(
+            conn, "POST", "/query",
+            {"graph": "burst", "motif": "M1", "delta": delta},
+        )
+        assert resp.status == 400 and "delta" in body["error"]
+
+    def test_a_query_string_does_not_change_a_post_route(self, served_graph):
+        conn, *_ = served_graph
+        query = {"graph": "burst", "motif": "M1", "delta": DELTA}
+        _, plain = request(conn, "POST", "/query", query)
+        resp, body = request(conn, "POST", "/query?trace=1", query)
+        assert resp.status == 200 and body == plain
+
     def test_bad_motif_spec_400(self, served_graph):
         conn, *_ = served_graph
         resp, body = request(

@@ -32,6 +32,7 @@ from repro.mining.mackey import MackeyMiner
 from repro.mining.parallel import WorkerPool
 from repro.mining.results import MiningCancelled
 from repro.motifs.catalog import EVALUATION_MOTIFS, EXTRA_MOTIFS, M1, M2
+from repro.motifs.grid import grid_motifs
 from repro.service import (
     GraphRegistry,
     InlineExecutor,
@@ -45,6 +46,8 @@ from repro.service import (
     payload_bytes,
 )
 from repro.service.query import MotifQuery
+from repro.service.registry import MAX_IDLE_GRAPHS
+from repro.service.scheduler import MAX_BATCH
 
 DELTA = 30
 
@@ -211,7 +214,7 @@ class TestCoalescing:
 class TestBatching:
     def test_same_graph_same_delta_batches_into_one_call(self, graph):
         executor = RecordingExecutor()
-        registry, scheduler = make_scheduler(executor, max_batch=8)
+        registry, scheduler = make_scheduler(executor)
         registry.register(graph)
         from repro.service.query import MotifQuery
 
@@ -231,6 +234,23 @@ class TestBatching:
             assert payload_bytes(r.payload) == direct_payload(
                 graph, motif, DELTA
             )
+
+    def test_a_batch_carries_at_most_max_batch_queries(self, graph):
+        executor = RecordingExecutor()
+        registry, scheduler = make_scheduler(executor, lanes=1)
+        registry.register(graph)
+        motifs = grid_motifs()[: MAX_BATCH + 1]
+
+        scheduler.pause()
+        pending = [
+            scheduler.submit(MotifQuery(graph.fingerprint(), m, DELTA))
+            for m in motifs
+        ]
+        scheduler.resume()
+        results = [p.result() for p in pending]
+        scheduler.close()
+        assert all(r.ok for r in results)
+        assert [len(names) for _, names, _ in executor.calls] == [MAX_BATCH, 1]
 
 
 class TestDeadlines:
@@ -409,19 +429,22 @@ class TestServiceFrontEnd:
             assert r.payload["motif"] == "M1"
 
     def test_transient_graph_rides_idle_lru(self, graph):
-        with MotifService(max_idle_graphs=2) as svc:
+        with MotifService() as svc:
             r = svc.query(graph, M1, DELTA)  # never registered explicitly
             assert r.ok
             assert svc.registry.refcount(graph.fingerprint()) == 0
-            assert svc.registry.idle_count == 1
+            assert len(svc.registry._idle) == 1
 
     def test_registry_eviction_invalidates_cache_and_pool(self):
-        with MotifService(max_idle_graphs=1) as svc:
-            g1 = TemporalGraph([(0, 1, 1), (1, 2, 2), (2, 0, 3)])
-            g2 = TemporalGraph([(0, 1, 4), (1, 2, 5), (2, 0, 6)])
+        with MotifService() as svc:
+            g1, *rest = [
+                TemporalGraph([(0, 1, 3 * i + 1), (1, 2, 3 * i + 2), (2, 0, 3 * i + 3)])
+                for i in range(MAX_IDLE_GRAPHS + 1)
+            ]
             assert svc.query(g1, M1, 10).ok
-            assert svc.cache.entry_count == 1
-            assert svc.query(g2, M1, 10).ok  # evicts g1 from the idle LRU
+            assert svc.cache.stats()["cache_entries"] == 1
+            for g in rest:  # the last one evicts g1 from the idle LRU
+                assert svc.query(g, M1, 10).ok
             assert g1.fingerprint() not in svc.registry
             # g1's cache entries went with it: a re-query re-mines.
             again = svc.query(g1, M1, 10)

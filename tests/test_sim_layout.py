@@ -71,12 +71,6 @@ class TestAddressing:
         assert layout.line(63) == 0
         assert layout.line(64) == 1
 
-    def test_lines_touched(self, layout):
-        assert list(layout.lines_touched(0, 64)) == [0]
-        assert list(layout.lines_touched(60, 8)) == [0, 1]
-        assert list(layout.lines_touched(128, 1)) == [2]
-        assert list(layout.lines_touched(0, 0)) == [0]
-
 
 class TestEmptyGraph:
     def test_empty_graph_layout(self):

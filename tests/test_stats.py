@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.graph.generators import DATASET_NAMES
-from repro.graph.stats import compute_stats, dataset_table, storage_bytes
+from repro.graph.stats import compute_stats, storage_bytes
 from repro.graph.temporal_graph import TemporalGraph
 
 
@@ -39,14 +38,3 @@ class TestComputeStats:
         row = compute_stats(burst_graph, "x").row()
         assert row[0] == "x"
         assert len(row) == 6
-
-
-class TestDatasetTable:
-    def test_all_datasets_present(self):
-        rows = dataset_table(scale=0.05, seed=0)
-        assert [r.name for r in rows] == list(DATASET_NAMES)
-
-    def test_subset(self):
-        rows = dataset_table(names=["wiki-talk"], scale=0.05)
-        assert len(rows) == 1
-        assert rows[0].name == "wiki-talk"

@@ -17,6 +17,11 @@ from repro.streaming import StreamBuffer, StreamingCounter
 from repro.streaming.counter import FamilyStreamEngine, MotifStreamEngine, Slot
 
 
+def partials(engine):
+    """Every partial match ``engine`` holds, across its buckets."""
+    return [p for bucket in engine._buckets.values() for p in bucket]
+
+
 class TestEvictionSemantics:
     def test_expired_partial_is_dropped(self):
         engine = MotifStreamEngine(PING_PONG, delta=10)
@@ -26,7 +31,7 @@ class TestEvictionSemantics:
         # The stale partial is gone (the new root replaces it).
         assert engine.evicted_total == 1
         assert engine.live_partials == 1
-        assert all(p.t_limit >= 100 for p in engine.iter_partials())
+        assert all(p.t_limit >= 100 for p in partials(engine))
 
     def test_expired_partial_never_re_extended(self):
         # 2cycle-return = A->B, B->A, A->B.  Build a depth-2 partial,
@@ -82,13 +87,11 @@ class TestMemoryBounds:
             w = counter.window_size
             engine = counter.engines()[0]
             # Heap and buckets agree (no leaked entries).
-            assert engine.live_partials == sum(
-                1 for _ in engine.iter_partials()
-            )
+            assert engine.live_partials == len(partials(engine))
             # Every live partial is rooted inside the window...
-            for p in engine.iter_partials():
+            for p in partials(engine):
                 assert p.t_limit >= t_now
-                assert p.root_time >= t_now - delta
+                assert p.root.time >= t_now - delta
             # ...so depth-1 partials are at most the window edges and
             # depth-2 partials at most ordered window pairs.
             assert engine.live_partials <= w + w * w
@@ -113,16 +116,16 @@ class TestMemoryBounds:
             shared.step(s, d, t_adj)
             alone.advance(s, d, t_adj)
             branch = [
-                p for p in shared.iter_partials()
-                if p.t_limit - p.root_time == delta
+                p for p in partials(shared)
+                if p.t_limit - p.root.time == delta
             ]
-            assert all(p.root_time >= t_adj - delta for p in branch)
-            assert sorted((p.root_time, p.m2g) for p in branch) == sorted(
-                (p.root_time, p.m2g) for p in alone.iter_partials()
+            assert all(p.root.time >= t_adj - delta for p in branch)
+            assert sorted((p.root.time, p.m2g) for p in branch) == sorted(
+                (p.root.time, p.m2g) for p in partials(alone)
             )
         assert narrow.count == alone.count > 0
         assert any(
-            p.root_time < t_adj - delta for p in shared.iter_partials()
+            p.root.time < t_adj - delta for p in partials(shared)
         ), "the saturating slot kept nothing past the narrow window (weak test)"
 
     def test_removing_a_slot_requeues_partials_under_the_new_bounds(self):
@@ -155,9 +158,9 @@ class TestMemoryBounds:
             assert [shared.completed.count(s) for s in (slots[0], slots[2])] \
                 == [survivors.completed.count(s) for s in kept]
             assert sorted(
-                (p.root_time, p.t_limit, p.m2g) for p in shared.iter_partials()
+                (p.root.time, p.t_limit, p.m2g) for p in partials(shared)
             ) == sorted(
-                (p.root_time, p.t_limit, p.m2g) for p in survivors.iter_partials()
+                (p.root.time, p.t_limit, p.m2g) for p in partials(survivors)
             )
             assert shared.live_partials == survivors.live_partials
         assert kept[1].count > 0, "M2 at δ/2 never matched (weak test)"
@@ -178,9 +181,7 @@ class TestMemoryBounds:
         counter = StreamingCounter(M1, delta=10)
         for t in range(0, 100, 5):
             counter.add_edge(t % 3, (t + 1) % 3, t)
-            for idx in counter.buffer.window_indices():
-                assert (
-                    counter.buffer.snapshot().ts[idx]
-                    >= counter.buffer.t_now - 10
-                )
+            ts = counter.buffer.snapshot().ts
+            window = ts[len(ts) - counter.buffer.window_size:]
+            assert (window >= counter.buffer.t_now - 10).all()
         assert counter.buffer.window_size == 3  # t, t-5, t-10 inclusive

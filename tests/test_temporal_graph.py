@@ -50,7 +50,7 @@ class TestConstruction:
     def test_explicit_num_nodes(self):
         g = TemporalGraph([(0, 1, 1)], num_nodes=10)
         assert g.num_nodes == 10
-        assert g.out_degree(9) == 0
+        assert len(g.out_edges(9)) == 0
 
     def test_num_nodes_too_small_rejected(self):
         with pytest.raises(ValueError):
@@ -83,8 +83,8 @@ class TestAdjacency:
 
     def test_degrees_sum_to_edge_count(self, burst_graph):
         g = burst_graph
-        assert sum(g.out_degree(u) for u in range(g.num_nodes)) == g.num_edges
-        assert sum(g.in_degree(v) for v in range(g.num_nodes)) == g.num_edges
+        assert sum(len(g.out_edges(u)) for u in range(g.num_nodes)) == g.num_edges
+        assert sum(len(g.in_edges(v)) for v in range(g.num_nodes)) == g.num_edges
 
     def test_offsets_are_monotone(self, burst_graph):
         assert np.all(np.diff(burst_graph.out_offsets) >= 0)
