@@ -23,6 +23,7 @@ from repro.graph.temporal_graph import _INT64, _integer
 
 __all__ = [
     "checked_delta",
+    "checked_integer",
     "window_t_limit",
     "window_horizon",
 ]
@@ -35,13 +36,23 @@ def checked_delta(value) -> int:
     flags): an int (or an integral float) in ``[0, 2**63)``, so δ fits
     the int64 timestamps it is added to.  A bool or a string is not a δ.
     """
+    return checked_integer(value, "delta")
+
+
+def checked_integer(value, field: str, least: int = 0) -> int:
+    """``value`` as the integer body field ``field``, or :class:`ValueError`.
+
+    The same rule as :func:`checked_delta` (an int or an integral float,
+    never a bool or a string) with ``least`` as the lower bound: a
+    ``seq`` of 7.9 is refused, not read as 7.
+    """
     try:
-        delta = _integer(value)
+        number = _integer(value)
     except (TypeError, ValueError):
-        raise ValueError(f"delta must be an integer, got {value!r}") from None
-    if not 0 <= delta < _INT64:
-        raise ValueError(f"delta must be in [0, 2**63), got {delta}")
-    return delta
+        raise ValueError(f"{field} must be an integer, got {value!r}") from None
+    if not least <= number < _INT64:
+        raise ValueError(f"{field} must be in [{least}, 2**63), got {number}")
+    return number
 
 
 def window_t_limit(t_root, delta):

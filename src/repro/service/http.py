@@ -71,7 +71,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs
 
-from repro.graph.window import checked_delta
+from repro.graph.window import checked_delta, checked_integer
 from repro.motifs.motif import Motif
 from repro.service.query import QueryRejected, QueryResult, UnknownGraph
 from repro.service.service import MotifService
@@ -358,8 +358,10 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         out = self.service.create_live_graph(
             name,
             delta,
-            lateness=None if lateness is None else int(lateness),
-            reorder_capacity=int(body.get("reorder_capacity", 1024)),
+            lateness=None if lateness is None else checked_integer(lateness, "lateness"),
+            reorder_capacity=checked_integer(
+                body.get("reorder_capacity", 1024), "reorder_capacity", least=1
+            ),
         )
         self._send_json(200, out)
 
@@ -369,11 +371,14 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         if not isinstance(edges, list):
             raise _HTTPError(400, "'edges' must be a list of [src, dst, t]")
         seq = body.get("seq")
+        flush = body.get("flush", False)
+        if not isinstance(flush, bool):
+            raise _HTTPError(400, f"flush must be true or false, got {flush!r}")
         ack = self.service.append_live(
             name,
             edges,
-            seq=None if seq is None else int(seq),
-            flush=bool(body.get("flush", False)),
+            seq=None if seq is None else checked_integer(seq, "seq"),
+            flush=flush,
         )
         self._send_json(200, ack)
 
@@ -389,8 +394,10 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             motif,
             delta=None if delta is None else checked_delta(delta),
             kind=kind,
-            threshold=None if threshold is None else int(threshold),
-            outbox_capacity=int(body.get("outbox_capacity", 256)),
+            threshold=None if threshold is None else checked_integer(threshold, "threshold"),
+            outbox_capacity=checked_integer(
+                body.get("outbox_capacity", 256), "outbox_capacity", least=1
+            ),
         )
         self._send_json(200, sub.status())
 

@@ -115,6 +115,32 @@ class TestLiveRoutes:
         resp, listing = request(conn, "GET", "/live")
         assert listing["live"] == ["feed"]
 
+    @pytest.mark.parametrize("field,value,route,body", [
+        ("seq", 7.9, "/graphs/feed/edges", {"edges": [[1, 2, 20]]}),
+        ("threshold", True, "/subscriptions", {"graph": "feed", "motif": "M1"}),
+        ("lateness", True, "/live", {"name": "other", "delta": DELTA}),
+        ("reorder_capacity", 2**70, "/live", {"name": "other", "delta": DELTA}),
+        ("outbox_capacity", 2**70, "/subscriptions", {"graph": "feed", "motif": "M1"}),
+        ("flush", "false", "/graphs/feed/edges", {"edges": [[1, 2, 20]]}),
+    ], ids=["seq", "threshold", "lateness", "reorder_capacity", "outbox_capacity",
+            "flush"])
+    def test_a_bad_integer_or_flag_field_is_a_400(
+        self, live_server, field, value, route, body
+    ):
+        """Checked, not coerced: ``int(7.9)`` would ack a new batch as a
+        duplicate of ``seq`` 7 and drop its edge."""
+        conn, _, _ = live_server
+        create_feed(conn)
+        resp, ack = request(conn, "POST", "/graphs/feed/edges",
+                            {"edges": [[0, 1, 10]], "seq": 7})
+        assert resp.status == 200 and not ack["duplicate"]
+        resp, out = request(conn, "POST", route, {**body, field: value})
+        assert resp.status == 400 and field in out["error"], out
+        resp, status = request(conn, "GET", "/live/feed")
+        assert (status["num_edges"], status["subscriptions"]) == (1, 0)
+        resp, listing = request(conn, "GET", "/live")
+        assert listing["live"] == ["feed"]
+
     def test_a_query_string_does_not_change_a_delete_route(self, live_server):
         conn, _, _ = live_server
         create_feed(conn)
