@@ -1,18 +1,34 @@
 """Stdlib JSON/HTTP endpoint over a :class:`MotifService`.
 
-A deliberately dependency-free front door (``http.server`` +
-``ThreadingHTTPServer``; one thread per connection feeding the shared
-scheduler).  Every response leaves through :meth:`_send` as **one
-write** — header block and body in a single segment — on a socket with
-``TCP_NODELAY`` set; the SSE stream writes its header block once and
-then one segment per batch of frames.  (Headers and body as two small
-writes on a keep-alive socket cost every response ~40 ms: Nagle holds
-the second until the client's delayed ACK of the first.)  A request
-body no route consumed is drained before the response, or the
-connection is closed, so the next request on a keep-alive connection is
-never parsed out of leftover bytes.  An exception no route maps to a
-4xx answers ``500 {"error": ...}`` instead of dropping the connection,
-so a producer can retry.  Routes:
+A deliberately dependency-free front door: a small HTTP/1.1 reader of
+its own on a ``socketserver.ThreadingTCPServer`` (one daemon thread per
+connection feeding the shared scheduler, ``TCP_NODELAY`` on every
+socket) and one route table, :attr:`ServiceRequestHandler.ROUTES`, from
+method and path pattern to handler.  ``http.server``, ``email`` and
+``http.client`` are not imported: their request parsing cost more CPU
+than a cache hit does.
+
+The reader takes a request line of at most 65,536 bytes (414 past it),
+then at most 100 header lines of at most 65,536 bytes each (431 past
+either) into a dict keyed by lower-cased name.  A body is framed by
+``Content-Length`` alone: a request carrying ``Transfer-Encoding`` is
+refused with 411, since its body could not be told apart from the next
+request.  These answers, and the 400 for a malformed request line,
+carry a JSON error and ``Connection: close``.  HTTP/1.1 keeps the
+connection open unless the client sends ``Connection: close``; HTTP/1.0
+closes it unless the client sends ``Connection: keep-alive``.  ``Expect:
+100-continue`` is answered ``100 Continue`` before the route runs.
+
+Every response leaves through :meth:`_respond` as **one write** —
+header block and body in a single segment; the SSE stream writes its
+header block once and then one segment per batch of frames.  (Headers
+and body as two small writes on a keep-alive socket cost every response
+~40 ms: Nagle holds the second until the client's delayed ACK of the
+first.)  A request body no route consumed is drained before the
+response, or the connection is closed, so the next request on a
+keep-alive connection is never parsed out of leftover bytes.  An
+exception no route maps to a 4xx answers ``500 {"error": ...}`` instead
+of dropping the connection, so a producer can retry.  Routes:
 
 - ``GET  /healthz`` — health probe: queue depth, per-graph breaker
   states, worker liveness and the degraded flag.  200 while the
@@ -61,13 +77,19 @@ Live graphs and standing subscriptions (:mod:`repro.live`):
   400).  Delivery everywhere is at-least-once: reads never consume,
   clients advance their own cursor, and a cursor that fell off the
   bounded outbox gets an explicit ``gap`` event first.
+
+``seq``, ``threshold``, ``lateness`` and the two capacities are checked
+like ``delta`` (:func:`~repro.graph.window.checked_integer`), and
+``flush`` must be a JSON boolean: a bad one is a 400, never coerced.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+import socketserver
+import sys
+import time
 from typing import Callable, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs
 
@@ -80,6 +102,28 @@ from repro.service.service import MotifService
 #: Largest unread request body drained to keep a connection reusable;
 #: past it the response carries ``Connection: close`` instead.
 MAX_DRAIN_BYTES = 1 << 20
+#: Longest request line, and longest header line (414 / 431 past them).
+MAX_LINE = 65536
+#: Most header lines one request may carry (431 past it).
+MAX_HEADERS = 100
+
+SERVER = f"mint-repro-serve/1.0 Python/{sys.version.split()[0]}"
+_REASONS = {
+    200: "OK", 400: "Bad Request", 404: "Not Found", 411: "Length Required",
+    414: "Request-URI Too Long", 429: "Too Many Requests",
+    431: "Request Header Fields Too Large", 500: "Internal Server Error",
+    501: "Not Implemented", 503: "Service Unavailable", 504: "Gateway Timeout",
+}
+_date: Tuple[int, str] = (0, "")
+
+
+def _http_date() -> str:
+    """The ``Date`` value (RFC 7231 IMF-fixdate), formatted once a second."""
+    global _date
+    now = int(time.time())
+    if _date[0] != now:  # C-locale day and month names: Python never sets LC_TIME
+        _date = (now, time.strftime("%a, %d %b %Y %H:%M:%S GMT", time.gmtime(now)))
+    return _date[1]
 
 
 class _HTTPError(Exception):
@@ -97,11 +141,10 @@ def _result_to_response(result: QueryResult) -> Tuple[int, Dict]:
     return 500, {"error": result.error or result.status}
 
 
-class ServiceRequestHandler(BaseHTTPRequestHandler):
-    """Routes requests to the shared :class:`MotifService`."""
+class ServiceRequestHandler(socketserver.StreamRequestHandler):
+    """Reads HTTP/1.1 requests off one connection and routes each to
+    the shared :class:`MotifService`."""
 
-    server_version = "mint-repro-serve/1.0"
-    protocol_version = "HTTP/1.1"
     #: ``wfile`` stays unbuffered, so one ``write`` is one ``sendall``.
     wbufsize = 0
     #: socketserver's name for TCP_NODELAY on every accepted socket.
@@ -111,44 +154,97 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
     def service(self) -> MotifService:
         return self.server.service  # type: ignore[attr-defined]
 
-    def log_message(self, fmt: str, *args) -> None:  # noqa: A003
-        if getattr(self.server, "verbose", False):
-            super().log_message(fmt, *args)
+    # -- the reader ------------------------------------------------------------
 
-    # -- plumbing --------------------------------------------------------------
+    def handle(self) -> None:
+        """Answer requests until one closes the connection or it drops."""
+        try:
+            while self._answer_one():
+                pass
+        except ConnectionError:
+            pass
 
-    def parse_request(self) -> bool:
-        self._body_read = False
-        return super().parse_request()
+    def _answer_one(self) -> bool:
+        """Read and answer one request; False once the connection is done."""
+        line = self.rfile.readline(MAX_LINE + 1)
+        if not line:
+            return False
+        self.requestline = line.rstrip(b"\r\n").decode("latin-1")
+        self.headers: Dict[str, str] = {}
+        self.close_connection = True
+        try:
+            method, target = self._read_head(line)
+        except _HTTPError as exc:
+            self._unread = math.inf  # nothing after a bad head can be framed
+            self._send_json(exc.status, {"error": exc.message})
+            return False
+        self._answer(method, target)
+        return not self.close_connection
 
-    def _send(
-        self,
-        status: int,
-        content_type: str,
-        raw: bytes,
-        headers: Optional[Dict[str, str]] = None,
-    ) -> None:
+    def _read_head(self, line: bytes) -> Tuple[str, str]:
+        """The request line's method and target; the headers into
+        :attr:`headers`.  Raises :class:`_HTTPError` for a head that
+        cannot be answered on a connection kept open."""
+        if len(line) > MAX_LINE:
+            raise _HTTPError(414, f"request line over {MAX_LINE} bytes")
+        words = self.requestline.split()
+        if len(words) != 3 or not words[2].startswith("HTTP/1."):
+            raise _HTTPError(400, f"malformed request line {self.requestline!r}")
+        for _ in range(MAX_HEADERS + 1):
+            raw = self.rfile.readline(MAX_LINE + 1)
+            if raw in (b"\r\n", b"\n", b""):
+                break
+            if len(raw) > MAX_LINE:
+                raise _HTTPError(431, f"header line over {MAX_LINE} bytes")
+            name, colon, value = raw.decode("latin-1").partition(":")
+            if not colon:
+                raise _HTTPError(400, f"malformed header line {raw!r}")
+            self.headers.setdefault(name.strip().lower(), value.strip())
+        else:
+            raise _HTTPError(431, f"more than {MAX_HEADERS} header lines")
+        if "transfer-encoding" in self.headers:
+            raise _HTTPError(411, "Transfer-Encoding is not supported; "
+                                  "send a Content-Length")
+        try:
+            self._unread = int(self.headers.get("content-length") or 0)
+        except ValueError:
+            self._unread = math.inf
+        connection = self.headers.get("connection", "").lower()
+        http10 = words[2] == "HTTP/1.0"
+        self.close_connection = connection == "close" or (
+            http10 and connection != "keep-alive"
+        )
+        if not http10 and self.headers.get("expect", "").lower() == "100-continue":
+            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+        return words[0], words[1]
+
+    # -- the writer ------------------------------------------------------------
+
+    def _respond(self, status: int, fields: Dict[str, str], raw: bytes = b"") -> None:
         """The one way a response leaves: headers + body in one write."""
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(raw)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
+        head = (f"HTTP/1.1 {status} {_REASONS[status]}\r\nServer: {SERVER}\r\n"
+                f"Date: {_http_date()}\r\n")
+        head += "".join(f"{name}: {value}\r\n" for name, value in fields.items())
+        if self.server.verbose:  # type: ignore[attr-defined]
+            stamp = time.strftime("%d/%b/%Y %H:%M:%S")
+            sys.stderr.write(
+                f'{self.client_address[0]} - - [{stamp}] "{self.requestline}" {status} -\n'
+            )
+        self.wfile.write(head.encode("latin-1") + b"\r\n" + raw)
+
+    def _send(self, status: int, content_type: str, raw: bytes,
+              headers: Optional[Dict[str, str]] = None) -> None:
+        fields = {"Content-Type": content_type, "Content-Length": str(len(raw))}
+        fields.update(headers or {})
         if not self._discard_unread_body():
-            self.send_header("Connection", "close")
-        # end_headers() would flush the header block as a segment of its
-        # own; ride the body on the same buffer instead.
-        self._headers_buffer.append(b"\r\n" + raw)
-        self.flush_headers()
+            fields["Connection"] = "close"
+            self.close_connection = True
+        self._respond(status, fields, raw)
 
-    def _send_json(
-        self, status: int, body: Dict, headers: Optional[Dict[str, str]] = None
-    ) -> None:
-        raw = json.dumps(body, sort_keys=True).encode()
-        self._send(status, "application/json", raw, headers)
-
-    def _send_text(self, status: int, text: str) -> None:
-        self._send(status, "text/plain; charset=utf-8", text.encode())
+    def _send_json(self, status: int, body: Dict,
+                   headers: Optional[Dict[str, str]] = None) -> None:
+        self._send(status, "application/json", json.dumps(body, sort_keys=True).encode(),
+                   headers)
 
     def _discard_unread_body(self) -> bool:
         """False when a declared request body is still on the socket.
@@ -157,24 +253,18 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         error raised first, DELETE) would otherwise leave those bytes to
         be parsed as the next request line.  Small ones are drained.
         """
-        if self._body_read:
-            return True
-        try:
-            length = int(self.headers.get("Content-Length") or 0)
-        except ValueError:
+        if self._unread > MAX_DRAIN_BYTES:
             return False
-        if length > MAX_DRAIN_BYTES:
-            return False
-        if length > 0:
-            self.rfile.read(length)
-        self._body_read = True
+        if self._unread > 0:
+            self.rfile.read(self._unread)
+        self._unread = 0
         return True
 
     def _read_body(self) -> Dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        length = int(self.headers.get("content-length") or 0)
         if length <= 0:
             raise _HTTPError(400, "a JSON request body is required")
-        self._body_read = True
+        self._unread = 0
         try:
             body = json.loads(self.rfile.read(length))
         except (ValueError, UnicodeDecodeError) as exc:
@@ -206,26 +296,19 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
 
     # -- routes ----------------------------------------------------------------
 
-    def do_GET(self) -> None:  # noqa: N802
-        self._answer(self._route_get)
+    def _answer(self, method: str, target: str) -> None:
+        """Run the route for one request and map every exception it
+        raises to an answer.
 
-    def do_POST(self) -> None:  # noqa: N802
-        self._answer(self._route_post)
-
-    def do_DELETE(self) -> None:  # noqa: N802
-        self._answer(self._route_delete)
-
-    def _answer(self, route: Callable[[str, str], None]) -> None:
-        """Run one route and map every exception it raises to an answer.
-
-        The route gets the path and the query string apart, for every
-        method.  An exception no clause below names is a 500 carrying
-        the error, so the client gets a status it can retry on, not a
-        dropped connection.
+        Every method's route sees the path without its query string,
+        which it reads from :attr:`query_string`.  An exception no
+        clause below names is a 500 carrying the error, so the client
+        gets a status it can retry on, not a dropped connection.
         """
-        path, _, query_string = self.path.partition("?")
+        path, _, self.query_string = target.partition("?")
         try:
-            route(path, query_string)
+            handler, args = _route(method, path)
+            handler(self, *args)
         except _HTTPError as exc:
             self._send_json(exc.status, {"error": exc.message})
         except QueryRejected as exc:
@@ -241,70 +324,24 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         except Exception as exc:
             self._send_json(500, {"error": f"{type(exc).__name__}: {exc}"})
 
-    def _route_get(self, path: str, query_string: str) -> None:
-        if path == "/healthz":
-            health = self.service.health()
-            self._send_json(200 if health["ok"] else 503, health)
-        elif path == "/metrics":
-            if "format=text" in query_string:
-                self._send_text(200, self.service.render_metrics())
-            else:
-                self._send_json(200, {"metrics": self.service.metrics().as_dict()})
-        elif path == "/graphs":
-            names = self.service.graphs()
-            out = {}
-            for name, fp in names.items():
-                g = self.service.registry.get(fp)
-                out[name] = {
-                    "fingerprint": fp,
-                    "num_nodes": g.num_nodes,
-                    "num_edges": g.num_edges,
-                }
-            self._send_json(200, {"graphs": out})
-        elif path == "/live":
-            self._send_json(200, {"live": self.service.live_graphs()})
-        elif path.startswith("/live/"):
-            name = path[len("/live/"):]
-            self._send_json(200, self.service.live_status(name))
-        elif path == "/subscriptions":
-            self._send_json(
-                200, {"subscriptions": self.service.live.subscriptions()}
-            )
-        elif path.startswith("/subscriptions/") and path.endswith("/events"):
-            sub_id = path[len("/subscriptions/"):-len("/events")]
-            self._handle_sse(sub_id, query_string)
-        elif path.startswith("/subscriptions/") and path.endswith("/poll"):
-            sub_id = path[len("/subscriptions/"):-len("/poll")]
-            self._handle_poll(sub_id, query_string)
-        elif path.startswith("/subscriptions/"):
-            sub_id = path[len("/subscriptions/"):]
-            self._send_json(200, self.service.subscription(sub_id).status())
-        else:
-            raise _HTTPError(404, f"no such route {path!r}")
+    def _healthz(self) -> None:
+        health = self.service.health()
+        self._send_json(200 if health["ok"] else 503, health)
 
-    def _route_post(self, path: str, query_string: str) -> None:
-        if path == "/query":
-            self._handle_query()
-        elif path == "/graphs":
-            self._handle_register_graph()
-        elif path == "/live":
-            self._handle_create_live()
-        elif path == "/subscriptions":
-            self._handle_subscribe()
-        elif path.startswith("/graphs/") and path.endswith("/edges"):
-            self._handle_append_live(path[len("/graphs/"):-len("/edges")])
-        elif path.startswith("/live/") and path.endswith("/window-query"):
-            body = self._read_body()
-            delta = body.get("delta")
-            result = self.service.live_window_query(
-                path[len("/live/"):-len("/window-query")],
-                self._resolve_motif(body),
-                delta=None if delta is None else checked_delta(delta),
-                timeout_s=body.get("timeout_s"),
-            )
-            self._send_json(*_result_to_response(result))
+    def _metrics(self) -> None:
+        if "format=text" in self.query_string:
+            raw = self.service.render_metrics().encode()
+            self._send(200, "text/plain; charset=utf-8", raw)
         else:
-            raise _HTTPError(404, f"no such route {path!r}")
+            self._send_json(200, {"metrics": self.service.metrics().as_dict()})
+
+    def _list_graphs(self) -> None:
+        out = {}
+        for name, fp in self.service.graphs().items():
+            g = self.service.registry.get(fp)
+            out[name] = {"fingerprint": fp, "num_nodes": g.num_nodes,
+                         "num_edges": g.num_edges}
+        self._send_json(200, {"graphs": out})
 
     def _handle_query(self) -> None:
         body = self._read_body()
@@ -314,9 +351,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         mode = body.get("mode", "exact")
         if mode != "exact":
             raise _HTTPError(400, f"unknown mode {mode!r}; expected 'exact'")
-        result = self.service.query(
-            graph, motif, delta, timeout_s=body.get("timeout_s")
-        )
+        result = self.service.query(graph, motif, delta, timeout_s=body.get("timeout_s"))
         self._send_json(*_result_to_response(result))
 
     def _handle_register_graph(self) -> None:
@@ -326,29 +361,29 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         name = self._require(body, "name")
         graph = TemporalGraph(checked_edges(self._require(body, "edges")))
         fp = self.service.register_graph(graph, name=str(name))
-        self._send_json(
-            200,
-            {
-                "name": name,
-                "fingerprint": fp,
-                "num_nodes": graph.num_nodes,
-                "num_edges": graph.num_edges,
-            },
-        )
+        self._send_json(200, {"name": name, "fingerprint": fp,
+                              "num_nodes": graph.num_nodes, "num_edges": graph.num_edges})
 
     # -- live graphs + subscriptions (repro.live) ------------------------------
 
-    def _route_delete(self, path: str, query_string: str) -> None:
-        if path.startswith("/subscriptions/"):
-            sub_id = path[len("/subscriptions/"):]
-            self.service.unsubscribe(sub_id)
-            self._send_json(200, {"cancelled": sub_id})
-        elif path.startswith("/live/"):
-            name = path[len("/live/"):]
-            self.service.drop_live_graph(name)
-            self._send_json(200, {"dropped": name})
-        else:
-            raise _HTTPError(404, f"no such route {path!r}")
+    def _handle_window_query(self, name: str) -> None:
+        body = self._read_body()
+        delta = body.get("delta")
+        result = self.service.live_window_query(
+            name,
+            self._resolve_motif(body),
+            delta=None if delta is None else checked_delta(delta),
+            timeout_s=body.get("timeout_s"),
+        )
+        self._send_json(*_result_to_response(result))
+
+    def _unsubscribe(self, sub_id: str) -> None:
+        self.service.unsubscribe(sub_id)
+        self._send_json(200, {"cancelled": sub_id})
+
+    def _drop_live(self, name: str) -> None:
+        self.service.drop_live_graph(name)
+        self._send_json(200, {"dropped": name})
 
     def _handle_create_live(self) -> None:
         body = self._read_body()
@@ -415,9 +450,9 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             raise _HTTPError(400, f"max_events must be at least 1, got {max_events}")
         return max_events
 
-    def _handle_poll(self, sub_id: str, query_string: str) -> None:
+    def _handle_poll(self, sub_id: str) -> None:
         """Long-poll fallback: block until events past ``after`` exist."""
-        params = parse_qs(query_string)
+        params = parse_qs(self.query_string)
         sub = self.service.subscription(sub_id)
         after = self._qs_int(params, "after", 0)
         max_events = self._max_events(params)
@@ -427,17 +462,10 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             max_events=max_events,
         )
         next_after = max([after] + [e["seq"] for e in events])
-        self._send_json(
-            200,
-            {
-                "subscription": sub_id,
-                "events": events,
-                "next_after": next_after,
-                "closed": sub.outbox.closed,
-            },
-        )
+        self._send_json(200, {"subscription": sub_id, "events": events,
+                              "next_after": next_after, "closed": sub.outbox.closed})
 
-    def _handle_sse(self, sub_id: str, query_string: str) -> None:
+    def _handle_sse(self, sub_id: str) -> None:
         """Server-sent events: push each outbox event as one SSE frame.
 
         The stream is chunked-free HTTP/1.1 (no Content-Length,
@@ -446,10 +474,10 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         reconnecting client resumes via ``Last-Event-ID`` (or
         ``?after=``) and the at-least-once outbox redelivers from there.
         """
-        params = parse_qs(query_string)
+        params = parse_qs(self.query_string)
         sub = self.service.subscription(sub_id)
         after = self._qs_int(params, "after", 0)
-        last_id = self.headers.get("Last-Event-ID")
+        last_id = self.headers.get("last-event-id")
         if last_id is not None:
             after = int(last_id)
         max_events = self._max_events(params)
@@ -461,11 +489,9 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                 400, f"heartbeat_s must be a positive number, got {heartbeat_s}"
             )
         heartbeat_s = min(heartbeat_s, 60.0)
-        self.send_response(200)
-        self.send_header("Content-Type", "text/event-stream")
-        self.send_header("Cache-Control", "no-cache")
-        self.send_header("Connection", "close")
-        self.end_headers()  # one write: the whole header block
+        self.close_connection = True
+        self._respond(200, {"Content-Type": "text/event-stream",  # the header block
+                            "Cache-Control": "no-cache", "Connection": "close"})
         sent = 0
         try:
             while True:
@@ -492,29 +518,80 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         except (BrokenPipeError, ConnectionResetError):
             return  # client went away; the outbox keeps their cursor safe
 
+    #: Method and path pattern to handler.  ``{}`` is whatever lies
+    #: between the pattern's prefix and suffix, passed as the handler's
+    #: one argument; patterns are tried in this order, after the exact
+    #: paths.
+    ROUTES: Dict[str, Callable] = {
+        "GET /healthz": _healthz,
+        "GET /metrics": _metrics,
+        "GET /graphs": _list_graphs,
+        "GET /live": lambda h: h._send_json(200, {"live": h.service.live_graphs()}),
+        "GET /live/{}": lambda h, name: h._send_json(200, h.service.live_status(name)),
+        "GET /subscriptions": lambda h: h._send_json(
+            200, {"subscriptions": h.service.live.subscriptions()}
+        ),
+        "GET /subscriptions/{}/events": _handle_sse,
+        "GET /subscriptions/{}/poll": _handle_poll,
+        "GET /subscriptions/{}": lambda h, sub_id: h._send_json(
+            200, h.service.subscription(sub_id).status()
+        ),
+        "POST /query": _handle_query,
+        "POST /graphs": _handle_register_graph,
+        "POST /live": _handle_create_live,
+        "POST /subscriptions": _handle_subscribe,
+        "POST /graphs/{}/edges": _handle_append_live,
+        "POST /live/{}/window-query": _handle_window_query,
+        "DELETE /subscriptions/{}": _unsubscribe,
+        "DELETE /live/{}": _drop_live,
+    }
 
-class ServiceHTTPServer(ThreadingHTTPServer):
+
+def _compile(routes: Dict[str, Callable]):
+    """Split the route table into exact paths and ``{}`` patterns."""
+    exact: Dict[Tuple[str, str], Callable] = {}
+    patterns: List[Tuple[str, str, str, Callable]] = []
+    for key, handler in routes.items():
+        method, _, pattern = key.partition(" ")
+        prefix, hole, suffix = pattern.partition("{}")
+        if hole:
+            patterns.append((method, prefix, suffix, handler))
+        else:
+            exact[method, pattern] = handler
+    return exact, patterns
+
+
+_EXACT, _PATTERNS = _compile(ServiceRequestHandler.ROUTES)
+_METHODS = {key.partition(" ")[0] for key in ServiceRequestHandler.ROUTES}
+
+
+def _route(method: str, path: str) -> Tuple[Callable, Tuple[str, ...]]:
+    """The handler for ``method`` on ``path`` and its arguments."""
+    handler = _EXACT.get((method, path))
+    if handler is not None:
+        return handler, ()
+    for want, prefix, suffix, handler in _PATTERNS:
+        if want == method and path.startswith(prefix) and path.endswith(suffix):
+            return handler, (path[len(prefix):len(path) - len(suffix)],)
+    if method not in _METHODS:
+        raise _HTTPError(501, f"unsupported method {method!r}")
+    raise _HTTPError(404, f"no such route {path!r}")
+
+
+class ServiceHTTPServer(socketserver.ThreadingTCPServer):
     """A threading HTTP server bound to one :class:`MotifService`."""
 
     daemon_threads = True
+    allow_reuse_address = True
 
-    def __init__(
-        self,
-        service: MotifService,
-        host: str = "127.0.0.1",
-        port: int = 8300,
-        verbose: bool = False,
-    ) -> None:
+    def __init__(self, service: MotifService, host: str = "127.0.0.1", port: int = 8300,
+                 verbose: bool = False) -> None:
         super().__init__((host, port), ServiceRequestHandler)
         self.service = service
         self.verbose = verbose
 
 
-def make_server(
-    service: MotifService,
-    host: str = "127.0.0.1",
-    port: int = 8300,
-    verbose: bool = False,
-) -> ServiceHTTPServer:
+def make_server(service: MotifService, host: str = "127.0.0.1", port: int = 8300,
+                verbose: bool = False) -> ServiceHTTPServer:
     """Bind (port 0 picks a free port) without starting to serve."""
     return ServiceHTTPServer(service, host, port, verbose=verbose)

@@ -90,18 +90,54 @@ print(json.dumps({"count": answer["count"], "released": ack["released"],
 """
 
 
-def test_serve_path_loads_no_offline_module(tmp_path):
+#: One query over a raw socket, so the client loads no HTTP module.
+RAW_SOCKET_SCRIPT = r"""
+import json, socket, sys, threading
+
+from repro import cli
+
+graph_path, delta = sys.argv[1], int(sys.argv[2])
+args = cli._build_parser().parse_args(["serve", "g=" + graph_path, "--port", "0"])
+service, server = cli.build_serve_server(args)
+threading.Thread(
+    target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+).start()
+body = json.dumps({"graph": "g", "motif": "M1", "delta": delta}).encode()
+try:
+    with socket.create_connection(server.server_address[:2], timeout=30) as sock:
+        sock.sendall(b"POST /query HTTP/1.1\r\nHost: t\r\nConnection: close\r\n"
+                     b"Content-Length: %d\r\n\r\n" % len(body) + body)
+        raw = b"".join(iter(lambda: sock.recv(65536), b""))
+finally:
+    server.shutdown()
+    server.server_close()
+    service.close()
+head, _, payload = raw.partition(b"\r\n\r\n")
+print(json.dumps({"status": int(head.split()[1]), "count": json.loads(payload)["count"],
+                  "modules": sorted(sys.modules)}))
+"""
+
+#: The stdlib HTTP machinery ``service.http`` reads requests without.
+HTTP_STDLIB = ("http.server", "http.client", "email")
+
+
+def _serve_report(script, tmp_path):
+    """Run ``script`` on a small graph file; its last stdout line, parsed."""
     graph = make_dataset("email-eu", scale=0.04, seed=3)
     path = tmp_path / "g.txt"
     save_snap_text(graph, str(path))
     delta = max(1, graph.time_span // 30)
     out = subprocess.run(
-        [sys.executable, "-c", SERVE_SCRIPT, str(path), str(delta)],
+        [sys.executable, "-c", script, str(path), str(delta)],
         capture_output=True, text=True, timeout=120,
         env=dict(os.environ, PYTHONPATH=str(SRC)),
     )
     assert out.returncode == 0, out.stderr
-    report = json.loads(out.stdout.splitlines()[-1])
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_serve_path_loads_no_offline_module(tmp_path):
+    report = _serve_report(SERVE_SCRIPT, tmp_path)
     assert report["count"] >= 0 and report["released"] == 3
     modules = [m for m in report["modules"] if m.startswith("repro")]
     loaded = [
@@ -117,6 +153,17 @@ def test_serve_path_loads_no_offline_module(tmp_path):
     # What serving does run, so an empty module list cannot pass.
     assert {"repro.service.http", "repro.live.ingest",
             "repro.comine.engine"} <= set(modules)
+
+
+def test_serve_answers_without_the_stdlib_http_server(tmp_path):
+    report = _serve_report(RAW_SOCKET_SCRIPT, tmp_path)
+    assert report["status"] == 200 and report["count"] >= 0
+    loaded = [
+        m for m in report["modules"]
+        if any(m == p or m.startswith(p + ".") for p in HTTP_STDLIB)
+    ]
+    assert not loaded, f"repro serve loaded the stdlib HTTP machinery: {loaded}"
+    assert "repro.service.http" in report["modules"]
 
 
 def test_the_walker_loads_no_process_pool():

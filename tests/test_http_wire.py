@@ -76,7 +76,10 @@ class Wire:
         return b"".join(self.response() for _ in range(answers))
 
     def at_eof(self) -> bool:
-        return self.file.read(1) == b""
+        try:
+            return self.file.read(1) == b""
+        except ConnectionResetError:  # closed with request bytes unread
+            return True
 
     def close(self) -> None:
         self.file.close()
@@ -263,6 +266,56 @@ def test_expect_100_continue(wire):
     w.sock.sendall(head)
     assert w.response() == b"HTTP/1.1 100 Continue\r\n\r\n"
     check("POST /query", w.exchange(body))
+
+
+class TestRefusedHeads:
+    """A head the server cannot frame is answered with a status line and a
+    JSON error, and the connection is closed: nothing after it is read."""
+
+    def test_a_chunked_body_is_refused_not_parsed_as_the_next_request(self, wire):
+        w, _, _ = wire
+        body = b'{"graph": "g", "motif": "M1", "delta": 10}'
+        raw = (b"POST /query HTTP/1.1\r\nHost: t\r\n" + JSON
+               + b"Transfer-Encoding: chunked\r\n\r\n"
+               + b"%x\r\n" % len(body) + body + b"\r\n0\r\n\r\n" + get("/healthz"))
+        check("chunked", w.exchange(raw))
+        assert w.at_eof()
+
+    def test_a_malformed_request_line_is_a_400(self, wire):
+        w, _, _ = wire
+        check("malformed", w.exchange(b"GARBAGE\r\n\r\n"))
+        assert w.at_eof()
+
+    def test_a_request_line_over_64_kib_is_a_414(self, wire):
+        w, _, _ = wire
+        line = b"GET /" + b"a" * 65521 + b" HTTP/1.1\r\n"
+        assert len(line) == 65537
+        check("414", w.exchange(line))
+        assert w.at_eof()
+
+    def test_a_header_line_over_64_kib_is_a_431(self, wire):
+        w, _, _ = wire
+        header = b"X-Long: " + b"a" * 65527 + b"\r\n"
+        assert len(header) == 65537
+        check("431 line", w.exchange(b"GET /healthz HTTP/1.1\r\n" + header))
+        assert w.at_eof()
+
+    def test_more_than_100_header_lines_is_a_431(self, wire):
+        w, _, _ = wire
+        headers = b"".join(b"X-%d: y\r\n" % i for i in range(101))
+        check("431 count", w.exchange(b"GET /healthz HTTP/1.1\r\n" + headers))
+        assert w.at_eof()
+
+    def test_100_header_lines_are_taken(self, wire):
+        w, _, _ = wire
+        headers = b"".join(b"X-%d: y\r\n" % i for i in range(99))  # and Host
+        check("GET /healthz", w.exchange(get("/healthz", headers)))
+
+
+def test_an_unsupported_method_is_a_501(wire):
+    w, _, _ = wire
+    check("501", w.exchange(get("/healthz", method="PUT")))
+    check("GET /healthz", w.exchange(get("/healthz")))
 
 
 #: The pinned responses, normalised by :func:`normalise`.
@@ -767,5 +820,66 @@ PINNED = {
         b'Connection: close\r\n'
         b'\r\n'
         b'{"error": "invalid literal for int() with base 10: \'ten\'"}'
+    ),
+    # Heads that cannot be framed, and a method no route has.
+    'chunked': (
+        b'HTTP/1.1 411 Length Required\r\n'
+        b'Server: mint-repro-serve/1.0 Python/<v>\r\n'
+        b'Date: <date>\r\n'
+        b'Content-Type: application/json\r\n'
+        b'Content-Length: 70\r\n'
+        b'Connection: close\r\n'
+        b'\r\n'
+        b'{"error": "Transfer-Encoding is not supported; send a Conten'
+        b't-Length"}'
+    ),
+    'malformed': (
+        b'HTTP/1.1 400 Bad Request\r\n'
+        b'Server: mint-repro-serve/1.0 Python/<v>\r\n'
+        b'Date: <date>\r\n'
+        b'Content-Type: application/json\r\n'
+        b'Content-Length: 45\r\n'
+        b'Connection: close\r\n'
+        b'\r\n'
+        b'{"error": "malformed request line \'GARBAGE\'"}'
+    ),
+    '414': (
+        b'HTTP/1.1 414 Request-URI Too Long\r\n'
+        b'Server: mint-repro-serve/1.0 Python/<v>\r\n'
+        b'Date: <date>\r\n'
+        b'Content-Type: application/json\r\n'
+        b'Content-Length: 42\r\n'
+        b'Connection: close\r\n'
+        b'\r\n'
+        b'{"error": "request line over 65536 bytes"}'
+    ),
+    '431 line': (
+        b'HTTP/1.1 431 Request Header Fields Too Large\r\n'
+        b'Server: mint-repro-serve/1.0 Python/<v>\r\n'
+        b'Date: <date>\r\n'
+        b'Content-Type: application/json\r\n'
+        b'Content-Length: 41\r\n'
+        b'Connection: close\r\n'
+        b'\r\n'
+        b'{"error": "header line over 65536 bytes"}'
+    ),
+    '431 count': (
+        b'HTTP/1.1 431 Request Header Fields Too Large\r\n'
+        b'Server: mint-repro-serve/1.0 Python/<v>\r\n'
+        b'Date: <date>\r\n'
+        b'Content-Type: application/json\r\n'
+        b'Content-Length: 39\r\n'
+        b'Connection: close\r\n'
+        b'\r\n'
+        b'{"error": "more than 100 header lines"}'
+    ),
+    '501': (
+        b'HTTP/1.1 501 Not Implemented\r\n'
+        b'Server: mint-repro-serve/1.0 Python/<v>\r\n'
+        b'Date: <date>\r\n'
+        b'Content-Type: application/json\r\n'
+        b'Content-Length: 37\r\n'
+        b'\r\n'
+        b'{"error": "unsupported method \'PUT\'"}'
     ),
 }

@@ -38,21 +38,6 @@ ALLOWED_UNREACHED_DEFS = {
         "the oracle (and, through it, brute_force_matches): the reference "
         "tests compare the miners against"
     ),
-    "repro.service.http.ServiceRequestHandler.do_GET": (
-        "stdlib hook: BaseHTTPRequestHandler calls do_<method> by name"
-    ),
-    "repro.service.http.ServiceRequestHandler.do_POST": (
-        "stdlib hook: BaseHTTPRequestHandler calls do_<method> by name"
-    ),
-    "repro.service.http.ServiceRequestHandler.do_DELETE": (
-        "stdlib hook: BaseHTTPRequestHandler calls do_<method> by name"
-    ),
-    "repro.service.http.ServiceRequestHandler.log_message": (
-        "stdlib hook: BaseHTTPRequestHandler logs every request through it"
-    ),
-    "repro.service.http.ServiceRequestHandler.parse_request": (
-        "stdlib hook: BaseHTTPRequestHandler parses each request line with it"
-    ),
     "repro.resilience.faults.FaultPlan.raise_at": (
         "test-support API: a fault plan the chaos tests install"
     ),
@@ -64,6 +49,9 @@ ALLOWED_UNREACHED_DEFS = {
     ),
     "repro.resilience.faults.FaultPlan.kill_every_worker": (
         "test-support API: a fault plan the chaos tests install"
+    ),
+    "repro.service.http.ServiceRequestHandler.handle": (
+        "stdlib hook: socketserver.BaseRequestHandler calls it once per connection"
     ),
     "repro.service.scheduler.QueryScheduler.pause": (
         "test seam: holds dispatch so a test can fill the queue"
