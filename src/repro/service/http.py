@@ -114,17 +114,6 @@ _REASONS = {
     431: "Request Header Fields Too Large", 500: "Internal Server Error",
     501: "Not Implemented", 503: "Service Unavailable", 504: "Gateway Timeout",
 }
-_date: Tuple[int, str] = (0, "")
-
-
-def _http_date() -> str:
-    """The ``Date`` value (RFC 7231 IMF-fixdate), formatted once a second."""
-    global _date
-    now = int(time.time())
-    if _date[0] != now:  # C-locale day and month names: Python never sets LC_TIME
-        _date = (now, time.strftime("%a, %d %b %Y %H:%M:%S GMT", time.gmtime(now)))
-    return _date[1]
-
 
 class _HTTPError(Exception):
     def __init__(self, status: int, message: str) -> None:
@@ -198,7 +187,7 @@ class ServiceRequestHandler(socketserver.StreamRequestHandler):
                 raise _HTTPError(431, f"header line over {MAX_LINE} bytes")
             name, colon, value = raw.decode("latin-1").partition(":")
             if not colon:
-                raise _HTTPError(400, f"malformed header line {raw!r}")
+                raise _HTTPError(400, f"malformed header line {name.rstrip()!r}")
             self.headers.setdefault(name.strip().lower(), value.strip())
         else:
             raise _HTTPError(431, f"more than {MAX_HEADERS} header lines")
@@ -223,7 +212,7 @@ class ServiceRequestHandler(socketserver.StreamRequestHandler):
     def _respond(self, status: int, fields: Dict[str, str], raw: bytes = b"") -> None:
         """The one way a response leaves: headers + body in one write."""
         head = (f"HTTP/1.1 {status} {_REASONS[status]}\r\nServer: {SERVER}\r\n"
-                f"Date: {_http_date()}\r\n")
+                f"Date: {self.server.http_date()}\r\n")  # type: ignore[attr-defined]
         head += "".join(f"{name}: {value}\r\n" for name, value in fields.items())
         if self.server.verbose:  # type: ignore[attr-defined]
             stamp = time.strftime("%d/%b/%Y %H:%M:%S")
@@ -589,6 +578,14 @@ class ServiceHTTPServer(socketserver.ThreadingTCPServer):
         super().__init__((host, port), ServiceRequestHandler)
         self.service = service
         self.verbose = verbose
+        self._date = (0, "")
+
+    def http_date(self) -> str:
+        """The ``Date`` value (RFC 7231 IMF-fixdate), formatted once a second."""
+        now = int(time.time())
+        if self._date[0] != now:  # C-locale day and month names: Python never sets LC_TIME
+            self._date = (now, time.strftime("%a, %d %b %Y %H:%M:%S GMT", time.gmtime(now)))
+        return self._date[1]
 
 
 def make_server(service: MotifService, host: str = "127.0.0.1", port: int = 8300,

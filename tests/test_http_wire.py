@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 import socket
-from contextlib import closing, contextmanager
+from contextlib import closing
 
 import pytest
 
@@ -26,7 +26,11 @@ EDGES = [(0, 1, 1), (1, 2, 2), (2, 0, 3), (0, 1, 4), (1, 2, 5), (2, 0, 6)]
 DELTA = 10
 JSON = b"Content-Type: application/json\r\n"
 
-_DATE = re.compile(rb"\r\nDate: [^\r]*\r\n")
+#: Only an RFC 7231 IMF-fixdate is normalised; any other Date fails the bytes.
+_DATE = re.compile(
+    rb"\r\nDate: (Mon|Tue|Wed|Thu|Fri|Sat|Sun), \d\d "
+    rb"(Jan|Feb|Mar|Apr|May|Jun|Jul|Aug|Sep|Oct|Nov|Dec) \d{4} \d\d:\d\d:\d\d GMT\r\n"
+)
 _SERVER = re.compile(rb"\r\nServer: mint-repro-serve/1\.0 Python/[^\r]*\r\n")
 
 
@@ -86,22 +90,16 @@ class Wire:
         self.sock.close()
 
 
-@contextmanager
-def served(service=None):
-    if service is None:
-        service = MotifService(max_queue=4)
-        service.register_graph(TemporalGraph(EDGES), name="g")
-    try:
-        with serving(service) as address:
-            yield address, service
-    finally:
-        service.close()
-
-
 @pytest.fixture
 def wire():
-    with served() as (address, service), closing(Wire(address)) as w:
-        yield w, service, address
+    """A raw connection to a fresh service with graph ``g`` registered."""
+    service = MotifService(max_queue=4)
+    service.register_graph(TemporalGraph(EDGES), name="g")
+    try:
+        with serving(service) as address, closing(Wire(address)) as w:
+            yield w, service
+    finally:
+        service.close()
 
 
 def check(case: str, got: bytes) -> None:
@@ -134,13 +132,13 @@ ROUTE_WALK = [
 
 
 def test_every_route(wire):
-    w, _, _ = wire
+    w, _ = wire
     for case, raw in ROUTE_WALK:
         check(case, w.exchange(raw))
 
 
 def test_sse_header_block_and_first_frame(wire):
-    w, service, _ = wire
+    w, service = wire
     service.create_live_graph("feed", DELTA)
     sid = service.subscribe("feed", "M1").sub_id
     service.append_live("feed", [(0, 1, 1), (1, 2, 2), (2, 0, 3)], seq=0, flush=True)
@@ -172,7 +170,7 @@ ERRORS = [
 
 
 def test_error_mappings(wire):
-    w, service, _ = wire
+    w, service = wire
     service.create_live_graph("feed", DELTA)
     sid = service.subscribe("feed", "M1").sub_id
     assert sid == "sub-1"
@@ -182,7 +180,7 @@ def test_error_mappings(wire):
 
 
 def test_overload_is_429_with_retry_after(wire):
-    w, service, _ = wire
+    w, service = wire
     fp = service.graphs()["g"]
     service.scheduler.pause()
     try:
@@ -195,7 +193,7 @@ def test_overload_is_429_with_retry_after(wire):
 
 
 def test_missed_deadline_is_504(wire):
-    w, service, _ = wire
+    w, service = wire
     service.scheduler.pause()
     try:
         check("504", w.exchange(post(
@@ -206,21 +204,21 @@ def test_missed_deadline_is_504(wire):
 
 
 def test_unmapped_exception_is_500(wire):
-    w, service, _ = wire
+    w, service = wire
     service.create_live_graph("feed", DELTA)
     with FaultPlan.raise_at("live.ingest", [1]).installed():
         check("500", w.exchange(post("/graphs/feed/edges", b'{"edges": [[0, 1, 1]]}')))
 
 
 def test_a_closed_service_is_503(wire):
-    w, service, _ = wire
+    w, service = wire
     service.close()
     check("503", w.exchange(get("/healthz")))
 
 
 class TestKeepAlive:
     def test_an_unread_body_is_drained(self, wire):
-        w, _, _ = wire
+        w, _ = wire
         raw = post("/nope", b'{"x": [1, 1, 1, 1, 1, 1, 1, 1]}') + get("/healthz")
         check("drain", w.exchange(raw, answers=2))
         check("GET /healthz", w.exchange(get("/healthz")))
@@ -228,38 +226,38 @@ class TestKeepAlive:
     def test_a_body_over_the_drain_limit_closes(self, wire, monkeypatch):
         import repro.service.http as http_mod
 
-        w, _, _ = wire
+        w, _ = wire
         monkeypatch.setattr(http_mod, "MAX_DRAIN_BYTES", 8)
         check("undrainable", w.exchange(post("/nope", b'{"longer": "than eight"}')))
         assert w.at_eof()
 
     def test_a_length_that_does_not_parse_closes(self, wire):
-        w, _, _ = wire
+        w, _ = wire
         raw = b"POST /query HTTP/1.1\r\nHost: t\r\nContent-Length: ten\r\n\r\n"
         check("bad length", w.exchange(raw))
         assert w.at_eof()
 
     def test_connection_close_is_honoured(self, wire):
-        w, _, _ = wire
+        w, _ = wire
         check("GET /healthz", w.exchange(get("/healthz", b"Connection: close\r\n")))
         assert w.at_eof()
 
 
 class TestHTTP10:
     def test_closes_by_default(self, wire):
-        w, _, _ = wire
+        w, _ = wire
         check("GET /healthz", w.exchange(b"GET /healthz HTTP/1.0\r\n\r\n"))
         assert w.at_eof()
 
     def test_keep_alive_on_request(self, wire):
-        w, _, _ = wire
+        w, _ = wire
         raw = b"GET /healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\n"
         check("GET /healthz", w.exchange(raw))
         check("GET /healthz", w.exchange(raw))
 
 
 def test_expect_100_continue(wire):
-    w, _, _ = wire
+    w, _ = wire
     body = b'{"graph": "g", "motif": "M1", "delta": 10}'
     head = (b"POST /query HTTP/1.1\r\nHost: t\r\n" + JSON + b"Expect: 100-continue\r\n"
             b"Content-Length: " + str(len(body)).encode() + b"\r\n\r\n")
@@ -273,7 +271,7 @@ class TestRefusedHeads:
     JSON error, and the connection is closed: nothing after it is read."""
 
     def test_a_chunked_body_is_refused_not_parsed_as_the_next_request(self, wire):
-        w, _, _ = wire
+        w, _ = wire
         body = b'{"graph": "g", "motif": "M1", "delta": 10}'
         raw = (b"POST /query HTTP/1.1\r\nHost: t\r\n" + JSON
                + b"Transfer-Encoding: chunked\r\n\r\n"
@@ -282,38 +280,43 @@ class TestRefusedHeads:
         assert w.at_eof()
 
     def test_a_malformed_request_line_is_a_400(self, wire):
-        w, _, _ = wire
+        w, _ = wire
         check("malformed", w.exchange(b"GARBAGE\r\n\r\n"))
         assert w.at_eof()
 
+    def test_a_header_line_without_a_colon_is_a_400(self, wire):
+        w, _ = wire
+        check("no colon", w.exchange(b"GET /healthz HTTP/1.1\r\nHost t\r\n\r\n"))
+        assert w.at_eof()
+
     def test_a_request_line_over_64_kib_is_a_414(self, wire):
-        w, _, _ = wire
+        w, _ = wire
         line = b"GET /" + b"a" * 65521 + b" HTTP/1.1\r\n"
         assert len(line) == 65537
         check("414", w.exchange(line))
         assert w.at_eof()
 
     def test_a_header_line_over_64_kib_is_a_431(self, wire):
-        w, _, _ = wire
+        w, _ = wire
         header = b"X-Long: " + b"a" * 65527 + b"\r\n"
         assert len(header) == 65537
         check("431 line", w.exchange(b"GET /healthz HTTP/1.1\r\n" + header))
         assert w.at_eof()
 
     def test_more_than_100_header_lines_is_a_431(self, wire):
-        w, _, _ = wire
+        w, _ = wire
         headers = b"".join(b"X-%d: y\r\n" % i for i in range(101))
         check("431 count", w.exchange(b"GET /healthz HTTP/1.1\r\n" + headers))
         assert w.at_eof()
 
     def test_100_header_lines_are_taken(self, wire):
-        w, _, _ = wire
+        w, _ = wire
         headers = b"".join(b"X-%d: y\r\n" % i for i in range(99))  # and Host
         check("GET /healthz", w.exchange(get("/healthz", headers)))
 
 
 def test_an_unsupported_method_is_a_501(wire):
-    w, _, _ = wire
+    w, _ = wire
     check("501", w.exchange(get("/healthz", method="PUT")))
     check("GET /healthz", w.exchange(get("/healthz")))
 
@@ -881,5 +884,15 @@ PINNED = {
         b'Content-Length: 37\r\n'
         b'\r\n'
         b'{"error": "unsupported method \'PUT\'"}'
+    ),
+    'no colon': (
+        b'HTTP/1.1 400 Bad Request\r\n'
+        b'Server: mint-repro-serve/1.0 Python/<v>\r\n'
+        b'Date: <date>\r\n'
+        b'Content-Type: application/json\r\n'
+        b'Content-Length: 43\r\n'
+        b'Connection: close\r\n'
+        b'\r\n'
+        b'{"error": "malformed header line \'Host t\'"}'
     ),
 }
