@@ -194,10 +194,10 @@ class ServiceRequestHandler(socketserver.StreamRequestHandler):
         if "transfer-encoding" in self.headers:
             raise _HTTPError(411, "Transfer-Encoding is not supported; "
                                   "send a Content-Length")
-        try:
-            self._unread = int(self.headers.get("content-length") or 0)
-        except ValueError:
-            self._unread = math.inf
+        length = self.headers.get("content-length", "0")
+        # Only digits frame a body; past a length like "ten" or "-5" the
+        # next request cannot be found, so the answer closes.
+        self._unread = int(length) if length.isascii() and length.isdigit() else math.inf
         connection = self.headers.get("connection", "").lower()
         http10 = words[2] == "HTTP/1.0"
         self.close_connection = connection == "close" or (

@@ -237,6 +237,12 @@ class TestKeepAlive:
         check("bad length", w.exchange(raw))
         assert w.at_eof()
 
+    def test_a_negative_length_closes(self, wire):
+        w, _ = wire
+        raw = post("/query", b"{}").replace(b"Content-Length: 2", b"Content-Length: -2")
+        check("negative length", w.exchange(raw + get("/healthz")))
+        assert w.at_eof()
+
     def test_connection_close_is_honoured(self, wire):
         w, _ = wire
         check("GET /healthz", w.exchange(get("/healthz", b"Connection: close\r\n")))
@@ -894,5 +900,15 @@ PINNED = {
         b'Connection: close\r\n'
         b'\r\n'
         b'{"error": "malformed header line \'Host t\'"}'
+    ),
+    'negative length': (
+        b'HTTP/1.1 400 Bad Request\r\n'
+        b'Server: mint-repro-serve/1.0 Python/<v>\r\n'
+        b'Date: <date>\r\n'
+        b'Content-Type: application/json\r\n'
+        b'Content-Length: 44\r\n'
+        b'Connection: close\r\n'
+        b'\r\n'
+        b'{"error": "a JSON request body is required"}'
     ),
 }
