@@ -479,7 +479,8 @@ class ServiceRequestHandler(socketserver.StreamRequestHandler):
             )
         heartbeat_s = min(heartbeat_s, 60.0)
         self.close_connection = True
-        self._respond(200, {"Content-Type": "text/event-stream",  # the header block
+        # One write: the whole header block, then one per batch of frames.
+        self._respond(200, {"Content-Type": "text/event-stream",
                             "Cache-Control": "no-cache", "Connection": "close"})
         sent = 0
         try:
