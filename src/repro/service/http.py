@@ -8,16 +8,27 @@ method and path pattern to handler.  ``http.server``, ``email`` and
 ``http.client`` are not imported: their request parsing cost more CPU
 than a cache hit does.
 
-The reader takes a request line of at most 65,536 bytes (414 past it),
-then at most 100 header lines of at most 65,536 bytes each (431 past
-either) into a dict keyed by lower-cased name.  A body is framed by
-``Content-Length`` alone: a request carrying ``Transfer-Encoding`` is
-refused with 411, since its body could not be told apart from the next
-request.  These answers, and the 400 for a malformed request line,
-carry a JSON error and ``Connection: close``.  HTTP/1.1 keeps the
-connection open unless the client sends ``Connection: close``; HTTP/1.0
-closes it unless the client sends ``Connection: keep-alive``.  ``Expect:
-100-continue`` is answered ``100 Continue`` before the route runs.
+One rule frames every request, in one pure function, :func:`parse_head`.
+It takes the bytes a connection has received so far and returns one of
+three results: a :class:`Head` (method, target, headers keyed by
+lower-cased name, body length, keep-alive, ``Expect: 100-continue``),
+None while more bytes are needed, or a :class:`Refused` status and
+message, answered as a JSON error with ``Connection: close`` before the
+connection closes.  The request line may be at most 65,536 bytes (414
+past it); at most 100 header lines may follow, each at most 65,536 bytes
+(431 past either), refused as soon as the buffer shows the excess.  A
+malformed request line, a header line with no colon or with space before
+it, and two differing ``Content-Length`` headers are 400s; a request
+carrying ``Transfer-Encoding`` is a 411, since its body could not be told
+apart from the next request.  Only an ASCII digit string frames a body.
+A length ``int()`` cannot read is a 400; one it can but that is not
+digits (``+37``, ``3_7``, ``-5``) is answered, with ``Connection:
+close``, and nothing after it is read.  HTTP/1.1 keeps the connection
+open unless the client sends ``Connection: close``; HTTP/1.0 closes it
+unless the client sends ``Connection: keep-alive``.  The handler keeps
+one receive buffer per connection, feeds it to :func:`parse_head`,
+writes ``100 Continue`` when the head asks for it, and then reads, drains
+or closes by the one length the head returned.
 
 Every response leaves through :meth:`_respond` as **one write** —
 header block and body in a single segment; the SSE stream writes its
@@ -26,7 +37,8 @@ and body as two small writes on a keep-alive socket cost every response
 ~40 ms: Nagle holds the second until the client's delayed ACK of the
 first.)  A request body no route consumed is drained before the
 response, or the connection is closed, so the next request on a
-keep-alive connection is never parsed out of leftover bytes.  An
+keep-alive connection is never parsed out of leftover bytes; so is one
+whose read failed.  An
 exception no route maps to a 4xx answers ``500 {"error": ...}`` instead
 of dropping the connection, so a producer can retry.  Routes:
 
@@ -90,7 +102,8 @@ import math
 import socketserver
 import sys
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from contextlib import suppress
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 from urllib.parse import parse_qs
 
 from repro.graph.window import checked_delta, checked_integer
@@ -115,11 +128,70 @@ _REASONS = {
     501: "Not Implemented", 503: "Service Unavailable", 504: "Gateway Timeout",
 }
 
-class _HTTPError(Exception):
+class Refused(Exception):
+    """An answer of ``status`` with a JSON error.  A route raises it and
+    the connection stays open; :func:`parse_head` returns it for a head
+    that cannot be framed, and the connection closes after it."""
+
     def __init__(self, status: int, message: str) -> None:
         super().__init__(message)
-        self.status = status
-        self.message = message
+        self.status, self.message = status, message
+
+
+#: A request head :func:`parse_head` framed.  ``length`` is its body's
+#: byte count, None when ``Content-Length`` is not an ASCII digit string
+#: (no body is framed, so the answer closes); ``size`` is how many bytes
+#: of the buffer the head took, its blank line included.
+Head = NamedTuple("Head", [
+    ("method", str), ("target", str), ("headers", Dict[str, str]), ("length", Optional[int]),
+    ("keep_alive", bool), ("expect_continue", bool), ("size", int)])
+
+
+def parse_head(buf: bytes) -> Union[Head, Refused, None]:
+    """Frame the request at the start of ``buf``: its :class:`Head`, a
+    :class:`Refused`, or None while more bytes are needed.
+
+    Pure: it touches no socket, so a limit is refused as soon as ``buf``
+    shows it, and a result, once given, stays as bytes are appended.
+    This is the one read of ``Content-Length`` in the package.
+    """
+    # latin-1 maps byte i to character i, so offsets in text are offsets in buf
+    text, start, headers = buf[:(MAX_HEADERS + 2) * MAX_LINE].decode("latin-1"), 0, {}
+    for n in range(MAX_HEADERS + 2):  # the request line, the headers, the blank line
+        if n > MAX_HEADERS and text[start:start + 2].lstrip("\r")[:1] not in ("", "\n"):
+            return Refused(431, f"more than {MAX_HEADERS} header lines")
+        end = text.find("\n", start, start + MAX_LINE)
+        if end < 0:
+            return None if len(text) - start < MAX_LINE else Refused(
+                431 if n else 414, f"{'header' if n else 'request'} line over {MAX_LINE} bytes")
+        line, start = text[start:end].rstrip("\r"), end + 1
+        if n == 0:
+            words = line.split()
+            if len(words) != 3 or not words[2].startswith("HTTP/1."):
+                return Refused(400, f"malformed request line {line!r}")
+        elif not line:
+            break
+        else:
+            name, colon, value = line.partition(":")
+            if not colon or name.split() != [name]:  # RFC 9112 5.1: no space before ":"
+                return Refused(400, f"malformed header line {line!r}")
+            name, value = name.lower(), value.strip()
+            if headers.setdefault(name, value) != value and name == "content-length":
+                return Refused(400, "differing Content-Length headers")  # RFC 9112 6.3
+    if "transfer-encoding" in headers:
+        return Refused(411, "Transfer-Encoding is not supported; send a Content-Length")
+    spelled = headers.get("content-length", "0")
+    try:
+        length: Optional[int] = int(spelled)
+    except ValueError as exc:
+        return Refused(400, str(exc))
+    if not (spelled.isascii() and spelled.isdigit()):
+        length = None  # "+37", "3_7", "-5": each is answered, but frames no body
+    connection, http10 = headers.get("connection", "").lower(), words[2] == "HTTP/1.0"
+    keep_alive = length is not None and (
+        connection == "keep-alive" if http10 else connection != "close")
+    expect = not http10 and headers.get("expect", "").lower() == "100-continue"
+    return Head(words[0], words[1], headers, length, keep_alive, expect, start)
 
 
 def _result_to_response(result: QueryResult) -> Tuple[int, Dict]:
@@ -147,65 +219,48 @@ class ServiceRequestHandler(socketserver.StreamRequestHandler):
 
     def handle(self) -> None:
         """Answer requests until one closes the connection or it drops."""
-        try:
+        self._buffer = bytearray()  # received, not yet taken
+        with suppress(ConnectionError):  # the client went away
             while self._answer_one():
                 pass
-        except ConnectionError:
-            pass
 
     def _answer_one(self) -> bool:
         """Read and answer one request; False once the connection is done."""
-        line = self.rfile.readline(MAX_LINE + 1)
-        if not line:
+        head = parse_head(self._buffer) if self._buffer else None
+        while head is None:
+            chunk = self._recv(MAX_LINE)
+            # Parse again only once a line ends, a line's first two bytes
+            # arrive, or the open line reaches the limit: nothing else
+            # can change the result, and a drip-fed head stays linear.
+            tail = len(self._buffer) - self._buffer.rfind(b"\n") - 1
+            if tail <= len(chunk) + 1 or tail >= MAX_LINE:
+                head = parse_head(self._buffer)
+        if isinstance(head, Refused):
+            self.requestline, self._unread = "-", None
+            self._send_json(head.status, {"error": head.message})
             return False
-        self.requestline = line.rstrip(b"\r\n").decode("latin-1")
-        self.headers: Dict[str, str] = {}
-        self.close_connection = True
-        try:
-            method, target = self._read_head(line)
-        except _HTTPError as exc:
-            self._unread = math.inf  # nothing after a bad head can be framed
-            self._send_json(exc.status, {"error": exc.message})
-            return False
-        self._answer(method, target)
+        del self._buffer[:head.size]
+        self.requestline, self.headers = f"{head.method} {head.target}", head.headers
+        self._unread, self.close_connection = head.length, not head.keep_alive
+        if head.expect_continue:
+            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+        self._answer(head.method, head.target)
         return not self.close_connection
 
-    def _read_head(self, line: bytes) -> Tuple[str, str]:
-        """The request line's method and target; the headers into
-        :attr:`headers`.  Raises :class:`_HTTPError` for a head that
-        cannot be answered on a connection kept open."""
-        if len(line) > MAX_LINE:
-            raise _HTTPError(414, f"request line over {MAX_LINE} bytes")
-        words = self.requestline.split()
-        if len(words) != 3 or not words[2].startswith("HTTP/1."):
-            raise _HTTPError(400, f"malformed request line {self.requestline!r}")
-        for _ in range(MAX_HEADERS + 1):
-            raw = self.rfile.readline(MAX_LINE + 1)
-            if raw in (b"\r\n", b"\n", b""):
-                break
-            if len(raw) > MAX_LINE:
-                raise _HTTPError(431, f"header line over {MAX_LINE} bytes")
-            name, colon, value = raw.decode("latin-1").partition(":")
-            if not colon:
-                raise _HTTPError(400, f"malformed header line {name.rstrip()!r}")
-            self.headers.setdefault(name.strip().lower(), value.strip())
-        else:
-            raise _HTTPError(431, f"more than {MAX_HEADERS} header lines")
-        if "transfer-encoding" in self.headers:
-            raise _HTTPError(411, "Transfer-Encoding is not supported; "
-                                  "send a Content-Length")
-        length = self.headers.get("content-length", "0")
-        # Only digits frame a body; past a length like "ten" or "-5" the
-        # next request cannot be found, so the answer closes.
-        self._unread = int(length) if length.isascii() and length.isdigit() else math.inf
-        connection = self.headers.get("connection", "").lower()
-        http10 = words[2] == "HTTP/1.0"
-        self.close_connection = connection == "close" or (
-            http10 and connection != "keep-alive"
-        )
-        if not http10 and self.headers.get("expect", "").lower() == "100-continue":
-            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
-        return words[0], words[1]
+    def _recv(self, want: int) -> bytes:
+        """Append the socket's next bytes, at most ``want``, to the buffer."""
+        chunk = self.connection.recv(want)
+        if not chunk:
+            raise ConnectionAbortedError("the client closed the connection")
+        self._buffer += chunk
+        return chunk
+
+    def _take(self, size: int) -> bytearray:
+        """The next ``size`` body bytes, off the buffer."""
+        while len(self._buffer) < size:
+            self._recv(max(size - len(self._buffer), MAX_LINE))
+        taken, self._buffer = self._buffer[:size], self._buffer[size:]
+        return taken
 
     # -- the writer ------------------------------------------------------------
 
@@ -223,11 +278,16 @@ class ServiceRequestHandler(socketserver.StreamRequestHandler):
 
     def _send(self, status: int, content_type: str, raw: bytes,
               headers: Optional[Dict[str, str]] = None) -> None:
+        """Respond, first draining a body no route read (so the next
+        request is not parsed out of it), or closing past a drainable one."""
         fields = {"Content-Type": content_type, "Content-Length": str(len(raw))}
         fields.update(headers or {})
-        if not self._discard_unread_body():
+        if self._unread is None or self._unread > MAX_DRAIN_BYTES:
             fields["Connection"] = "close"
             self.close_connection = True
+        elif self._unread:
+            self._take(self._unread)
+            self._unread = 0
         self._respond(status, fields, raw)
 
     def _send_json(self, status: int, body: Dict,
@@ -235,37 +295,23 @@ class ServiceRequestHandler(socketserver.StreamRequestHandler):
         self._send(status, "application/json", json.dumps(body, sort_keys=True).encode(),
                    headers)
 
-    def _discard_unread_body(self) -> bool:
-        """False when a declared request body is still on the socket.
-
-        A route that answered without reading its body (unknown path, an
-        error raised first, DELETE) would otherwise leave those bytes to
-        be parsed as the next request line.  Small ones are drained.
-        """
-        if self._unread > MAX_DRAIN_BYTES:
-            return False
-        if self._unread > 0:
-            self.rfile.read(self._unread)
-        self._unread = 0
-        return True
-
     def _read_body(self) -> Dict:
-        length = int(self.headers.get("content-length") or 0)
-        if length <= 0:
-            raise _HTTPError(400, "a JSON request body is required")
-        self._unread = 0
+        if not self._unread:
+            raise Refused(400, "a JSON request body is required")
+        length, self._unread = self._unread, None  # a read that fails closes
+        raw, self._unread = self._take(length), 0
         try:
-            body = json.loads(self.rfile.read(length))
+            body = json.loads(raw)
         except (ValueError, UnicodeDecodeError) as exc:
-            raise _HTTPError(400, f"invalid JSON body: {exc}") from None
+            raise Refused(400, f"invalid JSON body: {exc}") from None
         if not isinstance(body, dict):
-            raise _HTTPError(400, "request body must be a JSON object")
+            raise Refused(400, "request body must be a JSON object")
         return body
 
     @staticmethod
     def _require(body: Dict, field: str):
         if field not in body:
-            raise _HTTPError(400, f"missing required field {field!r}")
+            raise Refused(400, f"missing required field {field!r}")
         return body[field]
 
     def _resolve_motif(self, body: Dict) -> Motif:
@@ -276,12 +322,12 @@ class ServiceRequestHandler(socketserver.StreamRequestHandler):
             try:
                 return parse_motif(body["motif_spec"], name="custom")
             except ValueError as exc:
-                raise _HTTPError(400, f"bad motif_spec: {exc}") from None
+                raise Refused(400, f"bad motif_spec: {exc}") from None
         name = self._require(body, "motif")
         try:
             return motif_by_name(name)
         except KeyError as exc:
-            raise _HTTPError(404, str(exc.args[0])) from None
+            raise Refused(404, str(exc.args[0])) from None
 
     # -- routes ----------------------------------------------------------------
 
@@ -298,14 +344,11 @@ class ServiceRequestHandler(socketserver.StreamRequestHandler):
         try:
             handler, args = _route(method, path)
             handler(self, *args)
-        except _HTTPError as exc:
+        except Refused as exc:
             self._send_json(exc.status, {"error": exc.message})
         except QueryRejected as exc:
-            self._send_json(
-                429,
-                {"error": str(exc), "retry_after_s": exc.retry_after_s},
-                headers={"Retry-After": f"{max(1, round(exc.retry_after_s))}"},
-            )
+            retry = {"Retry-After": f"{max(1, round(exc.retry_after_s))}"}
+            self._send_json(429, {"error": str(exc), "retry_after_s": exc.retry_after_s}, retry)
         except UnknownGraph as exc:
             self._send_json(404, {"error": str(exc.args[0])})
         except (ValueError, TypeError) as exc:
@@ -339,7 +382,7 @@ class ServiceRequestHandler(socketserver.StreamRequestHandler):
         motif = self._resolve_motif(body)
         mode = body.get("mode", "exact")
         if mode != "exact":
-            raise _HTTPError(400, f"unknown mode {mode!r}; expected 'exact'")
+            raise Refused(400, f"unknown mode {mode!r}; expected 'exact'")
         result = self.service.query(graph, motif, delta, timeout_s=body.get("timeout_s"))
         self._send_json(*_result_to_response(result))
 
@@ -359,11 +402,8 @@ class ServiceRequestHandler(socketserver.StreamRequestHandler):
         body = self._read_body()
         delta = body.get("delta")
         result = self.service.live_window_query(
-            name,
-            self._resolve_motif(body),
-            delta=None if delta is None else checked_delta(delta),
-            timeout_s=body.get("timeout_s"),
-        )
+            name, self._resolve_motif(body),
+            delta=None if delta is None else checked_delta(delta), timeout_s=body.get("timeout_s"))
         self._send_json(*_result_to_response(result))
 
     def _unsubscribe(self, sub_id: str) -> None:
@@ -380,30 +420,23 @@ class ServiceRequestHandler(socketserver.StreamRequestHandler):
         delta = checked_delta(self._require(body, "delta"))
         lateness = body.get("lateness", 0)
         out = self.service.create_live_graph(
-            name,
-            delta,
+            name, delta,
             lateness=None if lateness is None else checked_integer(lateness, "lateness"),
             reorder_capacity=checked_integer(
-                body.get("reorder_capacity", 1024), "reorder_capacity", least=1
-            ),
-        )
+                body.get("reorder_capacity", 1024), "reorder_capacity", least=1))
         self._send_json(200, out)
 
     def _handle_append_live(self, name: str) -> None:
         body = self._read_body()
         edges = self._require(body, "edges")
         if not isinstance(edges, list):
-            raise _HTTPError(400, "'edges' must be a list of [src, dst, t]")
+            raise Refused(400, "'edges' must be a list of [src, dst, t]")
         seq = body.get("seq")
         flush = body.get("flush", False)
         if not isinstance(flush, bool):
-            raise _HTTPError(400, f"flush must be true or false, got {flush!r}")
+            raise Refused(400, f"flush must be true or false, got {flush!r}")
         ack = self.service.append_live(
-            name,
-            edges,
-            seq=None if seq is None else checked_integer(seq, "seq"),
-            flush=flush,
-        )
+            name, edges, seq=None if seq is None else checked_integer(seq, "seq"), flush=flush)
         self._send_json(200, ack)
 
     def _handle_subscribe(self) -> None:
@@ -414,15 +447,10 @@ class ServiceRequestHandler(socketserver.StreamRequestHandler):
         threshold = body.get("threshold")
         kind = str(body.get("kind", "threshold" if threshold is not None else "update"))
         sub = self.service.subscribe(
-            graph,
-            motif,
-            delta=None if delta is None else checked_delta(delta),
-            kind=kind,
+            graph, motif, delta=None if delta is None else checked_delta(delta), kind=kind,
             threshold=None if threshold is None else checked_integer(threshold, "threshold"),
             outbox_capacity=checked_integer(
-                body.get("outbox_capacity", 256), "outbox_capacity", least=1
-            ),
-        )
+                body.get("outbox_capacity", 256), "outbox_capacity", least=1))
         self._send_json(200, sub.status())
 
     @staticmethod
@@ -436,7 +464,7 @@ class ServiceRequestHandler(socketserver.StreamRequestHandler):
         out its whole timeout for nothing, so K < 1 is a 400."""
         max_events = self._qs_int(params, "max_events")
         if max_events is not None and max_events < 1:
-            raise _HTTPError(400, f"max_events must be at least 1, got {max_events}")
+            raise Refused(400, f"max_events must be at least 1, got {max_events}")
         return max_events
 
     def _handle_poll(self, sub_id: str) -> None:
@@ -474,7 +502,7 @@ class ServiceRequestHandler(socketserver.StreamRequestHandler):
         if not (math.isfinite(heartbeat_s) and heartbeat_s > 0):
             # 0 or less spins this thread on heartbeats; inf/nan kill it
             # in the outbox wait after the 200 is already out.
-            raise _HTTPError(
+            raise Refused(
                 400, f"heartbeat_s must be a positive number, got {heartbeat_s}"
             )
         heartbeat_s = min(heartbeat_s, 60.0)
@@ -564,8 +592,8 @@ def _route(method: str, path: str) -> Tuple[Callable, Tuple[str, ...]]:
         if want == method and path.startswith(prefix) and path.endswith(suffix):
             return handler, (path[len(prefix):len(path) - len(suffix)],)
     if method not in _METHODS:
-        raise _HTTPError(501, f"unsupported method {method!r}")
-    raise _HTTPError(404, f"no such route {path!r}")
+        raise Refused(501, f"unsupported method {method!r}")
+    raise Refused(404, f"no such route {path!r}")
 
 
 class ServiceHTTPServer(socketserver.ThreadingTCPServer):

@@ -243,6 +243,23 @@ class TestKeepAlive:
         check("negative length", w.exchange(raw + get("/healthz")))
         assert w.at_eof()
 
+    @pytest.mark.parametrize("spelled", [b"+37", b"3_7"])
+    def test_a_length_int_reads_but_is_not_digits_closes(self, wire, spelled):
+        w, _ = wire
+        body = b'{"graph":"g","motif":"M1","delta":10}'
+        assert len(body) == 37
+        raw = post("/query", body).replace(b"Content-Length: 37", b"Content-Length: " + spelled)
+        check("unframed length", w.exchange(raw + get("/healthz")))
+        assert w.at_eof()
+
+    def test_a_body_read_that_fails_closes(self, wire):
+        # Asking the socket for 10**12 bytes fails at once: nothing is allocated.
+        w, _ = wire
+        raw = (b"POST /query HTTP/1.1\r\nHost: t\r\n" + JSON
+               + b"Content-Length: 1000000000000\r\n\r\n" + get("/healthz"))
+        check("failed body read", w.exchange(raw))
+        assert w.at_eof()
+
     def test_connection_close_is_honoured(self, wire):
         w, _ = wire
         check("GET /healthz", w.exchange(get("/healthz", b"Connection: close\r\n")))
@@ -282,6 +299,21 @@ class TestRefusedHeads:
                + b"Transfer-Encoding: chunked\r\n\r\n"
                + b"%x\r\n" % len(body) + body + b"\r\n0\r\n\r\n" + get("/healthz"))
         check("chunked", w.exchange(raw))
+        assert w.at_eof()
+
+    def test_differing_lengths_are_a_400(self, wire):
+        w, _ = wire
+        body = b'{"graph":"g","motif":"M1","delta":10}'
+        raw = post("/query", body, b"Content-Length: 37\r\n").replace(
+            b"Content-Length: 37\r\n\r\n", b"Content-Length: 3\r\n\r\n")
+        check("differing lengths", w.exchange(raw + get("/healthz")))
+        assert w.at_eof()
+
+    def test_whitespace_before_a_colon_is_a_400(self, wire):
+        w, _ = wire
+        body = b'{"graph":"g","motif":"M1","delta":10}'
+        raw = post("/query", body).replace(b"Content-Length:", b"Content-Length :")
+        check("space before colon", w.exchange(raw + get("/healthz")))
         assert w.at_eof()
 
     def test_a_malformed_request_line_is_a_400(self, wire):
@@ -909,5 +941,45 @@ PINNED = {
         b'Connection: close\r\n'
         b'\r\n'
         b'{"error": "a JSON request body is required"}'
+    ),
+    'unframed length': (
+        b'HTTP/1.1 400 Bad Request\r\n'
+        b'Server: mint-repro-serve/1.0 Python/<v>\r\n'
+        b'Date: <date>\r\n'
+        b'Content-Type: application/json\r\n'
+        b'Content-Length: 44\r\n'
+        b'Connection: close\r\n'
+        b'\r\n'
+        b'{"error": "a JSON request body is required"}'
+    ),
+    'failed body read': (
+        b'HTTP/1.1 500 Internal Server Error\r\n'
+        b'Server: mint-repro-serve/1.0 Python/<v>\r\n'
+        b'Date: <date>\r\n'
+        b'Content-Type: application/json\r\n'
+        b'Content-Length: 26\r\n'
+        b'Connection: close\r\n'
+        b'\r\n'
+        b'{"error": "MemoryError: "}'
+    ),
+    'differing lengths': (
+        b'HTTP/1.1 400 Bad Request\r\n'
+        b'Server: mint-repro-serve/1.0 Python/<v>\r\n'
+        b'Date: <date>\r\n'
+        b'Content-Type: application/json\r\n'
+        b'Content-Length: 45\r\n'
+        b'Connection: close\r\n'
+        b'\r\n'
+        b'{"error": "differing Content-Length headers"}'
+    ),
+    'space before colon': (
+        b'HTTP/1.1 400 Bad Request\r\n'
+        b'Server: mint-repro-serve/1.0 Python/<v>\r\n'
+        b'Date: <date>\r\n'
+        b'Content-Type: application/json\r\n'
+        b'Content-Length: 56\r\n'
+        b'Connection: close\r\n'
+        b'\r\n'
+        b'{"error": "malformed header line \'Content-Length : 37\'"}'
     ),
 }
